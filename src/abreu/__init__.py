@@ -65,6 +65,7 @@ from .legendre import (
     pullback_rhs,
 )
 from .potential import (
+    HessianState,
     Potential,
     QuadraticBase,
     abreu_forward,
@@ -96,7 +97,7 @@ __all__ = [
     "make_grid", "partial", "gradient", "hessian", "mean",
     "project_mean_zero", "second_divergence", "interpolate", "sup_norm",
     # potential
-    "QuadraticBase", "Potential", "hessian_u", "inverse_hessian",
+    "QuadraticBase", "Potential", "HessianState", "hessian_u", "inverse_hessian",
     "det_hessian", "cofactor", "abreu_forward", "divergence_form_residual",
     "convexity_margin", "double_contract",
     # solver

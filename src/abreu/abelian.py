@@ -25,18 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeanNotZero, NotConvex
+from .errors import MeanNotZero
 from .grid import ScalarField, hessian, mean, project_mean_zero, sup_norm
 from .legendre import GradientMapSolveConfig, legendre_transform
 from .potential import (
     Potential,
     QuadraticBase,
-    _eig_extremes,
     abreu_forward,
-    det_hessian,
+    convexity_margin,
     double_contract,
-    hessian_u,
-    inverse_hessian,
 )
 from .solver import MEAN_TOLERANCE, SolverConfig, continuity_solve
 
@@ -69,8 +66,7 @@ class InvariantMetric:
         return Potential(QuadraticBase.identity(self.psi.grid.dim), self.psi)
 
     def is_positive(self) -> bool:
-        lo, _ = _eig_extremes(hessian_u(self.potential))
-        return bool(lo.min() > 0.0)
+        return convexity_margin(self.potential) > 0.0
 
 
 def scalar_curvature(m: InvariantMetric) -> ScalarField:
@@ -79,14 +75,10 @@ def scalar_curvature(m: InvariantMetric) -> ScalarField:
     Computed nodewise as -1/4 v^ij [log det(v_ab)]_ij from spectral
     derivatives; raises NotConvex if the metric is not positive.
     """
-    V = m.potential
-    H = hessian_u(V)
-    lo, _ = _eig_extremes(H)
-    worst = np.unravel_index(np.argmin(lo), lo.shape)
-    if lo[worst] <= 0.0:
-        raise NotConvex(worst, lo[worst])
-    log_det = ScalarField(V.grid, np.log(det_hessian(H).values))
-    return -0.25 * double_contract(inverse_hessian(H), hessian(log_det))
+    state = m.potential.hessian_state
+    hinv = state.inverse()
+    log_det = ScalarField(m.psi.grid, np.log(state.det))
+    return -0.25 * double_contract(hinv, hessian(log_det))
 
 
 def scalar_curvature_symplectic(
@@ -108,7 +100,7 @@ def metric_volume_mean(m: InvariantMetric, f: ScalarField) -> float:
     The scalar curvature has zero mean in exactly this sense (the
     x-coordinate sampling is not plain-mean-zero).
     """
-    weight = det_hessian(hessian_u(m.potential)).values
+    weight = m.potential.hessian_state.det
     return float(np.mean(f.values * weight) / np.mean(weight))
 
 

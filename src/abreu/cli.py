@@ -228,11 +228,10 @@ def _base_report(argv, cfg=None) -> dict:
 
 def _solution_bounds(potential) -> dict:
     from .estimates import c0_c1_report, eigenvalue_bounds
-    from .potential import det_hessian, hessian_u
 
     sup_phi, sup_grad_phi, osc_bound = c0_c1_report(potential)
     eig_min, eig_max = eigenvalue_bounds(potential)
-    det_vals = det_hessian(hessian_u(potential)).values
+    det_vals = potential.hessian_state.det
     return {
         "sup_phi": sup_phi,
         "sup_grad_phi": sup_grad_phi,

@@ -21,7 +21,7 @@ monitors certify solution plausibility, not the underlying theory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -29,13 +29,9 @@ from .errors import GradientInversionFailure, MonitorViolation, NotConvex
 from .grid import ScalarField, TrigInterpolant, gradient, sup_norm
 from .potential import (
     Potential,
-    _eig_extremes,
     abreu_forward,
     convexity_margin,
-    det_hessian,
     divergence_form_residual,
-    hessian_u,
-    inverse_hessian,
 )
 
 __all__ = [
@@ -49,6 +45,11 @@ __all__ = [
     "eigenvalue_bounds",
     "verify_solution",
 ]
+
+
+def _report_dict(pairs) -> dict:
+    """`asdict` factory that writes tuple fields as JSON-style lists."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in pairs}
 
 
 @dataclass(frozen=True)
@@ -68,13 +69,7 @@ class InequalityCheck:
         return cls(name, lhs, rhs, relation, bool(ok))
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "relation": self.relation,
-            "satisfied": self.satisfied,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -99,21 +94,15 @@ class BoundsReport:
     measured_constant_mode: bool = True
 
     def merge(self, other: "BoundsReport") -> "BoundsReport":
-        updates = {}
-        for name in (
-            "sup_phi",
-            "sup_grad_phi",
-            "det_min",
-            "det_max",
-            "eig_min",
-            "eig_max",
-            "sup_A",
-            "upper_constant_c",
-            "beta",
-        ):
-            value = getattr(other, name)
-            if value is not None:
-                updates[name] = value
+        """Other's measured values where set, and both checklists.
+
+        The measured values are exactly the fields that default to None.
+        """
+        updates = {
+            f.name: getattr(other, f.name)
+            for f in fields(other)
+            if f.default is None and getattr(other, f.name) is not None
+        }
         updates["inequalities"] = self.inequalities + other.inequalities
         return replace(self, **updates)
 
@@ -122,19 +111,7 @@ class BoundsReport:
         return all(c.satisfied for c in self.inequalities)
 
     def to_dict(self) -> dict:
-        return {
-            "sup_phi": self.sup_phi,
-            "sup_grad_phi": self.sup_grad_phi,
-            "det_min": self.det_min,
-            "det_max": self.det_max,
-            "eig_min": self.eig_min,
-            "eig_max": self.eig_max,
-            "sup_A": self.sup_A,
-            "upper_constant_c": self.upper_constant_c,
-            "beta": self.beta,
-            "measured_constant_mode": self.measured_constant_mode,
-            "inequalities": [c.to_dict() for c in self.inequalities],
-        }
+        return asdict(self, dict_factory=_report_dict)
 
 
 def _raise_if_failed(report: BoundsReport, strict: bool) -> BoundsReport:
@@ -171,8 +148,8 @@ def c0_c1_report(P: Potential) -> tuple[float, float, float]:
 
 def eigenvalue_bounds(P: Potential) -> tuple[float, float]:
     """Extreme Hessian eigenvalues (c1, c2) over all nodes."""
-    lo, hi = _eig_extremes(hessian_u(P))
-    return float(lo.min()), float(hi.max())
+    state = P.hessian_state
+    return state.min_eigenvalue, state.max_eigenvalue
 
 
 def _tiled_coordinates(grid, reps: int, origin: float) -> list[np.ndarray]:
@@ -215,15 +192,11 @@ def upper_bound_monitor(
         raise ValueError("bound monitors assume an identity dual base")
     grid = V.grid
     n = grid.dim
-    H = hessian_u(V)
-    detv = det_hessian(H).values
-    lo, _ = _eig_extremes(H)
-    worst = np.unravel_index(np.argmin(lo), lo.shape)
-    if lo[worst] <= 0.0:
-        raise NotConvex(worst, lo[worst])
+    state = V.hessian_state
+    hinv = state.inverse()
+    detv = state.det
     L = np.log(detv)
     psi = V.perturbation.values
-    hinv = inverse_hessian(H)
     sup_a = sup_norm(Atilde)
 
     coords = _tiled_coordinates(grid, 2, -1.0)
@@ -311,12 +284,10 @@ def lower_bound_monitor(
     n = grid.dim
     if beta is None:
         beta = choose_beta(V)
-    H = hessian_u(V)
-    detv = det_hessian(H).values
-    lo, _ = _eig_extremes(H)
-    worst = np.unravel_index(np.argmin(lo), lo.shape)
-    if lo[worst] <= 0.0:
-        raise NotConvex(worst, lo[worst])
+    state = V.hessian_state
+    state.require_convex(0.0)
+    H = state.hessian
+    detv = state.det
     L = np.log(detv)
     psi = V.perturbation.values
     grads = [g.values for g in gradient(V.perturbation)]
@@ -381,7 +352,7 @@ class VerificationReport:
     bounds: BoundsReport
 
     def to_dict(self) -> dict:
-        return {"passed": self.passed, "bounds": self.bounds.to_dict()}
+        return asdict(self, dict_factory=_report_dict)
 
 
 def verify_solution(
@@ -454,8 +425,8 @@ def verify_solution(
             )
         )
         x_of_y = gradient_map_inverse(P, P.grid.node_points())
-        det_u = TrigInterpolant(det_hessian(hessian_u(P)))
-        det_v = det_hessian(hessian_u(V)).values.ravel()
+        det_u = TrigInterpolant(ScalarField(P.grid, P.hessian_state.det))
+        det_v = V.hessian_state.det.ravel()
         duality_defect = np.max(np.abs(det_v * det_u.evaluate(x_of_y) - 1.0))
         checks.append(
             InequalityCheck.compare(

@@ -17,6 +17,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,23 +253,50 @@ class SymMatrixField:
 # spectral differentiation
 
 
-def _derivative_multiplier(grid: PeriodicGrid, axes) -> np.ndarray:
-    """Fourier multiplier for the mixed derivative of per-axis orders `axes`.
+@functools.lru_cache(maxsize=128)
+def _derivative_multiplier(grid: PeriodicGrid, orders: tuple[int, ...]) -> np.ndarray:
+    """Fourier multiplier of the mixed derivative with per-axis `orders`.
 
-    Odd orders zero the Nyquist mode of their axis; even orders keep it.
+    Laid out for real-FFT spectra (the last axis keeps its N/2 + 1
+    non-negative modes, Nyquist last) and cached read-only per grid.  Odd
+    orders zero the Nyquist mode of their axis; even orders keep it.  The
+    multiplier is real whenever the total order is even.
     """
-    mult = np.ones((1,) * grid.dim, dtype=complex)
-    for axis, order in enumerate(axes):
+    mult = np.ones((1,) * grid.dim)
+    for axis, order in enumerate(orders):
         if order == 0:
             continue
-        k = grid.wavenumbers(axis)
-        factor = (1j * _TWO_PI * k.astype(float)) ** order
+        n = grid.resolution[axis]
+        k = grid.wavenumbers(axis).astype(float)
+        if axis == grid.dim - 1:
+            k = k[: n // 2 + 1]
+        factor = (_TWO_PI * k) ** order
         if order % 2 == 1:
-            factor[grid.resolution[axis] // 2] = 0.0
+            factor[n // 2] = 0.0
         shape = [1] * grid.dim
         shape[axis] = len(k)
         mult = mult * factor.reshape(shape)
+    mult = mult * 1j ** sum(orders)
+    if sum(orders) % 2 == 0:
+        mult = mult.real
+    mult.setflags(write=False)
     return mult
+
+
+def _rfft(values: np.ndarray) -> np.ndarray:
+    return np.fft.rfftn(values, axes=tuple(range(values.ndim)))
+
+
+def _irfft(spectrum: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    return np.fft.irfftn(spectrum, s=grid.shape, axes=tuple(range(grid.dim)))
+
+
+def _pair_orders(dim: int, i: int, j: int) -> tuple[int, ...]:
+    """Per-axis orders of the second partial d^2 / dx_i dx_j."""
+    orders = [0] * dim
+    orders[i] += 1
+    orders[j] += 1
+    return tuple(orders)
 
 
 def _check_axes(grid: PeriodicGrid, axes) -> tuple[int, ...]:
@@ -293,9 +321,8 @@ def partial(f: ScalarField, axes) -> ScalarField:
     axes = _check_axes(f.grid, axes)
     if sum(axes) == 0:
         return f
-    spectrum = np.fft.fftn(f.values)
-    spectrum *= _derivative_multiplier(f.grid, axes)
-    return ScalarField(f.grid, np.fft.ifftn(spectrum).real)
+    spectrum = _rfft(f.values) * _derivative_multiplier(f.grid, axes)
+    return ScalarField(f.grid, _irfft(spectrum, f.grid))
 
 
 def _unit_orders(dim: int, axis: int, order: int = 1) -> tuple[int, ...]:
@@ -307,11 +334,11 @@ def _unit_orders(dim: int, axis: int, order: int = 1) -> tuple[int, ...]:
 def gradient(f: ScalarField) -> list[ScalarField]:
     """All first partials, sharing a single forward transform."""
     grid = f.grid
-    spectrum = np.fft.fftn(f.values)
+    spectrum = _rfft(f.values)
     out = []
     for axis in range(grid.dim):
         mult = _derivative_multiplier(grid, _unit_orders(grid.dim, axis))
-        out.append(ScalarField(grid, np.fft.ifftn(spectrum * mult).real))
+        out.append(ScalarField(grid, _irfft(spectrum * mult, grid)))
     return out
 
 
@@ -319,15 +346,12 @@ def hessian(f: ScalarField) -> SymMatrixField:
     """All second partials as a symmetric matrix field (one forward FFT)."""
     grid = f.grid
     n = grid.dim
-    spectrum = np.fft.fftn(f.values)
+    spectrum = _rfft(f.values)
     pairs = _triangle_indices(n)
     entries = np.empty(grid.shape + (len(pairs),))
     for k, (i, j) in enumerate(pairs):
-        orders = [0] * n
-        orders[i] += 1
-        orders[j] += 1
-        mult = _derivative_multiplier(grid, orders)
-        entries[..., k] = np.fft.ifftn(spectrum * mult).real
+        mult = _derivative_multiplier(grid, _pair_orders(n, i, j))
+        entries[..., k] = _irfft(spectrum * mult, grid)
     return SymMatrixField(grid, entries)
 
 
@@ -353,19 +377,16 @@ def second_divergence(M: SymMatrixField) -> ScalarField:
     """
     grid = M.grid
     n = grid.dim
-    acc = np.zeros(grid.shape, dtype=complex)
+    acc = 0.0
     for k, (i, j) in enumerate(_triangle_indices(n)):
-        orders = [0] * n
-        orders[i] += 1
-        orders[j] += 1
-        mult = _derivative_multiplier(grid, orders)
+        mult = _derivative_multiplier(grid, _pair_orders(n, i, j))
         weight = 1.0 if i == j else 2.0
         # centering is exact (the zero mode is annihilated) and avoids
         # scattering the large DC coefficient's rounding into high modes,
         # which the fourth-order multipliers would amplify
         comp = M.entries[..., k]
-        acc += weight * mult * np.fft.fftn(comp - comp.mean())
-    return ScalarField(grid, np.fft.ifftn(acc).real)
+        acc = acc + weight * mult * _rfft(comp - comp.mean())
+    return ScalarField(grid, _irfft(acc, grid))
 
 
 # ---------------------------------------------------------------------------

@@ -26,15 +26,7 @@ from .grid import (
     hessian,
     project_mean_zero,
 )
-from .potential import (
-    Potential,
-    QuadraticBase,
-    _require_convex,
-    det_hessian,
-    double_contract,
-    hessian_u,
-    inverse_hessian,
-)
+from .potential import CONVEXITY_FLOOR, Potential, QuadraticBase, double_contract
 
 __all__ = [
     "GradientMapSolveConfig",
@@ -202,7 +194,7 @@ def dual_residual(V: Potential, Atilde: ScalarField) -> ScalarField:
     Hessian of the dual potential.  Vanishes (to transform accuracy) when
     V is the dual of a solution and Atilde the pulled-back right-hand side.
     """
-    H = hessian_u(V)
-    _require_convex(H, 1e-8)
-    L = ScalarField(V.grid, np.log(det_hessian(H).values))
-    return double_contract(inverse_hessian(H), hessian(L)) - Atilde
+    state = V.hessian_state
+    hinv = state.inverse(CONVEXITY_FLOOR)
+    L = ScalarField(V.grid, np.log(state.det))
+    return double_contract(hinv, hessian(L)) - Atilde

@@ -14,7 +14,8 @@ cofactor matrix of the Hessian and w = 1/det(u_ab).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .grid import (
 __all__ = [
     "QuadraticBase",
     "Potential",
+    "HessianState",
     "CONVEXITY_FLOOR",
     "hessian_u",
     "inverse_hessian",
@@ -125,6 +127,11 @@ class Potential:
         vals = np.asarray(values, dtype=float)
         return Potential(self.base, ScalarField(self.grid, vals - vals.mean()))
 
+    @cached_property
+    def hessian_state(self) -> "HessianState":
+        """Hessian quantities of this potential, built on first use and kept."""
+        return HessianState(hessian_u(self))
+
 
 def hessian_u(P: Potential) -> SymMatrixField:
     """Nodewise Hessian M + D^2 phi, computed spectrally from phi."""
@@ -138,39 +145,81 @@ def hessian_u(P: Potential) -> SymMatrixField:
     return SymMatrixField(P.grid, entries)
 
 
-def _eig_extremes(H: SymMatrixField) -> tuple[np.ndarray, np.ndarray]:
-    """Nodewise smallest and largest eigenvalue."""
-    n = H.grid.dim
-    if n == 1:
-        vals = H.entries[..., 0]
-        return vals, vals
-    eigs = np.linalg.eigvalsh(H.to_full())
-    return eigs[..., 0], eigs[..., -1]
+@dataclass(frozen=True, eq=False)
+class HessianState:
+    """Nodewise Hessian quantities of one potential, each computed once.
 
+    Holds the Hessian entries, their determinant, the extreme eigenvalues
+    and the node of the smallest one; the inverse is formed on first use,
+    behind the convexity guard.  For n <= 2 everything has a closed form
+    (a 2x2 [[a, b], [b, c]] has eigenvalues m -+ hypot((a - c)/2, b) with
+    m = (a + c)/2, determinant ac - b^2 and inverse [c, -b, a]/det); from
+    n = 3 on LAPACK's eigvalsh, det and inv are used.
+    """
 
-def _require_convex(H: SymMatrixField, floor: float) -> None:
-    """Raise NotConvex naming the worst node if min eigenvalue <= floor."""
-    lo, _ = _eig_extremes(H)
-    worst = np.unravel_index(np.argmin(lo), lo.shape)
-    if lo[worst] <= floor:
-        raise NotConvex(worst, lo[worst])
+    hessian: SymMatrixField
+    det: np.ndarray = field(init=False)
+    min_eigenvalue: float = field(init=False)
+    max_eigenvalue: float = field(init=False)
+    worst_node: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        H = self.hessian
+        e = H.entries
+        if H.grid.dim == 1:
+            lo = hi = e[..., 0]
+            det = lo.copy()
+        elif H.grid.dim == 2:
+            a, b, c = e[..., 0], e[..., 1], e[..., 2]
+            det = a * c - b * b
+            m = 0.5 * (a + c)
+            r = np.hypot(0.5 * (a - c), b)
+            lo, hi = m - r, m + r
+        else:
+            full = H.to_full()
+            det = np.linalg.det(full)
+            eigs = np.linalg.eigvalsh(full)
+            lo, hi = eigs[..., 0], eigs[..., -1]
+        worst = np.unravel_index(np.argmin(lo), lo.shape)
+        det.setflags(write=False)
+        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "min_eigenvalue", float(lo[worst]))
+        object.__setattr__(self, "max_eigenvalue", float(hi.max()))
+        object.__setattr__(self, "worst_node", tuple(int(i) for i in worst))
+
+    def require_convex(self, floor: float = CONVEXITY_FLOOR) -> None:
+        """Raise NotConvex naming the worst node if min eigenvalue <= floor."""
+        if self.min_eigenvalue <= floor:
+            raise NotConvex(self.worst_node, self.min_eigenvalue)
+
+    def inverse(self, floor: float = CONVEXITY_FLOOR) -> SymMatrixField:
+        """Nodewise inverse Hessian, guarded by the convexity floor."""
+        self.require_convex(floor)
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> SymMatrixField:
+        H = self.hessian
+        e = H.entries
+        if H.grid.dim == 1:
+            return SymMatrixField(H.grid, 1.0 / e)
+        if H.grid.dim == 2:
+            a, b, c = e[..., 0], e[..., 1], e[..., 2]
+            inv = np.stack([c, -b, a], axis=-1) / self.det[..., None]
+            return SymMatrixField(H.grid, inv)
+        return SymMatrixField.from_full(H.grid, np.linalg.inv(H.to_full()))
 
 
 def inverse_hessian(
     H: SymMatrixField, convexity_floor: float = CONVEXITY_FLOOR
 ) -> SymMatrixField:
     """Nodewise matrix inverse, guarded by the convexity floor."""
-    _require_convex(H, convexity_floor)
-    if H.grid.dim == 1:
-        return SymMatrixField(H.grid, 1.0 / H.entries)
-    return SymMatrixField.from_full(H.grid, np.linalg.inv(H.to_full()))
+    return HessianState(H).inverse(convexity_floor)
 
 
 def det_hessian(H: SymMatrixField) -> ScalarField:
     """Nodewise determinant."""
-    if H.grid.dim == 1:
-        return ScalarField(H.grid, H.entries[..., 0])
-    return ScalarField(H.grid, np.linalg.det(H.to_full()))
+    return ScalarField(H.grid, HessianState(H).det)
 
 
 def cofactor(H: SymMatrixField) -> SymMatrixField:
@@ -224,8 +273,7 @@ def abreu_forward(
     The output has exactly zero mean: it is a double divergence of a
     periodic matrix field, integrated by parts on the torus.
     """
-    hinv = inverse_hessian(hessian_u(P), convexity_floor)
-    return second_divergence(hinv)
+    return second_divergence(P.hessian_state.inverse(convexity_floor))
 
 
 def divergence_form_residual(
@@ -241,13 +289,12 @@ def divergence_form_residual(
     """
     if abs(mean(A)) > mean_tolerance * (1.0 + sup_norm(A)):
         raise MeanNotZero(mean(A), mean_tolerance)
-    H = hessian_u(P)
-    _require_convex(H, convexity_floor)
-    w = ScalarField(P.grid, 1.0 / det_hessian(H).values)
-    return double_contract(cofactor(H), hessian(w)) - A
+    state = P.hessian_state
+    state.require_convex(convexity_floor)
+    w = ScalarField(P.grid, 1.0 / state.det)
+    return double_contract(cofactor(state.hessian), hessian(w)) - A
 
 
 def convexity_margin(P: Potential) -> float:
     """Smallest Hessian eigenvalue over all nodes; positive iff convex."""
-    lo, _ = _eig_extremes(hessian_u(P))
-    return float(lo.min())
+    return P.hessian_state.min_eigenvalue

@@ -24,7 +24,7 @@ the functional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,14 +38,7 @@ from .grid import (
     second_divergence,
     sup_norm,
 )
-from .potential import (
-    Potential,
-    QuadraticBase,
-    _eig_extremes,
-    det_hessian,
-    hessian_u,
-    inverse_hessian,
-)
+from .potential import CONVEXITY_FLOOR, Potential, QuadraticBase, abreu_forward
 
 __all__ = [
     "SolverConfig",
@@ -91,7 +84,7 @@ class SolverConfig:
     min_t_step: float = 1e-4
     linear_tolerance: float = 1e-12
     damping: float = 0.5
-    convexity_floor: float = 1e-8
+    convexity_floor: float = CONVEXITY_FLOOR
 
     def __post_init__(self):
         if min(
@@ -123,15 +116,7 @@ class ContinuityStep:
     convexity_margin: float
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "newton_iterations": self.newton_iterations,
-            "final_residual_norm": self.final_residual_norm,
-            "functional_value": self.functional_value,
-            "det_min": self.det_min,
-            "det_max": self.det_max,
-            "convexity_margin": self.convexity_margin,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -141,7 +126,7 @@ class ContinuityTrace:
     steps: tuple[ContinuityStep, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
-        return {"steps": [s.to_dict() for s in self.steps]}
+        return asdict(self)
 
     @property
     def final_t(self) -> float:
@@ -154,12 +139,12 @@ class ContinuityTrace:
 
 def _linearized_operator(P: Potential, convexity_floor: float):
     """Matrix-free apply of psi -> (u^ia psi_ab u^bj)_ij with u^ij frozen."""
-    hinv = inverse_hessian(hessian_u(P), convexity_floor).to_full()
+    hinv = P.hessian_state.inverse(convexity_floor).to_full()
     grid = P.grid
 
     def apply(values: np.ndarray) -> np.ndarray:
         psi_h = hessian(ScalarField(grid, values)).to_full()
-        g = np.einsum("...ia,...ab,...bj->...ij", hinv, psi_h, hinv)
+        g = hinv @ psi_h @ hinv
         out = second_divergence(SymMatrixField.from_full(grid, g)).values
         return out - out.mean()
 
@@ -167,7 +152,7 @@ def _linearized_operator(P: Potential, convexity_floor: float):
 
 
 def linearized_apply(
-    P: Potential, psi: ScalarField, convexity_floor: float = 1e-8
+    P: Potential, psi: ScalarField, convexity_floor: float = CONVEXITY_FLOOR
 ) -> ScalarField:
     """Apply the self-adjoint linearization at P to a periodic field.
 
@@ -185,19 +170,22 @@ def _flat_preconditioner(grid: PeriodicGrid, base: QuadraticBase):
     which doubles as the projection onto mean-zero fields.
     """
     minv = np.linalg.inv(base.matrix)
-    quad = np.zeros(grid.shape)
     ks = [grid.wavenumbers(a).astype(float) for a in range(grid.dim)]
+    ks[-1] = ks[-1][: grid.resolution[-1] // 2 + 1]  # real-FFT layout
     mesh = np.meshgrid(*ks, indexing="ij")
+    quad = np.zeros(mesh[0].shape)
     for a in range(grid.dim):
         for b in range(grid.dim):
             quad += minv[a, b] * mesh[a] * mesh[b]
     symbol = (2.0 * np.pi) ** 4 * quad**2
-    inv_symbol = np.zeros(grid.shape)
+    inv_symbol = np.zeros(symbol.shape)
     nonzero = symbol > 0.0
     inv_symbol[nonzero] = 1.0 / symbol[nonzero]
+    axes = tuple(range(grid.dim))
 
     def apply(values: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(np.fft.fftn(values) * inv_symbol).real
+        spectrum = np.fft.rfftn(values, axes=axes) * inv_symbol
+        return np.fft.irfftn(spectrum, s=grid.shape, axes=axes)
 
     return apply
 
@@ -243,12 +231,9 @@ def _pcg(apply_op, precond, rhs: np.ndarray, rel_tol: float) -> np.ndarray:
 
 def functional_value(P: Potential, A: ScalarField) -> float:
     """Convex functional integral(-log det(u_ij) + A*phi) over the torus."""
-    H = hessian_u(P)
-    lo, _ = _eig_extremes(H)
-    worst = np.unravel_index(np.argmin(lo), lo.shape)
-    if lo[worst] <= 0.0:
-        raise NotConvex(worst, lo[worst])
-    logdet = np.log(det_hessian(H).values)
+    state = P.hessian_state
+    state.require_convex(0.0)
+    logdet = np.log(state.det)
     return float(np.mean(-logdet + A.values * P.perturbation.values))
 
 
@@ -266,7 +251,7 @@ def functional_second_derivative(P0: Potential, P1: Potential, t: float) -> floa
     psi = P1.perturbation - P0.perturbation
     phi_t = (1.0 - t) * P0.perturbation.values + t * P1.perturbation.values
     interpolated = P0.with_perturbation(phi_t)
-    hinv = inverse_hessian(hessian_u(interpolated)).to_full()
+    hinv = interpolated.hessian_state.inverse().to_full()
     psi_h = hessian(psi).to_full()
     integrand = np.einsum("...ia,...ab,...bj,...ij->...", hinv, psi_h, hinv, psi_h)
     return float(np.mean(integrand))
@@ -274,12 +259,6 @@ def functional_second_derivative(P0: Potential, P1: Potential, t: float) -> floa
 
 # ---------------------------------------------------------------------------
 # Newton iteration
-
-
-def _margin_with_node(P: Potential) -> tuple[float, tuple[int, ...]]:
-    lo, _ = _eig_extremes(hessian_u(P))
-    worst = np.unravel_index(np.argmin(lo), lo.shape)
-    return float(lo[worst]), worst
 
 
 def newton_step(P: Potential, target: ScalarField, cfg: SolverConfig) -> Potential:
@@ -293,9 +272,7 @@ def newton_step(P: Potential, target: ScalarField, cfg: SolverConfig) -> Potenti
     """
     if abs(mean(target)) > MEAN_TOLERANCE:
         raise MeanNotZero(mean(target), MEAN_TOLERANCE)
-    hinv = inverse_hessian(hessian_u(P), cfg.convexity_floor)
-    forward = second_divergence(hinv)
-    rhs = forward.values - target.values
+    rhs = abreu_forward(P, cfg.convexity_floor).values - target.values
     if np.max(np.abs(rhs)) == 0.0:
         return P
     apply_op = _linearized_operator(P, cfg.convexity_floor)
@@ -308,8 +285,8 @@ def newton_step(P: Potential, target: ScalarField, cfg: SolverConfig) -> Potenti
     for k in range(11):
         alpha = cfg.damping**k
         trial = P.with_perturbation(P.perturbation.values + alpha * delta)
-        margin, node = _margin_with_node(trial)
-        last_margin, last_node = margin, node
+        margin = trial.hessian_state.min_eigenvalue
+        last_margin, last_node = margin, trial.hessian_state.worst_node
         if margin < cfg.convexity_floor:
             continue
         if functional_value(trial, target) <= f_allowed:
@@ -345,9 +322,7 @@ def _newton_solve(P: Potential, target: ScalarField, cfg: SolverConfig):
     tolerance = _residual_scale(cfg, target)
     last_step = None
     for iteration in range(cfg.max_newton_iters + 1):
-        forward = second_divergence(
-            inverse_hessian(hessian_u(P), cfg.convexity_floor)
-        )
+        forward = abreu_forward(P, cfg.convexity_floor)
         residual = float(np.max(np.abs(forward.values - target.values)))
         if residual <= tolerance:
             return P, iteration, residual
@@ -369,17 +344,15 @@ def _newton_solve(P: Potential, target: ScalarField, cfg: SolverConfig):
 
 def _record_step(P: Potential, t: float, iters: int, residual: float,
                  target: ScalarField) -> ContinuityStep:
-    H = hessian_u(P)
-    det_vals = det_hessian(H).values
-    lo, _ = _eig_extremes(H)
+    state = P.hessian_state
     return ContinuityStep(
         t=float(t),
         newton_iterations=int(iters),
         final_residual_norm=float(residual),
         functional_value=functional_value(P, target),
-        det_min=float(det_vals.min()),
-        det_max=float(det_vals.max()),
-        convexity_margin=float(lo.min()),
+        det_min=float(state.det.min()),
+        det_max=float(state.det.max()),
+        convexity_margin=state.min_eigenvalue,
     )
 
 
@@ -415,19 +388,14 @@ def continuity_solve(
         P = Potential(base, ScalarField.zeros(A.grid)).with_perturbation(
             initial_perturbation.values
         )
-        margin, node = _margin_with_node(P)
-        if margin < cfg.convexity_floor:
-            raise NotConvex(node, margin)
+        P.hessian_state.require_convex(cfg.convexity_floor)
 
     steps: list[ContinuityStep] = []
 
-    def residual_at(P: Potential, t: float) -> float:
-        fwd = second_divergence(inverse_hessian(hessian_u(P), cfg.convexity_floor))
-        return float(np.max(np.abs(fwd.values - t * A.values)))
-
     # trivial-solution shortcut: if the start already solves t = 1 (for
     # example A = 0), the trace is a single step
-    res_full = residual_at(P, 1.0)
+    forward = abreu_forward(P, cfg.convexity_floor)
+    res_full = float(np.max(np.abs(forward.values - A.values)))
     if res_full <= _residual_scale(cfg, A):
         steps.append(_record_step(P, 1.0, 0, res_full, A))
         return P, ContinuityTrace(tuple(steps))

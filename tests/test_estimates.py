@@ -207,3 +207,11 @@ class TestVerifySolution:
         payload = verify_solution(P, a).to_dict()
         assert payload["passed"] is True
         assert isinstance(payload["bounds"]["inequalities"], list)
+        assert set(payload) == {"passed", "bounds"}
+        assert set(payload["bounds"]) == {
+            "sup_phi", "sup_grad_phi", "det_min", "det_max", "eig_min",
+            "eig_max", "sup_A", "upper_constant_c", "beta",
+            "measured_constant_mode", "inequalities",
+        }
+        for check in payload["bounds"]["inequalities"]:
+            assert set(check) == {"name", "lhs", "rhs", "relation", "satisfied"}

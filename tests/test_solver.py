@@ -1,9 +1,12 @@
 """Linearized operator, Newton steps and the continuation solver."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from abreu import (
+    HessianState,
     MeanNotZero,
     NotConvex,
     Potential,
@@ -201,6 +204,15 @@ class TestContinuitySolve:
         for step in trace.steps:
             assert step.det_min <= step.det_max
             assert step.convexity_margin > 0.0
+        payload = trace.to_dict()
+        assert set(payload) == {"steps"}
+        assert all(
+            set(step) == {
+                "t", "newton_iterations", "final_residual_norm",
+                "functional_value", "det_min", "det_max", "convexity_margin",
+            }
+            for step in payload["steps"]
+        )
 
     def test_functional_decreases_along_path_to_solution(self):
         # at fixed target tA the accepted Newton iterates do not increase
@@ -217,6 +229,26 @@ class TestContinuitySolve:
         P, trace = continuity_solve(a)
         assert sup_norm(abreu_forward(P) - a) < 1e-8
         assert trace.steps[-1].t == 1.0
+
+    def test_each_visited_potential_builds_one_hessian_state(self, monkeypatch):
+        # keyed by Hessian entries: in mean-zero gauge distinct potentials
+        # have distinct Hessians
+        built = Counter()
+        original = HessianState.__post_init__
+
+        def counting(state):
+            built[state.hessian.entries.tobytes()] += 1
+            original(state)
+
+        monkeypatch.setattr(HessianState, "__post_init__", counting)
+        g = make_grid(2, [16, 16])
+        x, y = g.coordinate_arrays()
+        a = ScalarField(g, 0.3 * (np.cos(TWO_PI * x) + np.cos(TWO_PI * y)))
+        _, trace = continuity_solve(a)
+        # at least the flat start and every accepted Newton iterate
+        iterates = sum(s.newton_iterations for s in trace.steps)
+        assert len(built) >= 1 + iterates
+        assert max(built.values()) == 1
 
     def test_rejects_nonzero_mean(self):
         g = make_grid(1, [16])
