@@ -63,14 +63,19 @@ class StepFloorReached(AbreuError):
 
 
 class GradientInversionFailure(AbreuError):
-    """Newton inversion of the gradient map failed at some dual node."""
+    """Gradient-map inversion failed at target point y (`point`); `node` is
+    its dual-grid multi-index when y is a grid node, else None."""
 
-    def __init__(self, node, residual):
-        self.node = tuple(int(i) for i in node)
+    def __init__(self, point, residual, node=None):
+        self.point = tuple(float(c) for c in point)
         self.residual = float(residual)
+        self.node = None if node is None else tuple(int(i) for i in node)
+        where = "y = (" + ", ".join(f"{c:.6g}" for c in self.point) + ")"
+        if self.node is not None:
+            where += f", dual node {self.node}"
         super().__init__(
-            f"gradient-map inversion did not converge at dual node "
-            f"{self.node} (residual {self.residual:.3e})"
+            f"gradient-map inversion did not converge at {where} "
+            f"(residual {self.residual:.3e})"
         )
 
 

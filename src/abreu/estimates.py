@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .errors import GradientInversionFailure, MonitorViolation, NotConvex
-from .grid import ScalarField, TrigInterpolant, gradient, sup_norm
+from .grid import ScalarField, gradient, sup_norm
 from .potential import (
     Potential,
     abreu_forward,
@@ -370,40 +370,27 @@ def verify_solution(
     failures (a non-convex dual, a failed gradient inversion) are reported
     as failed checks rather than exceptions.
     """
-    from .legendre import (
-        dual_residual,
-        gradient_map_inverse,
-        legendre_transform,
-        pullback_rhs,
-    )
+    from .legendre import dual_residual, legendre_transform, pullback_rhs
 
     checks: list[InequalityCheck] = []
     report = BoundsReport()
 
+    def check(name, lhs, rhs, relation="<="):
+        checks.append(InequalityCheck.compare(name, lhs, rhs, relation))
+
     margin = convexity_margin(P)
-    checks.append(InequalityCheck.compare("convexity-margin", margin, 0.0, ">="))
+    check("convexity-margin", margin, 0.0, ">=")
     if margin <= 0.0:
         # nothing downstream is well defined on a non-convex candidate
         report = report.merge(BoundsReport(inequalities=tuple(checks)))
         return VerificationReport(passed=False, bounds=report)
 
-    forward = abreu_forward(P)
-    checks.append(
-        InequalityCheck.compare(
-            "primal-residual", sup_norm(forward - A), residual_tolerance
-        )
-    )
-    checks.append(
-        InequalityCheck.compare(
-            "rhs-mean-zero", abs(np.mean(A.values)), 1e-10 * (1.0 + sup_norm(A))
-        )
-    )
-    checks.append(
-        InequalityCheck.compare(
-            "divergence-form-residual",
-            sup_norm(divergence_form_residual(P, A, mean_tolerance=np.inf)),
-            residual_tolerance,
-        )
+    check("primal-residual", sup_norm(abreu_forward(P) - A), residual_tolerance)
+    check("rhs-mean-zero", abs(np.mean(A.values)), 1e-10 * (1.0 + sup_norm(A)))
+    check(
+        "divergence-form-residual",
+        sup_norm(divergence_form_residual(P, A, mean_tolerance=np.inf)),
+        residual_tolerance,
     )
 
     sup_phi, sup_grad_phi, _ = c0_c1_report(P)
@@ -417,52 +404,28 @@ def verify_solution(
     try:
         V = legendre_transform(P)
         again = legendre_transform(V)
-        checks.append(
-            InequalityCheck.compare(
-                "legendre-involution",
-                sup_norm(again.perturbation - P.perturbation),
-                duality_tolerance,
-            )
+        check(
+            "legendre-involution",
+            sup_norm(again.perturbation - P.perturbation),
+            duality_tolerance,
         )
-        x_of_y = gradient_map_inverse(P, P.grid.node_points())
-        det_u = TrigInterpolant(ScalarField(P.grid, P.hessian_state.det))
-        det_v = V.hessian_state.det.ravel()
-        duality_defect = np.max(np.abs(det_v * det_u.evaluate(x_of_y) - 1.0))
-        checks.append(
-            InequalityCheck.compare(
-                "determinant-duality", float(duality_defect), duality_tolerance
-            )
-        )
+        # det u at the preimages of the dual nodes; the pullbacks reuse
+        # the one inversion of P made by the transform
+        det_u = pullback_rhs(ScalarField(P.grid, P.hessian_state.det), P)
+        defect = np.max(np.abs(V.hessian_state.det * det_u.values - 1.0))
+        check("determinant-duality", float(defect), duality_tolerance)
         atilde = pullback_rhs(A, P)
-        checks.append(
-            InequalityCheck.compare(
-                "pullback-sup-norm",
-                sup_norm(atilde),
-                sup_norm(A) * (1.0 + 1e-6) + 1e-12,
-            )
-        )
-        checks.append(
-            InequalityCheck.compare(
-                "dual-residual",
-                sup_norm(dual_residual(V, atilde)),
-                dual_residual_tolerance,
-            )
-        )
+        bound = sup_norm(A) * (1.0 + 1e-6) + 1e-12
+        check("pullback-sup-norm", sup_norm(atilde), bound)
+        residual = sup_norm(dual_residual(V, atilde))
+        check("dual-residual", residual, dual_residual_tolerance)
         upper = upper_bound_monitor(V, atilde, slack=slack, strict=False)
         lower = lower_bound_monitor(V, atilde, slack=slack, strict=False)
         report = report.merge(upper).merge(lower)
     except NotConvex as exc:
-        checks.append(
-            InequalityCheck.compare(
-                "dual-convexity", exc.min_eigenvalue, 0.0, ">="
-            )
-        )
+        check("dual-convexity", exc.min_eigenvalue, 0.0, ">=")
     except GradientInversionFailure as exc:
-        checks.append(
-            InequalityCheck.compare(
-                "gradient-inversion-residual", exc.residual, 1e-10
-            )
-        )
+        check("gradient-inversion-residual", exc.residual, 1e-10)
 
     report = report.merge(BoundsReport(inequalities=tuple(checks)))
     return VerificationReport(passed=report.all_satisfied, bounds=report)

@@ -254,6 +254,17 @@ class SymMatrixField:
 
 
 @functools.lru_cache(maxsize=128)
+def _axis_factor(grid: PeriodicGrid, axis: int, order: int) -> np.ndarray:
+    """(2 pi k)^order along one axis, complex-FFT layout, cached read-only;
+    odd orders zero the Nyquist mode.  The caller applies i^order."""
+    factor = (_TWO_PI * grid.wavenumbers(axis).astype(float)) ** order
+    if order % 2 == 1:
+        factor[grid.resolution[axis] // 2] = 0.0
+    factor.setflags(write=False)
+    return factor
+
+
+@functools.lru_cache(maxsize=128)
 def _derivative_multiplier(grid: PeriodicGrid, orders: tuple[int, ...]) -> np.ndarray:
     """Fourier multiplier of the mixed derivative with per-axis `orders`.
 
@@ -266,15 +277,11 @@ def _derivative_multiplier(grid: PeriodicGrid, orders: tuple[int, ...]) -> np.nd
     for axis, order in enumerate(orders):
         if order == 0:
             continue
-        n = grid.resolution[axis]
-        k = grid.wavenumbers(axis).astype(float)
+        factor = _axis_factor(grid, axis, order)
         if axis == grid.dim - 1:
-            k = k[: n // 2 + 1]
-        factor = (_TWO_PI * k) ** order
-        if order % 2 == 1:
-            factor[n // 2] = 0.0
+            factor = factor[: grid.resolution[axis] // 2 + 1]
         shape = [1] * grid.dim
-        shape[axis] = len(k)
+        shape[axis] = len(factor)
         mult = mult * factor.reshape(shape)
     mult = mult * 1j ** sum(orders)
     if sum(orders) % 2 == 0:
@@ -393,45 +400,84 @@ def second_divergence(M: SymMatrixField) -> ScalarField:
 # trigonometric interpolation
 
 
+#: Bytes of complex temporaries one block of evaluation points may hold.
+_BLOCK_BYTES = 256 * 1024
+
+
 class TrigInterpolant:
-    """Band-limited interpolant of a sampled field.
+    """Band-limited interpolant of a sampled field and its partials.
 
     The Nyquist coefficient of each (even) axis is split symmetrically
-    between +N/2 and -N/2, which makes the interpolant real-valued and
-    reproduces node values exactly.  Evaluation at P points costs
-    O(P * node_count) via axis-by-axis tensor contraction.
+    between +N/2 and -N/2 (basis cos(pi N x)), which makes the interpolant
+    real-valued and reproduces node values exactly.  Partials follow
+    `partial`: odd orders zero the Nyquist mode, even orders keep it.
+
+    Points go in blocks of bounded memory (`_BLOCK_BYTES`): per block one
+    exponential matrix per axis, one GEMM for the first axis and batched
+    row products for the rest.  Partials asked for together share one
+    cached coefficient stack (fftn(f) times the derivative factors), hence
+    one GEMM per block.  Work is O(P * node_count) per field.
     """
 
     def __init__(self, f: ScalarField):
         self.grid = f.grid
         self.coeffs = np.fft.fftn(f.values) / f.grid.node_count
+        self._stacks: dict = {}
+
+    def _stack(self, orders: tuple) -> np.ndarray:
+        """Coefficients of the partials `orders`, as (N_0, rest * fields)."""
+        if orders not in self._stacks:
+            grid = self.grid
+            stack = np.empty(grid.shape + (len(orders),), dtype=complex)
+            for field, axes in enumerate(orders):
+                factors = [_axis_factor(grid, a, m) for a, m in enumerate(axes)]
+                mult = functools.reduce(np.multiply.outer, factors)
+                stack[..., field] = self.coeffs * (mult * 1j ** sum(axes))
+            stack = stack.reshape(grid.resolution[0], -1)
+            stack.setflags(write=False)
+            self._stacks[orders] = stack
+        return self._stacks[orders]
 
     def _axis_matrix(self, axis: int, x: np.ndarray) -> np.ndarray:
-        grid = self.grid
-        k = grid.wavenumbers(axis).astype(float)
-        e = np.exp((1j * _TWO_PI) * np.outer(x, k))
+        """exp(2 pi i k x), a row per point and a column per FFT-layout k:
+        powers of exp(2 pi i x) and their conjugates, no exp per entry."""
+        half = self.grid.resolution[axis] // 2
+        w = np.exp(_TWO_PI * 1j * np.mod(x, 1.0))[:, None]
+        e = np.empty((len(x), 2 * half), dtype=complex)
+        e[:, 0] = 1.0
+        e[:, 1 : half + 1] = np.cumprod(np.broadcast_to(w, (len(x), half)), axis=1)
+        e[:, half + 1 :] = e[:, half - 1 : 0 : -1].conj()
         # symmetric Nyquist: exp(+-i pi N x) averaged -> cos(pi N x)
-        nyq = grid.resolution[axis] // 2
-        e[:, nyq] = np.cos(np.pi * grid.resolution[axis] * x)
+        e[:, half] = e[:, half].real
         return e
+
+    def partials(self, points, orders) -> np.ndarray:
+        """Mixed partials at a (P, dim) array of points, shape (P, fields);
+        `orders` holds one per-axis multi-index per field, as for `partial`.
+        """
+        grid = self.grid
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[1] != grid.dim:
+            raise ValueError(
+                f"points have dimension {pts.shape[1]}, grid has {grid.dim}"
+            )
+        stack = self._stack(tuple(_check_axes(grid, axes) for axes in orders))
+        block = max(1, _BLOCK_BYTES // (16 * stack.shape[1]))
+        out = np.empty((pts.shape[0], len(orders)))
+        for start in range(0, pts.shape[0], block):
+            x = pts[start : start + block]
+            acc = self._axis_matrix(0, x[:, 0]) @ stack
+            for axis in range(1, grid.dim):
+                e = self._axis_matrix(axis, x[:, axis])[:, None, :]
+                acc = np.matmul(e, acc.reshape(len(x), e.shape[-1], -1))[:, 0]
+            out[start : start + block] = acc.real
+        return out
 
     def evaluate(self, points) -> np.ndarray:
         """Evaluate at a (P, dim) array of points (wrapped periodically)."""
         pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        if pts.shape[1] != self.grid.dim:
-            raise ValueError(
-                f"points have dimension {pts.shape[1]}, grid has {self.grid.dim}"
-            )
-        npts = pts.shape[0]
-        acc = np.broadcast_to(self.coeffs, (npts,) + self.coeffs.shape)
-        for axis in range(self.grid.dim):
-            e = self._axis_matrix(axis, pts[:, axis])
-            # contract the leading grid axis against this axis' exponentials
-            acc = np.einsum("pk,pk...->p...", e, acc)
-        out = acc.real
-        return float(out[0]) if single else out
+        out = self.partials(pts, [(0,) * self.grid.dim])[:, 0]
+        return float(out[0]) if pts.ndim == 1 else out
 
 
 def interpolate(f: ScalarField, point) -> float:

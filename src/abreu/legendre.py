@@ -8,8 +8,10 @@ first-class object for all spectral calculus.
 
 Gradient-map inversion runs a damped Newton iteration per dual node,
 vectorized over nodes, with grad phi and D^2 phi evaluated off-grid by
-trigonometric interpolation.  The identity-map guess x = M^{-1} y is exact
-at phi = 0.
+trigonometric interpolation (one stacked evaluation of all first or all
+second partials per call).  The identity-map guess x = M^{-1} y is exact
+at phi = 0.  Each potential inverts its gradient map at the grid nodes
+once; the transform, the pullback and the checks share that inversion.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import numpy as np
 
 from .errors import GradientInversionFailure
 from .grid import (
+    PeriodicGrid,
     ScalarField,
     TrigInterpolant,
-    gradient,
     hessian,
     project_mean_zero,
 )
@@ -68,44 +70,56 @@ def _check_dual_lattice(base: QuadraticBase) -> None:
 
 
 class _GradientEvaluator:
-    """Off-grid evaluation of grad u and D^2 u via trig interpolation."""
+    """Off-grid grad u and D^2 u from one interpolant of phi; each method
+    makes one stacked evaluation of all first or all second partials."""
 
     def __init__(self, P: Potential):
         self.base_matrix = P.base.matrix
-        self.n = P.grid.dim
-        phi = P.perturbation
-        self.grad_interp = [TrigInterpolant(g) for g in gradient(phi)]
-        hess = hessian(phi)
-        self.hess_interp = [
-            TrigInterpolant(ScalarField(P.grid, hess.entries[..., k]))
-            for k in range(hess.entries.shape[-1])
-        ]
-        self.phi_interp = TrigInterpolant(phi)
-        self._pairs = [(i, j) for i in range(self.n) for j in range(i, self.n)]
+        self.n = n = P.grid.dim
+        self.phi = TrigInterpolant(P.perturbation)
+        eye = np.eye(n, dtype=int)
+        self._rows, self._cols = np.triu_indices(n)
+        self._grad_orders = [tuple(row) for row in eye]
+        self._hess_orders = [tuple(r) for r in eye[self._rows] + eye[self._cols]]
 
     def grad_u(self, x: np.ndarray) -> np.ndarray:
-        out = x @ self.base_matrix
-        for a in range(self.n):
-            out[:, a] += self.grad_interp[a].evaluate(x)
-        return out
+        return x @ self.base_matrix + self.phi.partials(x, self._grad_orders)
 
     def hess_u(self, x: np.ndarray) -> np.ndarray:
+        vals = self.phi.partials(x, self._hess_orders)
+        vals += self.base_matrix[self._rows, self._cols]
         h = np.empty((x.shape[0], self.n, self.n))
-        for k, (i, j) in enumerate(self._pairs):
-            vals = self.hess_interp[k].evaluate(x) + self.base_matrix[i, j]
-            h[:, i, j] = vals
-            h[:, j, i] = vals
+        h[:, self._rows, self._cols] = vals
+        h[:, self._cols, self._rows] = vals
         return h
 
-    def u(self, x: np.ndarray) -> np.ndarray:
-        quad = 0.5 * np.einsum("pi,ij,pj->p", x, self.base_matrix, x)
-        return quad + self.phi_interp.evaluate(x)
+
+def _node_preimages(P: Potential, cfg) -> np.ndarray:
+    """x with grad u(x) = y at every grid node y, row-major.
+
+    Kept read-only per config in P's instance dict (as
+    `functools.cached_property` keeps `Potential.hessian_state`), so the
+    transform, pullbacks and checks of one potential share one inversion.
+    """
+    cfg = cfg or GradientMapSolveConfig()
+    cache = vars(P).setdefault("_node_preimages", {})
+    if cfg not in cache:
+        cache[cfg] = gradient_map_inverse(P, P.grid.node_points(), cfg)
+        cache[cfg].setflags(write=False)
+    return cache[cfg]
+
+
+def _node_index(grid: PeriodicGrid, y: np.ndarray) -> tuple[int, ...] | None:
+    """Multi-index of the grid node at y (up to periodicity), else None."""
+    j = np.rint(y * grid.resolution)
+    on_grid = np.array_equal(j / grid.resolution, y)
+    return tuple(int(i) for i in j % grid.resolution) if on_grid else None
 
 
 def gradient_map(P: Potential, points) -> np.ndarray:
     """Evaluate y = grad u at a (P, n) array of points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return _GradientEvaluator(P).grad_u(pts.copy())
+    return _GradientEvaluator(P).grad_u(pts)
 
 
 def gradient_map_inverse(
@@ -115,7 +129,9 @@ def gradient_map_inverse(
 
     Strict convexity makes the root unique; backtracking halves the step
     wherever the residual fails to decrease.  Raises
-    GradientInversionFailure naming the first unconverged node.
+    GradientInversionFailure naming the target point with the largest
+    residual left after `cfg.max_iters` iterations (and its grid node when
+    the point is one).
     """
     cfg = cfg or GradientMapSolveConfig()
     ev = _GradientEvaluator(P)
@@ -146,8 +162,12 @@ def gradient_map_inverse(
             if remaining.size == 0:
                 break
             scale[remaining] *= 0.5
+    if not (rnorm > cfg.tolerance).any():
+        return x
     worst = int(np.argmax(rnorm))
-    raise GradientInversionFailure((worst,), rnorm[worst])
+    raise GradientInversionFailure(
+        y[worst], rnorm[worst], _node_index(P.grid, y[worst])
+    )
 
 
 def legendre_transform(
@@ -163,9 +183,10 @@ def legendre_transform(
     grid = P.grid
     dual_base = P.base.inverse()
     y = grid.node_points()
-    x = gradient_map_inverse(P, y, cfg)
-    ev = _GradientEvaluator(P)
-    v = np.einsum("pi,pi->p", y, x) - ev.u(x)
+    x = _node_preimages(P, cfg)
+    u = 0.5 * np.einsum("pi,ij,pj->p", x, P.base.matrix, x)
+    u += TrigInterpolant(P.perturbation).evaluate(x)
+    v = np.einsum("pi,pi->p", y, x) - u
     quad = 0.5 * np.einsum("pi,ij,pj->p", y, dual_base.matrix, y)
     psi = (v - quad).reshape(grid.shape)
     return Potential(dual_base, project_mean_zero(ScalarField(grid, psi)))
@@ -181,10 +202,8 @@ def pullback_rhs(
     error.
     """
     _check_dual_lattice(P.base)
-    grid = P.grid
-    x = gradient_map_inverse(P, grid.node_points(), cfg)
-    vals = TrigInterpolant(A).evaluate(x).reshape(grid.shape)
-    return ScalarField(grid, vals)
+    vals = TrigInterpolant(A).evaluate(_node_preimages(P, cfg))
+    return ScalarField(P.grid, vals.reshape(P.grid.shape))
 
 
 def dual_residual(V: Potential, Atilde: ScalarField) -> ScalarField:

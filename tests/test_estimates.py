@@ -1,8 +1,11 @@
 """Runtime monitors for the a-priori determinant and eigenvalue bounds."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from abreu import legendre
 from abreu import (
     MonitorViolation,
     NotConvex,
@@ -215,3 +218,46 @@ class TestVerifySolution:
         }
         for check in payload["bounds"]["inequalities"]:
             assert set(check) == {"name", "lhs", "rhs", "relation", "satisfied"}
+
+
+class TestOneInversionPerPotential:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Inversions per potential and evaluators built, while active."""
+        inversions, built = Counter(), []
+        invert = legendre.gradient_map_inverse
+        init = legendre._GradientEvaluator.__init__
+
+        def counting_invert(P, points, cfg=None):
+            inversions[P.perturbation.values.tobytes()] += 1
+            return invert(P, points, cfg)
+
+        def counting_init(self, P):
+            built.append(P)
+            init(self, P)
+
+        monkeypatch.setattr(legendre, "gradient_map_inverse", counting_invert)
+        monkeypatch.setattr(legendre._GradientEvaluator, "__init__", counting_init)
+        return inversions, built
+
+    def test_verify_inverts_primal_and_dual_once_each(self, counted):
+        inversions, _ = counted
+        g = make_grid(2, [16, 16])
+        a = ScalarField.from_function(
+            g, lambda x, y: 0.5 * (np.cos(TWO_PI * x) + np.cos(TWO_PI * y))
+        )
+        P, _ = continuity_solve(a)
+        outcome = verify_solution(P, a)
+        names = {c.name for c in outcome.bounds.inequalities}
+        assert {"legendre-involution", "determinant-duality"} <= names
+        assert inversions[P.perturbation.values.tobytes()] == 1
+        assert sorted(inversions.values()) == [1, 1]
+
+    def test_transform_builds_one_evaluator(self, counted):
+        inversions, built = counted
+        g = make_grid(2, [16, 16])
+        P = random_convex_potential(g, np.random.default_rng(5), margin=0.5)
+        legendre_transform(P)
+        pullback_rhs(ScalarField.zeros(g), P)
+        assert len(built) == 1 and built[0] is P
+        assert sum(inversions.values()) == 1

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from abreu import (
+    GradientInversionFailure,
+    GradientMapSolveConfig,
     Potential,
     QuadraticBase,
     ScalarField,
@@ -64,6 +66,53 @@ class TestGradientMap:
         forward = gradient_map(P, pts)
         back = gradient_map_inverse(P, forward)
         assert np.max(np.abs(back - pts)) < 1e-8
+
+
+class TestInversionFailure:
+    def test_names_the_failing_target_point(self):
+        g = make_grid(2, [16, 16])
+        P = random_convex_potential(g, np.random.default_rng(4), margin=0.3)
+        one_step = GradientMapSolveConfig(max_iters=1)
+        with pytest.raises(GradientInversionFailure) as info:
+            gradient_map_inverse(P, g.node_points(), one_step)
+        exc = info.value
+        nodes = g.node_points().reshape(g.shape + (g.dim,))
+        assert exc.node is not None
+        assert exc.point == tuple(nodes[exc.node])
+        assert exc.residual > one_step.tolerance
+        assert f"dual node {exc.node}" in str(exc)
+        # Newton runs independently per point, so the reported point alone
+        # fails with the same residual
+        with pytest.raises(GradientInversionFailure) as alone:
+            gradient_map_inverse(P, [exc.point], one_step)
+        assert alone.value.residual == pytest.approx(exc.residual, rel=1e-6)
+        assert alone.value.node == exc.node
+
+    def test_off_grid_target_has_no_node(self):
+        g = make_grid(2, [16, 16])
+        P = random_convex_potential(g, np.random.default_rng(4), margin=0.3)
+        with pytest.raises(GradientInversionFailure) as info:
+            gradient_map_inverse(
+                P, [[0.31, 0.77]], GradientMapSolveConfig(max_iters=1)
+            )
+        assert info.value.node is None
+        assert info.value.point == (0.31, 0.77)
+        assert "dual node" not in str(info.value)
+
+    def test_raises_only_when_unconverged(self):
+        # a run that converges on its last allowed iteration succeeds
+        P = manufactured_potential(32)
+        ys = np.array([[0.1], [0.55]])
+        tolerance = GradientMapSolveConfig().tolerance
+        outcomes = []
+        for iters in range(1, 8):
+            try:
+                gradient_map_inverse(P, ys, GradientMapSolveConfig(max_iters=iters))
+                outcomes.append(True)
+            except GradientInversionFailure as exc:
+                assert exc.residual > tolerance
+                outcomes.append(False)
+        assert outcomes[0] is False and outcomes[-1] is True
 
 
 class TestLegendreTransform:
