@@ -15,8 +15,10 @@ inequalities on the dual potential:
     which yields a global lower bound on det(u_ij).
 
 Discrete minimizers stand in for continuous ones; the slack (default 5%
-relative) absorbs the minimizer displacement of one grid cell.  The
-monitors certify solution plausibility, not the underlying theory.
+relative) absorbs the minimizer displacement of one grid cell.  Both test
+functions are periodic in the node x plus per-axis terms of y = x + k, so
+the lattice shift k is chosen per node one axis at a time, without tiling
+the box.  The monitors certify solution plausibility, not the theory.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 from .errors import GradientInversionFailure, MonitorViolation, NotConvex
 from .grid import ScalarField, gradient, sup_norm
 from .potential import (
+    CONVEXITY_FLOOR,
     Potential,
     abreu_forward,
     convexity_margin,
@@ -152,26 +155,36 @@ def eigenvalue_bounds(P: Potential) -> tuple[float, float]:
     return state.min_eigenvalue, state.max_eigenvalue
 
 
-def _tiled_coordinates(grid, reps: int, origin: float) -> list[np.ndarray]:
-    """Meshgrid coordinates of the periodic tiling [origin, origin+reps)^n."""
-    axes = [
-        origin + np.arange(reps * n) / n for n in grid.resolution
-    ]
-    return list(np.meshgrid(*axes, indexing="ij"))
+def _half_square(ys) -> np.ndarray:
+    """|y|^2 / 2 from per-axis coordinate arrays (broadcast together)."""
+    return sum(0.5 * y * y for y in ys)
 
 
-def _quad_half_norm(coords: list[np.ndarray]) -> np.ndarray:
-    out = np.zeros_like(coords[0])
-    for c in coords:
-        out += 0.5 * c * c
-    return out
+def _lattice_minimum(value, grid, reps: int, origin: float):
+    """Minimizer y, and its node, of a test function over [origin, origin+reps)^n.
 
-
-def _argmin_info(values: np.ndarray, coords, grid):
-    idx = np.unravel_index(np.argmin(values), values.shape)
-    point = np.array([c[idx] for c in coords])
-    node = tuple(i % n for i, n in zip(idx, grid.resolution))
-    return point, node
+    The candidates are the lattice points y = x + k (x a node, k a shift),
+    with coordinates origin + arange(reps N)/N per axis.  `value(ys)` maps
+    per-axis coordinate arrays, broadcast against the node fields it closes
+    over, to a function of the node plus per-axis terms of y, so each
+    node's shift is chosen one axis at a time.  Ties go to the smaller
+    coordinates, as in a row-major argmin over the tiled box.
+    """
+    n = grid.dim
+    ys = [origin] * n  # axes not chosen yet enter at one fixed coordinate
+    index = []  # per axis, each node's index along the tiled box
+    for a, size in enumerate(grid.resolution):
+        axis = origin + np.arange(reps * size) / size
+        ids = np.arange(size).reshape([-1 if b == a else 1 for b in range(n)])
+        ys[a] = axis.reshape((reps,) + ids.shape)
+        index.append(np.argmin(value(ys), axis=0) * size + ids)
+        ys[a] = axis[index[a]]
+    values = value(ys)
+    best = np.flatnonzero(values == values.min())
+    box_shape = [reps * size for size in grid.resolution]
+    box = np.ravel_multi_index([i.ravel()[best] for i in index], box_shape)
+    node = np.unravel_index(best[np.argmin(box)], grid.shape)
+    return np.array([y[node] for y in ys]), tuple(int(i) for i in node)
 
 
 def upper_bound_monitor(
@@ -199,16 +212,15 @@ def upper_bound_monitor(
     psi = V.perturbation.values
     sup_a = sup_norm(Atilde)
 
-    coords = _tiled_coordinates(grid, 2, -1.0)
-    f_vals = np.tile(L + 2.0 * psi, (2,) * n) + _quad_half_norm(coords)
-    p, node = _argmin_info(f_vals, coords, grid)
+    periodic = L + 2.0 * psi
+    p, node = _lattice_minimum(lambda ys: periodic + _half_square(ys), grid, 2, -1.0)
 
     trace_inv_p = sum(hinv.component(i, i)[node] for i in range(n))
     det_inv_p = 1.0 / detv[node]
     c_const = (sup_a / n + 2.0) ** n
 
     fund = grid.coordinate_arrays()
-    exchange = _quad_half_norm(fund) + 2.0 * psi
+    exchange = _half_square(fund) + 2.0 * psi
     c_prime = (
         -np.log(c_const) + 0.5 * float(p @ p) + 2.0 * psi[node] - exchange.max()
     )
@@ -263,14 +275,13 @@ def choose_beta(V: Potential) -> float:
 def lower_bound_monitor(
     V: Potential,
     Atilde: ScalarField,
-    beta: float | None = None,
     slack: float = 0.05,
     strict: bool = True,
 ) -> BoundsReport:
     """Checks from the minimum of g(y) = -L - beta|grad v|^2 + v over B(4).
 
-    The periodic part -L + psi is tiled over the covering box [-4,4]^n and
-    the explicit non-periodic parts are added analytically.  At the
+    beta comes from `choose_beta`; the minimum is taken over the lattice
+    points of the covering box [-4,4]^n, shifts chosen per axis.  At the
     discrete minimizer q:
       (i)   |q| <= 4 (the minimum cannot escape the ball),
       (ii)  beta * v_kk(q) <= sup|A~| + n,
@@ -282,8 +293,7 @@ def lower_bound_monitor(
         raise ValueError("bound monitors assume an identity dual base")
     grid = V.grid
     n = grid.dim
-    if beta is None:
-        beta = choose_beta(V)
+    beta = choose_beta(V)
     state = V.hessian_state
     state.require_convex(0.0)
     H = state.hessian
@@ -293,28 +303,23 @@ def lower_bound_monitor(
     grads = [g.values for g in gradient(V.perturbation)]
     sup_a = sup_norm(Atilde)
 
-    reps = 8
-    coords = _tiled_coordinates(grid, reps, -4.0)
-    grad_v_sq = np.zeros_like(coords[0])
-    for a in range(n):
-        grad_v_sq += (coords[a] + np.tile(grads[a], (reps,) * n)) ** 2
-    g_vals = (
-        np.tile(-L + psi, (reps,) * n)
-        - beta * grad_v_sq
-        + _quad_half_norm(coords)
+    def grad_v_sq(ys):
+        return sum((y + g) ** 2 for y, g in zip(ys, grads))
+
+    periodic = -L + psi
+    q, node = _lattice_minimum(
+        lambda ys: periodic - beta * grad_v_sq(ys) + _half_square(ys),
+        grid, 8, -4.0,
     )
-    q, node = _argmin_info(g_vals, coords, grid)
-    idx = np.unravel_index(np.argmin(g_vals), g_vals.shape)
-    grad_v_sq_q = float(grad_v_sq[idx])
+    grad_v_q = q + np.array([g[node] for g in grads])
+    grad_v_sq_q = float(sum(grad_v_q * grad_v_q))
 
     trace_q = sum(H.component(i, i)[node] for i in range(n))
     lq_bound = n * np.log((sup_a + n) / (beta * n))
 
     fund = grid.coordinate_arrays()
-    grad_v_sq_fund = np.zeros(grid.shape)
-    for a in range(n):
-        grad_v_sq_fund += (fund[a] + grads[a]) ** 2
-    v_fund = _quad_half_norm(fund) + psi
+    grad_v_sq_fund = grad_v_sq(fund)
+    v_fund = _half_square(fund) + psi
     v_q = 0.5 * float(q @ q) + psi[node]
     c_dprime = float(
         (lq_bound + beta * (grad_v_sq_q - grad_v_sq_fund) + v_fund - v_q).max()
@@ -343,6 +348,11 @@ def lower_bound_monitor(
 # ---------------------------------------------------------------------------
 # full verification pipeline
 
+# sup-norm bounds on primal residuals, duality identities and the dual residual
+_RESIDUAL_TOLERANCE = 1e-8
+_DUALITY_TOLERANCE = 1e-8
+_DUAL_RESIDUAL_TOLERANCE = 1e-6
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -355,14 +365,7 @@ class VerificationReport:
         return asdict(self, dict_factory=_report_dict)
 
 
-def verify_solution(
-    P: Potential,
-    A: ScalarField,
-    residual_tolerance: float = 1e-8,
-    duality_tolerance: float = 1e-8,
-    dual_residual_tolerance: float = 1e-6,
-    slack: float = 0.05,
-) -> VerificationReport:
+def verify_solution(P: Potential, A: ScalarField) -> VerificationReport:
     """Run every monitor and duality identity against a candidate solution.
 
     Collects (instead of raising on) violations so a report can always be
@@ -378,19 +381,21 @@ def verify_solution(
     def check(name, lhs, rhs, relation="<="):
         checks.append(InequalityCheck.compare(name, lhs, rhs, relation))
 
+    # the guards behind the checks below also reject a margin at the floor
     margin = convexity_margin(P)
-    check("convexity-margin", margin, 0.0, ">=")
-    if margin <= 0.0:
-        # nothing downstream is well defined on a non-convex candidate
+    floor = CONVEXITY_FLOOR
+    convex = margin > floor
+    checks.append(InequalityCheck("convexity-margin", margin, floor, ">=", convex))
+    if not convex:
         report = report.merge(BoundsReport(inequalities=tuple(checks)))
         return VerificationReport(passed=False, bounds=report)
 
-    check("primal-residual", sup_norm(abreu_forward(P) - A), residual_tolerance)
+    check("primal-residual", sup_norm(abreu_forward(P) - A), _RESIDUAL_TOLERANCE)
     check("rhs-mean-zero", abs(np.mean(A.values)), 1e-10 * (1.0 + sup_norm(A)))
     check(
         "divergence-form-residual",
         sup_norm(divergence_form_residual(P, A, mean_tolerance=np.inf)),
-        residual_tolerance,
+        _RESIDUAL_TOLERANCE,
     )
 
     sup_phi, sup_grad_phi, _ = c0_c1_report(P)
@@ -407,23 +412,25 @@ def verify_solution(
         check(
             "legendre-involution",
             sup_norm(again.perturbation - P.perturbation),
-            duality_tolerance,
+            _DUALITY_TOLERANCE,
         )
         # det u at the preimages of the dual nodes; the pullbacks reuse
         # the one inversion of P made by the transform
         det_u = pullback_rhs(ScalarField(P.grid, P.hessian_state.det), P)
         defect = np.max(np.abs(V.hessian_state.det * det_u.values - 1.0))
-        check("determinant-duality", float(defect), duality_tolerance)
+        check("determinant-duality", float(defect), _DUALITY_TOLERANCE)
         atilde = pullback_rhs(A, P)
         bound = sup_norm(A) * (1.0 + 1e-6) + 1e-12
         check("pullback-sup-norm", sup_norm(atilde), bound)
         residual = sup_norm(dual_residual(V, atilde))
-        check("dual-residual", residual, dual_residual_tolerance)
-        upper = upper_bound_monitor(V, atilde, slack=slack, strict=False)
-        lower = lower_bound_monitor(V, atilde, slack=slack, strict=False)
+        check("dual-residual", residual, _DUAL_RESIDUAL_TOLERANCE)
+        upper = upper_bound_monitor(V, atilde, strict=False)
+        lower = lower_bound_monitor(V, atilde, strict=False)
         report = report.merge(upper).merge(lower)
     except NotConvex as exc:
-        check("dual-convexity", exc.min_eigenvalue, 0.0, ">=")
+        # raised at min eigenvalue <= the guard's floor <= CONVEXITY_FLOOR
+        lhs = float(exc.min_eigenvalue)
+        checks.append(InequalityCheck("dual-convexity", lhs, floor, ">=", False))
     except GradientInversionFailure as exc:
         check("gradient-inversion-residual", exc.residual, 1e-10)
 

@@ -28,7 +28,7 @@ from .grid import (
     hessian,
     project_mean_zero,
 )
-from .potential import CONVEXITY_FLOOR, Potential, QuadraticBase, double_contract
+from .potential import Potential, QuadraticBase, double_contract
 
 __all__ = [
     "GradientMapSolveConfig",
@@ -214,6 +214,6 @@ def dual_residual(V: Potential, Atilde: ScalarField) -> ScalarField:
     V is the dual of a solution and Atilde the pulled-back right-hand side.
     """
     state = V.hessian_state
-    hinv = state.inverse(CONVEXITY_FLOOR)
+    hinv = state.inverse()
     L = ScalarField(V.grid, np.log(state.det))
     return double_contract(hinv, hessian(L)) - Atilde

@@ -210,11 +210,9 @@ class HessianState:
         return SymMatrixField.from_full(H.grid, np.linalg.inv(H.to_full()))
 
 
-def inverse_hessian(
-    H: SymMatrixField, convexity_floor: float = CONVEXITY_FLOOR
-) -> SymMatrixField:
+def inverse_hessian(H: SymMatrixField) -> SymMatrixField:
     """Nodewise matrix inverse, guarded by the convexity floor."""
-    return HessianState(H).inverse(convexity_floor)
+    return HessianState(H).inverse()
 
 
 def det_hessian(H: SymMatrixField) -> ScalarField:
@@ -265,21 +263,18 @@ def double_contract(M: SymMatrixField, S: SymMatrixField) -> ScalarField:
     return ScalarField(M.grid, acc)
 
 
-def abreu_forward(
-    P: Potential, convexity_floor: float = CONVEXITY_FLOOR
-) -> ScalarField:
+def abreu_forward(P: Potential) -> ScalarField:
     """The fourth-order operator sum_ij (u^ij)_ij applied to the potential.
 
     The output has exactly zero mean: it is a double divergence of a
     periodic matrix field, integrated by parts on the torus.
     """
-    return second_divergence(P.hessian_state.inverse(convexity_floor))
+    return second_divergence(P.hessian_state.inverse())
 
 
 def divergence_form_residual(
     P: Potential,
     A: ScalarField,
-    convexity_floor: float = CONVEXITY_FLOOR,
     mean_tolerance: float = 1e-10,
 ) -> ScalarField:
     """Residual of the divergence form, sum_ij U^ij w_ij - A.
@@ -290,7 +285,7 @@ def divergence_form_residual(
     if abs(mean(A)) > mean_tolerance * (1.0 + sup_norm(A)):
         raise MeanNotZero(mean(A), mean_tolerance)
     state = P.hessian_state
-    state.require_convex(convexity_floor)
+    state.require_convex()
     w = ScalarField(P.grid, 1.0 / state.det)
     return double_contract(cofactor(state.hessian), hessian(w)) - A
 

@@ -84,7 +84,6 @@ class SolverConfig:
     min_t_step: float = 1e-4
     linear_tolerance: float = 1e-12
     damping: float = 0.5
-    convexity_floor: float = CONVEXITY_FLOOR
 
     def __post_init__(self):
         if min(
@@ -92,7 +91,6 @@ class SolverConfig:
             self.initial_t_step,
             self.min_t_step,
             self.linear_tolerance,
-            self.convexity_floor,
         ) <= 0.0:
             raise ValueError("all solver tolerances must be positive")
         if not (0.0 < self.damping < 1.0):
@@ -137,9 +135,9 @@ class ContinuityTrace:
 # linearized operator and its Krylov solve
 
 
-def _linearized_operator(P: Potential, convexity_floor: float):
+def _linearized_operator(P: Potential):
     """Matrix-free apply of psi -> (u^ia psi_ab u^bj)_ij with u^ij frozen."""
-    hinv = P.hessian_state.inverse(convexity_floor).to_full()
+    hinv = P.hessian_state.inverse().to_full()
     grid = P.grid
 
     def apply(values: np.ndarray) -> np.ndarray:
@@ -151,16 +149,14 @@ def _linearized_operator(P: Potential, convexity_floor: float):
     return apply
 
 
-def linearized_apply(
-    P: Potential, psi: ScalarField, convexity_floor: float = CONVEXITY_FLOOR
-) -> ScalarField:
+def linearized_apply(P: Potential, psi: ScalarField) -> ScalarField:
     """Apply the self-adjoint linearization at P to a periodic field.
 
     Constants are in the kernel and the output has exactly zero mean.
     """
     if psi.grid != P.grid:
         raise ValueError("field lives on a different grid than the potential")
-    return ScalarField(P.grid, _linearized_operator(P, convexity_floor)(psi.values))
+    return ScalarField(P.grid, _linearized_operator(P)(psi.values))
 
 
 def _flat_preconditioner(grid: PeriodicGrid, base: QuadraticBase):
@@ -272,10 +268,10 @@ def newton_step(P: Potential, target: ScalarField, cfg: SolverConfig) -> Potenti
     """
     if abs(mean(target)) > MEAN_TOLERANCE:
         raise MeanNotZero(mean(target), MEAN_TOLERANCE)
-    rhs = abreu_forward(P, cfg.convexity_floor).values - target.values
+    rhs = abreu_forward(P).values - target.values
     if np.max(np.abs(rhs)) == 0.0:
         return P
-    apply_op = _linearized_operator(P, cfg.convexity_floor)
+    apply_op = _linearized_operator(P)
     precond = _flat_preconditioner(P.grid, P.base)
     delta = _pcg(apply_op, precond, rhs, cfg.linear_tolerance)
 
@@ -287,7 +283,7 @@ def newton_step(P: Potential, target: ScalarField, cfg: SolverConfig) -> Potenti
         trial = P.with_perturbation(P.perturbation.values + alpha * delta)
         margin = trial.hessian_state.min_eigenvalue
         last_margin, last_node = margin, trial.hessian_state.worst_node
-        if margin < cfg.convexity_floor:
+        if margin < CONVEXITY_FLOOR:
             continue
         if functional_value(trial, target) <= f_allowed:
             return trial
@@ -322,7 +318,7 @@ def _newton_solve(P: Potential, target: ScalarField, cfg: SolverConfig):
     tolerance = _residual_scale(cfg, target)
     last_step = None
     for iteration in range(cfg.max_newton_iters + 1):
-        forward = abreu_forward(P, cfg.convexity_floor)
+        forward = abreu_forward(P)
         residual = float(np.max(np.abs(forward.values - target.values)))
         if residual <= tolerance:
             return P, iteration, residual
@@ -388,13 +384,13 @@ def continuity_solve(
         P = Potential(base, ScalarField.zeros(A.grid)).with_perturbation(
             initial_perturbation.values
         )
-        P.hessian_state.require_convex(cfg.convexity_floor)
+        P.hessian_state.require_convex()
 
     steps: list[ContinuityStep] = []
 
     # trivial-solution shortcut: if the start already solves t = 1 (for
     # example A = 0), the trace is a single step
-    forward = abreu_forward(P, cfg.convexity_floor)
+    forward = abreu_forward(P)
     res_full = float(np.max(np.abs(forward.values - A.values)))
     if res_full <= _residual_scale(cfg, A):
         steps.append(_record_step(P, 1.0, 0, res_full, A))

@@ -1,11 +1,12 @@
 """Runtime monitors for the a-priori determinant and eigenvalue bounds."""
 
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from abreu import legendre
+from abreu import estimates, legendre
 from abreu import (
     MonitorViolation,
     NotConvex,
@@ -22,7 +23,10 @@ from abreu import (
     pullback_rhs,
     upper_bound_monitor,
     verify_solution,
+    write_field,
 )
+from abreu.cli import main
+from abreu.potential import CONVEXITY_FLOOR
 from tests.support import (
     manufactured_potential,
     manufactured_problem,
@@ -261,3 +265,46 @@ class TestOneInversionPerPotential:
         pullback_rhs(ScalarField.zeros(g), P)
         assert len(built) == 1 and built[0] is P
         assert sum(inversions.values()) == 1
+
+
+def _below_floor_candidate():
+    """1D 32-node phi = c cos(2 pi x) whose margin 1 - 4 pi^2 c is 5e-9."""
+    g = make_grid(1, [32])
+    x = g.axis_coordinates(0)
+    c = (1.0 - 5e-9) / (4.0 * np.pi**2)
+    P = Potential(QuadraticBase.identity(1), ScalarField(g, c * np.cos(TWO_PI * x)))
+    assert 0.0 < P.hessian_state.min_eigenvalue < CONVEXITY_FLOOR
+    return P
+
+
+class TestVerifyConvexityFloor:
+    """verify judges convexity by the floor its own guards use."""
+
+    def test_margin_below_floor_is_reported(self):
+        P = _below_floor_candidate()
+        outcome = verify_solution(P, ScalarField.zeros(P.grid))
+        assert outcome.passed is False
+        (check,) = outcome.bounds.inequalities
+        assert check.name == "convexity-margin" and not check.satisfied
+        assert check.rhs == CONVEXITY_FLOOR
+
+    def test_cli_writes_report_and_exits_3(self, tmp_path):
+        phi_path, report = tmp_path / "phi.fld", tmp_path / "verify.json"
+        write_field(phi_path, _below_floor_candidate().perturbation)
+        code = main(["verify", "--phi", str(phi_path), "--expr", "0",
+                     "--report", str(report)])
+        assert code == 3
+        payload = json.loads(report.read_text())
+        assert payload["verification"]["passed"] is False
+
+    def test_dual_not_convex_fails(self, certified, monkeypatch):
+        P, a, _, _ = certified
+
+        def not_convex(*args, **kwargs):
+            raise NotConvex((0,), 5e-9)
+
+        monkeypatch.setattr(estimates, "upper_bound_monitor", not_convex)
+        outcome = verify_solution(P, a)
+        assert outcome.passed is False
+        failed = [c.name for c in outcome.bounds.inequalities if not c.satisfied]
+        assert failed == ["dual-convexity"]
