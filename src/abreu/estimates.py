@@ -123,12 +123,16 @@ def _raise_if_failed(report: BoundsReport, strict: bool) -> BoundsReport:
     return report
 
 
-def _grad_sup(f: ScalarField) -> float:
-    comps = gradient(f)
-    sq = np.zeros(f.grid.shape)
+def _sup_magnitude(comps) -> float:
+    """sup over nodes of the Euclidean norm of a vector field's components."""
+    sq = np.zeros(comps[0].shape)
     for g in comps:
-        sq += g.values**2
+        sq += g**2
     return float(np.sqrt(sq.max()))
+
+
+def _grad_sup(f: ScalarField) -> float:
+    return _sup_magnitude([g.values for g in gradient(f)])
 
 
 def c0_c1_report(P: Potential) -> tuple[float, float, float]:
@@ -256,8 +260,11 @@ def choose_beta(V: Potential) -> float:
     covering box [-4,4]^n, where sup|y|^2 = 16 n):
     4 beta^2 (4 sqrt(n) + G)^2 <= beta.
     """
-    g = _grad_sup(V.perturbation)
-    n = V.grid.dim
+    return _beta(_grad_sup(V.perturbation), V.grid.dim)
+
+
+def _beta(g: float, n: int) -> float:
+    """`choose_beta` for a gradient sup-norm g in dimension n."""
     # (4 sqrt(n) + g)^2 expanded so the g = 0 case is the exact 16 n
     box_sq = 16.0 * n + 8.0 * np.sqrt(n) * g + g * g
     for k in range(2, 80):
@@ -293,14 +300,14 @@ def lower_bound_monitor(
         raise ValueError("bound monitors assume an identity dual base")
     grid = V.grid
     n = grid.dim
-    beta = choose_beta(V)
+    grads = [g.values for g in gradient(V.perturbation)]
+    beta = _beta(_sup_magnitude(grads), n)
     state = V.hessian_state
     state.require_convex(0.0)
     H = state.hessian
     detv = state.det
     L = np.log(detv)
     psi = V.perturbation.values
-    grads = [g.values for g in gradient(V.perturbation)]
     sup_a = sup_norm(Atilde)
 
     def grad_v_sq(ys):

@@ -30,9 +30,11 @@ __all__ = [
     "partial",
     "gradient",
     "hessian",
+    "hessian_stack",
     "mean",
     "project_mean_zero",
     "second_divergence",
+    "second_divergence_stack",
     "interpolate",
     "TrigInterpolant",
     "sup_norm",
@@ -116,7 +118,8 @@ def make_grid(dim: int, resolution) -> PeriodicGrid:
 
 
 def _freeze(values: np.ndarray) -> np.ndarray:
-    out = np.array(values, dtype=float, copy=True)
+    # row-major whatever the input's layout (`hessian` passes a transposed view)
+    out = np.array(values, dtype=float, copy=True, order="C")
     out.setflags(write=False)
     return out
 
@@ -290,12 +293,19 @@ def _derivative_multiplier(grid: PeriodicGrid, orders: tuple[int, ...]) -> np.nd
     return mult
 
 
-def _rfft(values: np.ndarray) -> np.ndarray:
-    return np.fft.rfftn(values, axes=tuple(range(values.ndim)))
+def _grid_axes(a: np.ndarray, grid: PeriodicGrid) -> tuple[int, ...]:
+    """The trailing grid axes of a field or of a component-first stack."""
+    return tuple(range(a.ndim - grid.dim, a.ndim))
+
+
+def _rfft(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    # with an output array the passes after the first run in place
+    out = np.empty(values.shape[:-1] + (grid.resolution[-1] // 2 + 1,), complex)
+    return np.fft.rfftn(values, axes=_grid_axes(values, grid), out=out)
 
 
 def _irfft(spectrum: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    return np.fft.irfftn(spectrum, s=grid.shape, axes=tuple(range(grid.dim)))
+    return np.fft.irfftn(spectrum, s=grid.shape, axes=_grid_axes(spectrum, grid))
 
 
 def _pair_orders(dim: int, i: int, j: int) -> tuple[int, ...]:
@@ -328,7 +338,7 @@ def partial(f: ScalarField, axes) -> ScalarField:
     axes = _check_axes(f.grid, axes)
     if sum(axes) == 0:
         return f
-    spectrum = _rfft(f.values) * _derivative_multiplier(f.grid, axes)
+    spectrum = _rfft(f.values, f.grid) * _derivative_multiplier(f.grid, axes)
     return ScalarField(f.grid, _irfft(spectrum, f.grid))
 
 
@@ -341,7 +351,7 @@ def _unit_orders(dim: int, axis: int, order: int = 1) -> tuple[int, ...]:
 def gradient(f: ScalarField) -> list[ScalarField]:
     """All first partials, sharing a single forward transform."""
     grid = f.grid
-    spectrum = _rfft(f.values)
+    spectrum = _rfft(f.values, grid)
     out = []
     for axis in range(grid.dim):
         mult = _derivative_multiplier(grid, _unit_orders(grid.dim, axis))
@@ -349,17 +359,36 @@ def gradient(f: ScalarField) -> list[ScalarField]:
     return out
 
 
+@functools.lru_cache(maxsize=128)
+def _pair_multipliers(grid: PeriodicGrid) -> tuple[np.ndarray, ...]:
+    """Multipliers of the second partials d^2 / dx_i dx_j over the triangle
+    pairs (i <= j) in `SymMatrixField` order, each broadcastable to a
+    real-FFT spectrum."""
+    n = grid.dim
+    return tuple(
+        _derivative_multiplier(grid, _pair_orders(n, i, j))
+        for i, j in _triangle_indices(n)
+    )
+
+
+def hessian_stack(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
+    """Second partials of raw node values, component-first (m, *grid.shape).
+
+    Components follow the triangle order of `SymMatrixField`.  One forward
+    real transform, one batched inverse over all m multiplied spectra.
+    """
+    mults = _pair_multipliers(grid)
+    spectrum = _rfft(values, grid)
+    spectra = np.empty((len(mults),) + spectrum.shape, complex)
+    for mult, out in zip(mults, spectra):
+        np.multiply(spectrum, mult, out=out)
+    del spectrum  # the inverse's temporaries set the peak memory of an apply
+    return _irfft(spectra, grid)
+
+
 def hessian(f: ScalarField) -> SymMatrixField:
     """All second partials as a symmetric matrix field (one forward FFT)."""
-    grid = f.grid
-    n = grid.dim
-    spectrum = _rfft(f.values)
-    pairs = _triangle_indices(n)
-    entries = np.empty(grid.shape + (len(pairs),))
-    for k, (i, j) in enumerate(pairs):
-        mult = _derivative_multiplier(grid, _pair_orders(n, i, j))
-        entries[..., k] = _irfft(spectrum * mult, grid)
-    return SymMatrixField(grid, entries)
+    return SymMatrixField(f.grid, np.moveaxis(hessian_stack(f.grid, f.values), 0, -1))
 
 
 def mean(f: ScalarField) -> float:
@@ -376,24 +405,40 @@ def sup_norm(f: ScalarField) -> float:
     return float(np.max(np.abs(f.values)))
 
 
+def second_divergence_stack(grid: PeriodicGrid, stack: np.ndarray) -> np.ndarray:
+    """Sum over triangle pairs k = (i, j) of d^2 stack_k / dx_i dx_j.
+
+    `stack` is a writable component-first (m, *grid.shape) array, centered
+    in place; each pair counts once, so the full double divergence of a
+    symmetric field passes its off-diagonal entries doubled.  One batched
+    forward real transform of the centered components, one inverse of the
+    summed spectra; the zero mode carries no contribution, so the output
+    has exactly zero mean.
+    """
+    # centering is exact (the zero mode is annihilated) and avoids
+    # scattering the large DC coefficient's rounding into high modes,
+    # which the fourth-order multipliers would amplify
+    for comp in stack:
+        comp -= comp.mean()
+    spectra = _rfft(stack, grid)
+    acc = 0.0
+    for mult, spectrum in zip(_pair_multipliers(grid), spectra):
+        acc = acc + mult * spectrum
+    return _irfft(acc, grid)
+
+
 def second_divergence(M: SymMatrixField) -> ScalarField:
     """Double divergence sum_ij d^2 M^ij / dx_i dx_j of a matrix field.
 
     Accumulated in frequency space with a single inverse transform; the
-    zero mode carries no contribution, so the output has exactly zero mean.
+    output has exactly zero mean.
     """
     grid = M.grid
-    n = grid.dim
-    acc = 0.0
-    for k, (i, j) in enumerate(_triangle_indices(n)):
-        mult = _derivative_multiplier(grid, _pair_orders(n, i, j))
-        weight = 1.0 if i == j else 2.0
-        # centering is exact (the zero mode is annihilated) and avoids
-        # scattering the large DC coefficient's rounding into high modes,
-        # which the fourth-order multipliers would amplify
-        comp = M.entries[..., k]
-        acc = acc + weight * mult * _rfft(comp - comp.mean())
-    return ScalarField(grid, _irfft(acc, grid))
+    stack = np.empty((M.entries.shape[-1],) + grid.shape)
+    for k, (i, j) in enumerate(_triangle_indices(grid.dim)):
+        # doubling is exact, so it commutes bitwise with the transform
+        stack[k] = M.entries[..., k] if i == j else 2.0 * M.entries[..., k]
+    return ScalarField(grid, second_divergence_stack(grid, stack))
 
 
 # ---------------------------------------------------------------------------

@@ -133,14 +133,17 @@ class Potential:
         return HessianState(hessian_u(self))
 
 
+def _pairs(n: int) -> list[tuple[int, int]]:
+    """Triangle pairs (i <= j) in the entry order of `SymMatrixField`."""
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
+
 def hessian_u(P: Potential) -> SymMatrixField:
     """Nodewise Hessian M + D^2 phi, computed spectrally from phi."""
     h = hessian(P.perturbation)
     mat = P.base.matrix
     entries = h.entries.copy()
-    for k, (i, j) in enumerate(
-        (i, j) for i in range(P.grid.dim) for j in range(i, P.grid.dim)
-    ):
+    for k, (i, j) in enumerate(_pairs(P.grid.dim)):
         entries[..., k] += mat[i, j]
     return SymMatrixField(P.grid, entries)
 
@@ -150,9 +153,10 @@ class HessianState:
     """Nodewise Hessian quantities of one potential, each computed once.
 
     Holds the Hessian entries, their determinant, the extreme eigenvalues
-    and the node of the smallest one; the inverse is formed on first use,
-    behind the convexity guard.  For n <= 2 everything has a closed form
-    (a 2x2 [[a, b], [b, c]] has eigenvalues m -+ hypot((a - c)/2, b) with
+    and the node of the smallest one; the inverse and the weights of the
+    congruence psi -> H^-1 psi H^-1 are formed on first use, behind the
+    convexity guard.  For n <= 2 everything has a closed form (a 2x2
+    [[a, b], [b, c]] has eigenvalues m -+ hypot((a - c)/2, b) with
     m = (a + c)/2, determinant ac - b^2 and inverse [c, -b, a]/det); from
     n = 3 on LAPACK's eigvalsh, det and inv are used.
     """
@@ -196,6 +200,51 @@ class HessianState:
         """Nodewise inverse Hessian, guarded by the convexity floor."""
         self.require_convex(floor)
         return self._inverse
+
+    def congruence(self, floor: float = CONVEXITY_FLOOR):
+        """The map psi -> entries of h psi h, h = H^-1, times pair weights.
+
+        The map takes a component-first (m, *shape) stack of the triangle
+        entries psi_l of a symmetric field and returns the same layout.
+        With pairs k = (i, j), l = (a, b) and pair weights w (1 on the
+        diagonal, 2 off it) entry k is sum_l S_kl psi_l, where
+
+            S_kl = w_k * (h_ia h_jb + h_ib h_ja) / 2 * w_l,
+
+        so sum_k psi_k (entry k) is the full contraction tr(h psi h psi)
+        and the double divergence of the result, each pair once, is the
+        linearization (u^ia psi_ab u^bj)_ij.  The weights S are formed
+        here on first use, behind the convexity guard, and kept.
+        """
+        self.require_convex(floor)
+        weights = self._weights
+
+        def apply(second: np.ndarray) -> np.ndarray:
+            out = np.zeros_like(second)
+            for k, l, s in weights:
+                out[k] += s * second[l]
+                if k != l:
+                    out[l] += s * second[k]
+            return out
+
+        return apply
+
+    @cached_property
+    def _weights(self) -> tuple[tuple[int, int, np.ndarray], ...]:
+        """(k, l, S_kl) for k <= l: m(m+1)/2 read-only fields, kept apart
+        rather than stacked so that each allocation stays small."""
+        h = self._inverse
+        pairs = _pairs(h.grid.dim)
+        weights = []
+        for k, (i, j) in enumerate(pairs):
+            for l, (a, b) in enumerate(pairs[k:], start=k):
+                scale = 0.5 * (1.0 if i == j else 2.0) * (1.0 if a == b else 2.0)
+                cross = h.component(i, a) * h.component(j, b)
+                cross += h.component(i, b) * h.component(j, a)
+                cross *= scale
+                cross.setflags(write=False)
+                weights.append((k, l, cross))
+        return tuple(weights)
 
     @cached_property
     def _inverse(self) -> SymMatrixField:
@@ -253,11 +302,8 @@ def double_contract(M: SymMatrixField, S: SymMatrixField) -> ScalarField:
     """Pointwise full contraction sum_ij M^ij S_ij of two symmetric fields."""
     if M.grid != S.grid:
         raise ValueError("matrix fields live on different grids")
-    n = M.grid.dim
     acc = np.zeros(M.grid.shape)
-    for k, (i, j) in enumerate(
-        (i, j) for i in range(n) for j in range(i, n)
-    ):
+    for k, (i, j) in enumerate(_pairs(M.grid.dim)):
         weight = 1.0 if i == j else 2.0
         acc += weight * M.entries[..., k] * S.entries[..., k]
     return ScalarField(M.grid, acc)

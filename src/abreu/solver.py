@@ -7,9 +7,13 @@ whose linear systems
     L(psi) = (u^ia psi_ab u^bj)_ij = current residual
 
 are solved matrix-free by conjugate gradients on the mean-zero subspace
-(constants are projected out every iteration).  The preconditioner is the
-inverse of the linearization at phi = 0, which is diagonal per Fourier
-mode; for the identity base it is exactly the inverse biharmonic.
+(constants are projected out every iteration).  One apply of L costs 4
+batched real FFTs (a forward and an inverse for the m = n(n+1)/2 Hessian
+entries, the same for the second divergence) plus m^2 multiply-adds per
+node with m(m+1)/2 congruence weights that each potential computes once
+and keeps.  The preconditioner is the inverse of the linearization at
+phi = 0, which is diagonal per Fourier mode and cached per grid and base;
+for the identity base it is exactly the inverse biharmonic.
 
 Line searches use the convex functional
 
@@ -24,6 +28,7 @@ the functional.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -32,10 +37,9 @@ from .errors import LinearSolveFailure, MeanNotZero, NotConvex, StepFloorReached
 from .grid import (
     PeriodicGrid,
     ScalarField,
-    SymMatrixField,
-    hessian,
+    hessian_stack,
     mean,
-    second_divergence,
+    second_divergence_stack,
     sup_norm,
 )
 from .potential import CONVEXITY_FLOOR, Potential, QuadraticBase, abreu_forward
@@ -136,14 +140,14 @@ class ContinuityTrace:
 
 
 def _linearized_operator(P: Potential):
-    """Matrix-free apply of psi -> (u^ia psi_ab u^bj)_ij with u^ij frozen."""
-    hinv = P.hessian_state.inverse().to_full()
+    """Matrix-free apply of psi -> (u^ia psi_ab u^bj)_ij with u^ij frozen:
+    batched Hessian, congruence, batched second divergence, on raw arrays."""
+    congruence = P.hessian_state.congruence()
     grid = P.grid
 
     def apply(values: np.ndarray) -> np.ndarray:
-        psi_h = hessian(ScalarField(grid, values)).to_full()
-        g = hinv @ psi_h @ hinv
-        out = second_divergence(SymMatrixField.from_full(grid, g)).values
+        congruent = congruence(hessian_stack(grid, values))
+        out = second_divergence_stack(grid, congruent)
         return out - out.mean()
 
     return apply
@@ -159,13 +163,17 @@ def linearized_apply(P: Potential, psi: ScalarField) -> ScalarField:
     return ScalarField(P.grid, _linearized_operator(P)(psi.values))
 
 
-def _flat_preconditioner(grid: PeriodicGrid, base: QuadraticBase):
-    """Inverse of the linearization at phi = 0, diagonal per Fourier mode.
+@functools.lru_cache(maxsize=32)
+def _inverse_flat_symbol(grid: PeriodicGrid, matrix_bytes: bytes) -> np.ndarray:
+    """Inverse symbol of the linearization at phi = 0 in real-FFT layout,
+    cached read-only per grid and base matrix (given by its bytes, since
+    the matrix itself is not hashable).
 
     The symbol is (2 pi)^4 (k^T M^{-1} k)^2; the zero mode is annihilated,
     which doubles as the projection onto mean-zero fields.
     """
-    minv = np.linalg.inv(base.matrix)
+    matrix = np.frombuffer(matrix_bytes).reshape(grid.dim, grid.dim)
+    minv = np.linalg.inv(matrix)
     ks = [grid.wavenumbers(a).astype(float) for a in range(grid.dim)]
     ks[-1] = ks[-1][: grid.resolution[-1] // 2 + 1]  # real-FFT layout
     mesh = np.meshgrid(*ks, indexing="ij")
@@ -177,6 +185,13 @@ def _flat_preconditioner(grid: PeriodicGrid, base: QuadraticBase):
     inv_symbol = np.zeros(symbol.shape)
     nonzero = symbol > 0.0
     inv_symbol[nonzero] = 1.0 / symbol[nonzero]
+    inv_symbol.setflags(write=False)
+    return inv_symbol
+
+
+def _flat_preconditioner(grid: PeriodicGrid, base: QuadraticBase):
+    """Inverse of the linearization at phi = 0, diagonal per Fourier mode."""
+    inv_symbol = _inverse_flat_symbol(grid, base.matrix.tobytes())
     axes = tuple(range(grid.dim))
 
     def apply(values: np.ndarray) -> np.ndarray:
@@ -188,12 +203,11 @@ def _flat_preconditioner(grid: PeriodicGrid, base: QuadraticBase):
 
 def _pcg(apply_op, precond, rhs: np.ndarray, rel_tol: float) -> np.ndarray:
     """Preconditioned conjugate gradients on the mean-zero subspace."""
-    rhs = rhs - rhs.mean()
-    rhs_norm = np.sqrt(np.mean(rhs * rhs))
+    r = rhs - rhs.mean()
+    rhs_norm = np.sqrt(np.mean(r * r))
     if rhs_norm == 0.0:
-        return np.zeros_like(rhs)
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
+        return np.zeros_like(r)
+    x = np.zeros_like(r)
     z = precond(r)
     p = z.copy()
     rz = np.mean(r * z)
@@ -247,9 +261,9 @@ def functional_second_derivative(P0: Potential, P1: Potential, t: float) -> floa
     psi = P1.perturbation - P0.perturbation
     phi_t = (1.0 - t) * P0.perturbation.values + t * P1.perturbation.values
     interpolated = P0.with_perturbation(phi_t)
-    hinv = interpolated.hessian_state.inverse().to_full()
-    psi_h = hessian(psi).to_full()
-    integrand = np.einsum("...ia,...ab,...bj,...ij->...", hinv, psi_h, hinv, psi_h)
+    second = hessian_stack(psi.grid, psi.values)
+    congruent = interpolated.hessian_state.congruence()(second)
+    integrand = np.sum(second * congruent, axis=0)
     return float(np.mean(integrand))
 
 

@@ -16,8 +16,11 @@ from abreu import (
     Potential,
     QuadraticBase,
     ScalarField,
+    SymMatrixField,
     convexity_margin,
+    hessian,
     make_grid,
+    second_divergence,
 )
 
 EPS = 0.01
@@ -99,3 +102,24 @@ def random_convex_potential(grid, rng, margin=0.5, max_mode=2):
     return Potential(
         QuadraticBase.identity(grid.dim), ScalarField(grid, scale * f.values)
     )
+
+
+def linearized_apply_oracle(P, values):
+    """psi -> (u^ia psi_ab u^bj)_ij as full n x n stacks: h psi h by two
+    batched matrix products, then the double divergence of the result."""
+    hinv = P.hessian_state.inverse().to_full()
+    psi_h = hessian(ScalarField(P.grid, values)).to_full()
+    g = hinv @ psi_h @ hinv
+    out = second_divergence(SymMatrixField.from_full(P.grid, g)).values
+    return out - out.mean()
+
+
+def functional_second_derivative_oracle(P0, P1, t):
+    """integral(u_t^ia psi_ab u_t^bj psi_ij) as a 4-index einsum over full
+    stacks, psi = phi_1 - phi_0 and u_t on the linear path at time t."""
+    psi = P1.perturbation - P0.perturbation
+    phi_t = (1.0 - t) * P0.perturbation.values + t * P1.perturbation.values
+    hinv = P0.with_perturbation(phi_t).hessian_state.inverse().to_full()
+    psi_h = hessian(psi).to_full()
+    integrand = np.einsum("...ia,...ab,...bj,...ij->...", hinv, psi_h, hinv, psi_h)
+    return float(np.mean(integrand))

@@ -18,6 +18,7 @@ from abreu import (
     Potential,
     QuadraticBase,
     ScalarField,
+    choose_beta,
     estimates,
     lower_bound_monitor,
     make_grid,
@@ -139,3 +140,20 @@ class TestMonitorMemory:
             tracemalloc.stop()
         assert report.beta is not None
         assert peak < 8 * 2**20
+
+
+class TestMonitorGradients:
+    def test_lower_monitor_takes_one_gradient(self, monkeypatch):
+        g = make_grid(2, [16, 16])
+        V = random_convex_potential(g, np.random.default_rng(4), margin=0.5)
+        calls = []
+        gradient = estimates.gradient
+
+        def spy(f):
+            calls.append(f)
+            return gradient(f)
+
+        monkeypatch.setattr(estimates, "gradient", spy)
+        report = lower_bound_monitor(V, ScalarField.zeros(g), strict=False)
+        assert len(calls) == 1 and calls[0] is V.perturbation
+        assert report.beta == choose_beta(V)

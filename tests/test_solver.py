@@ -1,5 +1,6 @@
 """Linearized operator, Newton steps and the continuation solver."""
 
+import functools
 from collections import Counter
 
 import numpy as np
@@ -22,6 +23,7 @@ from abreu import (
     make_grid,
     mean,
     newton_step,
+    solver,
     sup_norm,
 )
 from tests.support import (
@@ -248,6 +250,34 @@ class TestContinuitySolve:
         # at least the flat start and every accepted Newton iterate
         iterates = sum(s.newton_iterations for s in trace.steps)
         assert len(built) >= 1 + iterates
+        assert max(built.values()) == 1
+
+    def test_each_linearized_potential_builds_its_weights_once(self, monkeypatch):
+        # two Newton iterations per attempt force failed attempts, and every
+        # retry linearizes the last accepted potential again
+        built, linearized = Counter(), Counter()
+        build = HessianState._weights.func
+
+        def counting_build(state):
+            built[state.hessian.entries.tobytes()] += 1
+            return build(state)
+
+        weights = functools.cached_property(counting_build)
+        weights.__set_name__(HessianState, "_weights")
+        monkeypatch.setattr(HessianState, "_weights", weights)
+        step = solver.newton_step
+
+        def counting_step(P, target, cfg):
+            linearized[P.hessian_state.hessian.entries.tobytes()] += 1
+            return step(P, target, cfg)
+
+        monkeypatch.setattr(solver, "newton_step", counting_step)
+        g = make_grid(2, [16, 16])
+        x, y = g.coordinate_arrays()
+        a = ScalarField(g, 0.3 * (np.cos(TWO_PI * x) + np.cos(TWO_PI * y)))
+        continuity_solve(a, cfg=SolverConfig(max_newton_iters=2))
+        assert max(linearized.values()) > 1
+        assert built.keys() == linearized.keys()
         assert max(built.values()) == 1
 
     def test_rejects_nonzero_mean(self):
