@@ -38,6 +38,7 @@ __all__ = [
     "interpolate",
     "TrigInterpolant",
     "sup_norm",
+    "triangle_pairs",
 ]
 
 _TWO_PI = 2.0 * np.pi
@@ -182,7 +183,9 @@ class ScalarField:
         return ScalarField(self.grid, -self.values)
 
 
-def _triangle_indices(n: int) -> list[tuple[int, int]]:
+def triangle_pairs(n: int) -> list[tuple[int, int]]:
+    """Index pairs (i <= j) of an n x n symmetric matrix, in the entry
+    order of `SymMatrixField` and of component-first stacks."""
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
@@ -217,7 +220,7 @@ class SymMatrixField:
     @classmethod
     def from_constant(cls, grid: PeriodicGrid, matrix) -> "SymMatrixField":
         mat = np.asarray(matrix, dtype=float)
-        pairs = _triangle_indices(grid.dim)
+        pairs = triangle_pairs(grid.dim)
         entries = np.empty(grid.shape + (len(pairs),))
         for k, (i, j) in enumerate(pairs):
             entries[..., k] = mat[i, j]
@@ -226,7 +229,7 @@ class SymMatrixField:
     @classmethod
     def from_full(cls, grid: PeriodicGrid, full: np.ndarray) -> "SymMatrixField":
         """Build from a (*grid.shape, n, n) stack, symmetrizing exactly."""
-        pairs = _triangle_indices(grid.dim)
+        pairs = triangle_pairs(grid.dim)
         entries = np.empty(grid.shape + (len(pairs),))
         for k, (i, j) in enumerate(pairs):
             entries[..., k] = 0.5 * (full[..., i, j] + full[..., j, i])
@@ -246,7 +249,7 @@ class SymMatrixField:
         """Expand to a (*grid.shape, n, n) stack of symmetric matrices."""
         n = self.grid.dim
         full = np.empty(self.grid.shape + (n, n))
-        for k, (i, j) in enumerate(_triangle_indices(n)):
+        for k, (i, j) in enumerate(triangle_pairs(n)):
             full[..., i, j] = self.entries[..., k]
             full[..., j, i] = self.entries[..., k]
         return full
@@ -367,7 +370,7 @@ def _pair_multipliers(grid: PeriodicGrid) -> tuple[np.ndarray, ...]:
     n = grid.dim
     return tuple(
         _derivative_multiplier(grid, _pair_orders(n, i, j))
-        for i, j in _triangle_indices(n)
+        for i, j in triangle_pairs(n)
     )
 
 
@@ -406,14 +409,16 @@ def sup_norm(f: ScalarField) -> float:
 
 
 def second_divergence_stack(grid: PeriodicGrid, stack: np.ndarray) -> np.ndarray:
-    """Sum over triangle pairs k = (i, j) of d^2 stack_k / dx_i dx_j.
+    """Centers each component of `stack` in place, then returns the sum over
+    triangle pairs k = (i, j) of d^2 stack_k / dx_i dx_j.
 
-    `stack` is a writable component-first (m, *grid.shape) array, centered
-    in place; each pair counts once, so the full double divergence of a
-    symmetric field passes its off-diagonal entries doubled.  One batched
-    forward real transform of the centered components, one inverse of the
-    summed spectra; the zero mode carries no contribution, so the output
-    has exactly zero mean.
+    `stack` is a writable component-first (m, *grid.shape) array that the
+    caller gives up: on return it holds the centered components.  Each
+    pair counts once, so the full double divergence of a symmetric field
+    passes its off-diagonal entries doubled.  One batched forward real
+    transform of the centered components, one inverse of the summed
+    spectra; the zero mode carries no contribution, so the output has
+    exactly zero mean.
     """
     # centering is exact (the zero mode is annihilated) and avoids
     # scattering the large DC coefficient's rounding into high modes,
@@ -435,7 +440,7 @@ def second_divergence(M: SymMatrixField) -> ScalarField:
     """
     grid = M.grid
     stack = np.empty((M.entries.shape[-1],) + grid.shape)
-    for k, (i, j) in enumerate(_triangle_indices(grid.dim)):
+    for k, (i, j) in enumerate(triangle_pairs(grid.dim)):
         # doubling is exact, so it commutes bitwise with the transform
         stack[k] = M.entries[..., k] if i == j else 2.0 * M.entries[..., k]
     return ScalarField(grid, second_divergence_stack(grid, stack))

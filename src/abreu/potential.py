@@ -28,6 +28,7 @@ from .grid import (
     mean,
     second_divergence,
     sup_norm,
+    triangle_pairs,
 )
 
 __all__ = [
@@ -133,17 +134,12 @@ class Potential:
         return HessianState(hessian_u(self))
 
 
-def _pairs(n: int) -> list[tuple[int, int]]:
-    """Triangle pairs (i <= j) in the entry order of `SymMatrixField`."""
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
 def hessian_u(P: Potential) -> SymMatrixField:
     """Nodewise Hessian M + D^2 phi, computed spectrally from phi."""
     h = hessian(P.perturbation)
     mat = P.base.matrix
     entries = h.entries.copy()
-    for k, (i, j) in enumerate(_pairs(P.grid.dim)):
+    for k, (i, j) in enumerate(triangle_pairs(P.grid.dim)):
         entries[..., k] += mat[i, j]
     return SymMatrixField(P.grid, entries)
 
@@ -201,40 +197,37 @@ class HessianState:
         self.require_convex(floor)
         return self._inverse
 
-    def congruence(self, floor: float = CONVEXITY_FLOOR):
-        """The map psi -> entries of h psi h, h = H^-1, times pair weights.
+    def congruent(self, second: np.ndarray) -> np.ndarray:
+        """Triangle entries of h psi h, h = H^-1, times pair weights.
 
-        The map takes a component-first (m, *shape) stack of the triangle
-        entries psi_l of a symmetric field and returns the same layout.
-        With pairs k = (i, j), l = (a, b) and pair weights w (1 on the
-        diagonal, 2 off it) entry k is sum_l S_kl psi_l, where
+        `second` is a component-first (m, *shape) stack of the triangle
+        entries psi_l of a symmetric field; the result has the same
+        layout.  With pairs k = (i, j), l = (a, b) and pair weights w (1 on
+        the diagonal, 2 off it) entry k is sum_l S_kl psi_l, where
 
             S_kl = w_k * (h_ia h_jb + h_ib h_ja) / 2 * w_l,
 
         so sum_k psi_k (entry k) is the full contraction tr(h psi h psi)
         and the double divergence of the result, each pair once, is the
-        linearization (u^ia psi_ab u^bj)_ij.  The weights S are formed
-        here on first use, behind the convexity guard, and kept.
+        linearization (u^ia psi_ab u^bj)_ij.  The weights S are formed on
+        first use, behind the convexity guard, and kept.
         """
-        self.require_convex(floor)
+        self.require_convex()
         weights = self._weights
-
-        def apply(second: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(second)
-            for k, l, s in weights:
-                out[k] += s * second[l]
-                if k != l:
-                    out[l] += s * second[k]
-            return out
-
-        return apply
+        out = np.zeros_like(second)
+        term = np.empty_like(second[0])  # one buffer for every product
+        for k, l, s in weights:
+            out[k] += np.multiply(s, second[l], out=term)
+            if k != l:
+                out[l] += np.multiply(s, second[k], out=term)
+        return out
 
     @cached_property
     def _weights(self) -> tuple[tuple[int, int, np.ndarray], ...]:
         """(k, l, S_kl) for k <= l: m(m+1)/2 read-only fields, kept apart
         rather than stacked so that each allocation stays small."""
         h = self._inverse
-        pairs = _pairs(h.grid.dim)
+        pairs = triangle_pairs(h.grid.dim)
         weights = []
         for k, (i, j) in enumerate(pairs):
             for l, (a, b) in enumerate(pairs[k:], start=k):
@@ -303,7 +296,7 @@ def double_contract(M: SymMatrixField, S: SymMatrixField) -> ScalarField:
     if M.grid != S.grid:
         raise ValueError("matrix fields live on different grids")
     acc = np.zeros(M.grid.shape)
-    for k, (i, j) in enumerate(_pairs(M.grid.dim)):
+    for k, (i, j) in enumerate(triangle_pairs(M.grid.dim)):
         weight = 1.0 if i == j else 2.0
         acc += weight * M.entries[..., k] * S.entries[..., k]
     return ScalarField(M.grid, acc)

@@ -142,11 +142,11 @@ class ContinuityTrace:
 def _linearized_operator(P: Potential):
     """Matrix-free apply of psi -> (u^ia psi_ab u^bj)_ij with u^ij frozen:
     batched Hessian, congruence, batched second divergence, on raw arrays."""
-    congruence = P.hessian_state.congruence()
+    state = P.hessian_state
     grid = P.grid
 
     def apply(values: np.ndarray) -> np.ndarray:
-        congruent = congruence(hessian_stack(grid, values))
+        congruent = state.congruent(hessian_stack(grid, values))
         out = second_divergence_stack(grid, congruent)
         return out - out.mean()
 
@@ -262,7 +262,7 @@ def functional_second_derivative(P0: Potential, P1: Potential, t: float) -> floa
     phi_t = (1.0 - t) * P0.perturbation.values + t * P1.perturbation.values
     interpolated = P0.with_perturbation(phi_t)
     second = hessian_stack(psi.grid, psi.values)
-    congruent = interpolated.hessian_state.congruence()(second)
+    congruent = interpolated.hessian_state.congruent(second)
     integrand = np.sum(second * congruent, axis=0)
     return float(np.mean(integrand))
 

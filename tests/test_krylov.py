@@ -28,7 +28,7 @@ from abreu import (
     second_divergence,
     solver,
 )
-from abreu.grid import _derivative_multiplier
+from abreu.grid import _derivative_multiplier, second_divergence_stack, triangle_pairs
 from tests.support import (
     functional_second_derivative_oracle,
     linearized_apply_oracle,
@@ -64,10 +64,6 @@ def _setup(shape, seed):
     return g, rng, _random_potential(g, rng, _random_base(rng, g.dim))
 
 
-def _pairs(dim):
-    return [(i, j) for i in range(dim) for j in range(i, dim)]
-
-
 def _pair_multiplier(g, i, j):
     orders = [0] * g.dim
     orders[i] += 1
@@ -79,8 +75,8 @@ def _per_component_hessian(g, values):
     """One inverse transform per triangle entry, written node-last."""
     axes = tuple(range(g.dim))
     spectrum = np.fft.rfftn(values, axes=axes)
-    entries = np.empty(g.shape + (len(_pairs(g.dim)),))
-    for k, (i, j) in enumerate(_pairs(g.dim)):
+    entries = np.empty(g.shape + (len(triangle_pairs(g.dim)),))
+    for k, (i, j) in enumerate(triangle_pairs(g.dim)):
         mult = _pair_multiplier(g, i, j)
         entries[..., k] = np.fft.irfftn(spectrum * mult, s=g.shape, axes=axes)
     return entries
@@ -90,7 +86,7 @@ def _per_component_second_divergence(g, entries):
     """Weighted spectra of the centered components, summed in pair order."""
     axes = tuple(range(g.dim))
     acc = 0.0
-    for k, (i, j) in enumerate(_pairs(g.dim)):
+    for k, (i, j) in enumerate(triangle_pairs(g.dim)):
         weight = 1.0 if i == j else 2.0
         comp = entries[..., k]
         spectrum = np.fft.rfftn(comp - comp.mean(), axes=axes)
@@ -146,11 +142,29 @@ class TestWrappersBitwise:
     @given(shape=SHAPES, seed=SEEDS, log_scale=st.floats(-3.0, 3.0))
     def test_second_divergence(self, shape, seed, log_scale):
         g = make_grid(len(shape), list(shape))
-        m = len(_pairs(g.dim))
+        m = len(triangle_pairs(g.dim))
         rng = np.random.default_rng(seed)
         entries = 10.0**log_scale * (1.0 + rng.standard_normal(g.shape + (m,)))
         got = second_divergence(SymMatrixField(g, entries)).values
         assert np.array_equal(got, _per_component_second_divergence(g, entries))
+
+
+class TestSecondDivergenceStack:
+    def test_centers_the_callers_stack_in_place(self):
+        g = make_grid(2, [8, 12])
+        rng = np.random.default_rng(5)
+        stack = 1.0 + rng.standard_normal((3,) + g.shape)
+        original = stack.copy()
+        out = second_divergence_stack(g, stack)
+        assert np.array_equal(stack, np.stack([c - c.mean() for c in original]))
+        assert np.array_equal(out, second_divergence_stack(g, original.copy()))
+
+    def test_rejects_a_read_only_stack(self):
+        g = make_grid(1, [16])
+        stack = np.ones((1, 16))
+        stack.setflags(write=False)
+        with pytest.raises(ValueError):
+            second_divergence_stack(g, stack)
 
 
 class TestTransformBudget:
