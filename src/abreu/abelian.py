@@ -22,18 +22,19 @@ det(v_ab) dx, see `metric_volume_mean`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import MeanNotZero
-from .grid import ScalarField, hessian, mean, project_mean_zero, sup_norm
+from .grid import ScalarField, mean, project_mean_zero
 from .legendre import GradientMapSolveConfig, legendre_transform
 from .potential import (
+    CONVEXITY_FLOOR,
     Potential,
     QuadraticBase,
     abreu_forward,
     convexity_margin,
-    double_contract,
 )
 from .solver import MEAN_TOLERANCE, SolverConfig, continuity_solve
 
@@ -53,20 +54,16 @@ class InvariantMetric:
     psi: ScalarField
 
     def __post_init__(self):
-        gauge = abs(mean(self.psi))
-        if gauge > 1e-10 * (1.0 + sup_norm(self.psi)):
-            raise ValueError(
-                f"metric perturbation violates the mean-zero gauge "
-                f"(mean = {gauge:.3e}); project it first"
-            )
+        self.potential  # built and kept now; its gauge check raises ValueError
 
-    @property
+    @cached_property
     def potential(self) -> Potential:
-        """The convex potential v = |x|^2/2 + psi."""
+        """The convex potential v = |x|^2/2 + psi, built once and kept."""
         return Potential(QuadraticBase.identity(self.psi.grid.dim), self.psi)
 
     def is_positive(self) -> bool:
-        return convexity_margin(self.potential) > 0.0
+        """Whether the margin clears the floor every curvature guard uses."""
+        return convexity_margin(self.potential) > CONVEXITY_FLOOR
 
 
 def scalar_curvature(m: InvariantMetric) -> ScalarField:
@@ -76,9 +73,7 @@ def scalar_curvature(m: InvariantMetric) -> ScalarField:
     derivatives; raises NotConvex if the metric is not positive.
     """
     state = m.potential.hessian_state
-    hinv = state.inverse()
-    log_det = ScalarField(m.psi.grid, np.log(state.det))
-    return -0.25 * double_contract(hinv, hessian(log_det))
+    return -0.25 * state.contract(state.log_det)
 
 
 def scalar_curvature_symplectic(

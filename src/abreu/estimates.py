@@ -31,6 +31,7 @@ from .errors import GradientInversionFailure, MonitorViolation, NotConvex
 from .grid import ScalarField, gradient, sup_norm
 from .potential import (
     CONVEXITY_FLOOR,
+    GAUGE_TOLERANCE,
     Potential,
     abreu_forward,
     convexity_margin,
@@ -212,7 +213,7 @@ def upper_bound_monitor(
     state = V.hessian_state
     hinv = state.inverse()
     detv = state.det
-    L = np.log(detv)
+    L = state.log_det
     psi = V.perturbation.values
     sup_a = sup_norm(Atilde)
 
@@ -303,10 +304,9 @@ def lower_bound_monitor(
     grads = [g.values for g in gradient(V.perturbation)]
     beta = _beta(_sup_magnitude(grads), n)
     state = V.hessian_state
-    state.require_convex(0.0)
+    L = state.log_det
     H = state.hessian
     detv = state.det
-    L = np.log(detv)
     psi = V.perturbation.values
     sup_a = sup_norm(Atilde)
 
@@ -398,7 +398,8 @@ def verify_solution(P: Potential, A: ScalarField) -> VerificationReport:
         return VerificationReport(passed=False, bounds=report)
 
     check("primal-residual", sup_norm(abreu_forward(P) - A), _RESIDUAL_TOLERANCE)
-    check("rhs-mean-zero", abs(np.mean(A.values)), 1e-10 * (1.0 + sup_norm(A)))
+    gauge = GAUGE_TOLERANCE * (1.0 + sup_norm(A))
+    check("rhs-mean-zero", abs(np.mean(A.values)), gauge)
     check(
         "divergence-form-residual",
         sup_norm(divergence_form_residual(P, A, mean_tolerance=np.inf)),
@@ -435,7 +436,7 @@ def verify_solution(P: Potential, A: ScalarField) -> VerificationReport:
         lower = lower_bound_monitor(V, atilde, strict=False)
         report = report.merge(upper).merge(lower)
     except NotConvex as exc:
-        # raised at min eigenvalue <= the guard's floor <= CONVEXITY_FLOOR
+        # raised at min eigenvalue <= CONVEXITY_FLOOR, the floor of every guard
         lhs = float(exc.min_eigenvalue)
         checks.append(InequalityCheck("dual-convexity", lhs, floor, ">=", False))
     except GradientInversionFailure as exc:

@@ -25,10 +25,10 @@ from .grid import (
     PeriodicGrid,
     ScalarField,
     TrigInterpolant,
-    hessian,
     project_mean_zero,
+    triangle_pairs,
 )
-from .potential import Potential, QuadraticBase, double_contract
+from .potential import Potential, QuadraticBase
 
 __all__ = [
     "GradientMapSolveConfig",
@@ -78,7 +78,7 @@ class _GradientEvaluator:
         self.n = n = P.grid.dim
         self.phi = TrigInterpolant(P.perturbation)
         eye = np.eye(n, dtype=int)
-        self._rows, self._cols = np.triu_indices(n)
+        self._rows, self._cols = np.array(triangle_pairs(n)).T
         self._grad_orders = [tuple(row) for row in eye]
         self._hess_orders = [tuple(r) for r in eye[self._rows] + eye[self._cols]]
 
@@ -214,6 +214,4 @@ def dual_residual(V: Potential, Atilde: ScalarField) -> ScalarField:
     V is the dual of a solution and Atilde the pulled-back right-hand side.
     """
     state = V.hessian_state
-    hinv = state.inverse()
-    L = ScalarField(V.grid, np.log(state.det))
-    return double_contract(hinv, hessian(L)) - Atilde
+    return state.contract(state.log_det) - Atilde

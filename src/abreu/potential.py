@@ -10,6 +10,11 @@ provides the fourth-order operator in both raw form,
 
 and the equivalent divergence form  sum_ij U^ij w_ij - A  with U the
 cofactor matrix of the Hessian and w = 1/det(u_ab).
+
+Each per-potential quantity lives on the potential's `HessianState`: the
+determinant and extreme eigenvalues from construction; the inverse, log
+det, the forward field (u^ij)_ij and the congruence weights from first
+use, behind the convexity guard at CONVEXITY_FLOOR.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ __all__ = [
     "Potential",
     "HessianState",
     "CONVEXITY_FLOOR",
+    "GAUGE_TOLERANCE",
     "hessian_u",
     "inverse_hessian",
     "det_hessian",
@@ -50,8 +56,9 @@ __all__ = [
 #: loudly rather than invert a near-singular matrix.
 CONVEXITY_FLOOR = 1e-8
 
-#: Gauge tolerance on mean(phi) accepted at construction.
-_GAUGE_TOL = 1e-10
+#: Relative gauge tolerance: a mean-zero field f may have
+#: |mean f| <= GAUGE_TOLERANCE * (1 + sup|f|).
+GAUGE_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -107,7 +114,7 @@ class Potential:
             )
         gauge = abs(mean(self.perturbation))
         scale = 1.0 + sup_norm(self.perturbation)
-        if gauge > _GAUGE_TOL * scale:
+        if gauge > GAUGE_TOLERANCE * scale:
             raise ValueError(
                 f"perturbation violates the mean-zero gauge "
                 f"(mean = {gauge:.3e}); project it first"
@@ -149,9 +156,10 @@ class HessianState:
     """Nodewise Hessian quantities of one potential, each computed once.
 
     Holds the Hessian entries, their determinant, the extreme eigenvalues
-    and the node of the smallest one; the inverse and the weights of the
-    congruence psi -> H^-1 psi H^-1 are formed on first use, behind the
-    convexity guard.  For n <= 2 everything has a closed form (a 2x2
+    and the node of the smallest one; the inverse, log det, the forward
+    field (u^ij)_ij and the weights of the congruence psi -> H^-1 psi H^-1
+    are formed on first use, behind the convexity guard, and kept.  For
+    n <= 2 everything has a closed form (a 2x2
     [[a, b], [b, c]] has eigenvalues m -+ hypot((a - c)/2, b) with
     m = (a + c)/2, determinant ac - b^2 and inverse [c, -b, a]/det); from
     n = 3 on LAPACK's eigvalsh, det and inv are used.
@@ -196,6 +204,24 @@ class HessianState:
         """Nodewise inverse Hessian, guarded by the convexity floor."""
         self.require_convex(floor)
         return self._inverse
+
+    @cached_property
+    def log_det(self) -> np.ndarray:
+        """Nodewise log det H, guarded by the convexity floor."""
+        self.require_convex()
+        log_det = np.log(self.det)
+        log_det.setflags(write=False)
+        return log_det
+
+    @cached_property
+    def forward(self) -> ScalarField:
+        """The fourth-order field sum_ij (h^ij)_ij, h = H^-1, guarded."""
+        return second_divergence(self.inverse())
+
+    def contract(self, values: np.ndarray) -> ScalarField:
+        """sum_ij h^ij f_ij, h = H^-1, for node values f, guarded."""
+        hinv = self.inverse()
+        return double_contract(hinv, hessian(ScalarField(hinv.grid, values)))
 
     def congruent(self, second: np.ndarray) -> np.ndarray:
         """Triangle entries of h psi h, h = H^-1, times pair weights.
@@ -263,32 +289,12 @@ def det_hessian(H: SymMatrixField) -> ScalarField:
 
 
 def cofactor(H: SymMatrixField) -> SymMatrixField:
-    """Nodewise cofactor matrix, computed from minors (no inversion).
+    """Nodewise cofactor matrix det(H) H^-1, guarded by the convexity floor.
 
-    Equals det(H) * H^{-1} wherever H is invertible; for n = 1 the empty
-    minor convention gives the constant field 1.
+    For n = 1 it is the constant field 1 (the empty minor), up to rounding.
     """
-    grid = H.grid
-    n = grid.dim
-    if n == 1:
-        return SymMatrixField(grid, np.ones(grid.shape + (1,)))
-    full = H.to_full()
-    cof = np.empty_like(full)
-    idx = np.arange(n)
-    for i in range(n):
-        rows = idx[idx != i]
-        for j in range(i, n):
-            cols = idx[idx != j]
-            minor = full[..., rows[:, None], cols[None, :]]
-            cof[..., i, j] = (-1.0) ** (i + j) * _det_stack(minor)
-            cof[..., j, i] = cof[..., i, j]
-    return SymMatrixField.from_full(grid, cof)
-
-
-def _det_stack(m: np.ndarray) -> np.ndarray:
-    if m.shape[-1] == 1:
-        return m[..., 0, 0]
-    return np.linalg.det(m)
+    state = HessianState(H)
+    return SymMatrixField(H.grid, state.det[..., None] * state.inverse().entries)
 
 
 def double_contract(M: SymMatrixField, S: SymMatrixField) -> ScalarField:
@@ -306,27 +312,26 @@ def abreu_forward(P: Potential) -> ScalarField:
     """The fourth-order operator sum_ij (u^ij)_ij applied to the potential.
 
     The output has exactly zero mean: it is a double divergence of a
-    periodic matrix field, integrated by parts on the torus.
+    periodic matrix field, integrated by parts on the torus.  The Hessian
+    state evaluates it once per potential.
     """
-    return second_divergence(P.hessian_state.inverse())
+    return P.hessian_state.forward
 
 
 def divergence_form_residual(
     P: Potential,
     A: ScalarField,
-    mean_tolerance: float = 1e-10,
+    mean_tolerance: float = GAUGE_TOLERANCE,
 ) -> ScalarField:
     """Residual of the divergence form, sum_ij U^ij w_ij - A.
 
-    U is the cofactor matrix of the Hessian and w = 1/det(u_ab); the field
-    vanishes identically on exact solutions.
+    U = det(u_ab) u^ij is the cofactor matrix of the Hessian and
+    w = 1/det(u_ab); the field vanishes identically on exact solutions.
     """
     if abs(mean(A)) > mean_tolerance * (1.0 + sup_norm(A)):
         raise MeanNotZero(mean(A), mean_tolerance)
     state = P.hessian_state
-    state.require_convex()
-    w = ScalarField(P.grid, 1.0 / state.det)
-    return double_contract(cofactor(state.hessian), hessian(w)) - A
+    return ScalarField(P.grid, state.det * state.contract(1.0 / state.det).values) - A
 
 
 def convexity_margin(P: Potential) -> float:

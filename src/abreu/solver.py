@@ -241,10 +241,8 @@ def _pcg(apply_op, precond, rhs: np.ndarray, rel_tol: float) -> np.ndarray:
 
 def functional_value(P: Potential, A: ScalarField) -> float:
     """Convex functional integral(-log det(u_ij) + A*phi) over the torus."""
-    state = P.hessian_state
-    state.require_convex(0.0)
-    logdet = np.log(state.det)
-    return float(np.mean(-logdet + A.values * P.perturbation.values))
+    log_det = P.hessian_state.log_det
+    return float(np.mean(-log_det + A.values * P.perturbation.values))
 
 
 def functional_second_derivative(P0: Potential, P1: Potential, t: float) -> float:
@@ -297,7 +295,7 @@ def newton_step(P: Potential, target: ScalarField, cfg: SolverConfig) -> Potenti
         trial = P.with_perturbation(P.perturbation.values + alpha * delta)
         margin = trial.hessian_state.min_eigenvalue
         last_margin, last_node = margin, trial.hessian_state.worst_node
-        if margin < CONVEXITY_FLOOR:
+        if margin <= CONVEXITY_FLOOR:
             continue
         if functional_value(trial, target) <= f_allowed:
             return trial

@@ -123,3 +123,27 @@ def functional_second_derivative_oracle(P0, P1, t):
     psi_h = hessian(psi).to_full()
     integrand = np.einsum("...ia,...ab,...bj,...ij->...", hinv, psi_h, hinv, psi_h)
     return float(np.mean(integrand))
+
+
+def cofactor_oracle(full):
+    """Cofactor matrices of a (..., n, n) stack from signed minors, with
+    no inversion; the empty minor of n = 1 gives 1."""
+    n = full.shape[-1]
+    if n == 1:
+        return np.ones_like(full)
+    cof = np.empty_like(full)
+    idx = np.arange(n)
+    for i in range(n):
+        rows = idx[idx != i]
+        for j in range(i, n):
+            cols = idx[idx != j]
+            minor = full[..., rows[:, None], cols[None, :]]
+            cof[..., i, j] = (-1.0) ** (i + j) * _det_stack(minor)
+            cof[..., j, i] = cof[..., i, j]
+    return cof
+
+
+def _det_stack(m):
+    if m.shape[-1] == 1:
+        return m[..., 0, 0]
+    return np.linalg.det(m)

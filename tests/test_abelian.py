@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from abreu import (
+    HessianState,
     InvariantMetric,
     MeanNotZero,
+    NotConvex,
     ScalarField,
     TrigInterpolant,
+    convexity_margin,
     gradient_map,
     make_grid,
     mean,
@@ -17,6 +20,7 @@ from abreu import (
     scalar_curvature_symplectic,
     sup_norm,
 )
+from abreu.potential import CONVEXITY_FLOOR
 from tests.support import EPS, S_AT_0, S_AT_QUARTER, random_convex_potential
 
 TWO_PI = 2.0 * np.pi
@@ -87,6 +91,37 @@ class TestScalarCurvature:
         m = InvariantMetric(ScalarField(g, 0.5 * np.cos(TWO_PI * x)))
         with pytest.raises(NotConvex):
             scalar_curvature(m)
+
+
+    def test_rejects_metric_off_the_gauge(self):
+        g = make_grid(1, [16])
+        with pytest.raises(ValueError):
+            InvariantMetric(ScalarField.constant(g, 0.1))
+
+    def test_margin_at_the_floor_is_not_positive(self):
+        # v'' = 1 - (1 - 5e-9) cos(2 pi x) has margin 5e-9, inside the floor
+        g = make_grid(1, [32])
+        x = g.axis_coordinates(0)
+        psi = (1.0 - 5e-9) / (4.0 * np.pi**2) * np.cos(TWO_PI * x)
+        m = InvariantMetric(ScalarField(g, psi))
+        assert 0.0 < convexity_margin(m.potential) <= CONVEXITY_FLOOR
+        assert not m.is_positive()
+        with pytest.raises(NotConvex):
+            scalar_curvature(m)
+
+    def test_one_hessian_state_per_metric(self, monkeypatch):
+        built = []
+        original = HessianState.__post_init__
+
+        def counting(state):
+            built.append(state)
+            original(state)
+
+        monkeypatch.setattr(HessianState, "__post_init__", counting)
+        m = manufactured_metric(64)
+        metric_volume_mean(m, scalar_curvature(m))
+        assert m.is_positive()
+        assert len(built) == 1
 
 
 class TestPrescribeCurvature:

@@ -15,11 +15,13 @@ from abreu import (
     HessianState,
     ScalarField,
     SymMatrixField,
+    cofactor,
     hessian,
     make_grid,
     partial,
     second_divergence,
 )
+from tests.support import cofactor_oracle
 
 TWO_PI = 2.0 * np.pi
 TOL = 1e-14
@@ -80,6 +82,24 @@ class TestClosedForm2x2:
         inv_tol = 10 * TOL * cond / eigs[..., 0]
         err = np.abs(state.inverse(0.0).to_full() - inv_ref)
         assert np.all(err <= inv_tol[..., None, None])
+
+
+class TestCofactor:
+    @settings(max_examples=30, deadline=None)
+    @given(shape=st.sampled_from([(16,), (8, 12), (8, 10, 8)]), seed=SEEDS)
+    def test_matches_minors(self, shape, seed):
+        # det H * H^-1 against signed minors on SPD stacks of condition
+        # number at most a few tens, spread over four decades of scale
+        g = make_grid(len(shape), list(shape))
+        rng = np.random.default_rng(seed)
+        n = g.dim
+        b = rng.standard_normal(g.shape + (n, n))
+        full = b @ np.swapaxes(b, -1, -2) + n * np.eye(n)
+        full *= 10.0 ** rng.uniform(-2.0, 2.0)
+        got = cofactor(SymMatrixField.from_full(g, full)).to_full()
+        ref = cofactor_oracle(full)
+        scale = np.max(np.abs(ref), axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(got - ref) <= 1e-12 * scale)
 
 
 def _reference_multiplier(shape, orders):

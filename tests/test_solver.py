@@ -23,6 +23,7 @@ from abreu import (
     make_grid,
     mean,
     newton_step,
+    potential,
     solver,
     sup_norm,
 )
@@ -251,6 +252,24 @@ class TestContinuitySolve:
         iterates = sum(s.newton_iterations for s in trace.steps)
         assert len(built) >= 1 + iterates
         assert max(built.values()) == 1
+
+    def test_each_visited_potential_forms_its_forward_field_once(self, monkeypatch):
+        # (u^ij)_ij is the second divergence of the inverse Hessian, keyed
+        # here by that inverse
+        formed = Counter()
+        original = potential.second_divergence
+
+        def counting(hinv):
+            formed[hinv.entries.tobytes()] += 1
+            return original(hinv)
+
+        monkeypatch.setattr(potential, "second_divergence", counting)
+        g = make_grid(2, [16, 16])
+        x, y = g.coordinate_arrays()
+        a = ScalarField(g, 0.3 * (np.cos(TWO_PI * x) + np.cos(TWO_PI * y)))
+        _, trace = continuity_solve(a)
+        assert len(formed) >= 1 + sum(s.newton_iterations for s in trace.steps)
+        assert max(formed.values()) == 1
 
     def test_each_linearized_potential_builds_its_weights_once(self, monkeypatch):
         # two Newton iterations per attempt force failed attempts, and every
