@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import MeanNotZero
 from .grid import ScalarField, mean, project_mean_zero
-from .legendre import GradientMapSolveConfig, legendre_transform
+from .legendre import legendre_transform
 from .potential import (
     CONVEXITY_FLOOR,
     Potential,
@@ -76,16 +76,14 @@ def scalar_curvature(m: InvariantMetric) -> ScalarField:
     return -0.25 * state.contract(state.log_det)
 
 
-def scalar_curvature_symplectic(
-    m: InvariantMetric, cfg: GradientMapSolveConfig | None = None
-) -> ScalarField:
+def scalar_curvature_symplectic(m: InvariantMetric) -> ScalarField:
     """Scalar curvature sampled in the symplectic coordinate t = grad v.
 
     Equals -1/4 times the fourth-order operator of the dual potential; the
     divergence structure makes the plain grid mean exactly zero, which is
     the solvability condition for curvature prescription.
     """
-    u_dual = legendre_transform(m.potential, cfg)
+    u_dual = legendre_transform(m.potential)
     return -0.25 * abreu_forward(u_dual)
 
 

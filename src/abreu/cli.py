@@ -1,11 +1,12 @@
 """Command-line surface: reproducible batch workflows over field files.
 
 Subcommands: solve, apply, residual, legendre, curvature, prescribe,
-verify, synth.  Exit codes: 0 success, 1 I/O or parse errors, 2 zero-mean
-violation of the right-hand side, 3 solver or monitor failure.  The
-ABREU_THREADS environment variable caps internal (BLAS/FFT) parallelism;
-it is applied before numpy is imported, so module-level imports here stay
-stdlib-only.
+verify, synth; each subparser names its `_cmd_*` function, which takes
+(args, argv).  Exit codes: 0 success, 1 I/O or parse errors, 2 zero-mean
+violation of the right-hand side, 3 solver or monitor failure
+(`_EXIT_CODES`).  BLAS/FFT threads follow the standard variables
+(`OPENBLAS_NUM_THREADS`, `OMP_NUM_THREADS`), which must be set before
+the process starts.
 """
 
 from __future__ import annotations
@@ -15,15 +16,49 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
+from . import __version__
+from .abelian import (
+    InvariantMetric,
+    prescribe_curvature,
+    scalar_curvature,
+    scalar_curvature_symplectic,
+)
+from .errors import (
+    AbreuError,
+    GradientInversionFailure,
+    LinearSolveFailure,
+    MeanNotZero,
+    MonitorViolation,
+    NotConvex,
+    StepFloorReached,
+)
+from .estimates import c0_c1_report, eigenvalue_bounds, verify_solution
+from .fieldfile import read_field, write_field
+from .fieldlang import eval_field, parse, periodicity_defect
+from .grid import make_grid, mean, project_mean_zero, sup_norm
+from .legendre import legendre_transform
+from .potential import (
+    Potential,
+    QuadraticBase,
+    abreu_forward,
+    divergence_form_residual,
+)
+from .solver import MEAN_TOLERANCE, SolverConfig, continuity_solve
 
-def _apply_thread_env() -> None:
-    threads = os.environ.get("ABREU_THREADS")
-    if not threads:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, threads)
+# first match wins, so subclasses come before AbreuError
+_EXIT_CODES = {
+    MeanNotZero: 2,
+    StepFloorReached: 3,
+    NotConvex: 3,
+    LinearSolveFailure: 3,
+    GradientInversionFailure: 3,
+    MonitorViolation: 3,
+    AbreuError: 1,
+    OSError: 1,
+    ValueError: 1,
+}
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -46,6 +81,11 @@ def _build_parser() -> _ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
+
     def add_grid_flags(p):
         p.add_argument("--dim", type=int, help="grid dimension n")
         p.add_argument(
@@ -53,12 +93,12 @@ def _build_parser() -> _ArgumentParser:
             help="per-axis node counts, comma separated (e.g. 64 or 64,64)",
         )
 
-    def add_rhs_flags(p, name="--rhs"):
+    def add_rhs_flags(p):
         group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument(name, help="right-hand side field file")
+        group.add_argument("--rhs", help="right-hand side field file")
         group.add_argument("--expr", help="right-hand side field expression")
 
-    p = sub.add_parser("solve", help="continuity solve of the fourth-order equation")
+    p = command("solve", _cmd_solve, "continuity solve of the fourth-order equation")
     add_grid_flags(p)
     add_rhs_flags(p)
     p.add_argument("--project-mean", action="store_true",
@@ -68,26 +108,26 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--tol", type=float, help="Newton residual sup-norm tolerance")
     p.add_argument("--t-step", type=float, help="initial continuation step in t")
 
-    p = sub.add_parser("apply", help="forward fourth-order operator of a potential")
+    p = command("apply", _cmd_apply, "forward fourth-order operator of a potential")
     p.add_argument("--phi", required=True, help="perturbation field file")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("residual", help="divergence-form residual of a candidate")
+    p = command("residual", _cmd_residual, "divergence-form residual of a candidate")
     p.add_argument("--phi", required=True)
     add_rhs_flags(p)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("legendre", help="Legendre transform of a potential")
+    p = command("legendre", _cmd_legendre, "Legendre transform of a potential")
     p.add_argument("--phi", required=True)
     p.add_argument("--out", required=True, help="dual perturbation field file")
 
-    p = sub.add_parser("curvature", help="scalar curvature of an invariant metric")
+    p = command("curvature", _cmd_curvature, "scalar curvature of an invariant metric")
     p.add_argument("--psi", required=True, help="metric perturbation field file")
     p.add_argument("--out", required=True)
     p.add_argument("--symplectic", action="store_true",
                    help="sample in symplectic coordinates (plain mean zero)")
 
-    p = sub.add_parser("prescribe", help="metric with prescribed scalar curvature")
+    p = command("prescribe", _cmd_prescribe, "metric with prescribed scalar curvature")
     add_grid_flags(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--scalar", help="curvature field file (symplectic sampling)")
@@ -97,12 +137,12 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--tol", type=float)
     p.add_argument("--t-step", type=float)
 
-    p = sub.add_parser("verify", help="run the full estimate and duality suite")
+    p = command("verify", _cmd_verify, "run the full estimate and duality suite")
     p.add_argument("--phi", required=True)
     add_rhs_flags(p)
     p.add_argument("--report", required=True, help="JSON verification report")
 
-    p = sub.add_parser("synth", help="sample a field expression to a file")
+    p = command("synth", _cmd_synth, "sample a field expression to a file")
     add_grid_flags(p)
     p.add_argument("--expr", required=True)
     p.add_argument("--out", required=True)
@@ -117,8 +157,6 @@ def _parse_resolution(text: str):
 
 
 def _grid_from_args(args):
-    from .grid import make_grid
-
     if args.dim is None or args.resolution is None:
         raise ValueError("--dim and --resolution are required with --expr")
     resolution = _parse_resolution(args.resolution)
@@ -128,8 +166,6 @@ def _grid_from_args(args):
 
 
 def _eval_expression(text, grid):
-    from .fieldlang import eval_field, parse, periodicity_defect
-
     fld = eval_field(parse(text), grid)
     defect = periodicity_defect(fld)
     if defect > 1e-8:
@@ -146,8 +182,6 @@ def _load_field_argument(args, file_attr="rhs", grid=None):
     Expressions are sampled on `grid` when one is implied by another input
     (e.g. the --phi file), otherwise on the --dim/--resolution grid.
     """
-    from .fieldfile import read_field
-
     path = getattr(args, file_attr, None)
     dim = getattr(args, "dim", None)
     resolution = getattr(args, "resolution", None)
@@ -180,29 +214,17 @@ def _load_field_argument(args, file_attr="rhs", grid=None):
 def _load_potential(path):
     """Potential from a perturbation file; the gauge constant is free, so
     the perturbation is projected to mean zero on load."""
-    from .fieldfile import read_field
-    from .grid import project_mean_zero
-    from .potential import Potential, QuadraticBase
-
     phi = project_mean_zero(read_field(path))
     return Potential(QuadraticBase.identity(phi.grid.dim), phi)
 
 
 def _solver_config(args):
-    from .solver import SolverConfig
-
     kwargs = {}
     if getattr(args, "tol", None) is not None:
         kwargs["newton_tolerance"] = args.tol
     if getattr(args, "t_step", None) is not None:
         kwargs["initial_t_step"] = args.t_step
     return SolverConfig(**kwargs)
-
-
-def _config_dict(cfg) -> dict:
-    from dataclasses import asdict
-
-    return asdict(cfg)
 
 
 def _write_report(path, payload) -> None:
@@ -214,21 +236,17 @@ def _write_report(path, payload) -> None:
 
 
 def _base_report(argv, cfg=None) -> dict:
-    from . import __version__
-
     payload = {
         "schema_version": 1,
         "tool_version": __version__,
         "command": list(argv),
     }
     if cfg is not None:
-        payload["config"] = _config_dict(cfg)
+        payload["config"] = asdict(cfg)
     return payload
 
 
 def _solution_bounds(potential) -> dict:
-    from .estimates import c0_c1_report, eigenvalue_bounds
-
     sup_phi, sup_grad_phi, osc_bound = c0_c1_report(potential)
     eig_min, eig_max = eigenvalue_bounds(potential)
     det_vals = potential.hessian_state.det
@@ -244,11 +262,6 @@ def _solution_bounds(potential) -> dict:
 
 
 def _cmd_solve(args, argv) -> int:
-    from .fieldfile import write_field
-    from .grid import mean, project_mean_zero, sup_norm
-    from .potential import abreu_forward
-    from .solver import MEAN_TOLERANCE, continuity_solve
-
     started = time.perf_counter()
     rhs = _load_field_argument(args, "rhs")
     if abs(mean(rhs)) > MEAN_TOLERANCE:
@@ -274,38 +287,25 @@ def _cmd_solve(args, argv) -> int:
     return 0
 
 
-def _cmd_apply(args) -> int:
-    from .fieldfile import write_field
-    from .potential import abreu_forward
-
+def _cmd_apply(args, argv) -> int:
     write_field(args.out, abreu_forward(_load_potential(args.phi)))
     return 0
 
 
-def _cmd_residual(args) -> int:
-    from .fieldfile import write_field
-    from .potential import divergence_form_residual
-
+def _cmd_residual(args, argv) -> int:
     P = _load_potential(args.phi)
     rhs = _load_field_argument(args, "rhs", grid=P.grid)
     write_field(args.out, divergence_form_residual(P, rhs))
     return 0
 
 
-def _cmd_legendre(args) -> int:
-    from .fieldfile import write_field
-    from .legendre import legendre_transform
-
+def _cmd_legendre(args, argv) -> int:
     dual = legendre_transform(_load_potential(args.phi))
     write_field(args.out, dual.perturbation)
     return 0
 
 
-def _cmd_curvature(args) -> int:
-    from .abelian import InvariantMetric, scalar_curvature, scalar_curvature_symplectic
-    from .fieldfile import read_field, write_field
-    from .grid import project_mean_zero
-
+def _cmd_curvature(args, argv) -> int:
     metric = InvariantMetric(project_mean_zero(read_field(args.psi)))
     if args.symplectic:
         out = scalar_curvature_symplectic(metric)
@@ -316,9 +316,6 @@ def _cmd_curvature(args) -> int:
 
 
 def _cmd_prescribe(args, argv) -> int:
-    from .abelian import prescribe_curvature
-    from .fieldfile import write_field
-
     started = time.perf_counter()
     scalar = _load_field_argument(args, "scalar")
     cfg = _solver_config(args)
@@ -333,8 +330,6 @@ def _cmd_prescribe(args, argv) -> int:
 
 
 def _cmd_verify(args, argv) -> int:
-    from .estimates import verify_solution
-
     started = time.perf_counter()
     P = _load_potential(args.phi)
     rhs = _load_field_argument(args, "rhs", grid=P.grid)
@@ -350,71 +345,23 @@ def _cmd_verify(args, argv) -> int:
     return 0
 
 
-def _cmd_synth(args) -> int:
-    from .fieldfile import write_field
-
+def _cmd_synth(args, argv) -> int:
     write_field(args.out, _eval_expression(args.expr, _grid_from_args(args)))
     return 0
 
 
 def main(argv=None) -> int:
-    _apply_thread_env()
     if argv is None:
         argv = sys.argv[1:]
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-
-    from .errors import (
-        DimensionError,
-        EvalError,
-        FieldSyntaxError,
-        FormatError,
-        GradientInversionFailure,
-        LinearSolveFailure,
-        MeanNotZero,
-        MonitorViolation,
-        NotConvex,
-        StepFloorReached,
-    )
-
     try:
-        if args.command == "solve":
-            return _cmd_solve(args, argv)
-        if args.command == "apply":
-            return _cmd_apply(args)
-        if args.command == "residual":
-            return _cmd_residual(args)
-        if args.command == "legendre":
-            return _cmd_legendre(args)
-        if args.command == "curvature":
-            return _cmd_curvature(args)
-        if args.command == "prescribe":
-            return _cmd_prescribe(args, argv)
-        if args.command == "verify":
-            return _cmd_verify(args, argv)
-        if args.command == "synth":
-            return _cmd_synth(args)
-        raise AssertionError(f"unhandled command {args.command}")
-    except MeanNotZero as exc:
+        return args.run(args, argv)
+    except tuple(_EXIT_CODES) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (
-        StepFloorReached,
-        NotConvex,
-        LinearSolveFailure,
-        GradientInversionFailure,
-        MonitorViolation,
-    ) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except (FormatError, FieldSyntaxError, DimensionError, EvalError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (OSError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

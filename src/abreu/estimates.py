@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import GradientInversionFailure, MonitorViolation, NotConvex
 from .grid import ScalarField, gradient, sup_norm
+from .legendre import dual_residual, legendre_transform, pullback_rhs
 from .potential import (
     CONVEXITY_FLOOR,
     GAUGE_TOLERANCE,
@@ -380,8 +381,6 @@ def verify_solution(P: Potential, A: ScalarField) -> VerificationReport:
     failures (a non-convex dual, a failed gradient inversion) are reported
     as failed checks rather than exceptions.
     """
-    from .legendre import dual_residual, legendre_transform, pullback_rhs
-
     checks: list[InequalityCheck] = []
     report = BoundsReport()
 

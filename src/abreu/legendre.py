@@ -48,8 +48,8 @@ class GradientMapSolveConfig:
     max_iters: int = 50
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -94,19 +94,19 @@ class _GradientEvaluator:
         return h
 
 
-def _node_preimages(P: Potential, cfg) -> np.ndarray:
+def _node_preimages(P: Potential) -> np.ndarray:
     """x with grad u(x) = y at every grid node y, row-major.
 
-    Kept read-only per config in P's instance dict (as
-    `functools.cached_property` keeps `Potential.hessian_state`), so the
-    transform, pullbacks and checks of one potential share one inversion.
+    Kept read-only in P's instance dict (as `functools.cached_property`
+    keeps `Potential.hessian_state`), so the transform, pullbacks and
+    checks of one potential share one inversion.
     """
-    cfg = cfg or GradientMapSolveConfig()
-    cache = vars(P).setdefault("_node_preimages", {})
-    if cfg not in cache:
-        cache[cfg] = gradient_map_inverse(P, P.grid.node_points(), cfg)
-        cache[cfg].setflags(write=False)
-    return cache[cfg]
+    cache = vars(P)
+    if "_node_preimages" not in cache:
+        x = gradient_map_inverse(P, P.grid.node_points())
+        x.setflags(write=False)
+        cache["_node_preimages"] = x
+    return cache["_node_preimages"]
 
 
 def _node_index(grid: PeriodicGrid, y: np.ndarray) -> tuple[int, ...] | None:
@@ -170,9 +170,7 @@ def gradient_map_inverse(
     )
 
 
-def legendre_transform(
-    P: Potential, cfg: GradientMapSolveConfig | None = None
-) -> Potential:
+def legendre_transform(P: Potential) -> Potential:
     """Dual potential v(y) = y^T M^{-1} y / 2 + psi(y) on the dual grid.
 
     Each dual node is pulled back through the gradient map and
@@ -183,7 +181,7 @@ def legendre_transform(
     grid = P.grid
     dual_base = P.base.inverse()
     y = grid.node_points()
-    x = _node_preimages(P, cfg)
+    x = _node_preimages(P)
     u = 0.5 * np.einsum("pi,ij,pj->p", x, P.base.matrix, x)
     u += TrigInterpolant(P.perturbation).evaluate(x)
     v = np.einsum("pi,pi->p", y, x) - u
@@ -192,9 +190,7 @@ def legendre_transform(
     return Potential(dual_base, project_mean_zero(ScalarField(grid, psi)))
 
 
-def pullback_rhs(
-    A: ScalarField, P: Potential, cfg: GradientMapSolveConfig | None = None
-) -> ScalarField:
+def pullback_rhs(A: ScalarField, P: Potential) -> ScalarField:
     """Sample A at the gradient-map preimages of the dual nodes.
 
     The pullback takes the same values as A (at transported points), so
@@ -202,7 +198,7 @@ def pullback_rhs(
     error.
     """
     _check_dual_lattice(P.base)
-    vals = TrigInterpolant(A).evaluate(_node_preimages(P, cfg))
+    vals = TrigInterpolant(A).evaluate(_node_preimages(P))
     return ScalarField(P.grid, vals.reshape(P.grid.shape))
 
 

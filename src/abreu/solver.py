@@ -103,6 +103,9 @@ class SolverConfig:
             raise ValueError("need min_t_step <= initial_t_step <= 1")
         if self.max_newton_iters < 1:
             raise ValueError("max_newton_iters must be at least 1")
+        # nan passes the min() test above; the t steps are bounded by 1 there
+        if not np.isfinite([self.newton_tolerance, self.linear_tolerance]).all():
+            raise ValueError("all solver tolerances must be finite")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,24 @@ import sys
 import numpy as np
 import pytest
 
-from abreu import read_field, sup_norm, write_field
+import abreu.cli
+from abreu import (
+    AbreuError,
+    DimensionError,
+    EvalError,
+    FieldSyntaxError,
+    FormatError,
+    GradientInversionFailure,
+    LinearSolveFailure,
+    MeanNotZero,
+    MonitorViolation,
+    NotConvex,
+    StepFloorReached,
+    fieldfile,
+    read_field,
+    sup_norm,
+    write_field,
+)
 from abreu.cli import main
 from tests.support import manufactured_problem
 
@@ -108,6 +125,16 @@ class TestSolve:
         assert payload["config"]["newton_tolerance"] == 1e-9
         assert payload["config"]["initial_t_step"] == 0.25
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_nonfinite_tolerance_exits_1(self, tmp_path, capsys, tol):
+        # --tol inf used to accept phi = 0, and --tol nan ran to the step floor
+        out = tmp_path / "x.fld"
+        code = main(["solve", "--dim", "1", "--resolution", "32",
+                     "--expr", "cos(2*pi*x1)", "--tol", tol, "--out", str(out)])
+        assert code == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestResidualAndVerify:
     def test_residual_of_solution_small(self, tmp_path, manufactured_files):
@@ -196,6 +223,43 @@ class TestErrorPaths:
         assert code == 1
 
 
+# one instance of every error class the commands can raise, with its exit code
+EXIT_CODES = [
+    (MeanNotZero(0.5, 1e-12), 2),
+    (StepFloorReached(0.25, 1e-4), 3),
+    (NotConvex((3,), -0.1), 3),
+    (LinearSolveFailure(40, 1e-3, 1e-12), 3),
+    (GradientInversionFailure((0.5,), 1e-3, (8,)), 3),
+    (MonitorViolation([]), 3),
+    (FormatError("bad magic"), 1),
+    (FieldSyntaxError(3, "')'"), 1),
+    (DimensionError("x2 on a 1D grid"), 1),
+    (EvalError("non-finite value"), 1),
+    (OSError("disk full"), 1),
+    (ValueError("bad value"), 1),
+]
+
+
+def test_exit_codes_cover_every_error_class():
+    assert set(AbreuError.__subclasses__()) <= {type(e) for e, _ in EXIT_CODES}
+
+
+@pytest.mark.parametrize("error, code", EXIT_CODES,
+                         ids=[type(e).__name__ for e, _ in EXIT_CODES])
+def test_exit_code_of_each_error(tmp_path, monkeypatch, capsys, error, code):
+    def fail(*args, **kwargs):
+        raise error
+
+    # the command may call write_field through the CLI's own binding
+    original = fieldfile.write_field
+    for owner in (fieldfile, abreu.cli):
+        if getattr(owner, "write_field", None) is original:
+            monkeypatch.setattr(owner, "write_field", fail)
+    assert main(["synth", "--dim", "1", "--resolution", "16", "--expr", "0",
+                 "--out", str(tmp_path / "f.fld")]) == code
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_console_entry_point(tmp_path):
     """The installed script behaves like main(); one subprocess smoke test."""
     out = tmp_path / "f.fld"
@@ -208,13 +272,3 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     assert out.exists()
 
-
-def test_thread_env_applied(tmp_path, monkeypatch):
-    monkeypatch.setenv("ABREU_THREADS", "1")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    import abreu.cli as cli
-
-    cli._apply_thread_env()
-    import os
-
-    assert os.environ["OMP_NUM_THREADS"] == "1"

@@ -1,8 +1,13 @@
-"""No module of the package imports a private name from another one.
+"""Import rules for the package modules.
 
-A `_`-prefixed name is internal to the module that defines it; a module
-that needs it should get a public entry point instead.  Every import
-statement is checked, function-local ones included.
+No module imports a private name from another one: a `_`-prefixed name is
+internal to the module that defines it, and a module that needs it should
+get a public entry point instead.  Every import statement is checked,
+function-local ones included.
+
+No function or method imports a package module: the package has no
+import cycle to break, so every module states its dependencies in its
+module-level import block.
 """
 
 import ast
@@ -44,6 +49,26 @@ def _private_imports(path):
     return found
 
 
+def _function_local_imports(path):
+    """(line, module) of each package import inside a function or method."""
+    found = set()
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if node.level or module.split(".")[0] == PACKAGE.name:
+                    found.add((node.lineno, "." * node.level + module))
+            elif isinstance(node, ast.Import):
+                found |= {
+                    (node.lineno, alias.name)
+                    for alias in node.names
+                    if alias.name.split(".")[0] == PACKAGE.name
+                }
+    return sorted(found)
+
+
 def test_package_modules_found():
     assert {"estimates.py", "potential.py", "solver.py"} <= {m.name for m in MODULES}
 
@@ -69,4 +94,35 @@ def test_detects_private_imports(tmp_path):
         (3, "_GradientEvaluator"),
         (5, "abreu._private"),
         (6, "public"),
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_local_package_imports(path):
+    assert _function_local_imports(path) == []
+
+
+def test_detects_function_local_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import json\n"
+        "from .grid import gradient\n"
+        "def f():\n"
+        "    import numpy as np\n"
+        "    from .grid import hessian\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        from abreu.legendre import legendre_transform\n"
+        "        import abreu.solver\n"
+        "        from . import __version__\n"
+        "        def inner():\n"
+        "            from ..outer import name\n",
+        encoding="utf-8",
+    )
+    assert _function_local_imports(probe) == [
+        (5, ".grid"),
+        (8, "abreu.legendre"),
+        (9, "abreu.solver"),
+        (10, "."),
+        (12, "..outer"),
     ]

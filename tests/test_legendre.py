@@ -115,6 +115,13 @@ class TestInversionFailure:
         assert outcomes[0] is False and outcomes[-1] is True
 
 
+class TestGradientMapSolveConfig:
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-12, np.inf, np.nan])
+    def test_rejects_tolerance_not_positive_and_finite(self, tolerance):
+        with pytest.raises(ValueError):
+            GradientMapSolveConfig(tolerance=tolerance)
+
+
 class TestLegendreTransform:
     def test_flat_maps_to_flat(self):
         g = make_grid(2, [16, 16])

@@ -330,3 +330,9 @@ class TestContinuitySolve:
             SolverConfig(newton_tolerance=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(min_t_step=0.5, initial_t_step=0.1)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["newton_tolerance", "linear_tolerance"])
+    def test_config_rejects_nonfinite_tolerance(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(**{name: value})
