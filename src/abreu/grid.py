@@ -464,7 +464,8 @@ class TrigInterpolant:
 
     Points go in blocks of bounded memory (`_BLOCK_BYTES`): per block one
     exponential matrix per axis, one GEMM for the first axis and batched
-    row products for the rest.  Partials asked for together share one
+    row products for the rest, all into buffers allocated once per call
+    and reused by every block.  Partials asked for together share one
     cached coefficient stack (fftn(f) times the derivative factors), hence
     one GEMM per block.  Work is O(P * node_count) per field.
     """
@@ -488,15 +489,15 @@ class TrigInterpolant:
             self._stacks[orders] = stack
         return self._stacks[orders]
 
-    def _axis_matrix(self, axis: int, x: np.ndarray) -> np.ndarray:
-        """exp(2 pi i k x), a row per point and a column per FFT-layout k:
-        powers of exp(2 pi i x) and their conjugates, no exp per entry."""
+    def _axis_matrix(self, axis: int, x: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """exp(2 pi i k x) written into `e`, a row per point and a column
+        per FFT-layout k: powers of exp(2 pi i x) and their conjugates, no
+        exp per entry."""
         half = self.grid.resolution[axis] // 2
         w = np.exp(_TWO_PI * 1j * np.mod(x, 1.0))[:, None]
-        e = np.empty((len(x), 2 * half), dtype=complex)
         e[:, 0] = 1.0
-        e[:, 1 : half + 1] = np.cumprod(np.broadcast_to(w, (len(x), half)), axis=1)
-        e[:, half + 1 :] = e[:, half - 1 : 0 : -1].conj()
+        np.cumprod(np.broadcast_to(w, (len(x), half)), axis=1, out=e[:, 1 : half + 1])
+        np.conjugate(e[:, half - 1 : 0 : -1], out=e[:, half + 1 :])
         # symmetric Nyquist: exp(+-i pi N x) averaged -> cos(pi N x)
         e[:, half] = e[:, half].real
         return e
@@ -512,15 +513,26 @@ class TrigInterpolant:
                 f"points have dimension {pts.shape[1]}, grid has {grid.dim}"
             )
         stack = self._stack(tuple(_check_axes(grid, axes) for axes in orders))
-        block = max(1, _BLOCK_BYTES // (16 * stack.shape[1]))
+        block = max(1, min(_BLOCK_BYTES // (16 * stack.shape[1]), pts.shape[0]))
+        # fresh block arrays sit above glibc's mmap threshold and would
+        # page-fault on every block
+        exps = [np.empty((block, n), complex) for n in grid.resolution]
+        accs = [
+            np.empty((block, stack.shape[1] // int(np.prod(grid.resolution[1:a]))),
+                     complex)
+            for a in range(1, grid.dim + 1)
+        ]
         out = np.empty((pts.shape[0], len(orders)))
         for start in range(0, pts.shape[0], block):
             x = pts[start : start + block]
-            acc = self._axis_matrix(0, x[:, 0]) @ stack
+            b = len(x)
+            acc = np.matmul(self._axis_matrix(0, x[:, 0], exps[0][:b]), stack,
+                            out=accs[0][:b])
             for axis in range(1, grid.dim):
-                e = self._axis_matrix(axis, x[:, axis])[:, None, :]
-                acc = np.matmul(e, acc.reshape(len(x), e.shape[-1], -1))[:, 0]
-            out[start : start + block] = acc.real
+                e = self._axis_matrix(axis, x[:, axis], exps[axis][:b])[:, None, :]
+                acc = np.matmul(e, acc.reshape(b, e.shape[-1], -1),
+                                out=accs[axis][:b, None, :])[:, 0]
+            out[start : start + b] = acc.real
         return out
 
     def evaluate(self, points) -> np.ndarray:

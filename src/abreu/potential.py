@@ -161,8 +161,12 @@ class HessianState:
     are formed on first use, behind the convexity guard, and kept.  For
     n <= 2 everything has a closed form (a 2x2
     [[a, b], [b, c]] has eigenvalues m -+ hypot((a - c)/2, b) with
-    m = (a + c)/2, determinant ac - b^2 and inverse [c, -b, a]/det); from
-    n = 3 on LAPACK's eigvalsh, det and inv are used.
+    m = (a + c)/2, determinant ac - b^2 and inverse [c, -b, a]/det).  For
+    n = 3 the determinant is the cofactor expansion and the inverse the
+    adjugate over it; the extreme eigenvalues come from LAPACK's eigvalsh
+    (the trigonometric closed form loses about sqrt(eps) on the smaller
+    eigenvalues near a double one, and the convexity guard works at
+    CONVEXITY_FLOOR).  From n = 4 on det and inv are LAPACK's as well.
     """
 
     hessian: SymMatrixField
@@ -185,7 +189,7 @@ class HessianState:
             lo, hi = m - r, m + r
         else:
             full = H.to_full()
-            det = np.linalg.det(full)
+            det = _det_3x3(e) if H.grid.dim == 3 else np.linalg.det(full)
             eigs = np.linalg.eigvalsh(full)
             lo, hi = eigs[..., 0], eigs[..., -1]
         worst = np.unravel_index(np.argmin(lo), lo.shape)
@@ -275,7 +279,31 @@ class HessianState:
             a, b, c = e[..., 0], e[..., 1], e[..., 2]
             inv = np.stack([c, -b, a], axis=-1) / self.det[..., None]
             return SymMatrixField(H.grid, inv)
+        if H.grid.dim == 3:
+            return SymMatrixField(H.grid, _cofactor_3x3(e) / self.det[..., None])
         return SymMatrixField.from_full(H.grid, np.linalg.inv(H.to_full()))
+
+
+def _cofactor_3x3(e: np.ndarray) -> np.ndarray:
+    """Triangle entries of the cofactor matrix (adjugate) of symmetric 3x3
+    matrices given by their triangle entries [a, b, c, d, f, g] =
+    (0,0), (0,1), (0,2), (1,1), (1,2), (2,2)."""
+    a, b, c, d, f, g = (e[..., k] for k in range(6))
+    cof = np.empty(e.shape)
+    cof[..., 0] = d * g - f * f
+    cof[..., 1] = c * f - b * g
+    cof[..., 2] = b * f - c * d
+    cof[..., 3] = a * g - c * c
+    cof[..., 4] = b * c - a * f
+    cof[..., 5] = a * d - b * b
+    return cof
+
+
+def _det_3x3(e: np.ndarray) -> np.ndarray:
+    """Determinants by cofactor expansion along the first row, with the
+    first-row cofactors of `_cofactor_3x3` (same entry layout)."""
+    a, b, c, d, f, g = (e[..., k] for k in range(6))
+    return a * (d * g - f * f) + b * (c * f - b * g) + c * (b * f - c * d)
 
 
 def inverse_hessian(H: SymMatrixField) -> SymMatrixField:

@@ -7,7 +7,13 @@ whose linear systems
     L(psi) = (u^ia psi_ab u^bj)_ij = current residual
 
 are solved matrix-free by conjugate gradients on the mean-zero subspace
-(constants are projected out every iteration).  One apply of L costs 4
+(constants are projected out every iteration), each only as accurately as
+the outer iteration needs: the relative Krylov tolerance is an
+Eisenstat-Walker forcing term (choice 2, with Kelley's floor against
+oversolving), clamped below by `SolverConfig.linear_tolerance`.  Each
+attempt at a new t starts from the secant extrapolation of the last two
+accepted perturbations, or from the last accepted potential when that
+guess is not convex.  One apply of L costs 4
 batched real FFTs (a forward and an inverse for the m = n(n+1)/2 Hessian
 entries, the same for the second divergence) plus m^2 multiply-adds per
 node with m(m+1)/2 congruence weights that each potential computes once
@@ -28,6 +34,7 @@ the functional.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import asdict, dataclass, field
 
@@ -69,6 +76,18 @@ _EASY_ITERS = 5
 
 _MAX_KRYLOV_ITERS = 1000
 
+# Eisenstat-Walker forcing terms (choice 2, SIAM J. Sci. Comput. 17 (1996)
+# 16): the relative tolerance of each Newton system is
+# _EW_GAMMA * (r_k / r_{k-1})^2, at most _EW_ETA_MAX and _EW_ETA_0 on the
+# first iteration of an attempt.
+_EW_GAMMA = 0.9
+_EW_ETA_0 = 0.5
+_EW_ETA_MAX = 0.9
+# The safeguard eta_k >= gamma * eta_{k-1}^2 applies above this value.
+_EW_SAFEGUARD = 0.1
+# Kelley's oversolving floor: eta_k >= _EW_OVERSOLVE * tolerance / r_k.
+_EW_OVERSOLVE = 0.5
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -80,6 +99,10 @@ class SolverConfig:
     stage, so an absolute bound would be unattainable for large
     right-hand sides at fixed resolution.  For O(1) data the two readings
     coincide.
+
+    `linear_tolerance` is the lower safeguard of the forcing terms: each
+    Newton system is solved to a relative residual of at least this, and
+    looser while the Newton residual is still far from tolerance.
     """
 
     newton_tolerance: float = 1e-10
@@ -324,14 +347,40 @@ def _residual_scale(cfg: SolverConfig, target: ScalarField) -> float:
 _STEP_STAGNATION = 1e-12
 
 
+def _forcing_term(residual: float, residual_prev: float | None,
+                  eta_prev: float | None, tolerance: float,
+                  cfg: SolverConfig) -> float:
+    """Relative Krylov tolerance of the next Newton system.
+
+    Eisenstat-Walker choice 2 on the sup-norm residuals r_k, r_{k-1}
+    (_EW_ETA_0 on the first iteration of an attempt), safeguarded by
+    gamma * eta_{k-1}^2 when that exceeds _EW_SAFEGUARD and capped at
+    _EW_ETA_MAX; then Kelley's floor 0.5 * tolerance / r_k, so the last
+    iterations do not solve below what the outer test can see, and
+    `cfg.linear_tolerance` as the lower clamp.
+    """
+    if residual_prev is None:
+        eta = _EW_ETA_0
+    else:
+        eta = _EW_GAMMA * (residual / residual_prev) ** 2
+        safeguard = _EW_GAMMA * eta_prev**2
+        if safeguard > _EW_SAFEGUARD:
+            eta = max(eta, safeguard)
+        eta = min(eta, _EW_ETA_MAX)
+    eta = max(eta, _EW_OVERSOLVE * tolerance / residual)
+    return max(eta, cfg.linear_tolerance)
+
+
 def _newton_solve(P: Potential, target: ScalarField, cfg: SolverConfig):
     """Iterate Newton steps until the sup-norm residual meets tolerance.
 
     Returns (potential, iterations, residual) or None if the iteration
-    budget ran out.
+    budget ran out.  Each Newton system is solved only to the forcing
+    term of `_forcing_term`.
     """
     tolerance = _residual_scale(cfg, target)
     last_step = None
+    eta = residual_prev = None
     for iteration in range(cfg.max_newton_iters + 1):
         forward = abreu_forward(P)
         residual = float(np.max(np.abs(forward.values - target.values)))
@@ -345,7 +394,11 @@ def _newton_solve(P: Potential, target: ScalarField, cfg: SolverConfig):
             return P, iteration, residual
         if iteration == cfg.max_newton_iters:
             return None
-        updated = newton_step(P, target, cfg)
+        eta = _forcing_term(residual, residual_prev, eta, tolerance, cfg)
+        residual_prev = residual
+        updated = newton_step(
+            P, target, dataclasses.replace(cfg, linear_tolerance=eta)
+        )
         last_step = float(
             np.max(np.abs(updated.perturbation.values - P.perturbation.values))
         )
@@ -365,6 +418,22 @@ def _record_step(P: Potential, t: float, iters: int, residual: float,
         det_max=float(state.det.max()),
         convexity_margin=state.min_eigenvalue,
     )
+
+
+def _secant_guess(P: Potential, t: float, previous, t_try: float) -> Potential:
+    """Start of the Newton attempt at t_try: the secant through the last two
+    accepted perturbations, `previous` = (t_prev, values) and P at t, or P
+    itself when there is no earlier one or the guess is not convex."""
+    if previous is None:
+        return P
+    t_prev, values_prev = previous
+    values = P.perturbation.values
+    guess = P.with_perturbation(
+        values + (t_try - t) / (t - t_prev) * (values - values_prev)
+    )
+    if guess.hessian_state.min_eigenvalue <= CONVEXITY_FLOOR:
+        return P
+    return guess
 
 
 def continuity_solve(
@@ -413,13 +482,15 @@ def continuity_solve(
 
     t = 0.0
     step = cfg.initial_t_step
-    last_error: Exception | None = None
+    previous = None  # (t, values) of the accepted potential before P
     while t < 1.0:
         t_try = min(t + step, 1.0)
         target = ScalarField(A.grid, t_try * A.values)
-        outcome = None
+        outcome = last_error = None
         try:
-            outcome = _newton_solve(P, target, cfg)
+            outcome = _newton_solve(
+                _secant_guess(P, t, previous, t_try), target, cfg
+            )
         except (NotConvex, LinearSolveFailure) as exc:
             last_error = exc
         if outcome is None:
@@ -427,6 +498,9 @@ def continuity_solve(
             if step < cfg.min_t_step:
                 raise StepFloorReached(t, cfg.min_t_step) from last_error
             continue
+        # the flat start solves t = 0 exactly, a given start in general not
+        if t > 0.0 or initial_perturbation is None:
+            previous = (t, P.perturbation.values)
         P, iters, residual = outcome
         t = t_try
         steps.append(_record_step(P, t, iters, residual, target))

@@ -1,8 +1,8 @@
 """Property tests of the pointwise and spectral kernels against numpy oracles.
 
-The closed-form 2x2 Hessian algebra is checked against numpy.linalg on
-random SPD stacks; the real-FFT derivatives against the plain complex-FFT
-formulation they replace.  Tolerances are fixed beforehand from double
+The closed-form 2x2 and 3x3 Hessian algebra is checked against
+numpy.linalg on random SPD stacks; the real-FFT derivatives against the
+plain complex-FFT formulation they replace.  Tolerances are fixed beforehand from double
 precision: a few ulps of the relevant scale, times the condition number
 where the quantity is ill-conditioned.
 """
@@ -82,6 +82,27 @@ class TestClosedForm2x2:
         inv_tol = 10 * TOL * cond / eigs[..., 0]
         err = np.abs(state.inverse(0.0).to_full() - inv_ref)
         assert np.all(err <= inv_tol[..., None, None])
+
+
+class TestClosedForm3x3:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=SEEDS)
+    def test_matches_linalg(self, seed):
+        # cofactor-expansion det and adjugate inverse on SPD stacks Q D Q^T
+        # with eigenvalues in [0.1, 10], per node relative to numpy.linalg
+        g = make_grid(3, [8, 10, 8])
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal(g.shape + (3, 3)))
+        d = rng.uniform(0.1, 10.0, g.shape + (3,))
+        full = (q * d[..., None, :]) @ np.swapaxes(q, -1, -2)
+        state = HessianState(SymMatrixField.from_full(g, full))
+        full = state.hessian.to_full()  # the exactly symmetric stack
+        det_ref = np.linalg.det(full)
+        assert np.all(np.abs(state.det - det_ref) <= 1e-12 * np.abs(det_ref))
+        inv_ref = np.linalg.inv(full)
+        scale = np.max(np.abs(inv_ref), axis=(-2, -1), keepdims=True)
+        err = np.abs(state.inverse().to_full() - inv_ref)
+        assert np.all(err <= 1e-12 * scale)
 
 
 class TestCofactor:

@@ -14,6 +14,7 @@ from abreu import (
     QuadraticBase,
     ScalarField,
     SolverConfig,
+    StepFloorReached,
     abreu_forward,
     continuity_solve,
     functional_second_derivative,
@@ -304,6 +305,24 @@ class TestContinuitySolve:
         with pytest.raises(MeanNotZero):
             continuity_solve(ScalarField.constant(g, 1.0))
 
+    def test_step_floor_chains_only_the_last_attempts_error(self, monkeypatch):
+        # the first attempt loses convexity, every later one runs out of
+        # Newton iterations: the floor error must not chain the first
+        calls = []
+
+        def failing(P, target, cfg):
+            calls.append(target)
+            if len(calls) == 1:
+                raise NotConvex((0,), -1.0)
+            return None
+
+        monkeypatch.setattr(solver, "_newton_solve", failing)
+        _, a, _ = manufactured_problem(32)
+        with pytest.raises(StepFloorReached) as info:
+            continuity_solve(a)
+        assert len(calls) > 1
+        assert info.value.__cause__ is None
+
     def test_uniqueness_from_noisy_start(self):
         _, a, _ = manufactured_problem(64)
         rng = np.random.default_rng(9)
@@ -336,3 +355,74 @@ class TestContinuitySolve:
     def test_config_rejects_nonfinite_tolerance(self, name, value):
         with pytest.raises(ValueError, match="finite"):
             SolverConfig(**{name: value})
+
+
+def _small_2d_problem():
+    g = make_grid(2, [16, 16])
+    x, y = g.coordinate_arrays()
+    return ScalarField(g, 0.3 * (np.cos(TWO_PI * x) + np.cos(TWO_PI * y)))
+
+
+class TestInexactNewton:
+    def test_krylov_applies_on_small_2d(self, monkeypatch):
+        # every Newton system solved to a fixed relative 1e-12 took 83
+        # applies here; forcing terms and the secant predictor take 16
+        applies = []
+        pcg = solver._pcg
+
+        def counting_pcg(apply_op, *args):
+            def counted(values):
+                applies.append(1)
+                return apply_op(values)
+
+            return pcg(counted, *args)
+
+        monkeypatch.setattr(solver, "_pcg", counting_pcg)
+        continuity_solve(_small_2d_problem())
+        assert 0 < len(applies) <= 40
+
+    def test_meets_newton_tolerance_on_small_2d(self):
+        a = _small_2d_problem()
+        cfg = SolverConfig()
+        P, trace = continuity_solve(a, cfg=cfg)
+        bound = cfg.newton_tolerance * (1.0 + sup_norm(a))
+        assert sup_norm(abreu_forward(P) - a) <= bound
+        assert trace.steps[-1].final_residual_norm <= bound
+
+    def test_attempts_start_from_the_secant_guess(self, monkeypatch):
+        starts, accepted = [], []
+        newton_solve = solver._newton_solve
+
+        def recording(P, target, cfg):
+            starts.append(P.perturbation.values)
+            outcome = newton_solve(P, target, cfg)
+            accepted.append(outcome[0].perturbation.values)
+            return outcome
+
+        monkeypatch.setattr(solver, "_newton_solve", recording)
+        _, trace = continuity_solve(_small_2d_problem())
+        ts = [0.0] + [s.t for s in trace.steps]
+        phis = [np.zeros(starts[0].shape)] + accepted
+        assert len(accepted) == len(trace.steps) >= 3  # every attempt accepted
+        # the flat start solves t = 0, so from the second attempt on each
+        # starts on the secant through the last two accepted potentials
+        assert np.array_equal(starts[0], phis[0])
+        for k in range(1, len(starts)):
+            ratio = (ts[k + 1] - ts[k]) / (ts[k] - ts[k - 1])
+            secant = phis[k] + ratio * (phis[k] - phis[k - 1])
+            np.testing.assert_allclose(starts[k], secant, rtol=0, atol=1e-15)
+
+    def test_non_convex_secant_guess_starts_from_last_potential(self):
+        g = make_grid(2, [16, 16])
+        x, _ = g.coordinate_arrays()
+        P = Potential.flat(g)
+        # the secant from 0.01 cos(2 pi x) at t = 0.9 through phi = 0 at t = 1
+        # reaches -0.05 cos(2 pi x) at t = 1.5, where u_xx = 1 - 0.2 pi^2 < 0
+        # at x = 1/2
+        previous = (0.9, 0.01 * np.cos(TWO_PI * x))
+        assert solver._secant_guess(P, 1.0, previous, 1.5) is P
+        # at t = 1.1 the guess -0.01 cos(2 pi x) is convex: the secant itself
+        guess = solver._secant_guess(P, 1.0, previous, 1.1)
+        np.testing.assert_allclose(
+            guess.perturbation.values, -0.01 * np.cos(TWO_PI * x), rtol=0, atol=1e-15
+        )
