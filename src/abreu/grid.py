@@ -10,6 +10,9 @@ shared freely across threads.
 Conventions:
   * integer wavenumbers, fundamental domain fixed to [0,1]^n;
   * odd-order derivatives zero the Nyquist mode (symmetric choice);
+  * off-grid evaluation (`TrigInterpolant`) works in the real separable
+    basis [1, cos 2 pi k x, cos pi N x, sin 2 pi k x] (0 < k < N/2) per
+    axis, so a real field is evaluated with real products only;
   * quadrature is the plain node average, which integrates trigonometric
     polynomials below Nyquist exactly (the domain has unit volume, so the
     average equals the integral).
@@ -450,8 +453,41 @@ def second_divergence(M: SymMatrixField) -> ScalarField:
 # trigonometric interpolation
 
 
-#: Bytes of complex temporaries one block of evaluation points may hold.
+#: Bytes one block of evaluation points may hold in its first-axis product:
+#: block points times stack columns, 8-byte (float64) entries.
 _BLOCK_BYTES = 256 * 1024
+
+
+def _real_axis_coefficients(coeffs: np.ndarray, axis: int) -> np.ndarray:
+    """Re-express FFT-layout coefficients along `axis` in the real basis
+    [1, cos 2 pi k x (0 < k < N/2), cos pi N x, sin 2 pi k x (0 < k < N/2)]:
+    a_cos = c_k + c_-k and a_sin = i (c_k - c_-k); the DC and the split
+    Nyquist entries carry over unchanged."""
+    c = np.moveaxis(coeffs, axis, 0)
+    half = c.shape[0] // 2
+    pos, neg = c[1:half], c[: half : -1]
+    out = np.empty_like(c)
+    out[0], out[half] = c[0], c[half]
+    out[1:half] = pos + neg
+    out[half + 1 :] = 1j * (pos - neg)
+    return np.moveaxis(out, 0, axis)
+
+
+def _axis_matrix(x: np.ndarray, t: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """The real basis along one axis at `x`, a row per point and a column
+    per basis function: a transposed view of `t`, which is filled a basis
+    function per row.  Cosines and sines are the real and imaginary parts
+    of the powers of exp(2 pi i x), formed row by row in the complex buffer
+    `powers`; no trigonometric call per entry."""
+    half = len(t) // 2
+    w = np.exp(_TWO_PI * 1j * np.mod(x, 1.0))
+    powers[0] = w
+    for k in range(1, half):
+        np.multiply(powers[k - 1], w, out=powers[k])
+    t[0] = 1.0
+    t[1 : half + 1] = powers[:half].real  # cos 2 pi k x, Nyquist last
+    t[half + 1 :] = powers[: half - 1].imag
+    return t.T
 
 
 class TrigInterpolant:
@@ -462,12 +498,18 @@ class TrigInterpolant:
     real-valued and reproduces node values exactly.  Partials follow
     `partial`: odd orders zero the Nyquist mode, even orders keep it.
 
-    Points go in blocks of bounded memory (`_BLOCK_BYTES`): per block one
-    exponential matrix per axis, one GEMM for the first axis and batched
-    row products for the rest, all into buffers allocated once per call
-    and reused by every block.  Partials asked for together share one
-    cached coefficient stack (fftn(f) times the derivative factors), hence
-    one GEMM per block.  Work is O(P * node_count) per field.
+    Evaluation works in the real separable basis, along each axis
+    [1, cos 2 pi k x (0 < k < N/2), cos pi N x, sin 2 pi k x (0 < k < N/2)],
+    so all products are real.  Partials asked for together share one
+    cached coefficient stack: fftn(f) times the derivative factors, mapped
+    axis by axis onto that basis (`_real_axis_coefficients`) and kept as
+    its real part, which is exact up to rounding for a real field.  Points
+    go in blocks of bounded memory (`_BLOCK_BYTES` over 8-byte entries per
+    stack column): per block one cos/sin table per axis, from the real and
+    imaginary parts of the powers of exp(2 pi i x), then one real GEMM for
+    the first axis and batched real row products for the rest, all into
+    buffers allocated once per call and reused by every block.  Work is
+    O(P * node_count) per field.
     """
 
     def __init__(self, f: ScalarField):
@@ -476,7 +518,8 @@ class TrigInterpolant:
         self._stacks: dict = {}
 
     def _stack(self, orders: tuple) -> np.ndarray:
-        """Coefficients of the partials `orders`, as (N_0, rest * fields)."""
+        """Real-basis coefficients of the partials `orders`, as
+        (N_0, rest * fields) float64."""
         if orders not in self._stacks:
             grid = self.grid
             stack = np.empty(grid.shape + (len(orders),), dtype=complex)
@@ -484,23 +527,12 @@ class TrigInterpolant:
                 factors = [_axis_factor(grid, a, m) for a, m in enumerate(axes)]
                 mult = functools.reduce(np.multiply.outer, factors)
                 stack[..., field] = self.coeffs * (mult * 1j ** sum(axes))
-            stack = stack.reshape(grid.resolution[0], -1)
+            for axis in range(grid.dim):
+                stack = _real_axis_coefficients(stack, axis)
+            stack = np.ascontiguousarray(stack.real).reshape(grid.resolution[0], -1)
             stack.setflags(write=False)
             self._stacks[orders] = stack
         return self._stacks[orders]
-
-    def _axis_matrix(self, axis: int, x: np.ndarray, e: np.ndarray) -> np.ndarray:
-        """exp(2 pi i k x) written into `e`, a row per point and a column
-        per FFT-layout k: powers of exp(2 pi i x) and their conjugates, no
-        exp per entry."""
-        half = self.grid.resolution[axis] // 2
-        w = np.exp(_TWO_PI * 1j * np.mod(x, 1.0))[:, None]
-        e[:, 0] = 1.0
-        np.cumprod(np.broadcast_to(w, (len(x), half)), axis=1, out=e[:, 1 : half + 1])
-        np.conjugate(e[:, half - 1 : 0 : -1], out=e[:, half + 1 :])
-        # symmetric Nyquist: exp(+-i pi N x) averaged -> cos(pi N x)
-        e[:, half] = e[:, half].real
-        return e
 
     def partials(self, points, orders) -> np.ndarray:
         """Mixed partials at a (P, dim) array of points, shape (P, fields);
@@ -513,26 +545,26 @@ class TrigInterpolant:
                 f"points have dimension {pts.shape[1]}, grid has {grid.dim}"
             )
         stack = self._stack(tuple(_check_axes(grid, axes) for axes in orders))
-        block = max(1, min(_BLOCK_BYTES // (16 * stack.shape[1]), pts.shape[0]))
+        block = max(1, min(_BLOCK_BYTES // (8 * stack.shape[1]), pts.shape[0]))
         # fresh block arrays sit above glibc's mmap threshold and would
         # page-fault on every block
-        exps = [np.empty((block, n), complex) for n in grid.resolution]
+        tables = [np.empty((n, block)) for n in grid.resolution]
+        powers = np.empty((max(grid.resolution) // 2, block), complex)
         accs = [
-            np.empty((block, stack.shape[1] // int(np.prod(grid.resolution[1:a]))),
-                     complex)
+            np.empty((block, stack.shape[1] // int(np.prod(grid.resolution[1:a]))))
             for a in range(1, grid.dim + 1)
         ]
         out = np.empty((pts.shape[0], len(orders)))
         for start in range(0, pts.shape[0], block):
             x = pts[start : start + block]
             b = len(x)
-            acc = np.matmul(self._axis_matrix(0, x[:, 0], exps[0][:b]), stack,
-                            out=accs[0][:b])
+            t = _axis_matrix(x[:, 0], tables[0][:, :b], powers[:, :b])
+            acc = np.matmul(t, stack, out=accs[0][:b])
             for axis in range(1, grid.dim):
-                e = self._axis_matrix(axis, x[:, axis], exps[axis][:b])[:, None, :]
-                acc = np.matmul(e, acc.reshape(b, e.shape[-1], -1),
+                t = _axis_matrix(x[:, axis], tables[axis][:, :b], powers[:, :b])
+                acc = np.matmul(t[:, None, :], acc.reshape(b, t.shape[-1], -1),
                                 out=accs[axis][:b, None, :])[:, 0]
-            out[start : start + b] = acc.real
+            out[start : start + b] = acc
         return out
 
     def evaluate(self, points) -> np.ndarray:

@@ -4,13 +4,15 @@
 Fourier mode, written here independently of the package, at random
 off-grid points and at point counts around the evaluation block size.
 Stacked partials are checked against interpolants of the spectral
-partials themselves, which pins the odd/even Nyquist convention.  The
+partials themselves, which pins the odd/even Nyquist convention, and the
+split Nyquist mode cos(pi N x) is checked against closed forms.  The
 tolerance is a few hundred ulps of the sum of the absolute mode terms.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,7 +59,7 @@ def _mode_sum(values, points, orders):
 
 
 def _block_points(grid, nfields):
-    return _BLOCK_BYTES // (16 * (grid.node_count // grid.resolution[0]) * nfields)
+    return _BLOCK_BYTES // (8 * (grid.node_count // grid.resolution[0]) * nfields)
 
 
 def _orders_for(dim):
@@ -126,10 +128,54 @@ class TestBlockedEvaluation:
         assert isinstance(val, float)
 
 
+def _nyquist_partial(n, x, order):
+    """d^order/dx^order of the split Nyquist mode cos(pi n x), with odd
+    orders zeroed as `partial` does."""
+    if order % 2 == 1:
+        return np.zeros_like(x)
+    return (-((np.pi * n) ** 2)) ** (order // 2) * np.cos(np.pi * n * x)
+
+
+def _sin_partial(x, order):
+    """d^order/dx^order of sin(2 pi x)."""
+    return TWO_PI**order * np.sin(TWO_PI * x + order * np.pi / 2)
+
+
+class TestNyquistMode:
+    """The split Nyquist mode, the one entry the real cos/sin basis carries
+    over unchanged, against closed forms at the smallest grids."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_cos_nyquist(self, dim, order):
+        g = make_grid(dim, 8)
+        f = ScalarField.from_function(g, lambda *xs: np.cos(8 * np.pi * xs[-1]))
+        pts = np.random.default_rng(order).uniform(-1.0, 2.0, (50, dim))
+        orders = (0,) * (dim - 1) + (order,)
+        got = TrigInterpolant(f).partials(pts, [orders])[:, 0]
+        ref = _nyquist_partial(8, pts[:, -1], order)
+        assert np.max(np.abs(got - ref)) <= TOL * (8 * np.pi) ** order
+
+    @pytest.mark.parametrize("dim,a,b", [(2, 0, 1), (2, 1, 0), (3, 2, 0), (3, 1, 2)])
+    @pytest.mark.parametrize("order_a,order_b",
+                             [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)])
+    def test_cos_nyquist_times_sin(self, dim, a, b, order_a, order_b):
+        g = make_grid(dim, 8)
+        f = ScalarField.from_function(
+            g, lambda *xs: np.cos(8 * np.pi * xs[a]) * np.sin(TWO_PI * xs[b])
+        )
+        pts = np.random.default_rng(10 * a + b).uniform(-1.0, 2.0, (50, dim))
+        orders = [0] * dim
+        orders[a], orders[b] = order_a, order_b
+        got = TrigInterpolant(f).partials(pts, [tuple(orders)])[:, 0]
+        ref = _nyquist_partial(8, pts[:, a], order_a) * _sin_partial(pts[:, b], order_b)
+        assert np.max(np.abs(got - ref)) <= TOL * (8 * np.pi) ** order_a * TWO_PI**order_b
+
+
 class TestEvaluationMemory:
     def test_gradient_and_hessian_at_all_nodes_stays_small(self):
         # unblocked, the first-axis GEMM alone would hold a (4096, 256 x 6)
-        # complex temporary, about 100 MB
+        # float64 temporary, about 50 MB
         g = make_grid(3, [16, 16, 16])
         P = random_convex_potential(g, np.random.default_rng(3), margin=0.5)
         ev = _GradientEvaluator(P)
