@@ -8,7 +8,7 @@ phi* to solver accuracy; the trace records the whole path.
 
 import numpy as np
 
-from abreu import SolverConfig, continuity_solve, make_grid, sup_norm
+from abreu import continuity_solve, make_grid, sup_norm
 from abreu.grid import ScalarField
 
 grid = make_grid(1, [64])
@@ -24,7 +24,7 @@ phi_star = eps * np.cos(2 * np.pi * x)
 
 print(f"right-hand side: sup|A| = {np.max(np.abs(rhs)):.3f}, mean 0")
 print("continuation trace (step doubles after easy Newton convergence):")
-P, trace = continuity_solve(A, cfg=SolverConfig())
+P, trace = continuity_solve(A)
 for s in trace.steps:
     print(f"  t={s.t:5.3f}  newton_iters={s.newton_iterations}  "
           f"residual={s.final_residual_norm:.2e}  "

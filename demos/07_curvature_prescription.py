@@ -37,19 +37,19 @@ print("(the zero-mean condition lives in symplectic coordinates, or "
       "equivalently against the metric volume)")
 
 # round trip: prescribe the measured curvature, recover the metric
-recovered = prescribe_curvature(S_t)
+recovered, _ = prescribe_curvature(S_t)
 print(f"\nprescribe(curvature(m)) recovers psi within "
       f"{sup_norm(recovered.psi - m.psi):.3e}")
 
 # flat is the unique metric of zero curvature (in mean-zero gauge)
-flat = prescribe_curvature(ScalarField.zeros(grid))
+flat, _ = prescribe_curvature(ScalarField.zeros(grid))
 print(f"prescribing S = 0 returns the flat metric: sup|psi| = {sup_norm(flat.psi)}")
 
 # 2D: prescribe a two-mode curvature pattern and re-measure it
 g2 = make_grid(2, [32, 32])
 t1, t2 = g2.coordinate_arrays()
 target = ScalarField(g2, 0.1 * (np.cos(2 * np.pi * t1) - np.cos(2 * np.pi * t2)))
-metric2 = prescribe_curvature(target)
+metric2, _ = prescribe_curvature(target)
 measured = scalar_curvature_symplectic(metric2)
 print(f"\n2D prescription: |measured - target| = {sup_norm(measured - target):.3e}")
 print(f"metric perturbation amplitude: {sup_norm(metric2.psi):.5f}, "

@@ -57,7 +57,6 @@ from .grid import (
     sup_norm,
 )
 from .legendre import (
-    GradientMapSolveConfig,
     dual_residual,
     gradient_map,
     gradient_map_inverse,
@@ -105,7 +104,7 @@ __all__ = [
     "newton_step", "continuity_solve", "functional_value",
     "functional_second_derivative",
     # legendre
-    "GradientMapSolveConfig", "gradient_map", "gradient_map_inverse",
+    "gradient_map", "gradient_map_inverse",
     "legendre_transform", "pullback_rhs", "dual_residual",
     # estimates
     "InequalityCheck", "BoundsReport", "VerificationReport", "c0_c1_report",

@@ -36,7 +36,12 @@ from .potential import (
     abreu_forward,
     convexity_margin,
 )
-from .solver import MEAN_TOLERANCE, SolverConfig, continuity_solve
+from .solver import (
+    MEAN_TOLERANCE,
+    ContinuityTrace,
+    SolverConfig,
+    continuity_solve,
+)
 
 __all__ = [
     "InvariantMetric",
@@ -98,11 +103,10 @@ def metric_volume_mean(m: InvariantMetric, f: ScalarField) -> float:
 
 
 def prescribe_curvature(
-    S: ScalarField,
-    cfg: SolverConfig | None = None,
-    return_trace: bool = False,
-):
-    """Construct the invariant metric whose curvature is S.
+    S: ScalarField, cfg: SolverConfig | None = None
+) -> tuple[InvariantMetric, ContinuityTrace]:
+    """Construct the invariant metric whose curvature is S, with the
+    trace of the continuity solve behind it.
 
     S is prescribed in symplectic coordinates (where the problem reduces
     to the fourth-order continuity solve with right-hand side -4 S) and
@@ -117,7 +121,4 @@ def prescribe_curvature(
     rhs = project_mean_zero(rhs)  # remove the rounding-level mean remnant
     u_dual, trace = continuity_solve(rhs, QuadraticBase.identity(S.grid.dim), cfg)
     v = legendre_transform(u_dual)
-    metric = InvariantMetric(v.perturbation)
-    if return_trace:
-        return metric, trace
-    return metric
+    return InvariantMetric(v.perturbation), trace

@@ -237,7 +237,7 @@ def _write_report(path, payload) -> None:
 
 def _base_report(argv, cfg=None) -> dict:
     payload = {
-        "schema_version": 1,
+        "schema_version": 2,
         "tool_version": __version__,
         "command": list(argv),
     }
@@ -319,7 +319,7 @@ def _cmd_prescribe(args, argv) -> int:
     started = time.perf_counter()
     scalar = _load_field_argument(args, "scalar")
     cfg = _solver_config(args)
-    metric, trace = prescribe_curvature(scalar, cfg, return_trace=True)
+    metric, trace = prescribe_curvature(scalar, cfg)
     write_field(args.out, metric.psi)
     if args.report:
         payload = _base_report(argv, cfg)

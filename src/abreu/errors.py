@@ -63,19 +63,21 @@ class StepFloorReached(AbreuError):
 
 
 class GradientInversionFailure(AbreuError):
-    """Gradient-map inversion failed at target point y (`point`); `node` is
-    its dual-grid multi-index when y is a grid node, else None."""
+    """Gradient-map inversion left a residual above `tolerance` at target
+    point y (`point`); `node` is its dual-grid multi-index when y is a
+    grid node, else None."""
 
-    def __init__(self, point, residual, node=None):
+    def __init__(self, point, residual, tolerance, node=None):
         self.point = tuple(float(c) for c in point)
         self.residual = float(residual)
+        self.tolerance = float(tolerance)
         self.node = None if node is None else tuple(int(i) for i in node)
         where = "y = (" + ", ".join(f"{c:.6g}" for c in self.point) + ")"
         if self.node is not None:
             where += f", dual node {self.node}"
         super().__init__(
             f"gradient-map inversion did not converge at {where} "
-            f"(residual {self.residual:.3e})"
+            f"(residual {self.residual:.3e}, tolerance {self.tolerance:.1e})"
         )
 
 

@@ -14,8 +14,8 @@ inequalities on the dual potential:
     B(4); at q the Hessian trace obeys beta * v_kk(q) <= sup|A~| + n,
     which yields a global lower bound on det(u_ij).
 
-Discrete minimizers stand in for continuous ones; the slack (default 5%
-relative) absorbs the minimizer displacement of one grid cell.  Both test
+Discrete minimizers stand in for continuous ones; a 5% relative slack
+absorbs the minimizer displacement of one grid cell.  Both test
 functions are periodic in the node x plus per-axis terms of y = x + k, so
 the lattice shift k is chosen per node one axis at a time, without tiling
 the box.  The monitors certify solution plausibility, not the theory.
@@ -119,12 +119,6 @@ class BoundsReport:
         return asdict(self, dict_factory=_report_dict)
 
 
-def _raise_if_failed(report: BoundsReport, strict: bool) -> BoundsReport:
-    if strict and not report.all_satisfied:
-        raise MonitorViolation([c for c in report.inequalities if not c.satisfied])
-    return report
-
-
 def _sup_magnitude(comps) -> float:
     """sup over nodes of the Euclidean norm of a vector field's components."""
     sq = np.zeros(comps[0].shape)
@@ -161,6 +155,10 @@ def eigenvalue_bounds(P: Potential) -> tuple[float, float]:
     return state.min_eigenvalue, state.max_eigenvalue
 
 
+# Relative slack of the inequalities checked at a discrete minimizer.
+_MONITOR_SLACK = 0.05
+
+
 def _half_square(ys) -> np.ndarray:
     """|y|^2 / 2 from per-axis coordinate arrays (broadcast together)."""
     return sum(0.5 * y * y for y in ys)
@@ -193,12 +191,7 @@ def _lattice_minimum(value, grid, reps: int, origin: float):
     return np.array([y[node] for y in ys]), tuple(int(i) for i in node)
 
 
-def upper_bound_monitor(
-    V: Potential,
-    Atilde: ScalarField,
-    slack: float = 0.05,
-    strict: bool = True,
-) -> BoundsReport:
+def upper_bound_monitor(V: Potential, Atilde: ScalarField) -> BoundsReport:
     """Checks from the minimum of f(y) = L + |y|^2/2 + 2 psi over [-1,1]^n.
 
     At the discrete minimizer p:
@@ -206,6 +199,8 @@ def upper_bound_monitor(
       (ii)  det of the inverse Hessian    <= (sup|A~|/n + 2)^n  (AM-GM),
       (iii) global det(u_ij)              <= exp(-c') with c' assembled
             from (ii) and the measured range of |y|^2/2 + 2 psi.
+
+    A violated inequality is a failed check in the report, not an exception.
     """
     if not V.base.is_identity(1e-10):
         raise ValueError("bound monitors assume an identity dual base")
@@ -232,25 +227,23 @@ def upper_bound_monitor(
     )
     max_det_u = 1.0 / detv.min()
 
+    over = 1.0 + _MONITOR_SLACK
     checks = (
         InequalityCheck.compare(
-            "upper-trace-at-min", trace_inv_p, (sup_a + 2.0 * n) * (1.0 + slack)
+            "upper-trace-at-min", trace_inv_p, (sup_a + 2.0 * n) * over
         ),
+        InequalityCheck.compare("upper-det-at-min", det_inv_p, c_const * over),
         InequalityCheck.compare(
-            "upper-det-at-min", det_inv_p, c_const * (1.0 + slack)
-        ),
-        InequalityCheck.compare(
-            "upper-det-global", max_det_u, np.exp(-c_prime) * (1.0 + slack)
+            "upper-det-global", max_det_u, np.exp(-c_prime) * over
         ),
     )
-    report = BoundsReport(
+    return BoundsReport(
         sup_A=sup_a,
         upper_constant_c=float(c_const),
         det_min=float(1.0 / detv.max()),
         det_max=float(max_det_u),
         inequalities=checks,
     )
-    return _raise_if_failed(report, strict)
 
 
 def choose_beta(V: Potential) -> float:
@@ -281,12 +274,7 @@ def _beta(g: float, n: int) -> float:
     return 2.0**-80
 
 
-def lower_bound_monitor(
-    V: Potential,
-    Atilde: ScalarField,
-    slack: float = 0.05,
-    strict: bool = True,
-) -> BoundsReport:
+def lower_bound_monitor(V: Potential, Atilde: ScalarField) -> BoundsReport:
     """Checks from the minimum of g(y) = -L - beta|grad v|^2 + v over B(4).
 
     beta comes from `choose_beta`; the minimum is taken over the lattice
@@ -297,6 +285,8 @@ def lower_bound_monitor(
       (iii) the beta self-consistency  4 beta^2 |grad v|^2(q) <= beta,
       (iv)  global det(u_ij) >= exp(-c'') with c'' assembled from (ii) via
             AM-GM and the measured exchange terms.
+
+    A violated inequality is a failed check in the report, not an exception.
     """
     if not V.base.is_identity(1e-10):
         raise ValueError("bound monitors assume an identity dual base")
@@ -337,7 +327,9 @@ def lower_bound_monitor(
     checks = (
         InequalityCheck.compare("lower-minimizer-in-ball", float(np.sqrt(q @ q)), 4.0),
         InequalityCheck.compare(
-            "lower-trace-at-min", beta * trace_q, (sup_a + n) * (1.0 + slack)
+            "lower-trace-at-min",
+            beta * trace_q,
+            (sup_a + n) * (1.0 + _MONITOR_SLACK),
         ),
         InequalityCheck.compare(
             "beta-self-consistency", 4.0 * beta * beta * grad_v_sq_q, beta
@@ -345,12 +337,11 @@ def lower_bound_monitor(
         InequalityCheck.compare(
             "lower-det-global",
             min_det_u,
-            np.exp(-c_dprime) * (1.0 - slack),
+            np.exp(-c_dprime) * (1.0 - _MONITOR_SLACK),
             relation=">=",
         ),
     )
-    report = BoundsReport(sup_A=sup_a, beta=float(beta), inequalities=checks)
-    return _raise_if_failed(report, strict)
+    return BoundsReport(sup_A=sup_a, beta=float(beta), inequalities=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +422,15 @@ def verify_solution(P: Potential, A: ScalarField) -> VerificationReport:
         check("pullback-sup-norm", sup_norm(atilde), bound)
         residual = sup_norm(dual_residual(V, atilde))
         check("dual-residual", residual, _DUAL_RESIDUAL_TOLERANCE)
-        upper = upper_bound_monitor(V, atilde, strict=False)
-        lower = lower_bound_monitor(V, atilde, strict=False)
+        upper = upper_bound_monitor(V, atilde)
+        lower = lower_bound_monitor(V, atilde)
         report = report.merge(upper).merge(lower)
     except NotConvex as exc:
         # raised at min eigenvalue <= CONVEXITY_FLOOR, the floor of every guard
         lhs = float(exc.min_eigenvalue)
         checks.append(InequalityCheck("dual-convexity", lhs, floor, ">=", False))
     except GradientInversionFailure as exc:
-        check("gradient-inversion-residual", exc.residual, 1e-10)
+        check("gradient-inversion-residual", exc.residual, exc.tolerance)
 
     report = report.merge(BoundsReport(inequalities=tuple(checks)))
     return VerificationReport(passed=report.all_satisfied, bounds=report)

@@ -16,8 +16,6 @@ once; the transform, the pullback and the checks share that inversion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import GradientInversionFailure
@@ -31,7 +29,6 @@ from .grid import (
 from .potential import Potential, QuadraticBase
 
 __all__ = [
-    "GradientMapSolveConfig",
     "gradient_map",
     "gradient_map_inverse",
     "legendre_transform",
@@ -40,18 +37,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GradientMapSolveConfig:
-    """Newton controls for inverting the gradient map per dual node."""
-
-    tolerance: float = 1e-12
-    max_iters: int = 50
-
-    def __post_init__(self):
-        if not 0.0 < self.tolerance < np.inf:
-            raise ValueError("tolerance must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+# Per-point Newton controls of the gradient-map inversion: sup-norm
+# residual |grad u(x) - y| accepted, and iterations before giving up.
+_INVERSION_TOLERANCE = 1e-12
+_INVERSION_MAX_ITERS = 50
 
 
 def _check_dual_lattice(base: QuadraticBase) -> None:
@@ -122,26 +111,23 @@ def gradient_map(P: Potential, points) -> np.ndarray:
     return _GradientEvaluator(P).grad_u(pts)
 
 
-def gradient_map_inverse(
-    P: Potential, points, cfg: GradientMapSolveConfig | None = None
-) -> np.ndarray:
+def gradient_map_inverse(P: Potential, points) -> np.ndarray:
     """Solve grad u(x) = y for each row y of `points` by damped Newton.
 
     Strict convexity makes the root unique; backtracking halves the step
     wherever the residual fails to decrease.  Raises
     GradientInversionFailure naming the target point with the largest
-    residual left after `cfg.max_iters` iterations (and its grid node when
-    the point is one).
+    residual left after _INVERSION_MAX_ITERS iterations (and its grid node
+    when the point is one).
     """
-    cfg = cfg or GradientMapSolveConfig()
     ev = _GradientEvaluator(P)
     y = np.atleast_2d(np.asarray(points, dtype=float))
     x = np.linalg.solve(ev.base_matrix, y.T).T  # exact at phi = 0
 
     residual = ev.grad_u(x) - y
     rnorm = np.max(np.abs(residual), axis=1)
-    for _ in range(cfg.max_iters):
-        active = rnorm > cfg.tolerance
+    for _ in range(_INVERSION_MAX_ITERS):
+        active = rnorm > _INVERSION_TOLERANCE
         if not active.any():
             return x
         idx = np.flatnonzero(active)
@@ -162,11 +148,11 @@ def gradient_map_inverse(
             if remaining.size == 0:
                 break
             scale[remaining] *= 0.5
-    if not (rnorm > cfg.tolerance).any():
+    if not (rnorm > _INVERSION_TOLERANCE).any():
         return x
     worst = int(np.argmax(rnorm))
     raise GradientInversionFailure(
-        y[worst], rnorm[worst], _node_index(P.grid, y[worst])
+        y[worst], rnorm[worst], _INVERSION_TOLERANCE, _node_index(P.grid, y[worst])
     )
 
 

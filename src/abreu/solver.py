@@ -10,16 +10,16 @@ are solved matrix-free by conjugate gradients on the mean-zero subspace
 (constants are projected out every iteration), each only as accurately as
 the outer iteration needs: the relative Krylov tolerance is an
 Eisenstat-Walker forcing term (choice 2, with Kelley's floor against
-oversolving), clamped below by `SolverConfig.linear_tolerance`.  Each
-attempt at a new t starts from the secant extrapolation of the last two
-accepted perturbations, or from the last accepted potential when that
-guess is not convex.  One apply of L costs 4
-batched real FFTs (a forward and an inverse for the m = n(n+1)/2 Hessian
-entries, the same for the second divergence) plus m^2 multiply-adds per
-node with m(m+1)/2 congruence weights that each potential computes once
-and keeps.  The preconditioner is the inverse of the linearization at
-phi = 0, which is diagonal per Fourier mode and cached per grid and base;
-for the identity base it is exactly the inverse biharmonic.
+oversolving), clamped below by `_LINEAR_TOLERANCE`.  Each attempt at a
+new t starts from the secant extrapolation of the last two accepted
+perturbations, or from the last accepted potential when that guess is not
+convex.  One apply of L costs 4 batched real FFTs (a forward and an
+inverse for the m = n(n+1)/2 Hessian entries, the same for the second
+divergence) plus m^2 multiply-adds per node with m(m+1)/2 congruence
+weights that each potential computes once and keeps.  The preconditioner
+is the inverse of the linearization at phi = 0, which is diagonal per
+Fourier mode and cached per grid and base; for the identity base it is
+exactly the inverse biharmonic.
 
 Line searches use the convex functional
 
@@ -34,7 +34,6 @@ the functional.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import asdict, dataclass, field
 
@@ -76,6 +75,19 @@ _EASY_ITERS = 5
 
 _MAX_KRYLOV_ITERS = 1000
 
+# Newton iterations per continuation attempt before the step in t halves.
+_MAX_NEWTON_ITERS = 30
+
+# Continuation aborts with StepFloorReached once the step in t falls below.
+_MIN_T_STEP = 1e-4
+
+# Lower clamp of the forcing terms: no Newton system is solved to a
+# relative residual below this.
+_LINEAR_TOLERANCE = 1e-12
+
+# Newton line search: damping factors _DAMPING^k, k = 0..10.
+_DAMPING = 0.5
+
 # Eisenstat-Walker forcing terms (choice 2, SIAM J. Sci. Comput. 17 (1996)
 # 16): the relative tolerance of each Newton system is
 # _EW_GAMMA * (r_k / r_{k-1})^2, at most _EW_ETA_MAX and _EW_ETA_0 on the
@@ -91,7 +103,7 @@ _EW_OVERSOLVE = 0.5
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and step policy for the continuation solver.
+    """Residual tolerance and first continuation step of the solver.
 
     `newton_tolerance` bounds the residual sup-norm relative to the data
     scale (1 + sup|target|): a fourth-order spectral operator amplifies
@@ -100,35 +112,20 @@ class SolverConfig:
     right-hand sides at fixed resolution.  For O(1) data the two readings
     coincide.
 
-    `linear_tolerance` is the lower safeguard of the forcing terms: each
-    Newton system is solved to a relative residual of at least this, and
-    looser while the Newton residual is still far from tolerance.
+    `initial_t_step` is the first step in t; it must lie in
+    [_MIN_T_STEP, 1], the floor below which continuation gives up.
     """
 
     newton_tolerance: float = 1e-10
-    max_newton_iters: int = 30
     initial_t_step: float = 0.1
-    min_t_step: float = 1e-4
-    linear_tolerance: float = 1e-12
-    damping: float = 0.5
 
     def __post_init__(self):
-        if min(
-            self.newton_tolerance,
-            self.initial_t_step,
-            self.min_t_step,
-            self.linear_tolerance,
-        ) <= 0.0:
-            raise ValueError("all solver tolerances must be positive")
-        if not (0.0 < self.damping < 1.0):
-            raise ValueError("damping must lie strictly between 0 and 1")
-        if not (self.min_t_step <= self.initial_t_step <= 1.0):
-            raise ValueError("need min_t_step <= initial_t_step <= 1")
-        if self.max_newton_iters < 1:
-            raise ValueError("max_newton_iters must be at least 1")
-        # nan passes the min() test above; the t steps are bounded by 1 there
-        if not np.isfinite([self.newton_tolerance, self.linear_tolerance]).all():
-            raise ValueError("all solver tolerances must be finite")
+        if not np.isfinite([self.newton_tolerance, self.initial_t_step]).all():
+            raise ValueError("solver settings must be finite")
+        if self.newton_tolerance <= 0.0:
+            raise ValueError("newton_tolerance must be positive")
+        if not (_MIN_T_STEP <= self.initial_t_step <= 1.0):
+            raise ValueError(f"need {_MIN_T_STEP} <= initial_t_step <= 1")
 
 
 @dataclass(frozen=True)
@@ -155,10 +152,6 @@ class ContinuityTrace:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @property
-    def final_t(self) -> float:
-        return self.steps[-1].t if self.steps else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +288,15 @@ def functional_second_derivative(P0: Potential, P1: Potential, t: float) -> floa
 # Newton iteration
 
 
-def newton_step(P: Potential, target: ScalarField, cfg: SolverConfig) -> Potential:
+def newton_step(P: Potential, target: ScalarField, forcing: float) -> Potential:
     """One damped Newton step toward (u^ij)_ij = target.
 
-    Solves L(psi) = (u^ij)_ij - target on the mean-zero subspace (the
-    linearization of the forward map is -L, so this psi is the descent
-    correction) and backtracks alpha = damping^k, k = 0..10, accepting the
-    first candidate that keeps the convexity margin above the floor and
-    does not increase F_target.
+    Solves L(psi) = (u^ij)_ij - target on the mean-zero subspace to the
+    relative residual `forcing` (the linearization of the forward map is
+    -L, so this psi is the descent correction) and backtracks
+    alpha = _DAMPING^k, k = 0..10, accepting the first candidate that
+    keeps the convexity margin above the floor and does not increase
+    F_target.
     """
     if abs(mean(target)) > MEAN_TOLERANCE:
         raise MeanNotZero(mean(target), MEAN_TOLERANCE)
@@ -311,13 +305,13 @@ def newton_step(P: Potential, target: ScalarField, cfg: SolverConfig) -> Potenti
         return P
     apply_op = _linearized_operator(P)
     precond = _flat_preconditioner(P.grid, P.base)
-    delta = _pcg(apply_op, precond, rhs, cfg.linear_tolerance)
+    delta = _pcg(apply_op, precond, rhs, forcing)
 
     f_base = functional_value(P, target)
     f_allowed = f_base + _FUNCTIONAL_SLACK * (1.0 + abs(f_base))
     last_margin, last_node = None, None
     for k in range(11):
-        alpha = cfg.damping**k
+        alpha = _DAMPING**k
         trial = P.with_perturbation(P.perturbation.values + alpha * delta)
         margin = trial.hessian_state.min_eigenvalue
         last_margin, last_node = margin, trial.hessian_state.worst_node
@@ -348,8 +342,7 @@ _STEP_STAGNATION = 1e-12
 
 
 def _forcing_term(residual: float, residual_prev: float | None,
-                  eta_prev: float | None, tolerance: float,
-                  cfg: SolverConfig) -> float:
+                  eta_prev: float | None, tolerance: float) -> float:
     """Relative Krylov tolerance of the next Newton system.
 
     Eisenstat-Walker choice 2 on the sup-norm residuals r_k, r_{k-1}
@@ -357,7 +350,7 @@ def _forcing_term(residual: float, residual_prev: float | None,
     gamma * eta_{k-1}^2 when that exceeds _EW_SAFEGUARD and capped at
     _EW_ETA_MAX; then Kelley's floor 0.5 * tolerance / r_k, so the last
     iterations do not solve below what the outer test can see, and
-    `cfg.linear_tolerance` as the lower clamp.
+    _LINEAR_TOLERANCE as the lower clamp.
     """
     if residual_prev is None:
         eta = _EW_ETA_0
@@ -368,20 +361,20 @@ def _forcing_term(residual: float, residual_prev: float | None,
             eta = max(eta, safeguard)
         eta = min(eta, _EW_ETA_MAX)
     eta = max(eta, _EW_OVERSOLVE * tolerance / residual)
-    return max(eta, cfg.linear_tolerance)
+    return max(eta, _LINEAR_TOLERANCE)
 
 
 def _newton_solve(P: Potential, target: ScalarField, cfg: SolverConfig):
     """Iterate Newton steps until the sup-norm residual meets tolerance.
 
-    Returns (potential, iterations, residual) or None if the iteration
-    budget ran out.  Each Newton system is solved only to the forcing
-    term of `_forcing_term`.
+    Returns (potential, iterations, residual) or None once
+    _MAX_NEWTON_ITERS iterations did not get there.  Each Newton system is
+    solved only to the forcing term of `_forcing_term`.
     """
     tolerance = _residual_scale(cfg, target)
     last_step = None
     eta = residual_prev = None
-    for iteration in range(cfg.max_newton_iters + 1):
+    for iteration in range(_MAX_NEWTON_ITERS + 1):
         forward = abreu_forward(P)
         residual = float(np.max(np.abs(forward.values - target.values)))
         if residual <= tolerance:
@@ -392,13 +385,11 @@ def _newton_solve(P: Potential, target: ScalarField, cfg: SolverConfig):
         )
         if stagnated and residual <= 10.0 * tolerance:
             return P, iteration, residual
-        if iteration == cfg.max_newton_iters:
+        if iteration == _MAX_NEWTON_ITERS:
             return None
-        eta = _forcing_term(residual, residual_prev, eta, tolerance, cfg)
+        eta = _forcing_term(residual, residual_prev, eta, tolerance)
         residual_prev = residual
-        updated = newton_step(
-            P, target, dataclasses.replace(cfg, linear_tolerance=eta)
-        )
+        updated = newton_step(P, target, eta)
         last_step = float(
             np.max(np.abs(updated.perturbation.values - P.perturbation.values))
         )
@@ -445,7 +436,7 @@ def continuity_solve(
     """Solve (u^ij)_ij = A by continuation in t from the flat potential.
 
     The step in t doubles after an easy Newton convergence, halves after
-    any failure, and aborts with StepFloorReached below min_t_step.  The
+    any failure, and aborts with StepFloorReached below _MIN_T_STEP.  The
     returned potential is in mean-zero gauge and certified to satisfy
     sup|forward(u) - A| <= newton_tolerance relative to the data scale
     (see SolverConfig); the trace records one entry per accepted t
@@ -495,8 +486,8 @@ def continuity_solve(
             last_error = exc
         if outcome is None:
             step *= 0.5
-            if step < cfg.min_t_step:
-                raise StepFloorReached(t, cfg.min_t_step) from last_error
+            if step < _MIN_T_STEP:
+                raise StepFloorReached(t, _MIN_T_STEP) from last_error
             continue
         # the flat start solves t = 0 exactly, a given start in general not
         if t > 0.0 or initial_perturbation is None:

@@ -127,22 +127,24 @@ class TestScalarCurvature:
 class TestPrescribeCurvature:
     def test_zero_curvature_gives_flat(self):
         g = make_grid(1, [32])
-        m = prescribe_curvature(ScalarField.zeros(g))
+        m, trace = prescribe_curvature(ScalarField.zeros(g))
         assert sup_norm(m.psi) == 0.0
+        assert [s.t for s in trace.steps] == [1.0]
 
     def test_round_trip_manufactured(self):
         m = manufactured_metric(64)
         s_t = scalar_curvature_symplectic(m)
-        recovered = prescribe_curvature(s_t)
+        recovered, _ = prescribe_curvature(s_t)
         assert sup_norm(recovered.psi - m.psi) < 1e-6
 
     def test_2d_prescription_matches_target(self):
         g = make_grid(2, [32, 32])
         t1, t2 = g.coordinate_arrays()
         s = ScalarField(g, 0.1 * (np.cos(TWO_PI * t1) - np.cos(TWO_PI * t2)))
-        metric = prescribe_curvature(s)
+        metric, trace = prescribe_curvature(s)
         measured = scalar_curvature_symplectic(metric)
         assert sup_norm(measured - s) < 1e-6
+        assert trace.steps[-1].t == 1.0
 
     def test_rejects_nonzero_mean(self):
         g = make_grid(1, [16])
@@ -152,6 +154,6 @@ class TestPrescribeCurvature:
     def test_metric_gauge_and_positivity(self):
         m = manufactured_metric(64)
         s_t = scalar_curvature_symplectic(m)
-        recovered = prescribe_curvature(s_t)
+        recovered, _ = prescribe_curvature(s_t)
         assert abs(mean(recovered.psi)) < 1e-12
         assert recovered.is_positive()

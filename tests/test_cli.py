@@ -80,8 +80,8 @@ class TestSolve:
                      "--report", str(report)])
         assert code == 0
         payload = json.loads(report.read_text())
-        assert payload["schema_version"] == 1
-        assert payload["config"]["newton_tolerance"] == 1e-10
+        assert payload["schema_version"] == 2
+        assert payload["config"] == {"newton_tolerance": 1e-10, "initial_t_step": 0.1}
         steps = payload["trace"]["steps"]
         assert steps[-1]["t"] == 1.0
         assert payload["residual_norms"]["final_sup"] < 1e-7
@@ -122,8 +122,15 @@ class TestSolve:
                      "--tol", "1e-9", "--t-step", "0.25", "--report", str(report)])
         assert code == 0
         payload = json.loads(report.read_text())
-        assert payload["config"]["newton_tolerance"] == 1e-9
-        assert payload["config"]["initial_t_step"] == 0.25
+        assert payload["config"] == {"newton_tolerance": 1e-9, "initial_t_step": 0.25}
+
+    def test_t_step_below_floor_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "x.fld"
+        code = main(["solve", "--dim", "1", "--resolution", "32",
+                     "--expr", "cos(2*pi*x1)", "--t-step", "1e-5", "--out", str(out)])
+        assert code == 1
+        assert "initial_t_step" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("tol", ["inf", "nan"])
     def test_nonfinite_tolerance_exits_1(self, tmp_path, capsys, tol):
@@ -229,7 +236,7 @@ EXIT_CODES = [
     (StepFloorReached(0.25, 1e-4), 3),
     (NotConvex((3,), -0.1), 3),
     (LinearSolveFailure(40, 1e-3, 1e-12), 3),
-    (GradientInversionFailure((0.5,), 1e-3, (8,)), 3),
+    (GradientInversionFailure((0.5,), 1e-3, 1e-12, (8,)), 3),
     (MonitorViolation([]), 3),
     (FormatError("bad magic"), 1),
     (FieldSyntaxError(3, "')'"), 1),

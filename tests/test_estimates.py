@@ -8,7 +8,7 @@ import pytest
 
 from abreu import estimates, legendre
 from abreu import (
-    MonitorViolation,
+    GradientInversionFailure,
     NotConvex,
     Potential,
     QuadraticBase,
@@ -129,21 +129,24 @@ class TestChooseBeta:
         assert np.all(beta * grad_v_sq <= 0.25 * y**2 + 1.0 + 1e-12)
 
 
+def _failed(report):
+    return [c.name for c in report.inequalities if not c.satisfied]
+
+
 class TestUpperBound:
     def test_flat_constants(self):
         g = make_grid(2, [16, 16])
-        report = upper_bound_monitor(
-            Potential.flat(g), ScalarField.zeros(g), strict=True
-        )
+        report = upper_bound_monitor(Potential.flat(g), ScalarField.zeros(g))
         by_name = {c.name: c for c in report.inequalities}
         assert by_name["upper-det-at-min"].lhs == pytest.approx(1.0)
         assert by_name["upper-det-at-min"].rhs == pytest.approx(4.0 * 1.05)
         assert report.upper_constant_c == pytest.approx(4.0)  # (0/n + 2)^n
+        assert _failed(report) == []
 
     def test_manufactured_all_hold(self, certified):
         _, _, V, atilde = certified
-        report = upper_bound_monitor(V, atilde, strict=True)
-        assert report.all_satisfied
+        report = upper_bound_monitor(V, atilde)
+        assert _failed(report) == []
 
     def test_corrupted_dual_is_flagged(self, certified):
         _, _, V, atilde = certified
@@ -155,17 +158,15 @@ class TestUpperBound:
         corrupted = Potential(V.base, bad)
         # the corruption destroys convexity of the dual, which the monitor
         # reports before any inequality can even be formed
-        with pytest.raises((MonitorViolation, NotConvex)):
-            upper_bound_monitor(corrupted, atilde, strict=True)
+        with pytest.raises(NotConvex):
+            upper_bound_monitor(corrupted, atilde)
 
 
 class TestLowerBound:
     def test_flat_constants(self):
         # q = 0, v_kk(q) = n, the trace inequality reads beta * n <= n
         g = make_grid(2, [16, 16])
-        report = lower_bound_monitor(
-            Potential.flat(g), ScalarField.zeros(g), strict=True
-        )
+        report = lower_bound_monitor(Potential.flat(g), ScalarField.zeros(g))
         by_name = {c.name: c for c in report.inequalities}
         assert by_name["lower-minimizer-in-ball"].lhs == pytest.approx(0.0)
         beta = report.beta
@@ -174,8 +175,8 @@ class TestLowerBound:
 
     def test_manufactured_all_hold(self, certified):
         _, _, V, atilde = certified
-        report = lower_bound_monitor(V, atilde, strict=True)
-        assert report.all_satisfied
+        report = lower_bound_monitor(V, atilde)
+        assert _failed(report) == []
         by_name = {c.name: c for c in report.inequalities}
         assert by_name["lower-minimizer-in-ball"].lhs <= 4.0
 
@@ -232,9 +233,9 @@ class TestOneInversionPerPotential:
         invert = legendre.gradient_map_inverse
         init = legendre._GradientEvaluator.__init__
 
-        def counting_invert(P, points, cfg=None):
+        def counting_invert(P, points):
             inversions[P.perturbation.values.tobytes()] += 1
-            return invert(P, points, cfg)
+            return invert(P, points)
 
         def counting_init(self, P):
             built.append(P)
@@ -308,3 +309,40 @@ class TestVerifyConvexityFloor:
         assert outcome.passed is False
         failed = [c.name for c in outcome.bounds.inequalities if not c.satisfied]
         assert failed == ["dual-convexity"]
+
+
+class TestVerifyInversionFailure:
+    """A gradient inversion that stops short of its tolerance fails verify,
+    however close it came."""
+
+    @pytest.fixture
+    def inversion_fails_at_5e11(self, monkeypatch):
+        def failing(P, points):
+            raise GradientInversionFailure(
+                (0.5,), 5e-11, legendre._INVERSION_TOLERANCE, (32,)
+            )
+
+        monkeypatch.setattr(legendre, "gradient_map_inverse", failing)
+
+    def test_near_miss_fails(self, certified, inversion_fails_at_5e11):
+        P, a, _, _ = certified
+        outcome = verify_solution(P, a)
+        assert outcome.passed is False
+        assert _failed(outcome.bounds) == ["gradient-inversion-residual"]
+        (check,) = [c for c in outcome.bounds.inequalities if not c.satisfied]
+        assert (check.lhs, check.rhs) == (5e-11, legendre._INVERSION_TOLERANCE)
+
+    def test_cli_exits_3(self, tmp_path, certified, inversion_fails_at_5e11):
+        P, a, _, _ = certified
+        phi_path, a_path = tmp_path / "phi.fld", tmp_path / "A.fld"
+        report = tmp_path / "verify.json"
+        write_field(phi_path, P.perturbation)
+        write_field(a_path, a)
+        code = main(["verify", "--phi", str(phi_path), "--rhs", str(a_path),
+                     "--report", str(report)])
+        assert code == 3
+        payload = json.loads(report.read_text())["verification"]
+        assert payload["passed"] is False
+        failed = [c["name"] for c in payload["bounds"]["inequalities"]
+                  if not c["satisfied"]]
+        assert failed == ["gradient-inversion-residual"]

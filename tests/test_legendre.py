@@ -5,7 +5,6 @@ import pytest
 
 from abreu import (
     GradientInversionFailure,
-    GradientMapSolveConfig,
     Potential,
     QuadraticBase,
     ScalarField,
@@ -15,6 +14,7 @@ from abreu import (
     gradient_map,
     gradient_map_inverse,
     hessian_u,
+    legendre,
     legendre_transform,
     make_grid,
     mean,
@@ -69,57 +69,50 @@ class TestGradientMap:
 
 
 class TestInversionFailure:
-    def test_names_the_failing_target_point(self):
+    def test_names_the_failing_target_point(self, monkeypatch):
         g = make_grid(2, [16, 16])
         P = random_convex_potential(g, np.random.default_rng(4), margin=0.3)
-        one_step = GradientMapSolveConfig(max_iters=1)
+        monkeypatch.setattr(legendre, "_INVERSION_MAX_ITERS", 1)
         with pytest.raises(GradientInversionFailure) as info:
-            gradient_map_inverse(P, g.node_points(), one_step)
+            gradient_map_inverse(P, g.node_points())
         exc = info.value
         nodes = g.node_points().reshape(g.shape + (g.dim,))
         assert exc.node is not None
         assert exc.point == tuple(nodes[exc.node])
-        assert exc.residual > one_step.tolerance
+        assert exc.tolerance == legendre._INVERSION_TOLERANCE
+        assert exc.residual > exc.tolerance
         assert f"dual node {exc.node}" in str(exc)
         # Newton runs independently per point, so the reported point alone
         # fails with the same residual
         with pytest.raises(GradientInversionFailure) as alone:
-            gradient_map_inverse(P, [exc.point], one_step)
+            gradient_map_inverse(P, [exc.point])
         assert alone.value.residual == pytest.approx(exc.residual, rel=1e-6)
         assert alone.value.node == exc.node
 
-    def test_off_grid_target_has_no_node(self):
+    def test_off_grid_target_has_no_node(self, monkeypatch):
         g = make_grid(2, [16, 16])
         P = random_convex_potential(g, np.random.default_rng(4), margin=0.3)
+        monkeypatch.setattr(legendre, "_INVERSION_MAX_ITERS", 1)
         with pytest.raises(GradientInversionFailure) as info:
-            gradient_map_inverse(
-                P, [[0.31, 0.77]], GradientMapSolveConfig(max_iters=1)
-            )
+            gradient_map_inverse(P, [[0.31, 0.77]])
         assert info.value.node is None
         assert info.value.point == (0.31, 0.77)
         assert "dual node" not in str(info.value)
 
-    def test_raises_only_when_unconverged(self):
+    def test_raises_only_when_unconverged(self, monkeypatch):
         # a run that converges on its last allowed iteration succeeds
         P = manufactured_potential(32)
         ys = np.array([[0.1], [0.55]])
-        tolerance = GradientMapSolveConfig().tolerance
         outcomes = []
         for iters in range(1, 8):
+            monkeypatch.setattr(legendre, "_INVERSION_MAX_ITERS", iters)
             try:
-                gradient_map_inverse(P, ys, GradientMapSolveConfig(max_iters=iters))
+                gradient_map_inverse(P, ys)
                 outcomes.append(True)
             except GradientInversionFailure as exc:
-                assert exc.residual > tolerance
+                assert exc.residual > exc.tolerance
                 outcomes.append(False)
         assert outcomes[0] is False and outcomes[-1] is True
-
-
-class TestGradientMapSolveConfig:
-    @pytest.mark.parametrize("tolerance", [0.0, -1e-12, np.inf, np.nan])
-    def test_rejects_tolerance_not_positive_and_finite(self, tolerance):
-        with pytest.raises(ValueError):
-            GradientMapSolveConfig(tolerance=tolerance)
 
 
 class TestLegendreTransform:

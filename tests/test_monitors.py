@@ -64,7 +64,7 @@ def _monitor_reports(V, atilde, helper, calls):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimates, "_lattice_minimum", _recorded(helper, calls))
         return [
-            monitor(V, atilde, strict=False).to_dict()
+            monitor(V, atilde).to_dict()
             for monitor in (upper_bound_monitor, lower_bound_monitor)
         ]
 
@@ -134,7 +134,7 @@ class TestMonitorMemory:
         V.hessian_state
         tracemalloc.start()
         try:
-            report = lower_bound_monitor(V, ScalarField.zeros(g), strict=False)
+            report = lower_bound_monitor(V, ScalarField.zeros(g))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -154,6 +154,6 @@ class TestMonitorGradients:
             return gradient(f)
 
         monkeypatch.setattr(estimates, "gradient", spy)
-        report = lower_bound_monitor(V, ScalarField.zeros(g), strict=False)
+        report = lower_bound_monitor(V, ScalarField.zeros(g))
         assert len(calls) == 1 and calls[0] is V.perturbation
         assert report.beta == choose_beta(V)
