@@ -1,7 +1,8 @@
 """A 2D solve at 64x64, plus a resolution study of the manufactured case.
 
-The solver is dimension-agnostic: the same continuation reaches t = 1 on
-the torus of any dimension.  The second half of the demo shows the
+The solver is dimension-agnostic: the same Newton iteration, first at
+t = 1 and continuing in t only on failure, solves on the torus of any
+dimension.  The second half of the demo shows the
 superalgebraic decay of the manufactured-solution error with N, the
 signature of spectral discretizations on smooth problems.
 """

@@ -47,7 +47,7 @@ report = json.loads((workdir / "solve.json").read_text())
 print(f"solve report: schema {report['schema_version']}, "
       f"tool {report['tool_version']}, "
       f"final residual {report['residual_norms']['final_sup']:.2e}, "
-      f"{len(report['trace']['steps'])} continuation steps")
+      f"{len(report['trace']['steps'])} accepted step(s) in t")
 verdict = json.loads((workdir / "verify.json").read_text())
 print(f"verification passed: {verdict['verification']['passed']}")
 

@@ -1,11 +1,12 @@
 """Spectral solver for the periodic fourth-order equation on the n-torus.
 
 The library solves  sum_ij d^2(u^ij)/dx_i dx_j = A  for convex potentials
-u = x^T M x / 2 + phi with periodic phi, by Newton continuation in the
-homotopy (u^ij)_ij = t A.  On top of the solver it provides the Legendre
-duality machinery, runtime monitors for the a-priori determinant and
-eigenvalue bounds, and the scalar-curvature dictionary for torus-invariant
-metrics on the complex n-torus.
+u = x^T M x / 2 + phi with periodic phi, by damped Newton at t = 1 in the
+homotopy (u^ij)_ij = t A, continuing in t only when that attempt fails.
+On top of the solver it provides the Legendre duality machinery, runtime
+monitors for the a-priori determinant and eigenvalue bounds, and the
+scalar-curvature dictionary for torus-invariant metrics on the complex
+n-torus.
 """
 
 from .abelian import (

@@ -9,7 +9,7 @@ curvature in the real coordinate x is
 
 and in the Legendre-dual ("symplectic") coordinate t = grad v the same
 function becomes -1/4 times the fourth-order divergence expression of the
-dual potential u(t).  Prescribing S therefore reduces to the continuity
+dual potential u(t).  Prescribing S therefore reduces to the fourth-order
 solve in symplectic coordinates followed by a Legendre transform back.
 
 Both coordinate samplings of S are exposed: `scalar_curvature` returns the
@@ -106,10 +106,10 @@ def prescribe_curvature(
     S: ScalarField, cfg: SolverConfig | None = None
 ) -> tuple[InvariantMetric, ContinuityTrace]:
     """Construct the invariant metric whose curvature is S, with the
-    trace of the continuity solve behind it.
+    trace of the fourth-order solve behind it.
 
     S is prescribed in symplectic coordinates (where the problem reduces
-    to the fourth-order continuity solve with right-hand side -4 S) and
+    to the fourth-order equation with right-hand side -4 S) and
     must have zero plain mean.  The dual solution is Legendre-transformed
     back to the metric side; uniqueness of the solve makes the round trip
     with `scalar_curvature_symplectic` the identity on mean-zero-gauged

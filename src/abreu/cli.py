@@ -98,7 +98,7 @@ def _build_parser() -> _ArgumentParser:
         group.add_argument("--rhs", help="right-hand side field file")
         group.add_argument("--expr", help="right-hand side field expression")
 
-    p = command("solve", _cmd_solve, "continuity solve of the fourth-order equation")
+    p = command("solve", _cmd_solve, "Newton solve of the fourth-order equation")
     add_grid_flags(p)
     add_rhs_flags(p)
     p.add_argument("--project-mean", action="store_true",
@@ -106,7 +106,6 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--out", required=True, help="output perturbation field file")
     p.add_argument("--report", help="write a JSON run report here")
     p.add_argument("--tol", type=float, help="Newton residual sup-norm tolerance")
-    p.add_argument("--t-step", type=float, help="initial continuation step in t")
 
     p = command("apply", _cmd_apply, "forward fourth-order operator of a potential")
     p.add_argument("--phi", required=True, help="perturbation field file")
@@ -135,7 +134,6 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--out", required=True, help="output metric perturbation file")
     p.add_argument("--report", help="write a JSON run report here")
     p.add_argument("--tol", type=float)
-    p.add_argument("--t-step", type=float)
 
     p = command("verify", _cmd_verify, "run the full estimate and duality suite")
     p.add_argument("--phi", required=True)
@@ -219,12 +217,9 @@ def _load_potential(path):
 
 
 def _solver_config(args):
-    kwargs = {}
-    if getattr(args, "tol", None) is not None:
-        kwargs["newton_tolerance"] = args.tol
-    if getattr(args, "t_step", None) is not None:
-        kwargs["initial_t_step"] = args.t_step
-    return SolverConfig(**kwargs)
+    if args.tol is None:
+        return SolverConfig()
+    return SolverConfig(newton_tolerance=args.tol)
 
 
 def _write_report(path, payload) -> None:
@@ -237,7 +232,7 @@ def _write_report(path, payload) -> None:
 
 def _base_report(argv, cfg=None) -> dict:
     payload = {
-        "schema_version": 2,
+        "schema_version": 3,
         "tool_version": __version__,
         "command": list(argv),
     }

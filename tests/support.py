@@ -17,9 +17,11 @@ from abreu import (
     QuadraticBase,
     ScalarField,
     SymMatrixField,
+    abreu_forward,
     convexity_margin,
     hessian,
     make_grid,
+    project_mean_zero,
     second_divergence,
 )
 
@@ -71,6 +73,56 @@ def manufactured_potential(n=64, eps=EPS):
     return Potential(
         QuadraticBase.identity(1), ScalarField(grid, manufactured_phi_values(x, eps))
     )
+
+
+def inverse_second_derivative_1d(values):
+    """Spectral inverse of d^2/dx^2 on a 1D grid function, into the
+    mean-zero fields; the Nyquist mode is kept, as even-order derivatives
+    keep it."""
+    n = len(values)
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=1.0 / n)
+    spectrum = np.fft.rfft(values)
+    out = np.zeros_like(spectrum)
+    out[1:] = -spectrum[1:] / k[1:] ** 2
+    return np.fft.irfft(out, n)
+
+
+def exact_discrete_solution_1d(a_values):
+    """The discrete 1D solution phi* for the right-hand side A, in closed form.
+
+    In 1D u^11 = w = 1/u'' and the equation reads w'' = A, so
+    w = c + D^{-1} A with D^{-1} the spectral inverse of d^2/dx^2.  The
+    scalar c makes mean(1/w) = 1, the mean of u'' = 1 + phi''; mean(1/w)
+    falls monotonically in c, so bisection between -min(D^{-1} A) (where
+    w vanishes) and 1 - min(D^{-1} A) (where w >= 1) finds it to the last
+    bit.  Then phi* = D^{-1}(1/w - mean(1/w)) solves the spectral
+    equation up to rounding, in mean-zero gauge.
+    """
+    b = inverse_second_derivative_1d(a_values)
+    lo, hi = -b.min(), 1.0 - b.min()
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if np.mean(1.0 / (mid + b)) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    inverse_w = 1.0 / (hi + b)
+    return inverse_second_derivative_1d(inverse_w - inverse_w.mean())
+
+
+def manufactured_nd_problem(grid, amplitude=0.01):
+    """(A, phi*) with A := forward(phi*) for a smooth convex phi*: one
+    phase-shifted cosine per axis plus, from n = 2 on, a mixed mode along
+    the diagonal.  phi* is returned in mean-zero gauge."""
+    coords = grid.coordinate_arrays()
+    values = sum(np.cos(2.0 * np.pi * c + axis) for axis, c in enumerate(coords))
+    if grid.dim > 1:
+        values = values + 0.5 * np.sin(2.0 * np.pi * sum(coords))
+    values = amplitude * values
+    phi_star = ScalarField(grid, values - values.mean())
+    P = Potential(QuadraticBase.identity(grid.dim), phi_star)
+    P.hessian_state.require_convex()
+    return project_mean_zero(abreu_forward(P)), phi_star
 
 
 def random_band_limited(grid, rng, max_mode=3, amplitude=1.0):

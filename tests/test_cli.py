@@ -80,8 +80,8 @@ class TestSolve:
                      "--report", str(report)])
         assert code == 0
         payload = json.loads(report.read_text())
-        assert payload["schema_version"] == 2
-        assert payload["config"] == {"newton_tolerance": 1e-10, "initial_t_step": 0.1}
+        assert payload["schema_version"] == 3
+        assert payload["config"] == {"newton_tolerance": 1e-10}
         steps = payload["trace"]["steps"]
         assert steps[-1]["t"] == 1.0
         assert payload["residual_norms"]["final_sup"] < 1e-7
@@ -119,17 +119,17 @@ class TestSolve:
         a_path, _ = manufactured_files
         report = tmp_path / "run.json"
         code = main(["solve", "--rhs", str(a_path), "--out", str(tmp_path / "p.fld"),
-                     "--tol", "1e-9", "--t-step", "0.25", "--report", str(report)])
+                     "--tol", "1e-9", "--report", str(report)])
         assert code == 0
         payload = json.loads(report.read_text())
-        assert payload["config"] == {"newton_tolerance": 1e-9, "initial_t_step": 0.25}
+        assert payload["config"] == {"newton_tolerance": 1e-9}
 
-    def test_t_step_below_floor_exits_1(self, tmp_path, capsys):
+    def test_removed_t_step_flag_exits_1(self, tmp_path, capsys):
         out = tmp_path / "x.fld"
         code = main(["solve", "--dim", "1", "--resolution", "32",
-                     "--expr", "cos(2*pi*x1)", "--t-step", "1e-5", "--out", str(out)])
+                     "--expr", "cos(2*pi*x1)", "--t-step", "0.25", "--out", str(out)])
         assert code == 1
-        assert "initial_t_step" in capsys.readouterr().err
+        assert "unrecognized arguments: --t-step" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("tol", ["inf", "nan"])

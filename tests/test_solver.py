@@ -1,4 +1,4 @@
-"""Linearized operator, Newton steps and the continuation solver."""
+"""Linearized operator, Newton steps and the solver with its continuation retry."""
 
 import dataclasses
 import functools
@@ -32,6 +32,8 @@ from abreu import (
 from tests.support import (
     DELTA,
     FUNCTIONAL_AT_STAR,
+    exact_discrete_solution_1d,
+    manufactured_nd_problem,
     manufactured_potential,
     manufactured_problem,
     random_band_limited,
@@ -39,6 +41,25 @@ from tests.support import (
 )
 
 TWO_PI = 2.0 * np.pi
+
+
+def _fail_first_attempt(monkeypatch, run_it=False):
+    """Fail the solver's first Newton attempt, as one that runs out of
+    iterations does (after running it, when `run_it`); later attempts run
+    unchanged.  Returns the start potential of every attempt, in order."""
+    starts = []
+    newton_solve = solver._newton_solve
+
+    def failing_once(P, target, cfg):
+        starts.append(P)
+        if len(starts) > 1:
+            return newton_solve(P, target, cfg)
+        if run_it:
+            newton_solve(P, target, cfg)
+        return None
+
+    monkeypatch.setattr(solver, "_newton_solve", failing_once)
+    return starts
 
 
 class TestLinearizedApply:
@@ -272,8 +293,8 @@ class TestContinuitySolve:
         assert max(formed.values()) == 1
 
     def test_each_linearized_potential_builds_its_weights_once(self, monkeypatch):
-        # two Newton iterations per attempt force failed attempts, and every
-        # retry linearizes the last accepted potential again
+        # the first attempt runs and is then failed, so the retry linearizes
+        # the last accepted potential (the flat start) again
         built, linearized = Counter(), Counter()
         build = HessianState._weights.func
 
@@ -291,7 +312,7 @@ class TestContinuitySolve:
             return step(P, target, forcing)
 
         monkeypatch.setattr(solver, "newton_step", counting_step)
-        monkeypatch.setattr(solver, "_MAX_NEWTON_ITERS", 2)
+        _fail_first_attempt(monkeypatch, run_it=True)
         g = make_grid(2, [16, 16])
         x, y = g.coordinate_arrays()
         a = ScalarField(g, 0.3 * (np.cos(TWO_PI * x) + np.cos(TWO_PI * y)))
@@ -299,6 +320,28 @@ class TestContinuitySolve:
         assert max(linearized.values()) > 1
         assert built.keys() == linearized.keys()
         assert max(built.values()) == 1
+
+    @pytest.mark.parametrize("noisy_start", [False, True])
+    def test_retry_after_a_failed_first_attempt(self, monkeypatch, noisy_start):
+        starts = _fail_first_attempt(monkeypatch)
+        a = _small_2d_problem()
+        start = None
+        if noisy_start:
+            rng = np.random.default_rng(4)
+            start = random_convex_potential(a.grid, rng, margin=0.7).perturbation
+        cfg = SolverConfig()
+        P, trace = continuity_solve(a, cfg=cfg, initial_perturbation=start)
+        ts = [s.t for s in trace.steps]
+        assert ts[0] == 0.5  # the failed t = 1 halves the step
+        assert all(t0 < t1 for t0, t1 in zip(ts, ts[1:])) and ts[-1] == 1.0
+        bound = cfg.newton_tolerance * (1.0 + sup_norm(a))
+        assert sup_norm(abreu_forward(P) - a) <= bound
+        # nothing was accepted before the retry: it starts where t = 1 did
+        assert starts[1] is starts[0]
+        expected = np.zeros(a.grid.shape) if start is None else start.values
+        np.testing.assert_array_equal(
+            starts[0].perturbation.values, expected - expected.mean()
+        )
 
     def test_rejects_nonzero_mean(self):
         g = make_grid(1, [16])
@@ -345,18 +388,13 @@ class TestContinuitySolve:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(newton_tolerance=-1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(initial_t_step=1.5)
-        # below the floor at which continuation gives up
-        with pytest.raises(ValueError):
-            SolverConfig(initial_t_step=1e-5)
 
     def test_config_holds_only_the_settable_values(self):
         names = [f.name for f in dataclasses.fields(SolverConfig)]
-        assert names == ["newton_tolerance", "initial_t_step"]
+        assert names == ["newton_tolerance"]
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
-    @pytest.mark.parametrize("name", ["newton_tolerance", "initial_t_step"])
+    @pytest.mark.parametrize("name", ["newton_tolerance"])
     def test_config_rejects_nonfinite_tolerance(self, name, value):
         with pytest.raises(ValueError, match="finite"):
             SolverConfig(**{name: value})
@@ -371,7 +409,8 @@ def _small_2d_problem():
 class TestInexactNewton:
     def test_krylov_applies_on_small_2d(self, monkeypatch):
         # every Newton system solved to a fixed relative 1e-12 took 83
-        # applies here; forcing terms and the secant predictor take 16
+        # applies here under continuation; forcing terms with the first
+        # attempt at t = 1 take 6
         applies = []
         pcg = solver._pcg
 
@@ -394,40 +433,80 @@ class TestInexactNewton:
         assert sup_norm(abreu_forward(P) - a) <= bound
         assert trace.steps[-1].final_residual_norm <= bound
 
-    def test_attempts_start_from_the_secant_guess(self, monkeypatch):
-        starts, accepted = [], []
-        newton_solve = solver._newton_solve
 
-        def recording(P, target, cfg):
-            starts.append(P.perturbation.values)
-            outcome = newton_solve(P, target, cfg)
-            accepted.append(outcome[0].perturbation.values)
-            return outcome
+class TestStoppingRule:
+    """A Newton step that leaves P unchanged is a stagnated update."""
 
-        monkeypatch.setattr(solver, "_newton_solve", recording)
-        _, trace = continuity_solve(_small_2d_problem())
-        ts = [0.0] + [s.t for s in trace.steps]
-        phis = [np.zeros(starts[0].shape)] + accepted
-        assert len(accepted) == len(trace.steps) >= 3  # every attempt accepted
-        # the flat start solves t = 0, so from the second attempt on each
-        # starts on the secant through the last two accepted potentials
-        assert np.array_equal(starts[0], phis[0])
-        for k in range(1, len(starts)):
-            ratio = (ts[k + 1] - ts[k]) / (ts[k] - ts[k - 1])
-            secant = phis[k] + ratio * (phis[k] - phis[k - 1])
-            np.testing.assert_allclose(starts[k], secant, rtol=0, atol=1e-15)
+    @staticmethod
+    def _stalled(monkeypatch):
+        calls = []
 
-    def test_non_convex_secant_guess_starts_from_last_potential(self):
-        g = make_grid(2, [16, 16])
-        x, _ = g.coordinate_arrays()
-        P = Potential.flat(g)
-        # the secant from 0.01 cos(2 pi x) at t = 0.9 through phi = 0 at t = 1
-        # reaches -0.05 cos(2 pi x) at t = 1.5, where u_xx = 1 - 0.2 pi^2 < 0
-        # at x = 1/2
-        previous = (0.9, 0.01 * np.cos(TWO_PI * x))
-        assert solver._secant_guess(P, 1.0, previous, 1.5) is P
-        # at t = 1.1 the guess -0.01 cos(2 pi x) is convex: the secant itself
-        guess = solver._secant_guess(P, 1.0, previous, 1.1)
-        np.testing.assert_allclose(
-            guess.perturbation.values, -0.01 * np.cos(TWO_PI * x), rtol=0, atol=1e-15
-        )
+        def stalled(P, target, forcing):
+            calls.append(P)
+            return P
+
+        monkeypatch.setattr(solver, "newton_step", stalled)
+        return calls
+
+    @staticmethod
+    def _attempt(amplitude):
+        g = make_grid(1, [32])
+        target = ScalarField(g, amplitude * np.cos(TWO_PI * g.axis_coordinates(0)))
+        return solver._newton_solve(Potential.flat(g), target, SolverConfig())
+
+    def test_stagnation_far_above_tolerance_fails_at_once(self, monkeypatch):
+        calls = self._stalled(monkeypatch)
+        assert self._attempt(1.0) is None  # residual 1, about 5e9 tolerances
+        assert len(calls) == 1
+
+    def test_stagnation_within_ten_tolerances_accepts(self, monkeypatch):
+        calls = self._stalled(monkeypatch)
+        P, iterations, residual = self._attempt(5e-10)
+        assert (iterations, len(calls)) == (1, 1)
+        assert sup_norm(P.perturbation) == 0.0 and residual == pytest.approx(5e-10)
+
+    def test_stagnation_in_the_noise_band_keeps_iterating(self, monkeypatch):
+        # 50 tolerances: rounding noise could still dip within 10
+        calls = self._stalled(monkeypatch)
+        assert self._attempt(5e-9) is None
+        assert len(calls) == solver._MAX_NEWTON_ITERS
+
+
+def _one_mode(x):
+    return np.cos(TWO_PI * x)
+
+
+def _two_modes(x):
+    return np.cos(TWO_PI * x) + 0.5 * np.sin(2.0 * TWO_PI * x + 0.3)
+
+
+class TestOracleSolutions:
+    """The solution itself against closed-form and manufactured potentials,
+    at default settings."""
+
+    @pytest.mark.parametrize("shape", [_one_mode, _two_modes], ids=["cos", "two-mode"])
+    @pytest.mark.parametrize("size", [0.5, 1.0, 1.75, 2.5, 3.25])
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_1d_matches_exact_discrete_solution(self, n, size, shape):
+        g = make_grid(1, [n])
+        values = shape(g.axis_coordinates(0))
+        a = ScalarField(g, size * values / np.max(np.abs(values)))
+        phi_star = exact_discrete_solution_1d(a.values)
+        P, _ = continuity_solve(a)
+        bound = 1e-12 * (1.0 + np.max(np.abs(phi_star)))
+        assert np.max(np.abs(P.perturbation.values - phi_star)) <= bound
+
+    def test_exact_discrete_solution_solves_the_equation(self):
+        _, a, phi_star = manufactured_problem(64)
+        exact = exact_discrete_solution_1d(a.values)
+        P = Potential(QuadraticBase.identity(1), ScalarField(a.grid, exact))
+        assert sup_norm(abreu_forward(P) - a) <= 1e-9 * (1.0 + sup_norm(a))
+        # the continuous solution eps cos(2 pi x) agrees to discretization error
+        assert sup_norm(P.perturbation - phi_star) <= 1e-10
+
+    @pytest.mark.parametrize("dim, n", [(2, 32), (2, 64), (3, 8), (3, 16)])
+    def test_nd_recovers_manufactured_potential(self, dim, n):
+        a, phi_star = manufactured_nd_problem(make_grid(dim, [n] * dim))
+        P, _ = continuity_solve(a)
+        bound = 1e-12 * (1.0 + sup_norm(phi_star))
+        assert sup_norm(P.perturbation - phi_star) <= bound
