@@ -454,8 +454,12 @@ def second_divergence(M: SymMatrixField) -> ScalarField:
 
 
 #: Bytes one block of evaluation points may hold in its first-axis product:
-#: block points times stack columns, 8-byte (float64) entries.
+#: block points times stack columns, 8-byte (float64) entries.  Wide stacks
+#: (a 3D Hessian) would get so few points per block that the fixed cost of
+#: each block's numpy calls dominates, so no block holds fewer than
+#: _BLOCK_MIN_POINTS points, whatever its bytes.
 _BLOCK_BYTES = 256 * 1024
+_BLOCK_MIN_POINTS = 64
 
 
 def _real_axis_coefficients(coeffs: np.ndarray, axis: int) -> np.ndarray:
@@ -505,11 +509,13 @@ class TrigInterpolant:
     axis by axis onto that basis (`_real_axis_coefficients`) and kept as
     its real part, which is exact up to rounding for a real field.  Points
     go in blocks of bounded memory (`_BLOCK_BYTES` over 8-byte entries per
-    stack column): per block one cos/sin table per axis, from the real and
-    imaginary parts of the powers of exp(2 pi i x), then one real GEMM for
-    the first axis and batched real row products for the rest, all into
-    buffers allocated once per call and reused by every block.  Work is
-    O(P * node_count) per field.
+    stack column), with a floor of `_BLOCK_MIN_POINTS` points per block so
+    that wide stacks, such as the six second partials of a 3D field, are
+    not split into many tiny blocks: per block one cos/sin table per axis,
+    from the real and imaginary parts of the powers of exp(2 pi i x), then
+    one real GEMM for the first axis and batched real row products for the
+    rest, all into buffers allocated once per call and reused by every
+    block.  Work is O(P * node_count) per field.
     """
 
     def __init__(self, f: ScalarField):
@@ -545,7 +551,8 @@ class TrigInterpolant:
                 f"points have dimension {pts.shape[1]}, grid has {grid.dim}"
             )
         stack = self._stack(tuple(_check_axes(grid, axes) for axes in orders))
-        block = max(1, min(_BLOCK_BYTES // (8 * stack.shape[1]), pts.shape[0]))
+        block = max(_BLOCK_MIN_POINTS, _BLOCK_BYTES // (8 * stack.shape[1]))
+        block = max(1, min(block, pts.shape[0]))
         # fresh block arrays sit above glibc's mmap threshold and would
         # page-fault on every block
         tables = [np.empty((n, block)) for n in grid.resolution]

@@ -10,8 +10,12 @@ Gradient-map inversion runs a damped Newton iteration per dual node,
 vectorized over nodes, with grad phi and D^2 phi evaluated off-grid by
 trigonometric interpolation (one stacked evaluation of all first or all
 second partials per call).  The identity-map guess x = M^{-1} y is exact
-at phi = 0.  Each potential inverts its gradient map at the grid nodes
-once; the transform, the pullback and the checks share that inversion.
+at phi = 0.  When that guess lies on grid nodes, as it does for the dual
+nodes of a lattice-preserving base, the first Newton step reads grad phi
+(spectral derivatives) and D^2 u (the potential's cached Hessian state)
+at those nodes instead of interpolating them.  Each potential inverts its
+gradient map at the grid nodes once; the transform, the pullback and the
+checks share that inversion.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .grid import (
     PeriodicGrid,
     ScalarField,
     TrigInterpolant,
+    gradient,
     project_mean_zero,
     triangle_pairs,
 )
@@ -60,9 +65,12 @@ def _check_dual_lattice(base: QuadraticBase) -> None:
 
 class _GradientEvaluator:
     """Off-grid grad u and D^2 u from one interpolant of phi; each method
-    makes one stacked evaluation of all first or all second partials."""
+    makes one stacked evaluation of all first or all second partials.
+    At grid nodes `at_nodes` reads both from the potential's spectral data
+    instead."""
 
     def __init__(self, P: Potential):
+        self.potential = P
         self.base_matrix = P.base.matrix
         self.n = n = P.grid.dim
         self.phi = TrigInterpolant(P.perturbation)
@@ -77,7 +85,23 @@ class _GradientEvaluator:
     def hess_u(self, x: np.ndarray) -> np.ndarray:
         vals = self.phi.partials(x, self._hess_orders)
         vals += self.base_matrix[self._rows, self._cols]
-        h = np.empty((x.shape[0], self.n, self.n))
+        return self._symmetric(vals)
+
+    def at_nodes(self, x: np.ndarray, nodes: np.ndarray):
+        """grad u and D^2 u at points x lying on the grid nodes `nodes`
+        (multi-indices, one row per point): spectral grad phi and the
+        cached Hessian state gathered there, with no interpolation."""
+        P = self.potential
+        at = tuple(nodes.T)
+        grad_phi = np.stack([g.values[at] for g in gradient(P.perturbation)], -1)
+        return (
+            x @ self.base_matrix + grad_phi,
+            self._symmetric(P.hessian_state.hessian.entries[at]),
+        )
+
+    def _symmetric(self, vals: np.ndarray) -> np.ndarray:
+        """(P, n, n) matrices from their triangle entries, (P, m)."""
+        h = np.empty((vals.shape[0], self.n, self.n))
         h[:, self._rows, self._cols] = vals
         h[:, self._cols, self._rows] = vals
         return h
@@ -98,11 +122,13 @@ def _node_preimages(P: Potential) -> np.ndarray:
     return cache["_node_preimages"]
 
 
-def _node_index(grid: PeriodicGrid, y: np.ndarray) -> tuple[int, ...] | None:
-    """Multi-index of the grid node at y (up to periodicity), else None."""
-    j = np.rint(y * grid.resolution)
-    on_grid = np.array_equal(j / grid.resolution, y)
-    return tuple(int(i) for i in j % grid.resolution) if on_grid else None
+def _grid_nodes(grid: PeriodicGrid, points: np.ndarray) -> np.ndarray | None:
+    """Multi-indices (mod N) of the grid nodes at a (P, dim) array of
+    points, one row per point; None unless every point is exactly a node
+    (up to periodicity)."""
+    res = np.array(grid.resolution)
+    j = np.rint(points * res)
+    return (j % res).astype(int) if np.array_equal(j / res, points) else None
 
 
 def gradient_map(P: Potential, points) -> np.ndarray:
@@ -115,23 +141,36 @@ def gradient_map_inverse(P: Potential, points) -> np.ndarray:
     """Solve grad u(x) = y for each row y of `points` by damped Newton.
 
     Strict convexity makes the root unique; backtracking halves the step
-    wherever the residual fails to decrease.  Raises
-    GradientInversionFailure naming the target point with the largest
-    residual left after _INVERSION_MAX_ITERS iterations (and its grid node
-    when the point is one).
+    wherever the residual fails to decrease.  Newton starts at x = M^{-1} y;
+    when every start lies on a grid node, the residual and Hessian of the
+    first step are the spectral ones at those nodes, and later steps
+    interpolate.  A point whose 40 halvings all fail would repeat the same
+    step, so it leaves the iteration.  Raises GradientInversionFailure
+    naming the target point with the largest residual left after
+    _INVERSION_MAX_ITERS iterations (and its grid node when the point is
+    one).
     """
     ev = _GradientEvaluator(P)
     y = np.atleast_2d(np.asarray(points, dtype=float))
     x = np.linalg.solve(ev.base_matrix, y.T).T  # exact at phi = 0
 
-    residual = ev.grad_u(x) - y
+    nodes = _grid_nodes(P.grid, x)
+    if nodes is None:
+        residual, start_hessian = ev.grad_u(x), None
+    else:
+        residual, start_hessian = ev.at_nodes(x, nodes)
+    residual -= y
     rnorm = np.max(np.abs(residual), axis=1)
+    stuck = np.zeros(len(y), dtype=bool)
     for _ in range(_INVERSION_MAX_ITERS):
-        active = rnorm > _INVERSION_TOLERANCE
+        active = (rnorm > _INVERSION_TOLERANCE) & ~stuck
         if not active.any():
-            return x
+            break
         idx = np.flatnonzero(active)
-        h = ev.hess_u(x[idx])
+        if start_hessian is None:
+            h = ev.hess_u(x[idx])
+        else:
+            h, start_hessian = start_hessian[idx], None
         step = np.linalg.solve(h, -residual[idx][..., None])[..., 0]
         scale = np.ones(len(idx))
         remaining = np.arange(len(idx))
@@ -148,12 +187,13 @@ def gradient_map_inverse(P: Potential, points) -> np.ndarray:
             if remaining.size == 0:
                 break
             scale[remaining] *= 0.5
+        stuck[idx[remaining]] = True
     if not (rnorm > _INVERSION_TOLERANCE).any():
         return x
     worst = int(np.argmax(rnorm))
-    raise GradientInversionFailure(
-        y[worst], rnorm[worst], _INVERSION_TOLERANCE, _node_index(P.grid, y[worst])
-    )
+    node = _grid_nodes(P.grid, y[worst : worst + 1])
+    node = None if node is None else tuple(int(i) for i in node[0])
+    raise GradientInversionFailure(y[worst], rnorm[worst], _INVERSION_TOLERANCE, node)
 
 
 def legendre_transform(P: Potential) -> Potential:

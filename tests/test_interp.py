@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abreu import ScalarField, TrigInterpolant, make_grid, partial
-from abreu.grid import _BLOCK_BYTES
+from abreu.grid import _BLOCK_BYTES, _BLOCK_MIN_POINTS
 from abreu.legendre import _GradientEvaluator
 from tests.support import random_convex_potential
 
@@ -58,8 +58,12 @@ def _mode_sum(values, points, orders):
     return total.reshape(len(points), -1).sum(axis=1).real, float(weight.sum())
 
 
+def _stack_columns(grid, nfields):
+    return (grid.node_count // grid.resolution[0]) * nfields
+
+
 def _block_points(grid, nfields):
-    return _BLOCK_BYTES // (8 * (grid.node_count // grid.resolution[0]) * nfields)
+    return max(_BLOCK_MIN_POINTS, _BLOCK_BYTES // (8 * _stack_columns(grid, nfields)))
 
 
 def _orders_for(dim):
@@ -94,6 +98,28 @@ class TestBlockedEvaluation:
         for field, axes in enumerate(orders):
             ref, scale = _mode_sum(values, pts, axes)
             assert np.max(np.abs(got[:, field] - ref)) <= TOL * scale
+
+    @pytest.mark.parametrize("count", ["below", "above", "several"])
+    def test_point_floor_sets_the_block_of_wide_stacks(self, count):
+        # three first partials at 16^3: the byte rule alone gives 42 points
+        g = make_grid(3, [16, 16, 16])
+        orders = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert _BLOCK_BYTES // (8 * _stack_columns(g, 3)) < _BLOCK_MIN_POINTS
+        block = _block_points(g, len(orders))
+        npts = {"below": block - 1, "above": block + 1}.get(count, 3 * block + 5)
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(g.shape)
+        pts = rng.uniform(-1.0, 2.0, (npts, g.dim))
+        got = TrigInterpolant(ScalarField(g, values)).partials(pts, orders)
+        for field, axes in enumerate(orders):
+            ref, scale = _mode_sum(values, pts, axes)
+            assert np.max(np.abs(got[:, field] - ref)) <= TOL * scale
+
+    def test_no_points(self):
+        g = make_grid(3, [8, 8, 8])
+        f = ScalarField(g, np.random.default_rng(0).standard_normal(g.shape))
+        got = TrigInterpolant(f).partials(np.empty((0, 3)), [(1, 0, 0), (0, 0, 2)])
+        assert got.shape == (0, 2)
 
     @settings(max_examples=20, deadline=None)
     @given(shape=GRIDS, seed=SEEDS)

@@ -115,6 +115,106 @@ class TestInversionFailure:
         assert outcomes[0] is False and outcomes[-1] is True
 
 
+class TestStuckPoint:
+    def test_stuck_point_leaves_the_iteration(self, monkeypatch):
+        # the stalled target's residual cannot drop below 5e-12, so every
+        # line search on it fails; the other targets converge at the start
+        g = make_grid(2, [16, 16])
+        stalled = np.array([0.31, 0.77])
+        ys = np.array([[0.1, 0.2], stalled, [0.6, 0.45]])
+        grad_calls = []
+
+        class Stalling(legendre._GradientEvaluator):
+            def grad_u(self, x):
+                grad_calls.append(len(x))
+                out = super().grad_u(x)
+                out[np.max(np.abs(x - stalled), axis=1) < 0.01] = stalled + 5e-12
+                return out
+
+        monkeypatch.setattr(legendre, "_GradientEvaluator", Stalling)
+        with pytest.raises(GradientInversionFailure) as info:
+            gradient_map_inverse(Potential.flat(g), ys)
+        exc = info.value
+        assert exc.point == tuple(stalled)
+        assert exc.residual == np.max(np.abs(stalled + 5e-12 - stalled))
+        assert exc.tolerance == legendre._INVERSION_TOLERANCE
+        assert exc.node is None
+        # the start, then one line search of 40 halvings; repeating it on
+        # every outer iteration took about 2000 calls
+        assert len(grad_calls) <= 45
+
+
+@pytest.fixture
+def partials_calls(monkeypatch):
+    """Points passed to every TrigInterpolant.partials call, while active."""
+    calls = []
+    partials = TrigInterpolant.partials
+
+    def spy(self, points, orders):
+        calls.append(np.array(points, dtype=float))
+        return partials(self, points, orders)
+
+    monkeypatch.setattr(TrigInterpolant, "partials", spy)
+    return calls
+
+
+def _gradient_residual(P, x, y):
+    """|grad u(x) - y| per point, from an interpolant of its own."""
+    eye = [tuple(row) for row in np.eye(P.grid.dim, dtype=int)]
+    grad = x @ P.base.matrix + TrigInterpolant(P.perturbation).partials(x, eye)
+    return np.max(np.abs(grad - y), axis=1)
+
+
+def _unimodular_potential():
+    """2D 16^2 potential on the integer SPD base [[2, 1], [1, 1]], whose
+    start points M^{-1} y at the nodes leave [0, 1)^2 on both sides."""
+    g = make_grid(2, [16, 16])
+    phi = random_convex_potential(g, np.random.default_rng(8), margin=0.9)
+    base = QuadraticBase(np.array([[2.0, 1.0], [1.0, 1.0]]))
+    P = Potential(base, phi.perturbation)
+    assert P.hessian_state.min_eigenvalue > 0.2
+    return P
+
+
+class TestNodeStart:
+    """Inversions that start on grid nodes take their first Newton step
+    from spectral data: the start points never reach the interpolant."""
+
+    @pytest.mark.parametrize("shape", [(32,), (16, 16), (8, 8, 8)])
+    def test_identity_base_nodes_skip_interpolation_at_start(
+        self, shape, partials_calls
+    ):
+        g = make_grid(len(shape), list(shape))
+        P = random_convex_potential(g, np.random.default_rng(len(shape)), margin=0.5)
+        y = g.node_points()
+        x = gradient_map_inverse(P, y)
+        start = {row.tobytes() for row in y}
+        assert partials_calls
+        for pts in partials_calls:
+            assert not any(row.tobytes() in start for row in pts)
+        assert np.max(_gradient_residual(P, x, y)) <= legendre._INVERSION_TOLERANCE
+
+    def test_unimodular_base_gathers_nodes_modulo_n(self, partials_calls):
+        P = _unimodular_potential()
+        y = P.grid.node_points()
+        x0 = np.linalg.solve(P.base.matrix, y.T).T
+        assert (x0 < 0.0).any() and (x0 >= 1.0).any()
+        x = gradient_map_inverse(P, y)
+        start = {row.tobytes() for row in x0}
+        for pts in partials_calls:
+            assert not any(row.tobytes() in start for row in pts)
+        assert np.max(_gradient_residual(P, x, y)) <= legendre._INVERSION_TOLERANCE
+
+    @pytest.mark.parametrize("shape", [(32,), (16, 16), (8, 8, 8)])
+    def test_off_grid_targets_interpolate_at_start(self, shape, partials_calls):
+        g = make_grid(len(shape), list(shape))
+        P = random_convex_potential(g, np.random.default_rng(len(shape)), margin=0.5)
+        y = g.node_points() + 1.0 / (3 * g.resolution[0])
+        x = gradient_map_inverse(P, y)
+        assert np.array_equal(partials_calls[0], y)
+        assert np.max(_gradient_residual(P, x, y)) <= legendre._INVERSION_TOLERANCE
+
+
 class TestLegendreTransform:
     def test_flat_maps_to_flat(self):
         g = make_grid(2, [16, 16])
