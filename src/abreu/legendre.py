@@ -131,6 +131,31 @@ def _grid_nodes(grid: PeriodicGrid, points: np.ndarray) -> np.ndarray | None:
     return (j % res).astype(int) if np.array_equal(j / res, points) else None
 
 
+def _newton_start(
+    P: Potential, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Newton start x = M^{-1} y, exact at phi = 0, and the multi-indices of
+    its grid nodes when every start lies on one (else None).
+
+    For an integer M and node targets y the exact start is a node j/N
+    whenever M maps j/N onto y, but the solve may round it off that node.
+    Such starts are snapped to j/N when M (j/N) = y holds exactly, checked
+    on integers after scaling by the lcm of the resolutions.
+    """
+    mat = P.base.matrix
+    x = np.linalg.solve(mat, y.T).T
+    nodes = _grid_nodes(P.grid, x)
+    if nodes is not None or not np.array_equal(mat, np.rint(mat)):
+        return x, nodes
+    res = np.array(P.grid.resolution)
+    scale = np.lcm.reduce(res) // res
+    j, target = np.rint(x * res), np.rint(y * res)
+    on_nodes = np.array_equal(target / res, y)
+    if on_nodes and np.array_equal((j * scale) @ mat.T, target * scale):
+        return j / res, (j % res).astype(int)
+    return x, None
+
+
 def gradient_map(P: Potential, points) -> np.ndarray:
     """Evaluate y = grad u at a (P, n) array of points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -141,20 +166,18 @@ def gradient_map_inverse(P: Potential, points) -> np.ndarray:
     """Solve grad u(x) = y for each row y of `points` by damped Newton.
 
     Strict convexity makes the root unique; backtracking halves the step
-    wherever the residual fails to decrease.  Newton starts at x = M^{-1} y;
-    when every start lies on a grid node, the residual and Hessian of the
-    first step are the spectral ones at those nodes, and later steps
-    interpolate.  A point whose 40 halvings all fail would repeat the same
-    step, so it leaves the iteration.  Raises GradientInversionFailure
-    naming the target point with the largest residual left after
-    _INVERSION_MAX_ITERS iterations (and its grid node when the point is
-    one).
+    wherever the residual fails to decrease.  Newton starts at x = M^{-1} y
+    (`_newton_start`); when every start lies on a grid node, the residual
+    and Hessian of the first step are the spectral ones at those nodes,
+    and later steps interpolate.  A point whose 40 halvings all fail would
+    repeat the same step, so it leaves the iteration.  Raises
+    GradientInversionFailure naming the target point with the largest
+    residual left after _INVERSION_MAX_ITERS iterations (and its grid node
+    when the point is one).
     """
     ev = _GradientEvaluator(P)
     y = np.atleast_2d(np.asarray(points, dtype=float))
-    x = np.linalg.solve(ev.base_matrix, y.T).T  # exact at phi = 0
-
-    nodes = _grid_nodes(P.grid, x)
+    x, nodes = _newton_start(P, y)
     if nodes is None:
         residual, start_hessian = ev.grad_u(x), None
     else:

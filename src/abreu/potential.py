@@ -14,7 +14,9 @@ cofactor matrix of the Hessian and w = 1/det(u_ab).
 Each per-potential quantity lives on the potential's `HessianState`: the
 determinant and extreme eigenvalues from construction; the inverse, log
 det, the forward field (u^ij)_ij and the congruence weights from first
-use, behind the convexity guard at CONVEXITY_FLOOR.
+use, behind the convexity guard at CONVEXITY_FLOOR.  For n = 3 a
+closed-form screen sends only the nodes near an extreme eigenvalue to
+LAPACK, with results bitwise those of LAPACK on every node.
 """
 
 from __future__ import annotations
@@ -163,10 +165,15 @@ class HessianState:
     [[a, b], [b, c]] has eigenvalues m -+ hypot((a - c)/2, b) with
     m = (a + c)/2, determinant ac - b^2 and inverse [c, -b, a]/det).  For
     n = 3 the determinant is the cofactor expansion and the inverse the
-    adjugate over it; the extreme eigenvalues come from LAPACK's eigvalsh
-    (the trigonometric closed form loses about sqrt(eps) on the smaller
-    eigenvalues near a double one, and the convexity guard works at
-    CONVEXITY_FLOOR).  From n = 4 on det and inv are LAPACK's as well.
+    adjugate over it.  The extreme eigenvalues are LAPACK's eigvalsh, run
+    only on the nodes that the trigonometric closed form cannot rule out:
+    those whose closed-form extreme lies within 1e-6 max(|q| + 2p) of the
+    global one (`_extreme_candidates_3x3`), about twenty times the closed
+    form's error.  Every node whose eigvalsh extreme ties or nearly ties
+    the global one is among them, and eigvalsh gives a matrix the same
+    bits however it is batched, so the extremes and the worst node (the
+    first in row-major order) are bitwise those of eigvalsh on every node.
+    From n = 4 on det, inv and the eigenvalues are LAPACK's.
     """
 
     hessian: SymMatrixField
@@ -178,6 +185,7 @@ class HessianState:
     def __post_init__(self):
         H = self.hessian
         e = H.entries
+        nodes = None  # flat indices of the nodes in lo and hi when not all
         if H.grid.dim == 1:
             lo = hi = e[..., 0]
             det = lo.copy()
@@ -187,15 +195,24 @@ class HessianState:
             m = 0.5 * (a + c)
             r = np.hypot(0.5 * (a - c), b)
             lo, hi = m - r, m + r
+        elif H.grid.dim == 3:
+            det = _det_3x3(e)
+            nodes = _extreme_candidates_3x3(e)
+            rows = e.reshape(-1, 6)[nodes]
+            if (rows == rows[0]).all():
+                rows = rows[:1]  # e.g. the flat start: one matrix decides
+            eigs = np.linalg.eigvalsh(rows[:, _FULL_3x3].reshape(-1, 3, 3))
+            lo, hi = eigs[:, 0], eigs[:, -1]
         else:
             full = H.to_full()
-            det = _det_3x3(e) if H.grid.dim == 3 else np.linalg.det(full)
+            det = np.linalg.det(full)
             eigs = np.linalg.eigvalsh(full)
             lo, hi = eigs[..., 0], eigs[..., -1]
-        worst = np.unravel_index(np.argmin(lo), lo.shape)
+        k = int(np.argmin(lo))
+        worst = np.unravel_index(k if nodes is None else nodes[k], det.shape)
         det.setflags(write=False)
         object.__setattr__(self, "det", det)
-        object.__setattr__(self, "min_eigenvalue", float(lo[worst]))
+        object.__setattr__(self, "min_eigenvalue", float(lo.flat[k]))
         object.__setattr__(self, "max_eigenvalue", float(hi.max()))
         object.__setattr__(self, "worst_node", tuple(int(i) for i in worst))
 
@@ -282,6 +299,49 @@ class HessianState:
         if H.grid.dim == 3:
             return SymMatrixField(H.grid, _cofactor_3x3(e) / self.det[..., None])
         return SymMatrixField.from_full(H.grid, np.linalg.inv(H.to_full()))
+
+
+#: Half-width of the eigenvalue screening band of `_extreme_candidates_3x3`,
+#: relative to the largest |q| + 2p of the stack.
+_SCREEN_BAND = 1e-6
+
+#: Triangle entry of each (i, j) of a 3x3 matrix, row-major.
+_FULL_3x3 = [0, 1, 2, 1, 3, 4, 2, 4, 5]
+
+
+def _extreme_candidates_3x3(e: np.ndarray) -> np.ndarray:
+    """Flat indices, ascending (row-major), of the nodes whose smallest or
+    largest eigenvalue may attain the extreme over the stack.
+
+    The trigonometric closed form (Smith, CACM 4 (1961) 168) gives per node
+    q = tr/3, p = |H - qI|_F / sqrt(6), r = det((H - qI)/p)/2 clipped to
+    [-1, 1] (r = 0 when p = 0, a triple eigenvalue) and phi = arccos(r)/3;
+    the extremes are q + 2p cos(phi + 2pi/3) and q + 2p cos(phi), and
+    every eigenvalue has modulus at most S = |q| + 2p.  Rounding puts an
+    error of order eps (1 + |q|/p) on r, which arccos (Hoelder-1/2 with
+    constant pi/sqrt(2)) turns into at most about 5e-8 S on the
+    eigenvalues near a double one (1.2e-8 S is the largest seen on
+    random stacks), and eps S elsewhere.  A node is kept
+    when its closed-form minimum is within the band 1e-6 max S of the
+    smallest closed-form minimum, or its maximum within the band of the
+    largest.  The band exceeds twice that error plus LAPACK's eps S by a
+    factor of ten, so every node whose eigvalsh extreme ties or nearly
+    ties the global one is kept; eigvalsh returns the same bits for a
+    matrix however it is batched, so the extremes and the first node of
+    the minimum over the kept nodes are those over all nodes.
+    """
+    # exact power-of-two rescale to entries below 1: no overflow or
+    # underflow in the squares and the determinant
+    b = np.ldexp(e.reshape(-1, 6), -np.frexp(np.abs(e).max())[1])
+    q = (b[:, 0] + b[:, 3] + b[:, 5]) / 3.0
+    b[:, [0, 3, 5]] -= q[:, None]
+    p = np.sqrt((b * b) @ [1.0, 2.0, 2.0, 1.0, 2.0, 1.0] / 6.0)
+    b /= np.where(p > 0.0, p, 1.0)[:, None]
+    phi = np.arccos(np.clip(0.5 * _det_3x3(b), -1.0, 1.0)) / 3.0
+    lo = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+    hi = q + 2.0 * p * np.cos(phi)
+    band = _SCREEN_BAND * np.max(np.abs(q) + 2.0 * p)
+    return np.flatnonzero((lo <= lo.min() + band) | (hi >= hi.max() - band))
 
 
 def _cofactor_3x3(e: np.ndarray) -> np.ndarray:

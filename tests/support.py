@@ -177,6 +177,16 @@ def functional_second_derivative_oracle(P0, P1, t):
     return float(np.mean(integrand))
 
 
+def eigen_extremes_oracle(H):
+    """(min eigenvalue, max eigenvalue, node of the min) of a matrix field
+    from LAPACK's eigvalsh on every node; ties in the min go to the first
+    node in row-major order."""
+    eigs = np.linalg.eigvalsh(H.to_full())
+    lo = eigs[..., 0]
+    worst = np.unravel_index(np.argmin(lo), lo.shape)
+    return float(lo[worst]), float(eigs[..., -1].max()), tuple(int(i) for i in worst)
+
+
 def cofactor_oracle(full):
     """Cofactor matrices of a (..., n, n) stack from signed minors, with
     no inversion; the empty minor of n = 1 gives 1."""

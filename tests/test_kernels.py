@@ -4,24 +4,34 @@ The closed-form 2x2 and 3x3 Hessian algebra is checked against
 numpy.linalg on random SPD stacks; the real-FFT derivatives against the
 plain complex-FFT formulation they replace.  Tolerances are fixed beforehand from double
 precision: a few ulps of the relevant scale, times the condition number
-where the quantity is ill-conditioned.
+where the quantity is ill-conditioned.  The screened 3x3 eigen-extremes
+have no tolerance: they must equal eigvalsh on every node bit for bit.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abreu import (
     HessianState,
+    Potential,
     ScalarField,
     SymMatrixField,
     cofactor,
     hessian,
     make_grid,
     partial,
+    potential,
+    prescribe_curvature,
     second_divergence,
 )
-from tests.support import cofactor_oracle
+from tests.support import (
+    cofactor_oracle,
+    eigen_extremes_oracle,
+    random_band_limited,
+    random_convex_potential,
+)
 
 TWO_PI = 2.0 * np.pi
 TOL = 1e-14
@@ -103,6 +113,162 @@ class TestClosedForm3x3:
         scale = np.max(np.abs(inv_ref), axis=(-2, -1), keepdims=True)
         err = np.abs(state.inverse().to_full() - inv_ref)
         assert np.all(err <= 1e-12 * scale)
+
+
+def _stack_3x3(rng, shape, kind, log_cond, log_gap):
+    """(*shape, 3, 3) symmetric stack of one kind; `log_cond` and `log_gap`
+    are read by the kinds they name."""
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    if kind in ("double", "triple", "constant"):
+        # exact: integer a I + b w w^T (eigenvalues a, a, a + b|w|^2),
+        # times a power of two
+        a = rng.integers(-40, 41, shape).astype(float)
+        b = rng.integers(-8, 9, shape).astype(float)
+        w = rng.integers(-3, 4, shape + (3,)).astype(float)
+        if kind != "double":
+            b[...] = 0.0
+        if kind == "constant":
+            a[...] = rng.integers(-40, 41)
+        full = a[..., None, None] * np.eye(3)
+        full += b[..., None, None] * w[..., :, None] * w[..., None, :]
+        return np.ldexp(full, int(rng.integers(-20, 21)))
+    if kind == "conditioned":
+        top = rng.uniform(1.0, 2.0, shape + (1,))
+        eigs = top * 10.0 ** (-log_cond * rng.uniform(0.0, 1.0, shape + (3,)))
+    elif kind in ("near-double", "shared-double"):
+        # shared-double: one near-double pair at every node, at the top or
+        # the bottom of the spectrum, so eigvalsh nearly ties there at
+        # every node while the closed form scatters by up to sqrt(eps) of
+        # the spread
+        size = shape if kind == "near-double" else ()
+        lam = np.broadcast_to(rng.uniform(0.5, 2.0, size), shape)
+        near = lam * (1.0 + 10.0**log_gap * rng.uniform(0.5, 1.0, size))
+        other = lam + rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0, shape)
+        eigs = np.stack([lam, near, other], axis=-1)
+    elif kind == "shifted":
+        q = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(2.0, 8.0)
+        eigs = q + 10.0 ** rng.uniform(-4.0, 0.0) * rng.standard_normal(shape + (3,))
+    else:  # indefinite
+        eigs = rng.standard_normal(shape + (3,))
+    q, _ = np.linalg.qr(rng.standard_normal(shape + (3, 3)))
+    return scale * (q * eigs[..., None, :]) @ np.swapaxes(q, -1, -2)
+
+
+def _plant_minimum(H, rng, copies):
+    """H with the matrix at its min node copied to `copies` random nodes,
+    about half of them with the first entry moved by one ulp either way."""
+    _, _, worst = eigen_extremes_oracle(H)
+    e = H.entries.reshape(-1, 6).copy()
+    idx = rng.choice(len(e), copies, replace=False)
+    e[idx] = H.entries[worst]
+    nudge = idx[rng.random(copies) < 0.5]
+    e[nudge, 0] = np.nextafter(e[nudge, 0], rng.choice([-np.inf, np.inf], len(nudge)))
+    return SymMatrixField(H.grid, e.reshape(H.entries.shape))
+
+
+def _extremes(state):
+    return state.min_eigenvalue, state.max_eigenvalue, state.worst_node
+
+
+@pytest.fixture
+def eigvalsh_shapes(monkeypatch):
+    """Shapes of the stacks handed to numpy.linalg.eigvalsh, while active."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        shapes.append(np.shape(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return shapes
+
+
+class TestScreenedExtremes3x3:
+    """3D extreme eigenvalues from eigvalsh on the screened candidate
+    nodes only: min, max and worst node (with its row-major tie-break)
+    equal eigvalsh on every node exactly."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=SEEDS,
+        kind=st.sampled_from(
+            [
+                "conditioned",
+                "double",
+                "triple",
+                "constant",
+                "near-double",
+                "shared-double",
+                "shifted",
+                "indefinite",
+            ]
+        ),
+        log_cond=st.floats(0.0, 8.0),
+        log_gap=st.floats(-12.0, -6.0),
+        copies=st.sampled_from([0, 0, 2, 5]),
+    )
+    def test_equals_full_eigvalsh(self, seed, kind, log_cond, log_gap, copies):
+        g = make_grid(3, [8, 10, 8])
+        rng = np.random.default_rng(seed)
+        full = _stack_3x3(rng, g.shape, kind, log_cond, log_gap)
+        H = SymMatrixField.from_full(g, full)
+        if copies:
+            H = _plant_minimum(H, rng, copies)
+        assert _extremes(HessianState(H)) == eigen_extremes_oracle(H)
+
+    def test_smooth_potential_sends_few_nodes(self, eigvalsh_shapes):
+        g = make_grid(3, [16, 16, 16])
+        P = random_convex_potential(g, np.random.default_rng(3), margin=0.5, max_mode=3)
+        eigvalsh_shapes.clear()  # the potential's construction checks its base
+        state = P.hessian_state
+        (shape,) = eigvalsh_shapes
+        assert shape[1:] == (3, 3) and shape[0] < 16**3 // 100
+        assert _extremes(state) == eigen_extremes_oracle(state.hessian)
+
+    def test_flat_potential_sends_one_matrix(self, eigvalsh_shapes):
+        P = Potential.flat(make_grid(3, [8, 8, 8]))
+        eigvalsh_shapes.clear()
+        state = P.hessian_state
+        assert eigvalsh_shapes == [(1, 3, 3)]
+        assert _extremes(state) == eigen_extremes_oracle(state.hessian)
+
+    def test_four_dimensions_stay_on_lapack(self, monkeypatch, eigvalsh_shapes):
+        def unused(e):
+            raise AssertionError("3x3 screening reached from n = 4")
+
+        monkeypatch.setattr(potential, "_extreme_candidates_3x3", unused)
+        g = make_grid(4, [8, 8, 8, 8])
+        f = random_band_limited(g, np.random.default_rng(4), max_mode=1, amplitude=0.01)
+        P = Potential.flat(g).with_perturbation(f.values)
+        eigvalsh_shapes.clear()
+        state = P.hessian_state
+        assert eigvalsh_shapes == [g.shape + (4, 4)]
+        assert _extremes(state) == eigen_extremes_oracle(state.hessian)
+
+    def test_prescribe_iterates_equal_full_eigvalsh(self, monkeypatch):
+        # every state built on the way: solver iterates, line-search
+        # trials, the solved potential and the metric's potential
+        compared = []
+        original = HessianState.__post_init__
+
+        def checked(state):
+            original(state)
+            compared.append(_extremes(state) == eigen_extremes_oracle(state.hessian))
+
+        monkeypatch.setattr(HessianState, "__post_init__", checked)
+        g = make_grid(3, [16, 16, 16])
+        x1, x2, x3 = (TWO_PI * c for c in g.coordinate_arrays())
+        s = (
+            0.037 * np.cos(x1 + 2.55)
+            + 0.037 * np.cos(x2 - x3 + 2.86)
+            + 0.021 * np.cos(x1 + x2 + x3 + 3.26)
+            + 0.023 * np.cos(x2 + 2.86)
+        )
+        metric, trace = prescribe_curvature(ScalarField(g, s - s.mean()))
+        assert metric.is_positive()
+        assert len(compared) >= 2 + sum(step.newton_iterations for step in trace.steps)
+        assert all(compared)
 
 
 class TestCofactor:

@@ -205,6 +205,48 @@ class TestNodeStart:
             assert not any(row.tobytes() in start for row in pts)
         assert np.max(_gradient_residual(P, x, y)) <= legendre._INVERSION_TOLERANCE
 
+    def test_unimodular_base_starts_on_nodes_where_solve_rounds(
+        self, monkeypatch, partials_calls
+    ):
+        # at 48^2 the solve rounds M^{-1} y off the nodes; the start is
+        # still the node, and the preimages are those of an interpolated
+        # start to the inversion tolerance
+        g = make_grid(2, [48, 48])
+        phi = random_convex_potential(g, np.random.default_rng(8), margin=0.9)
+        base = QuadraticBase(np.array([[2.0, 1.0], [1.0, 1.0]]))
+        P = Potential(base, phi.perturbation)
+        y = g.node_points()
+        x0 = np.linalg.solve(P.base.matrix, y.T).T
+        assert legendre._grid_nodes(g, x0) is None
+        gathered = []
+        at_nodes = legendre._GradientEvaluator.at_nodes
+
+        def spy(self, x, nodes):
+            gathered.append(len(nodes))
+            return at_nodes(self, x, nodes)
+
+        monkeypatch.setattr(legendre._GradientEvaluator, "at_nodes", spy)
+        x = gradient_map_inverse(P, y)
+        assert gathered == [len(y)]
+        assert np.max(_gradient_residual(P, x, y)) <= legendre._INVERSION_TOLERANCE
+
+        monkeypatch.setattr(legendre, "_newton_start", lambda P, y: (x0.copy(), None))
+        partials_calls.clear()
+        interpolated = gradient_map_inverse(P, y)
+        assert gathered == [len(y)] and np.array_equal(partials_calls[0], x0)
+        assert np.max(np.abs(x - interpolated)) <= legendre._INVERSION_TOLERANCE
+
+    def test_identity_base_start_is_the_target(self):
+        g = make_grid(2, [48, 48])
+        P = random_convex_potential(g, np.random.default_rng(2), margin=0.5)
+        y = g.node_points()
+        x, nodes = legendre._newton_start(P, y)
+        assert np.array_equal(x, y)
+        assert np.array_equal(nodes, legendre._grid_nodes(g, y))
+        off = y + 1.0 / 144.0
+        x, nodes = legendre._newton_start(P, off)
+        assert np.array_equal(x, off) and nodes is None
+
     @pytest.mark.parametrize("shape", [(32,), (16, 16), (8, 8, 8)])
     def test_off_grid_targets_interpolate_at_start(self, shape, partials_calls):
         g = make_grid(len(shape), list(shape))
