@@ -21,6 +21,7 @@ Conventions:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,7 @@ __all__ = [
     "TrigInterpolant",
     "sup_norm",
     "triangle_pairs",
+    "triangle_to_full",
 ]
 
 _TWO_PI = 2.0 * np.pi
@@ -122,7 +124,6 @@ def make_grid(dim: int, resolution) -> PeriodicGrid:
 
 
 def _freeze(values: np.ndarray) -> np.ndarray:
-    # row-major whatever the input's layout (`hessian` passes a transposed view)
     out = np.array(values, dtype=float, copy=True, order="C")
     out.setflags(write=False)
     return out
@@ -187,17 +188,33 @@ class ScalarField:
 
 
 def triangle_pairs(n: int) -> list[tuple[int, int]]:
-    """Index pairs (i <= j) of an n x n symmetric matrix, in the entry
-    order of `SymMatrixField` and of component-first stacks."""
+    """Index pairs (i <= j) of an n x n symmetric matrix, row by row: the
+    component order of every triangle stack, as in `SymMatrixField`."""
     return [(i, j) for i in range(n) for j in range(i, n)]
+
+
+def triangle_to_full(rows) -> np.ndarray:
+    """Symmetric (..., n, n) matrices from their triangle entries (..., m),
+    m = n(n+1)/2, laid along the last axis in `triangle_pairs` order."""
+    rows = np.asarray(rows, dtype=float)
+    m = rows.shape[-1]
+    n = (math.isqrt(8 * m + 1) - 1) // 2
+    if m == 0 or n * (n + 1) // 2 != m:
+        raise ValueError(f"{m} entries are not the triangle of a square matrix")
+    index = np.empty((n, n), dtype=int)
+    for k, (i, j) in enumerate(triangle_pairs(n)):
+        index[i, j] = index[j, i] = k
+    return rows[..., index]
 
 
 @dataclass(frozen=True)
 class SymMatrixField:
-    """Symmetric n x n matrix per node, upper triangle stored row by row.
+    """Symmetric n x n matrix per node as a triangle stack: entries has
+    shape (m, *grid.shape), m = n(n+1)/2, and component k holds entry
+    `triangle_pairs(n)[k]`, in the order (0,0), (0,1), ..., (0,n-1), (1,1), ...
 
-    Symmetry is structural: only the n(n+1)/2 triangle entries exist, in
-    the order (0,0), (0,1), ..., (0,n-1), (1,1), ...
+    Symmetry is structural: only the triangle entries exist.  The stacks of
+    `hessian_stack` and `second_divergence_stack` share this layout.
     """
 
     grid: PeriodicGrid
@@ -205,13 +222,10 @@ class SymMatrixField:
 
     def __post_init__(self):
         n = self.grid.dim
-        m = n * (n + 1) // 2
+        shape = (n * (n + 1) // 2,) + self.grid.shape
         vals = np.asarray(self.entries, dtype=float)
-        if vals.shape != self.grid.shape + (m,):
-            raise ValueError(
-                f"entry shape {vals.shape} does not match grid shape "
-                f"{self.grid.shape} + ({m},)"
-            )
+        if vals.shape != shape:
+            raise ValueError(f"entry shape {vals.shape} is not {shape}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("matrix field contains non-finite entries")
         object.__setattr__(self, "entries", _freeze(vals))
@@ -222,40 +236,38 @@ class SymMatrixField:
 
     @classmethod
     def from_constant(cls, grid: PeriodicGrid, matrix) -> "SymMatrixField":
-        mat = np.asarray(matrix, dtype=float)
-        pairs = triangle_pairs(grid.dim)
-        entries = np.empty(grid.shape + (len(pairs),))
-        for k, (i, j) in enumerate(pairs):
-            entries[..., k] = mat[i, j]
-        return cls(grid, entries)
+        rows, cols = np.array(triangle_pairs(grid.dim)).T
+        entries = np.asarray(matrix, dtype=float)[rows, cols]
+        return cls(grid, np.multiply.outer(entries, np.ones(grid.shape)))
 
     @classmethod
     def from_full(cls, grid: PeriodicGrid, full: np.ndarray) -> "SymMatrixField":
         """Build from a (*grid.shape, n, n) stack, symmetrizing exactly."""
-        pairs = triangle_pairs(grid.dim)
-        entries = np.empty(grid.shape + (len(pairs),))
-        for k, (i, j) in enumerate(pairs):
-            entries[..., k] = 0.5 * (full[..., i, j] + full[..., j, i])
-        return cls(grid, entries)
+        rows, cols = np.array(triangle_pairs(grid.dim)).T
+        entries = 0.5 * (full[..., rows, cols] + full[..., cols, rows])
+        return cls(grid, np.moveaxis(entries, -1, 0))
+
+    @property
+    def pair_weights(self) -> np.ndarray:
+        """(m,) count of full-matrix entries per component, 1 on the diagonal
+        and 2 off it: sum_k w_k M_k S_k is the contraction sum_ij M^ij S_ij."""
+        n = self.grid.dim
+        return np.array([1.0 if i == j else 2.0 for i, j in triangle_pairs(n)])
 
     def triangle_index(self, i: int, j: int) -> int:
+        """Component of entry (i, j) (or (j, i)); IndexError outside [0, n)."""
         n = self.grid.dim
-        if i > j:
-            i, j = j, i
-        return i * n - i * (i - 1) // 2 + (j - i)
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError(f"matrix entry ({i}, {j}) is outside an {n} x {n} matrix")
+        return triangle_pairs(n).index((min(i, j), max(i, j)))
 
     def component(self, i: int, j: int) -> np.ndarray:
         """Nodewise values of entry (i, j) (read-only array)."""
-        return self.entries[..., self.triangle_index(i, j)]
+        return self.entries[self.triangle_index(i, j)]
 
     def to_full(self) -> np.ndarray:
         """Expand to a (*grid.shape, n, n) stack of symmetric matrices."""
-        n = self.grid.dim
-        full = np.empty(self.grid.shape + (n, n))
-        for k, (i, j) in enumerate(triangle_pairs(n)):
-            full[..., i, j] = self.entries[..., k]
-            full[..., j, i] = self.entries[..., k]
-        return full
+        return triangle_to_full(np.moveaxis(self.entries, 0, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +406,7 @@ def hessian_stack(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
 
 def hessian(f: ScalarField) -> SymMatrixField:
     """All second partials as a symmetric matrix field (one forward FFT)."""
-    return SymMatrixField(f.grid, np.moveaxis(hessian_stack(f.grid, f.values), 0, -1))
+    return SymMatrixField(f.grid, hessian_stack(f.grid, f.values))
 
 
 def mean(f: ScalarField) -> float:
@@ -442,11 +454,9 @@ def second_divergence(M: SymMatrixField) -> ScalarField:
     output has exactly zero mean.
     """
     grid = M.grid
-    stack = np.empty((M.entries.shape[-1],) + grid.shape)
-    for k, (i, j) in enumerate(triangle_pairs(grid.dim)):
-        # doubling is exact, so it commutes bitwise with the transform
-        stack[k] = M.entries[..., k] if i == j else 2.0 * M.entries[..., k]
-    return ScalarField(grid, second_divergence_stack(grid, stack))
+    # the weights are exact (1 or 2), so they commute bitwise with the transform
+    weights = M.pair_weights.reshape((-1,) + (1,) * grid.dim)
+    return ScalarField(grid, second_divergence_stack(grid, weights * M.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +553,7 @@ class TrigInterpolant:
     def partials(self, points, orders) -> np.ndarray:
         """Mixed partials at a (P, dim) array of points, shape (P, fields);
         `orders` holds one per-axis multi-index per field, as for `partial`.
+        Raises ValueError for a non-finite point, which has no value.
         """
         grid = self.grid
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -550,6 +561,8 @@ class TrigInterpolant:
             raise ValueError(
                 f"points have dimension {pts.shape[1]}, grid has {grid.dim}"
             )
+        if not np.isfinite(pts).all():
+            raise ValueError("evaluation points must be finite")
         stack = self._stack(tuple(_check_axes(grid, axes) for axes in orders))
         block = max(_BLOCK_MIN_POINTS, _BLOCK_BYTES // (8 * stack.shape[1]))
         block = max(1, min(block, pts.shape[0]))

@@ -30,6 +30,7 @@ from .grid import (
     gradient,
     project_mean_zero,
     triangle_pairs,
+    triangle_to_full,
 )
 from .potential import Potential, QuadraticBase
 
@@ -72,7 +73,7 @@ class _GradientEvaluator:
     def __init__(self, P: Potential):
         self.potential = P
         self.base_matrix = P.base.matrix
-        self.n = n = P.grid.dim
+        n = P.grid.dim
         self.phi = TrigInterpolant(P.perturbation)
         eye = np.eye(n, dtype=int)
         self._rows, self._cols = np.array(triangle_pairs(n)).T
@@ -80,12 +81,13 @@ class _GradientEvaluator:
         self._hess_orders = [tuple(r) for r in eye[self._rows] + eye[self._cols]]
 
     def grad_u(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.base_matrix + self.phi.partials(x, self._grad_orders)
+        # interpolate first: it rejects non-finite points
+        return self.phi.partials(x, self._grad_orders) + x @ self.base_matrix
 
     def hess_u(self, x: np.ndarray) -> np.ndarray:
         vals = self.phi.partials(x, self._hess_orders)
         vals += self.base_matrix[self._rows, self._cols]
-        return self._symmetric(vals)
+        return triangle_to_full(vals)
 
     def at_nodes(self, x: np.ndarray, nodes: np.ndarray):
         """grad u and D^2 u at points x lying on the grid nodes `nodes`
@@ -94,17 +96,8 @@ class _GradientEvaluator:
         P = self.potential
         at = tuple(nodes.T)
         grad_phi = np.stack([g.values[at] for g in gradient(P.perturbation)], -1)
-        return (
-            x @ self.base_matrix + grad_phi,
-            self._symmetric(P.hessian_state.hessian.entries[at]),
-        )
-
-    def _symmetric(self, vals: np.ndarray) -> np.ndarray:
-        """(P, n, n) matrices from their triangle entries, (P, m)."""
-        h = np.empty((vals.shape[0], self.n, self.n))
-        h[:, self._rows, self._cols] = vals
-        h[:, self._cols, self._rows] = vals
-        return h
+        hess = P.hessian_state.hessian.entries[(slice(None),) + at]
+        return x @ self.base_matrix + grad_phi, triangle_to_full(hess.T)
 
 
 def _node_preimages(P: Potential) -> np.ndarray:
@@ -125,10 +118,11 @@ def _node_preimages(P: Potential) -> np.ndarray:
 def _grid_nodes(grid: PeriodicGrid, points: np.ndarray) -> np.ndarray | None:
     """Multi-indices (mod N) of the grid nodes at a (P, dim) array of
     points, one row per point; None unless every point is exactly a node
-    (up to periodicity)."""
+    (up to periodicity), so None for any non-finite point."""
     res = np.array(grid.resolution)
     j = np.rint(points * res)
-    return (j % res).astype(int) if np.array_equal(j / res, points) else None
+    on_nodes = np.isfinite(j).all() and np.array_equal(j / res, points)
+    return (j % res).astype(int) if on_nodes else None
 
 
 def _newton_start(
@@ -145,13 +139,13 @@ def _newton_start(
     mat = P.base.matrix
     x = np.linalg.solve(mat, y.T).T
     nodes = _grid_nodes(P.grid, x)
-    if nodes is not None or not np.array_equal(mat, np.rint(mat)):
+    integer = np.array_equal(mat, np.rint(mat))
+    if nodes is not None or not integer or _grid_nodes(P.grid, y) is None:
         return x, nodes
     res = np.array(P.grid.resolution)
     scale = np.lcm.reduce(res) // res
     j, target = np.rint(x * res), np.rint(y * res)
-    on_nodes = np.array_equal(target / res, y)
-    if on_nodes and np.array_equal((j * scale) @ mat.T, target * scale):
+    if np.array_equal((j * scale) @ mat.T, target * scale):
         return j / res, (j % res).astype(int)
     return x, None
 

@@ -32,10 +32,12 @@ from .grid import (
     ScalarField,
     SymMatrixField,
     hessian,
+    hessian_stack,
     mean,
     second_divergence,
     sup_norm,
     triangle_pairs,
+    triangle_to_full,
 )
 
 __all__ = [
@@ -145,20 +147,18 @@ class Potential:
 
 def hessian_u(P: Potential) -> SymMatrixField:
     """Nodewise Hessian M + D^2 phi, computed spectrally from phi."""
-    h = hessian(P.perturbation)
-    mat = P.base.matrix
-    entries = h.entries.copy()
-    for k, (i, j) in enumerate(triangle_pairs(P.grid.dim)):
-        entries[..., k] += mat[i, j]
-    return SymMatrixField(P.grid, entries)
+    stack = hessian_stack(P.grid, P.perturbation.values)
+    for comp, (i, j) in zip(stack, triangle_pairs(P.grid.dim)):
+        comp += P.base.matrix[i, j]
+    return SymMatrixField(P.grid, stack)
 
 
 @dataclass(frozen=True, eq=False)
 class HessianState:
     """Nodewise Hessian quantities of one potential, each computed once.
 
-    Holds the Hessian entries, their determinant, the extreme eigenvalues
-    and the node of the smallest one; the inverse, log det, the forward
+    Holds the Hessian, its determinant, the extreme eigenvalues and the
+    node of the smallest one; the inverse, log det, the forward
     field (u^ij)_ij and the weights of the congruence psi -> H^-1 psi H^-1
     are formed on first use, behind the convexity guard, and kept.  For
     n <= 2 everything has a closed form (a 2x2
@@ -173,7 +173,8 @@ class HessianState:
     the global one is among them, and eigvalsh gives a matrix the same
     bits however it is batched, so the extremes and the worst node (the
     first in row-major order) are bitwise those of eigvalsh on every node.
-    From n = 4 on det, inv and the eigenvalues are LAPACK's.
+    From n = 4 on det, inv and the eigenvalues are LAPACK's.  The closed
+    forms unpack the components of the triangle stacks (m, *shape).
     """
 
     hessian: SymMatrixField
@@ -187,21 +188,21 @@ class HessianState:
         e = H.entries
         nodes = None  # flat indices of the nodes in lo and hi when not all
         if H.grid.dim == 1:
-            lo = hi = e[..., 0]
+            lo = hi = e[0]
             det = lo.copy()
         elif H.grid.dim == 2:
-            a, b, c = e[..., 0], e[..., 1], e[..., 2]
+            a, b, c = e
             det = a * c - b * b
             m = 0.5 * (a + c)
             r = np.hypot(0.5 * (a - c), b)
             lo, hi = m - r, m + r
         elif H.grid.dim == 3:
             det = _det_3x3(e)
-            nodes = _extreme_candidates_3x3(e)
-            rows = e.reshape(-1, 6)[nodes]
+            nodes = _extreme_candidates_3x3(H)
+            rows = e.reshape(6, -1)[:, nodes].T
             if (rows == rows[0]).all():
                 rows = rows[:1]  # e.g. the flat start: one matrix decides
-            eigs = np.linalg.eigvalsh(rows[:, _FULL_3x3].reshape(-1, 3, 3))
+            eigs = np.linalg.eigvalsh(triangle_to_full(rows))
             lo, hi = eigs[:, 0], eigs[:, -1]
         else:
             full = H.to_full()
@@ -247,9 +248,9 @@ class HessianState:
     def congruent(self, second: np.ndarray) -> np.ndarray:
         """Triangle entries of h psi h, h = H^-1, times pair weights.
 
-        `second` is a component-first (m, *shape) stack of the triangle
-        entries psi_l of a symmetric field; the result has the same
-        layout.  With pairs k = (i, j), l = (a, b) and pair weights w (1 on
+        `second` is the triangle stack (m, *shape) of a symmetric field psi,
+        as `hessian_stack` returns it; so is the result.  With pairs
+        k = (i, j), l = (a, b) and `SymMatrixField.pair_weights` w (1 on
         the diagonal, 2 off it) entry k is sum_l S_kl psi_l, where
 
             S_kl = w_k * (h_ia h_jb + h_ib h_ja) / 2 * w_l,
@@ -275,10 +276,11 @@ class HessianState:
         rather than stacked so that each allocation stays small."""
         h = self._inverse
         pairs = triangle_pairs(h.grid.dim)
+        w = h.pair_weights
         weights = []
         for k, (i, j) in enumerate(pairs):
             for l, (a, b) in enumerate(pairs[k:], start=k):
-                scale = 0.5 * (1.0 if i == j else 2.0) * (1.0 if a == b else 2.0)
+                scale = 0.5 * w[k] * w[l]
                 cross = h.component(i, a) * h.component(j, b)
                 cross += h.component(i, b) * h.component(j, a)
                 cross *= scale
@@ -293,11 +295,10 @@ class HessianState:
         if H.grid.dim == 1:
             return SymMatrixField(H.grid, 1.0 / e)
         if H.grid.dim == 2:
-            a, b, c = e[..., 0], e[..., 1], e[..., 2]
-            inv = np.stack([c, -b, a], axis=-1) / self.det[..., None]
-            return SymMatrixField(H.grid, inv)
+            a, b, c = e
+            return SymMatrixField(H.grid, np.stack([c, -b, a]) / self.det)
         if H.grid.dim == 3:
-            return SymMatrixField(H.grid, _cofactor_3x3(e) / self.det[..., None])
+            return SymMatrixField(H.grid, _cofactor_3x3(e) / self.det)
         return SymMatrixField.from_full(H.grid, np.linalg.inv(H.to_full()))
 
 
@@ -305,11 +306,8 @@ class HessianState:
 #: relative to the largest |q| + 2p of the stack.
 _SCREEN_BAND = 1e-6
 
-#: Triangle entry of each (i, j) of a 3x3 matrix, row-major.
-_FULL_3x3 = [0, 1, 2, 1, 3, 4, 2, 4, 5]
 
-
-def _extreme_candidates_3x3(e: np.ndarray) -> np.ndarray:
+def _extreme_candidates_3x3(H: SymMatrixField) -> np.ndarray:
     """Flat indices, ascending (row-major), of the nodes whose smallest or
     largest eigenvalue may attain the extreme over the stack.
 
@@ -330,13 +328,14 @@ def _extreme_candidates_3x3(e: np.ndarray) -> np.ndarray:
     matrix however it is batched, so the extremes and the first node of
     the minimum over the kept nodes are those over all nodes.
     """
+    e = H.entries
     # exact power-of-two rescale to entries below 1: no overflow or
     # underflow in the squares and the determinant
-    b = np.ldexp(e.reshape(-1, 6), -np.frexp(np.abs(e).max())[1])
-    q = (b[:, 0] + b[:, 3] + b[:, 5]) / 3.0
-    b[:, [0, 3, 5]] -= q[:, None]
-    p = np.sqrt((b * b) @ [1.0, 2.0, 2.0, 1.0, 2.0, 1.0] / 6.0)
-    b /= np.where(p > 0.0, p, 1.0)[:, None]
+    b = np.ldexp(e.reshape(6, -1), -np.frexp(np.abs(e).max())[1])
+    q = (b[0] + b[3] + b[5]) / 3.0
+    b[[0, 3, 5]] -= q
+    p = np.sqrt(H.pair_weights @ (b * b) / 6.0)
+    b /= np.where(p > 0.0, p, 1.0)
     phi = np.arccos(np.clip(0.5 * _det_3x3(b), -1.0, 1.0)) / 3.0
     lo = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
     hi = q + 2.0 * p * np.cos(phi)
@@ -345,24 +344,18 @@ def _extreme_candidates_3x3(e: np.ndarray) -> np.ndarray:
 
 
 def _cofactor_3x3(e: np.ndarray) -> np.ndarray:
-    """Triangle entries of the cofactor matrix (adjugate) of symmetric 3x3
-    matrices given by their triangle entries [a, b, c, d, f, g] =
+    """Triangle stack of the cofactor matrices (adjugates) of symmetric 3x3
+    matrices given by their triangle stack [a, b, c, d, f, g] =
     (0,0), (0,1), (0,2), (1,1), (1,2), (2,2)."""
-    a, b, c, d, f, g = (e[..., k] for k in range(6))
-    cof = np.empty(e.shape)
-    cof[..., 0] = d * g - f * f
-    cof[..., 1] = c * f - b * g
-    cof[..., 2] = b * f - c * d
-    cof[..., 3] = a * g - c * c
-    cof[..., 4] = b * c - a * f
-    cof[..., 5] = a * d - b * b
-    return cof
+    a, b, c, d, f, g = e
+    return np.stack([d * g - f * f, c * f - b * g, b * f - c * d,
+                     a * g - c * c, b * c - a * f, a * d - b * b])
 
 
 def _det_3x3(e: np.ndarray) -> np.ndarray:
     """Determinants by cofactor expansion along the first row, with the
     first-row cofactors of `_cofactor_3x3` (same entry layout)."""
-    a, b, c, d, f, g = (e[..., k] for k in range(6))
+    a, b, c, d, f, g = e
     return a * (d * g - f * f) + b * (c * f - b * g) + c * (b * f - c * d)
 
 
@@ -382,7 +375,7 @@ def cofactor(H: SymMatrixField) -> SymMatrixField:
     For n = 1 it is the constant field 1 (the empty minor), up to rounding.
     """
     state = HessianState(H)
-    return SymMatrixField(H.grid, state.det[..., None] * state.inverse().entries)
+    return SymMatrixField(H.grid, state.det * state.inverse().entries)
 
 
 def double_contract(M: SymMatrixField, S: SymMatrixField) -> ScalarField:
@@ -390,9 +383,8 @@ def double_contract(M: SymMatrixField, S: SymMatrixField) -> ScalarField:
     if M.grid != S.grid:
         raise ValueError("matrix fields live on different grids")
     acc = np.zeros(M.grid.shape)
-    for k, (i, j) in enumerate(triangle_pairs(M.grid.dim)):
-        weight = 1.0 if i == j else 2.0
-        acc += weight * M.entries[..., k] * S.entries[..., k]
+    for weight, m, s in zip(M.pair_weights, M.entries, S.entries):
+        acc += weight * m * s
     return ScalarField(M.grid, acc)
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abreu import (
     ScalarField,
@@ -14,6 +16,7 @@ from abreu import (
     second_divergence,
     sup_norm,
 )
+from abreu.grid import triangle_pairs, triangle_to_full
 from tests.support import random_band_limited
 
 TWO_PI = 2.0 * np.pi
@@ -161,7 +164,7 @@ class TestSecondDivergence:
     def test_1d_single_mode(self):
         g = make_grid(1, [16])
         x = g.axis_coordinates(0)
-        m = SymMatrixField(g, (1.0 + 0.1 * np.cos(TWO_PI * x))[..., None])
+        m = SymMatrixField(g, (1.0 + 0.1 * np.cos(TWO_PI * x))[None])
         out = second_divergence(m)
         assert np.allclose(
             out.values, -0.4 * np.pi**2 * np.cos(TWO_PI * x), atol=1e-11
@@ -171,13 +174,62 @@ class TestSecondDivergence:
         g = make_grid(2, [16, 16])
         rng = np.random.default_rng(3)
         entries = np.stack(
-            [random_band_limited(g, rng, 4, 1.0).values + rng.normal() for _ in range(3)],
-            axis=-1,
+            [random_band_limited(g, rng, 4, 1.0).values + rng.normal() for _ in range(3)]
         )
         m = SymMatrixField(g, entries)
         out = second_divergence(m)
         scale = np.max(np.abs(entries))
         assert abs(mean(out)) < 1e-12 * scale
+
+
+SYM_SHAPES = [(16,), (8, 12), (8, 10, 8), (8, 8, 8, 8)]
+
+
+def _random_sym(shape, seed):
+    g = make_grid(len(shape), list(shape))
+    m = len(triangle_pairs(g.dim))
+    entries = np.random.default_rng(seed).standard_normal((m,) + g.shape)
+    return SymMatrixField(g, entries)
+
+
+class TestSymMatrixField:
+    """The triangle stack (m, *grid.shape) against its full expansion."""
+
+    @pytest.mark.parametrize("shape", SYM_SHAPES)
+    def test_components_are_full_entries(self, shape):
+        M = _random_sym(shape, 1)
+        full = M.to_full()
+        n = M.grid.dim
+        for i in range(n):
+            for j in range(n):
+                assert np.array_equal(M.component(i, j), full[..., i, j])
+
+    @pytest.mark.parametrize("i, j", [(0, 3), (3, 0), (-1, 0), (0, -1), (3, 3), (5, 1)])
+    def test_component_out_of_range_raises(self, i, j):
+        M = _random_sym((8, 10, 8), 2)
+        with pytest.raises(IndexError):
+            M.component(i, j)
+
+    def test_shape_is_component_first(self):
+        g = make_grid(2, [8, 12])
+        with pytest.raises(ValueError):
+            SymMatrixField(g, np.zeros(g.shape + (3,)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=st.sampled_from(SYM_SHAPES), seed=st.integers(0, 2**32 - 1))
+    def test_full_round_trip(self, shape, seed):
+        M = _random_sym(shape, seed)
+        full = M.to_full()
+        assert np.array_equal(SymMatrixField.from_full(M.grid, full).entries, M.entries)
+        rows = M.entries.reshape(len(M.entries), -1).T  # point-major
+        assert np.array_equal(
+            triangle_to_full(rows), full.reshape((-1,) + full.shape[-2:])
+        )
+
+    @pytest.mark.parametrize("m", [0, 2, 4, 7])
+    def test_triangle_to_full_rejects_non_triangular_rows(self, m):
+        with pytest.raises(ValueError):
+            triangle_to_full(np.zeros((5, m)))
 
 
 class TestInterpolate:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abreu import ScalarField, TrigInterpolant, make_grid, partial
+from abreu import ScalarField, TrigInterpolant, interpolate, make_grid, partial
 from abreu.grid import _BLOCK_BYTES, _BLOCK_MIN_POINTS
 from abreu.legendre import _GradientEvaluator
 from tests.support import random_convex_potential
@@ -152,6 +152,21 @@ class TestBlockedEvaluation:
         f = ScalarField(g, np.random.default_rng(0).standard_normal(g.shape))
         val = TrigInterpolant(f).evaluate([0.3, 0.7])
         assert isinstance(val, float)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_raise(self, bad):
+        g = make_grid(2, [8, 8])
+        f = ScalarField(g, np.random.default_rng(0).standard_normal(g.shape))
+        interp = TrigInterpolant(f)
+        for point in ([bad, 0.2], [0.3, bad]):
+            with pytest.raises(ValueError, match="finite"):
+                interp.evaluate(point)
+            with pytest.raises(ValueError, match="finite"):
+                interp.evaluate([[0.1, 0.4], point])
+            with pytest.raises(ValueError, match="finite"):
+                interp.partials([point], [(1, 0), (0, 2)])
+            with pytest.raises(ValueError, match="finite"):
+                interpolate(f, point)
 
 
 def _nyquist_partial(n, x, order):

@@ -41,7 +41,7 @@ GRIDS = st.sampled_from([(16,), (8, 12), (12, 8), (8, 10, 8)])
 
 
 def _spd_2x2_stack(rng, shape, log_cond, kind):
-    """(a, b, c) entries with eigenvalues hi and hi / 10**log_cond per node.
+    """(a, b, c) triangle stack with eigenvalues hi and hi / 10**log_cond per node.
 
     hi varies by at most a factor 2 across the stack, so one scale bounds
     the rounding of every node.
@@ -59,7 +59,7 @@ def _spd_2x2_stack(rng, shape, log_cond, kind):
     b = (hi - lo) * sn * cs
     if kind == "diagonal":
         b = np.zeros(shape)
-    return np.stack([a, b, c], axis=-1)
+    return np.stack([a, b, c])
 
 
 class TestClosedForm2x2:
@@ -158,11 +158,11 @@ def _plant_minimum(H, rng, copies):
     """H with the matrix at its min node copied to `copies` random nodes,
     about half of them with the first entry moved by one ulp either way."""
     _, _, worst = eigen_extremes_oracle(H)
-    e = H.entries.reshape(-1, 6).copy()
-    idx = rng.choice(len(e), copies, replace=False)
-    e[idx] = H.entries[worst]
+    e = H.entries.reshape(6, -1).copy()
+    idx = rng.choice(e.shape[1], copies, replace=False)
+    e[:, idx] = H.entries[(slice(None),) + worst][:, None]
     nudge = idx[rng.random(copies) < 0.5]
-    e[nudge, 0] = np.nextafter(e[nudge, 0], rng.choice([-np.inf, np.inf], len(nudge)))
+    e[0, nudge] = np.nextafter(e[0, nudge], rng.choice([-np.inf, np.inf], len(nudge)))
     return SymMatrixField(H.grid, e.reshape(H.entries.shape))
 
 
@@ -351,7 +351,7 @@ class TestRealFFTDerivatives:
     def test_second_divergence(self, shape, seed):
         g = make_grid(len(shape), list(shape))
         m = g.dim * (g.dim + 1) // 2
-        entries = np.random.default_rng(seed).standard_normal(g.shape + (m,))
+        entries = np.random.default_rng(seed).standard_normal((m,) + g.shape)
         M = SymMatrixField(g, entries)
         acc = np.zeros(g.shape, dtype=complex)
         for i in range(g.dim):

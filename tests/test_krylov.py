@@ -5,8 +5,9 @@ congruence with the potential's cached weights and a batched second
 divergence.  It is checked against the full-matrix formulation in
 tests.support (h psi h by matrix products) on random convex potentials
 over non-identity bases; the public `hessian` and `second_divergence`,
-which wrap the same kernels, against a per-component reference bit for
-bit; and one apply against its transform budget.
+whose triangle stacks are the kernels' own layout, against the kernels
+and a per-component reference bit for bit; and one apply against its
+transform budget.
 """
 
 from collections import Counter
@@ -28,7 +29,12 @@ from abreu import (
     second_divergence,
     solver,
 )
-from abreu.grid import _derivative_multiplier, second_divergence_stack, triangle_pairs
+from abreu.grid import (
+    _derivative_multiplier,
+    hessian_stack,
+    second_divergence_stack,
+    triangle_pairs,
+)
 from tests.support import (
     functional_second_derivative_oracle,
     linearized_apply_oracle,
@@ -72,13 +78,13 @@ def _pair_multiplier(g, i, j):
 
 
 def _per_component_hessian(g, values):
-    """One inverse transform per triangle entry, written node-last."""
+    """One inverse transform per triangle entry, written component-first."""
     axes = tuple(range(g.dim))
     spectrum = np.fft.rfftn(values, axes=axes)
-    entries = np.empty(g.shape + (len(triangle_pairs(g.dim)),))
+    entries = np.empty((len(triangle_pairs(g.dim)),) + g.shape)
     for k, (i, j) in enumerate(triangle_pairs(g.dim)):
         mult = _pair_multiplier(g, i, j)
-        entries[..., k] = np.fft.irfftn(spectrum * mult, s=g.shape, axes=axes)
+        entries[k] = np.fft.irfftn(spectrum * mult, s=g.shape, axes=axes)
     return entries
 
 
@@ -88,7 +94,7 @@ def _per_component_second_divergence(g, entries):
     acc = 0.0
     for k, (i, j) in enumerate(triangle_pairs(g.dim)):
         weight = 1.0 if i == j else 2.0
-        comp = entries[..., k]
+        comp = entries[k]
         spectrum = np.fft.rfftn(comp - comp.mean(), axes=axes)
         acc = acc + weight * _pair_multiplier(g, i, j) * spectrum
     return np.fft.irfftn(acc, s=g.shape, axes=axes)
@@ -144,9 +150,30 @@ class TestWrappersBitwise:
         g = make_grid(len(shape), list(shape))
         m = len(triangle_pairs(g.dim))
         rng = np.random.default_rng(seed)
-        entries = 10.0**log_scale * (1.0 + rng.standard_normal(g.shape + (m,)))
+        entries = 10.0**log_scale * (1.0 + rng.standard_normal((m,) + g.shape))
         got = second_divergence(SymMatrixField(g, entries)).values
         assert np.array_equal(got, _per_component_second_divergence(g, entries))
+
+    @settings(max_examples=20, deadline=None)
+    @given(shape=SHAPES, seed=SEEDS)
+    def test_hessian_entries_are_the_stack(self, shape, seed):
+        g = make_grid(len(shape), list(shape))
+        values = np.random.default_rng(seed).standard_normal(g.shape)
+        got = hessian(ScalarField(g, values)).entries
+        assert np.array_equal(got, hessian_stack(g, values))
+
+    @settings(max_examples=20, deadline=None)
+    @given(shape=SHAPES, seed=SEEDS)
+    def test_second_divergence_is_the_weighted_stack(self, shape, seed):
+        g = make_grid(len(shape), list(shape))
+        pairs = triangle_pairs(g.dim)
+        rng = np.random.default_rng(seed)
+        M = SymMatrixField(g, 1.0 + rng.standard_normal((len(pairs),) + g.shape))
+        weighted = np.stack(
+            [c if i == j else 2.0 * c for c, (i, j) in zip(M.entries, pairs)]
+        )
+        got = second_divergence(M).values
+        assert np.array_equal(got, second_divergence_stack(g, weighted))
 
 
 class TestSecondDivergenceStack:

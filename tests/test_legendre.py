@@ -67,6 +67,34 @@ class TestGradientMap:
         back = gradient_map_inverse(P, forward)
         assert np.max(np.abs(back - pts)) < 1e-8
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("base", [np.eye(2), np.array([[2.0, 1.0], [1.0, 1.0]])])
+    def test_non_finite_points_raise(self, bad, base):
+        # alone and beside a finite point; the other coordinate on a node
+        # (0.25) or off the grid (0.3)
+        g = make_grid(2, [16, 16])
+        f = random_convex_potential(g, np.random.default_rng(1), margin=0.5)
+        P = Potential(QuadraticBase(base), f.perturbation)
+        ev = legendre._GradientEvaluator(P)
+        for point in ([bad, 0.25], [0.3, bad], [bad, bad]):
+            for pts in ([point], [[0.1, 0.4], point]):
+                for evaluate in (
+                    lambda pts: gradient_map(P, pts),
+                    lambda pts: gradient_map_inverse(P, pts),
+                    ev.grad_u,
+                    ev.hess_u,
+                ):
+                    with pytest.raises(ValueError, match="finite"):
+                        evaluate(np.array(pts))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_raise_in_1d(self, bad):
+        # in 1D the start M^{-1} y of an infinite y is infinite itself
+        P = manufactured_potential(32)
+        for evaluate in (gradient_map, gradient_map_inverse):
+            with pytest.raises(ValueError, match="finite"):
+                evaluate(P, [[bad]])
+
 
 class TestInversionFailure:
     def test_names_the_failing_target_point(self, monkeypatch):

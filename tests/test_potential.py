@@ -117,8 +117,8 @@ class TestInverseHessian:
 
     def test_not_convex_error(self):
         g = make_grid(1, [16])
-        vals = np.ones(g.shape + (1,))
-        vals[5, 0] = -0.1
+        vals = np.ones((1,) + g.shape)
+        vals[0, 5] = -0.1
         with pytest.raises(NotConvex) as info:
             inverse_hessian(SymMatrixField(g, vals))
         assert info.value.node == (5,)
@@ -132,9 +132,9 @@ class TestDeterminantAndCofactor:
 
     def test_det_diagonal(self):
         g = make_grid(2, [16, 16])
-        entries = np.zeros(g.shape + (3,))
-        entries[..., 0] = 2.0
-        entries[..., 2] = 3.5
+        entries = np.zeros((3,) + g.shape)
+        entries[0] = 2.0
+        entries[2] = 3.5
         d = det_hessian(SymMatrixField(g, entries))
         assert np.allclose(d.values, 7.0)
 
@@ -153,7 +153,7 @@ class TestDeterminantAndCofactor:
     def test_cofactor_1d_convention(self):
         g = make_grid(1, [16])
         x = g.axis_coordinates(0)
-        H = SymMatrixField(g, (2.0 + np.cos(TWO_PI * x))[..., None])
+        H = SymMatrixField(g, (2.0 + np.cos(TWO_PI * x))[None])
         assert np.allclose(cofactor(H).entries, 1.0)
 
     def test_cofactor_equals_det_times_inverse(self):
@@ -161,7 +161,7 @@ class TestDeterminantAndCofactor:
         rng = np.random.default_rng(4)
         H = hessian_u(random_convex_potential(g, rng))
         C = cofactor(H)
-        ref = det_hessian(H).values[..., None] * inverse_hessian(H).entries
+        ref = det_hessian(H).values * inverse_hessian(H).entries
         assert np.max(np.abs(C.entries - ref)) < 1e-12
 
     def test_cofactor_rows_divergence_free(self):
