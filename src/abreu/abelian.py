@@ -16,7 +16,10 @@ Both coordinate samplings of S are exposed: `scalar_curvature` returns the
 x-sampling above, `scalar_curvature_symplectic` the t-sampling, whose
 plain grid mean vanishes identically (divergence structure).  The zero
 mean of the x-sampling holds with respect to the metric volume element
-det(v_ab) dx, see `metric_volume_mean`.
+det(v_ab) dx, see `metric_volume_mean`.  A metric is positive when its
+potential passes `HessianState.convex`, the one convexity test of the
+package, which also guards the curvature and is read by the Newton line
+search and the convexity-margin check of `verify_solution`.
 """
 
 from __future__ import annotations
@@ -29,13 +32,7 @@ import numpy as np
 from .errors import MeanNotZero
 from .grid import ScalarField, mean, project_mean_zero
 from .legendre import legendre_transform
-from .potential import (
-    CONVEXITY_FLOOR,
-    Potential,
-    QuadraticBase,
-    abreu_forward,
-    convexity_margin,
-)
+from .potential import Potential, QuadraticBase, abreu_forward
 from .solver import (
     MEAN_TOLERANCE,
     ContinuityTrace,
@@ -67,8 +64,8 @@ class InvariantMetric:
         return Potential(QuadraticBase.identity(self.psi.grid.dim), self.psi)
 
     def is_positive(self) -> bool:
-        """Whether the margin clears the floor every curvature guard uses."""
-        return convexity_margin(self.potential) > CONVEXITY_FLOOR
+        """Whether the Hessian passes the test every curvature guard uses."""
+        return self.potential.hessian_state.convex
 
 
 def scalar_curvature(m: InvariantMetric) -> ScalarField:

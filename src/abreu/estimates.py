@@ -35,7 +35,6 @@ from .potential import (
     GAUGE_TOLERANCE,
     Potential,
     abreu_forward,
-    convexity_margin,
     divergence_form_residual,
 )
 
@@ -72,9 +71,6 @@ class InequalityCheck:
         lhs, rhs = float(lhs), float(rhs)
         ok = lhs <= rhs if relation == "<=" else lhs >= rhs
         return cls(name, lhs, rhs, relation, bool(ok))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -378,10 +374,9 @@ def verify_solution(P: Potential, A: ScalarField) -> VerificationReport:
     def check(name, lhs, rhs, relation="<="):
         checks.append(InequalityCheck.compare(name, lhs, rhs, relation))
 
-    # the guards behind the checks below also reject a margin at the floor
-    margin = convexity_margin(P)
-    floor = CONVEXITY_FLOOR
-    convex = margin > floor
+    # the one convexity test, which the guards behind the checks below use
+    state, floor = P.hessian_state, CONVEXITY_FLOOR
+    margin, convex = state.min_eigenvalue, state.convex
     checks.append(InequalityCheck("convexity-margin", margin, floor, ">=", convex))
     if not convex:
         report = report.merge(BoundsReport(inequalities=tuple(checks)))
@@ -414,7 +409,7 @@ def verify_solution(P: Potential, A: ScalarField) -> VerificationReport:
         )
         # det u at the preimages of the dual nodes; the pullbacks reuse
         # the one inversion of P made by the transform
-        det_u = pullback_rhs(ScalarField(P.grid, P.hessian_state.det), P)
+        det_u = pullback_rhs(ScalarField(P.grid, state.det), P)
         defect = np.max(np.abs(V.hessian_state.det * det_u.values - 1.0))
         check("determinant-duality", float(defect), _DUALITY_TOLERANCE)
         atilde = pullback_rhs(A, P)
@@ -426,7 +421,7 @@ def verify_solution(P: Potential, A: ScalarField) -> VerificationReport:
         lower = lower_bound_monitor(V, atilde)
         report = report.merge(upper).merge(lower)
     except NotConvex as exc:
-        # raised at min eigenvalue <= CONVEXITY_FLOOR, the floor of every guard
+        # raised where the dual's HessianState.convex is False
         lhs = float(exc.min_eigenvalue)
         checks.append(InequalityCheck("dual-convexity", lhs, floor, ">=", False))
     except GradientInversionFailure as exc:

@@ -14,7 +14,11 @@ cofactor matrix of the Hessian and w = 1/det(u_ab).
 Each per-potential quantity lives on the potential's `HessianState`: the
 determinant and extreme eigenvalues from construction; the inverse, log
 det, the forward field (u^ij)_ij and the congruence weights from first
-use, behind the convexity guard at CONVEXITY_FLOOR.  For n = 3 a
+use, behind the convexity guard.  `HessianState.convex` (smallest
+eigenvalue above CONVEXITY_FLOOR) is the package's one convexity test:
+the guard reads it, and so do the Newton line search, the
+convexity-margin check of `verify_solution` and
+`InvariantMetric.is_positive`.  For n = 3 a
 closed-form screen sends only the nodes near an extreme eigenvalue to
 LAPACK, with results bitwise those of LAPACK on every node.
 """
@@ -217,14 +221,19 @@ class HessianState:
         object.__setattr__(self, "max_eigenvalue", float(hi.max()))
         object.__setattr__(self, "worst_node", tuple(int(i) for i in worst))
 
-    def require_convex(self, floor: float = CONVEXITY_FLOOR) -> None:
-        """Raise NotConvex naming the worst node if min eigenvalue <= floor."""
-        if self.min_eigenvalue <= floor:
+    @property
+    def convex(self) -> bool:
+        """Whether the smallest eigenvalue clears CONVEXITY_FLOOR."""
+        return self.min_eigenvalue > CONVEXITY_FLOOR
+
+    def require_convex(self) -> None:
+        """Raise NotConvex naming the worst node unless `convex`."""
+        if not self.convex:
             raise NotConvex(self.worst_node, self.min_eigenvalue)
 
-    def inverse(self, floor: float = CONVEXITY_FLOOR) -> SymMatrixField:
+    def inverse(self) -> SymMatrixField:
         """Nodewise inverse Hessian, guarded by the convexity floor."""
-        self.require_convex(floor)
+        self.require_convex()
         return self._inverse
 
     @cached_property

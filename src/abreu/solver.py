@@ -47,10 +47,11 @@ from .grid import (
     ScalarField,
     hessian_stack,
     mean,
+    project_mean_zero,
     second_divergence_stack,
     sup_norm,
 )
-from .potential import CONVEXITY_FLOOR, Potential, QuadraticBase, abreu_forward
+from .potential import Potential, QuadraticBase, abreu_forward
 
 __all__ = [
     "SolverConfig",
@@ -135,9 +136,6 @@ class ContinuityStep:
     det_min: float
     det_max: float
     convexity_margin: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -292,8 +290,7 @@ def newton_step(P: Potential, target: ScalarField, forcing: float) -> Potential:
     relative residual `forcing` (the linearization of the forward map is
     -L, so this psi is the descent correction) and backtracks
     alpha = _DAMPING^k, k = 0..10, accepting the first candidate that
-    keeps the convexity margin above the floor and does not increase
-    F_target.
+    is convex (`HessianState.convex`) and does not increase F_target.
     """
     if abs(mean(target)) > MEAN_TOLERANCE:
         raise MeanNotZero(mean(target), MEAN_TOLERANCE)
@@ -310,11 +307,9 @@ def newton_step(P: Potential, target: ScalarField, forcing: float) -> Potential:
     for k in range(11):
         alpha = _DAMPING**k
         trial = P.with_perturbation(P.perturbation.values + alpha * delta)
-        margin = trial.hessian_state.min_eigenvalue
-        last_margin, last_node = margin, trial.hessian_state.worst_node
-        if margin <= CONVEXITY_FLOOR:
-            continue
-        if functional_value(trial, target) <= f_allowed:
+        state = trial.hessian_state
+        last_margin, last_node = state.min_eigenvalue, state.worst_node
+        if state.convex and functional_value(trial, target) <= f_allowed:
             return trial
     raise NotConvex(
         last_node,
@@ -448,9 +443,7 @@ def continuity_solve(
     else:
         if initial_perturbation.grid != A.grid:
             raise ValueError("initial perturbation lives on a different grid")
-        P = Potential(base, ScalarField.zeros(A.grid)).with_perturbation(
-            initial_perturbation.values
-        )
+        P = Potential(base, project_mean_zero(initial_perturbation))
         P.hessian_state.require_convex()
 
     steps: list[ContinuityStep] = []

@@ -90,7 +90,9 @@ class TestClosedForm2x2:
         inv_ref = np.linalg.inv(full)
         cond = eigs[..., -1] / eigs[..., 0]
         inv_tol = 10 * TOL * cond / eigs[..., 0]
-        err = np.abs(state.inverse(0.0).to_full() - inv_ref)
+        # cond reaches 1e8, so eigenvalues may sit under the convexity
+        # floor: check the closed form itself, past the guard
+        err = np.abs(state._inverse.to_full() - inv_ref)
         assert np.all(err <= inv_tol[..., None, None])
 
 

@@ -8,6 +8,9 @@ function-local ones included.
 No function or method imports a package module: the package has no
 import cycle to break, so every module states its dependencies in its
 module-level import block.
+
+Convexity has one test, `HessianState.convex` in potential.py: no other
+module compares against CONVEXITY_FLOOR or a `.min_eigenvalue`.
 """
 
 import ast
@@ -69,6 +72,23 @@ def _function_local_imports(path):
     return sorted(found)
 
 
+def _floor_comparisons(path):
+    """Lines of the comparisons with CONVEXITY_FLOOR or a `.min_eigenvalue`
+    among their operands."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Compare):
+            continue
+        for operand in [node.left, *node.comparators]:
+            if isinstance(operand, ast.Name) and operand.id == "CONVEXITY_FLOOR":
+                found.add(node.lineno)
+            elif isinstance(operand, ast.Attribute) and operand.attr in (
+                "CONVEXITY_FLOOR", "min_eigenvalue"
+            ):
+                found.add(node.lineno)
+    return sorted(found)
+
+
 def test_package_modules_found():
     assert {"estimates.py", "potential.py", "solver.py"} <= {m.name for m in MODULES}
 
@@ -126,3 +146,27 @@ def test_detects_function_local_imports(tmp_path):
         (10, "."),
         (12, "..outer"),
     ]
+
+
+@pytest.mark.parametrize(
+    "path", [m for m in MODULES if m.name != "potential.py"], ids=lambda p: p.name
+)
+def test_no_convexity_floor_comparisons(path):
+    assert _floor_comparisons(path) == []
+
+
+def test_detects_floor_comparisons(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from . import potential\n"
+        "from .potential import CONVEXITY_FLOOR\n"
+        "def f(P, state, margins):\n"
+        "    if state.min_eigenvalue <= CONVEXITY_FLOOR:\n"
+        "        return None\n"
+        "    ok = [m for m in margins if 0.0 < m > potential.CONVEXITY_FLOOR]\n"
+        "    assert P.hessian_state.min_eigenvalue > 0.0\n"
+        "    if state.convex and margins[0] > 1e-8:\n"
+        "        return state.min_eigenvalue, CONVEXITY_FLOOR, ok\n",
+        encoding="utf-8",
+    )
+    assert _floor_comparisons(probe) == [4, 6, 7]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from abreu import estimates
 from abreu import (
     MeanNotZero,
     NotConvex,
@@ -21,7 +22,9 @@ from abreu import (
     mean,
     partial,
     sup_norm,
+    verify_solution,
 )
+from abreu.potential import CONVEXITY_FLOOR
 from tests.support import (
     A_AT_0,
     A_AT_EIGHTH,
@@ -265,6 +268,39 @@ class TestConvexityMargin:
         x = g.axis_coordinates(0)
         P = Potential(QuadraticBase.identity(1), ScalarField(g, np.cos(TWO_PI * x)))
         assert convexity_margin(P) < 0.0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "c, convex",
+        [(CONVEXITY_FLOOR, False), (np.nextafter(CONVEXITY_FLOOR, 1.0), True)],
+        ids=["at-floor", "next-above"],
+    )
+    def test_floor_boundary(self, dim, c, convex, monkeypatch):
+        # the flat potential over c I has Hessian c I: min eigenvalue c exactly
+        P = Potential.flat(make_grid(dim, [8] * dim), QuadraticBase(c * np.eye(dim)))
+        state = P.hessian_state
+        assert state.min_eigenvalue == c
+        assert state.convex is convex
+        for use in (state.require_convex, state.inverse, lambda: state.log_det):
+            if convex:
+                use()
+            else:
+                with pytest.raises(NotConvex):
+                    use()
+
+        # the c I base has no Legendre transform onto the unit torus (it does
+        # not preserve the lattice): end verify's duality part there, so the
+        # report of a convex P is returned as well
+        def no_transform(V):
+            raise NotConvex((0,) * dim, 0.0)
+
+        monkeypatch.setattr(estimates, "legendre_transform", no_transform)
+        outcome = verify_solution(P, ScalarField.zeros(P.grid))
+        assert outcome.passed is False
+        check, *rest = outcome.bounds.inequalities
+        assert check.name == "convexity-margin"
+        assert bool(rest) is convex  # the remaining checks run only if convex
+        assert (check.lhs, check.rhs, check.satisfied) == (c, CONVEXITY_FLOOR, convex)
 
     def test_scaled_bases_forward_zero(self):
         # for phi = 0 the operator vanishes for every positive base
