@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .errors import GradientInversionFailure, MonitorViolation, NotConvex
-from .grid import ScalarField, gradient, sup_norm
+from .grid import ScalarField, sup_norm
 from .legendre import dual_residual, legendre_transform, pullback_rhs
 from .potential import (
     CONVEXITY_FLOOR,
@@ -123,8 +123,9 @@ def _sup_magnitude(comps) -> float:
     return float(np.sqrt(sq.max()))
 
 
-def _grad_sup(f: ScalarField) -> float:
-    return _sup_magnitude([g.values for g in gradient(f)])
+def _grad_sup(P: Potential) -> float:
+    """sup |grad phi| from the potential's kept spectral gradient."""
+    return _sup_magnitude([g.values for g in P.perturbation_gradient])
 
 
 def c0_c1_report(P: Potential) -> tuple[float, float, float]:
@@ -137,7 +138,7 @@ def c0_c1_report(P: Potential) -> tuple[float, float, float]:
     phi = P.perturbation
     n = P.grid.dim
     sup_phi = sup_norm(phi)
-    sup_grad_phi = _grad_sup(phi)
+    sup_grad_phi = _grad_sup(P)
     osc = float(phi.values.max() - phi.values.min())
     check = InequalityCheck.compare("oscillation-bound", osc, n + 1e-12)
     if not check.satisfied:
@@ -251,7 +252,7 @@ def choose_beta(V: Potential) -> float:
     covering box [-4,4]^n, where sup|y|^2 = 16 n):
     4 beta^2 (4 sqrt(n) + G)^2 <= beta.
     """
-    return _beta(_grad_sup(V.perturbation), V.grid.dim)
+    return _beta(_grad_sup(V), V.grid.dim)
 
 
 def _beta(g: float, n: int) -> float:
@@ -288,7 +289,7 @@ def lower_bound_monitor(V: Potential, Atilde: ScalarField) -> BoundsReport:
         raise ValueError("bound monitors assume an identity dual base")
     grid = V.grid
     n = grid.dim
-    grads = [g.values for g in gradient(V.perturbation)]
+    grads = [g.values for g in V.perturbation_gradient]
     beta = _beta(_sup_magnitude(grads), n)
     state = V.hessian_state
     L = state.log_det

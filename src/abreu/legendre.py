@@ -12,10 +12,12 @@ trigonometric interpolation (one stacked evaluation of all first or all
 second partials per call).  The identity-map guess x = M^{-1} y is exact
 at phi = 0.  When that guess lies on grid nodes, as it does for the dual
 nodes of a lattice-preserving base, the first Newton step reads grad phi
-(spectral derivatives) and D^2 u (the potential's cached Hessian state)
-at those nodes instead of interpolating them.  Each potential inverts its
-gradient map at the grid nodes once; the transform, the pullback and the
-checks share that inversion.
+(the potential's kept spectral gradient) and D^2 u (its cached Hessian
+state) at those nodes instead of interpolating them.  Each point keeps
+its Hessian across steps and has D^2 u interpolated again only where its
+last step predicts that the kept one would miss the tolerance.  Each
+potential inverts its gradient map at the grid nodes once; the
+transform, the pullback and the checks share that inversion.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .grid import (
     PeriodicGrid,
     ScalarField,
     TrigInterpolant,
-    gradient,
     project_mean_zero,
     triangle_pairs,
     triangle_to_full,
@@ -95,7 +96,7 @@ class _GradientEvaluator:
         cached Hessian state gathered there, with no interpolation."""
         P = self.potential
         at = tuple(nodes.T)
-        grad_phi = np.stack([g.values[at] for g in gradient(P.perturbation)], -1)
+        grad_phi = np.stack([g.values[at] for g in P.perturbation_gradient], -1)
         hess = P.hessian_state.hessian.entries[(slice(None),) + at]
         return x @ self.base_matrix + grad_phi, triangle_to_full(hess.T)
 
@@ -150,10 +151,21 @@ def _newton_start(
     return x, None
 
 
+def _target_points(P: Potential, points) -> np.ndarray:
+    """`points` as a (P, n) float array; ValueError unless n = grid.dim."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2:
+        raise ValueError(f"points must be a (P, n) array, got shape {pts.shape}")
+    if pts.shape[1] != P.grid.dim:
+        raise ValueError(
+            f"points have dimension {pts.shape[1]}, grid has {P.grid.dim}"
+        )
+    return pts
+
+
 def gradient_map(P: Potential, points) -> np.ndarray:
     """Evaluate y = grad u at a (P, n) array of points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return _GradientEvaluator(P).grad_u(pts)
+    return _GradientEvaluator(P).grad_u(_target_points(P, points))
 
 
 def gradient_map_inverse(P: Potential, points) -> np.ndarray:
@@ -162,33 +174,45 @@ def gradient_map_inverse(P: Potential, points) -> np.ndarray:
     Strict convexity makes the root unique; backtracking halves the step
     wherever the residual fails to decrease.  Newton starts at x = M^{-1} y
     (`_newton_start`); when every start lies on a grid node, the residual
-    and Hessian of the first step are the spectral ones at those nodes,
-    and later steps interpolate.  A point whose 40 halvings all fail would
-    repeat the same step, so it leaves the iteration.  Raises
-    GradientInversionFailure naming the target point with the largest
-    residual left after _INVERSION_MAX_ITERS iterations (and its grid node
-    when the point is one).
+    and Hessian of the first step are the spectral ones at those nodes.
+
+    Each point keeps its Hessian across steps (simplified Newton).  With
+    r the residual now and r' the one before the point's last accepted
+    step, r^2 / r' estimates the residual after one more step with the
+    kept Hessian, so the kept one is reused while it is fresh (evaluated
+    at the current x) or r^2 <= _INVERSION_TOLERANCE r'; every other
+    point gets D^2 u interpolated anew, in one stacked call.  A line
+    search whose 40 halvings all fail refreshes a kept Hessian; with a
+    fresh one it would repeat the same step, so the point leaves the
+    iteration.  Raises GradientInversionFailure naming the target point
+    with the largest residual left after _INVERSION_MAX_ITERS iterations
+    (and its grid node when the point is one).
     """
     ev = _GradientEvaluator(P)
-    y = np.atleast_2d(np.asarray(points, dtype=float))
+    y = _target_points(P, points)
     x, nodes = _newton_start(P, y)
+    n = P.grid.dim
     if nodes is None:
-        residual, start_hessian = ev.grad_u(x), None
+        residual, hess = ev.grad_u(x), np.empty((len(y), n, n))
     else:
-        residual, start_hessian = ev.at_nodes(x, nodes)
+        residual, hess = ev.at_nodes(x, nodes)
+    fresh = np.full(len(y), nodes is not None)
     residual -= y
     rnorm = np.max(np.abs(residual), axis=1)
+    # residual before the last accepted step; 0 (no estimate) forces a
+    # refresh of a kept Hessian
+    before = np.zeros(len(y))
     stuck = np.zeros(len(y), dtype=bool)
     for _ in range(_INVERSION_MAX_ITERS):
         active = (rnorm > _INVERSION_TOLERANCE) & ~stuck
         if not active.any():
             break
+        refresh = active & ~fresh & (rnorm * rnorm > _INVERSION_TOLERANCE * before)
+        if refresh.any():
+            hess[refresh] = ev.hess_u(x[refresh])
+            fresh |= refresh
         idx = np.flatnonzero(active)
-        if start_hessian is None:
-            h = ev.hess_u(x[idx])
-        else:
-            h, start_hessian = start_hessian[idx], None
-        step = np.linalg.solve(h, -residual[idx][..., None])[..., 0]
+        step = np.linalg.solve(hess[idx], -residual[idx][..., None])[..., 0]
         scale = np.ones(len(idx))
         remaining = np.arange(len(idx))
         for _ in range(40):
@@ -199,12 +223,16 @@ def gradient_map_inverse(P: Potential, points) -> np.ndarray:
             good = idx[remaining[improved]]
             x[good] = trial[improved]
             residual[good] = trial_res[improved]
+            before[good] = rnorm[good]
             rnorm[good] = trial_norm[improved]
+            fresh[good] = False
             remaining = remaining[~improved]
             if remaining.size == 0:
                 break
             scale[remaining] *= 0.5
-        stuck[idx[remaining]] = True
+        failed = idx[remaining]
+        stuck[failed] = fresh[failed]
+        before[failed] = 0.0
     if not (rnorm > _INVERSION_TOLERANCE).any():
         return x
     worst = int(np.argmax(rnorm))

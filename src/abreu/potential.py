@@ -20,7 +20,8 @@ the guard reads it, and so do the Newton line search, the
 convexity-margin check of `verify_solution` and
 `InvariantMetric.is_positive`.  For n = 3 a
 closed-form screen sends only the nodes near an extreme eigenvalue to
-LAPACK, with results bitwise those of LAPACK on every node.
+LAPACK, with results bitwise those of LAPACK on every node.  The spectral
+gradient of phi is kept on the potential beside its Hessian state.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .grid import (
     PeriodicGrid,
     ScalarField,
     SymMatrixField,
+    gradient,
     hessian,
     hessian_stack,
     mean,
@@ -147,6 +149,12 @@ class Potential:
     def hessian_state(self) -> "HessianState":
         """Hessian quantities of this potential, built on first use and kept."""
         return HessianState(hessian_u(self))
+
+    @cached_property
+    def perturbation_gradient(self) -> tuple[ScalarField, ...]:
+        """Spectral first partials of phi (read-only fields, one per axis),
+        built on first use and kept."""
+        return tuple(gradient(self.perturbation))
 
 
 def hessian_u(P: Potential) -> SymMatrixField:

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from abreu import estimates, legendre
+from abreu import abelian, estimates, grid, legendre, potential, solver
 from abreu import (
     GradientInversionFailure,
     NotConvex,
@@ -266,6 +266,43 @@ class TestOneInversionPerPotential:
         pullback_rhs(ScalarField.zeros(g), P)
         assert len(built) == 1 and built[0] is P
         assert sum(inversions.values()) == 1
+
+
+class TestOneGradientPerPotential:
+    def test_verify_takes_one_gradient_per_potential(self, monkeypatch):
+        # every module binding of grid.gradient is spied on
+        fields = []
+        gradient = grid.gradient
+
+        def spy(f):
+            fields.append(f.values.tobytes())
+            return gradient(f)
+
+        for module in (grid, potential, legendre, estimates, abelian, solver):
+            if getattr(module, "gradient", None) is gradient:
+                monkeypatch.setattr(module, "gradient", spy)
+        g = make_grid(2, [16, 16])
+        a = ScalarField.from_function(
+            g, lambda x, y: 0.5 * (np.cos(TWO_PI * x) + np.cos(TWO_PI * y))
+        )
+        P, _ = continuity_solve(a)
+        P = Potential(P.base, P.perturbation)  # nothing kept from the solve
+        fields.clear()
+        outcome = verify_solution(P, a)
+        assert outcome.passed
+        assert len(fields) == 2 and len(set(fields)) == 2
+        assert fields[0] == P.perturbation.values.tobytes()
+
+    def test_gradient_is_kept_read_only(self):
+        g = make_grid(2, [16, 16])
+        P = random_convex_potential(g, np.random.default_rng(5), margin=0.5)
+        grads = P.perturbation_gradient
+        assert P.perturbation_gradient is grads and len(grads) == 2
+        for g_axis in grads:
+            assert not g_axis.values.flags.writeable
+        assert c0_c1_report(P)[1] == pytest.approx(
+            np.sqrt(np.max(grads[0].values**2 + grads[1].values**2))
+        )
 
 
 def _below_floor_candidate():

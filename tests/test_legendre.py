@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abreu import (
     GradientInversionFailure,
@@ -96,6 +98,36 @@ class TestGradientMap:
                 evaluate(P, [[bad]])
 
 
+class TestPointShape:
+    @pytest.mark.parametrize(
+        "dim, points", [(2, np.full((3, 3), 0.25)), (1, np.array([0.1, 0.2, 0.3]))]
+    )
+    def test_wrong_dimension_raises_before_the_start(self, dim, points, monkeypatch):
+        g = make_grid(dim, [16] * dim)
+        P = random_convex_potential(g, np.random.default_rng(1), margin=0.5)
+
+        def no_start(P, y):
+            raise AssertionError("the start solve ran")
+
+        monkeypatch.setattr(legendre, "_newton_start", no_start)
+        message = f"points have dimension 3, grid has {dim}"
+        for evaluate in (gradient_map, gradient_map_inverse):
+            with pytest.raises(ValueError, match=message):
+                evaluate(P, points)
+
+    def test_stacked_points_raise(self):
+        P = Potential.flat(make_grid(2, [16, 16]))
+        for evaluate in (gradient_map, gradient_map_inverse):
+            with pytest.raises(ValueError, match=r"\(P, n\) array"):
+                evaluate(P, np.full((2, 2, 2), 0.25))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_no_points(self, dim):
+        g = make_grid(dim, [8] * dim)
+        P = random_convex_potential(g, np.random.default_rng(1), margin=0.5)
+        assert gradient_map_inverse(P, np.empty((0, dim))).shape == (0, dim)
+
+
 class TestInversionFailure:
     def test_names_the_failing_target_point(self, monkeypatch):
         g = make_grid(2, [16, 16])
@@ -172,6 +204,41 @@ class TestStuckPoint:
         assert len(grad_calls) <= 45
 
 
+    def test_kept_hessian_is_refreshed_before_the_point_is_stuck(self, monkeypatch):
+        # the target is a node, so the first step uses the node Hessian; it
+        # lands where the residual is held at 5e-12, which predicts that the
+        # kept Hessian converges, but every step from there fails
+        g = make_grid(2, [16, 16])
+        P = random_convex_potential(g, np.random.default_rng(3), margin=0.999)
+        y = np.array([[3 / 16, 5 / 16]])
+        solution = gradient_map_inverse(P, y)[0]
+        events = []
+
+        class Stalling(legendre._GradientEvaluator):
+            def grad_u(self, x):
+                events.append(("grad", len(x)))
+                out = super().grad_u(x)
+                out[np.max(np.abs(x - solution), axis=1) < 1e-3] = y[0] + 5e-12
+                return out
+
+            def hess_u(self, x):
+                events.append(("hess", len(x)))
+                return super().hess_u(x)
+
+        monkeypatch.setattr(legendre, "_GradientEvaluator", Stalling)
+        with pytest.raises(GradientInversionFailure) as info:
+            gradient_map_inverse(P, y)
+        exc = info.value
+        assert exc.point == tuple(y[0])
+        assert exc.residual == np.max(np.abs(y[0] + 5e-12 - y[0]))
+        assert exc.tolerance == legendre._INVERSION_TOLERANCE
+        assert exc.node == (3, 5)
+        # accepted node step, 40 failed halvings with the kept Hessian, one
+        # refresh, 40 failed halvings with the fresh one
+        search = [("grad", 1)] * 40
+        assert events == [("grad", 1)] + search + [("hess", 1)] + search
+
+
 @pytest.fixture
 def partials_calls(monkeypatch):
     """Points passed to every TrigInterpolant.partials call, while active."""
@@ -180,6 +247,21 @@ def partials_calls(monkeypatch):
 
     def spy(self, points, orders):
         calls.append(np.array(points, dtype=float))
+        return partials(self, points, orders)
+
+    monkeypatch.setattr(TrigInterpolant, "partials", spy)
+    return calls
+
+
+@pytest.fixture
+def partials_orders(monkeypatch):
+    """(points, highest derivative order) of every TrigInterpolant.partials
+    call, while active."""
+    calls = []
+    partials = TrigInterpolant.partials
+
+    def spy(self, points, orders):
+        calls.append((np.array(points, dtype=float), max(map(sum, orders))))
         return partials(self, points, orders)
 
     monkeypatch.setattr(TrigInterpolant, "partials", spy)
@@ -282,6 +364,73 @@ class TestNodeStart:
         y = g.node_points() + 1.0 / (3 * g.resolution[0])
         x = gradient_map_inverse(P, y)
         assert np.array_equal(partials_calls[0], y)
+        assert np.max(_gradient_residual(P, x, y)) <= legendre._INVERSION_TOLERANCE
+
+
+class TestKeptHessian:
+    """Each point keeps its Hessian and re-interpolates D^2 u only where
+    r^2 > _INVERSION_TOLERANCE r', r' the residual before the last step."""
+
+    @pytest.mark.parametrize("shape", [(32, 32), (16, 16, 16)])
+    def test_small_perturbation_interpolates_no_hessian(self, shape, partials_orders):
+        g = make_grid(len(shape), list(shape))
+        P = random_convex_potential(g, np.random.default_rng(0), margin=0.999)
+        y = g.node_points()
+        x = gradient_map_inverse(P, y)
+        assert partials_orders
+        assert all(order == 1 for _, order in partials_orders)
+        assert np.max(_gradient_residual(P, x, y)) <= legendre._INVERSION_TOLERANCE
+
+    def test_large_perturbation_refreshes_some_hessians(self, partials_orders):
+        g = make_grid(2, [32, 32])
+        P = random_convex_potential(g, np.random.default_rng(0), margin=0.05)
+        y = g.node_points()
+        x = gradient_map_inverse(P, y)
+        refreshed = [len(pts) for pts, order in partials_orders if order == 2]
+        assert refreshed and refreshed[0] <= len(y)
+        assert np.max(_gradient_residual(P, x, y)) <= legendre._INVERSION_TOLERANCE
+
+    @pytest.mark.parametrize("shape", [(32,), (16, 16), (8, 8, 8)])
+    def test_off_grid_targets_interpolate_hessian_first(self, shape, partials_orders):
+        g = make_grid(len(shape), list(shape))
+        P = random_convex_potential(g, np.random.default_rng(1), margin=0.999)
+        y = g.node_points() + 1.0 / (3 * g.resolution[0])
+        x = gradient_map_inverse(P, y)
+        (start, first), (at, second) = partials_orders[:2]
+        assert first == 1 and second == 2
+        assert np.array_equal(start, y) and np.array_equal(at, y)
+        assert np.max(_gradient_residual(P, x, y)) <= legendre._INVERSION_TOLERANCE
+
+
+@st.composite
+def _inversion_cases(draw):
+    """A random band-limited convex potential on a grid of 8 to 16 points
+    per axis, and targets on the nodes, off them, or both."""
+    dim = draw(st.integers(1, 3))
+    shape = draw(st.lists(st.sampled_from([8, 10, 12, 16]), min_size=dim, max_size=dim))
+    g = make_grid(dim, shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    margin = draw(st.floats(0.02, 0.999))
+    P = random_convex_potential(g, rng, margin=margin, max_mode=draw(st.integers(1, 3)))
+    nodes = g.node_points()
+    count = draw(st.integers(1, 40))
+    on = nodes[rng.choice(len(nodes), size=count)]
+    off = rng.uniform(-1.0, 2.0, size=(count, dim))
+    targets = {"nodes": on, "off": off, "mixed": np.concatenate([on, off])}
+    return P, targets[draw(st.sampled_from(sorted(targets)))]
+
+
+class TestInversionProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(case=_inversion_cases())
+    def test_meets_tolerance_or_fails_cleanly(self, case):
+        P, y = case
+        try:
+            x = gradient_map_inverse(P, y)
+        except GradientInversionFailure as exc:
+            assert exc.residual > exc.tolerance
+            return
+        assert x.shape == y.shape
         assert np.max(_gradient_residual(P, x, y)) <= legendre._INVERSION_TOLERANCE
 
 

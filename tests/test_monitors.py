@@ -22,6 +22,7 @@ from abreu import (
     estimates,
     lower_bound_monitor,
     make_grid,
+    potential,
     upper_bound_monitor,
 )
 from tests.support import random_convex_potential
@@ -147,13 +148,15 @@ class TestMonitorGradients:
         g = make_grid(2, [16, 16])
         V = random_convex_potential(g, np.random.default_rng(4), margin=0.5)
         calls = []
-        gradient = estimates.gradient
+        gradient = potential.gradient
 
         def spy(f):
             calls.append(f)
             return gradient(f)
 
-        monkeypatch.setattr(estimates, "gradient", spy)
+        # the gradient is kept on the potential, so choose_beta takes none
+        monkeypatch.setattr(potential, "gradient", spy)
         report = lower_bound_monitor(V, ScalarField.zeros(g))
         assert len(calls) == 1 and calls[0] is V.perturbation
         assert report.beta == choose_beta(V)
+        assert len(calls) == 1
