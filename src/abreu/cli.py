@@ -12,6 +12,7 @@ the process starts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -70,6 +71,8 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# built once per process; parse_args keeps no state between calls
+@functools.cache
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="abreu",

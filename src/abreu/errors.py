@@ -51,7 +51,7 @@ class LinearSolveFailure(AbreuError):
 
 
 class StepFloorReached(AbreuError):
-    """Continuation step size fell below the configured floor."""
+    """Continuation step size fell below the solver's fixed step floor."""
 
     def __init__(self, last_good_t, min_t_step):
         self.last_good_t = float(last_good_t)

@@ -49,6 +49,13 @@ __all__ = [
 _TWO_PI = 2.0 * np.pi
 
 
+def _whole(value, name: str) -> int:
+    """`value` as an int; ValueError naming it unless it is a whole number."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PeriodicGrid:
     """Uniform tensor grid on [0,1]^n with wraparound index arithmetic.
@@ -63,11 +70,16 @@ class PeriodicGrid:
     resolution: tuple[int, ...]
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"grid dimension must be >= 1, got {self.dim}")
-        res = tuple(int(n) for n in self.resolution)
+        dim = _whole(self.dim, "grid dimension")
+        if dim < 1:
+            raise ValueError(f"grid dimension must be >= 1, got {dim}")
+        res = tuple(
+            _whole(n, f"resolution along axis {axis}")
+            for axis, n in enumerate(self.resolution)
+        )
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "resolution", res)
-        if len(res) != self.dim:
+        if len(res) != dim:
             raise ValueError(
                 f"expected {self.dim} per-axis resolutions, got {len(res)}"
             )
@@ -117,10 +129,10 @@ class PeriodicGrid:
 
 
 def make_grid(dim: int, resolution) -> PeriodicGrid:
-    """Create a periodic grid; rejects odd or undersized resolutions."""
+    """Create a periodic grid; rejects odd, undersized or fractional sizes."""
     if np.isscalar(resolution):
-        resolution = (int(resolution),) * dim
-    return PeriodicGrid(dim=int(dim), resolution=tuple(int(n) for n in resolution))
+        resolution = (resolution,) * _whole(dim, "grid dimension")
+    return PeriodicGrid(dim=dim, resolution=tuple(resolution))
 
 
 def _freeze(values: np.ndarray) -> np.ndarray:

@@ -6,18 +6,18 @@ form y^T M^{-1} y / 2 + psi with psi periodic.  The dual potential is
 sampled on its own uniform grid (same resolution), which keeps it a
 first-class object for all spectral calculus.
 
-Gradient-map inversion runs a damped Newton iteration per dual node,
-vectorized over nodes, with grad phi and D^2 phi evaluated off-grid by
+Gradient-map inversion runs a damped Newton iteration per target point,
+vectorized over points, with grad phi and D^2 phi evaluated off-grid by
 trigonometric interpolation (one stacked evaluation of all first or all
-second partials per call).  The identity-map guess x = M^{-1} y is exact
-at phi = 0.  When that guess lies on grid nodes, as it does for the dual
-nodes of a lattice-preserving base, the first Newton step reads grad phi
-(the potential's kept spectral gradient) and D^2 u (its cached Hessian
-state) at those nodes instead of interpolating them.  Each point keeps
-its Hessian across steps and has D^2 u interpolated again only where its
-last step predicts that the kept one would miss the tolerance.  Each
-potential inverts its gradient map at the grid nodes once; the
-transform, the pullback and the checks share that inversion.
+second partials per call).  Every target y starts at the grid node
+nearest M^{-1} y, the identity-map guess that is exact at phi = 0, so the
+first Newton step reads grad phi (the potential's kept spectral gradient)
+and D^2 u (its cached Hessian state) at that node instead of
+interpolating them.  Each point keeps its Hessian across steps and has
+D^2 u interpolated again only where its last step predicts that the kept
+one would miss the tolerance.  Each potential inverts its gradient map at
+the grid nodes once; the transform, the pullback and the checks share
+that inversion.
 """
 
 from __future__ import annotations
@@ -106,10 +106,12 @@ def _node_preimages(P: Potential) -> np.ndarray:
 
     Kept read-only in P's instance dict (as `functools.cached_property`
     keeps `Potential.hessian_state`), so the transform, pullbacks and
-    checks of one potential share one inversion.
+    checks of one potential share one inversion.  Raises ValueError
+    unless the base preserves the integer lattice.
     """
     cache = vars(P)
     if "_node_preimages" not in cache:
+        _check_dual_lattice(P.base)
         x = gradient_map_inverse(P, P.grid.node_points())
         x.setflags(write=False)
         cache["_node_preimages"] = x
@@ -117,42 +119,25 @@ def _node_preimages(P: Potential) -> np.ndarray:
 
 
 def _grid_nodes(grid: PeriodicGrid, points: np.ndarray) -> np.ndarray | None:
-    """Multi-indices (mod N) of the grid nodes at a (P, dim) array of
-    points, one row per point; None unless every point is exactly a node
-    (up to periodicity), so None for any non-finite point."""
+    """Multi-indices (mod N) of the grid nodes at a (P, dim) array of points;
+    None unless every point is exactly a node (up to periodicity)."""
     res = np.array(grid.resolution)
     j = np.rint(points * res)
-    on_nodes = np.isfinite(j).all() and np.array_equal(j / res, points)
-    return (j % res).astype(int) if on_nodes else None
+    return (j % res).astype(int) if np.array_equal(j / res, points) else None
 
 
-def _newton_start(
-    P: Potential, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Newton start x = M^{-1} y, exact at phi = 0, and the multi-indices of
-    its grid nodes when every start lies on one (else None).
-
-    For an integer M and node targets y the exact start is a node j/N
-    whenever M maps j/N onto y, but the solve may round it off that node.
-    Such starts are snapped to j/N when M (j/N) = y holds exactly, checked
-    on integers after scaling by the lcm of the resolutions.
-    """
-    mat = P.base.matrix
-    x = np.linalg.solve(mat, y.T).T
-    nodes = _grid_nodes(P.grid, x)
-    integer = np.array_equal(mat, np.rint(mat))
-    if nodes is not None or not integer or _grid_nodes(P.grid, y) is None:
-        return x, nodes
+def _newton_start(P: Potential, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton start at the grid node j/N nearest M^{-1} y (the exact root at
+    phi = 0), and its multi-index j mod N, one row per target."""
     res = np.array(P.grid.resolution)
-    scale = np.lcm.reduce(res) // res
-    j, target = np.rint(x * res), np.rint(y * res)
-    if np.array_equal((j * scale) @ mat.T, target * scale):
-        return j / res, (j % res).astype(int)
-    return x, None
+    j = np.rint(np.linalg.solve(P.base.matrix, y.T).T * res)
+    if not np.isfinite(j).all():
+        raise ValueError("target points too large: M^{-1} y N overflows")
+    return j / res, (j % res).astype(int)
 
 
 def _target_points(P: Potential, points) -> np.ndarray:
-    """`points` as a (P, n) float array; ValueError unless n = grid.dim."""
+    """`points` as a finite (P, grid.dim) float array, else ValueError."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2:
         raise ValueError(f"points must be a (P, n) array, got shape {pts.shape}")
@@ -160,6 +145,8 @@ def _target_points(P: Potential, points) -> np.ndarray:
         raise ValueError(
             f"points have dimension {pts.shape[1]}, grid has {P.grid.dim}"
         )
+    if not np.isfinite(pts).all():
+        raise ValueError("evaluation points must be finite")
     return pts
 
 
@@ -172,18 +159,18 @@ def gradient_map_inverse(P: Potential, points) -> np.ndarray:
     """Solve grad u(x) = y for each row y of `points` by damped Newton.
 
     Strict convexity makes the root unique; backtracking halves the step
-    wherever the residual fails to decrease.  Newton starts at x = M^{-1} y
-    (`_newton_start`); when every start lies on a grid node, the residual
-    and Hessian of the first step are the spectral ones at those nodes.
+    wherever the residual fails to decrease.  Each point starts at the
+    grid node nearest M^{-1} y (`_newton_start`), so the residual and
+    Hessian of its first step are the spectral ones at that node.
 
     Each point keeps its Hessian across steps (simplified Newton).  With
     r the residual now and r' the one before the point's last accepted
     step, r^2 / r' estimates the residual after one more step with the
     kept Hessian, so the kept one is reused while it is fresh (evaluated
-    at the current x) or r^2 <= _INVERSION_TOLERANCE r'; every other
-    point gets D^2 u interpolated anew, in one stacked call.  A line
-    search whose 40 halvings all fail refreshes a kept Hessian; with a
-    fresh one it would repeat the same step, so the point leaves the
+    at the current x, as at the start) or r^2 <= _INVERSION_TOLERANCE r';
+    every other point gets D^2 u interpolated anew, in one stacked call.
+    A line search whose 40 halvings all fail refreshes a kept Hessian; with
+    a fresh one it would repeat the same step, so the point leaves the
     iteration.  Raises GradientInversionFailure naming the target point
     with the largest residual left after _INVERSION_MAX_ITERS iterations
     (and its grid node when the point is one).
@@ -191,12 +178,8 @@ def gradient_map_inverse(P: Potential, points) -> np.ndarray:
     ev = _GradientEvaluator(P)
     y = _target_points(P, points)
     x, nodes = _newton_start(P, y)
-    n = P.grid.dim
-    if nodes is None:
-        residual, hess = ev.grad_u(x), np.empty((len(y), n, n))
-    else:
-        residual, hess = ev.at_nodes(x, nodes)
-    fresh = np.full(len(y), nodes is not None)
+    residual, hess = ev.at_nodes(x, nodes)
+    fresh = np.ones(len(y), dtype=bool)
     residual -= y
     rnorm = np.max(np.abs(residual), axis=1)
     # residual before the last accepted step; 0 (no estimate) forces a
@@ -248,7 +231,6 @@ def legendre_transform(P: Potential) -> Potential:
     v(y) = x.y - u(x); psi is returned in mean-zero gauge.  Applying the
     transform twice recovers the original potential (convex involution).
     """
-    _check_dual_lattice(P.base)
     grid = P.grid
     dual_base = P.base.inverse()
     y = grid.node_points()
@@ -268,7 +250,6 @@ def pullback_rhs(A: ScalarField, P: Potential) -> ScalarField:
     its sup over dual nodes cannot exceed sup|A| beyond interpolation
     error.
     """
-    _check_dual_lattice(P.base)
     vals = TrigInterpolant(A).evaluate(_node_preimages(P))
     return ScalarField(P.grid, vals.reshape(P.grid.shape))
 

@@ -19,6 +19,7 @@ from abreu import (
     MeanNotZero,
     MonitorViolation,
     NotConvex,
+    SolverConfig,
     StepFloorReached,
     fieldfile,
     read_field,
@@ -265,6 +266,51 @@ def test_exit_code_of_each_error(tmp_path, monkeypatch, capsys, error, code):
     assert main(["synth", "--dim", "1", "--resolution", "16", "--expr", "0",
                  "--out", str(tmp_path / "f.fld")]) == code
     assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_exit_code_table_is_unchanged():
+    assert list(abreu.cli._EXIT_CODES.items()) == [
+        (MeanNotZero, 2),
+        (StepFloorReached, 3),
+        (NotConvex, 3),
+        (LinearSolveFailure, 3),
+        (GradientInversionFailure, 3),
+        (MonitorViolation, 3),
+        (AbreuError, 1),
+        (OSError, 1),
+        (ValueError, 1),
+    ]
+
+
+class TestParserReuse:
+    """The parser is built once per process; each main call parses afresh."""
+
+    def test_built_once(self):
+        assert abreu.cli._build_parser() is abreu.cli._build_parser()
+
+    def test_calls_parse_independently(self, tmp_path):
+        grid = ["--dim", "1", "--resolution", "16", "--expr", "0.5 + cos(2*pi*x1)"]
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        code = main(["solve", *grid, "--tol", "1e-8", "--project-mean",
+                     "--out", str(tmp_path / "a.fld"), "--report", str(first)])
+        assert code == 0
+        assert json.loads(first.read_text())["config"] == {"newton_tolerance": 1e-8}
+        # neither --project-mean nor --tol carries over to the next call
+        code = main(["solve", *grid, "--out", str(tmp_path / "b.fld"),
+                     "--report", str(second)])
+        assert code == 2 and not second.exists()
+        grid[-1] = "cos(2*pi*x1)"
+        assert main(["solve", *grid, "--out", str(tmp_path / "c.fld"),
+                     "--report", str(second)]) == 0
+        config = json.loads(second.read_text())["config"]
+        assert config == {"newton_tolerance": SolverConfig().newton_tolerance}
+
+    def test_usage_error_still_exits_1(self, tmp_path, capsys):
+        for _ in range(2):
+            assert main(["solve", "--frobnicate"]) == 1
+            assert "usage: abreu solve" in capsys.readouterr().err
+        assert main(["synth", "--dim", "1", "--resolution", "16", "--expr", "0",
+                     "--out", str(tmp_path / "f.fld")]) == 0
 
 
 def test_console_entry_point(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abreu import (
+    PeriodicGrid,
     ScalarField,
     SymMatrixField,
     interpolate,
@@ -47,6 +48,23 @@ class TestMakeGrid:
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError):
             make_grid(0, [])
+
+    def test_rejects_non_integral_sizes(self):
+        for build, dim, resolution, value in [
+            (make_grid, 2, 64.5, "64.5"),
+            (make_grid, 2.9, [16, 16], "2.9"),
+            (make_grid, 2, [16, 16.7], "16.7"),
+            (PeriodicGrid, 2.9, (16, 16), "2.9"),
+            (PeriodicGrid, 2, (16.7, 16), "16.7"),
+        ]:
+            with pytest.raises(ValueError, match=f"whole number, got {value}"):
+                build(dim, resolution)
+
+    def test_integral_sizes_of_any_type(self):
+        g = make_grid(np.int64(2), [np.int32(16), 16.0])
+        assert g == make_grid(2, 16) == PeriodicGrid(2.0, (np.uint64(16), 16))
+        assert type(g.dim) is int
+        assert all(type(n) is int for n in g.resolution)
 
     def test_wrap_into_fundamental_domain(self):
         g = make_grid(2, [8, 8])

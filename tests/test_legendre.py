@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from abreu import (
@@ -91,11 +91,19 @@ class TestGradientMap:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_raise_in_1d(self, bad):
-        # in 1D the start M^{-1} y of an infinite y is infinite itself
+        # a non-finite target is rejected before its start node is rounded
         P = manufactured_potential(32)
         for evaluate in (gradient_map, gradient_map_inverse):
             with pytest.raises(ValueError, match="finite"):
                 evaluate(P, [[bad]])
+
+
+    def test_overflowing_start_raises(self):
+        # finite targets whose start node index M^{-1} y N overflows
+        g = make_grid(2, [16, 16])
+        P = Potential.flat(g, QuadraticBase(np.array([[2.0, 1.0], [1.0, 1.0]])))
+        with pytest.raises(ValueError, match="too large"):
+            gradient_map_inverse(P, [[1e308, -1e308]])
 
 
 class TestPointShape:
@@ -177,19 +185,26 @@ class TestInversionFailure:
 
 class TestStuckPoint:
     def test_stuck_point_leaves_the_iteration(self, monkeypatch):
-        # the stalled target's residual cannot drop below 5e-12, so every
-        # line search on it fails; the other targets converge at the start
+        # the stalled target's residual cannot drop below 5e-12, from its
+        # start node (0.02 away) on, so every line search on it fails; the
+        # other targets converge in one step
         g = make_grid(2, [16, 16])
         stalled = np.array([0.31, 0.77])
         ys = np.array([[0.1, 0.2], stalled, [0.6, 0.45]])
         grad_calls = []
 
+        def stall(x, grad):
+            grad[np.max(np.abs(x - stalled), axis=1) < 0.05] = stalled + 5e-12
+            return grad
+
         class Stalling(legendre._GradientEvaluator):
             def grad_u(self, x):
                 grad_calls.append(len(x))
-                out = super().grad_u(x)
-                out[np.max(np.abs(x - stalled), axis=1) < 0.01] = stalled + 5e-12
-                return out
+                return stall(x, super().grad_u(x))
+
+            def at_nodes(self, x, nodes):
+                grad, hess = super().at_nodes(x, nodes)
+                return stall(x, grad), hess
 
         monkeypatch.setattr(legendre, "_GradientEvaluator", Stalling)
         with pytest.raises(GradientInversionFailure) as info:
@@ -199,10 +214,10 @@ class TestStuckPoint:
         assert exc.residual == np.max(np.abs(stalled + 5e-12 - stalled))
         assert exc.tolerance == legendre._INVERSION_TOLERANCE
         assert exc.node is None
-        # the start, then one line search of 40 halvings; repeating it on
-        # every outer iteration took about 2000 calls
+        # one line search of 40 halvings (its first trial also steps the
+        # other targets); repeating it on every outer iteration took about
+        # 2000 calls
         assert len(grad_calls) <= 45
-
 
     def test_kept_hessian_is_refreshed_before_the_point_is_stuck(self, monkeypatch):
         # the target is a node, so the first step uses the node Hessian; it
@@ -287,8 +302,47 @@ def _unimodular_potential():
 
 
 class TestNodeStart:
-    """Inversions that start on grid nodes take their first Newton step
-    from spectral data: the start points never reach the interpolant."""
+    """Every target starts at the grid node nearest M^{-1} y and takes its
+    first Newton step from spectral data: no start point reaches the
+    interpolant."""
+
+    @pytest.mark.parametrize(
+        "shape, base",
+        [((32,), [[1.0]]), ((16, 16), np.eye(2)), ((8, 8, 8), np.eye(3)),
+         ((48, 48), [[2.0, 1.0], [1.0, 1.0]])],
+        ids=["1d", "2d", "3d", "2d-unimodular"],
+    )
+    @pytest.mark.parametrize("targets", ["nodes", "off", "mixed"])
+    def test_no_start_point_is_interpolated(
+        self, shape, base, targets, monkeypatch, partials_calls
+    ):
+        g = make_grid(len(shape), list(shape))
+        phi = random_convex_potential(g, np.random.default_rng(8), margin=0.9)
+        P = Potential(QuadraticBase(np.array(base)), phi.perturbation)
+        on = g.node_points()
+        off = on + 1.0 / (3 * g.resolution[0])
+        y = {"nodes": on, "off": off, "mixed": np.concatenate([on[::2], off[1::2]])}[
+            targets
+        ]
+        starts = []
+        at_nodes = legendre._GradientEvaluator.at_nodes
+
+        def spy(self, x, nodes):
+            starts.append(x.copy())
+            return at_nodes(self, x, nodes)
+
+        monkeypatch.setattr(legendre._GradientEvaluator, "at_nodes", spy)
+        x = gradient_map_inverse(P, y)
+        (x0,) = starts
+        res = np.array(g.resolution)
+        assert np.array_equal(np.rint(x0 * res) / res, x0)
+        exact = np.linalg.solve(P.base.matrix, y.T).T
+        assert np.all(np.abs(exact - x0) <= 0.5 / res + 1e-12)
+        start = {row.tobytes() for row in x0}
+        assert partials_calls
+        for pts in partials_calls:
+            assert not any(row.tobytes() in start for row in pts)
+        assert np.max(_gradient_residual(P, x, y)) <= legendre._INVERSION_TOLERANCE
 
     @pytest.mark.parametrize("shape", [(32,), (16, 16), (8, 8, 8)])
     def test_identity_base_nodes_skip_interpolation_at_start(
@@ -315,12 +369,9 @@ class TestNodeStart:
             assert not any(row.tobytes() in start for row in pts)
         assert np.max(_gradient_residual(P, x, y)) <= legendre._INVERSION_TOLERANCE
 
-    def test_unimodular_base_starts_on_nodes_where_solve_rounds(
-        self, monkeypatch, partials_calls
-    ):
+    def test_unimodular_base_starts_on_nodes_where_solve_rounds(self, monkeypatch):
         # at 48^2 the solve rounds M^{-1} y off the nodes; the start is
-        # still the node, and the preimages are those of an interpolated
-        # start to the inversion tolerance
+        # still the node
         g = make_grid(2, [48, 48])
         phi = random_convex_potential(g, np.random.default_rng(8), margin=0.9)
         base = QuadraticBase(np.array([[2.0, 1.0], [1.0, 1.0]]))
@@ -340,12 +391,6 @@ class TestNodeStart:
         assert gathered == [len(y)]
         assert np.max(_gradient_residual(P, x, y)) <= legendre._INVERSION_TOLERANCE
 
-        monkeypatch.setattr(legendre, "_newton_start", lambda P, y: (x0.copy(), None))
-        partials_calls.clear()
-        interpolated = gradient_map_inverse(P, y)
-        assert gathered == [len(y)] and np.array_equal(partials_calls[0], x0)
-        assert np.max(np.abs(x - interpolated)) <= legendre._INVERSION_TOLERANCE
-
     def test_identity_base_start_is_the_target(self):
         g = make_grid(2, [48, 48])
         P = random_convex_potential(g, np.random.default_rng(2), margin=0.5)
@@ -353,18 +398,9 @@ class TestNodeStart:
         x, nodes = legendre._newton_start(P, y)
         assert np.array_equal(x, y)
         assert np.array_equal(nodes, legendre._grid_nodes(g, y))
-        off = y + 1.0 / 144.0
-        x, nodes = legendre._newton_start(P, off)
-        assert np.array_equal(x, off) and nodes is None
-
-    @pytest.mark.parametrize("shape", [(32,), (16, 16), (8, 8, 8)])
-    def test_off_grid_targets_interpolate_at_start(self, shape, partials_calls):
-        g = make_grid(len(shape), list(shape))
-        P = random_convex_potential(g, np.random.default_rng(len(shape)), margin=0.5)
-        y = g.node_points() + 1.0 / (3 * g.resolution[0])
-        x = gradient_map_inverse(P, y)
-        assert np.array_equal(partials_calls[0], y)
-        assert np.max(_gradient_residual(P, x, y)) <= legendre._INVERSION_TOLERANCE
+        # an off-grid target starts at its nearest node
+        x, off_nodes = legendre._newton_start(P, y + 1.0 / 144.0)
+        assert np.array_equal(x, y) and np.array_equal(off_nodes, nodes)
 
 
 class TestKeptHessian:
@@ -392,26 +428,37 @@ class TestKeptHessian:
 
     @pytest.mark.parametrize("shape", [(32,), (16, 16), (8, 8, 8)])
     def test_off_grid_targets_interpolate_hessian_first(self, shape, partials_orders):
+        # a target h/3 off its start node: the node Hessian is not kept past
+        # the first step, D^2 u is re-interpolated at the first interpolated
+        # points before any second gradient call
         g = make_grid(len(shape), list(shape))
         P = random_convex_potential(g, np.random.default_rng(1), margin=0.999)
-        y = g.node_points() + 1.0 / (3 * g.resolution[0])
+        nodes = g.node_points()
+        y = nodes + 1.0 / (3 * g.resolution[0])
         x = gradient_map_inverse(P, y)
-        (start, first), (at, second) = partials_orders[:2]
+        (stepped, first), (at, second) = partials_orders[:2]
         assert first == 1 and second == 2
-        assert np.array_equal(start, y) and np.array_equal(at, y)
+        start = {row.tobytes() for row in nodes}
+        assert not any(row.tobytes() in start for row in stepped)
+        assert {row.tobytes() for row in at} <= {row.tobytes() for row in stepped}
         assert np.max(_gradient_residual(P, x, y)) <= legendre._INVERSION_TOLERANCE
 
 
 @st.composite
 def _inversion_cases(draw):
     """A random band-limited convex potential on a grid of 8 to 16 points
-    per axis, and targets on the nodes, off them, or both."""
+    per axis, in 2D also on the unimodular base [[2, 1], [1, 1]] where it
+    stays convex, and targets on the nodes, off them, or both."""
     dim = draw(st.integers(1, 3))
     shape = draw(st.lists(st.sampled_from([8, 10, 12, 16]), min_size=dim, max_size=dim))
     g = make_grid(dim, shape)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     margin = draw(st.floats(0.02, 0.999))
     P = random_convex_potential(g, rng, margin=margin, max_mode=draw(st.integers(1, 3)))
+    if dim == 2 and draw(st.booleans()):
+        base = QuadraticBase(np.array([[2.0, 1.0], [1.0, 1.0]]))
+        P = Potential(base, P.perturbation)
+        assume(P.hessian_state.min_eigenvalue > 0.05)
     nodes = g.node_points()
     count = draw(st.integers(1, 40))
     on = nodes[rng.choice(len(nodes), size=count)]
