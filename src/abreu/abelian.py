@@ -10,7 +10,9 @@ curvature in the real coordinate x is
 and in the Legendre-dual ("symplectic") coordinate t = grad v the same
 function becomes -1/4 times the fourth-order divergence expression of the
 dual potential u(t).  Prescribing S therefore reduces to the fourth-order
-solve in symplectic coordinates followed by a Legendre transform back.
+solve in symplectic coordinates followed by a Legendre transform back;
+the prescribed S must pass `ScalarField.mean_zero`, the grid module's one
+zero-mean test (|mean S| relative to 1 + sup|S|).
 
 Both coordinate samplings of S are exposed: `scalar_curvature` returns the
 x-sampling above, `scalar_curvature_symplectic` the t-sampling, whose
@@ -29,16 +31,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MeanNotZero
-from .grid import ScalarField, mean, project_mean_zero
+from .grid import ScalarField, project_mean_zero
 from .legendre import legendre_transform
 from .potential import Potential, QuadraticBase, abreu_forward
-from .solver import (
-    MEAN_TOLERANCE,
-    ContinuityTrace,
-    SolverConfig,
-    continuity_solve,
-)
+from .solver import ContinuityTrace, SolverConfig, continuity_solve
 
 __all__ = [
     "InvariantMetric",
@@ -112,10 +108,8 @@ def prescribe_curvature(
     with `scalar_curvature_symplectic` the identity on mean-zero-gauged
     metrics, to solver tolerance.
     """
-    if abs(mean(S)) > MEAN_TOLERANCE:
-        raise MeanNotZero(mean(S), MEAN_TOLERANCE)
-    rhs = ScalarField(S.grid, -4.0 * S.values)
-    rhs = project_mean_zero(rhs)  # remove the rounding-level mean remnant
+    S.require_mean_zero()
+    rhs = project_mean_zero(-4.0 * S)  # remove the rounding-level mean remnant
     u_dual, trace = continuity_solve(rhs, QuadraticBase.identity(S.grid.dim), cfg)
     v = legendre_transform(u_dual)
     return InvariantMetric(v.perturbation), trace

@@ -46,7 +46,7 @@ from .potential import (
     abreu_forward,
     divergence_form_residual,
 )
-from .solver import MEAN_TOLERANCE, SolverConfig, continuity_solve
+from .solver import SolverConfig, continuity_solve
 
 # first match wins, so subclasses come before AbreuError
 _EXIT_CODES = {
@@ -150,20 +150,20 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _parse_resolution(text: str):
+def _parse_resolution(text: str, dim: int) -> tuple[int, ...]:
+    """Per-axis node counts of --resolution; a single value holds for all
+    `dim` axes."""
     try:
-        return tuple(int(part) for part in text.split(","))
+        resolution = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse resolution {text!r}") from None
+    return resolution * dim if len(resolution) == 1 else resolution
 
 
 def _grid_from_args(args):
     if args.dim is None or args.resolution is None:
         raise ValueError("--dim and --resolution are required with --expr")
-    resolution = _parse_resolution(args.resolution)
-    if len(resolution) == 1:
-        resolution = resolution * args.dim
-    return make_grid(args.dim, resolution)
+    return make_grid(args.dim, _parse_resolution(args.resolution, args.dim))
 
 
 def _eval_expression(text, grid):
@@ -189,18 +189,13 @@ def _load_field_argument(args, file_attr="rhs", grid=None):
     if path is not None:
         fld = read_field(path)
         if dim is not None and dim != fld.grid.dim:
+            raise ValueError(f"--dim {dim} contradicts {path} (dim {fld.grid.dim})")
+        res = None if resolution is None else _parse_resolution(resolution, fld.grid.dim)
+        if res is not None and res != fld.grid.resolution:
             raise ValueError(
-                f"--dim {dim} contradicts {path} (dim {fld.grid.dim})"
+                f"--resolution {resolution} contradicts {path} "
+                f"(resolution {fld.grid.resolution})"
             )
-        if resolution is not None:
-            res = _parse_resolution(resolution)
-            if len(res) == 1:
-                res = res * fld.grid.dim
-            if res != fld.grid.resolution:
-                raise ValueError(
-                    f"--resolution {resolution} contradicts {path} "
-                    f"(resolution {fld.grid.resolution})"
-                )
         if grid is not None and fld.grid != grid:
             raise ValueError(
                 f"{path} (grid {fld.grid.resolution}) does not match the "
@@ -262,7 +257,7 @@ def _solution_bounds(potential) -> dict:
 def _cmd_solve(args, argv) -> int:
     started = time.perf_counter()
     rhs = _load_field_argument(args, "rhs")
-    if abs(mean(rhs)) > MEAN_TOLERANCE:
+    if not rhs.mean_zero:
         if not args.project_mean:
             sys.stderr.write(
                 f"error: right-hand side has mean {mean(rhs):.3e}; the "
@@ -293,6 +288,7 @@ def _cmd_apply(args, argv) -> int:
 def _cmd_residual(args, argv) -> int:
     P = _load_potential(args.phi)
     rhs = _load_field_argument(args, "rhs", grid=P.grid)
+    rhs.require_mean_zero()
     write_field(args.out, divergence_form_residual(P, rhs))
     return 0
 

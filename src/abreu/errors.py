@@ -24,15 +24,14 @@ class NotConvex(AbreuError):
 
 
 class MeanNotZero(AbreuError):
-    """A right-hand side violated the zero-mean compatibility condition."""
+    """|mean f| exceeded `bound` = MEAN_TOLERANCE * (1 + sup|f|) (grid.py)."""
 
-    def __init__(self, mean_value, tolerance):
+    def __init__(self, mean_value, bound):
         self.mean_value = float(mean_value)
-        self.tolerance = float(tolerance)
+        self.bound = float(bound)
         super().__init__(
-            f"field mean {self.mean_value:.3e} exceeds tolerance "
-            f"{self.tolerance:.1e}; the equation is solvable only for "
-            f"zero-mean right-hand sides"
+            f"field mean {self.mean_value:.3e} exceeds the zero-mean bound "
+            f"{self.bound:.3e}; the equation needs a zero-mean right-hand side"
         )
 
 

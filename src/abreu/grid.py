@@ -15,7 +15,10 @@ Conventions:
     axis, so a real field is evaluated with real products only;
   * quadrature is the plain node average, which integrates trigonometric
     polynomials below Nyquist exactly (the domain has unit volume, so the
-    average equals the integral).
+    average equals the integral);
+  * `ScalarField.mean_zero` is the package's one zero-mean test, relative
+    since a computed mean's rounding grows with sup|f|: solve, Newton
+    step, prescribe, CLI solve/residual, Potential gauge and verify use it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import MeanNotZero
+
 __all__ = [
+    "MEAN_TOLERANCE",
     "PeriodicGrid",
     "ScalarField",
     "SymMatrixField",
@@ -47,6 +53,9 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
+
+#: A field is mean-zero when |mean f| <= MEAN_TOLERANCE * (1 + sup|f|).
+MEAN_TOLERANCE = 1e-10
 
 
 def _whole(value, name: str) -> int:
@@ -158,6 +167,20 @@ class ScalarField:
         if not np.all(np.isfinite(vals)):
             raise ValueError("scalar field contains non-finite values")
         object.__setattr__(self, "values", _freeze(vals))
+
+    @functools.cached_property
+    def mean_bound(self) -> float:
+        """MEAN_TOLERANCE * (1 + sup|f|): the largest |mean| of a mean-zero field."""
+        return MEAN_TOLERANCE * (1.0 + sup_norm(self))
+
+    @functools.cached_property
+    def mean_zero(self) -> bool:
+        """The package's one zero-mean test, kept (the values are read-only)."""
+        return abs(mean(self)) <= self.mean_bound
+
+    def require_mean_zero(self) -> None:
+        if not self.mean_zero:
+            raise MeanNotZero(mean(self), self.mean_bound)
 
     @classmethod
     def zeros(cls, grid: PeriodicGrid) -> "ScalarField":
@@ -575,6 +598,8 @@ class TrigInterpolant:
             )
         if not np.isfinite(pts).all():
             raise ValueError("evaluation points must be finite")
+        if len(orders) == 0:
+            raise ValueError("no partials requested: `orders` is empty")
         stack = self._stack(tuple(_check_axes(grid, axes) for axes in orders))
         block = max(_BLOCK_MIN_POINTS, _BLOCK_BYTES // (8 * stack.shape[1]))
         block = max(1, min(block, pts.shape[0]))

@@ -6,7 +6,9 @@ Solves  sum_ij (u^ij)_ij = A  by damped Newton from the start potential
 first attempt goes straight to t = 1 in the homotopy (u^ij)_ij = t*A.
 Only after a failed attempt does continuation take over: the step in t
 halves after a failure and doubles after an easy convergence, and every
-attempt starts from the last accepted potential.  Each Newton system
+attempt starts from the last accepted potential.  A and each Newton target
+must pass `ScalarField.mean_zero`, the grid module's one zero-mean test
+(|mean| relative to 1 + sup|A|), or MeanNotZero is raised.  Each Newton system
 
     L(psi) = (u^ia psi_ab u^bj)_ij = current residual
 
@@ -41,12 +43,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import LinearSolveFailure, MeanNotZero, NotConvex, StepFloorReached
+from .errors import LinearSolveFailure, NotConvex, StepFloorReached
 from .grid import (
+    MEAN_TOLERANCE,
     PeriodicGrid,
     ScalarField,
     hessian_stack,
-    mean,
     project_mean_zero,
     second_divergence_stack,
     sup_norm,
@@ -57,16 +59,13 @@ __all__ = [
     "SolverConfig",
     "ContinuityStep",
     "ContinuityTrace",
-    "MEAN_TOLERANCE",
+    "MEAN_TOLERANCE",  # the grid module's, kept importable from here
     "linearized_apply",
     "newton_step",
     "continuity_solve",
     "functional_value",
     "functional_second_derivative",
 ]
-
-#: Absolute tolerance on mean(A); the equation has no solution otherwise.
-MEAN_TOLERANCE = 1e-10
 
 # Relative slack accepted as "not increasing" in the functional line
 # search; absorbs rounding noise near convergence.
@@ -292,8 +291,7 @@ def newton_step(P: Potential, target: ScalarField, forcing: float) -> Potential:
     alpha = _DAMPING^k, k = 0..10, accepting the first candidate that
     is convex (`HessianState.convex`) and does not increase F_target.
     """
-    if abs(mean(target)) > MEAN_TOLERANCE:
-        raise MeanNotZero(mean(target), MEAN_TOLERANCE)
+    target.require_mean_zero()
     rhs = abreu_forward(P).values - target.values
     if np.max(np.abs(rhs)) == 0.0:
         return P
@@ -435,8 +433,7 @@ def continuity_solve(
     cfg = cfg or SolverConfig()
     if base is None:
         base = QuadraticBase.identity(A.grid.dim)
-    if abs(mean(A)) > MEAN_TOLERANCE:
-        raise MeanNotZero(mean(A), MEAN_TOLERANCE)
+    A.require_mean_zero()
 
     if initial_perturbation is None:
         P = Potential.flat(A.grid, base)

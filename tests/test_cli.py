@@ -19,9 +19,11 @@ from abreu import (
     MeanNotZero,
     MonitorViolation,
     NotConvex,
+    ScalarField,
     SolverConfig,
     StepFloorReached,
     fieldfile,
+    make_grid,
     read_field,
     sup_norm,
     write_field,
@@ -116,6 +118,34 @@ class TestSolve:
                      "--out", str(tmp_path / "n.fld")])
         assert code == 1
 
+    @pytest.fixture()
+    def rhs_2d(self, tmp_path):
+        """A zero-mean right-hand side file on a 2D 16^2 grid."""
+        g = make_grid(2, [16, 16])
+        x, _ = g.coordinate_arrays()
+        path = tmp_path / "A2.fld"
+        write_field(path, ScalarField(g, 0.1 * np.cos(2 * np.pi * x)))
+        return path
+
+    def test_resolution_matching_file_accepted(self, tmp_path, rhs_2d):
+        code = main(["solve", "--rhs", str(rhs_2d), "--resolution", "16",
+                     "--out", str(tmp_path / "p.fld")])
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--resolution", "16,8"], "--resolution 16,8 contradicts"),
+         (["--dim", "1"], "--dim 1 contradicts")],
+    )
+    def test_grid_flags_contradicting_file_exit_1(
+        self, tmp_path, capsys, rhs_2d, flags, named
+    ):
+        out = tmp_path / "p.fld"
+        code = main(["solve", "--rhs", str(rhs_2d), *flags, "--out", str(out)])
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tolerance_flags_reach_config(self, tmp_path, manufactured_files):
         a_path, _ = manufactured_files
         report = tmp_path / "run.json"
@@ -152,6 +182,15 @@ class TestResidualAndVerify:
                      "--out", str(out)]) == 0
         assert sup_norm(read_field(out)) < 1e-7
 
+    def test_residual_nonzero_mean_exits_2(self, tmp_path, capsys):
+        phi = tmp_path / "flat.fld"
+        write_field(phi, ScalarField.zeros(make_grid(1, [16])))
+        out = tmp_path / "r.fld"
+        code = main(["residual", "--phi", str(phi), "--expr", "1", "--out", str(out)])
+        assert code == 2
+        assert "zero-mean bound" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_passes_on_solution(self, tmp_path, manufactured_files):
         a_path, phi_path = manufactured_files
         report = tmp_path / "verify.json"
@@ -167,8 +206,6 @@ class TestResidualAndVerify:
         a_path, phi_path = manufactured_files
         phi = read_field(phi_path)
         x = phi.grid.axis_coordinates(0)
-        from abreu import ScalarField
-
         bad = ScalarField(phi.grid, phi.values + 3e-4 * np.cos(2 * np.pi * x))
         bad_path = tmp_path / "bad.fld"
         write_field(bad_path, bad)

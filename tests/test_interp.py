@@ -168,6 +168,14 @@ class TestBlockedEvaluation:
             with pytest.raises(ValueError, match="finite"):
                 interpolate(f, point)
 
+    @pytest.mark.parametrize("orders", [[], ()])
+    def test_empty_request_raises(self, orders):
+        # the block size used to divide by the zero columns of the stack
+        g = make_grid(2, [16, 16])
+        f = ScalarField(g, np.random.default_rng(0).standard_normal(g.shape))
+        with pytest.raises(ValueError, match="no partials requested"):
+            TrigInterpolant(f).partials([[0.3, 0.7]], orders)
+
 
 def _nyquist_partial(n, x, order):
     """d^order/dx^order of the split Nyquist mode cos(pi n x), with odd

@@ -11,9 +11,17 @@ module-level import block.
 
 Convexity has one test, `HessianState.convex` in potential.py: no other
 module compares against CONVEXITY_FLOOR or a `.min_eigenvalue`.
+
+The zero mean has one test, `ScalarField.mean_zero` in grid.py: no other
+module compares a mean, MEAN_TOLERANCE or a `.mean_bound` against anything.
+
+Every name in `abreu.__all__` and in each module's `__all__` exists, so
+`from abreu import *` cannot break on a stale export.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -86,6 +94,32 @@ def _floor_comparisons(path):
                 "CONVEXITY_FLOOR", "min_eigenvalue"
             ):
                 found.add(node.lineno)
+    return sorted(found)
+
+
+def _mean_comparisons(path):
+    """Lines of the comparisons with a call of `mean`/`.mean`, MEAN_TOLERANCE
+    or a `.mean_bound` anywhere in an operand."""
+    def is_mean_term(node):
+        if isinstance(node, ast.Call):
+            func = node.func
+            return (isinstance(func, ast.Name) and func.id == "mean") or (
+                isinstance(func, ast.Attribute) and func.attr == "mean"
+            )
+        if isinstance(node, ast.Name):
+            return node.id == "MEAN_TOLERANCE"
+        return isinstance(node, ast.Attribute) and node.attr in (
+            "MEAN_TOLERANCE", "mean_bound"
+        )
+
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Compare) and any(
+            is_mean_term(sub)
+            for operand in [node.left, *node.comparators]
+            for sub in ast.walk(operand)
+        ):
+            found.add(node.lineno)
     return sorted(found)
 
 
@@ -170,3 +204,49 @@ def test_detects_floor_comparisons(tmp_path):
         encoding="utf-8",
     )
     assert _floor_comparisons(probe) == [4, 6, 7]
+
+
+@pytest.mark.parametrize(
+    "path", [m for m in MODULES if m.name != "grid.py"], ids=lambda p: p.name
+)
+def test_no_mean_comparisons(path):
+    assert _mean_comparisons(path) == []
+
+
+def test_detects_mean_comparisons(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\n"
+        "from .grid import MEAN_TOLERANCE, mean\n"
+        "def f(f, tol, x, r):\n"
+        "    if abs(mean(f)) > MEAN_TOLERANCE:\n"
+        "        return None\n"
+        "    if abs(np.mean(f.values)) > tol:\n"
+        "        return None\n"
+        "    ok = f.mean() <= x\n"
+        "    norm = np.sqrt(np.mean(r * r))\n"
+        "    if norm > tol and f.mean_zero:\n"
+        "        return 2 * grid.MEAN_TOLERANCE < x or x > f.mean_bound\n"
+        "    return ok, mean(f), f.mean_bound, MEAN_TOLERANCE\n",
+        encoding="utf-8",
+    )
+    assert _mean_comparisons(probe) == [4, 6, 8, 11]
+
+
+def _stale_exports(module):
+    """Names in the module's `__all__` that it does not define."""
+    return [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
+
+
+@pytest.mark.parametrize(
+    "name", ["abreu"] + [f"abreu.{m.stem}" for m in MODULES if m.stem != "__init__"]
+)
+def test_exported_names_resolve(name):
+    assert _stale_exports(importlib.import_module(name)) == []
+
+
+def test_detects_stale_exports():
+    probe = types.ModuleType("probe")
+    probe.__all__ = ["present", "GONE"]
+    probe.present = 1
+    assert _stale_exports(probe) == ["GONE"]
