@@ -9,15 +9,25 @@ first-class object for all spectral calculus.
 Gradient-map inversion runs a damped Newton iteration per target point,
 vectorized over points, with grad phi and D^2 phi evaluated off-grid by
 trigonometric interpolation (one stacked evaluation of all first or all
-second partials per call).  Every target y starts at the grid node
-nearest M^{-1} y, the identity-map guess that is exact at phi = 0, so the
-first Newton step reads grad phi (the potential's kept spectral gradient)
-and D^2 u (its cached Hessian state) at that node instead of
-interpolating them.  Each point keeps its Hessian across steps and has
-D^2 u interpolated again only where its last step predicts that the kept
-one would miss the tolerance.  Each potential inverts its gradient map at
-the grid nodes once; the transform, the pullback and the checks share
-that inversion.
+second partials per call).  Each point keeps the inverse of its Hessian,
+so a Newton step is a batched mat-vec; D^2 u is interpolated and
+inverted anew (`potential.triangle_inverse`, the closed forms the
+Hessian state uses) only where the point's last step predicts that the
+kept inverse would miss the tolerance.
+
+There are two starts.  A target y starts at the grid node nearest
+M^{-1} y, the identity-map guess that is exact at phi = 0, so its first
+step reads grad phi (the potential's kept spectral gradient) and the
+inverse of D^2 u (its Hessian state's) at that node instead of
+interpolating them.  The dual V of P, as `legendre_transform` returns
+it, starts its own inversion at the grid nodes z from the duality
+itself: (grad v)^{-1} = grad u and D^2 v(grad u(z)) = D^2 u(z)^{-1}, so
+x = grad u(z), from P's kept spectral gradient, with D^2 u(z), from P's
+Hessian state, as the kept inverse.  That start is within transform
+accuracy of the root, and its residual is still checked against the
+tolerance by interpolating grad v there.  Each potential inverts its
+gradient map at the grid nodes once; the transform, the pullback and the
+checks share that inversion.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from .grid import (
     triangle_pairs,
     triangle_to_full,
 )
-from .potential import Potential, QuadraticBase
+from .potential import Potential, QuadraticBase, triangle_inverse
 
 __all__ = [
     "gradient_map",
@@ -53,23 +63,19 @@ _INVERSION_MAX_ITERS = 50
 def _check_dual_lattice(base: QuadraticBase) -> None:
     """The dual perturbation is periodic for the lattice M Z^n; it fits the
     fixed [0,1]^n fundamental domain only when M preserves Z^n."""
-    mat = base.matrix
-    if not (
-        np.allclose(mat, np.rint(mat), rtol=0.0, atol=1e-12)
-        and abs(np.linalg.det(mat) - 1.0) <= 1e-9
-    ):
+    if not base.is_unimodular():
         raise ValueError(
             "Legendre transform onto the unit torus requires a base matrix "
             "that preserves the integer lattice (in practice the identity); "
-            f"got\n{mat}"
+            f"got\n{base.matrix}"
         )
 
 
 class _GradientEvaluator:
     """Off-grid grad u and D^2 u from one interpolant of phi; each method
     makes one stacked evaluation of all first or all second partials.
-    At grid nodes `at_nodes` reads both from the potential's spectral data
-    instead."""
+    At grid nodes `at_nodes` reads grad u and the inverse Hessian from the
+    potential's spectral data instead."""
 
     def __init__(self, P: Potential):
         self.potential = P
@@ -86,19 +92,27 @@ class _GradientEvaluator:
         return self.phi.partials(x, self._grad_orders) + x @ self.base_matrix
 
     def hess_u(self, x: np.ndarray) -> np.ndarray:
+        """D^2 u at the points x as a triangle stack (m, P)."""
         vals = self.phi.partials(x, self._hess_orders)
         vals += self.base_matrix[self._rows, self._cols]
-        return triangle_to_full(vals)
+        return vals.T
 
     def at_nodes(self, x: np.ndarray, nodes: np.ndarray):
-        """grad u and D^2 u at points x lying on the grid nodes `nodes`
-        (multi-indices, one row per point): spectral grad phi and the
-        cached Hessian state gathered there, with no interpolation."""
+        """grad u and the inverse of D^2 u at points x lying on the grid
+        nodes `nodes` (multi-indices, one row per point): spectral grad phi
+        and the Hessian state's inverse gathered there, with no
+        interpolation.  Raises NotConvex unless the potential is convex."""
         P = self.potential
         at = tuple(nodes.T)
-        grad_phi = np.stack([g.values[at] for g in P.perturbation_gradient], -1)
-        hess = P.hessian_state.hessian.entries[(slice(None),) + at]
-        return x @ self.base_matrix + grad_phi, triangle_to_full(hess.T)
+        hinv = P.hessian_state.inverse().entries[(slice(None),) + at]
+        return _spectral_gradient(P, x, at), triangle_to_full(hinv.T)
+
+
+def _spectral_gradient(P: Potential, x: np.ndarray, at: tuple) -> np.ndarray:
+    """grad u at points x lying on the grid nodes `at` (one index array per
+    axis), from P's kept spectral gradient."""
+    grad_phi = np.stack([g.values[at] for g in P.perturbation_gradient], -1)
+    return x @ P.base.matrix + grad_phi
 
 
 def _node_preimages(P: Potential) -> np.ndarray:
@@ -106,31 +120,56 @@ def _node_preimages(P: Potential) -> np.ndarray:
 
     Kept read-only in P's instance dict (as `functools.cached_property`
     keeps `Potential.hessian_state`), so the transform, pullbacks and
-    checks of one potential share one inversion.  Raises ValueError
+    checks of one potential share one inversion.  The dual of a potential
+    (`legendre_transform`) starts from the duality (`_dual_start`); every
+    other potential from `gradient_map_inverse`.  Raises ValueError
     unless the base preserves the integer lattice.
     """
     cache = vars(P)
     if "_node_preimages" not in cache:
         _check_dual_lattice(P.base)
-        x = gradient_map_inverse(P, P.grid.node_points())
+        y = P.grid.node_points()
+        primal = cache.get("_dual_of")
+        if primal is None:
+            x = gradient_map_inverse(P, y)
+        else:
+            ev = _GradientEvaluator(P)
+            x, hinv = _dual_start(primal, y)
+            x = _newton(ev, y, x, ev.grad_u(x), hinv, fresh=False)
         x.setflags(write=False)
         cache["_node_preimages"] = x
+        cache.pop("_dual_of", None)  # P's primal need not outlive this
     return cache["_node_preimages"]
+
+
+def _dual_start(P: Potential, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start of the dual's inversion at all grid nodes z (row-major), from
+    the primal P: x = grad u(z), the preimage up to transform accuracy
+    since (grad v)^{-1} = grad u, and D^2 u(z) = D^2 v(x)^{-1} as its kept
+    inverse Hessian, both from P's kept spectral data."""
+    at = np.unravel_index(np.arange(len(z)), P.grid.shape)
+    hess = P.hessian_state.hessian.entries[(slice(None),) + at]
+    return _spectral_gradient(P, z, at), triangle_to_full(hess.T)
 
 
 def _grid_nodes(grid: PeriodicGrid, points: np.ndarray) -> np.ndarray | None:
     """Multi-indices (mod N) of the grid nodes at a (P, dim) array of points;
-    None unless every point is exactly a node (up to periodicity)."""
+    None unless every point is exactly a node (up to periodicity) whose
+    index j = rint(y N) is an exact integer, |j| < 2^52 (beyond, every
+    float y N is an integer and names no node)."""
     res = np.array(grid.resolution)
     j = np.rint(points * res)
-    return (j % res).astype(int) if np.array_equal(j / res, points) else None
+    if not (np.abs(j) < 2.0**52).all() or not np.array_equal(j / res, points):
+        return None
+    return (j % res).astype(int)
 
 
 def _newton_start(P: Potential, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Newton start at the grid node j/N nearest M^{-1} y (the exact root at
     phi = 0), and its multi-index j mod N, one row per target."""
     res = np.array(P.grid.resolution)
-    j = np.rint(np.linalg.solve(P.base.matrix, y.T).T * res)
+    with np.errstate(over="ignore"):  # caught as non-finite below
+        j = np.rint(y @ P.base.inverse().matrix * res)
     if not np.isfinite(j).all():
         raise ValueError("target points too large: M^{-1} y N overflows")
     return j / res, (j % res).astype(int)
@@ -161,41 +200,64 @@ def gradient_map_inverse(P: Potential, points) -> np.ndarray:
     Strict convexity makes the root unique; backtracking halves the step
     wherever the residual fails to decrease.  Each point starts at the
     grid node nearest M^{-1} y (`_newton_start`), so the residual and
-    Hessian of its first step are the spectral ones at that node.
-
-    Each point keeps its Hessian across steps (simplified Newton).  With
-    r the residual now and r' the one before the point's last accepted
-    step, r^2 / r' estimates the residual after one more step with the
-    kept Hessian, so the kept one is reused while it is fresh (evaluated
-    at the current x, as at the start) or r^2 <= _INVERSION_TOLERANCE r';
-    every other point gets D^2 u interpolated anew, in one stacked call.
-    A line search whose 40 halvings all fail refreshes a kept Hessian; with
-    a fresh one it would repeat the same step, so the point leaves the
-    iteration.  Raises GradientInversionFailure naming the target point
-    with the largest residual left after _INVERSION_MAX_ITERS iterations
-    (and its grid node when the point is one).
+    inverse Hessian of its first step are the spectral ones at that node;
+    a potential that fails the convexity test raises NotConvex there.
+    The iteration itself is `_newton`.
     """
-    ev = _GradientEvaluator(P)
     y = _target_points(P, points)
     x, nodes = _newton_start(P, y)
-    residual, hess = ev.at_nodes(x, nodes)
-    fresh = np.ones(len(y), dtype=bool)
-    residual -= y
+    ev = _GradientEvaluator(P)
+    grad, hinv = ev.at_nodes(x, nodes)
+    return _newton(ev, y, x, grad, hinv, fresh=True)
+
+
+def _newton(
+    ev: _GradientEvaluator,
+    y: np.ndarray,
+    x: np.ndarray,
+    grad: np.ndarray,
+    hinv: np.ndarray,
+    fresh: bool,
+) -> np.ndarray:
+    """Damped simplified Newton for grad u(x) = y from the start x, with
+    grad = grad u(x) and hinv (P, n, n) the kept inverse Hessians; `fresh`
+    says whether hinv is the inverse of D^2 u at x itself (a node start)
+    or an estimate of it (the dual's start).
+
+    Each point keeps its inverse Hessian across steps, so a step is
+    -hinv r.  With r the residual now and r' the one before the point's
+    last accepted step, r^2 / r' estimates the residual after one more
+    step with the kept inverse, so it is reused while it is fresh
+    (evaluated at the current x), before the first step, or while
+    r^2 <= _INVERSION_TOLERANCE r'; every other point gets D^2 u
+    interpolated and inverted anew, in one stacked call.  A line search
+    whose 40 halvings all fail refreshes a kept inverse; a point whose
+    fresh inverse fails the same way, or whose refreshed Hessian is
+    singular, leaves the iteration, since nothing would change its step.
+    Raises GradientInversionFailure naming the target point with the
+    largest residual left after _INVERSION_MAX_ITERS iterations (and its
+    grid node when the point is one).
+    """
+    residual = grad - y
     rnorm = np.max(np.abs(residual), axis=1)
-    # residual before the last accepted step; 0 (no estimate) forces a
-    # refresh of a kept Hessian
-    before = np.zeros(len(y))
+    fresh = np.full(len(y), fresh)
+    # residual before the last accepted step: inf (no estimate) trusts the
+    # kept inverse for the first step, 0 forces its refresh
+    before = np.full(len(y), np.inf)
     stuck = np.zeros(len(y), dtype=bool)
     for _ in range(_INVERSION_MAX_ITERS):
         active = (rnorm > _INVERSION_TOLERANCE) & ~stuck
-        if not active.any():
-            break
         refresh = active & ~fresh & (rnorm * rnorm > _INVERSION_TOLERANCE * before)
         if refresh.any():
-            hess[refresh] = ev.hess_u(x[refresh])
+            inverse = triangle_inverse(ev.hess_u(x[refresh]))
+            hinv[refresh] = triangle_to_full(inverse.T)
             fresh |= refresh
+            stuck |= refresh & ~np.isfinite(hinv).all(axis=(1, 2))
+            active &= ~stuck
+        if not active.any():
+            break
         idx = np.flatnonzero(active)
-        step = np.linalg.solve(hess[idx], -residual[idx][..., None])[..., 0]
+        step = -np.einsum("pij,pj->pi", hinv[idx], residual[idx])
         scale = np.ones(len(idx))
         remaining = np.arange(len(idx))
         for _ in range(40):
@@ -219,7 +281,7 @@ def gradient_map_inverse(P: Potential, points) -> np.ndarray:
     if not (rnorm > _INVERSION_TOLERANCE).any():
         return x
     worst = int(np.argmax(rnorm))
-    node = _grid_nodes(P.grid, y[worst : worst + 1])
+    node = _grid_nodes(ev.potential.grid, y[worst : worst + 1])
     node = None if node is None else tuple(int(i) for i in node[0])
     raise GradientInversionFailure(y[worst], rnorm[worst], _INVERSION_TOLERANCE, node)
 
@@ -240,7 +302,9 @@ def legendre_transform(P: Potential) -> Potential:
     v = np.einsum("pi,pi->p", y, x) - u
     quad = 0.5 * np.einsum("pi,ij,pj->p", y, dual_base.matrix, y)
     psi = (v - quad).reshape(grid.shape)
-    return Potential(dual_base, project_mean_zero(ScalarField(grid, psi)))
+    dual = Potential(dual_base, project_mean_zero(ScalarField(grid, psi)))
+    vars(dual)["_dual_of"] = P  # read once, by the dual's own inversion
+    return dual
 
 
 def pullback_rhs(A: ScalarField, P: Potential) -> ScalarField:

@@ -22,12 +22,15 @@ convexity-margin check of `verify_solution` and
 `ScalarField.mean_zero`, the grid module's one zero-mean test; the
 divergence-form residual is computed for any right-hand side.  For n = 3 a
 closed-form screen sends only the nodes near an extreme eigenvalue to
-LAPACK, with results bitwise those of LAPACK on every node.  The spectral
-gradient of phi is kept on the potential beside its Hessian state.
+LAPACK, with results bitwise those of LAPACK on every node.  The inverse
+is `triangle_inverse`, whose closed forms the gradient-map inversion
+shares.  The spectral gradient of phi is kept on the potential beside its
+Hessian state.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -52,6 +55,7 @@ __all__ = [
     "Potential",
     "HessianState",
     "CONVEXITY_FLOOR",
+    "triangle_inverse",
     "hessian_u",
     "inverse_hessian",
     "det_hessian",
@@ -102,6 +106,15 @@ class QuadraticBase:
     def is_identity(self) -> bool:
         eye = np.eye(self.dim)
         return bool(np.allclose(self.matrix, eye, rtol=0.0, atol=_IDENTITY_TOLERANCE))
+
+    def is_unimodular(self) -> bool:
+        """Whether the matrix is an integer matrix of determinant 1, so that
+        it maps the integer lattice onto itself."""
+        mat = self.matrix
+        return bool(
+            np.allclose(mat, np.rint(mat), rtol=0.0, atol=1e-12)
+            and abs(np.linalg.det(mat) - 1.0) <= 1e-9
+        )
 
 
 @dataclass(frozen=True)
@@ -173,9 +186,10 @@ class HessianState:
     are formed on first use, behind the convexity guard, and kept.  For
     n <= 2 everything has a closed form (a 2x2
     [[a, b], [b, c]] has eigenvalues m -+ hypot((a - c)/2, b) with
-    m = (a + c)/2, determinant ac - b^2 and inverse [c, -b, a]/det).  For
-    n = 3 the determinant is the cofactor expansion and the inverse the
-    adjugate over it.  The extreme eigenvalues are LAPACK's eigvalsh, run
+    m = (a + c)/2 and determinant ac - b^2).  For n = 3 the determinant is
+    the cofactor expansion.  The inverse is `triangle_inverse` of the
+    Hessian and its determinant, shared with the gradient-map inversion.
+    The extreme eigenvalues are LAPACK's eigvalsh, run
     only on the nodes that the trigonometric closed form cannot rule out:
     those whose closed-form extreme lies within 1e-6 max(|q| + 2p) of the
     global one (`_extreme_candidates_3x3`), about twenty times the closed
@@ -196,18 +210,16 @@ class HessianState:
     def __post_init__(self):
         H = self.hessian
         e = H.entries
+        det = _triangle_det(e)
         nodes = None  # flat indices of the nodes in lo and hi when not all
         if H.grid.dim == 1:
             lo = hi = e[0]
-            det = lo.copy()
         elif H.grid.dim == 2:
             a, b, c = e
-            det = a * c - b * b
             m = 0.5 * (a + c)
             r = np.hypot(0.5 * (a - c), b)
             lo, hi = m - r, m + r
         elif H.grid.dim == 3:
-            det = _det_3x3(e)
             nodes = _extreme_candidates_3x3(H)
             rows = e.reshape(6, -1)[:, nodes].T
             if (rows == rows[0]).all():
@@ -215,9 +227,7 @@ class HessianState:
             eigs = np.linalg.eigvalsh(triangle_to_full(rows))
             lo, hi = eigs[:, 0], eigs[:, -1]
         else:
-            full = H.to_full()
-            det = np.linalg.det(full)
-            eigs = np.linalg.eigvalsh(full)
+            eigs = np.linalg.eigvalsh(H.to_full())
             lo, hi = eigs[..., 0], eigs[..., -1]
         k = int(np.argmin(lo))
         worst = np.unravel_index(k if nodes is None else nodes[k], det.shape)
@@ -306,15 +316,7 @@ class HessianState:
     @cached_property
     def _inverse(self) -> SymMatrixField:
         H = self.hessian
-        e = H.entries
-        if H.grid.dim == 1:
-            return SymMatrixField(H.grid, 1.0 / e)
-        if H.grid.dim == 2:
-            a, b, c = e
-            return SymMatrixField(H.grid, np.stack([c, -b, a]) / self.det)
-        if H.grid.dim == 3:
-            return SymMatrixField(H.grid, _cofactor_3x3(e) / self.det)
-        return SymMatrixField.from_full(H.grid, np.linalg.inv(H.to_full()))
+        return SymMatrixField(H.grid, triangle_inverse(H.entries, self.det))
 
 
 #: Half-width of the eigenvalue screening band of `_extreme_candidates_3x3`,
@@ -372,6 +374,55 @@ def _det_3x3(e: np.ndarray) -> np.ndarray:
     first-row cofactors of `_cofactor_3x3` (same entry layout)."""
     a, b, c, d, f, g = e
     return a * (d * g - f * f) + b * (c * f - b * g) + c * (b * f - c * d)
+
+
+def _triangle_dim(e: np.ndarray) -> int:
+    """Matrix size n of a triangle stack with m = n(n+1)/2 components."""
+    return (math.isqrt(8 * len(e) + 1) - 1) // 2
+
+
+def _triangle_det(e: np.ndarray) -> np.ndarray:
+    """Determinants of the symmetric matrices of a triangle stack
+    (m, *shape): closed forms for n <= 3, LAPACK from n = 4 on."""
+    n = _triangle_dim(e)
+    if n == 1:
+        return e[0].copy()
+    if n == 2:
+        a, b, c = e
+        return a * c - b * b
+    if n == 3:
+        return _det_3x3(e)
+    return np.linalg.det(triangle_to_full(np.moveaxis(e, 0, -1)))
+
+
+def triangle_inverse(entries: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
+    """Triangle stack of the inverses of the symmetric matrices of a
+    triangle stack (m, *shape), with their determinants `det` (computed
+    when not given).
+
+    Closed forms for n <= 3: 1/a, [c, -b, a]/det for [[a, b], [b, c]], and
+    the adjugate over det; LAPACK's inv, symmetrized, from n = 4 on.  A
+    singular matrix gets non-finite entries, with no floating-point
+    warning.  `HessianState` and the gradient-map inversion share it.
+    """
+    e = np.asarray(entries, dtype=float)
+    n = _triangle_dim(e)
+    if det is None and n > 1:
+        det = _triangle_det(e)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if n == 1:
+            return 1.0 / e
+        if n == 2:
+            a, b, c = e
+            return np.stack([c, -b, a]) / det
+        if n == 3:
+            return _cofactor_3x3(e) / det
+    full = triangle_to_full(np.moveaxis(e, 0, -1))
+    inv = np.full_like(full, np.nan)
+    regular = det != 0.0  # LAPACK's inv raises on any exactly singular one
+    inv[regular] = np.linalg.inv(full[regular])
+    rows, cols = np.array(triangle_pairs(n)).T
+    return np.moveaxis(0.5 * (inv[..., rows, cols] + inv[..., cols, rows]), -1, 0)
 
 
 def inverse_hessian(H: SymMatrixField) -> SymMatrixField:

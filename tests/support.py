@@ -20,6 +20,7 @@ from abreu import (
     abreu_forward,
     convexity_margin,
     hessian,
+    legendre,
     make_grid,
     project_mean_zero,
     second_divergence,
@@ -209,3 +210,22 @@ def _det_stack(m):
     if m.shape[-1] == 1:
         return m[..., 0, 0]
     return np.linalg.det(m)
+
+
+def corrupt_first_dual(monkeypatch, bump):
+    """Make the next `legendre_transform` return its dual with `bump` (mean
+    zero, node values) added to the perturbation; later transforms are
+    exact.  The dual still comes out of the transform, so it keeps
+    everything the transform attaches to it, such as its start for
+    inverting its own gradient map."""
+    project = legendre.project_mean_zero
+    done = []
+
+    def corrupted(f):
+        out = project(f)
+        if not done:
+            done.append(True)
+            out = ScalarField(f.grid, out.values + bump)
+        return out
+
+    monkeypatch.setattr(legendre, "project_mean_zero", corrupted)

@@ -28,6 +28,7 @@ from abreu import (
 from abreu.cli import main
 from abreu.potential import CONVEXITY_FLOOR
 from tests.support import (
+    corrupt_first_dual,
     manufactured_potential,
     manufactured_problem,
     random_convex_potential,
@@ -228,20 +229,21 @@ class TestVerifySolution:
 class TestOneInversionPerPotential:
     @pytest.fixture
     def counted(self, monkeypatch):
-        """Inversions per potential and evaluators built, while active."""
+        """Inversions per potential (Newton runs, from either start) and
+        evaluators built, while active."""
         inversions, built = Counter(), []
-        invert = legendre.gradient_map_inverse
+        newton = legendre._newton
         init = legendre._GradientEvaluator.__init__
 
-        def counting_invert(P, points):
-            inversions[P.perturbation.values.tobytes()] += 1
-            return invert(P, points)
+        def counting_newton(ev, *args, **kwargs):
+            inversions[ev.potential.perturbation.values.tobytes()] += 1
+            return newton(ev, *args, **kwargs)
 
         def counting_init(self, P):
             built.append(P)
             init(self, P)
 
-        monkeypatch.setattr(legendre, "gradient_map_inverse", counting_invert)
+        monkeypatch.setattr(legendre, "_newton", counting_newton)
         monkeypatch.setattr(legendre._GradientEvaluator, "__init__", counting_init)
         return inversions, built
 
@@ -348,18 +350,46 @@ class TestVerifyConvexityFloor:
         assert failed == ["dual-convexity"]
 
 
+class TestNonConvexDual:
+    def test_report_names_dual_convexity_after_the_duality_checks(self, monkeypatch):
+        # a dual made non-convex after the transform (smallest eigenvalue
+        # about -0.02): its inversion still runs, the duality checks that
+        # precede the dual's guards are reported, then dual-convexity
+        g = make_grid(2, [16, 16])
+        a = ScalarField.from_function(
+            g, lambda x, y: 0.5 * (np.cos(TWO_PI * x) + np.cos(TWO_PI * y))
+        )
+        P, _ = continuity_solve(a)
+        k = 7
+        bump = ScalarField.from_function(g, lambda x, y: np.cos(TWO_PI * k * x))
+        corrupt_first_dual(monkeypatch, 1.01 / (TWO_PI * k) ** 2 * bump.values)
+        outcome = verify_solution(P, a)
+        names = [c.name for c in outcome.bounds.inequalities]
+        assert names == [
+            "convexity-margin", "primal-residual", "rhs-mean-zero",
+            "divergence-form-residual", "legendre-involution",
+            "determinant-duality", "pullback-sup-norm", "dual-convexity",
+        ]
+        assert _failed(outcome.bounds) == [
+            "legendre-involution", "determinant-duality", "dual-convexity"
+        ]
+        check = outcome.bounds.inequalities[-1]
+        assert -0.05 < check.lhs < 0.0 and check.rhs == CONVEXITY_FLOOR
+
+
 class TestVerifyInversionFailure:
     """A gradient inversion that stops short of its tolerance fails verify,
     however close it came."""
 
     @pytest.fixture
     def inversion_fails_at_5e11(self, monkeypatch):
-        def failing(P, points):
+        # every Newton run, from either start, of a potential not inverted yet
+        def failing(ev, *args, **kwargs):
             raise GradientInversionFailure(
                 (0.5,), 5e-11, legendre._INVERSION_TOLERANCE, (32,)
             )
 
-        monkeypatch.setattr(legendre, "gradient_map_inverse", failing)
+        monkeypatch.setattr(legendre, "_newton", failing)
 
     def test_near_miss_fails(self, certified, inversion_fails_at_5e11):
         P, a, _, _ = certified

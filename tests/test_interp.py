@@ -236,5 +236,5 @@ class TestEvaluationMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert grad.shape == (4096, 3) and hess.shape == (4096, 3, 3)
+        assert grad.shape == (4096, 3) and hess.shape == (6, 4096)
         assert peak < 3 * 2**20

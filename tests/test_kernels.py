@@ -26,6 +26,7 @@ from abreu import (
     prescribe_curvature,
     second_divergence,
 )
+from abreu.grid import triangle_pairs, triangle_to_full
 from tests.support import (
     cofactor_oracle,
     eigen_extremes_oracle,
@@ -115,6 +116,72 @@ class TestClosedForm3x3:
         scale = np.max(np.abs(inv_ref), axis=(-2, -1), keepdims=True)
         err = np.abs(state.inverse().to_full() - inv_ref)
         assert np.all(err <= 1e-12 * scale)
+
+
+def _spd_stack(rng, n, count):
+    """(count, n, n) SPD matrices Q D Q^T with eigenvalues in [0.1, 10]."""
+    q, _ = np.linalg.qr(rng.standard_normal((count, n, n)))
+    d = rng.uniform(0.1, 10.0, (count, n))
+    return (q * d[:, None, :]) @ np.swapaxes(q, -1, -2)
+
+
+def _triangle(full):
+    """Triangle stack (m, count) of a (count, n, n) symmetric stack."""
+    rows, cols = np.array(triangle_pairs(full.shape[-1])).T
+    return np.ascontiguousarray(full[:, rows, cols].T)
+
+
+class TestTriangleInverse:
+    """The one closed-form inverse, shared by HessianState and the
+    gradient-map inversion."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, n=st.sampled_from([1, 2, 3, 4]), count=st.integers(1, 64))
+    def test_matches_linalg_inv(self, seed, n, count):
+        full = _spd_stack(np.random.default_rng(seed), n, count)
+        e = _triangle(full)
+        full = triangle_to_full(e.T)  # the exactly symmetric stack
+        inv_ref = np.linalg.inv(full)
+        got = triangle_to_full(potential.triangle_inverse(e).T)
+        scale = np.max(np.abs(inv_ref), axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(got - inv_ref) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_singular_matrix_is_non_finite_without_warning(self, n):
+        # RuntimeWarnings are errors in this suite
+        full = _spd_stack(np.random.default_rng(n), n, 3)
+        full[1] = 0.0
+        inv = potential.triangle_inverse(_triangle(full))
+        finite = np.isfinite(inv).all(axis=0)
+        assert finite.tolist() == [True, False, True]
+
+    @pytest.mark.parametrize("shape", [(16,), (8, 12), (8, 10, 8), (8, 8, 8, 8)])
+    def test_hessian_state_is_bitwise_the_former_formulas(self, shape):
+        # the determinant and inverse HessianState held before they moved
+        # into the shared function: solve outputs cannot move
+        g = make_grid(len(shape), list(shape))
+        count = int(np.prod(shape))
+        full = _spd_stack(np.random.default_rng(len(shape)), len(shape), count)
+        H = SymMatrixField.from_full(g, full.reshape(shape + full.shape[1:]))
+        e = H.entries
+        if g.dim == 1:
+            det, inv = e[0].copy(), 1.0 / e
+        elif g.dim == 2:
+            a, b, c = e
+            det = a * c - b * b
+            inv = np.stack([c, -b, a]) / det
+        elif g.dim == 3:
+            a, b, c, d, f, h = e
+            adj = np.stack([d * h - f * f, c * f - b * h, b * f - c * d,
+                            a * h - c * c, b * c - a * f, a * d - b * b])
+            det = a * adj[0] + b * adj[1] + c * adj[2]
+            inv = adj / det
+        else:
+            det = np.linalg.det(H.to_full())
+            inv = SymMatrixField.from_full(g, np.linalg.inv(H.to_full())).entries
+        state = HessianState(H)
+        assert np.array_equal(state.det, det)
+        assert np.array_equal(state.inverse().entries, inv)
 
 
 def _stack_3x3(rng, shape, kind, log_cond, log_gap):

@@ -15,6 +15,9 @@ module compares against CONVEXITY_FLOOR or a `.min_eigenvalue`.
 The zero mean has one test, `ScalarField.mean_zero` in grid.py: no other
 module compares a mean, MEAN_TOLERANCE or a `.mean_bound` against anything.
 
+The matrix algebra of gradient-map inversion stays in potential.py:
+legendre.py neither imports numpy.linalg nor names it.
+
 Every name in `abreu.__all__` and in each module's `__all__` exists, so
 `from abreu import *` cannot break on a stale export.
 """
@@ -121,6 +124,41 @@ def _mean_comparisons(path):
         ):
             found.add(node.lineno)
     return sorted(found)
+
+
+def _linalg_uses(path):
+    """Lines of each `.linalg` attribute and each import of numpy.linalg."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr == "linalg":
+            found.add(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(a.name.startswith("numpy.linalg") for a in node.names):
+                found.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.linalg"):
+            if node.module == "numpy.linalg" or any(a.name == "linalg" for a in node.names):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_legendre_uses_no_linalg():
+    assert _linalg_uses(PACKAGE / "legendre.py") == []
+
+
+def test_detects_linalg_uses(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\n"
+        "import numpy.linalg as la\n"
+        "from numpy import linalg, dot\n"
+        "from numpy.linalg import solve\n"
+        "def f(a, b):\n"
+        "    x = np.linalg.solve(a, b)\n"
+        "    y = la.inv(a) @ dot(a, b)\n"
+        "    return np.einsum('ij,j', a, b), numpy.linalg.norm(x), solve, y\n",
+        encoding="utf-8",
+    )
+    assert _linalg_uses(probe) == [2, 3, 4, 6, 8]
 
 
 def test_package_modules_found():

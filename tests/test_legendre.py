@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from abreu import (
     GradientInversionFailure,
+    NotConvex,
     Potential,
     QuadraticBase,
     ScalarField,
@@ -22,9 +23,12 @@ from abreu import (
     mean,
     pullback_rhs,
     sup_norm,
+    verify_solution,
 )
+from abreu.solver import continuity_solve
 from tests.support import (
     EPS,
+    corrupt_first_dual,
     manufactured_potential,
     manufactured_problem,
     random_convex_potential,
@@ -166,6 +170,19 @@ class TestInversionFailure:
         assert info.value.node is None
         assert info.value.point == (0.31, 0.77)
         assert "dual node" not in str(info.value)
+
+    def test_huge_target_names_no_node(self):
+        # y N = 1.6e301 is an integer in floating point, but no node index
+        g = make_grid(2, [16, 16])
+        P = Potential.flat(g, QuadraticBase(np.array([[2.0, 1.0], [1.0, 1.0]])))
+        with pytest.raises(GradientInversionFailure) as info:
+            gradient_map_inverse(P, [[1e300, 0.5]])
+        assert info.value.node is None
+        assert "dual node" not in str(info.value)
+        assert legendre._grid_nodes(g, np.array([[1e300, 0.5]])) is None
+        # the largest node index that is still exact is named
+        big = np.array([[(2.0**52 - 16) / 16, 0.5]])
+        assert legendre._grid_nodes(g, big).tolist() == [[0, 8]]
 
     def test_raises_only_when_unconverged(self, monkeypatch):
         # a run that converges on its last allowed iteration succeeds
@@ -442,6 +459,150 @@ class TestKeptHessian:
         assert not any(row.tobytes() in start for row in stepped)
         assert {row.tobytes() for row in at} <= {row.tobytes() for row in stepped}
         assert np.max(_gradient_residual(P, x, y)) <= legendre._INVERSION_TOLERANCE
+
+
+class TestKeptInverseRobustness:
+    """A refreshed Hessian that cannot give a Newton step, and a potential
+    whose node Hessians have no inverse, end in classified errors."""
+
+    @pytest.mark.parametrize(
+        "entries",
+        [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 2.0, 1.0], [-1.0, 0.0, -1.0]],
+        ids=["singular", "zero", "indefinite", "negative"],
+    )
+    def test_bad_refreshed_hessian_fails_cleanly(self, entries, monkeypatch):
+        # the middle target, off the grid, gets D^2 u re-interpolated after
+        # its node step; that Hessian is replaced near it (RuntimeWarnings
+        # are errors in this suite)
+        g = make_grid(2, [16, 16])
+        P = random_convex_potential(g, np.random.default_rng(1), margin=0.999)
+        y = np.array([[0.1, 0.2], [1 / 3, 0.7], [0.6, 0.45]])
+        refreshed = []
+
+        class Corrupted(legendre._GradientEvaluator):
+            def hess_u(self, x):
+                hess = super().hess_u(x)
+                near = np.max(np.abs(x - y[1]), axis=1) < 0.05
+                hess[:, near] = np.array(entries)[:, None]
+                refreshed.append(near.any())
+                return hess
+
+        monkeypatch.setattr(legendre, "_GradientEvaluator", Corrupted)
+        with pytest.raises(GradientInversionFailure) as info:
+            gradient_map_inverse(P, y)
+        assert any(refreshed)
+        assert info.value.point == tuple(y[1])
+        assert info.value.node is None
+        # the other targets converge, alone, as before
+        monkeypatch.undo()
+        x = gradient_map_inverse(P, y[[0, 2]])
+        assert np.max(_gradient_residual(P, x, y[[0, 2]])) <= legendre._INVERSION_TOLERANCE
+
+    @pytest.mark.parametrize("targets", ["nodes", "off"])
+    def test_node_start_of_non_convex_potential_raises(self, targets):
+        g = make_grid(2, [16, 16])
+        P = random_convex_potential(g, np.random.default_rng(2), margin=-0.1)
+        assert not P.hessian_state.convex
+        y = g.node_points() + (0.0 if targets == "nodes" else 1.0 / 48.0)
+        with pytest.raises(NotConvex) as info:
+            gradient_map_inverse(P, y)
+        assert info.value.node == P.hessian_state.worst_node
+        with pytest.raises(NotConvex):
+            legendre_transform(P)
+
+
+def _solved_potential(n):
+    """Solution of A = (cos 2 pi x + cos 2 pi y) / 2 on the n^2 grid."""
+    g = make_grid(2, [n, n])
+    a = ScalarField.from_function(
+        g, lambda x, y: 0.5 * (np.cos(TWO_PI * x) + np.cos(TWO_PI * y))
+    )
+    return continuity_solve(a)[0], a
+
+
+@pytest.fixture
+def inversion_orders(monkeypatch):
+    """(potential, [highest derivative order of each TrigInterpolant.partials
+    call]) for each node inversion computed while active, in order."""
+    runs = []
+    node_preimages = legendre._node_preimages
+    partials = TrigInterpolant.partials
+
+    def preimages_spy(P):
+        if "_node_preimages" not in vars(P):
+            runs.append((P, []))
+        return node_preimages(P)
+
+    def partials_spy(self, points, orders):
+        # inversions do not nest: the last one runs until it is cached
+        if runs and "_node_preimages" not in vars(runs[-1][0]):
+            runs[-1][1].append(max(map(sum, orders)))
+        return partials(self, points, orders)
+
+    monkeypatch.setattr(legendre, "_node_preimages", preimages_spy)
+    monkeypatch.setattr(TrigInterpolant, "partials", partials_spy)
+    return runs
+
+
+class TestDualStart:
+    """The dual returned by `legendre_transform` starts its own inversion at
+    x = grad u(z) with D^2 u(z) as its kept inverse Hessian."""
+
+    def test_verify_inverts_the_dual_with_one_gradient_call(self, inversion_orders):
+        P, a = _solved_potential(48)
+        P = Potential(P.base, P.perturbation)  # nothing kept from the solve
+        outcome = verify_solution(P, a)
+        assert outcome.passed
+        (primal, first), (dual, second) = inversion_orders
+        assert primal is P and dual is not P
+        assert 2 in first  # the primal refreshes Hessians from its node start
+        assert second == [1]
+
+    def test_warm_and_cold_start_agree_on_a_perturbed_dual(self, monkeypatch):
+        # the dual is 1e-7 off the transform's, so its start is not a root
+        # and Newton must step from it
+        P, _ = _solved_potential(16)
+        g = P.grid
+        bump = 1e-7 * ScalarField.from_function(
+            g, lambda x, y: np.cos(TWO_PI * (x + 2 * y))
+        ).values
+        corrupt_first_dual(monkeypatch, bump)
+        V = legendre_transform(P)
+        starts = []
+        newton = legendre._newton
+
+        def spy(ev, y, x, grad, hinv, fresh):
+            starts.append((fresh, np.max(np.abs(grad - y))))
+            return newton(ev, y, x, grad, hinv, fresh)
+
+        monkeypatch.setattr(legendre, "_newton", spy)
+        warm = legendre._node_preimages(V)
+        cold = gradient_map_inverse(V, g.node_points())
+        (warm_fresh, warm_residual), (cold_fresh, _) = starts
+        assert not warm_fresh and cold_fresh
+        assert warm_residual > 1e3 * legendre._INVERSION_TOLERANCE
+        assert np.max(np.abs(warm - cold)) <= 1e-12
+
+    def test_corrupted_dual_fails_involution(self, monkeypatch):
+        P, a = _solved_potential(16)
+        bump = 1e-6 * ScalarField.from_function(
+            P.grid, lambda x, y: np.cos(TWO_PI * (x + 2 * y))
+        ).values
+        corrupt_first_dual(monkeypatch, bump)
+        dual_starts = []
+        dual_start = legendre._dual_start
+
+        def spy(primal, z):
+            dual_starts.append(primal)
+            return dual_start(primal, z)
+
+        monkeypatch.setattr(legendre, "_dual_start", spy)
+        outcome = verify_solution(P, a)
+        assert dual_starts == [P]
+        (check,) = [c for c in outcome.bounds.inequalities
+                    if c.name == "legendre-involution"]
+        assert not check.satisfied and 1e-7 < check.lhs < 1e-5
+        assert outcome.passed is False
 
 
 @st.composite
