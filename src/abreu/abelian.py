@@ -70,8 +70,7 @@ def scalar_curvature(m: InvariantMetric) -> ScalarField:
     Computed nodewise as -1/4 v^ij [log det(v_ab)]_ij from spectral
     derivatives; raises NotConvex if the metric is not positive.
     """
-    state = m.potential.hessian_state
-    return -0.25 * state.contract(state.log_det)
+    return -0.25 * m.potential.hessian_state.log_det_contraction
 
 
 def scalar_curvature_symplectic(m: InvariantMetric) -> ScalarField:

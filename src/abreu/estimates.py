@@ -114,17 +114,12 @@ class BoundsReport:
         return asdict(self, dict_factory=_report_dict)
 
 
-def _sup_magnitude(comps) -> float:
-    """sup over nodes of the Euclidean norm of a vector field's components."""
-    sq = np.zeros(comps[0].shape)
-    for g in comps:
-        sq += g**2
-    return float(np.sqrt(sq.max()))
-
-
 def _grad_sup(P: Potential) -> float:
     """sup |grad phi| from the potential's kept spectral gradient."""
-    return _sup_magnitude([g.values for g in P.perturbation_gradient])
+    sq = np.zeros(P.grid.shape)
+    for g in P.perturbation_gradient:
+        sq += g.values**2
+    return float(np.sqrt(sq.max()))
 
 
 def c0_c1_report(P: Potential) -> tuple[float, float, float]:
@@ -251,11 +246,7 @@ def choose_beta(V: Potential) -> float:
     covering box [-4,4]^n, where sup|y|^2 = 16 n):
     4 beta^2 (4 sqrt(n) + G)^2 <= beta.
     """
-    return _beta(_grad_sup(V), V.grid.dim)
-
-
-def _beta(g: float, n: int) -> float:
-    """`choose_beta` for a gradient sup-norm g in dimension n."""
+    g, n = _grad_sup(V), V.grid.dim
     # (4 sqrt(n) + g)^2 expanded so the g = 0 case is the exact 16 n
     box_sq = 16.0 * n + 8.0 * np.sqrt(n) * g + g * g
     for k in range(2, 80):
@@ -289,7 +280,7 @@ def lower_bound_monitor(V: Potential, Atilde: ScalarField) -> BoundsReport:
     grid = V.grid
     n = grid.dim
     grads = [g.values for g in V.perturbation_gradient]
-    beta = _beta(_sup_magnitude(grads), n)
+    beta = choose_beta(V)
     state = V.hessian_state
     L = state.log_det
     H = state.hessian
@@ -366,7 +357,9 @@ def verify_solution(P: Potential, A: ScalarField) -> VerificationReport:
     Collects (instead of raising on) violations so a report can always be
     produced; `passed` is True iff every check holds.  Precondition
     failures (a non-convex dual, a failed gradient inversion) are reported
-    as failed checks rather than exceptions.
+    as failed checks rather than exceptions.  The bound monitors assume an
+    identity dual base: for any other (unimodular) base their checks are
+    left out, and `upper_constant_c` and `beta` stay None.
     """
     checks: list[InequalityCheck] = []
     report = BoundsReport()
@@ -414,9 +407,10 @@ def verify_solution(P: Potential, A: ScalarField) -> VerificationReport:
         check("pullback-sup-norm", sup_norm(atilde), bound)
         residual = sup_norm(dual_residual(V, atilde))
         check("dual-residual", residual, _DUAL_RESIDUAL_TOLERANCE)
-        upper = upper_bound_monitor(V, atilde)
-        lower = lower_bound_monitor(V, atilde)
-        report = report.merge(upper).merge(lower)
+        if V.base.is_identity():  # what the bound monitors assume
+            upper = upper_bound_monitor(V, atilde)
+            lower = lower_bound_monitor(V, atilde)
+            report = report.merge(upper).merge(lower)
     except NotConvex as exc:
         # raised where the dual's HessianState.convex is False
         lhs = float(exc.min_eigenvalue)

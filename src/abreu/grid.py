@@ -12,7 +12,10 @@ Conventions:
   * odd-order derivatives zero the Nyquist mode (symmetric choice);
   * off-grid evaluation (`TrigInterpolant`) works in the real separable
     basis [1, cos 2 pi k x, cos pi N x, sin 2 pi k x] (0 < k < N/2) per
-    axis, so a real field is evaluated with real products only;
+    axis, so a real field is evaluated with real products only; each
+    field keeps its one interpolant (`ScalarField.interpolant`), which
+    `interpolate`, the potential's off-grid derivatives and the pullbacks
+    share, and `PeriodicGrid.check_points` is the one check of the points;
   * quadrature is the plain node average, which integrates trigonometric
     polynomials below Nyquist exactly (the domain has unit volume, so the
     average equals the integral);
@@ -136,6 +139,20 @@ class PeriodicGrid:
         p = np.asarray(point, dtype=float)
         return np.mod(p, 1.0)
 
+    def check_points(self, points) -> np.ndarray:
+        """`points` (one point, or one per row) as a finite (P, dim) float
+        array, else ValueError: the one check of off-grid points."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.ndim != 2:
+            raise ValueError(f"points must be a (P, n) array, got shape {pts.shape}")
+        if pts.shape[1] != self.dim:
+            raise ValueError(
+                f"points have dimension {pts.shape[1]}, grid has {self.dim}"
+            )
+        if not np.isfinite(pts).all():
+            raise ValueError("evaluation points must be finite")
+        return pts
+
 
 def make_grid(dim: int, resolution) -> PeriodicGrid:
     """Create a periodic grid; rejects odd, undersized or fractional sizes."""
@@ -177,6 +194,12 @@ class ScalarField:
     def mean_zero(self) -> bool:
         """The package's one zero-mean test, kept (the values are read-only)."""
         return abs(mean(self)) <= self.mean_bound
+
+    @functools.cached_property
+    def interpolant(self) -> "TrigInterpolant":
+        """The field's one trigonometric interpolant, built on first use and
+        kept with its coefficient stacks."""
+        return TrigInterpolant(self)
 
     def require_mean_zero(self) -> None:
         if not self.mean_zero:
@@ -588,16 +611,10 @@ class TrigInterpolant:
     def partials(self, points, orders) -> np.ndarray:
         """Mixed partials at a (P, dim) array of points, shape (P, fields);
         `orders` holds one per-axis multi-index per field, as for `partial`.
-        Raises ValueError for a non-finite point, which has no value.
+        Raises ValueError unless `PeriodicGrid.check_points` accepts them.
         """
         grid = self.grid
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] != grid.dim:
-            raise ValueError(
-                f"points have dimension {pts.shape[1]}, grid has {grid.dim}"
-            )
-        if not np.isfinite(pts).all():
-            raise ValueError("evaluation points must be finite")
+        pts = grid.check_points(points)
         if len(orders) == 0:
             raise ValueError("no partials requested: `orders` is empty")
         stack = self._stack(tuple(_check_axes(grid, axes) for axes in orders))
@@ -638,4 +655,4 @@ def interpolate(f: ScalarField, point) -> float:
     function at arbitrary points whenever f is band-limited below Nyquist.
     Points outside [0,1)^n are wrapped by periodicity.
     """
-    return TrigInterpolant(f).evaluate(np.asarray(point, dtype=float))
+    return f.interpolant.evaluate(np.asarray(point, dtype=float))

@@ -6,10 +6,15 @@ form y^T M^{-1} y / 2 + psi with psi periodic.  The dual potential is
 sampled on its own uniform grid (same resolution), which keeps it a
 first-class object for all spectral calculus.
 
+This module holds only the inversion of the gradient map and the
+duality built on it.  Every derivative of u comes from the potential:
+on the grid `Potential.node_gradient` and the Hessian state, off it
+`Potential.value_at`, `gradient_at` and `hessian_at`, from the one kept
+interpolant of phi; the pullback reads the right-hand side's own kept
+interpolant.
+
 Gradient-map inversion runs a damped Newton iteration per target point,
-vectorized over points, with grad phi and D^2 phi evaluated off-grid by
-trigonometric interpolation (one stacked evaluation of all first or all
-second partials per call).  Each point keeps the inverse of its Hessian,
+vectorized over points.  Each point keeps the inverse of its Hessian,
 so a Newton step is a batched mat-vec; D^2 u is interpolated and
 inverted anew (`potential.triangle_inverse`, the closed forms the
 Hessian state uses) only where the point's last step predicts that the
@@ -17,17 +22,17 @@ kept inverse would miss the tolerance.
 
 There are two starts.  A target y starts at the grid node nearest
 M^{-1} y, the identity-map guess that is exact at phi = 0, so its first
-step reads grad phi (the potential's kept spectral gradient) and the
-inverse of D^2 u (its Hessian state's) at that node instead of
-interpolating them.  The dual V of P, as `legendre_transform` returns
-it, starts its own inversion at the grid nodes z from the duality
-itself: (grad v)^{-1} = grad u and D^2 v(grad u(z)) = D^2 u(z)^{-1}, so
-x = grad u(z), from P's kept spectral gradient, with D^2 u(z), from P's
-Hessian state, as the kept inverse.  That start is within transform
-accuracy of the root, and its residual is still checked against the
-tolerance by interpolating grad v there.  Each potential inverts its
-gradient map at the grid nodes once; the transform, the pullback and the
-checks share that inversion.
+step reads grad u and the inverse of D^2 u at that node from the
+potential's spectral data instead of interpolating them.  The dual V of
+P, as `legendre_transform` returns it, starts its own inversion at the
+grid nodes z from the duality itself: (grad v)^{-1} = grad u and
+D^2 v(grad u(z)) = D^2 u(z)^{-1}, so x = grad u(z), from P's kept
+spectral gradient, with D^2 u(z), from P's Hessian state, as the kept
+inverse.  That start is within transform accuracy of the root, and its
+residual is still checked against the tolerance by interpolating grad v
+there; if its Newton run stalls, the dual is inverted once more from the
+node start.  Each potential inverts its gradient map at the grid nodes
+once; the transform, the pullback and the checks share that inversion.
 """
 
 from __future__ import annotations
@@ -35,14 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GradientInversionFailure
-from .grid import (
-    PeriodicGrid,
-    ScalarField,
-    TrigInterpolant,
-    project_mean_zero,
-    triangle_pairs,
-    triangle_to_full,
-)
+from .grid import PeriodicGrid, ScalarField, project_mean_zero, triangle_to_full
 from .potential import Potential, QuadraticBase, triangle_inverse
 
 __all__ = [
@@ -71,71 +69,30 @@ def _check_dual_lattice(base: QuadraticBase) -> None:
         )
 
 
-class _GradientEvaluator:
-    """Off-grid grad u and D^2 u from one interpolant of phi; each method
-    makes one stacked evaluation of all first or all second partials.
-    At grid nodes `at_nodes` reads grad u and the inverse Hessian from the
-    potential's spectral data instead."""
-
-    def __init__(self, P: Potential):
-        self.potential = P
-        self.base_matrix = P.base.matrix
-        n = P.grid.dim
-        self.phi = TrigInterpolant(P.perturbation)
-        eye = np.eye(n, dtype=int)
-        self._rows, self._cols = np.array(triangle_pairs(n)).T
-        self._grad_orders = [tuple(row) for row in eye]
-        self._hess_orders = [tuple(r) for r in eye[self._rows] + eye[self._cols]]
-
-    def grad_u(self, x: np.ndarray) -> np.ndarray:
-        # interpolate first: it rejects non-finite points
-        return self.phi.partials(x, self._grad_orders) + x @ self.base_matrix
-
-    def hess_u(self, x: np.ndarray) -> np.ndarray:
-        """D^2 u at the points x as a triangle stack (m, P)."""
-        vals = self.phi.partials(x, self._hess_orders)
-        vals += self.base_matrix[self._rows, self._cols]
-        return vals.T
-
-    def at_nodes(self, x: np.ndarray, nodes: np.ndarray):
-        """grad u and the inverse of D^2 u at points x lying on the grid
-        nodes `nodes` (multi-indices, one row per point): spectral grad phi
-        and the Hessian state's inverse gathered there, with no
-        interpolation.  Raises NotConvex unless the potential is convex."""
-        P = self.potential
-        at = tuple(nodes.T)
-        hinv = P.hessian_state.inverse().entries[(slice(None),) + at]
-        return _spectral_gradient(P, x, at), triangle_to_full(hinv.T)
-
-
-def _spectral_gradient(P: Potential, x: np.ndarray, at: tuple) -> np.ndarray:
-    """grad u at points x lying on the grid nodes `at` (one index array per
-    axis), from P's kept spectral gradient."""
-    grad_phi = np.stack([g.values[at] for g in P.perturbation_gradient], -1)
-    return x @ P.base.matrix + grad_phi
-
-
 def _node_preimages(P: Potential) -> np.ndarray:
     """x with grad u(x) = y at every grid node y, row-major.
 
     Kept read-only in P's instance dict (as `functools.cached_property`
     keeps `Potential.hessian_state`), so the transform, pullbacks and
     checks of one potential share one inversion.  The dual of a potential
-    (`legendre_transform`) starts from the duality (`_dual_start`); every
-    other potential from `gradient_map_inverse`.  Raises ValueError
-    unless the base preserves the integer lattice.
+    (`legendre_transform`) starts from the duality (`_dual_start`), and
+    once more from the nodes if that stalls; every other potential starts
+    from `gradient_map_inverse`.  Raises ValueError unless the base
+    preserves the integer lattice.
     """
     cache = vars(P)
     if "_node_preimages" not in cache:
         _check_dual_lattice(P.base)
         y = P.grid.node_points()
-        primal = cache.get("_dual_of")
-        if primal is None:
+        primal, x = cache.get("_dual_of"), None
+        if primal is not None:
+            start, hinv = _dual_start(primal, y)
+            try:
+                x = _newton(P, y, start, P.gradient_at(start), hinv, fresh=False)
+            except GradientInversionFailure:
+                pass  # the warm start stalled: invert once more from the nodes
+        if x is None:
             x = gradient_map_inverse(P, y)
-        else:
-            ev = _GradientEvaluator(P)
-            x, hinv = _dual_start(primal, y)
-            x = _newton(ev, y, x, ev.grad_u(x), hinv, fresh=False)
         x.setflags(write=False)
         cache["_node_preimages"] = x
         cache.pop("_dual_of", None)  # P's primal need not outlive this
@@ -147,9 +104,9 @@ def _dual_start(P: Potential, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the primal P: x = grad u(z), the preimage up to transform accuracy
     since (grad v)^{-1} = grad u, and D^2 u(z) = D^2 v(x)^{-1} as its kept
     inverse Hessian, both from P's kept spectral data."""
-    at = np.unravel_index(np.arange(len(z)), P.grid.shape)
-    hess = P.hessian_state.hessian.entries[(slice(None),) + at]
-    return _spectral_gradient(P, z, at), triangle_to_full(hess.T)
+    nodes = np.indices(P.grid.shape).reshape(P.grid.dim, -1).T
+    hess = P.hessian_state.hessian.entries.reshape(-1, len(nodes))
+    return P.node_gradient(z, nodes), triangle_to_full(hess.T)
 
 
 def _grid_nodes(grid: PeriodicGrid, points: np.ndarray) -> np.ndarray | None:
@@ -175,23 +132,9 @@ def _newton_start(P: Potential, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return j / res, (j % res).astype(int)
 
 
-def _target_points(P: Potential, points) -> np.ndarray:
-    """`points` as a finite (P, grid.dim) float array, else ValueError."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.ndim != 2:
-        raise ValueError(f"points must be a (P, n) array, got shape {pts.shape}")
-    if pts.shape[1] != P.grid.dim:
-        raise ValueError(
-            f"points have dimension {pts.shape[1]}, grid has {P.grid.dim}"
-        )
-    if not np.isfinite(pts).all():
-        raise ValueError("evaluation points must be finite")
-    return pts
-
-
 def gradient_map(P: Potential, points) -> np.ndarray:
     """Evaluate y = grad u at a (P, n) array of points."""
-    return _GradientEvaluator(P).grad_u(_target_points(P, points))
+    return P.gradient_at(P.grid.check_points(points))
 
 
 def gradient_map_inverse(P: Potential, points) -> np.ndarray:
@@ -204,25 +147,26 @@ def gradient_map_inverse(P: Potential, points) -> np.ndarray:
     a potential that fails the convexity test raises NotConvex there.
     The iteration itself is `_newton`.
     """
-    y = _target_points(P, points)
+    y = P.grid.check_points(points)
     x, nodes = _newton_start(P, y)
-    ev = _GradientEvaluator(P)
-    grad, hinv = ev.at_nodes(x, nodes)
-    return _newton(ev, y, x, grad, hinv, fresh=True)
+    hinv = P.hessian_state.inverse().entries[(slice(None),) + tuple(nodes.T)]
+    hinv = triangle_to_full(hinv.T)
+    return _newton(P, y, x, P.node_gradient(x, nodes), hinv, fresh=True)
 
 
 def _newton(
-    ev: _GradientEvaluator,
+    P: Potential,
     y: np.ndarray,
     x: np.ndarray,
     grad: np.ndarray,
     hinv: np.ndarray,
     fresh: bool,
 ) -> np.ndarray:
-    """Damped simplified Newton for grad u(x) = y from the start x, with
-    grad = grad u(x) and hinv (P, n, n) the kept inverse Hessians; `fresh`
-    says whether hinv is the inverse of D^2 u at x itself (a node start)
-    or an estimate of it (the dual's start).
+    """Damped simplified Newton for grad u(x) = y, u the potential P, from
+    the start x, with grad = grad u(x) and hinv (P, n, n) the kept inverse
+    Hessians; `fresh` says whether hinv is the inverse of D^2 u at x itself
+    (a node start) or an estimate of it (the dual's start).  Off the grid,
+    grad u and D^2 u are `Potential.gradient_at` and `hessian_at`.
 
     Each point keeps its inverse Hessian across steps, so a step is
     -hinv r.  With r the residual now and r' the one before the point's
@@ -249,7 +193,7 @@ def _newton(
         active = (rnorm > _INVERSION_TOLERANCE) & ~stuck
         refresh = active & ~fresh & (rnorm * rnorm > _INVERSION_TOLERANCE * before)
         if refresh.any():
-            inverse = triangle_inverse(ev.hess_u(x[refresh]))
+            inverse = triangle_inverse(P.hessian_at(x[refresh]))
             hinv[refresh] = triangle_to_full(inverse.T)
             fresh |= refresh
             stuck |= refresh & ~np.isfinite(hinv).all(axis=(1, 2))
@@ -262,7 +206,7 @@ def _newton(
         remaining = np.arange(len(idx))
         for _ in range(40):
             trial = x[idx[remaining]] + scale[remaining, None] * step[remaining]
-            trial_res = ev.grad_u(trial) - y[idx[remaining]]
+            trial_res = P.gradient_at(trial) - y[idx[remaining]]
             trial_norm = np.max(np.abs(trial_res), axis=1)
             improved = trial_norm < rnorm[idx[remaining]]
             good = idx[remaining[improved]]
@@ -281,7 +225,7 @@ def _newton(
     if not (rnorm > _INVERSION_TOLERANCE).any():
         return x
     worst = int(np.argmax(rnorm))
-    node = _grid_nodes(ev.potential.grid, y[worst : worst + 1])
+    node = _grid_nodes(P.grid, y[worst : worst + 1])
     node = None if node is None else tuple(int(i) for i in node[0])
     raise GradientInversionFailure(y[worst], rnorm[worst], _INVERSION_TOLERANCE, node)
 
@@ -297,9 +241,7 @@ def legendre_transform(P: Potential) -> Potential:
     dual_base = P.base.inverse()
     y = grid.node_points()
     x = _node_preimages(P)
-    u = 0.5 * np.einsum("pi,ij,pj->p", x, P.base.matrix, x)
-    u += TrigInterpolant(P.perturbation).evaluate(x)
-    v = np.einsum("pi,pi->p", y, x) - u
+    v = np.einsum("pi,pi->p", y, x) - P.value_at(x)
     quad = 0.5 * np.einsum("pi,ij,pj->p", y, dual_base.matrix, y)
     psi = (v - quad).reshape(grid.shape)
     dual = Potential(dual_base, project_mean_zero(ScalarField(grid, psi)))
@@ -314,7 +256,7 @@ def pullback_rhs(A: ScalarField, P: Potential) -> ScalarField:
     its sup over dual nodes cannot exceed sup|A| beyond interpolation
     error.
     """
-    vals = TrigInterpolant(A).evaluate(_node_preimages(P))
+    vals = A.interpolant.evaluate(_node_preimages(P))
     return ScalarField(P.grid, vals.reshape(P.grid.shape))
 
 
@@ -325,5 +267,4 @@ def dual_residual(V: Potential, Atilde: ScalarField) -> ScalarField:
     Hessian of the dual potential.  Vanishes (to transform accuracy) when
     V is the dual of a solution and Atilde the pulled-back right-hand side.
     """
-    state = V.hessian_state
-    return state.contract(state.log_det) - Atilde
+    return V.hessian_state.log_det_contraction - Atilde

@@ -24,8 +24,10 @@ divergence-form residual is computed for any right-hand side.  For n = 3 a
 closed-form screen sends only the nodes near an extreme eigenvalue to
 LAPACK, with results bitwise those of LAPACK on every node.  The inverse
 is `triangle_inverse`, whose closed forms the gradient-map inversion
-shares.  The spectral gradient of phi is kept on the potential beside its
-Hessian state.
+shares.  Every derivative of u lives here: on the grid the Hessian state
+and the spectral gradient of phi kept beside it (`node_gradient`), off it
+`value_at`, `gradient_at` and `hessian_at`, from phi's one kept
+interpolant (`ScalarField.interpolant`).
 """
 
 from __future__ import annotations
@@ -167,6 +169,37 @@ class Potential:
         built on first use and kept."""
         return tuple(gradient(self.perturbation))
 
+    def node_gradient(self, x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """grad u at points x (P, n) lying on the grid nodes `nodes`
+        (multi-indices mod N, one row per point), from the kept spectral
+        gradient of phi: no interpolation."""
+        at = tuple(nodes.T)
+        grad_phi = np.stack([g.values[at] for g in self.perturbation_gradient], -1)
+        return x @ self.base.matrix + grad_phi
+
+    def value_at(self, x: np.ndarray) -> np.ndarray:
+        """u at the points x (P, n) off the grid: the base plus phi's
+        interpolant (`ScalarField.interpolant`), which rejects bad points."""
+        phi = self.perturbation.interpolant.evaluate(x)
+        return 0.5 * np.einsum("pi,ij,pj->p", x, self.base.matrix, x) + phi
+
+    def gradient_at(self, x: np.ndarray) -> np.ndarray:
+        """grad u at the points x (P, n) off the grid, shape (P, n): one
+        stacked evaluation of all first partials of phi."""
+        orders = [tuple(row) for row in np.eye(self.grid.dim, dtype=int)]
+        # interpolate first: it rejects bad points
+        return self.perturbation.interpolant.partials(x, orders) + x @ self.base.matrix
+
+    def hessian_at(self, x: np.ndarray) -> np.ndarray:
+        """D^2 u at the points x (P, n) off the grid as a triangle stack
+        (m, P): one stacked evaluation of all second partials of phi."""
+        eye = np.eye(self.grid.dim, dtype=int)
+        rows, cols = np.array(triangle_pairs(self.grid.dim)).T
+        orders = [tuple(row) for row in eye[rows] + eye[cols]]
+        vals = self.perturbation.interpolant.partials(x, orders)
+        vals += self.base.matrix[rows, cols]
+        return vals.T
+
 
 def hessian_u(P: Potential) -> SymMatrixField:
     """Nodewise Hessian M + D^2 phi, computed spectrally from phi."""
@@ -181,9 +214,10 @@ class HessianState:
     """Nodewise Hessian quantities of one potential, each computed once.
 
     Holds the Hessian, its determinant, the extreme eigenvalues and the
-    node of the smallest one; the inverse, log det, the forward
-    field (u^ij)_ij and the weights of the congruence psi -> H^-1 psi H^-1
-    are formed on first use, behind the convexity guard, and kept.  For
+    node of the smallest one; the inverse, log det, its contraction
+    h^ij (log det H)_ij, the forward field (u^ij)_ij and the weights of the
+    congruence psi -> H^-1 psi H^-1 are formed on first use, behind the
+    convexity guard, and kept.  For
     n <= 2 everything has a closed form (a 2x2
     [[a, b], [b, c]] has eigenvalues m -+ hypot((a - c)/2, b) with
     m = (a + c)/2 and determinant ac - b^2).  For n = 3 the determinant is
@@ -259,6 +293,12 @@ class HessianState:
         log_det = np.log(self.det)
         log_det.setflags(write=False)
         return log_det
+
+    @cached_property
+    def log_det_contraction(self) -> ScalarField:
+        """sum_ij h^ij (log det H)_ij, guarded: the dual equation's left
+        side and -4 times the scalar curvature."""
+        return self.contract(self.log_det)
 
     @cached_property
     def forward(self) -> ScalarField:

@@ -13,6 +13,7 @@ from abreu import (
     Potential,
     QuadraticBase,
     ScalarField,
+    TrigInterpolant,
     c0_c1_report,
     choose_beta,
     continuity_solve,
@@ -230,21 +231,21 @@ class TestOneInversionPerPotential:
     @pytest.fixture
     def counted(self, monkeypatch):
         """Inversions per potential (Newton runs, from either start) and
-        evaluators built, while active."""
+        the fields interpolants were built of, while active."""
         inversions, built = Counter(), []
         newton = legendre._newton
-        init = legendre._GradientEvaluator.__init__
+        init = TrigInterpolant.__init__
 
-        def counting_newton(ev, *args, **kwargs):
-            inversions[ev.potential.perturbation.values.tobytes()] += 1
-            return newton(ev, *args, **kwargs)
+        def counting_newton(P, *args, **kwargs):
+            inversions[P.perturbation.values.tobytes()] += 1
+            return newton(P, *args, **kwargs)
 
-        def counting_init(self, P):
-            built.append(P)
-            init(self, P)
+        def counting_init(self, f):
+            built.append(f)
+            init(self, f)
 
         monkeypatch.setattr(legendre, "_newton", counting_newton)
-        monkeypatch.setattr(legendre._GradientEvaluator, "__init__", counting_init)
+        monkeypatch.setattr(TrigInterpolant, "__init__", counting_init)
         return inversions, built
 
     def test_verify_inverts_primal_and_dual_once_each(self, counted):
@@ -260,13 +261,30 @@ class TestOneInversionPerPotential:
         assert inversions[P.perturbation.values.tobytes()] == 1
         assert sorted(inversions.values()) == [1, 1]
 
-    def test_transform_builds_one_evaluator(self, counted):
+    def test_verify_builds_one_interpolant_per_field(self, counted):
+        # phi, psi, det u and A: the inversions, the transforms' values and
+        # the pullbacks of each field share its kept interpolant
+        _, built = counted
+        g = make_grid(2, [16, 16])
+        a = ScalarField.from_function(
+            g, lambda x, y: 0.5 * (np.cos(TWO_PI * x) + np.cos(TWO_PI * y))
+        )
+        P, _ = continuity_solve(a)
+        verify_solution(P, a)
+        assert len(built) == 4
+        assert built[0] is P.perturbation and built[3] is a
+        assert np.array_equal(built[2].values, P.hessian_state.det)
+
+    def test_transform_builds_one_interpolant_of_phi(self, counted):
+        # the inversion and the transform's values share phi's interpolant
         inversions, built = counted
         g = make_grid(2, [16, 16])
         P = random_convex_potential(g, np.random.default_rng(5), margin=0.5)
+        zero = ScalarField.zeros(g)
         legendre_transform(P)
-        pullback_rhs(ScalarField.zeros(g), P)
-        assert len(built) == 1 and built[0] is P
+        pullback_rhs(zero, P)
+        assert len(built) == 2
+        assert built[0] is P.perturbation and built[1] is zero
         assert sum(inversions.values()) == 1
 
 
@@ -375,6 +393,78 @@ class TestNonConvexDual:
         ]
         check = outcome.bounds.inequalities[-1]
         assert -0.05 < check.lhs < 0.0 and check.rhs == CONVEXITY_FLOOR
+
+    def test_stalled_dual_start_reruns_from_the_nodes(self, monkeypatch):
+        # a bump about 0.5 below convexity: the dual's start from the
+        # duality stalls, and the node start it falls back on meets the
+        # dual's convexity guard
+        g = make_grid(2, [16, 16])
+        a = ScalarField.from_function(
+            g, lambda x, y: 0.5 * (np.cos(TWO_PI * x) + np.cos(TWO_PI * y))
+        )
+        P, _ = continuity_solve(a)
+        k = 7
+        bump = ScalarField.from_function(g, lambda x, y: np.cos(TWO_PI * k * x))
+        corrupt_first_dual(monkeypatch, 1.5 / (TWO_PI * k) ** 2 * bump.values)
+        runs, node_starts = [], []
+        newton, node_start = legendre._newton, legendre.gradient_map_inverse
+
+        def spy_newton(V, y, x, grad, hinv, fresh):
+            try:
+                out = newton(V, y, x, grad, hinv, fresh)
+            except GradientInversionFailure:
+                runs.append((fresh, "failed"))
+                raise
+            runs.append((fresh, "converged"))
+            return out
+
+        def spy_node_start(V, points):
+            node_starts.append(V)
+            return node_start(V, points)
+
+        monkeypatch.setattr(legendre, "_newton", spy_newton)
+        monkeypatch.setattr(legendre, "gradient_map_inverse", spy_node_start)
+        outcome = verify_solution(P, a)
+        # P from its nodes, then the dual's stalled warm start; the dual's
+        # node start raises NotConvex before its Newton runs
+        assert runs == [(True, "converged"), (False, "failed")]
+        assert len(node_starts) == 2 and node_starts[0] is P
+        names = [c.name for c in outcome.bounds.inequalities]
+        assert names == [
+            "convexity-margin", "primal-residual", "rhs-mean-zero",
+            "divergence-form-residual", "dual-convexity",
+        ]
+        assert _failed(outcome.bounds) == ["dual-convexity"]
+        check = outcome.bounds.inequalities[-1]
+        assert -0.6 < check.lhs < -0.4 and check.rhs == CONVEXITY_FLOOR
+
+
+class TestVerifyUnimodularBase:
+    """On a unimodular base other than the identity the dual base is not
+    the identity either, so verify leaves the bound monitors out."""
+
+    def test_report_holds_the_checks_before_the_monitors(self):
+        g = make_grid(2, [16, 16])
+        a = ScalarField.from_function(
+            g, lambda x, y: 0.5 * (np.cos(TWO_PI * x) + np.cos(TWO_PI * y))
+        )
+        base = QuadraticBase(np.array([[2.0, 1.0], [1.0, 1.0]]))
+        P, _ = continuity_solve(a, base)
+        outcome = verify_solution(P, a)
+        names = [c.name for c in outcome.bounds.inequalities]
+        assert names == [
+            "convexity-margin", "primal-residual", "rhs-mean-zero",
+            "divergence-form-residual", "legendre-involution",
+            "determinant-duality", "pullback-sup-norm", "dual-residual",
+        ]
+        assert outcome.bounds.upper_constant_c is None
+        assert outcome.bounds.beta is None
+        assert outcome.to_dict()["bounds"]["sup_A"] is None
+        # called directly, the monitors still refuse this dual
+        V = legendre_transform(P)
+        for monitor in (upper_bound_monitor, lower_bound_monitor):
+            with pytest.raises(ValueError, match="identity dual base"):
+                monitor(V, a)
 
 
 class TestVerifyInversionFailure:

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from abreu import ScalarField, TrigInterpolant, interpolate, make_grid, partial
 from abreu.grid import _BLOCK_BYTES, _BLOCK_MIN_POINTS
-from abreu.legendre import _GradientEvaluator
 from tests.support import random_convex_potential
 
 TWO_PI = 2.0 * np.pi
@@ -227,12 +226,12 @@ class TestEvaluationMemory:
         # float64 temporary, about 50 MB
         g = make_grid(3, [16, 16, 16])
         P = random_convex_potential(g, np.random.default_rng(3), margin=0.5)
-        ev = _GradientEvaluator(P)
+        P.perturbation.interpolant  # built before the measurement, as it is kept
         x = g.node_points()
         tracemalloc.start()
         try:
-            grad = ev.grad_u(x)
-            hess = ev.hess_u(x)
+            grad = P.gradient_at(x)
+            hess = P.hessian_at(x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

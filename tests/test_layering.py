@@ -16,7 +16,13 @@ The zero mean has one test, `ScalarField.mean_zero` in grid.py: no other
 module compares a mean, MEAN_TOLERANCE or a `.mean_bound` against anything.
 
 The matrix algebra of gradient-map inversion stays in potential.py:
-legendre.py neither imports numpy.linalg nor names it.
+legendre.py neither imports numpy.linalg nor names it.  So do the
+derivatives of a potential off the grid: legendre.py names neither
+`TrigInterpolant` nor `partials`.
+
+Every function that the benchmark's tracer wraps (`FUNCTIONS` in
+perfbench/tracing.py), and at least one of its Krylov hooks, resolves in
+the package, so a refactor cannot null a per-layer metric by renaming it.
 
 Every name in `abreu.__all__` and in each module's `__all__` exists, so
 `from abreu import *` cannot break on a stale export.
@@ -143,6 +149,86 @@ def _linalg_uses(path):
 
 def test_legendre_uses_no_linalg():
     assert _linalg_uses(PACKAGE / "legendre.py") == []
+
+
+def _names_used(path, names):
+    """Lines naming one of `names`: a name, an attribute or an import."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and node.id in names:
+            found.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            found.add(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(a.name.rpartition(".")[2] in names for a in node.names):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_legendre_builds_no_interpolant():
+    names = {"TrigInterpolant", "partials"}
+    assert _names_used(PACKAGE / "legendre.py", names) == []
+
+
+def test_detects_names_used(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .grid import ScalarField, TrigInterpolant\n"
+        "from . import grid\n"
+        "def f(A, x):\n"
+        "    g = grid.TrigInterpolant(A)\n"
+        "    partials = g.evaluate(x)\n"
+        "    return A.interpolant.partials(x, [(1,)]), partials\n",
+        encoding="utf-8",
+    )
+    assert _names_used(probe, {"TrigInterpolant", "partials"}) == [1, 4, 5, 6]
+
+
+def _tracer_hooks():
+    """`FUNCTIONS` and `Tracer.KRYLOV_HOOKS` of perfbench/tracing.py, read
+    from its source (the benchmark is not imported)."""
+    tracing = PACKAGE.parents[1] / "perfbench" / "tracing.py"
+    found = {}
+    for node in ast.walk(ast.parse(tracing.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and target.id in (
+                "FUNCTIONS", "KRYLOV_HOOKS"
+            ):
+                found[target.id] = ast.literal_eval(node.value)
+    return found["FUNCTIONS"], found["KRYLOV_HOOKS"]
+
+
+def _resolves(module, dotted):
+    owner = module
+    for part in dotted.split("."):
+        owner = getattr(owner, part, None)
+    return callable(owner)
+
+
+def test_traced_functions_resolve():
+    functions, _ = _tracer_hooks()
+    missing = [
+        f"abreu.{layer}.{name}"
+        for layer, names in functions.items()
+        for name in names
+        if not _resolves(importlib.import_module(f"abreu.{layer}"), name)
+    ]
+    assert missing == []
+
+
+def test_a_krylov_hook_resolves():
+    _, hooks = _tracer_hooks()
+    solver = importlib.import_module("abreu.solver")
+    assert any(_resolves(solver, name) for name, _mode in hooks)
+
+
+def test_detects_unresolved_names():
+    module = types.ModuleType("probe")
+    module.Outer = type("Outer", (), {"method": lambda self: None})
+    module.fn = len
+    assert _resolves(module, "fn") and _resolves(module, "Outer.method")
+    assert not _resolves(module, "gone") and not _resolves(module, "Outer.gone")
 
 
 def test_detects_linalg_uses(tmp_path):

@@ -81,14 +81,14 @@ class TestGradientMap:
         g = make_grid(2, [16, 16])
         f = random_convex_potential(g, np.random.default_rng(1), margin=0.5)
         P = Potential(QuadraticBase(base), f.perturbation)
-        ev = legendre._GradientEvaluator(P)
         for point in ([bad, 0.25], [0.3, bad], [bad, bad]):
             for pts in ([point], [[0.1, 0.4], point]):
                 for evaluate in (
                     lambda pts: gradient_map(P, pts),
                     lambda pts: gradient_map_inverse(P, pts),
-                    ev.grad_u,
-                    ev.hess_u,
+                    P.value_at,
+                    P.gradient_at,
+                    P.hessian_at,
                 ):
                     with pytest.raises(ValueError, match="finite"):
                         evaluate(np.array(pts))
@@ -214,16 +214,17 @@ class TestStuckPoint:
             grad[np.max(np.abs(x - stalled), axis=1) < 0.05] = stalled + 5e-12
             return grad
 
-        class Stalling(legendre._GradientEvaluator):
-            def grad_u(self, x):
-                grad_calls.append(len(x))
-                return stall(x, super().grad_u(x))
+        gradient_at, node_gradient = Potential.gradient_at, Potential.node_gradient
 
-            def at_nodes(self, x, nodes):
-                grad, hess = super().at_nodes(x, nodes)
-                return stall(x, grad), hess
+        def stalling_gradient_at(self, x):
+            grad_calls.append(len(x))
+            return stall(x, gradient_at(self, x))
 
-        monkeypatch.setattr(legendre, "_GradientEvaluator", Stalling)
+        def stalling_node_gradient(self, x, nodes):
+            return stall(x, node_gradient(self, x, nodes))
+
+        monkeypatch.setattr(Potential, "gradient_at", stalling_gradient_at)
+        monkeypatch.setattr(Potential, "node_gradient", stalling_node_gradient)
         with pytest.raises(GradientInversionFailure) as info:
             gradient_map_inverse(Potential.flat(g), ys)
         exc = info.value
@@ -246,18 +247,20 @@ class TestStuckPoint:
         solution = gradient_map_inverse(P, y)[0]
         events = []
 
-        class Stalling(legendre._GradientEvaluator):
-            def grad_u(self, x):
-                events.append(("grad", len(x)))
-                out = super().grad_u(x)
-                out[np.max(np.abs(x - solution), axis=1) < 1e-3] = y[0] + 5e-12
-                return out
+        gradient_at, hessian_at = Potential.gradient_at, Potential.hessian_at
 
-            def hess_u(self, x):
-                events.append(("hess", len(x)))
-                return super().hess_u(x)
+        def stalling_gradient_at(self, x):
+            events.append(("grad", len(x)))
+            out = gradient_at(self, x)
+            out[np.max(np.abs(x - solution), axis=1) < 1e-3] = y[0] + 5e-12
+            return out
 
-        monkeypatch.setattr(legendre, "_GradientEvaluator", Stalling)
+        def counted_hessian_at(self, x):
+            events.append(("hess", len(x)))
+            return hessian_at(self, x)
+
+        monkeypatch.setattr(Potential, "gradient_at", stalling_gradient_at)
+        monkeypatch.setattr(Potential, "hessian_at", counted_hessian_at)
         with pytest.raises(GradientInversionFailure) as info:
             gradient_map_inverse(P, y)
         exc = info.value
@@ -342,13 +345,13 @@ class TestNodeStart:
             targets
         ]
         starts = []
-        at_nodes = legendre._GradientEvaluator.at_nodes
+        node_gradient = Potential.node_gradient
 
         def spy(self, x, nodes):
             starts.append(x.copy())
-            return at_nodes(self, x, nodes)
+            return node_gradient(self, x, nodes)
 
-        monkeypatch.setattr(legendre._GradientEvaluator, "at_nodes", spy)
+        monkeypatch.setattr(Potential, "node_gradient", spy)
         x = gradient_map_inverse(P, y)
         (x0,) = starts
         res = np.array(g.resolution)
@@ -397,13 +400,13 @@ class TestNodeStart:
         x0 = np.linalg.solve(P.base.matrix, y.T).T
         assert legendre._grid_nodes(g, x0) is None
         gathered = []
-        at_nodes = legendre._GradientEvaluator.at_nodes
+        node_gradient = Potential.node_gradient
 
         def spy(self, x, nodes):
             gathered.append(len(nodes))
-            return at_nodes(self, x, nodes)
+            return node_gradient(self, x, nodes)
 
-        monkeypatch.setattr(legendre._GradientEvaluator, "at_nodes", spy)
+        monkeypatch.setattr(Potential, "node_gradient", spy)
         x = gradient_map_inverse(P, y)
         assert gathered == [len(y)]
         assert np.max(_gradient_residual(P, x, y)) <= legendre._INVERSION_TOLERANCE
@@ -479,15 +482,16 @@ class TestKeptInverseRobustness:
         y = np.array([[0.1, 0.2], [1 / 3, 0.7], [0.6, 0.45]])
         refreshed = []
 
-        class Corrupted(legendre._GradientEvaluator):
-            def hess_u(self, x):
-                hess = super().hess_u(x)
-                near = np.max(np.abs(x - y[1]), axis=1) < 0.05
-                hess[:, near] = np.array(entries)[:, None]
-                refreshed.append(near.any())
-                return hess
+        hessian_at = Potential.hessian_at
 
-        monkeypatch.setattr(legendre, "_GradientEvaluator", Corrupted)
+        def corrupted(self, x):
+            hess = hessian_at(self, x)
+            near = np.max(np.abs(x - y[1]), axis=1) < 0.05
+            hess[:, near] = np.array(entries)[:, None]
+            refreshed.append(near.any())
+            return hess
+
+        monkeypatch.setattr(Potential, "hessian_at", corrupted)
         with pytest.raises(GradientInversionFailure) as info:
             gradient_map_inverse(P, y)
         assert any(refreshed)
@@ -571,9 +575,9 @@ class TestDualStart:
         starts = []
         newton = legendre._newton
 
-        def spy(ev, y, x, grad, hinv, fresh):
+        def spy(P, y, x, grad, hinv, fresh):
             starts.append((fresh, np.max(np.abs(grad - y))))
-            return newton(ev, y, x, grad, hinv, fresh)
+            return newton(P, y, x, grad, hinv, fresh)
 
         monkeypatch.setattr(legendre, "_newton", spy)
         warm = legendre._node_preimages(V)

@@ -10,6 +10,7 @@ from abreu import (
     QuadraticBase,
     ScalarField,
     SymMatrixField,
+    TrigInterpolant,
     abreu_forward,
     cofactor,
     convexity_margin,
@@ -23,6 +24,7 @@ from abreu import (
     sup_norm,
     verify_solution,
 )
+from abreu.grid import triangle_pairs
 from abreu.potential import CONVEXITY_FLOOR
 from tests.support import (
     A_AT_0,
@@ -308,3 +310,58 @@ class TestConvexityMargin:
         for mat in (0.5 * np.eye(2), 2.0 * np.eye(2), np.array([[2.0, 0.3], [0.3, 1.0]])):
             P = Potential.flat(g, QuadraticBase(mat))
             assert sup_norm(abreu_forward(P)) < 1e-12
+
+
+_UNIMODULAR = [[2.0, 1.0], [1.0, 1.0]]
+
+
+class TestDerivativesOffAndOnTheGrid:
+    """`Potential.value_at`, `gradient_at`, `hessian_at` and `node_gradient`
+    give bitwise the base plus phi's partials, written out here from an
+    interpolant of phi of the test's own."""
+
+    @pytest.fixture(
+        params=[((32,), [[1.0]]), ((16, 16), np.eye(2)), ((8, 8, 8), np.eye(3)),
+                ((16, 16), _UNIMODULAR)],
+        ids=["1d", "2d", "3d", "2d-unimodular"],
+    )
+    def case(self, request):
+        shape, base = request.param
+        g = make_grid(len(shape), list(shape))
+        rng = np.random.default_rng(len(shape))
+        phi = random_convex_potential(g, rng, margin=0.5).perturbation
+        P = Potential(QuadraticBase(np.array(base)), phi)
+        x = rng.uniform(-1.0, 2.0, (50, g.dim))
+        return P, x, TrigInterpolant(phi), P.base.matrix
+
+    def test_value(self, case):
+        P, x, phi, M = case
+        expected = 0.5 * np.einsum("pi,ij,pj->p", x, M, x)
+        expected += phi.evaluate(x)
+        assert np.array_equal(P.value_at(x), expected)
+
+    def test_gradient(self, case):
+        P, x, phi, M = case
+        eye = [tuple(row) for row in np.eye(P.grid.dim, dtype=int)]
+        assert np.array_equal(P.gradient_at(x), phi.partials(x, eye) + x @ M)
+
+    def test_hessian(self, case):
+        P, x, phi, M = case
+        eye = np.eye(P.grid.dim, dtype=int)
+        rows, cols = np.array(triangle_pairs(P.grid.dim)).T
+        expected = phi.partials(x, [tuple(r) for r in eye[rows] + eye[cols]])
+        expected += M[rows, cols]
+        got = P.hessian_at(x)
+        assert got.shape == (len(rows), len(x))
+        assert np.array_equal(got, expected.T)
+
+    def test_node_gradient(self, case):
+        P, x, _, M = case
+        res = np.array(P.grid.resolution)
+        j = np.rint(x * res)
+        on = j / res  # nodes, inside and outside [0, 1)^n
+        nodes = (j % res).astype(int)
+        at = tuple(nodes.T)
+        grad_phi = np.stack([partial(P.perturbation, axes).values[at]
+                             for axes in np.eye(P.grid.dim, dtype=int)], -1)
+        assert np.array_equal(P.node_gradient(on, nodes), on @ M + grad_phi)
