@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from dataclasses import asdict
@@ -36,7 +35,7 @@ from .errors import (
     StepFloorReached,
 )
 from .estimates import c0_c1_report, eigenvalue_bounds, verify_solution
-from .fieldfile import read_field, write_field
+from .fieldfile import atomic_write, read_field, write_field
 from .fieldlang import eval_field, parse, periodicity_defect
 from .grid import make_grid, mean, project_mean_zero, sup_norm
 from .legendre import legendre_transform
@@ -221,11 +220,11 @@ def _solver_config(args):
 
 
 def _write_report(path, payload) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
+    def write(handle):
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    os.replace(tmp, path)
+
+    atomic_write(path, write, binary=False)
 
 
 def _base_report(argv, cfg=None) -> dict:

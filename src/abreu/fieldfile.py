@@ -27,23 +27,28 @@ __all__ = ["MAGIC", "read_field", "write_field"]
 MAGIC = b"PABR1"
 
 
+def atomic_write(path, write, binary: bool = True) -> None:
+    """Write `path` through `write(handle)` on a temporary file renamed over
+    it; on any failure the file is removed and `path` left as it was."""
+    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        mode, encoding = ("wb", None) if binary else ("w", "utf-8")
+        with os.fdopen(fd, mode, encoding=encoding) as handle:
+            write(handle)
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
+        raise
+
+
 def write_field(path, field: ScalarField) -> None:
     """Serialize a field; atomic (temp file + rename), lossless."""
     grid = field.grid
     header = MAGIC + struct.pack("<I", grid.dim)
     header += struct.pack(f"<{grid.dim}Q", *grid.resolution)
     payload = field.values.astype("<f8", copy=False).tobytes(order="C")
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".fld.tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(header)
-            handle.write(payload)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    atomic_write(path, lambda handle: handle.writelines((header, payload)))
 
 
 def read_field(path) -> ScalarField:

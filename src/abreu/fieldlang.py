@@ -363,17 +363,13 @@ def periodicity_defect(f: ScalarField) -> float:
     non-periodic samplings (such as "x1") leak O(1/k) energy into the
     highest modes.  The CLI warns above 1e-8.
     """
-    coeffs = np.fft.fftn(f.values) / f.grid.node_count
+    coeffs = f.interpolant.coeffs
     total = np.sqrt(np.sum(np.abs(coeffs) ** 2))
     if total == 0.0:
         return 0.0
     mask = np.zeros(f.grid.shape, dtype=bool)
-    for axis in range(f.grid.dim):
-        k = np.abs(f.grid.wavenumbers(axis))
-        nyq = f.grid.resolution[axis] // 2
-        axis_mask = k > (2 * nyq) // 3
-        shape = [1] * f.grid.dim
-        shape[axis] = len(k)
-        mask |= axis_mask.reshape(shape)
+    for axis, n in enumerate(f.grid.resolution):
+        top = np.abs(f.grid.wavenumbers(axis)) > n // 3  # above 2/3 of Nyquist
+        mask |= top.reshape([n if a == axis else 1 for a in range(f.grid.dim)])
     tail = np.sqrt(np.sum(np.abs(coeffs[mask]) ** 2))
     return float(tail / total)

@@ -10,6 +10,10 @@ shared freely across threads.
 Conventions:
   * integer wavenumbers, fundamental domain fixed to [0,1]^n;
   * odd-order derivatives zero the Nyquist mode (symmetric choice);
+  * this module alone knows the Fourier layout: `fourier_multiplier` is
+    the one multiplier table (real-FFT or full layout), which derivatives,
+    the interpolant and the solver's preconditioner all read, and
+    `fourier_multiply` is the one diagonal Fourier apply;
   * off-grid evaluation (`TrigInterpolant`) works in the real separable
     basis [1, cos 2 pi k x, cos pi N x, sin 2 pi k x] (0 < k < N/2) per
     axis, so a real field is evaluated with real products only; each
@@ -27,6 +31,7 @@ Conventions:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,6 +45,8 @@ __all__ = [
     "ScalarField",
     "SymMatrixField",
     "make_grid",
+    "fourier_multiplier",
+    "fourier_multiply",
     "partial",
     "gradient",
     "hessian",
@@ -167,7 +174,7 @@ def _freeze(values: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarField:
     """One real value per grid node, row-major with the last axis fastest."""
 
@@ -265,7 +272,7 @@ def triangle_to_full(rows) -> np.ndarray:
     return rows[..., index]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymMatrixField:
     """Symmetric n x n matrix per node as a triangle stack: entries has
     shape (m, *grid.shape), m = n(n+1)/2, and component k holds entry
@@ -332,41 +339,46 @@ class SymMatrixField:
 # spectral differentiation
 
 
-@functools.lru_cache(maxsize=128)
-def _axis_factor(grid: PeriodicGrid, axis: int, order: int) -> np.ndarray:
-    """(2 pi k)^order along one axis, complex-FFT layout, cached read-only;
-    odd orders zero the Nyquist mode.  The caller applies i^order."""
-    factor = (_TWO_PI * grid.wavenumbers(axis).astype(float)) ** order
-    if order % 2 == 1:
-        factor[grid.resolution[axis] // 2] = 0.0
-    factor.setflags(write=False)
-    return factor
+@functools.lru_cache(maxsize=None)
+def _orders(dim: int, total: int) -> tuple[tuple[int, ...], ...]:
+    """Per-axis orders of all partials of order `total`: the axes in turn
+    for total 1, the triangle pairs in `SymMatrixField` order for total 2."""
+    return tuple(
+        tuple(axes.count(a) for a in range(dim))
+        for axes in itertools.combinations_with_replacement(range(dim), total)
+    )
 
 
 @functools.lru_cache(maxsize=128)
-def _derivative_multiplier(grid: PeriodicGrid, orders: tuple[int, ...]) -> np.ndarray:
-    """Fourier multiplier of the mixed derivative with per-axis `orders`.
+def fourier_multiplier(grid: PeriodicGrid, orders, full: bool = False) -> np.ndarray:
+    """Fourier multipliers of the mixed partials `orders` (a tuple of
+    per-axis multi-indices), stacked first and cached read-only per grid.
 
-    Laid out for real-FFT spectra (the last axis keeps its N/2 + 1
-    non-negative modes, Nyquist last) and cached read-only per grid.  Odd
-    orders zero the Nyquist mode of their axis; even orders keep it.  The
-    multiplier is real whenever the total order is even.
+    Entry k is prod_a (2 pi i k_a)^orders[k][a]; odd orders zero the
+    Nyquist mode of their axis, even orders keep it.  Laid out for
+    real-FFT spectra (the last axis keeps its N/2 + 1 non-negative
+    modes, Nyquist last), or for the full FFT when `full`.  The stack is
+    real when every total order is even, complex otherwise.
     """
-    mult = np.ones((1,) * grid.dim)
-    for axis, order in enumerate(orders):
-        if order == 0:
-            continue
-        factor = _axis_factor(grid, axis, order)
-        if axis == grid.dim - 1:
-            factor = factor[: grid.resolution[axis] // 2 + 1]
-        shape = [1] * grid.dim
-        shape[axis] = len(factor)
-        mult = mult * factor.reshape(shape)
-    mult = mult * 1j ** sum(orders)
-    if sum(orders) % 2 == 0:
-        mult = mult.real
-    mult.setflags(write=False)
-    return mult
+    # as Python ints, so that 1j ** k below is Python's exact power
+    orders = [_check_axes(grid, axes) for axes in orders]
+    sizes = list(grid.resolution)
+    if not full:
+        sizes[-1] = sizes[-1] // 2 + 1
+    mults = []
+    for axes in orders:
+        factors = []
+        for axis, order in enumerate(axes):
+            factor = (_TWO_PI * grid.wavenumbers(axis)[: sizes[axis]]) ** order
+            if order % 2 == 1:
+                factor[grid.resolution[axis] // 2] = 0.0
+            factors.append(factor)
+        mults.append(functools.reduce(np.multiply.outer, factors) * 1j ** sum(axes))
+    stack = np.stack(mults)
+    if all(sum(axes) % 2 == 0 for axes in orders):
+        stack = np.ascontiguousarray(stack.real)
+    stack.setflags(write=False)
+    return stack
 
 
 def _grid_axes(a: np.ndarray, grid: PeriodicGrid) -> tuple[int, ...]:
@@ -384,12 +396,22 @@ def _irfft(spectrum: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return np.fft.irfftn(spectrum, s=grid.shape, axes=_grid_axes(spectrum, grid))
 
 
-def _pair_orders(dim: int, i: int, j: int) -> tuple[int, ...]:
-    """Per-axis orders of the second partial d^2 / dx_i dx_j."""
-    orders = [0] * dim
-    orders[i] += 1
-    orders[j] += 1
-    return tuple(orders)
+def fourier_multiply(grid: PeriodicGrid, values: np.ndarray,
+                     multiplier: np.ndarray) -> np.ndarray:
+    """Node values times a Fourier multiplier in real-FFT layout: one
+    forward real transform over the trailing grid axes, one inverse.
+
+    A stack of multipliers, as `fourier_multiplier` returns it, makes a
+    component-first stack of fields with one batched inverse.
+    """
+    # the spectrum is a temporary: freed before the inverse, whose
+    # temporaries set the peak memory of a Krylov apply
+    return _irfft(_rfft(values, grid) * multiplier, grid)
+
+
+def _partials(grid: PeriodicGrid, values: np.ndarray, orders) -> np.ndarray:
+    """The partials `orders` of node values, component-first."""
+    return fourier_multiply(grid, values, fourier_multiplier(grid, orders))
 
 
 def _check_axes(grid: PeriodicGrid, axes) -> tuple[int, ...]:
@@ -414,37 +436,13 @@ def partial(f: ScalarField, axes) -> ScalarField:
     axes = _check_axes(f.grid, axes)
     if sum(axes) == 0:
         return f
-    spectrum = _rfft(f.values, f.grid) * _derivative_multiplier(f.grid, axes)
-    return ScalarField(f.grid, _irfft(spectrum, f.grid))
-
-
-def _unit_orders(dim: int, axis: int, order: int = 1) -> tuple[int, ...]:
-    orders = [0] * dim
-    orders[axis] = order
-    return tuple(orders)
+    return ScalarField(f.grid, _partials(f.grid, f.values, (axes,))[0])
 
 
 def gradient(f: ScalarField) -> list[ScalarField]:
     """All first partials, sharing a single forward transform."""
-    grid = f.grid
-    spectrum = _rfft(f.values, grid)
-    out = []
-    for axis in range(grid.dim):
-        mult = _derivative_multiplier(grid, _unit_orders(grid.dim, axis))
-        out.append(ScalarField(grid, _irfft(spectrum * mult, grid)))
-    return out
-
-
-@functools.lru_cache(maxsize=128)
-def _pair_multipliers(grid: PeriodicGrid) -> tuple[np.ndarray, ...]:
-    """Multipliers of the second partials d^2 / dx_i dx_j over the triangle
-    pairs (i <= j) in `SymMatrixField` order, each broadcastable to a
-    real-FFT spectrum."""
-    n = grid.dim
-    return tuple(
-        _derivative_multiplier(grid, _pair_orders(n, i, j))
-        for i, j in triangle_pairs(n)
-    )
+    partials = _partials(f.grid, f.values, _orders(f.grid.dim, 1))
+    return [ScalarField(f.grid, d) for d in partials]
 
 
 def hessian_stack(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
@@ -453,13 +451,7 @@ def hessian_stack(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
     Components follow the triangle order of `SymMatrixField`.  One forward
     real transform, one batched inverse over all m multiplied spectra.
     """
-    mults = _pair_multipliers(grid)
-    spectrum = _rfft(values, grid)
-    spectra = np.empty((len(mults),) + spectrum.shape, complex)
-    for mult, out in zip(mults, spectra):
-        np.multiply(spectrum, mult, out=out)
-    del spectrum  # the inverse's temporaries set the peak memory of an apply
-    return _irfft(spectra, grid)
+    return _partials(grid, values, _orders(grid.dim, 2))
 
 
 def hessian(f: ScalarField) -> SymMatrixField:
@@ -498,9 +490,9 @@ def second_divergence_stack(grid: PeriodicGrid, stack: np.ndarray) -> np.ndarray
     # which the fourth-order multipliers would amplify
     for comp in stack:
         comp -= comp.mean()
-    spectra = _rfft(stack, grid)
+    mults = fourier_multiplier(grid, _orders(grid.dim, 2))
     acc = 0.0
-    for mult, spectrum in zip(_pair_multipliers(grid), spectra):
+    for mult, spectrum in zip(mults, _rfft(stack, grid)):
         acc = acc + mult * spectrum
     return _irfft(acc, grid)
 
@@ -573,7 +565,7 @@ class TrigInterpolant:
     Evaluation works in the real separable basis, along each axis
     [1, cos 2 pi k x (0 < k < N/2), cos pi N x, sin 2 pi k x (0 < k < N/2)],
     so all products are real.  Partials asked for together share one
-    cached coefficient stack: fftn(f) times the derivative factors, mapped
+    cached coefficient stack: fftn(f) times the full-layout multipliers, mapped
     axis by axis onto that basis (`_real_axis_coefficients`) and kept as
     its real part, which is exact up to rounding for a real field.  Points
     go in blocks of bounded memory (`_BLOCK_BYTES` over 8-byte entries per
@@ -596,11 +588,8 @@ class TrigInterpolant:
         (N_0, rest * fields) float64."""
         if orders not in self._stacks:
             grid = self.grid
-            stack = np.empty(grid.shape + (len(orders),), dtype=complex)
-            for field, axes in enumerate(orders):
-                factors = [_axis_factor(grid, a, m) for a, m in enumerate(axes)]
-                mult = functools.reduce(np.multiply.outer, factors)
-                stack[..., field] = self.coeffs * (mult * 1j ** sum(axes))
+            mults = fourier_multiplier(grid, orders, full=True)
+            stack = np.moveaxis(self.coeffs * mults, 0, -1)
             for axis in range(grid.dim):
                 stack = _real_axis_coefficients(stack, axis)
             stack = np.ascontiguousarray(stack.real).reshape(grid.resolution[0], -1)

@@ -76,9 +76,10 @@ CONVEXITY_FLOOR = 1e-8
 _IDENTITY_TOLERANCE = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticBase:
-    """Strictly convex quadratic form Q(x) = x^T matrix x / 2."""
+    """Strictly convex quadratic form Q(x) = x^T matrix x / 2; bases compare
+    and hash by their read-only matrix, so a base can key a cache."""
 
     matrix: np.ndarray
 
@@ -93,6 +94,13 @@ class QuadraticBase:
             raise ValueError("base matrix must be positive definite")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+
+    def __eq__(self, other):
+        same_type = isinstance(other, QuadraticBase)
+        return same_type and np.array_equal(self.matrix, other.matrix)
+
+    def __hash__(self):
+        return hash(tuple(self.matrix.flat))
 
     @classmethod
     def identity(cls, dim: int) -> "QuadraticBase":
@@ -119,7 +127,7 @@ class QuadraticBase:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Potential:
     """u = Q + phi with periodic phi in mean-zero gauge.
 

@@ -20,10 +20,11 @@ oversolving), clamped below by `_LINEAR_TOLERANCE`.  One apply of L
 costs 4 batched real FFTs (a forward and an inverse for the
 m = n(n+1)/2 Hessian entries, the same for the second divergence) plus
 m^2 multiply-adds per node with m(m+1)/2 congruence weights that each
-potential computes once and keeps.  The preconditioner is the inverse of
-the linearization at phi = 0, which is diagonal per Fourier mode and
-cached per grid and base; for the identity base it is exactly the inverse
-biharmonic.
+potential computes once and keeps.  The preconditioner is the exact
+inverse of the discrete linearization at phi = 0: diagonal per Fourier
+mode, built from the grid's second-derivative multipliers (so it follows
+their Nyquist convention, where the continuous biharmonic symbol would
+not) and cached per grid and base.
 
 Line searches use the convex functional
 
@@ -48,10 +49,14 @@ from .grid import (
     MEAN_TOLERANCE,
     PeriodicGrid,
     ScalarField,
+    fourier_multiplier,
+    fourier_multiply,
     hessian_stack,
     project_mean_zero,
     second_divergence_stack,
     sup_norm,
+    triangle_pairs,
+    triangle_to_full,
 )
 from .potential import Potential, QuadraticBase, abreu_forward
 
@@ -177,41 +182,32 @@ def linearized_apply(P: Potential, psi: ScalarField) -> ScalarField:
 
 
 @functools.lru_cache(maxsize=32)
-def _inverse_flat_symbol(grid: PeriodicGrid, matrix_bytes: bytes) -> np.ndarray:
+def _inverse_flat_symbol(grid: PeriodicGrid, base: QuadraticBase) -> np.ndarray:
     """Inverse symbol of the linearization at phi = 0 in real-FFT layout,
-    cached read-only per grid and base matrix (given by its bytes, since
-    the matrix itself is not hashable).
+    cached read-only per grid and base.
 
-    The symbol is (2 pi)^4 (k^T M^{-1} k)^2; the zero mode is annihilated,
+    With h = M^-1 and m_ij the grid's multipliers of d^2 / dx_i dx_j, the
+    symbol is sum h_ia h_jb m_ij m_ab: exactly the operator that
+    `_linearized_operator` applies at phi = 0, Nyquist convention included
+    (the cross multipliers vanish on the Nyquist planes), so its
+    reciprocal is the exact discrete inverse on mean-zero fields.  The
+    zero mode, the only one where the symbol vanishes, is annihilated,
     which doubles as the projection onto mean-zero fields.
     """
-    matrix = np.frombuffer(matrix_bytes).reshape(grid.dim, grid.dim)
-    minv = np.linalg.inv(matrix)
-    ks = [grid.wavenumbers(a).astype(float) for a in range(grid.dim)]
-    ks[-1] = ks[-1][: grid.resolution[-1] // 2 + 1]  # real-FFT layout
-    mesh = np.meshgrid(*ks, indexing="ij")
-    quad = np.zeros(mesh[0].shape)
-    for a in range(grid.dim):
-        for b in range(grid.dim):
-            quad += minv[a, b] * mesh[a] * mesh[b]
-    symbol = (2.0 * np.pi) ** 4 * quad**2
-    inv_symbol = np.zeros(symbol.shape)
-    nonzero = symbol > 0.0
-    inv_symbol[nonzero] = 1.0 / symbol[nonzero]
+    n = grid.dim
+    orders = tuple(tuple(np.bincount(p, minlength=n)) for p in triangle_pairs(n))
+    m = triangle_to_full(np.moveaxis(fourier_multiplier(grid, orders), 0, -1))
+    h = np.linalg.inv(base.matrix)
+    symbol = np.einsum("ia,jb,...ij,...ab->...", h, h, m, m)
+    inv_symbol = np.divide(1.0, symbol, out=np.zeros_like(symbol), where=symbol > 0.0)
     inv_symbol.setflags(write=False)
     return inv_symbol
 
 
 def _flat_preconditioner(grid: PeriodicGrid, base: QuadraticBase):
-    """Inverse of the linearization at phi = 0, diagonal per Fourier mode."""
-    inv_symbol = _inverse_flat_symbol(grid, base.matrix.tobytes())
-    axes = tuple(range(grid.dim))
-
-    def apply(values: np.ndarray) -> np.ndarray:
-        spectrum = np.fft.rfftn(values, axes=axes) * inv_symbol
-        return np.fft.irfftn(spectrum, s=grid.shape, axes=axes)
-
-    return apply
+    """Exact inverse of the linearization at phi = 0, diagonal per mode."""
+    inv_symbol = _inverse_flat_symbol(grid, base)
+    return lambda values: fourier_multiply(grid, values, inv_symbol)
 
 
 def _pcg(apply_op, precond, rhs: np.ndarray, rel_tol: float) -> np.ndarray:
@@ -359,8 +355,10 @@ def _forcing_term(residual: float, residual_prev: float | None,
     return max(eta, _LINEAR_TOLERANCE)
 
 
-def _newton_solve(P: Potential, target: ScalarField, cfg: SolverConfig):
-    """Iterate Newton steps until the sup-norm residual meets tolerance.
+def _newton_solve(phi: ScalarField, base: QuadraticBase, target: ScalarField,
+                  cfg: SolverConfig):
+    """Iterate Newton steps from u = base + phi, built here so that the
+    caller holds no potential, until the sup-norm residual meets tolerance.
 
     Returns (potential, iterations, residual), or None once the update
     stagnated above _NOISE_BAND times tolerance or _MAX_NEWTON_ITERS
@@ -368,6 +366,7 @@ def _newton_solve(P: Potential, target: ScalarField, cfg: SolverConfig):
     the forcing term of `_forcing_term`.
     """
     tolerance = _residual_scale(cfg, target)
+    P = Potential(base, phi)
     last_step = None
     eta = residual_prev = None
     for iteration in range(_MAX_NEWTON_ITERS + 1):
@@ -436,21 +435,22 @@ def continuity_solve(
     A.require_mean_zero()
 
     if initial_perturbation is None:
-        P = Potential.flat(A.grid, base)
+        phi = ScalarField.zeros(A.grid)
     else:
         if initial_perturbation.grid != A.grid:
             raise ValueError("initial perturbation lives on a different grid")
-        P = Potential(base, project_mean_zero(initial_perturbation))
-        P.hessian_state.require_convex()
+        phi = project_mean_zero(initial_perturbation)
+        Potential(base, phi).hessian_state.require_convex()
 
     steps: list[ContinuityStep] = []
     t, step = 0.0, 1.0
     while t < 1.0:
         t_try = min(t + step, 1.0)
         target = ScalarField(A.grid, t_try * A.values)
-        outcome = last_error = None
+        # drop the last accepted potential: the attempt builds its own start
+        P = outcome = last_error = None
         try:
-            outcome = _newton_solve(P, target, cfg)
+            outcome = _newton_solve(phi, base, target, cfg)
         except (NotConvex, LinearSolveFailure) as exc:
             last_error = exc
         if outcome is None:
@@ -461,6 +461,7 @@ def continuity_solve(
         P, iters, residual = outcome
         t = t_try
         steps.append(_record_step(P, t, iters, residual, target))
+        phi = P.perturbation
         if iters <= _EASY_ITERS:
             step *= 2.0
     return P, ContinuityTrace(tuple(steps))

@@ -91,6 +91,27 @@ class TestSolve:
         assert payload["bounds"]["det_min"] <= payload["bounds"]["det_max"]
         assert payload["wall_clock_seconds"] > 0.0
 
+    def test_failed_report_write_leaves_the_old_report(self, tmp_path, monkeypatch,
+                                                       manufactured_files):
+        a_path, _ = manufactured_files
+        report = tmp_path / "run.json"
+        argv = ["solve", "--rhs", str(a_path), "--out", str(tmp_path / "phi2.fld"),
+                "--report", str(report)]
+        assert main(argv) == 0
+        before, files = report.read_bytes(), sorted(tmp_path.iterdir())
+
+        class DumpFailed(Exception):
+            pass
+
+        def failing_dump(*args, **kwargs):
+            raise DumpFailed
+
+        monkeypatch.setattr(json, "dump", failing_dump)
+        with pytest.raises(DumpFailed):
+            main(argv)
+        assert report.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == files  # no temporary file left
+
     def test_nonzero_mean_exits_2(self, tmp_path):
         out = tmp_path / "x.fld"
         code = main(["solve", "--dim", "1", "--resolution", "16",

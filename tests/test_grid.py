@@ -97,6 +97,15 @@ class TestScalarField:
         h = 2.0 * f + 1.0 - f
         assert np.allclose(h.values, np.cos(TWO_PI * x) + 1.0)
 
+    def test_compares_by_identity(self):
+        # the values are an array: `==` answers a bool, never raises
+        g = make_grid(2, [8, 8])
+        f = ScalarField.zeros(g)
+        assert (f == f) is True
+        assert (f == ScalarField.zeros(g)) is False
+        assert (f != ScalarField.zeros(g)) is True
+        assert len({f, f}) == 1
+
 
 class TestPartial:
     def test_second_derivative_of_cosine(self):
@@ -227,6 +236,11 @@ class TestSymMatrixField:
         M = _random_sym((8, 10, 8), 2)
         with pytest.raises(IndexError):
             M.component(i, j)
+
+    def test_compares_by_identity(self):
+        M = SymMatrixField.identity(make_grid(2, [8, 8]))
+        assert (M == M) is True
+        assert (M == SymMatrixField.identity(M.grid)) is False
 
     def test_shape_is_component_first(self):
         g = make_grid(2, [8, 12])

@@ -30,7 +30,7 @@ from abreu import (
     solver,
 )
 from abreu.grid import (
-    _derivative_multiplier,
+    fourier_multiplier,
     hessian_stack,
     second_divergence_stack,
     triangle_pairs,
@@ -54,6 +54,16 @@ def _random_base(rng, dim):
     return QuadraticBase((q * rng.uniform(0.5, 2.0, dim)) @ q.T)
 
 
+def _random_unimodular_base(rng, dim):
+    """U^T U for U a random product of unit shears: an integer SPD matrix
+    of determinant 1, such as [[2, 1], [1, 1]]."""
+    u = np.eye(dim)
+    for _ in range(2 if dim > 1 else 0):
+        i, j = rng.choice(dim, 2, replace=False)
+        u[i] += rng.choice([-1.0, 1.0]) * u[j]
+    return QuadraticBase(u.T @ u)
+
+
 def _random_potential(grid, rng, base):
     """Convex base + phi, phi band-limited with Hessian eigenvalues within
     a random fraction (at most 0.9) of the base's smallest eigenvalue."""
@@ -74,7 +84,7 @@ def _pair_multiplier(g, i, j):
     orders = [0] * g.dim
     orders[i] += 1
     orders[j] += 1
-    return _derivative_multiplier(g, tuple(orders))
+    return fourier_multiplier(g, (tuple(orders),))[0]
 
 
 def _per_component_hessian(g, values):
@@ -225,7 +235,32 @@ class TestFlatPreconditioner:
         info = solver._inverse_flat_symbol.cache_info()
         assert (info.misses, info.hits) == (1, 2)
         assert all(np.array_equal(out, outs[0]) for out in outs)
-        symbol = solver._inverse_flat_symbol(g, matrix.tobytes())
+        symbol = solver._inverse_flat_symbol(g, QuadraticBase(matrix))
         assert not symbol.flags.writeable
         solver._flat_preconditioner(g, QuadraticBase.identity(2))
         assert solver._inverse_flat_symbol.cache_info().misses == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.integers(1, 3).flatmap(
+            lambda dim: st.tuples(*[st.integers(4, 16).map(lambda h: 2 * h)] * dim)
+        ),
+        kind=st.sampled_from(["identity", "spd", "unimodular"]),
+        seed=SEEDS,
+    )
+    def test_inverts_the_flat_operator(self, shape, kind, seed):
+        # random node values carry every mode, the Nyquist planes included,
+        # where the discrete cross derivatives vanish
+        g = make_grid(len(shape), list(shape))
+        rng = np.random.default_rng(seed)
+        if kind == "spd":
+            base = _random_base(rng, g.dim)
+        elif kind == "unimodular":
+            base = _random_unimodular_base(rng, g.dim)
+        else:
+            base = QuadraticBase.identity(g.dim)
+        psi = rng.standard_normal(g.shape)
+        psi -= psi.mean()
+        flat = solver._linearized_operator(Potential.flat(g, base))
+        back = solver._flat_preconditioner(g, base)(flat(psi))
+        assert np.max(np.abs(back - psi)) <= 1e-10 * np.max(np.abs(psi))

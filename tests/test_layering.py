@@ -15,6 +15,8 @@ module compares against CONVEXITY_FLOOR or a `.min_eigenvalue`.
 The zero mean has one test, `ScalarField.mean_zero` in grid.py: no other
 module compares a mean, MEAN_TOLERANCE or a `.mean_bound` against anything.
 
+The Fourier layout lives in grid.py: no other module names numpy.fft.
+
 The matrix algebra of gradient-map inversion stays in potential.py:
 legendre.py neither imports numpy.linalg nor names it.  So do the
 derivatives of a potential off the grid: legendre.py names neither
@@ -132,23 +134,48 @@ def _mean_comparisons(path):
     return sorted(found)
 
 
-def _linalg_uses(path):
-    """Lines of each `.linalg` attribute and each import of numpy.linalg."""
+def _numpy_uses(path, submodule):
+    """Lines of each `.<submodule>` attribute and each import of
+    numpy.<submodule>, for a numpy submodule such as linalg or fft."""
+    dotted = f"numpy.{submodule}"
     found = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Attribute) and node.attr == "linalg":
+        if isinstance(node, ast.Attribute) and node.attr == submodule:
             found.add(node.lineno)
         elif isinstance(node, ast.Import):
-            if any(a.name.startswith("numpy.linalg") for a in node.names):
+            if any(a.name.startswith(dotted) for a in node.names):
                 found.add(node.lineno)
-        elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.linalg"):
-            if node.module == "numpy.linalg" or any(a.name == "linalg" for a in node.names):
+        elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", dotted):
+            if node.module == dotted or any(a.name == submodule for a in node.names):
                 found.add(node.lineno)
     return sorted(found)
 
 
 def test_legendre_uses_no_linalg():
-    assert _linalg_uses(PACKAGE / "legendre.py") == []
+    assert _numpy_uses(PACKAGE / "legendre.py", "linalg") == []
+
+
+@pytest.mark.parametrize(
+    "path", [m for m in MODULES if m.name != "grid.py"], ids=lambda p: p.name
+)
+def test_only_grid_uses_fft(path):
+    assert _numpy_uses(path, "fft") == []
+
+
+def test_detects_fft_uses(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\n"
+        "import numpy.fft as nfft\n"
+        "from numpy import fft, pi\n"
+        "from numpy.fft import rfftn\n"
+        "def f(a, grid):\n"
+        "    x = np.fft.irfftn(rfftn(a), s=a.shape)\n"
+        "    y = grid.fourier_multiply(grid, a, fft.fftfreq(4))\n"
+        "    return nfft.fftn(x) * pi, grid.wavenumbers(0), y\n",
+        encoding="utf-8",
+    )
+    assert _numpy_uses(probe, "fft") == [2, 3, 4, 6]
 
 
 def _names_used(path, names):
@@ -244,7 +271,7 @@ def test_detects_linalg_uses(tmp_path):
         "    return np.einsum('ij,j', a, b), numpy.linalg.norm(x), solve, y\n",
         encoding="utf-8",
     )
-    assert _linalg_uses(probe) == [2, 3, 4, 6, 8]
+    assert _numpy_uses(probe, "linalg") == [2, 3, 4, 6, 8]
 
 
 def test_package_modules_found():

@@ -52,6 +52,18 @@ class TestQuadraticBase:
         with pytest.raises(ValueError):
             QuadraticBase(np.array([[1.0, 0.0], [0.0, -0.5]]))
 
+    def test_equal_and_hashed_by_matrix(self):
+        base = QuadraticBase(np.array([[2.0, 1.0], [1.0, 1.0]]))
+        same = QuadraticBase(base.matrix.copy())
+        assert (base == same) is True and hash(base) == hash(same)
+        assert (base == QuadraticBase.identity(2)) is False
+        assert (QuadraticBase.identity(2) == QuadraticBase.identity(3)) is False
+        assert (base == "base") is False
+        assert len({base, same, QuadraticBase.identity(2)}) == 2
+        # 0.0 and -0.0 are equal, so they must hash alike
+        signed = np.array([[1.0, -0.0], [-0.0, 1.0]])
+        assert hash(QuadraticBase(signed)) == hash(QuadraticBase.identity(2))
+
 
 class TestPotential:
     def test_gauge_enforced(self):
@@ -63,6 +75,12 @@ class TestPotential:
         g = make_grid(1, [16])
         with pytest.raises(ValueError):
             Potential(QuadraticBase.identity(2), ScalarField.zeros(g))
+
+    def test_compares_by_identity(self):
+        g = make_grid(2, [8, 8])
+        P = Potential.flat(g)
+        assert (P == P) is True
+        assert (P == Potential.flat(g)) is False
 
 
 class TestHessian:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -46,16 +47,16 @@ TWO_PI = 2.0 * np.pi
 def _fail_first_attempt(monkeypatch, run_it=False):
     """Fail the solver's first Newton attempt, as one that runs out of
     iterations does (after running it, when `run_it`); later attempts run
-    unchanged.  Returns the start potential of every attempt, in order."""
+    unchanged.  Returns the start perturbation of every attempt, in order."""
     starts = []
     newton_solve = solver._newton_solve
 
-    def failing_once(P, target, cfg):
-        starts.append(P)
+    def failing_once(phi, base, target, cfg):
+        starts.append(phi)
         if len(starts) > 1:
-            return newton_solve(P, target, cfg)
+            return newton_solve(phi, base, target, cfg)
         if run_it:
-            newton_solve(P, target, cfg)
+            newton_solve(phi, base, target, cfg)
         return None
 
     monkeypatch.setattr(solver, "_newton_solve", failing_once)
@@ -294,12 +295,13 @@ class TestContinuitySolve:
 
     def test_each_linearized_potential_builds_its_weights_once(self, monkeypatch):
         # the first attempt runs and is then failed, so the retry linearizes
-        # the last accepted potential (the flat start) again
+        # the last accepted perturbation (the flat start) again, on a
+        # potential of its own
         built, linearized = Counter(), Counter()
         build = HessianState._weights.func
 
         def counting_build(state):
-            built[state.hessian.entries.tobytes()] += 1
+            built[state] += 1
             return build(state)
 
         weights = functools.cached_property(counting_build)
@@ -308,7 +310,7 @@ class TestContinuitySolve:
         step = solver.newton_step
 
         def counting_step(P, target, forcing):
-            linearized[P.hessian_state.hessian.entries.tobytes()] += 1
+            linearized[P.hessian_state] += 1
             return step(P, target, forcing)
 
         monkeypatch.setattr(solver, "newton_step", counting_step)
@@ -317,7 +319,8 @@ class TestContinuitySolve:
         x, y = g.coordinate_arrays()
         a = ScalarField(g, 0.3 * (np.cos(TWO_PI * x) + np.cos(TWO_PI * y)))
         continuity_solve(a)
-        assert max(linearized.values()) > 1
+        values = Counter(state.hessian.entries.tobytes() for state in linearized)
+        assert max(values.values()) > 1
         assert built.keys() == linearized.keys()
         assert max(built.values()) == 1
 
@@ -339,9 +342,7 @@ class TestContinuitySolve:
         # nothing was accepted before the retry: it starts where t = 1 did
         assert starts[1] is starts[0]
         expected = np.zeros(a.grid.shape) if start is None else start.values
-        np.testing.assert_array_equal(
-            starts[0].perturbation.values, expected - expected.mean()
-        )
+        np.testing.assert_array_equal(starts[0].values, expected - expected.mean())
 
     def test_rejects_nonzero_mean(self):
         g = make_grid(1, [16])
@@ -353,7 +354,7 @@ class TestContinuitySolve:
         # Newton iterations: the floor error must not chain the first
         calls = []
 
-        def failing(P, target, cfg):
+        def failing(phi, base, target, cfg):
             calls.append(target)
             if len(calls) == 1:
                 raise NotConvex((0,), -1.0)
@@ -365,6 +366,25 @@ class TestContinuitySolve:
             continuity_solve(a)
         assert len(calls) > 1
         assert info.value.__cause__ is None
+
+    @pytest.mark.parametrize("retry", [False, True])
+    def test_one_live_potential_per_attempt(self, monkeypatch, retry):
+        # every Newton step finds the potentials of the earlier steps, the
+        # attempt's start and the last accepted one among them, collected
+        refs, live = [], []
+        step = solver.newton_step
+
+        def spying_step(P, target, forcing):
+            live.append(sum(ref() is not None for ref in refs))
+            refs.append(weakref.ref(P))
+            return step(P, target, forcing)
+
+        monkeypatch.setattr(solver, "newton_step", spying_step)
+        if retry:  # t = 1 fails, so t = 1/2 is accepted and t = 1 starts from it
+            _fail_first_attempt(monkeypatch)
+        _, trace = continuity_solve(_small_2d_problem())
+        assert len(trace.steps) == (2 if retry else 1)
+        assert len(live) >= 2 and live == [0] * len(live)
 
     def test_uniqueness_from_noisy_start(self):
         _, a, _ = manufactured_problem(64)
@@ -452,7 +472,9 @@ class TestStoppingRule:
     def _attempt(amplitude):
         g = make_grid(1, [32])
         target = ScalarField(g, amplitude * np.cos(TWO_PI * g.axis_coordinates(0)))
-        return solver._newton_solve(Potential.flat(g), target, SolverConfig())
+        return solver._newton_solve(
+            ScalarField.zeros(g), QuadraticBase.identity(1), target, SolverConfig()
+        )
 
     def test_stagnation_far_above_tolerance_fails_at_once(self, monkeypatch):
         calls = self._stalled(monkeypatch)
