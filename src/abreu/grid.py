@@ -16,7 +16,9 @@ Conventions:
     `fourier_multiply` is the one diagonal Fourier apply;
   * off-grid evaluation (`TrigInterpolant`) works in the real separable
     basis [1, cos 2 pi k x, cos pi N x, sin 2 pi k x] (0 < k < N/2) per
-    axis, so a real field is evaluated with real products only; each
+    axis, so a real field is evaluated with real products only, and only
+    on the field's resolved band: per axis the modes up to the largest
+    |k_a| of a coefficient above its rounding plateau eps * sup|f|; each
     field keeps its one interpolant (`ScalarField.interpolant`), which
     `interpolate`, the potential's off-grid derivatives and the pullbacks
     share, and `PeriodicGrid.check_points` is the one check of the points;
@@ -522,35 +524,36 @@ _BLOCK_BYTES = 256 * 1024
 _BLOCK_MIN_POINTS = 64
 
 
-def _real_axis_coefficients(coeffs: np.ndarray, axis: int) -> np.ndarray:
+def _real_axis_coefficients(coeffs: np.ndarray, axis: int, band: int) -> np.ndarray:
     """Re-express FFT-layout coefficients along `axis` in the real basis
-    [1, cos 2 pi k x (0 < k < N/2), cos pi N x, sin 2 pi k x (0 < k < N/2)]:
+    [1, cos 2 pi k x, cos pi N x, sin 2 pi k x] (0 < k <= band, k < N/2):
     a_cos = c_k + c_-k and a_sin = i (c_k - c_-k); the DC and the split
-    Nyquist entries carry over unchanged."""
+    Nyquist entries carry over unchanged, the Nyquist one only when `band`
+    is N/2 (the full basis)."""
     c = np.moveaxis(coeffs, axis, 0)
     half = c.shape[0] // 2
-    pos, neg = c[1:half], c[: half : -1]
-    out = np.empty_like(c)
-    out[0], out[half] = c[0], c[half]
-    out[1:half] = pos + neg
-    out[half + 1 :] = 1j * (pos - neg)
+    pairs = min(band, half - 1)
+    pos, neg = c[1 : pairs + 1], c[::-1][:pairs]
+    nyquist = c[half : half + 1] if band == half else c[:0]
+    out = np.concatenate([c[:1], pos + neg, nyquist, 1j * (pos - neg)])
     return np.moveaxis(out, 0, axis)
 
 
 def _axis_matrix(x: np.ndarray, t: np.ndarray, powers: np.ndarray) -> np.ndarray:
     """The real basis along one axis at `x`, a row per point and a column
     per basis function: a transposed view of `t`, which is filled a basis
-    function per row.  Cosines and sines are the real and imaginary parts
-    of the powers of exp(2 pi i x), formed row by row in the complex buffer
-    `powers`; no trigonometric call per entry."""
+    function per row, [1, cos 2 pi k x (k = 1..len(t) // 2), sin 2 pi k x
+    (k = 1..(len(t) - 1) // 2)].  Cosines and sines are the real and
+    imaginary parts of the powers of exp(2 pi i x), formed row by row in
+    the complex buffer `powers`; no trigonometric call per entry."""
     half = len(t) // 2
     w = np.exp(_TWO_PI * 1j * np.mod(x, 1.0))
     powers[0] = w
     for k in range(1, half):
         np.multiply(powers[k - 1], w, out=powers[k])
     t[0] = 1.0
-    t[1 : half + 1] = powers[:half].real  # cos 2 pi k x, Nyquist last
-    t[half + 1 :] = powers[: half - 1].imag
+    t[1 : half + 1] = powers[:half].real  # cos 2 pi k x, Nyquist last if full
+    t[half + 1 :] = powers[: (len(t) - 1) // 2].imag
     return t.T
 
 
@@ -559,15 +562,24 @@ class TrigInterpolant:
 
     The Nyquist coefficient of each (even) axis is split symmetrically
     between +N/2 and -N/2 (basis cos(pi N x)), which makes the interpolant
-    real-valued and reproduces node values exactly.  Partials follow
-    `partial`: odd orders zero the Nyquist mode, even orders keep it.
+    real-valued and reproduces node values to the field's rounding
+    plateau.  Partials follow `partial`: odd orders zero the Nyquist mode,
+    even orders keep it.
+
+    Each axis keeps only its band K_a (`band`): the largest |k_a| of an
+    FFT coefficient above eps * sup|f|, the plateau the rounding of the
+    node values puts under the spectrum.  The coefficients outside
+    |k_a| <= K_a are dropped, so a partial moves by at most their sum times
+    their multipliers; an axis with Nyquist content above the plateau
+    (K_a = N/2) keeps the full basis.  `coeffs` is the full spectrum.
 
     Evaluation works in the real separable basis, along each axis
-    [1, cos 2 pi k x (0 < k < N/2), cos pi N x, sin 2 pi k x (0 < k < N/2)],
-    so all products are real.  Partials asked for together share one
-    cached coefficient stack: fftn(f) times the full-layout multipliers, mapped
-    axis by axis onto that basis (`_real_axis_coefficients`) and kept as
-    its real part, which is exact up to rounding for a real field.  Points
+    [1, cos 2 pi k x, cos pi N x, sin 2 pi k x] (0 < k <= K_a, k < N/2; the
+    Nyquist cosine on a full band only), so all products are real.
+    Partials asked for together share one cached coefficient stack:
+    fftn(f) times the full-layout multipliers, mapped axis by axis onto
+    that basis (`_real_axis_coefficients`) and kept as its real part,
+    which is exact up to rounding for a real field.  Points
     go in blocks of bounded memory (`_BLOCK_BYTES` over 8-byte entries per
     stack column), with a floor of `_BLOCK_MIN_POINTS` points per block so
     that wide stacks, such as the six second partials of a 3D field, are
@@ -575,24 +587,36 @@ class TrigInterpolant:
     from the real and imaginary parts of the powers of exp(2 pi i x), then
     one real GEMM for the first axis and batched real row products for the
     rest, all into buffers allocated once per call and reused by every
-    block.  Work is O(P * node_count) per field.
+    block.  Work is O(P * kept modes) per field.
     """
 
     def __init__(self, f: ScalarField):
-        self.grid = f.grid
-        self.coeffs = np.fft.fftn(f.values) / f.grid.node_count
+        grid = self.grid = f.grid
+        self.coeffs = np.fft.fftn(f.values) / grid.node_count
+        resolved = np.nonzero(np.abs(self.coeffs) > np.finfo(float).eps * sup_norm(f))
+        self._band = tuple(int(np.abs(grid.wavenumbers(a)[k]).max(initial=0))
+                           for a, k in enumerate(resolved))
+        # basis functions per axis: all N on a full band, else 1 + 2 K
+        self._rows = tuple(n if k == n // 2 else 2 * k + 1
+                           for n, k in zip(grid.resolution, self._band))
         self._stacks: dict = {}
 
+    @property
+    def band(self) -> tuple[int, ...]:
+        """Per axis, the largest |k_a| of a coefficient above the rounding
+        plateau eps * sup|f|; N/2 means the full basis."""
+        return self._band
+
     def _stack(self, orders: tuple) -> np.ndarray:
-        """Real-basis coefficients of the partials `orders`, as
-        (N_0, rest * fields) float64."""
+        """Real-basis coefficients of the partials `orders` on the band, as
+        (rows_0, rest * fields) float64."""
         if orders not in self._stacks:
             grid = self.grid
             mults = fourier_multiplier(grid, orders, full=True)
             stack = np.moveaxis(self.coeffs * mults, 0, -1)
             for axis in range(grid.dim):
-                stack = _real_axis_coefficients(stack, axis)
-            stack = np.ascontiguousarray(stack.real).reshape(grid.resolution[0], -1)
+                stack = _real_axis_coefficients(stack, axis, self._band[axis])
+            stack = np.ascontiguousarray(stack.real).reshape(self._rows[0], -1)
             stack.setflags(write=False)
             self._stacks[orders] = stack
         return self._stacks[orders]
@@ -611,10 +635,10 @@ class TrigInterpolant:
         block = max(1, min(block, pts.shape[0]))
         # fresh block arrays sit above glibc's mmap threshold and would
         # page-fault on every block
-        tables = [np.empty((n, block)) for n in grid.resolution]
-        powers = np.empty((max(grid.resolution) // 2, block), complex)
+        tables = [np.empty((n, block)) for n in self._rows]
+        powers = np.empty((max(1, max(self._rows) // 2), block), complex)
         accs = [
-            np.empty((block, stack.shape[1] // int(np.prod(grid.resolution[1:a]))))
+            np.empty((block, stack.shape[1] // int(np.prod(self._rows[1:a]))))
             for a in range(1, grid.dim + 1)
         ]
         out = np.empty((pts.shape[0], len(orders)))
@@ -640,7 +664,8 @@ class TrigInterpolant:
 def interpolate(f: ScalarField, point) -> float:
     """Trigonometric interpolation of f at one point in R^n.
 
-    Agrees with stored values at nodes exactly and with the underlying
+    Agrees with stored values at nodes to the field's rounding plateau
+    (see `TrigInterpolant` for the band rule) and with the underlying
     function at arbitrary points whenever f is band-limited below Nyquist.
     Points outside [0,1)^n are wrapped by periodicity.
     """

@@ -355,10 +355,9 @@ def _forcing_term(residual: float, residual_prev: float | None,
     return max(eta, _LINEAR_TOLERANCE)
 
 
-def _newton_solve(phi: ScalarField, base: QuadraticBase, target: ScalarField,
-                  cfg: SolverConfig):
-    """Iterate Newton steps from u = base + phi, built here so that the
-    caller holds no potential, until the sup-norm residual meets tolerance.
+def _newton_solve(P: Potential, target: ScalarField, cfg: SolverConfig):
+    """Iterate Newton steps from the start P, handed over by a caller that
+    holds no potential, until the sup-norm residual meets tolerance.
 
     Returns (potential, iterations, residual), or None once the update
     stagnated above _NOISE_BAND times tolerance or _MAX_NEWTON_ITERS
@@ -366,7 +365,6 @@ def _newton_solve(phi: ScalarField, base: QuadraticBase, target: ScalarField,
     the forcing term of `_forcing_term`.
     """
     tolerance = _residual_scale(cfg, target)
-    P = Potential(base, phi)
     last_step = None
     eta = residual_prev = None
     for iteration in range(_MAX_NEWTON_ITERS + 1):
@@ -440,17 +438,22 @@ def continuity_solve(
         if initial_perturbation.grid != A.grid:
             raise ValueError("initial perturbation lives on a different grid")
         phi = project_mean_zero(initial_perturbation)
-        Potential(base, phi).hessian_state.require_convex()
+    # the first attempt takes the checked start, popped so that no potential
+    # but the attempt's iterate stays live; later ones build theirs from phi
+    start = [Potential(base, phi)]
+    if initial_perturbation is not None:
+        start[0].hessian_state.require_convex()
 
     steps: list[ContinuityStep] = []
     t, step = 0.0, 1.0
     while t < 1.0:
         t_try = min(t + step, 1.0)
         target = ScalarField(A.grid, t_try * A.values)
-        # drop the last accepted potential: the attempt builds its own start
+        # drop the last accepted potential: the attempt owns its start
         P = outcome = last_error = None
         try:
-            outcome = _newton_solve(phi, base, target, cfg)
+            outcome = _newton_solve(start.pop() if start else Potential(base, phi),
+                                    target, cfg)
         except (NotConvex, LinearSolveFailure) as exc:
             last_error = exc
         if outcome is None:

@@ -9,6 +9,7 @@ split Nyquist mode cos(pi N x) is checked against closed forms.  The
 tolerance is a few hundred ulps of the sum of the absolute mode terms.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -65,6 +66,12 @@ def _block_points(grid, nfields):
     return max(_BLOCK_MIN_POINTS, _BLOCK_BYTES // (8 * _stack_columns(grid, nfields)))
 
 
+def _full_band(interp):
+    """Whether the interpolant keeps every mode, so that the stack has the
+    width `_stack_columns` assumes."""
+    return interp.band == tuple(n // 2 for n in interp.grid.resolution)
+
+
 def _orders_for(dim):
     """Per-axis multi-indices of total order at most 2."""
     return (
@@ -92,7 +99,9 @@ class TestBlockedEvaluation:
         rng = np.random.default_rng(seed)
         values = rng.standard_normal(g.shape)
         pts = rng.uniform(-1.0, 2.0, (npts, g.dim))
-        got = TrigInterpolant(ScalarField(g, values)).partials(pts, orders)
+        interp = TrigInterpolant(ScalarField(g, values))
+        assert _full_band(interp)  # so the counts straddle the real block edge
+        got = interp.partials(pts, orders)
         assert got.shape == (npts, len(orders))
         for field, axes in enumerate(orders):
             ref, scale = _mode_sum(values, pts, axes)
@@ -109,7 +118,9 @@ class TestBlockedEvaluation:
         rng = np.random.default_rng(7)
         values = rng.standard_normal(g.shape)
         pts = rng.uniform(-1.0, 2.0, (npts, g.dim))
-        got = TrigInterpolant(ScalarField(g, values)).partials(pts, orders)
+        interp = TrigInterpolant(ScalarField(g, values))
+        assert _full_band(interp)
+        got = interp.partials(pts, orders)
         for field, axes in enumerate(orders):
             ref, scale = _mode_sum(values, pts, axes)
             assert np.max(np.abs(got[:, field] - ref)) <= TOL * scale
@@ -174,6 +185,77 @@ class TestBlockedEvaluation:
         f = ScalarField(g, np.random.default_rng(0).standard_normal(g.shape))
         with pytest.raises(ValueError, match="no partials requested"):
             TrigInterpolant(f).partials([[0.3, 0.7]], orders)
+
+
+def _all_orders(dim):
+    """Every per-axis multi-index of total order at most 2."""
+    return [o for o in itertools.product(range(3), repeat=dim) if sum(o) <= 2]
+
+
+class TestResolvedBand:
+    """Each axis keeps the modes up to its band, the largest |k_a| of a
+    coefficient above the rounding plateau eps * sup|f|; a field with
+    Nyquist content above the plateau keeps the full basis."""
+
+    def test_closed_form_product(self):
+        g = make_grid(2, [32, 32])
+        f = ScalarField.from_function(
+            g, lambda x, y: np.cos(3 * TWO_PI * x) * np.sin(2 * TWO_PI * y)
+        )
+        interp = TrigInterpolant(f)
+        assert interp.band == (3, 2)
+        pts = np.random.default_rng(5).uniform(-1.0, 2.0, (200, 2))
+        orders = _all_orders(2)
+        got = interp.partials(pts, orders)
+        wx, wy = 3 * TWO_PI, 2 * TWO_PI
+        for field, (a, b) in enumerate(orders):
+            ref = (wx**a * np.cos(wx * pts[:, 0] + a * np.pi / 2)
+                   * wy**b * np.sin(wy * pts[:, 1] + b * np.pi / 2))
+            assert np.max(np.abs(got[:, field] - ref)) <= TOL * wx**a * wy**b
+
+    @pytest.mark.parametrize("shape", [(16,), (16, 16), (8, 8, 8)])
+    def test_zero_field(self, shape):
+        g = make_grid(len(shape), list(shape))
+        interp = TrigInterpolant(ScalarField.zeros(g))
+        assert interp.band == (0,) * g.dim
+        pts = np.random.default_rng(1).uniform(-1.0, 2.0, (9, g.dim))
+        assert np.array_equal(interp.partials(pts, _all_orders(g.dim)),
+                              np.zeros((9, len(_all_orders(g.dim)))))
+
+    @pytest.mark.parametrize("shape", [(16,), (16, 16), (8, 8, 8)])
+    def test_random_fields_keep_the_full_band(self, shape):
+        g = make_grid(len(shape), list(shape))
+        values = np.random.default_rng(2).standard_normal(g.shape)
+        assert _full_band(TrigInterpolant(ScalarField(g, values)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        shape=st.lists(st.sampled_from(range(8, 33, 2)), min_size=1, max_size=3),
+        seed=SEEDS,
+    )
+    def test_matches_mode_sum_on_resolved_fields(self, shape, seed):
+        # every mode varies along every axis, so each partial has signal at
+        # the scale the tolerance is relative to; the nodal noise puts a
+        # rounding plateau under the modes, which the band drops
+        g = make_grid(len(shape), shape)
+        rng = np.random.default_rng(seed)
+        xs = g.coordinate_arrays()
+        values = np.zeros(g.shape)
+        amplitudes = 10.0 ** rng.uniform(-12.0, 0.0, rng.integers(0, 4))
+        for amplitude in [1.0, *amplitudes]:
+            k = [rng.integers(1, n // 4 + 1) * rng.choice([-1, 1]) for n in shape]
+            phase = sum(ka * x for ka, x in zip(k, xs))
+            values += amplitude * np.cos(TWO_PI * phase + rng.uniform(0.0, TWO_PI))
+        sup = np.max(np.abs(values))
+        values += np.finfo(float).eps * sup * rng.uniform(-1.0, 1.0, g.shape)
+        pts = rng.uniform(-1.0, 2.0, (20, g.dim))
+        orders = _all_orders(g.dim)
+        got = TrigInterpolant(ScalarField(g, values)).partials(pts, orders)
+        for field, axes in enumerate(orders):
+            ref, scale = _mode_sum(values, pts, axes)
+            assert np.max(np.abs(got[:, field] - ref)) <= TOL * scale
+            if sum(axes) == 0:
+                assert np.max(np.abs(got[:, field] - ref)) <= 1e-14 * (1.0 + sup)
 
 
 def _nyquist_partial(n, x, order):

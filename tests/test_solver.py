@@ -27,6 +27,7 @@ from abreu import (
     mean,
     newton_step,
     potential,
+    project_mean_zero,
     solver,
     sup_norm,
 )
@@ -51,12 +52,15 @@ def _fail_first_attempt(monkeypatch, run_it=False):
     starts = []
     newton_solve = solver._newton_solve
 
-    def failing_once(phi, base, target, cfg):
-        starts.append(phi)
+    def failing_once(start, target, cfg):
+        starts.append(start.perturbation)
         if len(starts) > 1:
-            return newton_solve(phi, base, target, cfg)
+            # hand the start over without holding it, as the solver does
+            box = [start]
+            del start
+            return newton_solve(box.pop(), target, cfg)
         if run_it:
-            newton_solve(phi, base, target, cfg)
+            newton_solve(start, target, cfg)
         return None
 
     monkeypatch.setattr(solver, "_newton_solve", failing_once)
@@ -354,7 +358,7 @@ class TestContinuitySolve:
         # Newton iterations: the floor error must not chain the first
         calls = []
 
-        def failing(phi, base, target, cfg):
+        def failing(start, target, cfg):
             calls.append(target)
             if len(calls) == 1:
                 raise NotConvex((0,), -1.0)
@@ -385,6 +389,23 @@ class TestContinuitySolve:
         _, trace = continuity_solve(_small_2d_problem())
         assert len(trace.steps) == (2 if retry else 1)
         assert len(live) >= 2 and live == [0] * len(live)
+
+    def test_checked_start_builds_its_hessian_once(self, monkeypatch):
+        # the up-front convexity check and the first attempt share the start
+        a = _small_2d_problem()
+        rng = np.random.default_rng(4)
+        noise = random_convex_potential(a.grid, rng, margin=0.7).perturbation
+        start = project_mean_zero(noise)
+        starts = []
+        original = potential.hessian_u
+
+        def counting(P):
+            starts.append(np.array_equal(P.perturbation.values, start.values))
+            return original(P)
+
+        monkeypatch.setattr(potential, "hessian_u", counting)
+        continuity_solve(a, initial_perturbation=noise)
+        assert sum(starts) == 1
 
     def test_uniqueness_from_noisy_start(self):
         _, a, _ = manufactured_problem(64)
@@ -472,9 +493,7 @@ class TestStoppingRule:
     def _attempt(amplitude):
         g = make_grid(1, [32])
         target = ScalarField(g, amplitude * np.cos(TWO_PI * g.axis_coordinates(0)))
-        return solver._newton_solve(
-            ScalarField.zeros(g), QuadraticBase.identity(1), target, SolverConfig()
-        )
+        return solver._newton_solve(Potential.flat(g), target, SolverConfig())
 
     def test_stagnation_far_above_tolerance_fails_at_once(self, monkeypatch):
         calls = self._stalled(monkeypatch)
