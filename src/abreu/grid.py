@@ -633,8 +633,8 @@ class TrigInterpolant:
         stack = self._stack(tuple(_check_axes(grid, axes) for axes in orders))
         block = max(_BLOCK_MIN_POINTS, _BLOCK_BYTES // (8 * stack.shape[1]))
         block = max(1, min(block, pts.shape[0]))
-        # fresh block arrays sit above glibc's mmap threshold and would
-        # page-fault on every block
+        # one set of buffers per call, reused by every block, so a call
+        # allocates (and page-faults on) each buffer once, not per block
         tables = [np.empty((n, block)) for n in self._rows]
         powers = np.empty((max(1, max(self._rows) // 2), block), complex)
         accs = [

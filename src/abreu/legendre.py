@@ -6,12 +6,26 @@ form y^T M^{-1} y / 2 + psi with psi periodic.  The dual potential is
 sampled on its own uniform grid (same resolution), which keeps it a
 first-class object for all spectral calculus.
 
+psi is formed on its own scale.  For any x and symmetric M, with
+g = y - x M,
+
+    x.y - x^T M x / 2 - y^T M^{-1} y / 2 = -g^T M^{-1} g / 2,
+
+so psi(y) = -phi(x) - g^T M^{-1} g / 2 at the preimage x of y.  Written
+as x.y - u(x) - y^T M^{-1} y / 2 instead, three O(1) terms cancel down
+to psi, whose sup is often 1e-4 or less, and their rounding (of order
+eps) leaves a plateau under psi's spectrum that keeps every mode of its
+interpolant and sets the floor of the duality checks (cancellation:
+Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+ch. 1).  In the form above
+psi carries rounding of order eps * (sup|phi| + sup|grad phi|).
+
 This module holds only the inversion of the gradient map and the
 duality built on it.  Every derivative of u comes from the potential:
 on the grid `Potential.node_gradient` and the Hessian state, off it
-`Potential.value_at`, `gradient_at` and `hessian_at`, from the one kept
-interpolant of phi; the pullback reads the right-hand side's own kept
-interpolant.
+`Potential.perturbation_at` (phi itself), `gradient_at` and
+`hessian_at`, from the one kept interpolant of phi; the pullback reads
+the right-hand side's own kept interpolant.
 
 Gradient-map inversion runs a damped Newton iteration per target point,
 vectorized over points.  Each point keeps the inverse of its Hessian,
@@ -233,17 +247,19 @@ def _newton(
 def legendre_transform(P: Potential) -> Potential:
     """Dual potential v(y) = y^T M^{-1} y / 2 + psi(y) on the dual grid.
 
-    Each dual node is pulled back through the gradient map and
-    v(y) = x.y - u(x); psi is returned in mean-zero gauge.  Applying the
-    transform twice recovers the original potential (convex involution).
+    Each dual node y is pulled back through the gradient map to x, and
+    psi(y) = v(y) - y^T M^{-1} y / 2 = -phi(x) - g^T M^{-1} g / 2 with
+    g = y - x M, formed on psi's own scale (see the module docstring);
+    psi is returned in mean-zero gauge.  Applying the transform twice
+    recovers the original potential (convex involution).
     """
     grid = P.grid
     dual_base = P.base.inverse()
     y = grid.node_points()
     x = _node_preimages(P)
-    v = np.einsum("pi,pi->p", y, x) - P.value_at(x)
-    quad = 0.5 * np.einsum("pi,ij,pj->p", y, dual_base.matrix, y)
-    psi = (v - quad).reshape(grid.shape)
+    g = y - x @ P.base.matrix
+    quad = 0.5 * np.einsum("pi,ij,pj->p", g, dual_base.matrix, g)
+    psi = (-P.perturbation_at(x) - quad).reshape(grid.shape)
     dual = Potential(dual_base, project_mean_zero(ScalarField(grid, psi)))
     vars(dual)["_dual_of"] = P  # read once, by the dual's own inversion
     return dual

@@ -26,8 +26,8 @@ LAPACK, with results bitwise those of LAPACK on every node.  The inverse
 is `triangle_inverse`, whose closed forms the gradient-map inversion
 shares.  Every derivative of u lives here: on the grid the Hessian state
 and the spectral gradient of phi kept beside it (`node_gradient`), off it
-`value_at`, `gradient_at` and `hessian_at`, from phi's one kept
-interpolant (`ScalarField.interpolant`).
+`perturbation_at` (phi itself), `gradient_at` and `hessian_at`, from
+phi's one kept interpolant (`ScalarField.interpolant`).
 """
 
 from __future__ import annotations
@@ -185,11 +185,10 @@ class Potential:
         grad_phi = np.stack([g.values[at] for g in self.perturbation_gradient], -1)
         return x @ self.base.matrix + grad_phi
 
-    def value_at(self, x: np.ndarray) -> np.ndarray:
-        """u at the points x (P, n) off the grid: the base plus phi's
+    def perturbation_at(self, x: np.ndarray) -> np.ndarray:
+        """phi at the points x (P, n) off the grid, from its kept
         interpolant (`ScalarField.interpolant`), which rejects bad points."""
-        phi = self.perturbation.interpolant.evaluate(x)
-        return 0.5 * np.einsum("pi,ij,pj->p", x, self.base.matrix, x) + phi
+        return self.perturbation.interpolant.evaluate(x)
 
     def gradient_at(self, x: np.ndarray) -> np.ndarray:
         """grad u at the points x (P, n) off the grid, shape (P, n): one

@@ -14,6 +14,7 @@ from abreu import (
     TrigInterpolant,
     det_hessian,
     dual_residual,
+    gradient,
     gradient_map,
     gradient_map_inverse,
     hessian_u,
@@ -29,8 +30,10 @@ from abreu.solver import continuity_solve
 from tests.support import (
     EPS,
     corrupt_first_dual,
+    exact_discrete_solution_1d,
     manufactured_potential,
     manufactured_problem,
+    random_band_limited,
     random_convex_potential,
 )
 
@@ -86,7 +89,7 @@ class TestGradientMap:
                 for evaluate in (
                     lambda pts: gradient_map(P, pts),
                     lambda pts: gradient_map_inverse(P, pts),
-                    P.value_at,
+                    P.perturbation_at,
                     P.gradient_at,
                     P.hessian_at,
                 ):
@@ -697,6 +700,75 @@ class TestLegendreTransform:
         P = Potential.flat(g, QuadraticBase(np.array([[2.0]])))
         with pytest.raises(ValueError):
             legendre_transform(P)
+
+
+_UNIMODULAR_BASES = {
+    2: [[2.0, 1.0], [1.0, 1.0]],
+    3: [[2.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+}
+
+
+@st.composite
+def _resolved_potentials(draw):
+    """A potential whose dual its grid resolves to rounding: phi a random
+    trigonometric polynomial with |k|_inf <= 1 and sup|phi| between 1e-7
+    and 3e-5 times the smallest eigenvalue of the base, on 32, 32^2 or
+    32 x 32 x 16 nodes, with the identity base or (2D, 3D) a unimodular
+    one."""
+    dim = draw(st.integers(1, 3))
+    base = np.eye(dim)
+    if dim > 1 and draw(st.booleans()):
+        base = np.array(_UNIMODULAR_BASES[dim])
+    g = make_grid(dim, [32, 32, 16][:dim])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = 10.0 ** draw(st.floats(-7.0, -4.5)) * np.linalg.eigvalsh(base)[0]
+    phi = size * random_band_limited(g, rng, max_mode=1)
+    return Potential(QuadraticBase(base), phi)
+
+
+class TestDualOnItsOwnScale:
+    """psi = v - y^T M^{-1} y / 2 is formed as -phi(x) - g^T M^{-1} g / 2
+    with g = y - x M, so no O(1) term cancels: psi carries rounding at its
+    own scale, and its interpolant keeps the band psi resolves."""
+
+    def test_dual_band_is_the_primal_band(self):
+        P, _ = _solved_potential(48)
+        V = legendre_transform(P)
+        for primal, dual in zip(P.perturbation.interpolant.band,
+                                V.perturbation.interpolant.band):
+            assert abs(dual - primal) <= 1
+
+    def test_exact_1d_solution_meets_the_dual_residual_bound(self):
+        g = make_grid(1, [256])
+        a = ScalarField.from_function(g, lambda x: 0.5 * np.cos(TWO_PI * x))
+        phi = ScalarField(g, exact_discrete_solution_1d(a.values))
+        outcome = verify_solution(Potential(QuadraticBase.identity(1), phi), a)
+        (check,) = [c for c in outcome.bounds.inequalities
+                    if c.name == "dual-residual"]
+        assert check.satisfied
+
+    @settings(max_examples=25, deadline=None)
+    @given(P=_resolved_potentials())
+    def test_agrees_with_the_direct_formula_and_inverts_at_phi_scale(self, P):
+        eps = np.finfo(float).eps
+        y = P.grid.node_points()
+        x = gradient_map_inverse(P, y)
+        # v(y) - y^T M^{-1} y / 2 term by term, each term O(1)
+        terms = [
+            np.einsum("pi,pi->p", x, y),
+            -0.5 * np.einsum("pi,ij,pj->p", x, P.base.matrix, x),
+            -P.perturbation.interpolant.evaluate(x),
+            -0.5 * np.einsum("pi,ij,pj->p", y, P.base.inverse().matrix, y),
+        ]
+        direct = sum(terms)
+        direct -= direct.mean()
+        rounding = eps * np.max(sum(np.abs(t) for t in terms))
+        V = legendre_transform(P)
+        assert np.max(np.abs(V.perturbation.values.ravel() - direct)) <= 4 * rounding
+        phi = P.perturbation
+        scale = sup_norm(phi) + max(sup_norm(d) for d in gradient(phi))
+        back = legendre_transform(V)
+        assert sup_norm(back.perturbation - phi) <= 16 * eps * scale
 
 
 class TestPullbackRhs:
