@@ -10,10 +10,14 @@ shared freely across threads.
 Conventions:
   * integer wavenumbers, fundamental domain fixed to [0,1]^n;
   * odd-order derivatives zero the Nyquist mode (symmetric choice);
-  * this module alone knows the Fourier layout: `fourier_multiplier` is
-    the one multiplier table (real-FFT or full layout), which derivatives,
-    the interpolant and the solver's preconditioner all read, and
-    `fourier_multiply` is the one diagonal Fourier apply;
+  * this module alone knows the Fourier layout: `to_spectrum` and
+    `from_spectrum` are the one real-FFT transform pair, `spectral_inner`
+    the node-mean inner product read off two spectra (Parseval),
+    `fourier_multiplier` the one multiplier table (real-FFT or full
+    layout), which derivatives, the interpolant and the solver's
+    preconditioner all read, and `fourier_multiply` the one diagonal
+    Fourier apply; the solver's Krylov iteration runs on spectra through
+    `hessian_from_spectrum` and `second_divergence_spectrum`;
   * off-grid evaluation (`TrigInterpolant`) works in the real separable
     basis [1, cos 2 pi k x, cos pi N x, sin 2 pi k x] (0 < k < N/2) per
     axis, so a real field is evaluated with real products only, and only
@@ -47,16 +51,21 @@ __all__ = [
     "ScalarField",
     "SymMatrixField",
     "make_grid",
+    "to_spectrum",
+    "from_spectrum",
+    "spectral_inner",
     "fourier_multiplier",
     "fourier_multiply",
     "partial",
     "gradient",
     "hessian",
     "hessian_stack",
+    "hessian_from_spectrum",
     "mean",
     "project_mean_zero",
     "second_divergence",
     "second_divergence_stack",
+    "second_divergence_spectrum",
     "interpolate",
     "TrigInterpolant",
     "sup_norm",
@@ -260,6 +269,17 @@ def triangle_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
+@functools.lru_cache(maxsize=None)
+def _pair_index(n: int) -> np.ndarray:
+    """(n, n) table of the triangle component of entry (i, j) (or (j, i)),
+    built once per n and kept read-only."""
+    index = np.empty((n, n), dtype=int)
+    for k, (i, j) in enumerate(triangle_pairs(n)):
+        index[i, j] = index[j, i] = k
+    index.setflags(write=False)
+    return index
+
+
 def triangle_to_full(rows) -> np.ndarray:
     """Symmetric (..., n, n) matrices from their triangle entries (..., m),
     m = n(n+1)/2, laid along the last axis in `triangle_pairs` order."""
@@ -268,10 +288,7 @@ def triangle_to_full(rows) -> np.ndarray:
     n = (math.isqrt(8 * m + 1) - 1) // 2
     if m == 0 or n * (n + 1) // 2 != m:
         raise ValueError(f"{m} entries are not the triangle of a square matrix")
-    index = np.empty((n, n), dtype=int)
-    for k, (i, j) in enumerate(triangle_pairs(n)):
-        index[i, j] = index[j, i] = k
-    return rows[..., index]
+    return rows[..., _pair_index(n)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,7 +343,7 @@ class SymMatrixField:
         n = self.grid.dim
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"matrix entry ({i}, {j}) is outside an {n} x {n} matrix")
-        return triangle_pairs(n).index((min(i, j), max(i, j)))
+        return int(_pair_index(n)[i, j])
 
     def component(self, i: int, j: int) -> np.ndarray:
         """Nodewise values of entry (i, j) (read-only array)."""
@@ -388,14 +405,50 @@ def _grid_axes(a: np.ndarray, grid: PeriodicGrid) -> tuple[int, ...]:
     return tuple(range(a.ndim - grid.dim, a.ndim))
 
 
-def _rfft(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    # with an output array the passes after the first run in place
-    out = np.empty(values.shape[:-1] + (grid.resolution[-1] // 2 + 1,), complex)
-    return np.fft.rfftn(values, axes=_grid_axes(values, grid), out=out)
+def to_spectrum(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
+    """Real-FFT spectrum over the trailing grid axes of a field or of a
+    component-first stack: the last axis keeps its N/2 + 1 non-negative
+    modes, Nyquist last.
+
+    numpy's per-axis passes in the order `np.fft.rfftn` makes them (the
+    real transform of the last axis, then the complex ones in place from
+    the last axis but one down), so the spectrum is bitwise rfftn's
+    without the cost of its n-D wrapper.
+    """
+    axes = _grid_axes(values, grid)
+    spectrum = np.fft.rfft(values, axis=axes[-1])
+    for axis in reversed(axes[:-1]):
+        np.fft.fft(spectrum, axis=axis, out=spectrum)
+    return spectrum
 
 
-def _irfft(spectrum: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
-    return np.fft.irfftn(spectrum, s=grid.shape, axes=_grid_axes(spectrum, grid))
+def from_spectrum(grid: PeriodicGrid, spectrum: np.ndarray) -> np.ndarray:
+    """Node values of a real-FFT spectrum, of a field or of a stack: the
+    inverse of `to_spectrum`, bitwise `np.fft.irfftn` (the complex passes
+    from the first axis on, the first into a new array and the rest in
+    place, then the real one of the last axis)."""
+    axes = _grid_axes(spectrum, grid)
+    for k, axis in enumerate(axes[:-1]):
+        spectrum = np.fft.ifft(spectrum, axis=axis, out=spectrum if k else None)
+    return np.fft.irfft(spectrum, n=grid.resolution[-1], axis=axes[-1])
+
+
+@functools.lru_cache(maxsize=32)
+def _parseval_weights(grid: PeriodicGrid) -> np.ndarray:
+    """Weights along the last real-FFT axis that make the half-spectrum sum
+    the node mean: 1 on the modes 0 and N/2, 2 on the others (each stands
+    for its conjugate mirror too), over node_count^2; read-only."""
+    weights = np.full(grid.resolution[-1] // 2 + 1, 2.0)
+    weights[[0, -1]] = 1.0
+    weights /= float(grid.node_count) ** 2
+    weights.setflags(write=False)
+    return weights
+
+
+def spectral_inner(grid: PeriodicGrid, a: np.ndarray, b: np.ndarray) -> float:
+    """Node mean of x * y for the real fields x, y whose real-FFT spectra
+    are `a` and `b` (Parseval), with no transform."""
+    return float(np.vdot(a, b * _parseval_weights(grid)).real)
 
 
 def fourier_multiply(grid: PeriodicGrid, values: np.ndarray,
@@ -408,7 +461,7 @@ def fourier_multiply(grid: PeriodicGrid, values: np.ndarray,
     """
     # the spectrum is a temporary: freed before the inverse, whose
     # temporaries set the peak memory of a Krylov apply
-    return _irfft(_rfft(values, grid) * multiplier, grid)
+    return from_spectrum(grid, to_spectrum(grid, values) * multiplier)
 
 
 def _partials(grid: PeriodicGrid, values: np.ndarray, orders) -> np.ndarray:
@@ -447,13 +500,18 @@ def gradient(f: ScalarField) -> list[ScalarField]:
     return [ScalarField(f.grid, d) for d in partials]
 
 
-def hessian_stack(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
-    """Second partials of raw node values, component-first (m, *grid.shape).
+def hessian_from_spectrum(grid: PeriodicGrid, spectrum: np.ndarray) -> np.ndarray:
+    """Second partials, component-first (m, *grid.shape), of the field with
+    real-FFT spectrum `spectrum`: one batched inverse over all m multiplied
+    spectra.  Components follow the triangle order of `SymMatrixField`."""
+    mults = fourier_multiplier(grid, _orders(grid.dim, 2))
+    return from_spectrum(grid, mults * spectrum)
 
-    Components follow the triangle order of `SymMatrixField`.  One forward
-    real transform, one batched inverse over all m multiplied spectra.
-    """
-    return _partials(grid, values, _orders(grid.dim, 2))
+
+def hessian_stack(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
+    """Second partials of raw node values, component-first (m, *grid.shape):
+    one forward real transform, then `hessian_from_spectrum`."""
+    return hessian_from_spectrum(grid, to_spectrum(grid, values))
 
 
 def hessian(f: ScalarField) -> SymMatrixField:
@@ -475,17 +533,17 @@ def sup_norm(f: ScalarField) -> float:
     return float(np.max(np.abs(f.values)))
 
 
-def second_divergence_stack(grid: PeriodicGrid, stack: np.ndarray) -> np.ndarray:
-    """Centers each component of `stack` in place, then returns the sum over
-    triangle pairs k = (i, j) of d^2 stack_k / dx_i dx_j.
+def second_divergence_spectrum(grid: PeriodicGrid, stack: np.ndarray) -> np.ndarray:
+    """Centers each component of `stack` in place, then returns the real-FFT
+    spectrum of the sum over triangle pairs k = (i, j) of
+    d^2 stack_k / dx_i dx_j.
 
     `stack` is a writable component-first (m, *grid.shape) array that the
     caller gives up: on return it holds the centered components.  Each
     pair counts once, so the full double divergence of a symmetric field
     passes its off-diagonal entries doubled.  One batched forward real
-    transform of the centered components, one inverse of the summed
-    spectra; the zero mode carries no contribution, so the output has
-    exactly zero mean.
+    transform of the centered components, then the multiplier sum; the
+    multipliers vanish on the zero mode, so the result's is exactly zero.
     """
     # centering is exact (the zero mode is annihilated) and avoids
     # scattering the large DC coefficient's rounding into high modes,
@@ -494,16 +552,23 @@ def second_divergence_stack(grid: PeriodicGrid, stack: np.ndarray) -> np.ndarray
         comp -= comp.mean()
     mults = fourier_multiplier(grid, _orders(grid.dim, 2))
     acc = 0.0
-    for mult, spectrum in zip(mults, _rfft(stack, grid)):
+    for mult, spectrum in zip(mults, to_spectrum(grid, stack)):
         acc = acc + mult * spectrum
-    return _irfft(acc, grid)
+    return acc
+
+
+def second_divergence_stack(grid: PeriodicGrid, stack: np.ndarray) -> np.ndarray:
+    """`second_divergence_spectrum` (which centers `stack` in place) at the
+    nodes: one inverse of the summed spectra; the output's zero mode is
+    exactly zero."""
+    return from_spectrum(grid, second_divergence_spectrum(grid, stack))
 
 
 def second_divergence(M: SymMatrixField) -> ScalarField:
     """Double divergence sum_ij d^2 M^ij / dx_i dx_j of a matrix field.
 
     Accumulated in frequency space with a single inverse transform; the
-    output has exactly zero mean.
+    output's zero mode is exactly zero.
     """
     grid = M.grid
     # the weights are exact (1 or 2), so they commute bitwise with the transform

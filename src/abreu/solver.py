@@ -12,19 +12,23 @@ must pass `ScalarField.mean_zero`, the grid module's one zero-mean test
 
     L(psi) = (u^ia psi_ab u^bj)_ij = current residual
 
-is solved matrix-free by conjugate gradients on the mean-zero subspace
-(constants are projected out every iteration), each only as accurately as
-the outer iteration needs: the relative Krylov tolerance is an
-Eisenstat-Walker forcing term (choice 2, with Kelley's floor against
-oversolving), clamped below by `_LINEAR_TOLERANCE`.  One apply of L
-costs 4 batched real FFTs (a forward and an inverse for the
-m = n(n+1)/2 Hessian entries, the same for the second divergence) plus
-m^2 multiply-adds per node with m(m+1)/2 congruence weights that each
-potential computes once and keeps.  The preconditioner is the exact
-inverse of the discrete linearization at phi = 0: diagonal per Fourier
-mode, built from the grid's second-derivative multipliers (so it follows
-their Nyquist convention, where the continuous biharmonic symbol would
-not) and cached per grid and base.
+is solved matrix-free by preconditioned conjugate gradients on real-FFT
+spectra, each only as accurately as the outer iteration needs: the
+relative Krylov tolerance is an Eisenstat-Walker forcing term (choice 2,
+with Kelley's floor against oversolving), clamped below by
+`_LINEAR_TOLERANCE`.  A system costs one forward transform of its
+right-hand side and one inverse of its correction.  In between, the zero
+mode of every spectrum is zero (the mean-zero subspace), and inner
+products are node means by Parseval (`spectral_inner`), so the stopping
+test reads as on node values.  One apply of L is one batched inverse
+transform of the m = n(n+1)/2 second-derivative multiples, the
+congruence at the nodes (m^2 multiply-adds per node with m(m+1)/2
+weights that each potential computes once and keeps) and one batched
+forward transform.  The preconditioner multiplies by the exact inverse
+symbol of the discrete linearization at phi = 0, built from the grid's
+second-derivative multipliers (so it follows their Nyquist convention,
+where the continuous biharmonic symbol would not) and cached per grid
+and base.
 
 Line searches use the convex functional
 
@@ -50,11 +54,14 @@ from .grid import (
     PeriodicGrid,
     ScalarField,
     fourier_multiplier,
-    fourier_multiply,
+    from_spectrum,
+    hessian_from_spectrum,
     hessian_stack,
     project_mean_zero,
-    second_divergence_stack,
+    second_divergence_spectrum,
+    spectral_inner,
     sup_norm,
+    to_spectrum,
     triangle_pairs,
     triangle_to_full,
 )
@@ -158,15 +165,15 @@ class ContinuityTrace:
 
 
 def _linearized_operator(P: Potential):
-    """Matrix-free apply of psi -> (u^ia psi_ab u^bj)_ij with u^ij frozen:
-    batched Hessian, congruence, batched second divergence, on raw arrays."""
+    """Matrix-free apply of psi -> (u^ia psi_ab u^bj)_ij with u^ij frozen,
+    from the real-FFT spectrum of psi to that of the result, whose zero
+    mode is exactly zero."""
     state = P.hessian_state
     grid = P.grid
 
-    def apply(values: np.ndarray) -> np.ndarray:
-        congruent = state.congruent(hessian_stack(grid, values))
-        out = second_divergence_stack(grid, congruent)
-        return out - out.mean()
+    def apply(spectrum: np.ndarray) -> np.ndarray:
+        congruent = state.congruent(hessian_from_spectrum(grid, spectrum))
+        return second_divergence_spectrum(grid, congruent)
 
     return apply
 
@@ -174,25 +181,27 @@ def _linearized_operator(P: Potential):
 def linearized_apply(P: Potential, psi: ScalarField) -> ScalarField:
     """Apply the self-adjoint linearization at P to a periodic field.
 
-    Constants are in the kernel and the output has exactly zero mean.
+    Constants are in the kernel and the output's zero mode is exactly zero.
     """
     if psi.grid != P.grid:
         raise ValueError("field lives on a different grid than the potential")
-    return ScalarField(P.grid, _linearized_operator(P)(psi.values))
+    grid = P.grid
+    out = _linearized_operator(P)(to_spectrum(grid, psi.values))
+    return ScalarField(grid, from_spectrum(grid, out))
 
 
 @functools.lru_cache(maxsize=32)
 def _inverse_flat_symbol(grid: PeriodicGrid, base: QuadraticBase) -> np.ndarray:
     """Inverse symbol of the linearization at phi = 0 in real-FFT layout,
-    cached read-only per grid and base.
+    cached read-only per grid and base: the preconditioner is a multiply
+    by it.
 
     With h = M^-1 and m_ij the grid's multipliers of d^2 / dx_i dx_j, the
     symbol is sum h_ia h_jb m_ij m_ab: exactly the operator that
     `_linearized_operator` applies at phi = 0, Nyquist convention included
     (the cross multipliers vanish on the Nyquist planes), so its
     reciprocal is the exact discrete inverse on mean-zero fields.  The
-    zero mode, the only one where the symbol vanishes, is annihilated,
-    which doubles as the projection onto mean-zero fields.
+    zero mode, the only one where the symbol vanishes, is annihilated.
     """
     n = grid.dim
     orders = tuple(tuple(np.bincount(p, minlength=n)) for p in triangle_pairs(n))
@@ -204,44 +213,43 @@ def _inverse_flat_symbol(grid: PeriodicGrid, base: QuadraticBase) -> np.ndarray:
     return inv_symbol
 
 
-def _flat_preconditioner(grid: PeriodicGrid, base: QuadraticBase):
-    """Exact inverse of the linearization at phi = 0, diagonal per mode."""
-    inv_symbol = _inverse_flat_symbol(grid, base)
-    return lambda values: fourier_multiply(grid, values, inv_symbol)
+def _pcg(apply_op, grid: PeriodicGrid, inv_symbol: np.ndarray, rhs: np.ndarray,
+         rel_tol: float) -> np.ndarray:
+    """Preconditioned conjugate gradients on real-FFT spectra.
 
-
-def _pcg(apply_op, precond, rhs: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Preconditioned conjugate gradients on the mean-zero subspace."""
-    r = rhs - rhs.mean()
-    rhs_norm = np.sqrt(np.mean(r * r))
+    `rhs` is the spectrum of the right-hand side; the copy the iteration
+    starts from drops its zero mode, the projection onto mean-zero fields,
+    and neither `apply_op` nor the preconditioner (a multiply by
+    `inv_symbol`) puts it back.  Inner products are node means
+    (`spectral_inner`).  Returns the spectrum of the correction.
+    """
+    r = rhs.copy()
+    r[(0,) * grid.dim] = 0.0
+    inner = functools.partial(spectral_inner, grid)
+    rhs_norm = np.sqrt(inner(r, r))
     if rhs_norm == 0.0:
         return np.zeros_like(r)
     x = np.zeros_like(r)
-    z = precond(r)
-    p = z.copy()
-    rz = np.mean(r * z)
+    z = inv_symbol * r
+    p = z
+    rz = inner(r, z)
     for iteration in range(1, _MAX_KRYLOV_ITERS + 1):
         ap = apply_op(p)
-        pap = np.mean(p * ap)
+        pap = inner(p, ap)
         if pap <= 0.0:
-            raise LinearSolveFailure(
-                iteration, np.sqrt(np.mean(r * r)) / rhs_norm, rel_tol
-            )
+            raise LinearSolveFailure(iteration, np.sqrt(inner(r, r)) / rhs_norm, rel_tol)
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        r -= r.mean()  # keep the iteration on the mean-zero subspace
-        res = np.sqrt(np.mean(r * r))
+        res = np.sqrt(inner(r, r))
         if res <= rel_tol * rhs_norm:
             return x
-        z = precond(r)
-        rz_new = np.mean(r * z)
+        z = inv_symbol * r
+        rz_new = inner(r, z)
         beta = rz_new / rz
         rz = rz_new
         p = z + beta * p
-    raise LinearSolveFailure(
-        _MAX_KRYLOV_ITERS, np.sqrt(np.mean(r * r)) / rhs_norm, rel_tol
-    )
+    raise LinearSolveFailure(_MAX_KRYLOV_ITERS, np.sqrt(inner(r, r)) / rhs_norm, rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +299,10 @@ def newton_step(P: Potential, target: ScalarField, forcing: float) -> Potential:
     rhs = abreu_forward(P).values - target.values
     if np.max(np.abs(rhs)) == 0.0:
         return P
-    apply_op = _linearized_operator(P)
-    precond = _flat_preconditioner(P.grid, P.base)
-    delta = _pcg(apply_op, precond, rhs, forcing)
+    grid = P.grid
+    correction = _pcg(_linearized_operator(P), grid, _inverse_flat_symbol(grid, P.base),
+                      to_spectrum(grid, rhs), forcing)
+    delta = from_spectrum(grid, correction)
 
     f_base = functional_value(P, target)
     f_allowed = f_base + _FUNCTIONAL_SLACK * (1.0 + abs(f_base))

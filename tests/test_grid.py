@@ -1,5 +1,7 @@
 """Grid construction and spectral calculus."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,14 @@ from abreu import (
     second_divergence,
     sup_norm,
 )
-from abreu.grid import triangle_pairs, triangle_to_full
+from abreu import grid
+from abreu.grid import (
+    from_spectrum,
+    spectral_inner,
+    to_spectrum,
+    triangle_pairs,
+    triangle_to_full,
+)
 from tests.support import random_band_limited
 
 TWO_PI = 2.0 * np.pi
@@ -262,6 +271,73 @@ class TestSymMatrixField:
     def test_triangle_to_full_rejects_non_triangular_rows(self, m):
         with pytest.raises(ValueError):
             triangle_to_full(np.zeros((5, m)))
+
+    @pytest.mark.parametrize("shape", SYM_SHAPES)
+    def test_one_kept_pair_index_per_size(self, shape):
+        M = _random_sym(shape, 3)
+        n = M.grid.dim
+        pairs = triangle_pairs(n)
+        index = grid._pair_index(n)
+        assert index is grid._pair_index(n) and not index.flags.writeable
+        misses = grid._pair_index.cache_info().misses
+        rows = np.random.default_rng(4).standard_normal((5, len(pairs)))
+        full = np.empty((5, n, n))
+        for k, (i, j) in enumerate(pairs):
+            full[:, i, j] = full[:, j, i] = rows[:, k]
+        assert np.array_equal(triangle_to_full(rows), full)
+        for i in range(n):
+            for j in range(n):
+                assert M.triangle_index(i, j) == pairs.index((min(i, j), max(i, j)))
+        assert grid._pair_index.cache_info().misses == misses
+
+
+TRANSFORM_SHAPES = [(16,), (64,), (8, 12), (12, 8), (8, 10, 8), (16, 8, 10)]
+
+
+def _nyquist_mode(g):
+    """prod_a cos(pi N_a x_a): +-1 alternating along every axis."""
+    signs = [(-1.0) ** np.arange(n) for n in g.resolution]
+    return functools.reduce(np.multiply.outer, signs)
+
+
+class TestTransformPair:
+    """`to_spectrum` / `from_spectrum` are numpy's n-D real transforms
+    made pass by pass, and `spectral_inner` is the node mean."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from(TRANSFORM_SHAPES),
+        stack=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_numpy_nd_transforms(self, shape, stack, seed):
+        g = make_grid(len(shape), list(shape))
+        lead = (stack,) if stack else ()
+        values = np.random.default_rng(seed).standard_normal(lead + g.shape)
+        axes = tuple(range(len(lead), values.ndim))
+        spectrum = to_spectrum(g, values)
+        assert np.array_equal(spectrum, np.fft.rfftn(values, axes=axes))
+        kept = spectrum.copy()
+        back = from_spectrum(g, spectrum)
+        assert np.array_equal(back, np.fft.irfftn(kept, s=g.shape, axes=axes))
+        assert np.array_equal(spectrum, kept)  # the input is not overwritten
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from(TRANSFORM_SHAPES),
+        seed=st.integers(0, 2**32 - 1),
+        nyquist=st.floats(-10.0, 10.0),
+        offset=st.floats(-10.0, 10.0),
+    )
+    def test_parseval_inner_is_the_node_mean(self, shape, seed, nyquist, offset):
+        g = make_grid(len(shape), list(shape))
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(g.shape) + nyquist * _nyquist_mode(g) + offset
+        b = rng.standard_normal(g.shape) + a
+        sa, sb = to_spectrum(g, a), to_spectrum(g, b)
+        for x, y, sx, sy in [(a, b, sa, sb), (a, a, sa, sa), (b, b, sb, sb)]:
+            scale = np.sqrt(np.mean(x * x) * np.mean(y * y))
+            assert abs(spectral_inner(g, sx, sy) - np.mean(x * y)) <= 1e-14 * scale
 
 
 class TestInterpolate:

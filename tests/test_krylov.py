@@ -1,13 +1,16 @@
-"""The Krylov apply on raw component-first arrays.
+"""The Krylov apply and solve on real-FFT spectra.
 
-One apply of psi -> (u^ia psi_ab u^bj)_ij is a batched Hessian, the
-congruence with the potential's cached weights and a batched second
-divergence.  It is checked against the full-matrix formulation in
+One apply of psi -> (u^ia psi_ab u^bj)_ij maps a spectrum to a spectrum:
+a batched inverse transform of the second-derivative multiples, the
+congruence with the potential's cached weights and a batched forward
+transform of the centred components.  It is checked, through the node
+values of `linearized_apply`, against the full-matrix formulation in
 tests.support (h psi h by matrix products) on random convex potentials
 over non-identity bases; the public `hessian` and `second_divergence`,
 whose triangle stacks are the kernels' own layout, against the kernels
-and a per-component reference bit for bit; and one apply against its
-transform budget.
+and a per-component reference bit for bit; one PCG iteration against its
+transform budget; the PCG correction against a dense solve; and a
+failing solve against the same iteration on node values.
 """
 
 from collections import Counter
@@ -25,14 +28,19 @@ from abreu import (
     SymMatrixField,
     functional_second_derivative,
     hessian,
+    linearized_apply,
     make_grid,
+    newton_step,
     second_divergence,
     solver,
 )
+from abreu.errors import LinearSolveFailure
 from abreu.grid import (
     fourier_multiplier,
+    from_spectrum,
     hessian_stack,
     second_divergence_stack,
+    to_spectrum,
     triangle_pairs,
 )
 from tests.support import (
@@ -116,7 +124,7 @@ class TestApplyMatchesMatrixOracle:
     def test_apply(self, shape, seed):
         g, rng, P = _setup(shape, seed)
         psi = rng.standard_normal(g.shape)
-        got = solver._linearized_operator(P)(psi)
+        got = linearized_apply(P, ScalarField(g, psi)).values
         ref = linearized_apply_oracle(P, psi)
         assert np.max(np.abs(got - ref)) <= REL_TOL * np.max(np.abs(ref))
 
@@ -133,11 +141,14 @@ class TestApplyMatchesMatrixOracle:
     @pytest.mark.parametrize("shape", [(16,), (8, 12), (8, 10, 8)])
     def test_repeated_applies_are_bitwise_equal(self, shape):
         g, rng, P = _setup(shape, 11)
-        psi = rng.standard_normal(g.shape)
-        first = solver._linearized_operator(P)(psi)
-        again = solver._linearized_operator(P)(psi)
+        spectrum = to_spectrum(g, rng.standard_normal(g.shape))
+        first = solver._linearized_operator(P)(spectrum)
+        again = solver._linearized_operator(P)(spectrum)
         assert np.array_equal(first, again)
-        assert np.array_equal(solver._linearized_operator(P)(psi), first)
+        assert np.array_equal(solver._linearized_operator(P)(spectrum), first)
+        psi = ScalarField(g, from_spectrum(g, spectrum))
+        assert np.array_equal(linearized_apply(P, psi).values,
+                              linearized_apply(P, psi).values)
 
 
 SHAPES = st.sampled_from(
@@ -204,40 +215,70 @@ class TestSecondDivergenceStack:
             second_divergence_stack(g, stack)
 
 
+def _count_transforms(monkeypatch):
+    """Count numpy's per-axis real and complex transform calls."""
+    calls = Counter()
+    for name in ("rfft", "irfft", "fft", "ifft"):
+
+        def counted(*args, _name=name, _original=getattr(np.fft, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def _one_apply(dim):
+    """Per-axis calls of one batched inverse and one batched forward."""
+    return Counter({"ifft": dim - 1, "irfft": 1, "rfft": 1, "fft": dim - 1})
+
+
 class TestTransformBudget:
     @pytest.mark.parametrize("shape", [(16,), (8, 12), (8, 10, 8)])
-    def test_one_apply_is_two_forward_and_two_inverse(self, shape, monkeypatch):
+    def test_one_apply_is_one_inverse_and_one_forward(self, shape, monkeypatch):
         g, rng, P = _setup(shape, 3)
         apply = solver._linearized_operator(P)
-        psi = rng.standard_normal(g.shape)
-        calls = Counter()
-        for name in ("rfftn", "irfftn"):
+        spectrum = to_spectrum(g, rng.standard_normal(g.shape))
+        calls = _count_transforms(monkeypatch)
+        apply(spectrum)
+        assert calls == _one_apply(g.dim)
 
-            def counted(*args, _name=name, _original=getattr(np.fft, name), **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+    @pytest.mark.parametrize("shape", [(16,), (8, 12), (8, 10, 8)])
+    def test_preconditioner_and_inner_products_make_no_transform(
+        self, shape, monkeypatch
+    ):
+        g, rng, P = _setup(shape, 4)
+        apply = solver._linearized_operator(P)
+        applies = []
 
-            monkeypatch.setattr(np.fft, name, counted)
-        apply(psi)
-        assert calls == {"rfftn": 2, "irfftn": 2}
+        def counted(spectrum):
+            applies.append(1)
+            return apply(spectrum)
+
+        inv_symbol = solver._inverse_flat_symbol(g, P.base)
+        rhs = to_spectrum(g, rng.standard_normal(g.shape))
+        calls = _count_transforms(monkeypatch)
+        solver._pcg(counted, g, inv_symbol, rhs, 1e-12)
+        assert len(applies) > 1
+        per_apply = _one_apply(g.dim)
+        assert calls == Counter({k: len(applies) * v for k, v in per_apply.items()})
 
 
 class TestFlatPreconditioner:
     def test_symbol_built_once_per_grid_and_base(self):
         g = make_grid(2, [8, 12])
-        matrix = _random_base(np.random.default_rng(2), 2).matrix
+        rng = np.random.default_rng(2)
+        base = _random_base(rng, 2)
+        target = 0.1 * random_band_limited(g, rng, max_mode=2)
         solver._inverse_flat_symbol.cache_clear()
-        psi = np.random.default_rng(3).standard_normal(g.shape)
-        outs = [
-            solver._flat_preconditioner(g, QuadraticBase(matrix.copy()))(psi)
-            for _ in range(3)
-        ]
+        for _ in range(3):
+            newton_step(Potential.flat(g, QuadraticBase(base.matrix.copy())), target, 0.5)
         info = solver._inverse_flat_symbol.cache_info()
         assert (info.misses, info.hits) == (1, 2)
-        assert all(np.array_equal(out, outs[0]) for out in outs)
-        symbol = solver._inverse_flat_symbol(g, QuadraticBase(matrix))
+        symbol = solver._inverse_flat_symbol(g, QuadraticBase(base.matrix.copy()))
+        assert symbol is solver._inverse_flat_symbol(g, base)
         assert not symbol.flags.writeable
-        solver._flat_preconditioner(g, QuadraticBase.identity(2))
+        newton_step(Potential.flat(g), target, 0.5)
         assert solver._inverse_flat_symbol.cache_info().misses == 2
 
     @settings(max_examples=40, deadline=None)
@@ -259,8 +300,99 @@ class TestFlatPreconditioner:
             base = _random_unimodular_base(rng, g.dim)
         else:
             base = QuadraticBase.identity(g.dim)
-        psi = rng.standard_normal(g.shape)
-        psi -= psi.mean()
+        spectrum = to_spectrum(g, rng.standard_normal(g.shape))
+        spectrum[(0,) * g.dim] = 0.0  # a mean-zero field
         flat = solver._linearized_operator(Potential.flat(g, base))
-        back = solver._flat_preconditioner(g, base)(flat(psi))
-        assert np.max(np.abs(back - psi)) <= 1e-10 * np.max(np.abs(psi))
+        back = solver._inverse_flat_symbol(g, base) * flat(spectrum)
+        assert np.max(np.abs(back - spectrum)) <= 1e-10 * np.max(np.abs(spectrum))
+
+
+def _operator_matrix(P):
+    """The linearization at P on node values, a column per unit field."""
+    g = P.grid
+    columns = []
+    for j in range(g.node_count):
+        unit = np.zeros(g.node_count)
+        unit[j] = 1.0
+        columns.append(linearized_apply(P, ScalarField(g, unit.reshape(g.shape))).values)
+    return np.stack([c.ravel() for c in columns], axis=1)
+
+
+class TestPcgSolve:
+    @pytest.mark.parametrize("shape", [(16,), (8, 10), (8, 8, 8)])
+    def test_correction_matches_a_dense_solve(self, shape):
+        g, rng, P = _setup(shape, 7)
+        rhs = rng.standard_normal(g.shape)
+        inv_symbol = solver._inverse_flat_symbol(g, P.base)
+        got = from_spectrum(
+            g, solver._pcg(solver._linearized_operator(P), g, inv_symbol,
+                           to_spectrum(g, rhs), 1e-12)
+        )
+        # the operator restricted to mean-zero fields, in an orthonormal
+        # basis of them: the complement of the constants
+        q, _ = np.linalg.qr(np.eye(g.node_count) - 1.0 / g.node_count)
+        q = q[:, : g.node_count - 1]
+        L = _operator_matrix(P)
+        ref = q @ np.linalg.solve(q.T @ L @ q, q.T @ rhs.ravel())
+        assert np.max(np.abs(got.ravel() - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("shape", [(16,), (8, 10), (8, 8, 8)])
+    def test_indefinite_operator_fails_as_on_node_values(self, shape):
+        g = make_grid(len(shape), list(shape))
+        inv_symbol = solver._inverse_flat_symbol(g, QuadraticBase.identity(g.dim))
+        # a diagonal stub: the flat symbol times 1 + |k|^2, negative on the
+        # outermost shell, so the solve converges on the rest and then fails
+        k2 = 0.0
+        for axis in range(g.dim):
+            k = np.abs(g.wavenumbers(axis)[: inv_symbol.shape[axis]]) ** 2.0
+            k2 = np.add.outer(k2, k) if axis else k
+        scale = np.where(k2 == k2.max(), -0.5, 1.0 + k2)
+        stub = np.divide(scale, inv_symbol, out=np.zeros_like(k2), where=inv_symbol > 0)
+        rhs = np.random.default_rng(0).standard_normal(g.shape)
+        with pytest.raises(LinearSolveFailure) as spectral:
+            solver._pcg(lambda s: stub * s, g, inv_symbol, to_spectrum(g, rhs), 1e-12)
+        with pytest.raises(LinearSolveFailure) as nodal:
+            _node_value_pcg(
+                lambda v: _diagonal(g, stub, v), lambda v: _diagonal(g, inv_symbol, v),
+                rhs, 1e-12,
+            )
+        assert spectral.value.iterations == nodal.value.iterations > 1
+        assert spectral.value.relative_residual == pytest.approx(
+            nodal.value.relative_residual, rel=1e-10
+        )
+
+
+def _diagonal(g, multiplier, values):
+    """A diagonal Fourier operator on node values, projected to mean zero."""
+    axes = tuple(range(g.dim))
+    spectrum = multiplier * np.fft.rfftn(values, axes=axes)
+    out = np.fft.irfftn(spectrum, s=g.shape, axes=axes)
+    return out - out.mean()
+
+
+def _node_value_pcg(apply_op, precond, rhs, rel_tol):
+    """PCG on node values with the mean projected out every iteration:
+    the reference the spectral solve must agree with."""
+    r = rhs - rhs.mean()
+    rhs_norm = np.sqrt(np.mean(r * r))
+    x = np.zeros_like(r)
+    z = precond(r)
+    p = z.copy()
+    rz = np.mean(r * z)
+    for iteration in range(1, 1001):
+        ap = apply_op(p)
+        pap = np.mean(p * ap)
+        if pap <= 0.0:
+            residual = np.sqrt(np.mean(r * r)) / rhs_norm
+            raise LinearSolveFailure(iteration, residual, rel_tol)
+        alpha = rz / pap
+        x += alpha * p
+        r -= alpha * ap
+        r -= r.mean()
+        if np.sqrt(np.mean(r * r)) <= rel_tol * rhs_norm:
+            return x
+        z = precond(r)
+        rz_new = np.mean(r * z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise LinearSolveFailure(1000, np.sqrt(np.mean(r * r)) / rhs_norm, rel_tol)
