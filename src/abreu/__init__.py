@@ -41,7 +41,7 @@ from .estimates import (
     verify_solution,
 )
 from .fieldfile import read_field, write_field
-from .fieldlang import eval_field, parse, periodicity_defect, to_string
+from .fieldlang import eval_field, parse, to_string
 from .grid import (
     PeriodicGrid,
     ScalarField,
@@ -53,6 +53,7 @@ from .grid import (
     make_grid,
     mean,
     partial,
+    periodicity_defect,
     project_mean_zero,
     second_divergence,
     sup_norm,

@@ -36,8 +36,8 @@ from .errors import (
 )
 from .estimates import c0_c1_report, eigenvalue_bounds, verify_solution
 from .fieldfile import atomic_write, read_field, write_field
-from .fieldlang import eval_field, parse, periodicity_defect
-from .grid import make_grid, mean, project_mean_zero, sup_norm
+from .fieldlang import eval_field, parse
+from .grid import make_grid, mean, periodicity_defect, project_mean_zero, sup_norm
 from .legendre import legendre_transform
 from .potential import (
     Potential,

@@ -16,7 +16,7 @@ integer literals (optionally signed) so evaluation stays total on
 negative bases.  Whitespace is insignificant.  Evaluation on a grid is
 plain vectorized arithmetic at the node coordinates, with no
 approximation; periodicity of the result is the caller's responsibility
-(see `periodicity_defect` for the warning heuristic).
+(see `grid.periodicity_defect` for the warning heuristic).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "parse",
     "to_string",
     "eval_field",
-    "periodicity_defect",
 ]
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
@@ -355,21 +354,3 @@ def eval_field(e: Expr, g: PeriodicGrid) -> ScalarField:
         raise EvalError(f"non-finite value at node {tuple(where)}")
     return ScalarField(g, values)
 
-
-def periodicity_defect(f: ScalarField) -> float:
-    """Relative spectral weight of the top-octave modes.
-
-    Smooth periodic fields have (super)algebraically small tails;
-    non-periodic samplings (such as "x1") leak O(1/k) energy into the
-    highest modes.  The CLI warns above 1e-8.
-    """
-    coeffs = f.interpolant.coeffs
-    total = np.sqrt(np.sum(np.abs(coeffs) ** 2))
-    if total == 0.0:
-        return 0.0
-    mask = np.zeros(f.grid.shape, dtype=bool)
-    for axis, n in enumerate(f.grid.resolution):
-        top = np.abs(f.grid.wavenumbers(axis)) > n // 3  # above 2/3 of Nyquist
-        mask |= top.reshape([n if a == axis else 1 for a in range(f.grid.dim)])
-    tail = np.sqrt(np.sum(np.abs(coeffs[mask]) ** 2))
-    return float(tail / total)

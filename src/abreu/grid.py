@@ -10,14 +10,14 @@ shared freely across threads.
 Conventions:
   * integer wavenumbers, fundamental domain fixed to [0,1]^n;
   * odd-order derivatives zero the Nyquist mode (symmetric choice);
-  * this module alone knows the Fourier layout: `to_spectrum` and
-    `from_spectrum` are the one real-FFT transform pair, `spectral_inner`
-    the node-mean inner product read off two spectra (Parseval),
-    `fourier_multiplier` the one multiplier table (real-FFT or full
-    layout), which derivatives, the interpolant and the solver's
-    preconditioner all read, and `fourier_multiply` the one diagonal
-    Fourier apply; the solver's Krylov iteration runs on spectra through
-    `hessian_from_spectrum` and `second_divergence_spectrum`;
+  * this module alone knows the Fourier layout, and it has one, the
+    real-FFT one: `to_spectrum` and `from_spectrum` are the transform pair,
+    `ScalarField.spectrum` each field's one spectrum, which its
+    derivatives, its interpolant and `periodicity_defect` read,
+    `spectral_inner` the node-mean inner product of two spectra (Parseval)
+    and `fourier_multiplier` the one multiplier table; the solver's Krylov
+    iteration runs on spectra through `hessian_from_spectrum` and
+    `second_divergence_spectrum`;
   * off-grid evaluation (`TrigInterpolant`) works in the real separable
     basis [1, cos 2 pi k x, cos pi N x, sin 2 pi k x] (0 < k < N/2) per
     axis, so a real field is evaluated with real products only, and only
@@ -55,18 +55,16 @@ __all__ = [
     "from_spectrum",
     "spectral_inner",
     "fourier_multiplier",
-    "fourier_multiply",
     "partial",
     "gradient",
     "hessian",
-    "hessian_stack",
     "hessian_from_spectrum",
     "mean",
     "project_mean_zero",
     "second_divergence",
-    "second_divergence_stack",
     "second_divergence_spectrum",
     "interpolate",
+    "periodicity_defect",
     "TrigInterpolant",
     "sup_norm",
     "triangle_pairs",
@@ -214,6 +212,14 @@ class ScalarField:
         return abs(mean(self)) <= self.mean_bound
 
     @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        """The field's one real-FFT spectrum (`to_spectrum`), built on first
+        use and kept read-only: its only forward transform."""
+        spectrum = to_spectrum(self.grid, self.values)
+        spectrum.setflags(write=False)
+        return spectrum
+
+    @functools.cached_property
     def interpolant(self) -> "TrigInterpolant":
         """The field's one trigonometric interpolant, built on first use and
         kept with its coefficient stacks."""
@@ -298,7 +304,8 @@ class SymMatrixField:
     `triangle_pairs(n)[k]`, in the order (0,0), (0,1), ..., (0,n-1), (1,1), ...
 
     Symmetry is structural: only the triangle entries exist.  The stacks of
-    `hessian_stack` and `second_divergence_stack` share this layout.
+    `hessian_from_spectrum` and `second_divergence_spectrum` share this
+    layout.
     """
 
     grid: PeriodicGrid
@@ -369,21 +376,20 @@ def _orders(dim: int, total: int) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.lru_cache(maxsize=128)
-def fourier_multiplier(grid: PeriodicGrid, orders, full: bool = False) -> np.ndarray:
+def fourier_multiplier(grid: PeriodicGrid, orders) -> np.ndarray:
     """Fourier multipliers of the mixed partials `orders` (a tuple of
     per-axis multi-indices), stacked first and cached read-only per grid.
 
     Entry k is prod_a (2 pi i k_a)^orders[k][a]; odd orders zero the
     Nyquist mode of their axis, even orders keep it.  Laid out for
     real-FFT spectra (the last axis keeps its N/2 + 1 non-negative
-    modes, Nyquist last), or for the full FFT when `full`.  The stack is
-    real when every total order is even, complex otherwise.
+    modes, Nyquist last).  The stack is real when every total order is
+    even, complex otherwise.
     """
     # as Python ints, so that 1j ** k below is Python's exact power
     orders = [_check_axes(grid, axes) for axes in orders]
     sizes = list(grid.resolution)
-    if not full:
-        sizes[-1] = sizes[-1] // 2 + 1
+    sizes[-1] = sizes[-1] // 2 + 1
     mults = []
     for axes in orders:
         factors = []
@@ -451,22 +457,10 @@ def spectral_inner(grid: PeriodicGrid, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b * _parseval_weights(grid)).real)
 
 
-def fourier_multiply(grid: PeriodicGrid, values: np.ndarray,
-                     multiplier: np.ndarray) -> np.ndarray:
-    """Node values times a Fourier multiplier in real-FFT layout: one
-    forward real transform over the trailing grid axes, one inverse.
-
-    A stack of multipliers, as `fourier_multiplier` returns it, makes a
-    component-first stack of fields with one batched inverse.
-    """
-    # the spectrum is a temporary: freed before the inverse, whose
-    # temporaries set the peak memory of a Krylov apply
-    return from_spectrum(grid, to_spectrum(grid, values) * multiplier)
-
-
-def _partials(grid: PeriodicGrid, values: np.ndarray, orders) -> np.ndarray:
-    """The partials `orders` of node values, component-first."""
-    return fourier_multiply(grid, values, fourier_multiplier(grid, orders))
+def _partials(f: ScalarField, orders) -> np.ndarray:
+    """The partials `orders` of a field, component-first: its kept spectrum
+    times their multipliers, then one batched inverse."""
+    return from_spectrum(f.grid, f.spectrum * fourier_multiplier(f.grid, orders))
 
 
 def _check_axes(grid: PeriodicGrid, axes) -> tuple[int, ...]:
@@ -491,12 +485,12 @@ def partial(f: ScalarField, axes) -> ScalarField:
     axes = _check_axes(f.grid, axes)
     if sum(axes) == 0:
         return f
-    return ScalarField(f.grid, _partials(f.grid, f.values, (axes,))[0])
+    return ScalarField(f.grid, _partials(f, (axes,))[0])
 
 
 def gradient(f: ScalarField) -> list[ScalarField]:
-    """All first partials, sharing a single forward transform."""
-    partials = _partials(f.grid, f.values, _orders(f.grid.dim, 1))
+    """All first partials, from the field's one spectrum."""
+    partials = _partials(f, _orders(f.grid.dim, 1))
     return [ScalarField(f.grid, d) for d in partials]
 
 
@@ -508,15 +502,10 @@ def hessian_from_spectrum(grid: PeriodicGrid, spectrum: np.ndarray) -> np.ndarra
     return from_spectrum(grid, mults * spectrum)
 
 
-def hessian_stack(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
-    """Second partials of raw node values, component-first (m, *grid.shape):
-    one forward real transform, then `hessian_from_spectrum`."""
-    return hessian_from_spectrum(grid, to_spectrum(grid, values))
-
-
 def hessian(f: ScalarField) -> SymMatrixField:
-    """All second partials as a symmetric matrix field (one forward FFT)."""
-    return SymMatrixField(f.grid, hessian_stack(f.grid, f.values))
+    """All second partials as a symmetric matrix field, from the field's
+    one spectrum."""
+    return SymMatrixField(f.grid, hessian_from_spectrum(f.grid, f.spectrum))
 
 
 def mean(f: ScalarField) -> float:
@@ -557,13 +546,6 @@ def second_divergence_spectrum(grid: PeriodicGrid, stack: np.ndarray) -> np.ndar
     return acc
 
 
-def second_divergence_stack(grid: PeriodicGrid, stack: np.ndarray) -> np.ndarray:
-    """`second_divergence_spectrum` (which centers `stack` in place) at the
-    nodes: one inverse of the summed spectra; the output's zero mode is
-    exactly zero."""
-    return from_spectrum(grid, second_divergence_spectrum(grid, stack))
-
-
 def second_divergence(M: SymMatrixField) -> ScalarField:
     """Double divergence sum_ij d^2 M^ij / dx_i dx_j of a matrix field.
 
@@ -573,7 +555,8 @@ def second_divergence(M: SymMatrixField) -> ScalarField:
     grid = M.grid
     # the weights are exact (1 or 2), so they commute bitwise with the transform
     weights = M.pair_weights.reshape((-1,) + (1,) * grid.dim)
-    return ScalarField(grid, second_divergence_stack(grid, weights * M.entries))
+    spectrum = second_divergence_spectrum(grid, weights * M.entries)
+    return ScalarField(grid, from_spectrum(grid, spectrum))
 
 
 # ---------------------------------------------------------------------------
@@ -589,16 +572,20 @@ _BLOCK_BYTES = 256 * 1024
 _BLOCK_MIN_POINTS = 64
 
 
-def _real_axis_coefficients(coeffs: np.ndarray, axis: int, band: int) -> np.ndarray:
-    """Re-express FFT-layout coefficients along `axis` in the real basis
+def _real_axis_coefficients(coeffs: np.ndarray, axis: int, band: int,
+                            last: bool) -> np.ndarray:
+    """Re-express the coefficients along `axis` in the real basis
     [1, cos 2 pi k x, cos pi N x, sin 2 pi k x] (0 < k <= band, k < N/2):
     a_cos = c_k + c_-k and a_sin = i (c_k - c_-k); the DC and the split
     Nyquist entries carry over unchanged, the Nyquist one only when `band`
-    is N/2 (the full basis)."""
+    is N/2 (the full basis).  The `last` axis holds the real-FFT half
+    k = 0..N/2 and goes last, when the others are in the real basis: there
+    a real field's c_-k is conj(c_k), so a_cos = 2 Re c_k, a_sin = -2 Im c_k."""
     c = np.moveaxis(coeffs, axis, 0)
-    half = c.shape[0] // 2
+    half = c.shape[0] - 1 if last else c.shape[0] // 2
     pairs = min(band, half - 1)
-    pos, neg = c[1 : pairs + 1], c[::-1][:pairs]
+    pos = c[1 : pairs + 1]
+    neg = pos.conj() if last else c[::-1][:pairs]
     nyquist = c[half : half + 1] if band == half else c[:0]
     out = np.concatenate([c[:1], pos + neg, nyquist, 1j * (pos - neg)])
     return np.moveaxis(out, 0, axis)
@@ -631,20 +618,21 @@ class TrigInterpolant:
     plateau.  Partials follow `partial`: odd orders zero the Nyquist mode,
     even orders keep it.
 
-    Each axis keeps only its band K_a (`band`): the largest |k_a| of an
-    FFT coefficient above eps * sup|f|, the plateau the rounding of the
+    Each axis keeps only its band K_a (`band`): the largest |k_a| of a
+    Fourier coefficient above eps * sup|f|, the plateau the rounding of the
     node values puts under the spectrum.  The coefficients outside
     |k_a| <= K_a are dropped, so a partial moves by at most their sum times
     their multipliers; an axis with Nyquist content above the plateau
-    (K_a = N/2) keeps the full basis.  `coeffs` is the full spectrum.
+    (K_a = N/2) keeps the full basis.  The coefficients are the field's
+    one real-FFT spectrum (`ScalarField.spectrum`) over the node count.
 
     Evaluation works in the real separable basis, along each axis
     [1, cos 2 pi k x, cos pi N x, sin 2 pi k x] (0 < k <= K_a, k < N/2; the
     Nyquist cosine on a full band only), so all products are real.
-    Partials asked for together share one cached coefficient stack:
-    fftn(f) times the full-layout multipliers, mapped axis by axis onto
-    that basis (`_real_axis_coefficients`) and kept as its real part,
-    which is exact up to rounding for a real field.  Points
+    Partials asked for together share one cached coefficient stack: the
+    coefficients times the multipliers, mapped axis by axis onto that
+    basis (`_real_axis_coefficients`), the real-FFT axis last by conjugate
+    symmetry, and kept as its real part.  Points
     go in blocks of bounded memory (`_BLOCK_BYTES` over 8-byte entries per
     stack column), with a floor of `_BLOCK_MIN_POINTS` points per block so
     that wide stacks, such as the six second partials of a 3D field, are
@@ -657,8 +645,8 @@ class TrigInterpolant:
 
     def __init__(self, f: ScalarField):
         grid = self.grid = f.grid
-        self.coeffs = np.fft.fftn(f.values) / grid.node_count
-        resolved = np.nonzero(np.abs(self.coeffs) > np.finfo(float).eps * sup_norm(f))
+        self._coeffs = f.spectrum / grid.node_count
+        resolved = np.nonzero(np.abs(self._coeffs) > np.finfo(float).eps * sup_norm(f))
         self._band = tuple(int(np.abs(grid.wavenumbers(a)[k]).max(initial=0))
                            for a, k in enumerate(resolved))
         # basis functions per axis: all N on a full band, else 1 + 2 K
@@ -677,10 +665,11 @@ class TrigInterpolant:
         (rows_0, rest * fields) float64."""
         if orders not in self._stacks:
             grid = self.grid
-            mults = fourier_multiplier(grid, orders, full=True)
-            stack = np.moveaxis(self.coeffs * mults, 0, -1)
+            mults = fourier_multiplier(grid, orders)
+            stack = np.moveaxis(self._coeffs * mults, 0, -1)
             for axis in range(grid.dim):
-                stack = _real_axis_coefficients(stack, axis, self._band[axis])
+                stack = _real_axis_coefficients(stack, axis, self._band[axis],
+                                                last=axis == grid.dim - 1)
             stack = np.ascontiguousarray(stack.real).reshape(self._rows[0], -1)
             stack.setflags(write=False)
             self._stacks[orders] = stack
@@ -720,10 +709,11 @@ class TrigInterpolant:
         return out
 
     def evaluate(self, points) -> np.ndarray:
-        """Evaluate at a (P, dim) array of points (wrapped periodically)."""
+        """Evaluate at a (P, dim) array of points (wrapped periodically), or
+        at one point (a (dim,) vector, or a scalar in 1D) to a float."""
         pts = np.asarray(points, dtype=float)
         out = self.partials(pts, [(0,) * self.grid.dim])[:, 0]
-        return float(out[0]) if pts.ndim == 1 else out
+        return float(out[0]) if pts.ndim < 2 else out
 
 
 def interpolate(f: ScalarField, point) -> float:
@@ -735,3 +725,23 @@ def interpolate(f: ScalarField, point) -> float:
     Points outside [0,1)^n are wrapped by periodicity.
     """
     return f.interpolant.evaluate(np.asarray(point, dtype=float))
+
+
+def periodicity_defect(f: ScalarField) -> float:
+    """2-norm of the Fourier coefficients with |k_a| > N_a / 3 on some axis
+    (above 2/3 of that axis's Nyquist frequency), relative to the 2-norm
+    of all of them, read off the field's one spectrum (Parseval).
+
+    Smooth periodic fields have (super)algebraically small tails;
+    non-periodic samplings (such as "x1") leak O(1/k) energy into the
+    highest modes.  The CLI warns above 1e-8.
+    """
+    power = np.abs(f.spectrum) ** 2 * _parseval_weights(f.grid)
+    total = power.sum()
+    if total == 0.0:
+        return 0.0
+    outer = functools.reduce(np.logical_or.outer, [
+        np.abs(f.grid.wavenumbers(a)[:n]) > f.grid.resolution[a] // 3
+        for a, n in enumerate(power.shape)
+    ])
+    return float(np.sqrt(power[outer].sum() / total))

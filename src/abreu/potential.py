@@ -27,7 +27,8 @@ is `triangle_inverse`, whose closed forms the gradient-map inversion
 shares.  Every derivative of u lives here: on the grid the Hessian state
 and the spectral gradient of phi kept beside it (`node_gradient`), off it
 `perturbation_at` (phi itself), `gradient_at` and `hessian_at`, from
-phi's one kept interpolant (`ScalarField.interpolant`).
+phi's one kept interpolant (`ScalarField.interpolant`); all of them read
+phi's one spectrum (`ScalarField.spectrum`).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .grid import (
     SymMatrixField,
     gradient,
     hessian,
-    hessian_stack,
+    hessian_from_spectrum,
     mean,
     second_divergence,
     triangle_pairs,
@@ -209,8 +210,8 @@ class Potential:
 
 
 def hessian_u(P: Potential) -> SymMatrixField:
-    """Nodewise Hessian M + D^2 phi, computed spectrally from phi."""
-    stack = hessian_stack(P.grid, P.perturbation.values)
+    """Nodewise Hessian M + D^2 phi, from phi's one spectrum."""
+    stack = hessian_from_spectrum(P.grid, P.perturbation.spectrum)
     for comp, (i, j) in zip(stack, triangle_pairs(P.grid.dim)):
         comp += P.base.matrix[i, j]
     return SymMatrixField(P.grid, stack)
@@ -321,7 +322,7 @@ class HessianState:
         """Triangle entries of h psi h, h = H^-1, times pair weights.
 
         `second` is the triangle stack (m, *shape) of a symmetric field psi,
-        as `hessian_stack` returns it; so is the result.  With pairs
+        as `hessian_from_spectrum` returns it; so is the result.  With pairs
         k = (i, j), l = (a, b) and `SymMatrixField.pair_weights` w (1 on
         the diagonal, 2 off it) entry k is sum_l S_kl psi_l, where
 

@@ -56,7 +56,6 @@ from .grid import (
     fourier_multiplier,
     from_spectrum,
     hessian_from_spectrum,
-    hessian_stack,
     project_mean_zero,
     second_divergence_spectrum,
     spectral_inner,
@@ -186,7 +185,7 @@ def linearized_apply(P: Potential, psi: ScalarField) -> ScalarField:
     if psi.grid != P.grid:
         raise ValueError("field lives on a different grid than the potential")
     grid = P.grid
-    out = _linearized_operator(P)(to_spectrum(grid, psi.values))
+    out = _linearized_operator(P)(psi.spectrum)
     return ScalarField(grid, from_spectrum(grid, out))
 
 
@@ -276,7 +275,7 @@ def functional_second_derivative(P0: Potential, P1: Potential, t: float) -> floa
     psi = P1.perturbation - P0.perturbation
     phi_t = (1.0 - t) * P0.perturbation.values + t * P1.perturbation.values
     interpolated = P0.with_perturbation(phi_t)
-    second = hessian_stack(psi.grid, psi.values)
+    second = hessian_from_spectrum(psi.grid, psi.spectrum)
     congruent = interpolated.hessian_state.congruent(second)
     integrand = np.sum(second * congruent, axis=0)
     return float(np.mean(integrand))

@@ -9,12 +9,17 @@ from hypothesis import strategies as st
 
 from abreu import (
     PeriodicGrid,
+    Potential,
+    QuadraticBase,
     ScalarField,
     SymMatrixField,
+    gradient,
+    hessian,
     interpolate,
     make_grid,
     mean,
     partial,
+    periodicity_defect,
     project_mean_zero,
     second_divergence,
     sup_norm,
@@ -338,6 +343,75 @@ class TestTransformPair:
         for x, y, sx, sy in [(a, b, sa, sb), (a, a, sa, sa), (b, b, sb, sb)]:
             scale = np.sqrt(np.mean(x * x) * np.mean(y * y))
             assert abs(spectral_inner(g, sx, sy) - np.mean(x * y)) <= 1e-14 * scale
+
+
+def _full_fft_defect(values):
+    """The periodicity defect by the full n-D FFT: 2-norm of the
+    coefficients with |k_a| > N_a / 3 on some axis over that of all."""
+    coeffs = np.fft.fftn(values)
+    outer = np.zeros(values.shape, dtype=bool)
+    for axis, n in enumerate(values.shape):
+        k = np.abs(np.rint(np.fft.fftfreq(n) * n))
+        outer |= (k > n / 3).reshape([n if a == axis else 1 for a in range(values.ndim)])
+    power = np.abs(coeffs) ** 2
+    return np.sqrt(power[outer].sum() / power.sum())
+
+
+class TestFieldSpectrum:
+    """Each field keeps one real-FFT spectrum, and everything spectral
+    about the field reads it: its one forward transform."""
+
+    @pytest.mark.parametrize("shape", TRANSFORM_SHAPES)
+    def test_kept_read_only_and_bitwise_rfftn(self, shape):
+        g = make_grid(len(shape), list(shape))
+        f = ScalarField(g, np.random.default_rng(3).standard_normal(g.shape))
+        assert f.spectrum is f.spectrum
+        assert not f.spectrum.flags.writeable
+        assert np.array_equal(f.spectrum, np.fft.rfftn(f.values))
+        with pytest.raises(ValueError):
+            f.spectrum[(0,) * g.dim] = 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from(
+            [(8,), (30,), (64,), (8, 12), (12, 8), (10, 32), (8, 10, 8), (16, 8, 10)]
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        noise=st.floats(-1.0, 1.0),
+        nyquist=st.floats(-10.0, 10.0),
+    )
+    def test_periodicity_defect_matches_full_fft(self, shape, seed, noise, nyquist):
+        # low modes, white noise in every mode and Nyquist content on the
+        # last (real-FFT) axis, whose weights differ from the other modes'
+        g = make_grid(len(shape), list(shape))
+        rng = np.random.default_rng(seed)
+        values = random_band_limited(g, rng, max_mode=2).values
+        values = values + 10.0**noise * rng.standard_normal(g.shape)
+        last = (-1.0) ** np.arange(g.resolution[-1])
+        values = values + nyquist * rng.standard_normal(g.shape[:-1] + (1,)) * last
+        got = periodicity_defect(ScalarField(g, values))
+        ref = _full_fft_defect(values)
+        assert abs(got - ref) <= 1e-12 * ref
+
+    def test_each_field_is_transformed_forward_once(self, monkeypatch):
+        g = make_grid(2, [8, 12])
+        rng = np.random.default_rng(4)
+        phi = random_band_limited(g, rng, max_mode=2, amplitude=1e-3)
+        transformed = []
+        original = grid.to_spectrum
+
+        def counted(grid_, values):
+            transformed.append(values)
+            return original(grid_, values)
+
+        monkeypatch.setattr(grid, "to_spectrum", counted)
+        P = Potential(QuadraticBase.identity(2), phi)
+        P.hessian_state.inverse()
+        P.perturbation_gradient
+        x = rng.uniform(size=(5, 2))
+        P.perturbation_at(x), P.gradient_at(x), P.hessian_at(x)
+        partial(phi, (1, 1)), gradient(phi), hessian(phi), periodicity_defect(phi)
+        assert sum(v is phi.values for v in transformed) == 1
 
 
 class TestInterpolate:

@@ -162,6 +162,13 @@ class TestBlockedEvaluation:
         f = ScalarField(g, np.random.default_rng(0).standard_normal(g.shape))
         val = TrigInterpolant(f).evaluate([0.3, 0.7])
         assert isinstance(val, float)
+        # on a 1D grid a point is a scalar or a one-entry vector
+        g1 = make_grid(1, [16])
+        f1 = ScalarField(g1, np.random.default_rng(1).standard_normal(g1.shape))
+        for point in (0.3, [0.3], np.float64(0.3)):
+            assert isinstance(TrigInterpolant(f1).evaluate(point), float)
+            assert isinstance(interpolate(f1, point), float)
+        assert interpolate(f1, 0.3) == interpolate(f1, [0.3])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_raise(self, bad):

@@ -15,7 +15,10 @@ module compares against CONVEXITY_FLOOR or a `.min_eigenvalue`.
 The zero mean has one test, `ScalarField.mean_zero` in grid.py: no other
 module compares a mean, MEAN_TOLERANCE or a `.mean_bound` against anything.
 
-The Fourier layout lives in grid.py: no other module names numpy.fft.
+The Fourier layout lives in grid.py: no other module names numpy.fft,
+and inside grid.py only the transform pair (`to_spectrum`,
+`from_spectrum`) and `PeriodicGrid.wavenumbers` do.  There is one layout,
+the real-FFT one: no module names the full transforms `fftn` or `ifftn`.
 
 The matrix algebra of gradient-map inversion stays in potential.py:
 legendre.py neither imports numpy.linalg nor names it.  So do the
@@ -171,11 +174,72 @@ def test_detects_fft_uses(tmp_path):
         "from numpy.fft import rfftn\n"
         "def f(a, grid):\n"
         "    x = np.fft.irfftn(rfftn(a), s=a.shape)\n"
-        "    y = grid.fourier_multiply(grid, a, fft.fftfreq(4))\n"
+        "    y = grid.from_spectrum(grid, a * fft.fftfreq(4))\n"
         "    return nfft.fftn(x) * pi, grid.wavenumbers(0), y\n",
         encoding="utf-8",
     )
     assert _numpy_uses(probe, "fft") == [2, 3, 4, 6]
+    assert _names_used(probe, {"fftn", "ifftn"}) == [8]
+
+
+def _enclosing_functions(path, lines):
+    """Qualified name of the innermost function or method around each of
+    `lines`, None for a line outside every function."""
+    spans = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef):
+                    spans.append((child.lineno, child.end_lineno, name))
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    found = {}
+    for line in lines:
+        inner = [s for s in spans if s[0] <= line <= s[1]]
+        found[line] = max(inner)[2] if inner else None
+    return found
+
+
+GRID_FFT_OWNERS = {"to_spectrum", "from_spectrum", "PeriodicGrid.wavenumbers"}
+
+
+def test_grid_uses_fft_only_in_its_transforms():
+    path = PACKAGE / "grid.py"
+    owners = _enclosing_functions(path, _numpy_uses(path, "fft"))
+    assert owners and set(owners.values()) <= GRID_FFT_OWNERS
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_full_layout_transforms(path):
+    assert _names_used(path, {"fftn", "ifftn"}) == []
+
+
+def test_detects_fft_outside_transforms(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\n"
+        "class PeriodicGrid:\n"
+        "    def wavenumbers(self):\n"
+        "        return np.fft.fftfreq(8)\n"
+        "def to_spectrum(grid, v):\n"
+        "    def inner(a):\n"
+        "        return np.fft.rfft(a)\n"
+        "    return inner(v)\n"
+        "def partial(f):\n"
+        "    return np.fft.irfft(f)\n",
+        encoding="utf-8",
+    )
+    assert _enclosing_functions(probe, _numpy_uses(probe, "fft") + [1]) == {
+        1: None,
+        4: "PeriodicGrid.wavenumbers",
+        7: "to_spectrum.inner",
+        10: "partial",
+    }
 
 
 def _names_used(path, names):
