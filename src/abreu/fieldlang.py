@@ -21,6 +21,7 @@ approximation; periodicity of the result is the caller's responsibility
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,44 +100,27 @@ class _Token:
     offset: int
 
 
+# the EBNF's terminals and ASCII whitespace: any other character, a
+# non-ASCII digit or letter too, is a syntax error, so offsets count bytes
+_TOKEN = re.compile(
+    r"(?P<space>[ \t\n\r\f\v]+)"
+    r"|(?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or text[j] == "."
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    while k < n and text[k].isdigit():
-                        k += 1
-                    j = k
-            tokens.append(_Token("number", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        raise FieldSyntaxError(i, "a number, name, operator or parenthesis", ch)
-    tokens.append(_Token("end", "", n))
+    for match in _TOKEN.finditer(text):
+        kind, i = match.lastgroup, match.start()
+        if kind == "bad":
+            raise FieldSyntaxError(i, "a number, name, operator or parenthesis", match[0])
+        if kind != "space":
+            tokens.append(_Token(kind, match[0], i))
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 

@@ -67,8 +67,10 @@ __all__ = [
     "periodicity_defect",
     "TrigInterpolant",
     "sup_norm",
+    "partial_orders",
     "triangle_pairs",
     "triangle_to_full",
+    "full_to_triangle",
 ]
 
 _TWO_PI = 2.0 * np.pi
@@ -156,9 +158,11 @@ class PeriodicGrid:
         return np.mod(p, 1.0)
 
     def check_points(self, points) -> np.ndarray:
-        """`points` (one point, or one per row) as a finite (P, dim) float
-        array, else ValueError: the one check of off-grid points."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        """`points` (one point, or one per row; on a 1D grid also a vector of
+        P points) as a finite (P, dim) float array, else ValueError: the one
+        check of off-grid points."""
+        pts = np.asarray(points, dtype=float)
+        pts = pts[:, None] if self.dim == 1 and pts.ndim == 1 else np.atleast_2d(pts)
         if pts.ndim != 2:
             raise ValueError(f"points must be a (P, n) array, got shape {pts.shape}")
         if pts.shape[1] != self.dim:
@@ -286,15 +290,27 @@ def _pair_index(n: int) -> np.ndarray:
     return index
 
 
-def triangle_to_full(rows) -> np.ndarray:
-    """Symmetric (..., n, n) matrices from their triangle entries (..., m),
-    m = n(n+1)/2, laid along the last axis in `triangle_pairs` order."""
-    rows = np.asarray(rows, dtype=float)
-    m = rows.shape[-1]
+def triangle_to_full(stack) -> np.ndarray:
+    """Symmetric (..., n, n) matrices from a component-first triangle stack
+    (m, ...), m = n(n+1)/2, whose component k holds entry
+    `triangle_pairs(n)[k]`; `full_to_triangle` is its inverse."""
+    stack = np.asarray(stack, dtype=float)
+    m = len(stack)
     n = (math.isqrt(8 * m + 1) - 1) // 2
     if m == 0 or n * (n + 1) // 2 != m:
         raise ValueError(f"{m} entries are not the triangle of a square matrix")
-    return rows[..., _pair_index(n)]
+    return np.moveaxis(stack, 0, -1)[..., _pair_index(n)]
+
+
+def full_to_triangle(full) -> np.ndarray:
+    """Component-first triangle stack (m, ...) of (..., n, n) matrices,
+    symmetrized exactly: component (i, j) is (a_ij + a_ji) / 2, so a
+    symmetric matrix keeps its bits.  The inverse of `triangle_to_full`."""
+    full = np.asarray(full, dtype=float)
+    if full.ndim < 2 or full.shape[-1] != full.shape[-2]:
+        raise ValueError(f"shape {full.shape} is not a stack of square matrices")
+    rows, cols = np.array(triangle_pairs(full.shape[-1])).T
+    return np.moveaxis(0.5 * (full[..., rows, cols] + full[..., cols, rows]), -1, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,7 +321,8 @@ class SymMatrixField:
 
     Symmetry is structural: only the triangle entries exist.  The stacks of
     `hessian_from_spectrum` and `second_divergence_spectrum` share this
-    layout.
+    layout, and `triangle_to_full` and `full_to_triangle` convert it to and
+    from (*grid.shape, n, n) matrices as it is, with no transpose.
     """
 
     grid: PeriodicGrid
@@ -327,16 +344,14 @@ class SymMatrixField:
 
     @classmethod
     def from_constant(cls, grid: PeriodicGrid, matrix) -> "SymMatrixField":
-        rows, cols = np.array(triangle_pairs(grid.dim)).T
-        entries = np.asarray(matrix, dtype=float)[rows, cols]
+        """The constant field of one n x n matrix, symmetrized exactly."""
+        entries = full_to_triangle(matrix)
         return cls(grid, np.multiply.outer(entries, np.ones(grid.shape)))
 
     @classmethod
     def from_full(cls, grid: PeriodicGrid, full: np.ndarray) -> "SymMatrixField":
         """Build from a (*grid.shape, n, n) stack, symmetrizing exactly."""
-        rows, cols = np.array(triangle_pairs(grid.dim)).T
-        entries = 0.5 * (full[..., rows, cols] + full[..., cols, rows])
-        return cls(grid, np.moveaxis(entries, -1, 0))
+        return cls(grid, full_to_triangle(full))
 
     @property
     def pair_weights(self) -> np.ndarray:
@@ -358,7 +373,7 @@ class SymMatrixField:
 
     def to_full(self) -> np.ndarray:
         """Expand to a (*grid.shape, n, n) stack of symmetric matrices."""
-        return triangle_to_full(np.moveaxis(self.entries, 0, -1))
+        return triangle_to_full(self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +381,10 @@ class SymMatrixField:
 
 
 @functools.lru_cache(maxsize=None)
-def _orders(dim: int, total: int) -> tuple[tuple[int, ...], ...]:
-    """Per-axis orders of all partials of order `total`: the axes in turn
-    for total 1, the triangle pairs in `SymMatrixField` order for total 2."""
+def partial_orders(dim: int, total: int) -> tuple[tuple[int, ...], ...]:
+    """Per-axis orders of all partials of order `total`, the package's one
+    source of derivative multi-indices: the axes in turn for total 1, the
+    triangle pairs in `triangle_pairs` order for total 2."""
     return tuple(
         tuple(axes.count(a) for a in range(dim))
         for axes in itertools.combinations_with_replacement(range(dim), total)
@@ -490,7 +506,7 @@ def partial(f: ScalarField, axes) -> ScalarField:
 
 def gradient(f: ScalarField) -> list[ScalarField]:
     """All first partials, from the field's one spectrum."""
-    partials = _partials(f, _orders(f.grid.dim, 1))
+    partials = _partials(f, partial_orders(f.grid.dim, 1))
     return [ScalarField(f.grid, d) for d in partials]
 
 
@@ -498,7 +514,7 @@ def hessian_from_spectrum(grid: PeriodicGrid, spectrum: np.ndarray) -> np.ndarra
     """Second partials, component-first (m, *grid.shape), of the field with
     real-FFT spectrum `spectrum`: one batched inverse over all m multiplied
     spectra.  Components follow the triangle order of `SymMatrixField`."""
-    mults = fourier_multiplier(grid, _orders(grid.dim, 2))
+    mults = fourier_multiplier(grid, partial_orders(grid.dim, 2))
     return from_spectrum(grid, mults * spectrum)
 
 
@@ -539,7 +555,7 @@ def second_divergence_spectrum(grid: PeriodicGrid, stack: np.ndarray) -> np.ndar
     # which the fourth-order multipliers would amplify
     for comp in stack:
         comp -= comp.mean()
-    mults = fourier_multiplier(grid, _orders(grid.dim, 2))
+    mults = fourier_multiplier(grid, partial_orders(grid.dim, 2))
     acc = 0.0
     for mult, spectrum in zip(mults, to_spectrum(grid, stack)):
         acc = acc + mult * spectrum
@@ -709,11 +725,12 @@ class TrigInterpolant:
         return out
 
     def evaluate(self, points) -> np.ndarray:
-        """Evaluate at a (P, dim) array of points (wrapped periodically), or
-        at one point (a (dim,) vector, or a scalar in 1D) to a float."""
+        """Evaluate at a (P, dim) array of points (wrapped periodically; in
+        1D also a (P,) vector), or at one point (a (dim,) vector, or a
+        scalar or one-entry vector in 1D) to a float."""
         pts = np.asarray(points, dtype=float)
         out = self.partials(pts, [(0,) * self.grid.dim])[:, 0]
-        return float(out[0]) if pts.ndim < 2 else out
+        return float(out[0]) if pts.ndim < 2 and out.size == 1 else out
 
 
 def interpolate(f: ScalarField, point) -> float:

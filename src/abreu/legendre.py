@@ -120,7 +120,7 @@ def _dual_start(P: Potential, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse Hessian, both from P's kept spectral data."""
     nodes = np.indices(P.grid.shape).reshape(P.grid.dim, -1).T
     hess = P.hessian_state.hessian.entries.reshape(-1, len(nodes))
-    return P.node_gradient(z, nodes), triangle_to_full(hess.T)
+    return P.node_gradient(z, nodes), triangle_to_full(hess)
 
 
 def _grid_nodes(grid: PeriodicGrid, points: np.ndarray) -> np.ndarray | None:
@@ -163,8 +163,8 @@ def gradient_map_inverse(P: Potential, points) -> np.ndarray:
     """
     y = P.grid.check_points(points)
     x, nodes = _newton_start(P, y)
-    hinv = P.hessian_state.inverse().entries[(slice(None),) + tuple(nodes.T)]
-    hinv = triangle_to_full(hinv.T)
+    inverse = P.hessian_state.inverse().entries
+    hinv = triangle_to_full(inverse[(slice(None),) + tuple(nodes.T)])
     return _newton(P, y, x, P.node_gradient(x, nodes), hinv, fresh=True)
 
 
@@ -208,7 +208,7 @@ def _newton(
         refresh = active & ~fresh & (rnorm * rnorm > _INVERSION_TOLERANCE * before)
         if refresh.any():
             inverse = triangle_inverse(P.hessian_at(x[refresh]))
-            hinv[refresh] = triangle_to_full(inverse.T)
+            hinv[refresh] = triangle_to_full(inverse)
             fresh |= refresh
             stuck |= refresh & ~np.isfinite(hinv).all(axis=(1, 2))
             active &= ~stuck

@@ -33,7 +33,6 @@ phi's one spectrum (`ScalarField.spectrum`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -44,10 +43,12 @@ from .grid import (
     PeriodicGrid,
     ScalarField,
     SymMatrixField,
+    full_to_triangle,
     gradient,
     hessian,
     hessian_from_spectrum,
     mean,
+    partial_orders,
     second_divergence,
     triangle_pairs,
     triangle_to_full,
@@ -194,26 +195,24 @@ class Potential:
     def gradient_at(self, x: np.ndarray) -> np.ndarray:
         """grad u at the points x (P, n) off the grid, shape (P, n): one
         stacked evaluation of all first partials of phi."""
-        orders = [tuple(row) for row in np.eye(self.grid.dim, dtype=int)]
+        orders = partial_orders(self.grid.dim, 1)
         # interpolate first: it rejects bad points
         return self.perturbation.interpolant.partials(x, orders) + x @ self.base.matrix
 
     def hessian_at(self, x: np.ndarray) -> np.ndarray:
-        """D^2 u at the points x (P, n) off the grid as a triangle stack
-        (m, P): one stacked evaluation of all second partials of phi."""
-        eye = np.eye(self.grid.dim, dtype=int)
-        rows, cols = np.array(triangle_pairs(self.grid.dim)).T
-        orders = [tuple(row) for row in eye[rows] + eye[cols]]
-        vals = self.perturbation.interpolant.partials(x, orders)
-        vals += self.base.matrix[rows, cols]
+        """D^2 u at the points x (P, n) off the grid as a component-first
+        triangle stack (m, P): one stacked evaluation of the second partials
+        of phi (`partial_orders`), plus the base's triangle."""
+        vals = self.perturbation.interpolant.partials(x, partial_orders(self.grid.dim, 2))
+        vals += full_to_triangle(self.base.matrix)
         return vals.T
 
 
 def hessian_u(P: Potential) -> SymMatrixField:
     """Nodewise Hessian M + D^2 phi, from phi's one spectrum."""
     stack = hessian_from_spectrum(P.grid, P.perturbation.spectrum)
-    for comp, (i, j) in zip(stack, triangle_pairs(P.grid.dim)):
-        comp += P.base.matrix[i, j]
+    base = full_to_triangle(P.base.matrix)
+    stack += base.reshape(base.shape + (1,) * P.grid.dim)
     return SymMatrixField(P.grid, stack)
 
 
@@ -263,10 +262,10 @@ class HessianState:
             lo, hi = m - r, m + r
         elif H.grid.dim == 3:
             nodes = _extreme_candidates_3x3(H)
-            rows = e.reshape(6, -1)[:, nodes].T
-            if (rows == rows[0]).all():
-                rows = rows[:1]  # e.g. the flat start: one matrix decides
-            eigs = np.linalg.eigvalsh(triangle_to_full(rows))
+            stack = e.reshape(6, -1)[:, nodes]
+            if (stack == stack[:, :1]).all():
+                stack = stack[:, :1]  # e.g. the flat start: one matrix decides
+            eigs = np.linalg.eigvalsh(triangle_to_full(stack))
             lo, hi = eigs[:, 0], eigs[:, -1]
         else:
             eigs = np.linalg.eigvalsh(H.to_full())
@@ -424,53 +423,47 @@ def _det_3x3(e: np.ndarray) -> np.ndarray:
     return a * (d * g - f * f) + b * (c * f - b * g) + c * (b * f - c * d)
 
 
-def _triangle_dim(e: np.ndarray) -> int:
-    """Matrix size n of a triangle stack with m = n(n+1)/2 components."""
-    return (math.isqrt(8 * len(e) + 1) - 1) // 2
-
-
 def _triangle_det(e: np.ndarray) -> np.ndarray:
     """Determinants of the symmetric matrices of a triangle stack
-    (m, *shape): closed forms for n <= 3, LAPACK from n = 4 on."""
-    n = _triangle_dim(e)
-    if n == 1:
+    (m, *shape): closed forms for n <= 3 (m = 1, 3, 6), LAPACK from n = 4 on."""
+    if len(e) == 1:
         return e[0].copy()
-    if n == 2:
+    if len(e) == 3:
         a, b, c = e
         return a * c - b * b
-    if n == 3:
+    if len(e) == 6:
         return _det_3x3(e)
-    return np.linalg.det(triangle_to_full(np.moveaxis(e, 0, -1)))
+    return np.linalg.det(triangle_to_full(e))
 
 
 def triangle_inverse(entries: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
-    """Triangle stack of the inverses of the symmetric matrices of a
-    triangle stack (m, *shape), with their determinants `det` (computed
-    when not given).
+    """Component-first triangle stack (m, *shape) of the inverses of the
+    symmetric matrices of a component-first triangle stack (m, *shape),
+    with their determinants `det` (computed when not given).
 
-    Closed forms for n <= 3: 1/a, [c, -b, a]/det for [[a, b], [b, c]], and
-    the adjugate over det; LAPACK's inv, symmetrized, from n = 4 on.  A
-    singular matrix gets non-finite entries, with no floating-point
-    warning.  `HessianState` and the gradient-map inversion share it.
+    Closed forms for n <= 3 (m = 1, 3, 6): 1/a, [c, -b, a]/det for
+    [[a, b], [b, c]], and the adjugate over det; from n = 4 on LAPACK's inv
+    of `triangle_to_full`, taken back by `full_to_triangle`, which
+    symmetrizes it.  A singular matrix gets non-finite entries, with no
+    floating-point warning.  `HessianState` and the gradient-map inversion
+    share it.
     """
     e = np.asarray(entries, dtype=float)
-    n = _triangle_dim(e)
-    if det is None and n > 1:
+    if det is None and len(e) > 1:
         det = _triangle_det(e)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if n == 1:
+        if len(e) == 1:
             return 1.0 / e
-        if n == 2:
+        if len(e) == 3:
             a, b, c = e
             return np.stack([c, -b, a]) / det
-        if n == 3:
+        if len(e) == 6:
             return _cofactor_3x3(e) / det
-    full = triangle_to_full(np.moveaxis(e, 0, -1))
+    full = triangle_to_full(e)
     inv = np.full_like(full, np.nan)
     regular = det != 0.0  # LAPACK's inv raises on any exactly singular one
     inv[regular] = np.linalg.inv(full[regular])
-    rows, cols = np.array(triangle_pairs(n)).T
-    return np.moveaxis(0.5 * (inv[..., rows, cols] + inv[..., cols, rows]), -1, 0)
+    return full_to_triangle(inv)
 
 
 def inverse_hessian(H: SymMatrixField) -> SymMatrixField:

@@ -56,12 +56,12 @@ from .grid import (
     fourier_multiplier,
     from_spectrum,
     hessian_from_spectrum,
+    partial_orders,
     project_mean_zero,
     second_divergence_spectrum,
     spectral_inner,
     sup_norm,
     to_spectrum,
-    triangle_pairs,
     triangle_to_full,
 )
 from .potential import Potential, QuadraticBase, abreu_forward
@@ -202,9 +202,7 @@ def _inverse_flat_symbol(grid: PeriodicGrid, base: QuadraticBase) -> np.ndarray:
     reciprocal is the exact discrete inverse on mean-zero fields.  The
     zero mode, the only one where the symbol vanishes, is annihilated.
     """
-    n = grid.dim
-    orders = tuple(tuple(np.bincount(p, minlength=n)) for p in triangle_pairs(n))
-    m = triangle_to_full(np.moveaxis(fourier_multiplier(grid, orders), 0, -1))
+    m = triangle_to_full(fourier_multiplier(grid, partial_orders(grid.dim, 2)))
     h = np.linalg.inv(base.matrix)
     symbol = np.einsum("ia,jb,...ij,...ab->...", h, h, m, m)
     inv_symbol = np.divide(1.0, symbol, out=np.zeros_like(symbol), where=symbol > 0.0)

@@ -22,6 +22,8 @@ from abreu import (
     ScalarField,
     SolverConfig,
     StepFloorReached,
+    abreu_forward,
+    continuity_solve,
     fieldfile,
     make_grid,
     read_field,
@@ -90,6 +92,21 @@ class TestSolve:
         assert payload["residual_norms"]["final_sup"] < 1e-7
         assert payload["bounds"]["det_min"] <= payload["bounds"]["det_max"]
         assert payload["wall_clock_seconds"] > 0.0
+
+    def test_final_sup_is_the_last_step_residual(self, tmp_path, manufactured_files):
+        # the last step is at t = 1, where the solver's residual is
+        # sup|forward(phi) - A| itself, bit for bit
+        a_path, _ = manufactured_files
+        report = tmp_path / "run.json"
+        assert main(["solve", "--rhs", str(a_path), "--out", str(tmp_path / "phi2.fld"),
+                     "--report", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        last = payload["trace"]["steps"][-1]
+        assert last["t"] == 1.0
+        assert payload["residual_norms"]["final_sup"] == last["final_residual_norm"]
+        A = read_field(a_path)
+        P, trace = continuity_solve(A)
+        assert trace.steps[-1].final_residual_norm == sup_norm(abreu_forward(P) - A)
 
     def test_failed_report_write_leaves_the_old_report(self, tmp_path, monkeypatch,
                                                        manufactured_files):
@@ -278,6 +295,13 @@ class TestErrorPaths:
         code = main(["synth", "--dim", "1", "--resolution", "16",
                      "--expr", "cos(2*pi*x1", "--out", str(tmp_path / "o.fld")])
         assert code == 1
+
+    def test_non_ascii_digit_exits_1_naming_the_offset(self, tmp_path, capsys):
+        code = main(["synth", "--dim", "1", "--resolution", "8",
+                     "--expr", "x1\u00b2", "--out", str(tmp_path / "f.fld")])
+        assert code == 1
+        assert "offset 2" in capsys.readouterr().err
+        assert not (tmp_path / "f.fld").exists()
 
     def test_bad_flag_exits_1(self):
         assert main(["solve", "--frobnicate"]) == 1

@@ -63,6 +63,16 @@ class TestParse:
             parse("1 + $")
         assert info.value.offset == 4
 
+    @pytest.mark.parametrize(
+        "text, offset", [("x1\u00b2", 2), ("\u00b2", 0), ("\u0663*x1", 0), ("x\u0663", 1)]
+    )
+    def test_non_ascii_digit_is_a_syntax_error(self, text, offset):
+        # superscript two and Arabic-Indic three pass str.isdigit, but the
+        # grammar's digits are ASCII: no bare ValueError, no silent 3*x1
+        with pytest.raises(FieldSyntaxError) as info:
+            parse(text)
+        assert info.value.offset == offset
+
     def test_scientific_literals(self):
         assert parse("1e-3") == Num(0.001)
         assert parse("2.5e2") == Num(250.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from abreu import (
     PeriodicGrid,
@@ -27,6 +28,8 @@ from abreu import (
 from abreu import grid
 from abreu.grid import (
     from_spectrum,
+    full_to_triangle,
+    partial_orders,
     spectral_inner,
     to_spectrum,
     triangle_pairs,
@@ -267,15 +270,49 @@ class TestSymMatrixField:
         M = _random_sym(shape, seed)
         full = M.to_full()
         assert np.array_equal(SymMatrixField.from_full(M.grid, full).entries, M.entries)
-        rows = M.entries.reshape(len(M.entries), -1).T  # point-major
+        stack = M.entries.reshape(len(M.entries), -1)  # component-first
         assert np.array_equal(
-            triangle_to_full(rows), full.reshape((-1,) + full.shape[-2:])
+            triangle_to_full(stack), full.reshape((-1,) + full.shape[-2:])
         )
 
     @pytest.mark.parametrize("m", [0, 2, 4, 7])
     def test_triangle_to_full_rejects_non_triangular_rows(self, m):
         with pytest.raises(ValueError):
-            triangle_to_full(np.zeros((5, m)))
+            triangle_to_full(np.zeros((m, 5)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4))
+    def test_full_to_triangle_inverts_triangle_to_full(self, data, n):
+        # component-first stacks of any trailing shape come back bitwise:
+        # the symmetrization (a + a) / 2 of a symmetric matrix is exact
+        shape = data.draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+        finite = st.floats(-1e300, 1e300, allow_nan=False, width=64)
+        stack = data.draw(hnp.arrays(np.float64, (n * (n + 1) // 2,) + shape, elements=finite))
+        full = triangle_to_full(stack)
+        assert full.shape == shape + (n, n)
+        assert np.array_equal(full, np.swapaxes(full, -1, -2))
+        back = full_to_triangle(full)
+        assert back.shape == stack.shape
+        assert back.tobytes() == stack.tobytes()
+
+    def test_full_to_triangle_symmetrizes_and_rejects_non_square(self):
+        full = np.array([[1.0, 2.0], [4.0, 3.0]])
+        assert full_to_triangle(full).tolist() == [1.0, 3.0, 3.0]
+        for bad in (np.zeros(3), np.zeros((3, 2)), np.zeros((2, 2, 3))):
+            with pytest.raises(ValueError):
+                full_to_triangle(bad)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_partial_orders_are_the_hand_built_ones(self, dim):
+        # the unit rows and pair sums that the solver's preconditioner and
+        # the potential's off-grid derivatives built for themselves
+        eye = np.eye(dim, dtype=int)
+        rows, cols = np.array(triangle_pairs(dim)).T
+        assert partial_orders(dim, 1) == tuple(tuple(r) for r in eye)
+        assert partial_orders(dim, 2) == tuple(tuple(r) for r in eye[rows] + eye[cols])
+        assert partial_orders(dim, 2) == tuple(
+            tuple(np.bincount(p, minlength=dim)) for p in triangle_pairs(dim)
+        )
 
     @pytest.mark.parametrize("shape", SYM_SHAPES)
     def test_one_kept_pair_index_per_size(self, shape):
@@ -285,11 +322,11 @@ class TestSymMatrixField:
         index = grid._pair_index(n)
         assert index is grid._pair_index(n) and not index.flags.writeable
         misses = grid._pair_index.cache_info().misses
-        rows = np.random.default_rng(4).standard_normal((5, len(pairs)))
+        stack = np.random.default_rng(4).standard_normal((len(pairs), 5))
         full = np.empty((5, n, n))
         for k, (i, j) in enumerate(pairs):
-            full[:, i, j] = full[:, j, i] = rows[:, k]
-        assert np.array_equal(triangle_to_full(rows), full)
+            full[:, i, j] = full[:, j, i] = stack[k]
+        assert np.array_equal(triangle_to_full(stack), full)
         for i in range(n):
             for j in range(n):
                 assert M.triangle_index(i, j) == pairs.index((min(i, j), max(i, j)))

@@ -170,6 +170,18 @@ class TestBlockedEvaluation:
             assert isinstance(interpolate(f1, point), float)
         assert interpolate(f1, 0.3) == interpolate(f1, [0.3])
 
+    def test_1d_vector_holds_one_point_per_entry(self):
+        # on a 1D grid a (P,) vector is P points, read as the (P, 1) column
+        g = make_grid(1, [16])
+        f = ScalarField(g, np.random.default_rng(2).standard_normal(g.shape))
+        x = np.array([0.1, 0.2, 0.3])
+        got = f.interpolant.evaluate(x)
+        assert isinstance(got, np.ndarray) and got.shape == (3,)
+        assert np.array_equal(got, f.interpolant.evaluate(x[:, None]))
+        partials = f.interpolant.partials(x[:2], [(1,)])
+        assert partials.shape == (2, 1)
+        assert np.array_equal(partials, f.interpolant.partials(x[:2, None], [(1,)]))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_points_raise(self, bad):
         g = make_grid(2, [8, 8])

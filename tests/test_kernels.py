@@ -140,9 +140,9 @@ class TestTriangleInverse:
     def test_matches_linalg_inv(self, seed, n, count):
         full = _spd_stack(np.random.default_rng(seed), n, count)
         e = _triangle(full)
-        full = triangle_to_full(e.T)  # the exactly symmetric stack
+        full = triangle_to_full(e)  # the exactly symmetric stack
         inv_ref = np.linalg.inv(full)
-        got = triangle_to_full(potential.triangle_inverse(e).T)
+        got = triangle_to_full(potential.triangle_inverse(e))
         scale = np.max(np.abs(inv_ref), axis=(-2, -1), keepdims=True)
         assert np.all(np.abs(got - inv_ref) <= 1e-12 * scale)
 

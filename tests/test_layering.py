@@ -20,6 +20,12 @@ and inside grid.py only the transform pair (`to_spectrum`,
 `from_spectrum`) and `PeriodicGrid.wavenumbers` do.  There is one layout,
 the real-FFT one: no module names the full transforms `fftn` or `ifftn`.
 
+The triangle layout has one owner, grid.py: its conversions take and give
+component-first stacks, so no call of `triangle_to_full` or
+`full_to_triangle` takes a `.T` attribute or an `np.moveaxis(...)` call as
+its argument, and only grid.py names `isqrt`, which recovers the matrix
+size n from the m = n(n+1)/2 components.
+
 The matrix algebra of gradient-map inversion stays in potential.py:
 legendre.py neither imports numpy.linalg nor names it.  So do the
 derivatives of a potential off the grid: legendre.py names neither
@@ -254,6 +260,70 @@ def _names_used(path, names):
             if any(a.name.rpartition(".")[2] in names for a in node.names):
                 found.add(node.lineno)
     return sorted(found)
+
+
+TRIANGLE_CONVERSIONS = {"triangle_to_full", "full_to_triangle"}
+
+
+def _reoriented_triangle_args(path):
+    """Lines of the calls of a triangle conversion whose argument is a `.T`
+    attribute or a `moveaxis(...)` call."""
+    def callee(call):
+        func = call.func
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (isinstance(node, ast.Call) and callee(node) in TRIANGLE_CONVERSIONS):
+            continue
+        for arg in [*node.args, *(k.value for k in node.keywords)]:
+            transposed = isinstance(arg, ast.Attribute) and arg.attr == "T"
+            moved = isinstance(arg, ast.Call) and callee(arg) == "moveaxis"
+            if transposed or moved:
+                found.add(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_triangle_conversions_take_component_first_stacks(path):
+    assert _reoriented_triangle_args(path) == []
+
+
+def test_detects_reoriented_triangle_args(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\n"
+        "from . import grid\n"
+        "from .grid import full_to_triangle, triangle_to_full\n"
+        "def f(e, inv, rows):\n"
+        "    a = triangle_to_full(e.T)\n"
+        "    b = grid.triangle_to_full(np.moveaxis(e, 0, -1))\n"
+        "    c = full_to_triangle(full=inv.T)\n"
+        "    d = np.moveaxis(full_to_triangle(inv), 0, -1).T\n"
+        "    return a, b, c, d, triangle_to_full(rows[:, 0]), triangle_to_full(e)\n",
+        encoding="utf-8",
+    )
+    assert _reoriented_triangle_args(probe) == [5, 6, 7]
+
+
+@pytest.mark.parametrize(
+    "path", [m for m in MODULES if m.name != "grid.py"], ids=lambda p: p.name
+)
+def test_only_grid_recovers_the_triangle_size(path):
+    assert _names_used(path, {"isqrt"}) == []
+
+
+def test_detects_isqrt(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import math\n"
+        "from math import isqrt\n"
+        "def f(e):\n"
+        "    n = (math.isqrt(8 * len(e) + 1) - 1) // 2\n"
+        "    return n, isqrt(len(e)), math.sqrt(2)\n",
+        encoding="utf-8",
+    )
+    assert _names_used(probe, {"isqrt"}) == [2, 4, 5]
 
 
 def test_legendre_builds_no_interpolant():

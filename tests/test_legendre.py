@@ -115,7 +115,7 @@ class TestGradientMap:
 
 class TestPointShape:
     @pytest.mark.parametrize(
-        "dim, points", [(2, np.full((3, 3), 0.25)), (1, np.array([0.1, 0.2, 0.3]))]
+        "dim, points", [(2, np.full((3, 3), 0.25)), (1, np.full((2, 3), 0.25))]
     )
     def test_wrong_dimension_raises_before_the_start(self, dim, points, monkeypatch):
         g = make_grid(dim, [16] * dim)
@@ -129,6 +129,14 @@ class TestPointShape:
         for evaluate in (gradient_map, gradient_map_inverse):
             with pytest.raises(ValueError, match=message):
                 evaluate(P, points)
+
+    def test_1d_vector_holds_one_point_per_entry(self):
+        g = make_grid(1, [16])
+        P = random_convex_potential(g, np.random.default_rng(3), margin=0.5)
+        x = np.array([0.1, 0.6])
+        y = gradient_map(P, x)
+        assert y.shape == (2, 1) and np.array_equal(y, gradient_map(P, x[:, None]))
+        assert np.array_equal(gradient_map_inverse(P, y[:, 0]), gradient_map_inverse(P, y))
 
     def test_stacked_points_raise(self):
         P = Potential.flat(make_grid(2, [16, 16]))
