@@ -90,6 +90,8 @@ def metric_volume_mean(m: InvariantMetric, f: ScalarField) -> float:
     The scalar curvature has zero mean in exactly this sense (the
     x-coordinate sampling is not plain-mean-zero).
     """
+    if f.grid != m.psi.grid:
+        raise ValueError("field lives on a different grid than the metric")
     weight = m.potential.hessian_state.det
     return float(np.mean(f.values * weight) / np.mean(weight))
 

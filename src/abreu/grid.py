@@ -607,21 +607,21 @@ def _real_axis_coefficients(coeffs: np.ndarray, axis: int, band: int,
     return np.moveaxis(out, 0, axis)
 
 
-def _axis_matrix(x: np.ndarray, t: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """The real basis along one axis at `x`, a row per point and a column
-    per basis function: a transposed view of `t`, which is filled a basis
-    function per row, [1, cos 2 pi k x (k = 1..len(t) // 2), sin 2 pi k x
-    (k = 1..(len(t) - 1) // 2)].  Cosines and sines are the real and
-    imaginary parts of the powers of exp(2 pi i x), formed row by row in
-    the complex buffer `powers`; no trigonometric call per entry."""
-    half = len(t) // 2
+def _axis_matrix(x: np.ndarray, rows: int) -> np.ndarray:
+    """The real basis along one axis at `x`, a fresh (points, rows) table:
+    a row per point, columns [1, cos 2 pi k x (k = 1..rows // 2), sin 2 pi k x
+    (k = 1..(rows - 1) // 2)], the real and imaginary parts of the powers of
+    exp(2 pi i x); no trigonometric call per entry."""
+    half = rows // 2
     w = np.exp(_TWO_PI * 1j * np.mod(x, 1.0))
+    powers = np.empty((max(1, half), len(x)), complex)
     powers[0] = w
     for k in range(1, half):
         np.multiply(powers[k - 1], w, out=powers[k])
+    t = np.empty((rows, len(x)))
     t[0] = 1.0
     t[1 : half + 1] = powers[:half].real  # cos 2 pi k x, Nyquist last if full
-    t[half + 1 :] = powers[: (len(t) - 1) // 2].imag
+    t[half + 1 :] = powers[: (rows - 1) // 2].imag
     return t.T
 
 
@@ -655,8 +655,7 @@ class TrigInterpolant:
     not split into many tiny blocks: per block one cos/sin table per axis,
     from the real and imaginary parts of the powers of exp(2 pi i x), then
     one real GEMM for the first axis and batched real row products for the
-    rest, all into buffers allocated once per call and reused by every
-    block.  Work is O(P * kept modes) per field.
+    rest.  Work is O(P * kept modes) per field.
     """
 
     def __init__(self, f: ScalarField):
@@ -702,26 +701,18 @@ class TrigInterpolant:
             raise ValueError("no partials requested: `orders` is empty")
         stack = self._stack(tuple(_check_axes(grid, axes) for axes in orders))
         block = max(_BLOCK_MIN_POINTS, _BLOCK_BYTES // (8 * stack.shape[1]))
-        block = max(1, min(block, pts.shape[0]))
-        # one set of buffers per call, reused by every block, so a call
-        # allocates (and page-faults on) each buffer once, not per block
-        tables = [np.empty((n, block)) for n in self._rows]
-        powers = np.empty((max(1, max(self._rows) // 2), block), complex)
-        accs = [
-            np.empty((block, stack.shape[1] // int(np.prod(self._rows[1:a]))))
-            for a in range(1, grid.dim + 1)
-        ]
         out = np.empty((pts.shape[0], len(orders)))
         for start in range(0, pts.shape[0], block):
             x = pts[start : start + block]
-            b = len(x)
-            t = _axis_matrix(x[:, 0], tables[0][:, :b], powers[:, :b])
-            acc = np.matmul(t, stack, out=accs[0][:b])
+            n = len(x)
+            # numpy sums a one-row product in another order than a block's,
+            # so a one-point block goes in twice: blocks change no bits
+            x = np.repeat(x, 2, axis=0) if n == 1 else x
+            acc = _axis_matrix(x[:, 0], self._rows[0]) @ stack
             for axis in range(1, grid.dim):
-                t = _axis_matrix(x[:, axis], tables[axis][:, :b], powers[:, :b])
-                acc = np.matmul(t[:, None, :], acc.reshape(b, t.shape[-1], -1),
-                                out=accs[axis][:b, None, :])[:, 0]
-            out[start : start + b] = acc
+                t = _axis_matrix(x[:, axis], self._rows[axis])
+                acc = np.matmul(t[:, None, :], acc.reshape(*t.shape, -1))[:, 0]
+            out[start : start + n] = acc[:n]
         return out
 
     def evaluate(self, points) -> np.ndarray:

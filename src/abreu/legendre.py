@@ -148,7 +148,7 @@ def _newton_start(P: Potential, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def gradient_map(P: Potential, points) -> np.ndarray:
     """Evaluate y = grad u at a (P, n) array of points."""
-    return P.gradient_at(P.grid.check_points(points))
+    return P.gradient_at(points)
 
 
 def gradient_map_inverse(P: Potential, points) -> np.ndarray:

@@ -195,8 +195,8 @@ class Potential:
     def gradient_at(self, x: np.ndarray) -> np.ndarray:
         """grad u at the points x (P, n) off the grid, shape (P, n): one
         stacked evaluation of all first partials of phi."""
+        x = self.grid.check_points(x)
         orders = partial_orders(self.grid.dim, 1)
-        # interpolate first: it rejects bad points
         return self.perturbation.interpolant.partials(x, orders) + x @ self.base.matrix
 
     def hessian_at(self, x: np.ndarray) -> np.ndarray:

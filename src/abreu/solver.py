@@ -255,6 +255,8 @@ def _pcg(apply_op, grid: PeriodicGrid, inv_symbol: np.ndarray, rhs: np.ndarray,
 
 def functional_value(P: Potential, A: ScalarField) -> float:
     """Convex functional integral(-log det(u_ij) + A*phi) over the torus."""
+    if A.grid != P.grid:
+        raise ValueError("field lives on a different grid than the potential")
     log_det = P.hessian_state.log_det
     return float(np.mean(-log_det + A.values * P.perturbation.values))
 
@@ -292,6 +294,8 @@ def newton_step(P: Potential, target: ScalarField, forcing: float) -> Potential:
     alpha = _DAMPING^k, k = 0..10, accepting the first candidate that
     is convex (`HessianState.convex`) and does not increase F_target.
     """
+    if target.grid != P.grid:
+        raise ValueError("field lives on a different grid than the potential")
     target.require_mean_zero()
     rhs = abreu_forward(P).values - target.values
     if np.max(np.abs(rhs)) == 0.0:

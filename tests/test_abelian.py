@@ -66,6 +66,14 @@ class TestScalarCurvature:
             s = scalar_curvature(m)
             assert abs(metric_volume_mean(m, s)) < 1e-10
 
+    def test_volume_mean_rejects_a_field_on_another_grid(self):
+        # 8 nodes on one axis broadcast against 8 x 8 values without the check
+        g = make_grid(2, [8, 8])
+        m = InvariantMetric(random_convex_potential(g, np.random.default_rng(9)).perturbation)
+        f = ScalarField(make_grid(1, [8]), np.cos(TWO_PI * np.arange(8) / 8))
+        with pytest.raises(ValueError, match="different grid"):
+            metric_volume_mean(m, f)
+
     def test_symplectic_sampling_plain_mean_zero(self):
         rng = np.random.default_rng(1)
         for _ in range(5):

@@ -2,7 +2,8 @@
 
 `TrigInterpolant.partials` is checked against a direct sum over every
 Fourier mode, written here independently of the package, at random
-off-grid points and at point counts around the evaluation block size.
+off-grid points and at point counts around the evaluation block size,
+and splitting the points at a block edge must not change a bit.
 Stacked partials are checked against interpolants of the spectral
 partials themselves, which pins the odd/even Nyquist convention, and the
 split Nyquist mode cos(pi N x) is checked against closed forms.  The
@@ -124,6 +125,28 @@ class TestBlockedEvaluation:
         for field, axes in enumerate(orders):
             ref, scale = _mode_sum(values, pts, axes)
             assert np.max(np.abs(got[:, field] - ref)) <= TOL * scale
+
+    @pytest.mark.parametrize(
+        "shape, orders",
+        [((16, 16), [(0, 0), (1, 0), (0, 2)]),
+         ((16, 16, 16), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])],
+        ids=["2d-full-band", "3d-gradient"],
+    )
+    def test_blocking_changes_no_bit(self, shape, orders):
+        # a point's partials do not depend on the block it falls in: one call
+        # equals two calls split at the block edge or one point either side
+        g = make_grid(len(shape), list(shape))
+        rng = np.random.default_rng(11)
+        interp = TrigInterpolant(ScalarField(g, rng.standard_normal(g.shape)))
+        assert _full_band(interp)
+        block = _block_points(g, len(orders))
+        assert g.dim < 3 or block == _BLOCK_MIN_POINTS
+        pts = rng.uniform(-1.0, 2.0, (2 * block + 3, g.dim))
+        whole = interp.partials(pts, orders)
+        for split in (block - 1, block, block + 1):
+            halves = [interp.partials(pts[:split], orders),
+                      interp.partials(pts[split:], orders)]
+            assert np.array_equal(whole, np.concatenate(halves))
 
     def test_no_points(self):
         g = make_grid(3, [8, 8, 8])

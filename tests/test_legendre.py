@@ -138,6 +138,14 @@ class TestPointShape:
         assert y.shape == (2, 1) and np.array_equal(y, gradient_map(P, x[:, None]))
         assert np.array_equal(gradient_map_inverse(P, y[:, 0]), gradient_map_inverse(P, y))
 
+    def test_gradient_at_takes_a_1d_point_vector(self):
+        g = make_grid(1, [16])
+        P = random_convex_potential(g, np.random.default_rng(3), margin=0.5)
+        x = np.array([0.1, 0.6])
+        y = P.gradient_at(x)
+        assert np.array_equal(y, P.gradient_at(x[:, None]))
+        assert np.array_equal(y, gradient_map(P, x))
+
     def test_stacked_points_raise(self):
         P = Potential.flat(make_grid(2, [16, 16]))
         for evaluate in (gradient_map, gradient_map_inverse):

@@ -158,6 +158,13 @@ class TestFunctional:
         assert got == pytest.approx(expected, rel=1e-10)
         assert got > 0.0
 
+    def test_rejects_a_field_on_another_grid(self):
+        # 8 nodes on one axis broadcast against 8 x 8 values without the check
+        P = random_convex_potential(make_grid(2, [8, 8]), np.random.default_rng(9))
+        a = random_band_limited(make_grid(1, [8]), np.random.default_rng(9))
+        with pytest.raises(ValueError, match="different grid"):
+            functional_value(P, a)
+
     def test_convex_along_paths(self):
         rng = np.random.default_rng(7)
         g = make_grid(1, [32])
@@ -204,6 +211,13 @@ class TestNewtonStep:
         g = make_grid(1, [32])
         with pytest.raises(MeanNotZero):
             newton_step(Potential.flat(g), ScalarField.constant(g, 0.5), 1e-12)
+
+    def test_rejects_a_target_on_another_grid(self):
+        # 8 nodes on one axis broadcast against 8 x 8 values without the check
+        P = random_convex_potential(make_grid(2, [8, 8]), np.random.default_rng(9))
+        target = random_band_limited(make_grid(1, [8]), np.random.default_rng(9))
+        with pytest.raises(ValueError, match="different grid"):
+            newton_step(P, target, 1e-12)
 
 
 class TestContinuitySolve:
