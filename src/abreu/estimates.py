@@ -193,6 +193,8 @@ def upper_bound_monitor(V: Potential, Atilde: ScalarField) -> BoundsReport:
 
     A violated inequality is a failed check in the report, not an exception.
     """
+    if Atilde.grid != V.grid:
+        raise ValueError("fields live on different grids")
     if not V.base.is_identity():
         raise ValueError("bound monitors assume an identity dual base")
     grid = V.grid
@@ -275,6 +277,8 @@ def lower_bound_monitor(V: Potential, Atilde: ScalarField) -> BoundsReport:
 
     A violated inequality is a failed check in the report, not an exception.
     """
+    if Atilde.grid != V.grid:
+        raise ValueError("fields live on different grids")
     if not V.base.is_identity():
         raise ValueError("bound monitors assume an identity dual base")
     grid = V.grid

@@ -31,7 +31,10 @@ Conventions:
     average equals the integral);
   * `ScalarField.mean_zero` is the package's one zero-mean test, relative
     since a computed mean's rounding grows with sup|f|: solve, Newton
-    step, prescribe, CLI solve/residual, Potential gauge and verify use it.
+    step, prescribe, CLI solve/residual, Potential gauge and verify use it;
+  * each field keeps its sup (`ScalarField.sup`), each grid its Parseval
+    weights; `node_mean` and the sups are direct ufunc reductions, bitwise
+    np.mean and np.max without their Python wrappers.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ __all__ = [
     "hessian",
     "hessian_from_spectrum",
     "mean",
+    "node_mean",
     "project_mean_zero",
     "second_divergence",
     "second_divergence_spectrum",
@@ -152,6 +156,18 @@ class PeriodicGrid:
         n = self.resolution[axis]
         return np.rint(np.fft.fftfreq(n) * n).astype(int)
 
+    @functools.cached_property
+    def parseval_weights(self) -> np.ndarray:
+        """Weights along the last real-FFT axis that make the half-spectrum
+        sum the node mean: 1 on the modes 0 and N/2, 2 on the others (each
+        stands for its conjugate mirror too), over node_count^2; kept
+        read-only."""
+        weights = np.full(self.resolution[-1] // 2 + 1, 2.0)
+        weights[[0, -1]] = 1.0
+        weights /= float(self.node_count) ** 2
+        weights.setflags(write=False)
+        return weights
+
     def wrap(self, point) -> np.ndarray:
         """Map arbitrary coordinates into the fundamental domain [0,1)^n."""
         p = np.asarray(point, dtype=float)
@@ -201,14 +217,19 @@ class ScalarField:
                 f"value shape {vals.shape} does not match grid "
                 f"resolution {self.grid.shape}"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("scalar field contains non-finite values")
         object.__setattr__(self, "values", _freeze(vals))
 
     @functools.cached_property
+    def sup(self) -> float:
+        """sup|f| over the nodes, kept (the values are read-only)."""
+        return float(np.maximum.reduce(np.abs(self.values), axis=None))
+
+    @functools.cached_property
     def mean_bound(self) -> float:
         """MEAN_TOLERANCE * (1 + sup|f|): the largest |mean| of a mean-zero field."""
-        return MEAN_TOLERANCE * (1.0 + sup_norm(self))
+        return MEAN_TOLERANCE * (1.0 + self.sup)
 
     @functools.cached_property
     def mean_zero(self) -> bool:
@@ -290,6 +311,14 @@ def _pair_index(n: int) -> np.ndarray:
     return index
 
 
+@functools.lru_cache(maxsize=None)
+def _pair_weights(n: int) -> np.ndarray:
+    """`SymMatrixField.pair_weights` for n, kept read-only."""
+    weights = np.array([1.0 if i == j else 2.0 for i, j in triangle_pairs(n)])
+    weights.setflags(write=False)
+    return weights
+
+
 def triangle_to_full(stack) -> np.ndarray:
     """Symmetric (..., n, n) matrices from a component-first triangle stack
     (m, ...), m = n(n+1)/2, whose component k holds entry
@@ -334,7 +363,7 @@ class SymMatrixField:
         vals = np.asarray(self.entries, dtype=float)
         if vals.shape != shape:
             raise ValueError(f"entry shape {vals.shape} is not {shape}")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("matrix field contains non-finite entries")
         object.__setattr__(self, "entries", _freeze(vals))
 
@@ -357,8 +386,12 @@ class SymMatrixField:
     def pair_weights(self) -> np.ndarray:
         """(m,) count of full-matrix entries per component, 1 on the diagonal
         and 2 off it: sum_k w_k M_k S_k is the contraction sum_ij M^ij S_ij."""
-        n = self.grid.dim
-        return np.array([1.0 if i == j else 2.0 for i, j in triangle_pairs(n)])
+        return _pair_weights(self.grid.dim)
+
+    @property
+    def pair_index(self) -> np.ndarray:
+        """(n, n) read-only table of the component of entry (i, j)."""
+        return _pair_index(self.grid.dim)
 
     def triangle_index(self, i: int, j: int) -> int:
         """Component of entry (i, j) (or (j, i)); IndexError outside [0, n)."""
@@ -455,22 +488,10 @@ def from_spectrum(grid: PeriodicGrid, spectrum: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spectrum, n=grid.resolution[-1], axis=axes[-1])
 
 
-@functools.lru_cache(maxsize=32)
-def _parseval_weights(grid: PeriodicGrid) -> np.ndarray:
-    """Weights along the last real-FFT axis that make the half-spectrum sum
-    the node mean: 1 on the modes 0 and N/2, 2 on the others (each stands
-    for its conjugate mirror too), over node_count^2; read-only."""
-    weights = np.full(grid.resolution[-1] // 2 + 1, 2.0)
-    weights[[0, -1]] = 1.0
-    weights /= float(grid.node_count) ** 2
-    weights.setflags(write=False)
-    return weights
-
-
 def spectral_inner(grid: PeriodicGrid, a: np.ndarray, b: np.ndarray) -> float:
     """Node mean of x * y for the real fields x, y whose real-FFT spectra
     are `a` and `b` (Parseval), with no transform."""
-    return float(np.vdot(a, b * _parseval_weights(grid)).real)
+    return float(np.vdot(a, b * grid.parseval_weights).real)
 
 
 def _partials(f: ScalarField, orders) -> np.ndarray:
@@ -524,18 +545,23 @@ def hessian(f: ScalarField) -> SymMatrixField:
     return SymMatrixField(f.grid, hessian_from_spectrum(f.grid, f.spectrum))
 
 
+def node_mean(values: np.ndarray) -> float:
+    """Average of a float64 array's entries, bitwise `np.mean`."""
+    return float(np.add.reduce(values, axis=None) / values.size)
+
+
 def mean(f: ScalarField) -> float:
     """Average of node values == integral over [0,1]^n (unit volume)."""
-    return float(np.mean(f.values))
+    return node_mean(f.values)
 
 
 def project_mean_zero(f: ScalarField) -> ScalarField:
     """Subtract the mean; fixes the additive-constant gauge."""
-    return ScalarField(f.grid, f.values - np.mean(f.values))
+    return ScalarField(f.grid, f.values - mean(f))
 
 
 def sup_norm(f: ScalarField) -> float:
-    return float(np.max(np.abs(f.values)))
+    return f.sup
 
 
 def second_divergence_spectrum(grid: PeriodicGrid, stack: np.ndarray) -> np.ndarray:
@@ -554,7 +580,7 @@ def second_divergence_spectrum(grid: PeriodicGrid, stack: np.ndarray) -> np.ndar
     # scattering the large DC coefficient's rounding into high modes,
     # which the fourth-order multipliers would amplify
     for comp in stack:
-        comp -= comp.mean()
+        comp -= node_mean(comp)
     mults = fourier_multiplier(grid, partial_orders(grid.dim, 2))
     acc = 0.0
     for mult, spectrum in zip(mults, to_spectrum(grid, stack)):
@@ -744,7 +770,7 @@ def periodicity_defect(f: ScalarField) -> float:
     non-periodic samplings (such as "x1") leak O(1/k) energy into the
     highest modes.  The CLI warns above 1e-8.
     """
-    power = np.abs(f.spectrum) ** 2 * _parseval_weights(f.grid)
+    power = np.abs(f.spectrum) ** 2 * f.grid.parseval_weights
     total = power.sum()
     if total == 0.0:
         return 0.0

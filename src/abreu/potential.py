@@ -48,6 +48,7 @@ from .grid import (
     hessian,
     hessian_from_spectrum,
     mean,
+    node_mean,
     partial_orders,
     second_divergence,
     triangle_pairs,
@@ -115,6 +116,13 @@ class QuadraticBase:
     def inverse(self) -> "QuadraticBase":
         return QuadraticBase(np.linalg.inv(self.matrix))
 
+    @cached_property
+    def triangle(self) -> np.ndarray:
+        """The matrix as a read-only (m,) triangle, kept for every Hessian."""
+        triangle = full_to_triangle(self.matrix)
+        triangle.setflags(write=False)
+        return triangle
+
     def is_identity(self) -> bool:
         eye = np.eye(self.dim)
         return bool(np.allclose(self.matrix, eye, rtol=0.0, atol=_IDENTITY_TOLERANCE))
@@ -166,7 +174,7 @@ class Potential:
     def with_perturbation(self, values: np.ndarray) -> "Potential":
         """Same base, new perturbation values re-projected to mean zero."""
         vals = np.asarray(values, dtype=float)
-        return Potential(self.base, ScalarField(self.grid, vals - vals.mean()))
+        return Potential(self.base, ScalarField(self.grid, vals - node_mean(vals)))
 
     @cached_property
     def hessian_state(self) -> "HessianState":
@@ -204,14 +212,14 @@ class Potential:
         triangle stack (m, P): one stacked evaluation of the second partials
         of phi (`partial_orders`), plus the base's triangle."""
         vals = self.perturbation.interpolant.partials(x, partial_orders(self.grid.dim, 2))
-        vals += full_to_triangle(self.base.matrix)
+        vals += self.base.triangle
         return vals.T
 
 
 def hessian_u(P: Potential) -> SymMatrixField:
     """Nodewise Hessian M + D^2 phi, from phi's one spectrum."""
     stack = hessian_from_spectrum(P.grid, P.perturbation.spectrum)
-    base = full_to_triangle(P.base.matrix)
+    base = P.base.triangle
     stack += base.reshape(base.shape + (1,) * P.grid.dim)
     return SymMatrixField(P.grid, stack)
 
@@ -270,7 +278,7 @@ class HessianState:
         else:
             eigs = np.linalg.eigvalsh(H.to_full())
             lo, hi = eigs[..., 0], eigs[..., -1]
-        k = int(np.argmin(lo))
+        k = int(lo.argmin())
         worst = np.unravel_index(k if nodes is None else nodes[k], det.shape)
         det.setflags(write=False)
         object.__setattr__(self, "det", det)
@@ -347,14 +355,15 @@ class HessianState:
         """(k, l, S_kl) for k <= l: m(m+1)/2 read-only fields, kept apart
         rather than stacked so that each allocation stays small."""
         h = self._inverse
+        e, at = h.entries, h.pair_index.tolist()
         pairs = triangle_pairs(h.grid.dim)
         w = h.pair_weights
         weights = []
         for k, (i, j) in enumerate(pairs):
             for l, (a, b) in enumerate(pairs[k:], start=k):
                 scale = 0.5 * w[k] * w[l]
-                cross = h.component(i, a) * h.component(j, b)
-                cross += h.component(i, b) * h.component(j, a)
+                cross = e[at[i][a]] * e[at[j][b]]
+                cross += e[at[i][b]] * e[at[j][a]]
                 cross *= scale
                 cross.setflags(write=False)
                 weights.append((k, l, cross))

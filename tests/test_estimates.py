@@ -163,6 +163,14 @@ class TestUpperBound:
         with pytest.raises(NotConvex):
             upper_bound_monitor(corrupted, atilde)
 
+    @pytest.mark.parametrize("shape", [[8], [16, 16]], ids=["1d-8", "2d-16"])
+    def test_rejects_a_rhs_on_another_grid(self, shape):
+        # only sup|A~| is read, so without the check any grid went through
+        V = Potential.flat(make_grid(2, [8, 8]))
+        atilde = ScalarField.zeros(make_grid(len(shape), shape))
+        with pytest.raises(ValueError, match="different grids"):
+            upper_bound_monitor(V, atilde)
+
 
 class TestLowerBound:
     def test_flat_constants(self):
@@ -181,6 +189,13 @@ class TestLowerBound:
         assert _failed(report) == []
         by_name = {c.name: c for c in report.inequalities}
         assert by_name["lower-minimizer-in-ball"].lhs <= 4.0
+
+    @pytest.mark.parametrize("shape", [[8], [16, 16]], ids=["1d-8", "2d-16"])
+    def test_rejects_a_rhs_on_another_grid(self, shape):
+        V = Potential.flat(make_grid(2, [8, 8]))
+        atilde = ScalarField.zeros(make_grid(len(shape), shape))
+        with pytest.raises(ValueError, match="different grids"):
+            lower_bound_monitor(V, atilde)
 
 
 class TestVerifySolution:

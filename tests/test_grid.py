@@ -25,17 +25,20 @@ from abreu import (
     second_divergence,
     sup_norm,
 )
-from abreu import grid
+from abreu import functional_value, grid
 from abreu.grid import (
+    MEAN_TOLERANCE,
     from_spectrum,
     full_to_triangle,
+    node_mean,
     partial_orders,
+    second_divergence_spectrum,
     spectral_inner,
     to_spectrum,
     triangle_pairs,
     triangle_to_full,
 )
-from tests.support import random_band_limited
+from tests.support import random_band_limited, random_convex_potential
 
 TWO_PI = 2.0 * np.pi
 
@@ -198,6 +201,85 @@ class TestMean:
         )
         g0 = project_mean_zero(f)
         assert sup_norm(project_mean_zero(g0) - g0) < 1e-15  # idempotent
+
+
+# values with both zeros, subnormals and magnitudes up to 1e300
+_EXTREME_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                     1e300, -1e300]),
+    st.floats(-1e300, 1e300),
+)
+_REDUCTION_SHAPES = [(8,), (30,), (8, 12), (8, 10, 8)]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+class TestReductionsBitwise:
+    """The package's direct ufunc reductions give the bits of the numpy
+    calls they replace."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), shape=st.sampled_from(_REDUCTION_SHAPES))
+    def test_mean_sup_and_projection(self, data, shape):
+        values = data.draw(hnp.arrays(np.float64, shape, elements=_EXTREME_VALUES))
+        g = make_grid(len(shape), list(shape))
+        f = ScalarField(g, values)
+        assert _bits(mean(f)) == _bits(node_mean(values)) == _bits(np.mean(values))
+        assert _bits(sup_norm(f)) == _bits(f.sup) == _bits(np.max(np.abs(values)))
+        assert _bits(f.mean_bound) == _bits(MEAN_TOLERANCE * (1.0 + np.max(np.abs(values))))
+        centered = values - np.mean(values)
+        assert _bits(project_mean_zero(f).values) == _bits(centered)
+        P = Potential.flat(g).with_perturbation(values)
+        assert _bits(P.perturbation.values) == _bits(values - values.mean())
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), shape=st.sampled_from(_REDUCTION_SHAPES))
+    def test_second_divergence_centering(self, data, shape):
+        # the stack given up holds its centered components on return
+        g = make_grid(len(shape), list(shape))
+        m = len(partial_orders(g.dim, 2))
+        stack = data.draw(hnp.arrays(np.float64, (m,) + g.shape, elements=_EXTREME_VALUES))
+        centered = np.stack([comp - comp.mean() for comp in stack])
+        with np.errstate(over="ignore", invalid="ignore"):
+            second_divergence_spectrum(g, stack)
+        assert _bits(stack) == _bits(centered)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), shape=st.sampled_from(_REDUCTION_SHAPES))
+    def test_functional_integrand(self, data, shape):
+        # A*phi - log det against numpy's mean of -log det + A*phi
+        arrays = hnp.arrays(np.float64, shape, elements=_EXTREME_VALUES)
+        a, phi = data.draw(arrays), data.draw(arrays)
+        log_det = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-745.0, 709.0)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = node_mean(a * phi - log_det)
+            want = np.mean(-log_det + a * phi)
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("shape", _REDUCTION_SHAPES)
+    def test_functional_value(self, shape):
+        g = make_grid(len(shape), list(shape))
+        rng = np.random.default_rng(5)
+        P = random_convex_potential(g, rng)
+        a = random_band_limited(g, rng)
+        want = np.mean(-P.hessian_state.log_det + a.values * P.perturbation.values)
+        assert _bits(functional_value(P, a)) == _bits(want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), shape=st.sampled_from(_REDUCTION_SHAPES),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_validators_still_reject_non_finite(self, data, shape, bad):
+        g = make_grid(len(shape), list(shape))
+        values = data.draw(hnp.arrays(np.float64, shape, elements=_EXTREME_VALUES))
+        at = data.draw(st.tuples(*(st.integers(0, n - 1) for n in shape)))
+        values[at] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ScalarField(g, values)
+        entries = np.broadcast_to(values, (g.dim * (g.dim + 1) // 2,) + g.shape)
+        with pytest.raises(ValueError, match="non-finite"):
+            SymMatrixField(g, entries)
 
 
 class TestSecondDivergence:

@@ -21,6 +21,7 @@ from abreu import (
     continuity_solve,
     functional_second_derivative,
     functional_value,
+    grid,
     hessian,
     linearized_apply,
     make_grid,
@@ -489,6 +490,61 @@ class TestInexactNewton:
         assert trace.steps[-1].final_residual_norm <= bound
 
 
+def _small_1d_problem():
+    g = make_grid(1, [128])
+    return ScalarField(g, 0.5 * np.cos(TWO_PI * g.axis_coordinates(0)))
+
+
+class TestWorkPerIteration:
+    """One Newton iteration computes each quantity once."""
+
+    @staticmethod
+    def _spy(monkeypatch, name, module, record):
+        original = getattr(module, name)
+
+        def spying(*args):
+            record.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(module, name, spying)
+
+    @pytest.mark.parametrize("problem", [_small_1d_problem, _small_2d_problem],
+                             ids=["1d-128", "2d-16"])
+    def test_functional_once_per_trial_and_start(self, monkeypatch, problem):
+        # every line-search trial is evaluated once; the start of a step is
+        # not evaluated again once the trial that became it was, and the
+        # accepted potential's value goes into the trace unevaluated
+        evaluated, trials, starts = [], [], []
+        self._spy(monkeypatch, "functional_value", solver, evaluated)
+        trial_of = Potential.with_perturbation
+
+        def trial(P, values):
+            trials.append(trial_of(P, values))
+            return trials[-1]
+
+        monkeypatch.setattr(Potential, "with_perturbation", trial)
+        self._spy(monkeypatch, "newton_step", solver, starts)
+        a = problem()
+        P, trace = continuity_solve(a)
+        assert len(trace.steps) == 1 and trace.steps[0].newton_iterations > 1
+        assert all(candidate.hessian_state.convex for candidate in trials)
+        assert len(starts) > 1
+        counts = Counter(evaluated)
+        assert max(counts.values()) == 1
+        assert counts == Counter(trials + starts[:1])
+        assert trace.steps[0].functional_value == functional_value(P, a)
+
+    @pytest.mark.parametrize("problem", [_small_1d_problem, _small_2d_problem],
+                             ids=["1d-128", "2d-16"])
+    def test_base_triangle_built_once(self, monkeypatch, problem):
+        built, hessians = [], []
+        for module in (grid, potential):
+            self._spy(monkeypatch, "full_to_triangle", module, built)
+        self._spy(monkeypatch, "hessian_u", potential, hessians)
+        continuity_solve(problem())
+        assert len(hessians) > 2 and len(built) == 1
+
+
 class TestStoppingRule:
     """A Newton step that leaves P unchanged is a stagnated update."""
 
@@ -516,7 +572,7 @@ class TestStoppingRule:
 
     def test_stagnation_within_ten_tolerances_accepts(self, monkeypatch):
         calls = self._stalled(monkeypatch)
-        P, iterations, residual = self._attempt(5e-10)
+        P, iterations, residual, _ = self._attempt(5e-10)
         assert (iterations, len(calls)) == (1, 1)
         assert sup_norm(P.perturbation) == 0.0 and residual == pytest.approx(5e-10)
 

@@ -9,9 +9,13 @@ the seeded input pool (`make_inputs`) and runs every input's CLI command
 in this process, as the benchmark does (`perfbench/child.py`), set-up
 solves included, with one BLAS/OpenMP thread and all files in a temporary
 directory.  It prints one sorted JSON object: per workload, seed and input,
-the exit code, the stderr text and the sha256 of each file the input made,
-`.fld` files by their bytes and reports without the keys that differ
-between identical runs (`VOLATILE_REPORT_KEYS`).  The package is imported
+the exit code, the stderr text, the number of Newton steps the input's
+command took (calls of `abreu.solver.newton_step`, counted by wrapping the
+module binding as the benchmark's tracer does) and the sha256 of each file
+the input made, `.fld` files by their bytes and reports without the keys
+that differ between identical runs (`VOLATILE_REPORT_KEYS`).  A failing
+solve writes no file, so its step count is what shows that its Newton path
+is unchanged.  The package is imported
 from `--src`, by default this checkout's `src/`, so one copy of the tool
 digests any other checkout with the same pools.
 """
@@ -19,7 +23,9 @@ digests any other checkout with the same pools.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -56,6 +62,25 @@ def file_digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+@contextlib.contextmanager
+def counting(module, name: str):
+    """Count the calls of `module.<name>` by wrapping the module binding,
+    which the package calls through; yields a one-entry list holding the
+    count, and restores the binding on exit."""
+    original = getattr(module, name)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    setattr(module, name, counted)
+    try:
+        yield calls
+    finally:
+        setattr(module, name, original)
+
+
 def import_cli(src: Path):
     """abreu.cli imported from `src`, never from elsewhere."""
     sys.path.insert(0, str(src))
@@ -67,7 +92,10 @@ def import_cli(src: Path):
 
 
 def digest_workload(cli, name: str, seed: int) -> dict:
-    """{input id: {rc, stderr, files}} of one workload's pool for one seed."""
+    """{input id: {rc, stderr, newton_steps, files}} of one workload's pool
+    for one seed; the steps are those of the input's command, set-up solves
+    left out."""
+    solver = importlib.import_module("abreu.solver")
     records = {}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -76,8 +104,10 @@ def digest_workload(cli, name: str, seed: int) -> dict:
             workload = Workload(name, seed, ".")
             workload.prepare(cli)
             for item in workload.pool:
-                rc, _, stderr = call(cli, workload.op(item)[0])
-                records[item["id"]] = {"rc": rc, "stderr": stderr, "files": {}}
+                with counting(solver, "newton_step") as steps:
+                    rc, _, stderr = call(cli, workload.op(item)[0])
+                records[item["id"]] = {"rc": rc, "stderr": stderr,
+                                       "newton_steps": steps[0], "files": {}}
             for path in sorted(Path(".").iterdir()):
                 match = _OUTPUT.fullmatch(path.name)
                 if match:
