@@ -219,23 +219,20 @@ def _solver_config(args):
     return SolverConfig(newton_tolerance=args.tol)
 
 
-def _write_report(path, payload) -> None:
+def _write_report(path, argv, started, cfg=None, **sections) -> None:
+    """JSON run report: the header, the solver config when given, the
+    `sections` and the wall clock since `started` (a perf_counter time)."""
+    payload = {"schema_version": 3, "tool_version": __version__, "command": list(argv)}
+    if cfg is not None:
+        payload["config"] = asdict(cfg)
+    payload.update(sections)
+    payload["wall_clock_seconds"] = time.perf_counter() - started
+
     def write(handle):
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
     atomic_write(path, write, binary=False)
-
-
-def _base_report(argv, cfg=None) -> dict:
-    payload = {
-        "schema_version": 3,
-        "tool_version": __version__,
-        "command": list(argv),
-    }
-    if cfg is not None:
-        payload["config"] = asdict(cfg)
-    return payload
 
 
 def _solution_bounds(potential) -> dict:
@@ -268,13 +265,11 @@ def _cmd_solve(args, argv) -> int:
     potential, trace = continuity_solve(rhs, cfg=cfg)
     write_field(args.out, potential.perturbation)
     if args.report:
-        payload = _base_report(argv, cfg)
-        payload["trace"] = trace.to_dict()
-        payload["bounds"] = _solution_bounds(potential)
         # the last step is at t = 1, where the target is A itself
-        payload["residual_norms"] = {"final_sup": trace.steps[-1].final_residual_norm}
-        payload["wall_clock_seconds"] = time.perf_counter() - started
-        _write_report(args.report, payload)
+        final_sup = trace.steps[-1].final_residual_norm
+        _write_report(args.report, argv, started, cfg, trace=trace.to_dict(),
+                      bounds=_solution_bounds(potential),
+                      residual_norms={"final_sup": final_sup})
     return 0
 
 
@@ -314,10 +309,7 @@ def _cmd_prescribe(args, argv) -> int:
     metric, trace = prescribe_curvature(scalar, cfg)
     write_field(args.out, metric.psi)
     if args.report:
-        payload = _base_report(argv, cfg)
-        payload["trace"] = trace.to_dict()
-        payload["wall_clock_seconds"] = time.perf_counter() - started
-        _write_report(args.report, payload)
+        _write_report(args.report, argv, started, cfg, trace=trace.to_dict())
     return 0
 
 
@@ -326,10 +318,7 @@ def _cmd_verify(args, argv) -> int:
     P = _load_potential(args.phi)
     rhs = _load_field_argument(args, "rhs", grid=P.grid)
     outcome = verify_solution(P, rhs)
-    payload = _base_report(argv)
-    payload["verification"] = outcome.to_dict()
-    payload["wall_clock_seconds"] = time.perf_counter() - started
-    _write_report(args.report, payload)
+    _write_report(args.report, argv, started, verification=outcome.to_dict())
     if not outcome.passed:
         failed = [c.name for c in outcome.bounds.inequalities if not c.satisfied]
         sys.stderr.write(f"verification failed: {', '.join(failed)}\n")

@@ -23,7 +23,7 @@ the box.  The monitors certify solution plausibility, not the theory.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -76,9 +76,10 @@ class InequalityCheck:
 class BoundsReport:
     """Measured bound quantities plus the inequality checklist.
 
-    Monitors fill fragments (their own fields and checks); fragments merge
-    into the full report.  Constants are assembled from measured values,
-    flagged by measured_constant_mode.
+    A bound monitor returns one with only its own values and checks set;
+    `verify_solution` builds the full report once, from P's values and
+    both monitors'.  Constants are assembled from measured values, flagged
+    by measured_constant_mode.
     """
 
     sup_phi: float | None = None
@@ -92,19 +93,6 @@ class BoundsReport:
     beta: float | None = None
     inequalities: tuple[InequalityCheck, ...] = field(default_factory=tuple)
     measured_constant_mode: bool = True
-
-    def merge(self, other: "BoundsReport") -> "BoundsReport":
-        """Other's measured values where set, and both checklists.
-
-        The measured values are exactly the fields that default to None.
-        """
-        updates = {
-            f.name: getattr(other, f.name)
-            for f in fields(other)
-            if f.default is None and getattr(other, f.name) is not None
-        }
-        updates["inequalities"] = self.inequalities + other.inequalities
-        return replace(self, **updates)
 
     @property
     def all_satisfied(self) -> bool:
@@ -182,6 +170,14 @@ def _lattice_minimum(value, grid, reps: int, origin: float):
     return np.array([y[node] for y in ys]), tuple(int(i) for i in node)
 
 
+def _require_monitor_inputs(V: Potential, Atilde: ScalarField) -> None:
+    """The bound monitors' preconditions: A~ on V's grid, identity base."""
+    if Atilde.grid != V.grid:
+        raise ValueError("fields live on different grids")
+    if not V.base.is_identity():
+        raise ValueError("bound monitors assume an identity dual base")
+
+
 def upper_bound_monitor(V: Potential, Atilde: ScalarField) -> BoundsReport:
     """Checks from the minimum of f(y) = L + |y|^2/2 + 2 psi over [-1,1]^n.
 
@@ -193,10 +189,7 @@ def upper_bound_monitor(V: Potential, Atilde: ScalarField) -> BoundsReport:
 
     A violated inequality is a failed check in the report, not an exception.
     """
-    if Atilde.grid != V.grid:
-        raise ValueError("fields live on different grids")
-    if not V.base.is_identity():
-        raise ValueError("bound monitors assume an identity dual base")
+    _require_monitor_inputs(V, Atilde)
     grid = V.grid
     n = grid.dim
     state = V.hessian_state
@@ -277,10 +270,7 @@ def lower_bound_monitor(V: Potential, Atilde: ScalarField) -> BoundsReport:
 
     A violated inequality is a failed check in the report, not an exception.
     """
-    if Atilde.grid != V.grid:
-        raise ValueError("fields live on different grids")
-    if not V.base.is_identity():
-        raise ValueError("bound monitors assume an identity dual base")
+    _require_monitor_inputs(V, Atilde)
     grid = V.grid
     n = grid.dim
     grads = [g.values for g in V.perturbation_gradient]
@@ -361,12 +351,15 @@ def verify_solution(P: Potential, A: ScalarField) -> VerificationReport:
     Collects (instead of raising on) violations so a report can always be
     produced; `passed` is True iff every check holds.  Precondition
     failures (a non-convex dual, a failed gradient inversion) are reported
-    as failed checks rather than exceptions.  The bound monitors assume an
-    identity dual base: for any other (unimodular) base their checks are
-    left out, and `upper_constant_c` and `beta` stay None.
+    as failed checks rather than exceptions; A on another grid than P
+    raises ValueError.  The bound monitors assume an identity dual base:
+    for any other (unimodular) base their checks are left out, and
+    `upper_constant_c` and `beta` stay None.  The checklist lists the
+    upper monitor's checks, then the lower monitor's, then verify's own.
     """
+    if A.grid != P.grid:
+        raise ValueError("fields live on different grids")
     checks: list[InequalityCheck] = []
-    report = BoundsReport()
 
     def check(name, lhs, rhs, relation="<="):
         checks.append(InequalityCheck.compare(name, lhs, rhs, relation))
@@ -376,8 +369,8 @@ def verify_solution(P: Potential, A: ScalarField) -> VerificationReport:
     margin, convex = state.min_eigenvalue, state.convex
     checks.append(InequalityCheck("convexity-margin", margin, floor, ">=", convex))
     if not convex:
-        report = report.merge(BoundsReport(inequalities=tuple(checks)))
-        return VerificationReport(passed=False, bounds=report)
+        bounds = BoundsReport(inequalities=tuple(checks))
+        return VerificationReport(passed=False, bounds=bounds)
 
     check("primal-residual", sup_norm(abreu_forward(P) - A), _RESIDUAL_TOLERANCE)
     mean_a, bound = abs(mean(A)), A.mean_bound  # the one zero-mean test
@@ -386,12 +379,8 @@ def verify_solution(P: Potential, A: ScalarField) -> VerificationReport:
     check("divergence-form-residual", sup_norm(div_form), _RESIDUAL_TOLERANCE)
 
     sup_phi, sup_grad_phi, _ = c0_c1_report(P)
-    c1, c2 = eigenvalue_bounds(P)
-    report = report.merge(
-        BoundsReport(
-            sup_phi=sup_phi, sup_grad_phi=sup_grad_phi, eig_min=c1, eig_max=c2
-        )
-    )
+    eig_min, eig_max = eigenvalue_bounds(P)
+    upper = lower = BoundsReport()  # left empty unless both monitors run
 
     try:
         V = legendre_transform(P)
@@ -412,9 +401,7 @@ def verify_solution(P: Potential, A: ScalarField) -> VerificationReport:
         residual = sup_norm(dual_residual(V, atilde))
         check("dual-residual", residual, _DUAL_RESIDUAL_TOLERANCE)
         if V.base.is_identity():  # what the bound monitors assume
-            upper = upper_bound_monitor(V, atilde)
-            lower = lower_bound_monitor(V, atilde)
-            report = report.merge(upper).merge(lower)
+            upper, lower = upper_bound_monitor(V, atilde), lower_bound_monitor(V, atilde)
     except NotConvex as exc:
         # raised where the dual's HessianState.convex is False
         lhs = float(exc.min_eigenvalue)
@@ -422,5 +409,10 @@ def verify_solution(P: Potential, A: ScalarField) -> VerificationReport:
     except GradientInversionFailure as exc:
         check("gradient-inversion-residual", exc.residual, exc.tolerance)
 
-    report = report.merge(BoundsReport(inequalities=tuple(checks)))
-    return VerificationReport(passed=report.all_satisfied, bounds=report)
+    bounds = BoundsReport(
+        sup_phi=sup_phi, sup_grad_phi=sup_grad_phi, eig_min=eig_min, eig_max=eig_max,
+        det_min=upper.det_min, det_max=upper.det_max, sup_A=upper.sup_A,
+        upper_constant_c=upper.upper_constant_c, beta=lower.beta,
+        inequalities=upper.inequalities + lower.inequalities + tuple(checks),
+    )
+    return VerificationReport(passed=bounds.all_satisfied, bounds=bounds)

@@ -211,6 +211,8 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.values):
+            raise ValueError("scalar field values must be real, got complex")
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != self.grid.shape:
             raise ValueError(
@@ -360,6 +362,8 @@ class SymMatrixField:
     def __post_init__(self):
         n = self.grid.dim
         shape = (n * (n + 1) // 2,) + self.grid.shape
+        if np.iscomplexobj(self.entries):
+            raise ValueError("matrix field entries must be real, got complex")
         vals = np.asarray(self.entries, dtype=float)
         if vals.shape != shape:
             raise ValueError(f"entry shape {vals.shape} is not {shape}")

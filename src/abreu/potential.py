@@ -82,28 +82,35 @@ _IDENTITY_TOLERANCE = 1e-10
 @dataclass(frozen=True, eq=False)
 class QuadraticBase:
     """Strictly convex quadratic form Q(x) = x^T matrix x / 2; bases compare
-    and hash by their read-only matrix, so a base can key a cache."""
+    and hash by the entries of their read-only matrix, kept as a tuple of
+    floats (so -0.0 equals 0.0), and a base can key a cache cheaply."""
 
     matrix: np.ndarray
+    _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=float)
+        mat = np.array(self.matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"base matrix must be square, got shape {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("base matrix contains non-finite entries")
         if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-13):
             raise ValueError("base matrix must be symmetric")
-        mat = 0.5 * (mat + mat.T)
+        # only entries unequal to their mirror are averaged: the others keep
+        # their bits, and no two large entries are summed into an overflow
+        differ = mat != mat.T
+        mat[differ] = 0.5 * (mat[differ] + mat.T[differ])
         if np.linalg.eigvalsh(mat)[0] <= 0.0:
             raise ValueError("base matrix must be positive definite")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "_key", tuple(mat.ravel().tolist()))
 
     def __eq__(self, other):
-        same_type = isinstance(other, QuadraticBase)
-        return same_type and np.array_equal(self.matrix, other.matrix)
+        return isinstance(other, QuadraticBase) and self._key == other._key
 
     def __hash__(self):
-        return hash(tuple(self.matrix.flat))
+        return hash(self._key)
 
     @classmethod
     def identity(cls, dim: int) -> "QuadraticBase":

@@ -44,9 +44,10 @@ One Newton iteration computes each quantity once: a record per iterate
 (`_NewtonRecord`) holds the defect forward - target, read by the stop test
 and the Newton right-hand side, its sup (the residual) and F_A, which the
 line search that accepted the iterate evaluated.  So F_A is evaluated once
-per line-search trial and once per attempt's start.  One `newton_step`
-takes a median 264 us at 1D N = 512 (352 us before) and 1426 us at 2D 64^2
-(1579 us before) on the seed-1 benchmark inputs (2-vCPU VM, one thread).
+per line-search trial and once per attempt's start, and the record of an
+attempt's last iterate is its result.  One `newton_step` takes a median
+264 us at 1D N = 512 and 1426 us at 2D 64^2 on the seed-1 benchmark inputs
+(2-vCPU VM, one thread).
 """
 
 from __future__ import annotations
@@ -375,10 +376,6 @@ def newton_step(P: Potential, target: ScalarField, forcing: float) -> Potential:
     )
 
 
-def _residual_scale(cfg: SolverConfig, target: ScalarField) -> float:
-    return cfg.newton_tolerance * (1.0 + sup_norm(target))
-
-
 # A Newton update below this relative size means the iterate has reached
 # the arithmetic floor of the fourth-order residual evaluation: a residual
 # within 10x of tolerance then certifies convergence.
@@ -418,12 +415,12 @@ def _newton_solve(P: Potential, target: ScalarField, cfg: SolverConfig):
     """Iterate Newton steps from the start P, handed over by a caller that
     holds no potential, until the sup-norm residual meets tolerance.
 
-    Returns (potential, iterations, residual, F_target at the potential),
-    or None once the update stagnated above _NOISE_BAND times tolerance or
-    _MAX_NEWTON_ITERS iterations did not get there.  Each Newton system is
-    solved only to the forcing term of `_forcing_term`.
+    Returns (record, iterations), the record holding the accepted potential,
+    its residual and F_target, or None once the update stagnated above
+    _NOISE_BAND times tolerance or _MAX_NEWTON_ITERS iterations did not get
+    there.  Each Newton system is solved only to `_forcing_term`'s tolerance.
     """
-    tolerance = _residual_scale(cfg, target)
+    tolerance = cfg.newton_tolerance * (1.0 + sup_norm(target))
     last_step = None
     eta = residual_prev = None
     record = _NewtonRecord(P, target)
@@ -432,13 +429,13 @@ def _newton_solve(P: Potential, target: ScalarField, cfg: SolverConfig):
         for iteration in range(_MAX_NEWTON_ITERS + 1):
             residual = record.residual
             if residual <= tolerance:
-                return P, iteration, residual, record.functional_value()
+                return record, iteration
             stagnated = (
                 last_step is not None
                 and last_step <= _STEP_STAGNATION * (1.0 + sup_norm(P.perturbation))
             )
             if stagnated and residual <= 10.0 * tolerance:
-                return P, iteration, residual, record.functional_value()
+                return record, iteration
             if stagnated and residual > _NOISE_BAND * tolerance:
                 return None
             if iteration == _MAX_NEWTON_ITERS:
@@ -458,14 +455,13 @@ def _newton_solve(P: Potential, target: ScalarField, cfg: SolverConfig):
         _ITERATE.reset(token)
 
 
-def _record_step(P: Potential, t: float, iters: int, residual: float,
-                 functional: float) -> ContinuityStep:
-    state = P.hessian_state
+def _record_step(record: _NewtonRecord, t: float, iterations: int) -> ContinuityStep:
+    state = record.potential.hessian_state
     return ContinuityStep(
         t=float(t),
-        newton_iterations=int(iters),
-        final_residual_norm=float(residual),
-        functional_value=functional,
+        newton_iterations=int(iterations),
+        final_residual_norm=record.residual,
+        functional_value=record.functional_value(),
         det_min=float(state.det.min()),
         det_max=float(state.det.max()),
         convexity_margin=state.min_eigenvalue,
@@ -516,7 +512,7 @@ def continuity_solve(
         t_try = min(t + step, 1.0)
         target = ScalarField(A.grid, t_try * A.values)
         # drop the last accepted potential: the attempt owns its start
-        P = outcome = last_error = None
+        P = record = outcome = last_error = None
         try:
             outcome = _newton_solve(start.pop() if start else Potential(base, phi),
                                     target, cfg)
@@ -527,9 +523,9 @@ def continuity_solve(
             if step < _MIN_T_STEP:
                 raise StepFloorReached(t, _MIN_T_STEP) from last_error
             continue
-        P, iters, residual, functional = outcome
-        t = t_try
-        steps.append(_record_step(P, t, iters, residual, functional))
+        record, iters = outcome
+        P, t = record.potential, t_try
+        steps.append(_record_step(record, t, iters))
         phi = P.perturbation
         if iters <= _EASY_ITERS:
             step *= 2.0

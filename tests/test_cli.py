@@ -255,6 +255,52 @@ class TestResidualAndVerify:
         assert payload["verification"]["passed"] is False
 
 
+_HEADER_KEYS = {"schema_version", "tool_version", "command", "wall_clock_seconds"}
+
+
+class TestReportKeys:
+    """Each report's key set, header included, is pinned."""
+
+    def test_solve(self, tmp_path, manufactured_files):
+        a_path, _ = manufactured_files
+        report = tmp_path / "run.json"
+        assert main(["solve", "--rhs", str(a_path), "--out", str(tmp_path / "phi2.fld"),
+                     "--report", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        assert set(payload) == _HEADER_KEYS | {
+            "config", "trace", "bounds", "residual_norms"
+        }
+        assert set(payload["config"]) == {"newton_tolerance"}
+        assert set(payload["trace"]) == {"steps"}
+        assert set(payload["trace"]["steps"][0]) == {
+            "t", "newton_iterations", "final_residual_norm", "functional_value",
+            "det_min", "det_max", "convexity_margin",
+        }
+        assert set(payload["bounds"]) == {
+            "sup_phi", "sup_grad_phi", "oscillation_bound", "eig_min", "eig_max",
+            "det_min", "det_max",
+        }
+        assert set(payload["residual_norms"]) == {"final_sup"}
+
+    def test_prescribe(self, tmp_path):
+        report = tmp_path / "run.json"
+        assert main(["prescribe", "--dim", "1", "--resolution", "16",
+                     "--expr", "0.01*cos(2*pi*x1)", "--out", str(tmp_path / "m.fld"),
+                     "--report", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        assert set(payload) == _HEADER_KEYS | {"config", "trace"}
+        assert set(payload["config"]) == {"newton_tolerance"}
+
+    def test_verify(self, tmp_path, manufactured_files):
+        a_path, phi_path = manufactured_files
+        report = tmp_path / "verify.json"
+        assert main(["verify", "--phi", str(phi_path), "--rhs", str(a_path),
+                     "--report", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        assert set(payload) == _HEADER_KEYS | {"verification"}
+        assert set(payload["verification"]) == {"passed", "bounds"}
+
+
 class TestLegendreAndCurvature:
     def test_legendre_round_trip(self, tmp_path, manufactured_files):
         _, phi_path = manufactured_files

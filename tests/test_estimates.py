@@ -8,6 +8,7 @@ import pytest
 
 from abreu import abelian, estimates, grid, legendre, potential, solver
 from abreu import (
+    BoundsReport,
     GradientInversionFailure,
     NotConvex,
     Potential,
@@ -242,6 +243,71 @@ class TestVerifySolution:
             assert set(check) == {"name", "lhs", "rhs", "relation", "satisfied"}
 
 
+_VERIFY_OWN_CHECKS = [
+    "convexity-margin", "primal-residual", "rhs-mean-zero",
+    "divergence-form-residual", "legendre-involution",
+    "determinant-duality", "pullback-sup-norm", "dual-residual",
+]
+
+
+def _solved_2d():
+    g = make_grid(2, [16, 16])
+    a = ScalarField.from_function(
+        g, lambda x, y: 0.5 * (np.cos(TWO_PI * x) + np.cos(TWO_PI * y))
+    )
+    P, _ = continuity_solve(a)
+    return P, a
+
+
+class TestVerifyReportAssembly:
+    """verify's bounds report is the potential's values, the monitors'
+    values and the checklist upper, lower, verify's own, built once (the
+    unimodular-base case is in TestVerifyUnimodularBase)."""
+
+    def test_identity_base_matches_the_four_sources(self):
+        P, a = _solved_2d()
+        bounds = verify_solution(P, a).bounds
+        sup_phi, sup_grad_phi, _ = c0_c1_report(P)
+        eig_min, eig_max = eigenvalue_bounds(P)
+        V, atilde = legendre_transform(P), pullback_rhs(a, P)
+        upper, lower = upper_bound_monitor(V, atilde), lower_bound_monitor(V, atilde)
+        monitors = upper.inequalities + lower.inequalities
+        own = bounds.inequalities[len(monitors):]
+        assert [c.name for c in own] == _VERIFY_OWN_CHECKS
+        assert bounds == BoundsReport(
+            sup_phi=sup_phi,
+            sup_grad_phi=sup_grad_phi,
+            det_min=upper.det_min,
+            det_max=upper.det_max,
+            eig_min=eig_min,
+            eig_max=eig_max,
+            sup_A=upper.sup_A,
+            upper_constant_c=upper.upper_constant_c,
+            beta=lower.beta,
+            inequalities=monitors + own,
+        )
+        assert bounds.all_satisfied
+
+
+class TestVerifyGridMismatch:
+    """A on another grid than P is refused up front, convex P or not."""
+
+    def test_convex_potential(self):
+        P, _ = _solved_2d()
+        a8 = ScalarField.zeros(make_grid(2, [8, 8]))
+        with pytest.raises(ValueError, match="fields live on different grids"):
+            verify_solution(P, a8)
+
+    def test_non_convex_potential(self):
+        g = make_grid(2, [16, 16])
+        bump = ScalarField.from_function(g, lambda x, y: 0.1 * np.cos(TWO_PI * x))
+        P = Potential(QuadraticBase.identity(2), bump)
+        assert not P.hessian_state.convex
+        a8 = ScalarField.zeros(make_grid(2, [8, 8]))
+        with pytest.raises(ValueError, match="fields live on different grids"):
+            verify_solution(P, a8)
+
+
 class TestOneInversionPerPotential:
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -467,14 +533,17 @@ class TestVerifyUnimodularBase:
         P, _ = continuity_solve(a, base)
         outcome = verify_solution(P, a)
         names = [c.name for c in outcome.bounds.inequalities]
-        assert names == [
-            "convexity-margin", "primal-residual", "rhs-mean-zero",
-            "divergence-form-residual", "legendre-involution",
-            "determinant-duality", "pullback-sup-norm", "dual-residual",
-        ]
+        assert names == _VERIFY_OWN_CHECKS
         assert outcome.bounds.upper_constant_c is None
         assert outcome.bounds.beta is None
         assert outcome.to_dict()["bounds"]["sup_A"] is None
+        # P's values, and every monitor field None
+        sup_phi, sup_grad_phi, _ = c0_c1_report(P)
+        eig_min, eig_max = eigenvalue_bounds(P)
+        assert outcome.bounds == BoundsReport(
+            sup_phi=sup_phi, sup_grad_phi=sup_grad_phi, eig_min=eig_min,
+            eig_max=eig_max, inequalities=outcome.bounds.inequalities,
+        )
         # called directly, the monitors still refuse this dual
         V = legendre_transform(P)
         for monitor in (upper_bound_monitor, lower_bound_monitor):

@@ -104,6 +104,11 @@ class TestScalarField:
         with pytest.raises(ValueError):
             ScalarField(g, vals)
 
+    def test_rejects_complex(self):
+        g = make_grid(1, [16])
+        with pytest.raises(ValueError, match="real"):
+            ScalarField(g, np.zeros(16) + 1e-3j)
+
     def test_values_read_only(self):
         g = make_grid(1, [16])
         f = ScalarField.zeros(g)
@@ -329,6 +334,11 @@ class TestSymMatrixField:
         for i in range(n):
             for j in range(n):
                 assert np.array_equal(M.component(i, j), full[..., i, j])
+
+    def test_rejects_complex(self):
+        g = make_grid(2, [8, 8])
+        with pytest.raises(ValueError, match="real"):
+            SymMatrixField(g, np.ones((3, 8, 8)) + 1e-3j)
 
     @pytest.mark.parametrize("i, j", [(0, 3), (3, 0), (-1, 0), (0, -1), (3, 3), (5, 1)])
     def test_component_out_of_range_raises(self, i, j):

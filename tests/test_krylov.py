@@ -286,6 +286,10 @@ class TestFlatPreconditioner:
         assert not symbol.flags.writeable
         newton_step(Potential.flat(g), target, 0.5)
         assert solver._inverse_flat_symbol.cache_info().misses == 2
+        # two separately built identity bases share that one entry
+        again = solver._inverse_flat_symbol(g, QuadraticBase(np.eye(2)))
+        assert again is solver._inverse_flat_symbol(g, QuadraticBase.identity(2))
+        assert solver._inverse_flat_symbol.cache_info().misses == 2
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from abreu import estimates
 from abreu import (
@@ -63,6 +65,33 @@ class TestQuadraticBase:
         # 0.0 and -0.0 are equal, so they must hash alike
         signed = np.array([[1.0, -0.0], [-0.0, 1.0]])
         assert hash(QuadraticBase(signed)) == hash(QuadraticBase.identity(2))
+        assert QuadraticBase(signed) == QuadraticBase.identity(2)
+
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite(self, entry):
+        with pytest.raises(ValueError, match="non-finite"):
+            QuadraticBase(np.array([[entry]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            QuadraticBase(np.array([[1.0, entry], [entry, 1.0]]))
+
+    def test_huge_entries_do_not_overflow(self):
+        mat = np.array([[1e308, 0.0], [0.0, 1e308]])
+        assert np.array_equal(QuadraticBase(mat).matrix, mat)
+
+    @given(st.data())
+    def test_exactly_symmetric_matrix_keeps_its_bits(self, data):
+        # strictly diagonally dominant with a positive diagonal: positive
+        # definite; off the diagonal +-0.0, subnormals and up to 4e307
+        n = data.draw(st.integers(1, 3))
+        mat = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                mat[i, j] = mat[j, i] = data.draw(st.floats(-4e307, 4e307))
+        for i in range(n):
+            least = max(2.0 * float(np.sum(np.abs(mat[i]))), 1e-300)
+            mat[i, i] = data.draw(st.floats(least, 1.7e308))
+        assume(np.linalg.eigvalsh(mat)[0] > 0.0)  # rounding aside
+        assert QuadraticBase(mat).matrix.tobytes() == mat.tobytes()
 
 
 class TestPotential:

@@ -572,15 +572,48 @@ class TestStoppingRule:
 
     def test_stagnation_within_ten_tolerances_accepts(self, monkeypatch):
         calls = self._stalled(monkeypatch)
-        P, iterations, residual, _ = self._attempt(5e-10)
+        record, iterations = self._attempt(5e-10)
         assert (iterations, len(calls)) == (1, 1)
-        assert sup_norm(P.perturbation) == 0.0 and residual == pytest.approx(5e-10)
+        assert sup_norm(record.potential.perturbation) == 0.0
+        assert record.residual == pytest.approx(5e-10)
 
     def test_stagnation_in_the_noise_band_keeps_iterating(self, monkeypatch):
         # 50 tolerances: rounding noise could still dip within 10
         calls = self._stalled(monkeypatch)
         assert self._attempt(5e-9) is None
         assert len(calls) == solver._MAX_NEWTON_ITERS
+
+
+class TestAttemptRecord:
+    """An attempt's result is the record of its last iterate, and the trace
+    step is read from it."""
+
+    @pytest.mark.parametrize("retry", [False, True])
+    def test_trace_step_reads_the_record(self, monkeypatch, retry):
+        records = []
+        newton_solve = solver._newton_solve
+
+        def recording(start, target, cfg):
+            box = [start]
+            del start
+            outcome = newton_solve(box.pop(), target, cfg)
+            records.append(outcome)
+            return outcome
+
+        monkeypatch.setattr(solver, "_newton_solve", recording)
+        if retry:  # t = 1 fails, so t = 1/2 is accepted first
+            _fail_first_attempt(monkeypatch)
+        a = _small_2d_problem()
+        P, trace = continuity_solve(a)
+        assert len(records) == len(trace.steps) == (2 if retry else 1)
+        for (record, iterations), step in zip(records, trace.steps):
+            assert step.newton_iterations == iterations
+            assert step.final_residual_norm == record.residual
+            assert step.functional_value == record.functional
+        last = records[-1][0]
+        assert last.potential is P and last.target.values.tobytes() == a.values.tobytes()
+        assert last.residual == sup_norm(abreu_forward(P) - a)
+        assert last.functional == functional_value(P, a)
 
 
 def _one_mode(x):
