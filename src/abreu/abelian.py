@@ -27,11 +27,10 @@ search and the convexity-margin check of `verify_solution`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .grid import ScalarField, project_mean_zero
+from .grid import ScalarField, kept_property, project_mean_zero
 from .legendre import legendre_transform
 from .potential import Potential, QuadraticBase, abreu_forward
 from .solver import ContinuityTrace, SolverConfig, continuity_solve
@@ -54,7 +53,7 @@ class InvariantMetric:
     def __post_init__(self):
         self.potential  # built and kept now; its gauge check raises ValueError
 
-    @cached_property
+    @kept_property
     def potential(self) -> Potential:
         """The convex potential v = |x|^2/2 + psi, built once and kept."""
         return Potential(QuadraticBase.identity(self.psi.grid.dim), self.psi)

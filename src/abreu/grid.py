@@ -15,9 +15,16 @@ Conventions:
     `ScalarField.spectrum` each field's one spectrum, which its
     derivatives, its interpolant and `periodicity_defect` read,
     `spectral_inner` the node-mean inner product of two spectra (Parseval)
-    and `fourier_multiplier` the one multiplier table; the solver's Krylov
-    iteration runs on spectra through `hessian_from_spectrum` and
+    and `fourier_multiplier` the one multiplier table, whose second-order
+    table each grid keeps (`PeriodicGrid.second_multipliers`); the solver's
+    Krylov iteration runs on spectra through `hessian_from_spectrum` and
     `second_divergence_spectrum`;
+  * the pair calls numpy's pocketfft kernels (`numpy.fft._pocketfft_umath`)
+    with the passes and scale factors of `np.fft.rfftn`/`irfftn`, so its
+    results are bitwise theirs: on the Krylov loop's small arrays numpy's
+    Python wrappers cost about as much as the kernels;
+  * a field adopts a fresh array and copies anything else (`ScalarField`);
+    kept per-instance values are `kept_property`s, which take no lock;
   * off-grid evaluation (`TrigInterpolant`) works in the real separable
     basis [1, cos 2 pi k x, cos pi N x, sin 2 pi k x] (0 < k < N/2) per
     axis, so a real field is evaluated with real products only, and only
@@ -54,6 +61,7 @@ __all__ = [
     "ScalarField",
     "SymMatrixField",
     "make_grid",
+    "kept_property",
     "to_spectrum",
     "from_spectrum",
     "spectral_inner",
@@ -81,6 +89,28 @@ _TWO_PI = 2.0 * np.pi
 
 #: A field is mean-zero when |mean f| <= MEAN_TOLERANCE * (1 + sup|f|).
 MEAN_TOLERANCE = 1e-10
+
+
+class kept_property:
+    """`functools.cached_property` without its lock, which Python 3.10 and
+    3.11 take class-wide on every first access (a dozen per Newton step):
+    the value is computed on first access and kept in the instance dict,
+    frozen dataclasses included.  Threads racing on a first access may
+    each compute it, all the same value, and one of them is kept."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 def _whole(value, name: str) -> int:
@@ -156,7 +186,12 @@ class PeriodicGrid:
         n = self.resolution[axis]
         return np.rint(np.fft.fftfreq(n) * n).astype(int)
 
-    @functools.cached_property
+    @kept_property
+    def spectrum_shape(self) -> tuple[int, ...]:
+        """Shape of a field's real-FFT spectrum."""
+        return self.resolution[:-1] + (self.resolution[-1] // 2 + 1,)
+
+    @kept_property
     def parseval_weights(self) -> np.ndarray:
         """Weights along the last real-FFT axis that make the half-spectrum
         sum the node mean: 1 on the modes 0 and N/2, 2 on the others (each
@@ -167,6 +202,12 @@ class PeriodicGrid:
         weights /= float(self.node_count) ** 2
         weights.setflags(write=False)
         return weights
+
+    @kept_property
+    def second_multipliers(self) -> np.ndarray:
+        """`fourier_multiplier` of the second partials, kept for the Krylov
+        apply."""
+        return fourier_multiplier(self, partial_orders(self.dim, 2))
 
     def wrap(self, point) -> np.ndarray:
         """Map arbitrary coordinates into the fundamental domain [0,1)^n."""
@@ -197,15 +238,32 @@ def make_grid(dim: int, resolution) -> PeriodicGrid:
     return PeriodicGrid(dim=dim, resolution=tuple(resolution))
 
 
+def _all_finite(values: np.ndarray) -> bool:
+    """np.isfinite(values).all(), by a count: numpy's boolean reduction
+    costs twice the test itself on a field."""
+    return np.count_nonzero(np.isfinite(values)) == values.size
+
+
 def _freeze(values: np.ndarray) -> np.ndarray:
-    out = np.array(values, dtype=float, copy=True, order="C")
-    out.setflags(write=False)
-    return out
+    """A float64 ndarray made read-only: frozen in place if fresh (see
+    `ScalarField`), else a frozen C-ordered copy."""
+    flags = values.flags
+    if not (flags.owndata and flags.writeable and flags.c_contiguous):
+        values = values.copy()
+    values.setflags(write=False)
+    return values
 
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
-    """One real value per grid node, row-major with the last axis fastest."""
+    """One real value per grid node, row-major with the last axis fastest.
+
+    The values are read-only.  A fresh array (a writable, C-contiguous
+    float64 ndarray that owns its memory) is adopted and frozen in place:
+    the caller gives it up, and a later write through it raises
+    ValueError.  Anything else (a view, a read-only array, buffer data, a
+    list, another dtype) is copied.
+    """
 
     grid: PeriodicGrid
     values: np.ndarray
@@ -219,26 +277,26 @@ class ScalarField:
                 f"value shape {vals.shape} does not match grid "
                 f"resolution {self.grid.shape}"
             )
-        if not np.isfinite(vals).all():
+        if not _all_finite(vals):
             raise ValueError("scalar field contains non-finite values")
         object.__setattr__(self, "values", _freeze(vals))
 
-    @functools.cached_property
+    @kept_property
     def sup(self) -> float:
         """sup|f| over the nodes, kept (the values are read-only)."""
         return float(np.maximum.reduce(np.abs(self.values), axis=None))
 
-    @functools.cached_property
+    @kept_property
     def mean_bound(self) -> float:
         """MEAN_TOLERANCE * (1 + sup|f|): the largest |mean| of a mean-zero field."""
         return MEAN_TOLERANCE * (1.0 + self.sup)
 
-    @functools.cached_property
+    @kept_property
     def mean_zero(self) -> bool:
         """The package's one zero-mean test, kept (the values are read-only)."""
         return abs(mean(self)) <= self.mean_bound
 
-    @functools.cached_property
+    @kept_property
     def spectrum(self) -> np.ndarray:
         """The field's one real-FFT spectrum (`to_spectrum`), built on first
         use and kept read-only: its only forward transform."""
@@ -246,7 +304,7 @@ class ScalarField:
         spectrum.setflags(write=False)
         return spectrum
 
-    @functools.cached_property
+    @kept_property
     def interpolant(self) -> "TrigInterpolant":
         """The field's one trigonometric interpolant, built on first use and
         kept with its coefficient stacks."""
@@ -335,13 +393,17 @@ def triangle_to_full(stack) -> np.ndarray:
 
 def full_to_triangle(full) -> np.ndarray:
     """Component-first triangle stack (m, ...) of (..., n, n) matrices,
-    symmetrized exactly: component (i, j) is (a_ij + a_ji) / 2, so a
-    symmetric matrix keeps its bits.  The inverse of `triangle_to_full`."""
+    symmetrized exactly: component (i, j) is a_ij / 2 + a_ji / 2 where the
+    two differ, so a symmetric matrix keeps its bits and nothing overflows.
+    The inverse of `triangle_to_full`."""
     full = np.asarray(full, dtype=float)
     if full.ndim < 2 or full.shape[-1] != full.shape[-2]:
         raise ValueError(f"shape {full.shape} is not a stack of square matrices")
     rows, cols = np.array(triangle_pairs(full.shape[-1])).T
-    return np.moveaxis(0.5 * (full[..., rows, cols] + full[..., cols, rows]), -1, 0)
+    upper, lower = full[..., rows, cols], full[..., cols, rows]  # fresh arrays
+    differ = upper != lower
+    upper[differ] = 0.5 * upper[differ] + 0.5 * lower[differ]
+    return np.moveaxis(upper, -1, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,7 +415,8 @@ class SymMatrixField:
     Symmetry is structural: only the triangle entries exist.  The stacks of
     `hessian_from_spectrum` and `second_divergence_spectrum` share this
     layout, and `triangle_to_full` and `full_to_triangle` convert it to and
-    from (*grid.shape, n, n) matrices as it is, with no transpose.
+    from (*grid.shape, n, n) matrices as it is, with no transpose.  The
+    entries are adopted or copied as `ScalarField`'s values are.
     """
 
     grid: PeriodicGrid
@@ -367,7 +430,7 @@ class SymMatrixField:
         vals = np.asarray(self.entries, dtype=float)
         if vals.shape != shape:
             raise ValueError(f"entry shape {vals.shape} is not {shape}")
-        if not np.isfinite(vals).all():
+        if not _all_finite(vals):
             raise ValueError("matrix field contains non-finite entries")
         object.__setattr__(self, "entries", _freeze(vals))
 
@@ -459,37 +522,53 @@ def fourier_multiplier(grid: PeriodicGrid, orders) -> np.ndarray:
     return stack
 
 
-def _grid_axes(a: np.ndarray, grid: PeriodicGrid) -> tuple[int, ...]:
-    """The trailing grid axes of a field or of a component-first stack."""
-    return tuple(range(a.ndim - grid.dim, a.ndim))
+def _first_grid_axis(a: np.ndarray, shape: tuple[int, ...], what: str) -> int:
+    """The first of the trailing axes of `a`, which must have `shape`."""
+    first = a.ndim - len(shape)
+    if first < 0 or a.shape[first:] != shape:
+        raise ValueError(f"{what} shape {a.shape} does not end in {shape}")
+    return first
 
 
 def to_spectrum(grid: PeriodicGrid, values: np.ndarray) -> np.ndarray:
     """Real-FFT spectrum over the trailing grid axes of a field or of a
     component-first stack: the last axis keeps its N/2 + 1 non-negative
-    modes, Nyquist last.
+    modes, Nyquist last.  ValueError unless the trailing axes have the
+    grid's shape, which the kernels would crop or pad to.
 
-    numpy's per-axis passes in the order `np.fft.rfftn` makes them (the
-    real transform of the last axis, then the complex ones in place from
-    the last axis but one down), so the spectrum is bitwise rfftn's
-    without the cost of its n-D wrapper.
+    `np.fft.rfftn`'s passes, bitwise, without numpy's wrappers: the real
+    transform of the last axis into a fresh array, then the complex ones
+    in place from the last axis but one down.
     """
-    axes = _grid_axes(values, grid)
-    spectrum = np.fft.rfft(values, axis=axes[-1])
-    for axis in reversed(axes[:-1]):
-        np.fft.fft(spectrum, axis=axis, out=spectrum)
+    kernels = np.fft._pocketfft_umath
+    first = _first_grid_axis(values, grid.shape, "values")
+    spectrum = np.empty(values.shape[:first] + grid.spectrum_shape, complex)
+    kernels.rfft_n_even(values, 1.0, out=spectrum)  # core axis: the last
+    for axis in range(values.ndim - 2, first - 1, -1):
+        kernels.fft(spectrum, 1.0, axes=[(axis,), (), (axis,)], out=spectrum)
     return spectrum
 
 
 def from_spectrum(grid: PeriodicGrid, spectrum: np.ndarray) -> np.ndarray:
     """Node values of a real-FFT spectrum, of a field or of a stack: the
-    inverse of `to_spectrum`, bitwise `np.fft.irfftn` (the complex passes
-    from the first axis on, the first into a new array and the rest in
-    place, then the real one of the last axis)."""
-    axes = _grid_axes(spectrum, grid)
-    for k, axis in enumerate(axes[:-1]):
-        spectrum = np.fft.ifft(spectrum, axis=axis, out=spectrum if k else None)
-    return np.fft.irfft(spectrum, n=grid.resolution[-1], axis=axes[-1])
+    inverse of `to_spectrum`.  ValueError unless the trailing axes have
+    the shape `PeriodicGrid.spectrum_shape`.
+
+    `np.fft.irfftn`'s passes, bitwise, without numpy's wrappers: the
+    complex inverses scaled by 1/N_a from the first axis on, the first
+    into a fresh array (the input is never overwritten), then the real
+    inverse of the last axis scaled by 1/N.
+    """
+    kernels = np.fft._pocketfft_umath
+    first = _first_grid_axis(spectrum, grid.spectrum_shape, "spectrum")
+    for axis in range(first, spectrum.ndim - 1):
+        out = np.empty(spectrum.shape, complex) if axis == first else spectrum
+        kernels.ifft(spectrum, 1.0 / grid.resolution[axis - first],
+                     axes=[(axis,), (), (axis,)], out=out)
+        spectrum = out
+    values = np.empty(spectrum.shape[:first] + grid.shape)
+    kernels.irfft(spectrum, 1.0 / grid.resolution[-1], out=values)  # the last axis
+    return values
 
 
 def spectral_inner(grid: PeriodicGrid, a: np.ndarray, b: np.ndarray) -> float:
@@ -539,8 +618,7 @@ def hessian_from_spectrum(grid: PeriodicGrid, spectrum: np.ndarray) -> np.ndarra
     """Second partials, component-first (m, *grid.shape), of the field with
     real-FFT spectrum `spectrum`: one batched inverse over all m multiplied
     spectra.  Components follow the triangle order of `SymMatrixField`."""
-    mults = fourier_multiplier(grid, partial_orders(grid.dim, 2))
-    return from_spectrum(grid, mults * spectrum)
+    return from_spectrum(grid, grid.second_multipliers * spectrum)
 
 
 def hessian(f: ScalarField) -> SymMatrixField:
@@ -585,9 +663,8 @@ def second_divergence_spectrum(grid: PeriodicGrid, stack: np.ndarray) -> np.ndar
     # which the fourth-order multipliers would amplify
     for comp in stack:
         comp -= node_mean(comp)
-    mults = fourier_multiplier(grid, partial_orders(grid.dim, 2))
     acc = 0.0
-    for mult, spectrum in zip(mults, to_spectrum(grid, stack)):
+    for mult, spectrum in zip(grid.second_multipliers, to_spectrum(grid, stack)):
         acc = acc + mult * spectrum
     return acc
 

@@ -86,7 +86,7 @@ def _check_dual_lattice(base: QuadraticBase) -> None:
 def _node_preimages(P: Potential) -> np.ndarray:
     """x with grad u(x) = y at every grid node y, row-major.
 
-    Kept read-only in P's instance dict (as `functools.cached_property`
+    Kept read-only in P's instance dict (as `grid.kept_property`
     keeps `Potential.hessian_state`), so the transform, pullbacks and
     checks of one potential share one inversion.  The dual of a potential
     (`legendre_transform`) starts from the duality (`_dual_start`), and

@@ -34,7 +34,6 @@ phi's one spectrum (`ScalarField.spectrum`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +46,7 @@ from .grid import (
     gradient,
     hessian,
     hessian_from_spectrum,
+    kept_property,
     mean,
     node_mean,
     partial_orders,
@@ -123,7 +123,7 @@ class QuadraticBase:
     def inverse(self) -> "QuadraticBase":
         return QuadraticBase(np.linalg.inv(self.matrix))
 
-    @cached_property
+    @kept_property
     def triangle(self) -> np.ndarray:
         """The matrix as a read-only (m,) triangle, kept for every Hessian."""
         triangle = full_to_triangle(self.matrix)
@@ -183,12 +183,12 @@ class Potential:
         vals = np.asarray(values, dtype=float)
         return Potential(self.base, ScalarField(self.grid, vals - node_mean(vals)))
 
-    @cached_property
+    @kept_property
     def hessian_state(self) -> "HessianState":
         """Hessian quantities of this potential, built on first use and kept."""
         return HessianState(hessian_u(self))
 
-    @cached_property
+    @kept_property
     def perturbation_gradient(self) -> tuple[ScalarField, ...]:
         """Spectral first partials of phi (read-only fields, one per axis),
         built on first use and kept."""
@@ -290,7 +290,8 @@ class HessianState:
         det.setflags(write=False)
         object.__setattr__(self, "det", det)
         object.__setattr__(self, "min_eigenvalue", float(lo.flat[k]))
-        object.__setattr__(self, "max_eigenvalue", float(hi.max()))
+        object.__setattr__(self, "max_eigenvalue",
+                           float(np.maximum.reduce(hi, axis=None)))
         object.__setattr__(self, "worst_node", tuple(int(i) for i in worst))
 
     @property
@@ -308,7 +309,7 @@ class HessianState:
         self.require_convex()
         return self._inverse
 
-    @cached_property
+    @kept_property
     def log_det(self) -> np.ndarray:
         """Nodewise log det H, guarded by the convexity floor."""
         self.require_convex()
@@ -316,13 +317,13 @@ class HessianState:
         log_det.setflags(write=False)
         return log_det
 
-    @cached_property
+    @kept_property
     def log_det_contraction(self) -> ScalarField:
         """sum_ij h^ij (log det H)_ij, guarded: the dual equation's left
         side and -4 times the scalar curvature."""
         return self.contract(self.log_det)
 
-    @cached_property
+    @kept_property
     def forward(self) -> ScalarField:
         """The fourth-order field sum_ij (h^ij)_ij, h = H^-1, guarded."""
         return second_divergence(self.inverse())
@@ -349,15 +350,15 @@ class HessianState:
         """
         self.require_convex()
         weights = self._weights
-        out = np.zeros_like(second)
-        term = np.empty_like(second[0])  # one buffer for every product
+        out = np.zeros(second.shape)
+        term = np.empty(second.shape[1:])  # one buffer for every product
         for k, l, s in weights:
             out[k] += np.multiply(s, second[l], out=term)
             if k != l:
                 out[l] += np.multiply(s, second[k], out=term)
         return out
 
-    @cached_property
+    @kept_property
     def _weights(self) -> tuple[tuple[int, int, np.ndarray], ...]:
         """(k, l, S_kl) for k <= l: m(m+1)/2 read-only fields, kept apart
         rather than stacked so that each allocation stays small."""
@@ -376,7 +377,7 @@ class HessianState:
                 weights.append((k, l, cross))
         return tuple(weights)
 
-    @cached_property
+    @kept_property
     def _inverse(self) -> SymMatrixField:
         H = self.hessian
         return SymMatrixField(H.grid, triangle_inverse(H.entries, self.det))

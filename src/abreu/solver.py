@@ -45,14 +45,15 @@ One Newton iteration computes each quantity once: a record per iterate
 and the Newton right-hand side, its sup (the residual) and F_A, which the
 line search that accepted the iterate evaluated.  So F_A is evaluated once
 per line-search trial and once per attempt's start, and the record of an
-attempt's last iterate is its result.  One `newton_step` takes a median
-264 us at 1D N = 512 and 1426 us at 2D 64^2 on the seed-1 benchmark inputs
-(2-vCPU VM, one thread).
+attempt's last iterate is its result.  A Newton iteration costs a median
+274 us of solve time at 1D N = 512 and 1732 us at 2D 64^2 on the seed-1
+benchmark inputs (`tools/step_cost.py`, 2-vCPU VM, one thread).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
 
@@ -63,11 +64,10 @@ from .grid import (
     MEAN_TOLERANCE,
     PeriodicGrid,
     ScalarField,
-    fourier_multiplier,
     from_spectrum,
     hessian_from_spectrum,
+    kept_property,
     node_mean,
-    partial_orders,
     project_mean_zero,
     second_divergence_spectrum,
     spectral_inner,
@@ -213,7 +213,7 @@ def _inverse_flat_symbol(grid: PeriodicGrid, base: QuadraticBase) -> np.ndarray:
     reciprocal is the exact discrete inverse on mean-zero fields.  The
     zero mode, the only one where the symbol vanishes, is annihilated.
     """
-    m = triangle_to_full(fourier_multiplier(grid, partial_orders(grid.dim, 2)))
+    m = triangle_to_full(grid.second_multipliers)
     h = np.linalg.inv(base.matrix)
     symbol = np.einsum("ia,jb,...ij,...ab->...", h, h, m, m)
     inv_symbol = np.divide(1.0, symbol, out=np.zeros_like(symbol), where=symbol > 0.0)
@@ -230,34 +230,40 @@ def _pcg(apply_op, grid: PeriodicGrid, inv_symbol: np.ndarray, rhs: np.ndarray,
     and neither `apply_op` nor the preconditioner (a multiply by
     `inv_symbol`) puts it back.  Inner products are node means
     (`spectral_inner`).  Returns the spectrum of the correction.
+
+    The preconditioned residual z and the direction p are updated in
+    place: p *= beta; p += z is bitwise the textbook z + beta * p, since
+    IEEE multiplication and addition commute.  So `apply_op` must return
+    a fresh array and keep no reference to its argument.
     """
     r = rhs.copy()
     r[(0,) * grid.dim] = 0.0
     inner = functools.partial(spectral_inner, grid)
-    rhs_norm = np.sqrt(inner(r, r))
+    rhs_norm = math.sqrt(inner(r, r))
     if rhs_norm == 0.0:
-        return np.zeros_like(r)
-    x = np.zeros_like(r)
+        return np.zeros(r.shape, r.dtype)
+    x = np.zeros(r.shape, r.dtype)
     z = inv_symbol * r
-    p = z
+    p = z.copy()
     rz = inner(r, z)
     for iteration in range(1, _MAX_KRYLOV_ITERS + 1):
         ap = apply_op(p)
         pap = inner(p, ap)
         if pap <= 0.0:
-            raise LinearSolveFailure(iteration, np.sqrt(inner(r, r)) / rhs_norm, rel_tol)
+            raise LinearSolveFailure(iteration, math.sqrt(inner(r, r)) / rhs_norm, rel_tol)
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        res = np.sqrt(inner(r, r))
+        res = math.sqrt(inner(r, r))
         if res <= rel_tol * rhs_norm:
             return x
-        z = inv_symbol * r
+        np.multiply(inv_symbol, r, out=z)
         rz_new = inner(r, z)
         beta = rz_new / rz
         rz = rz_new
-        p = z + beta * p
-    raise LinearSolveFailure(_MAX_KRYLOV_ITERS, np.sqrt(inner(r, r)) / rhs_norm, rel_tol)
+        p *= beta
+        p += z
+    raise LinearSolveFailure(_MAX_KRYLOV_ITERS, math.sqrt(inner(r, r)) / rhs_norm, rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +315,11 @@ class _NewtonRecord:
     functional: float | None = None
     accepted: _NewtonRecord | None = None
 
-    @functools.cached_property
+    @kept_property
     def defect(self) -> np.ndarray:
         return abreu_forward(self.potential).values - self.target.values
 
-    @functools.cached_property
+    @kept_property
     def residual(self) -> float:
         return float(np.maximum.reduce(np.abs(self.defect), axis=None))
 
@@ -443,9 +449,9 @@ def _newton_solve(P: Potential, target: ScalarField, cfg: SolverConfig):
             eta = _forcing_term(residual, residual_prev, eta, tolerance)
             residual_prev = residual
             updated = newton_step(P, target, eta)
-            last_step = float(
-                np.max(np.abs(updated.perturbation.values - P.perturbation.values))
-            )
+            last_step = float(np.maximum.reduce(
+                np.abs(updated.perturbation.values - P.perturbation.values), axis=None
+            ))
             P, record = updated, record.accepted
             if record is None or record.potential is not P:
                 record = _NewtonRecord(P, target)  # a replaced step's result

@@ -1,5 +1,6 @@
 """Grid construction and spectral calculus."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -30,6 +31,8 @@ from abreu.grid import (
     MEAN_TOLERANCE,
     from_spectrum,
     full_to_triangle,
+    hessian_from_spectrum,
+    kept_property,
     node_mean,
     partial_orders,
     second_divergence_spectrum,
@@ -114,6 +117,45 @@ class TestScalarField:
         f = ScalarField.zeros(g)
         with pytest.raises(ValueError):
             f.values[0] = 1.0
+
+    def test_adopts_a_fresh_array_and_freezes_it(self):
+        g = make_grid(2, [8, 12])
+        values = np.random.default_rng(0).standard_normal(g.shape)
+        f = ScalarField(g, values)
+        assert f.values is values and np.shares_memory(f.values, values)
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0, 0] = 1.0  # the caller gave it up
+
+    @pytest.mark.parametrize(
+        "kind", ["view", "read-only", "buffer", "list", "float32", "fortran"]
+    )
+    def test_copies_what_it_cannot_adopt(self, kind):
+        g = make_grid(2, [8, 12])
+        rng = np.random.default_rng(1)
+        original = rng.standard_normal(g.shape)
+        if kind == "view":
+            values = np.stack([rng.standard_normal(g.shape), original])[1]
+        elif kind == "read-only":
+            values = original.copy()
+            values.setflags(write=False)
+        elif kind == "buffer":
+            values = np.frombuffer(bytearray(original.tobytes()), float).reshape(g.shape)
+        elif kind == "list":
+            values = original.tolist()
+        elif kind == "float32":
+            values = original.astype(np.float32)
+            original = values.astype(float)
+        else:
+            values = np.asfortranarray(original)
+        f = ScalarField(g, values)
+        assert np.array_equal(f.values, original)
+        assert not f.values.flags.writeable and f.values.flags.c_contiguous
+        if isinstance(values, np.ndarray):
+            assert not np.shares_memory(f.values, values)
+            if values.flags.writeable:
+                values[0, 0] = 7.0  # still the caller's, and not the field's
+                assert f.values[0, 0] == original[0, 0]
 
     def test_arithmetic(self):
         g = make_grid(1, [16])
@@ -323,6 +365,27 @@ def _random_sym(shape, seed):
     return SymMatrixField(g, entries)
 
 
+class TestKeptProperty:
+    def test_computes_once_and_keeps_the_value_in_the_instance_dict(self):
+        calls = []
+
+        @dataclasses.dataclass(frozen=True)
+        class Box:
+            x: float
+
+            @kept_property
+            def double(self) -> float:
+                """Twice x."""
+                calls.append(self.x)
+                return 2.0 * self.x
+
+        box = Box(1.5)
+        assert box.double == 3.0 and box.double == 3.0 and calls == [1.5]
+        assert vars(box)["double"] == 3.0
+        assert isinstance(Box.double, kept_property) and Box.double.__doc__ == "Twice x."
+        assert Box(2.0).double == 4.0 and calls == [1.5, 2.0]  # one per instance
+
+
 class TestSymMatrixField:
     """The triangle stack (m, *grid.shape) against its full expansion."""
 
@@ -387,6 +450,27 @@ class TestSymMatrixField:
         assert back.shape == stack.shape
         assert back.tobytes() == stack.tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 4))
+    def test_full_to_triangle_does_not_overflow(self, data, n):
+        # equal mirrors keep their bits and unequal ones are averaged as
+        # a/2 + b/2, so no entry overflows up to the largest double
+        huge = st.floats(-1.7e308, 1.7e308, allow_nan=False, width=64)
+        full = data.draw(hnp.arrays(np.float64, (3, n, n), elements=huge))
+        mirror = np.swapaxes(full, -1, -2)
+        with np.errstate(over="raise", invalid="raise"):
+            back = full_to_triangle(full)
+            symmetric = full_to_triangle(np.where(np.tri(n, dtype=bool), full, mirror))
+        rows, cols = np.array(triangle_pairs(n)).T
+        a, b = full[:, rows, cols].T, mirror[:, rows, cols].T
+        assert np.array_equal(back, np.where(a == b, a, 0.5 * a + 0.5 * b))
+        assert symmetric.tobytes() == np.ascontiguousarray(full[:, cols, rows].T).tobytes()
+
+    def test_a_huge_base_has_a_triangle(self):
+        with np.errstate(over="raise", invalid="raise"):
+            base = QuadraticBase(np.array([[1e308, 0.0], [0.0, 1e308]]))
+            assert base.triangle.tolist() == [1e308, 0.0, 1e308]
+
     def test_full_to_triangle_symmetrizes_and_rejects_non_square(self):
         full = np.array([[1.0, 2.0], [4.0, 3.0]])
         assert full_to_triangle(full).tolist() == [1.0, 3.0, 3.0]
@@ -434,27 +518,86 @@ def _nyquist_mode(g):
     return functools.reduce(np.multiply.outer, signs)
 
 
+def _laid_out(a, layout):
+    """`a` as it is ("fresh"), read-only, or as a strided view of equal
+    values (every other entry of a last axis twice as long)."""
+    if layout == "read-only":
+        a = a.copy()
+        a.setflags(write=False)
+    elif layout == "strided":
+        wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],), a.dtype)
+        wide[..., ::2] = a
+        a = wide[..., ::2]
+        assert not a.flags.c_contiguous
+    return a
+
+
 class TestTransformPair:
     """`to_spectrum` / `from_spectrum` are numpy's n-D real transforms
     made pass by pass, and `spectral_inner` is the node mean."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         shape=st.sampled_from(TRANSFORM_SHAPES),
         stack=st.integers(0, 6),
         seed=st.integers(0, 2**32 - 1),
+        layout=st.sampled_from(["fresh", "read-only", "strided"]),
     )
-    def test_bitwise_numpy_nd_transforms(self, shape, stack, seed):
+    def test_bitwise_numpy_nd_transforms(self, shape, stack, seed, layout):
+        # the kernels read any float64 layout: a read-only input, and a
+        # strided view (every other entry of the last axis), both ways
         g = make_grid(len(shape), list(shape))
         lead = (stack,) if stack else ()
-        values = np.random.default_rng(seed).standard_normal(lead + g.shape)
+        rng = np.random.default_rng(seed)
+        values = _laid_out(rng.standard_normal(lead + g.shape), layout)
         axes = tuple(range(len(lead), values.ndim))
-        spectrum = to_spectrum(g, values)
+        spectrum = _laid_out(to_spectrum(g, values), layout)
         assert np.array_equal(spectrum, np.fft.rfftn(values, axes=axes))
         kept = spectrum.copy()
         back = from_spectrum(g, spectrum)
         assert np.array_equal(back, np.fft.irfftn(kept, s=g.shape, axes=axes))
         assert np.array_equal(spectrum, kept)  # the input is not overwritten
+
+    @pytest.mark.parametrize("shape, bad", [
+        ((16,), (12,)), ((16,), (3, 20)), ((16,), ()),
+        ((8, 8), (8, 12)), ((8, 8), (12, 8)), ((8, 8), (8,)), ((8, 8), (3, 8, 6)),
+    ])
+    def test_to_spectrum_rejects_other_shapes(self, shape, bad):
+        # the real kernel takes its length from the output, so these were
+        # cropped or zero-padded into a spectrum of the grid's size
+        g = make_grid(len(shape), list(shape))
+        with pytest.raises(ValueError, match="does not end in"):
+            to_spectrum(g, np.zeros(bad))
+
+    @pytest.mark.parametrize("shape, bad", [
+        ((16,), (5,)), ((16,), (16,)), ((16,), (3, 10)), ((16,), ()),
+        ((8, 8), (8, 8)), ((8, 8), (6, 5)), ((8, 8), (5,)), ((8, 8), (3, 5, 8)),
+    ])
+    def test_from_spectrum_rejects_other_shapes(self, shape, bad):
+        g = make_grid(len(shape), list(shape))
+        with pytest.raises(ValueError, match="does not end in"):
+            from_spectrum(g, np.zeros(bad, complex))
+
+    @pytest.mark.parametrize("shape", [(16,), (8, 12)])
+    def test_the_grid_and_spectrum_shapes_pass_with_any_lead(self, shape):
+        g = make_grid(len(shape), list(shape))
+        assert g.spectrum_shape == shape[:-1] + (shape[-1] // 2 + 1,)
+        for lead in [(), (1,), (3,), (2, 3)]:
+            assert to_spectrum(g, np.zeros(lead + g.shape)).shape == lead + g.spectrum_shape
+            assert from_spectrum(g, np.zeros(lead + g.spectrum_shape, complex)).shape == (
+                lead + g.shape
+            )
+
+    def test_second_multipliers_are_kept_on_the_grid(self):
+        g = make_grid(2, [8, 12])
+        mults = g.second_multipliers
+        assert mults is g.second_multipliers and not mults.flags.writeable
+        assert mults is grid.fourier_multiplier(g, partial_orders(2, 2))
+        spectrum = to_spectrum(g, np.random.default_rng(0).standard_normal(g.shape))
+        info = grid.fourier_multiplier.cache_info()
+        hessian_from_spectrum(g, spectrum)
+        second_divergence_spectrum(g, np.ones((3,) + g.shape))
+        assert grid.fourier_multiplier.cache_info() == info  # no lookup per apply
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -31,6 +31,10 @@ legendre.py neither imports numpy.linalg nor names it.  So do the
 derivatives of a potential off the grid: legendre.py names neither
 `TrigInterpolant` nor `partials`.
 
+A kept per-instance value is a `grid.kept_property`: no module names
+`functools.cached_property`, which takes a class-wide lock on every first
+access on Python 3.10 and 3.11.
+
 Every function that the benchmark's tracer wraps (`FUNCTIONS` in
 perfbench/tracing.py), and at least one of its Krylov hooks, resolves in
 the package, so a refactor cannot null a per-layer metric by renaming it.
@@ -324,6 +328,25 @@ def test_detects_isqrt(tmp_path):
         encoding="utf-8",
     )
     assert _names_used(probe, {"isqrt"}) == [2, 4, 5]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_kept_values_take_no_lock(path):
+    assert _names_used(path, {"cached_property"}) == []
+
+
+def test_detects_cached_property(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import functools\n"
+        "from functools import cached_property\n"
+        "class A:\n"
+        "    @functools.cached_property\n"
+        "    def x(self):\n"
+        "        return 1  # not a cached_property in a comment\n",
+        encoding="utf-8",
+    )
+    assert _names_used(probe, {"cached_property"}) == [2, 4]
 
 
 def test_legendre_builds_no_interpolant():

@@ -1,0 +1,40 @@
+"""The step-cost tool loads each source tree as its own package and
+reports the solve time per Newton step of each."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "step_cost.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("step_cost", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_times_two_trees_on_a_tiny_pool(monkeypatch, capsys):
+    # the same source twice, as two packages: same steps, a time for each
+    tool = _tool()
+    spec = {"command": "solve", "dim": 1, "resolutions": [16], "pool": 2, "modes": [1],
+            "kmax": 1, "sup": [0.1, 0.2], "report": False, "op_s": 0.01}
+    monkeypatch.setitem(sys.modules["workloads"].WORKLOADS, "tiny-1d", spec)
+    monkeypatch.setattr(tool, "CASES", [("1D N=16", "tiny-1d", 16)])
+    monkeypatch.setattr(tool, "THREAD_ENV", {})  # numpy is loaded already
+    src = tool.ROOT / "src"
+    try:
+        assert tool.main(["--src", str(src), "--src", str(src), "--rounds", "2"]) == 0
+        first, second = sys.modules["abreu_src0"], sys.modules["abreu_src1"]
+        assert first is not second and first.solver is not second.solver
+    finally:
+        for name in [n for n in sys.modules if n.split(".")[0] in ("abreu_src0", "abreu_src1")]:
+            del sys.modules[name]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["size", "steps", "us/step", "ratio", "src"]
+    rows = [line.rsplit(None, 4) for line in lines[1:]]
+    assert [row[0] for row in rows] == ["1D N=16", "1D N=16"]
+    assert rows[0][1] == rows[1][1] and int(rows[0][1]) > 0
+    assert float(rows[0][2]) > 0.0 and float(rows[0][3]) == 1.0
+    assert float(rows[1][2]) > 0.0 and [row[4] for row in rows] == [str(src)] * 2
