@@ -22,7 +22,10 @@ convexity-margin check of `verify_solution` and
 `ScalarField.mean_zero`, the grid module's one zero-mean test; the
 divergence-form residual is computed for any right-hand side.  For n = 3 a
 closed-form screen sends only the nodes near an extreme eigenvalue to
-LAPACK, with results bitwise those of LAPACK on every node.  The inverse
+LAPACK, with results bitwise those of LAPACK on every node.  A constant
+Hessian is decided on one matrix, and its forward field is zero: so the
+flat start phi = 0, whose Hessian is the base with no transform, makes
+none at all.  Each base keeps its inverse.  The inverse
 is `triangle_inverse`, whose closed forms the gradient-map inversion
 shares.  Every derivative of u lives here: on the grid the Hessian state
 and the spectral gradient of phi kept beside it (`node_gradient`), off it
@@ -79,6 +82,15 @@ CONVEXITY_FLOOR = 1e-8
 _IDENTITY_TOLERANCE = 1e-10
 
 
+def _symmetrize(mat: np.ndarray) -> np.ndarray:
+    """Average, in place, the entries of a square matrix that are unequal to
+    their mirror: the others keep their bits, and no two large entries are
+    summed into an overflow.  Returns the matrix."""
+    differ = mat != mat.T
+    mat[differ] = 0.5 * (mat[differ] + mat.T[differ])
+    return mat
+
+
 @dataclass(frozen=True, eq=False)
 class QuadraticBase:
     """Strictly convex quadratic form Q(x) = x^T matrix x / 2; bases compare
@@ -96,10 +108,7 @@ class QuadraticBase:
             raise ValueError("base matrix contains non-finite entries")
         if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-13):
             raise ValueError("base matrix must be symmetric")
-        # only entries unequal to their mirror are averaged: the others keep
-        # their bits, and no two large entries are summed into an overflow
-        differ = mat != mat.T
-        mat[differ] = 0.5 * (mat[differ] + mat.T[differ])
+        _symmetrize(mat)
         if np.linalg.eigvalsh(mat)[0] <= 0.0:
             raise ValueError("base matrix must be positive definite")
         mat.setflags(write=False)
@@ -121,7 +130,15 @@ class QuadraticBase:
         return self.matrix.shape[0]
 
     def inverse(self) -> "QuadraticBase":
-        return QuadraticBase(np.linalg.inv(self.matrix))
+        """The base of the inverse matrix, kept: LAPACK's inverse,
+        symmetrized as the constructor symmetrizes, since its rounding
+        leaves mirror entries apart by more than the constructor's absolute
+        tolerance once the inverse's entries are large."""
+        return self._inverse
+
+    @kept_property
+    def _inverse(self) -> "QuadraticBase":
+        return QuadraticBase(_symmetrize(np.linalg.inv(self.matrix)))
 
     @kept_property
     def triangle(self) -> np.ndarray:
@@ -224,9 +241,14 @@ class Potential:
 
 
 def hessian_u(P: Potential) -> SymMatrixField:
-    """Nodewise Hessian M + D^2 phi, from phi's one spectrum."""
-    stack = hessian_from_spectrum(P.grid, P.perturbation.spectrum)
+    """Nodewise Hessian M + D^2 phi, from phi's one spectrum; M at every
+    node, with no transform, when phi is identically zero (its kept sup is
+    0), as at the flat start."""
     base = P.base.triangle
+    if P.perturbation.sup == 0.0:
+        stack = np.zeros(base.shape + P.grid.shape)
+    else:
+        stack = hessian_from_spectrum(P.grid, P.perturbation.spectrum)
     stack += base.reshape(base.shape + (1,) * P.grid.dim)
     return SymMatrixField(P.grid, stack)
 
@@ -255,6 +277,12 @@ class HessianState:
     first in row-major order) are bitwise those of eigvalsh on every node.
     From n = 4 on det, inv and the eigenvalues are LAPACK's.  The closed
     forms unpack the components of the triangle stacks (m, *shape).
+
+    A constant field, such as the flat start's, is recognized first (its
+    first two nodes rule out almost any other field with one comparison)
+    and decided on its one matrix in every dimension, before any screen:
+    the same bits, with node 0 as the worst node.  Its forward field is
+    zero with no transform.
     """
 
     hessian: SymMatrixField
@@ -262,12 +290,16 @@ class HessianState:
     min_eigenvalue: float = field(init=False)
     max_eigenvalue: float = field(init=False)
     worst_node: tuple[int, ...] = field(init=False)
+    _constant: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         H = self.hessian
-        e = H.entries
-        det = _triangle_det(e)
+        e = H.entries.reshape(len(H.entries), -1)  # (m, nodes), row-major
+        det = _triangle_det(H.entries)
+        constant = bool(e[0, 0] == e[0, 1] and (e == e[:, :1]).all())
         nodes = None  # flat indices of the nodes in lo and hi when not all
+        if constant:
+            e, nodes = e[:, :1], np.zeros(1, dtype=int)
         if H.grid.dim == 1:
             lo = hi = e[0]
         elif H.grid.dim == 2:
@@ -275,12 +307,11 @@ class HessianState:
             m = 0.5 * (a + c)
             r = np.hypot(0.5 * (a - c), b)
             lo, hi = m - r, m + r
-        elif H.grid.dim == 3:
-            nodes = _extreme_candidates_3x3(H)
-            stack = e.reshape(6, -1)[:, nodes]
-            if (stack == stack[:, :1]).all():
-                stack = stack[:, :1]  # e.g. the flat start: one matrix decides
-            eigs = np.linalg.eigvalsh(triangle_to_full(stack))
+        elif H.grid.dim == 3 or constant:
+            if nodes is None:
+                nodes = _extreme_candidates_3x3(H)
+                e = e[:, nodes]
+            eigs = np.linalg.eigvalsh(triangle_to_full(e))
             lo, hi = eigs[:, 0], eigs[:, -1]
         else:
             eigs = np.linalg.eigvalsh(H.to_full())
@@ -293,6 +324,7 @@ class HessianState:
         object.__setattr__(self, "max_eigenvalue",
                            float(np.maximum.reduce(hi, axis=None)))
         object.__setattr__(self, "worst_node", tuple(int(i) for i in worst))
+        object.__setattr__(self, "_constant", constant)
 
     @property
     def convex(self) -> bool:
@@ -325,8 +357,14 @@ class HessianState:
 
     @kept_property
     def forward(self) -> ScalarField:
-        """The fourth-order field sum_ij (h^ij)_ij, h = H^-1, guarded."""
-        return second_divergence(self.inverse())
+        """The fourth-order field sum_ij (h^ij)_ij, h = H^-1, guarded; zero
+        with no transform when H is constant, as at the flat start (for the
+        identity base bitwise the transforms' zero, where other constant
+        fields may leave rounding of order eps^2)."""
+        hinv = self.inverse()
+        if self._constant:
+            return ScalarField.zeros(hinv.grid)
+        return second_divergence(hinv)
 
     def contract(self, values: np.ndarray) -> ScalarField:
         """sum_ij h^ij f_ij, h = H^-1, for node values f, guarded."""

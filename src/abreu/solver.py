@@ -45,7 +45,10 @@ One Newton iteration computes each quantity once: a record per iterate
 and the Newton right-hand side, its sup (the residual) and F_A, which the
 line search that accepted the iterate evaluated.  So F_A is evaluated once
 per line-search trial and once per attempt's start, and the record of an
-attempt's last iterate is its result.  A Newton iteration costs a median
+attempt's last iterate is its result.  The flat start's Hessian state and
+forward field take no transform (`potential.HessianState`), so its first
+step transforms only its right-hand side, the Krylov applies and its
+correction.  A Newton iteration costs a median
 274 us of solve time at 1D N = 512 and 1732 us at 2D 64^2 on the seed-1
 benchmark inputs (`tools/step_cost.py`, 2-vCPU VM, one thread).
 """

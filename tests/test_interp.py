@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abreu import ScalarField, TrigInterpolant, interpolate, make_grid, partial
-from abreu.grid import _BLOCK_BYTES, _BLOCK_MIN_POINTS
+from abreu.grid import _BLOCK_BYTES, _BLOCK_MIN_POINTS, partial_orders
 from tests.support import random_convex_potential
 
 TWO_PI = 2.0 * np.pi
@@ -65,6 +65,12 @@ def _stack_columns(grid, nfields):
 
 def _block_points(grid, nfields):
     return max(_BLOCK_MIN_POINTS, _BLOCK_BYTES // (8 * _stack_columns(grid, nfields)))
+
+
+def _span_points(grid, block):
+    """Points per span of whole blocks whose tables, one per axis over the
+    full band, stay within `_BLOCK_BYTES` together."""
+    return block * max(1, _BLOCK_BYTES // (8 * block * sum(grid.resolution)))
 
 
 def _full_band(interp):
@@ -129,24 +135,32 @@ class TestBlockedEvaluation:
     @pytest.mark.parametrize(
         "shape, orders",
         [((16, 16), [(0, 0), (1, 0), (0, 2)]),
-         ((16, 16, 16), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])],
-        ids=["2d-full-band", "3d-gradient"],
+         ((16, 16, 16), [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+         ((16, 16, 16), [(0, 0, 0)]),
+         ((16, 16, 16), list(partial_orders(3, 2)))],
+        ids=["2d-full-band", "3d-gradient", "3d-value", "3d-hessian"],
     )
     def test_blocking_changes_no_bit(self, shape, orders):
-        # a point's partials do not depend on the block it falls in: one call
-        # equals two calls split at the block edge or one point either side
+        # a point's partials do not depend on the block or span it falls in:
+        # one call equals two calls split at a block or span edge or one
+        # point either side, one-point tails included, and one call per point
         g = make_grid(len(shape), list(shape))
         rng = np.random.default_rng(11)
         interp = TrigInterpolant(ScalarField(g, rng.standard_normal(g.shape)))
         assert _full_band(interp)
         block = _block_points(g, len(orders))
-        assert g.dim < 3 or block == _BLOCK_MIN_POINTS
-        pts = rng.uniform(-1.0, 2.0, (2 * block + 3, g.dim))
+        span = _span_points(g, block)
+        # 3D stacks share each span's tables among blocks, 2D spans are one block
+        assert span > block if g.dim == 3 else span == block
+        pts = rng.uniform(-1.0, 2.0, (2 * span + 1, g.dim))  # a one-point tail
         whole = interp.partials(pts, orders)
-        for split in (block - 1, block, block + 1):
+        for split in sorted({block - 1, block, block + 1, span - 1, span, span + 1,
+                             2 * span}):
             halves = [interp.partials(pts[:split], orders),
                       interp.partials(pts[split:], orders)]
             assert np.array_equal(whole, np.concatenate(halves))
+        for i in (0, block, span - 1, 2 * span):
+            assert np.array_equal(whole[i : i + 1], interp.partials(pts[i : i + 1], orders))
 
     def test_no_points(self):
         g = make_grid(3, [8, 8, 8])
@@ -361,3 +375,16 @@ class TestEvaluationMemory:
             tracemalloc.stop()
         assert grad.shape == (4096, 3) and hess.shape == (6, 4096)
         assert peak < 3 * 2**20
+
+
+class TestFractionalPart:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(-2.0, 2.0),
+                              st.sampled_from([0.0, -0.0, 1.0, -1.0, -5e-324, 1e300,
+                                               -1e300, -2.0**-60])),
+                    min_size=1, max_size=64))
+    def test_floor_difference_is_mod_bit_for_bit(self, values):
+        # the interpolant's tables wrap the points by x - floor(x)
+        x = np.array(values)
+        assert (x - np.floor(x)).tobytes() == np.mod(x, 1.0).tobytes()

@@ -274,6 +274,67 @@ class TestTransformBudget:
         assert calls == Counter({k: len(applies) * v for k, v in per_apply.items()})
 
 
+def _extremes_on_every_node(H):
+    """(min, max, row-major node of the first min) of the eigenvalues on
+    every node: the 2x2 closed form in 2D, eigvalsh otherwise."""
+    if H.grid.dim == 2:
+        a, b, c = H.entries
+        r = np.hypot(0.5 * (a - c), b)
+        lo, hi = 0.5 * (a + c) - r, 0.5 * (a + c) + r
+    else:
+        eigs = np.linalg.eigvalsh(H.to_full())
+        lo, hi = eigs[..., 0], eigs[..., -1]
+    return lo.min(), hi.max(), np.unravel_index(lo.argmin(), lo.shape)
+
+
+class TestFlatStart:
+    @pytest.mark.parametrize("shape", [(16,), (8, 12), (8, 10, 8)])
+    def test_makes_no_transform(self, shape, monkeypatch):
+        # the Hessian state of phi = 0, its forward field and log det
+        P = Potential.flat(make_grid(len(shape), list(shape)))
+        calls = _count_transforms(monkeypatch)
+        state = P.hessian_state
+        state.forward, state.log_det
+        assert calls == Counter()
+
+    @pytest.mark.parametrize("shape", [(16,), (8, 12), (20, 20), (8, 10, 8), (16, 16, 16),
+                                       (10, 10, 10)])
+    @pytest.mark.parametrize("identity", [True, False])
+    def test_state_is_the_transforms_bit_for_bit(self, shape, identity):
+        # the Hessian, its extremes and worst node as the spectral Hessian of
+        # phi = 0 and eigvalsh on every node give them, signed zeros included;
+        # the forward field is the transforms' zero for the identity base and
+        # exact where theirs keeps rounding of order eps^2
+        g = make_grid(len(shape), list(shape))
+        base = QuadraticBase(np.eye(g.dim) if identity else np.diag(0.3 * np.arange(1, g.dim + 1)))
+        P = Potential.flat(g, base)
+        state = P.hessian_state
+        stack = hessian_from_spectrum(g, P.perturbation.spectrum)
+        stack += base.triangle.reshape((-1,) + (1,) * g.dim)
+        assert state.hessian.entries.tobytes() == stack.tobytes()
+        extremes = (state.min_eigenvalue, state.max_eigenvalue, state.worst_node)
+        assert extremes == _extremes_on_every_node(state.hessian)
+        transformed = second_divergence(state.inverse()).values
+        assert not state.forward.values.any() and not np.signbit(state.forward.values).any()
+        if identity:
+            assert state.forward.values.tobytes() == transformed.tobytes()
+        else:
+            assert np.max(np.abs(transformed)) < 1e-20
+
+    def test_a_field_constant_along_the_last_axis_is_not_constant(self):
+        # its first two nodes agree, so only the full comparison tells
+        g = make_grid(2, [16, 8])
+        x, _ = g.coordinate_arrays()
+        P = Potential.flat(g).with_perturbation(0.01 * np.cos(2.0 * np.pi * x))
+        state = P.hessian_state
+        assert state.hessian.entries[0, 0, 0] == state.hessian.entries[0, 0, 1]
+        extremes = (state.min_eigenvalue, state.max_eigenvalue, state.worst_node)
+        assert extremes == _extremes_on_every_node(state.hessian)
+        expected = second_divergence(state.inverse()).values
+        assert state.forward.values.tobytes() == expected.tobytes()
+        assert state.forward.values.any()
+
+
 class TestFlatPreconditioner:
     def test_symbol_built_once_per_grid_and_base(self):
         g = make_grid(2, [8, 12])

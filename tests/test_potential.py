@@ -18,6 +18,7 @@ from abreu import (
     convexity_margin,
     det_hessian,
     divergence_form_residual,
+    gradient_map_inverse,
     hessian_u,
     inverse_hessian,
     make_grid,
@@ -92,6 +93,29 @@ class TestQuadraticBase:
             mat[i, i] = data.draw(st.floats(least, 1.7e308))
         assume(np.linalg.eigvalsh(mat)[0] > 0.0)  # rounding aside
         assert QuadraticBase(mat).matrix.tobytes() == mat.tobytes()
+
+    @given(n=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
+           log_scale=st.floats(-8.0, 8.0))
+    def test_inverse_of_a_base_at_any_scale(self, n, seed, log_scale):
+        # LAPACK's inverse is symmetric only to rounding relative to its
+        # entries, above the constructor's absolute tolerance once they are
+        # large; the inverse is symmetrized as the constructor does, and kept
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        mat = 10.0**log_scale * (q * rng.uniform(0.5, 2.0, n)) @ q.T
+        base = QuadraticBase(0.5 * (mat + mat.T))
+        inverse = base.inverse()
+        assert inverse is base.inverse()
+        assert np.array_equal(inverse.matrix, inverse.matrix.T)
+        np.testing.assert_allclose(inverse.matrix @ base.matrix, np.eye(n), atol=1e-12)
+
+    def test_small_base_inverts_its_gradient_map(self):
+        base = QuadraticBase(np.array([[2e-5, 1e-5], [1e-5, 3e-5]]))
+        assert not np.allclose(np.linalg.inv(base.matrix), np.linalg.inv(base.matrix).T,
+                               rtol=0.0, atol=1e-13)
+        x = np.random.default_rng(2).uniform(0.0, 1.0, (5, 2))
+        got = gradient_map_inverse(Potential.flat(make_grid(2, 8), base), x @ base.matrix)
+        np.testing.assert_allclose(got, x, rtol=0.0, atol=1e-6)
 
 
 class TestPotential:

@@ -38,3 +38,26 @@ def test_times_two_trees_on_a_tiny_pool(monkeypatch, capsys):
     assert rows[0][1] == rows[1][1] and int(rows[0][1]) > 0
     assert float(rows[0][2]) > 0.0 and float(rows[0][3]) == 1.0
     assert float(rows[1][2]) > 0.0 and [row[4] for row in rows] == [str(src)] * 2
+
+
+def test_times_the_cli_ops_of_a_workload(monkeypatch, capsys):
+    # --ops: each tree's CLI on the pool's arguments, one line per tree
+    tool = _tool()
+    spec = {"command": "solve", "dim": 1, "resolutions": [16], "pool": 2, "modes": [1],
+            "kmax": 1, "sup": [0.1, 0.2], "report": True, "op_s": 0.01}
+    monkeypatch.setitem(sys.modules["workloads"].WORKLOADS, "tiny-1d", spec)
+    monkeypatch.setattr(tool, "THREAD_ENV", {})  # numpy is loaded already
+    src = tool.ROOT / "src"
+    try:
+        argv = ["--src", str(src), "--src", str(src), "--rounds", "2", "--ops", "tiny-1d"]
+        assert tool.main(argv) == 0
+    finally:
+        for name in [n for n in sys.modules if n.split(".")[0] in ("abreu_src0", "abreu_src1")]:
+            del sys.modules[name]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["workload", "ops", "ms/op", "ratio", "src"]
+    rows = [line.rsplit(None, 4) for line in lines[1:]]
+    assert [row[0] for row in rows] == ["tiny-1d", "tiny-1d"]
+    assert [row[1] for row in rows] == ["2", "2"]
+    assert float(rows[0][2]) > 0.0 and float(rows[0][3]) == 1.0
+    assert float(rows[1][2]) > 0.0 and [row[4] for row in rows] == [str(src)] * 2

@@ -1,7 +1,9 @@
-"""Median microseconds per Newton step of package sources, side by side.
+"""Median microseconds per Newton step, or milliseconds per CLI op, of
+package sources, side by side.
 
     python3 tools/step_cost.py --src src --src ../parent/src
     python3 tools/step_cost.py --src src --rounds 15
+    python3 tools/step_cost.py --src src --src ../parent/src --ops prescribe-3d
 
 Each `--src DIR` names a source tree holding `abreu/`.  Each tree is loaded
 as a package of its own (`abreu_src0`, `abreu_src1`, ...) in this one
@@ -10,19 +12,23 @@ only relatively; so the trees share the interpreter, the BLAS (one thread,
 set before numpy is imported) and the machine's state while they run.
 
 The inputs are the seed-1 pools of the benchmark's workloads
-(`perfbench/workloads.py`) at the sizes in `CASES`: 1D N = 256, 512 and
-1024 of `solve-1d-ladder`, whose solves end at the step floor, and 2D 64^2
-of `solve-2d`.  Each tree builds the fields with its own `fieldlang` and
-solves them with its own `continuity_solve`, failures included.  A first,
-untimed pass counts each size's Newton steps, the calls of the tree's
-`solver.newton_step`, with `tools/output_digest.py`'s wrapper of the
-module binding the package calls through.  Then every round solves
-each input once per tree, the trees in turn (in reverse order every
-other round), so that a slow spell of the host falls on all trees alike;
-a tree's cost in a round is its solve time over its step count.  The tool
-prints one line per size and tree: the steps, the median microseconds
-per step over the rounds, and the median over the rounds of its cost
-over the first tree's.
+(`perfbench/workloads.py`).  By default the tool times Newton steps at the
+sizes in `CASES`: 1D N = 256, 512 and 1024 of `solve-1d-ladder`, whose
+solves end at the step floor, and 2D 64^2 of `solve-2d`.  Each tree builds
+the fields with its own `fieldlang` and solves them with its own
+`continuity_solve`, failures included.  A first, untimed pass counts each
+size's Newton steps, the calls of the tree's `solver.newton_step`, with
+`tools/output_digest.py`'s wrapper of the module binding the package calls
+through.  With `--ops WORKLOAD` it times that workload's CLI ops instead,
+each tree's `cli.main` on the op's arguments as the benchmark makes them
+(`perfbench/child.py`), set-up files in a temporary directory per tree.
+
+Every round runs each input once per tree, the trees in turn (in reverse
+order every other round), so that a slow spell of the host falls on all
+trees alike; a tree's cost in a round is its time over its step count, or
+over the pool's op count.  The tool prints one line per size (or the
+workload) and tree: the steps (or ops) per round, the median cost over the
+rounds, and the median over the rounds of its cost over the first tree's.
 """
 
 from __future__ import annotations
@@ -33,14 +39,17 @@ import importlib.util
 import os
 import statistics
 import sys
+import tempfile
 import time
+from contextlib import ExitStack
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from output_digest import ROOT, counting  # noqa: E402  (puts perfbench/ on the path)
+from child import Workload, call  # noqa: E402
 from run import THREAD_ENV  # noqa: E402
-from workloads import make_inputs  # noqa: E402
+from workloads import WORKLOADS, make_inputs  # noqa: E402
 
 #: (label, workload, resolution): each size times the seed-1 inputs of the
 #: workload's pool on that resolution.
@@ -82,20 +91,60 @@ class Case:
             grid = package.make_grid(item["dim"], item["resolution"])
             self.fields.append(package.eval_field(package.parse(item["expr"]), grid))
 
-    def solve(self, field) -> float:
-        """Seconds to solve one field, a failed solve included."""
+    def run(self, i: int) -> float:
+        """Seconds to solve field i, a failed solve included."""
         start = time.perf_counter()
         try:
-            self.solver.continuity_solve(field)
+            self.solver.continuity_solve(self.fields[i])
         except self.error:
             pass
         return time.perf_counter() - start
 
     def count_steps(self) -> int:
         with counting(self.solver, "newton_step") as calls:
-            for field in self.fields:
-                self.solve(field)
+            for i in range(len(self.fields)):
+                self.run(i)
         return calls[0]
+
+
+class Ops:
+    """One workload's CLI ops on one tree, its files in `workdir`."""
+
+    def __init__(self, package, workload: str, workdir: str):
+        self.cli = importlib.import_module(package.__name__ + ".cli")
+        ops = Workload(workload, SEED, workdir)
+        ops.prepare(self.cli)
+        self.argvs = [ops.op(item)[0] for item in ops.pool]
+
+    def run(self, i: int) -> float:
+        """Seconds of op i, a failed op included."""
+        return call(self.cli, self.argvs[i])[1]
+
+
+def interleaved(cases: list, count: int, rounds: int) -> list[list[float]]:
+    """Per case, its seconds in each round: every round runs inputs
+    0..count-1 once per case, the cases in turn, in reverse order every
+    other round."""
+    seconds = [[] for _ in cases]
+    for r in range(rounds):
+        order = list(range(len(cases)))[:: 1 if r % 2 == 0 else -1]
+        total = [0.0] * len(cases)
+        for i in range(count):
+            for k in order:
+                total[k] += cases[k].run(i)
+        for per_round, t in zip(seconds, total):
+            per_round.append(t)
+    return seconds
+
+
+def _rows(label: str, srcs: list[Path], counts: list[int], seconds: list[list[float]],
+          scale: float) -> list[tuple[str, Path, int, float, float]]:
+    """(label, tree, count, median cost, median ratio to the first tree) per
+    tree, the cost of a round being its seconds times `scale` over count."""
+    costs = [[t * scale / n for t in per_round] for per_round, n in zip(seconds, counts)]
+    return [(label, src, n, statistics.median(cost),
+             statistics.median(c / c0 for c, c0 in zip(cost, costs[0])))
+            for src, n, cost in zip(srcs, counts, costs)]
 
 
 def step_costs(srcs: list[Path], rounds: int) -> list[tuple[str, Path, int, float, float]]:
@@ -108,19 +157,22 @@ def step_costs(srcs: list[Path], rounds: int) -> list[tuple[str, Path, int, floa
         steps = [case.count_steps() for case in cases]
         if 0 in steps:
             raise SystemExit(f"error: {label} made no Newton step")
-        costs = [[] for _ in cases]
-        for r in range(rounds):
-            seconds = [0.0] * len(cases)
-            order = list(range(len(cases)))[:: 1 if r % 2 == 0 else -1]
-            for i in range(len(cases[0].fields)):
-                for k in order:
-                    seconds[k] += cases[k].solve(cases[k].fields[i])
-            for cost, t, n in zip(costs, seconds, steps):
-                cost.append(t / n * 1e6)
-        for src, n, cost in zip(srcs, steps, costs):
-            ratio = statistics.median(c / c0 for c, c0 in zip(cost, costs[0]))
-            table.append((label, src, n, statistics.median(cost), ratio))
+        seconds = interleaved(cases, len(cases[0].fields), rounds)
+        table += _rows(label, srcs, steps, seconds, 1e6)
     return table
+
+
+def op_costs(srcs: list[Path], workload: str,
+             rounds: int) -> list[tuple[str, Path, int, float, float]]:
+    """(workload, tree, ops per round, median milliseconds per op, median
+    ratio to the first tree) per tree."""
+    packages = [load_tree(src, index) for index, src in enumerate(srcs)]
+    with ExitStack() as stack:
+        cases = [Ops(package, workload, stack.enter_context(tempfile.TemporaryDirectory()))
+                 for package in packages]
+        count = len(cases[0].argvs)
+        seconds = interleaved(cases, count, rounds)
+    return _rows(workload, srcs, [count] * len(cases), seconds, 1e3)
 
 
 def main(argv=None) -> int:
@@ -129,14 +181,21 @@ def main(argv=None) -> int:
                         help="a package source holding abreu/ (repeat to compare)")
     parser.add_argument("--rounds", type=int, default=7,
                         help="timed rounds per size and tree (default 7)")
+    parser.add_argument("--ops", choices=sorted(WORKLOADS),
+                        help="time this workload's CLI ops instead of Newton steps")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     os.environ.update(THREAD_ENV)  # before numpy is first imported
-    table = step_costs(args.src, args.rounds)
-    print(f"{'size':<10} {'steps':>6} {'us/step':>9} {'ratio':>6}  src")
-    for label, src, steps, cost, ratio in table:
-        print(f"{label:<10} {steps:>6} {cost:>9.1f} {ratio:>6.3f}  {src}")
+    if args.ops is None:
+        table = step_costs(args.src, args.rounds)
+        header = ("size", "steps", "us/step")
+    else:
+        table = op_costs(args.src, args.ops, args.rounds)
+        header = ("workload", "ops", "ms/op")
+    print(f"{header[0]:<10} {header[1]:>6} {header[2]:>9} {'ratio':>6}  src")
+    for label, src, count, cost, ratio in table:
+        print(f"{label:<10} {count:>6} {cost:>9.1f} {ratio:>6.3f}  {src}")
     return 0
 
 
