@@ -81,6 +81,7 @@ from .potential import (
 from .solver import (
     ContinuityStep,
     ContinuityTrace,
+    NewtonRecord,
     SolverConfig,
     continuity_solve,
     functional_second_derivative,
@@ -102,8 +103,8 @@ __all__ = [
     "det_hessian", "cofactor", "abreu_forward", "divergence_form_residual",
     "convexity_margin", "double_contract",
     # solver
-    "SolverConfig", "ContinuityStep", "ContinuityTrace", "linearized_apply",
-    "newton_step", "continuity_solve", "functional_value",
+    "SolverConfig", "ContinuityStep", "ContinuityTrace", "NewtonRecord",
+    "linearized_apply", "newton_step", "continuity_solve", "functional_value",
     "functional_second_derivative",
     # legendre
     "gradient_map", "gradient_map_inverse",

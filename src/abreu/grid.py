@@ -212,8 +212,9 @@ class PeriodicGrid:
 
     def wrap(self, point) -> np.ndarray:
         """Map arbitrary coordinates into the fundamental domain [0,1)^n."""
-        p = np.asarray(point, dtype=float)
-        return np.mod(p, 1.0)
+        p = np.mod(np.asarray(point, dtype=float), 1.0)
+        # x mod 1 rounds up to 1.0 for a tiny negative x: the torus point 0
+        return np.where(p == 1.0, 0.0, p)
 
     def check_points(self, points) -> np.ndarray:
         """`points` (one point, or one per row; on a 1D grid also a vector of

@@ -41,10 +41,11 @@ largest damping power that keeps the potential convex without increasing
 the functional.
 
 One Newton iteration computes each quantity once: a record per iterate
-(`_NewtonRecord`) holds the defect forward - target, read by the stop test
+(`NewtonRecord`) holds the defect forward - target, read by the stop test
 and the Newton right-hand side, its sup (the residual) and F_A, which the
-line search that accepted the iterate evaluated.  So F_A is evaluated once
-per line-search trial and once per attempt's start, and the record of an
+line search that accepted the iterate evaluated.  `newton_step` maps a
+record to the record of the trial it accepts, so F_A is evaluated once per
+line-search trial and once per attempt's start, and the record of an
 attempt's last iterate is its result.  The flat start's Hessian state and
 forward field take no transform (`potential.HessianState`), so its first
 step transforms only its right-hand side, the Krylov applies and its
@@ -57,7 +58,6 @@ from __future__ import annotations
 
 import functools
 import math
-from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -84,6 +84,7 @@ __all__ = [
     "SolverConfig",
     "ContinuityStep",
     "ContinuityTrace",
+    "NewtonRecord",
     "MEAN_TOLERANCE",  # the grid module's, kept importable from here
     "linearized_apply",
     "newton_step",
@@ -291,7 +292,7 @@ def functional_second_derivative(P0: Potential, P1: Potential, t: float) -> floa
     """
     if P0.grid != P1.grid:
         raise ValueError("potentials live on different grids")
-    if not np.allclose(P0.base.matrix, P1.base.matrix, rtol=0.0, atol=1e-13):
+    if P0.base != P1.base:
         raise ValueError("potentials have different quadratic bases")
     psi = P1.perturbation - P0.perturbation
     phi_t = (1.0 - t) * P0.perturbation.values + t * P1.perturbation.values
@@ -307,16 +308,14 @@ def functional_second_derivative(P0: Potential, P1: Potential, t: float) -> floa
 
 
 @dataclass(eq=False)
-class _NewtonRecord:
+class NewtonRecord:
     """One Newton iterate and what an iteration reads of it, each formed
-    once: the defect, its sup (the residual), F_target (from the line
-    search that accepted it, else on first use) and the record of the
-    trial that `newton_step` accepts from it."""
+    once: the defect, its sup (the residual) and F_target (from the line
+    search that accepted it, else on first use)."""
 
     potential: Potential
     target: ScalarField
     functional: float | None = None
-    accepted: _NewtonRecord | None = None
 
     @kept_property
     def defect(self) -> np.ndarray:
@@ -332,36 +331,32 @@ class _NewtonRecord:
         return self.functional
 
 
-# The record of `_newton_solve`'s iterate, set for one attempt: `newton_step`
-# keeps its signature (callers replace it through the module global), so it
-# reads its start here; a step on another potential or target forms its own.
-_ITERATE: ContextVar[_NewtonRecord | None] = ContextVar("newton_iterate", default=None)
-
-
-def newton_step(P: Potential, target: ScalarField, forcing: float) -> Potential:
-    """One damped Newton step toward (u^ij)_ij = target.
+def newton_step(record: NewtonRecord, forcing: float) -> NewtonRecord:
+    """One damped Newton step from `record` toward (u^ij)_ij = record.target.
 
     Solves L(psi) = (u^ij)_ij - target on the mean-zero subspace to the
-    relative residual `forcing` (the linearization of the forward map is
-    -L, so this psi is the descent correction) and backtracks
-    alpha = _DAMPING^k, k = 0..10, accepting the first candidate that
-    is convex (`HessianState.convex`) and does not increase F_target,
-    evaluated once per convex candidate.
+    relative residual `forcing`, an inexact-Newton forcing term in [0, 1)
+    (the linearization of the forward map is -L, so this psi is the
+    descent correction), and backtracks alpha = _DAMPING^k, k = 0..10,
+    accepting the first candidate that is convex (`HessianState.convex`)
+    and does not increase F_target, evaluated once per convex candidate.
+    Returns the record of the accepted candidate, holding its F_target, or
+    `record` itself when its residual is zero.
     """
+    if not 0.0 <= forcing < 1.0:
+        raise ValueError(f"forcing term must lie in [0, 1), got {forcing}")
+    P, target = record.potential, record.target
     if target.grid != P.grid:
         raise ValueError("field lives on a different grid than the potential")
     target.require_mean_zero()
-    start = _ITERATE.get()
-    if start is None or start.potential is not P or start.target is not target:
-        start = _NewtonRecord(P, target)
-    if start.residual == 0.0:
-        return P
+    if record.residual == 0.0:
+        return record
     grid = P.grid
     correction = _pcg(_linearized_operator(P), grid, _inverse_flat_symbol(grid, P.base),
-                      to_spectrum(grid, start.defect), forcing)
+                      to_spectrum(grid, record.defect), forcing)
     delta = from_spectrum(grid, correction)
 
-    f_base = start.functional_value()
+    f_base = record.functional_value()
     f_allowed = f_base + _FUNCTIONAL_SLACK * (1.0 + abs(f_base))
     last_margin, last_node = None, None
     for k in range(11):
@@ -372,8 +367,7 @@ def newton_step(P: Potential, target: ScalarField, forcing: float) -> Potential:
         if state.convex:
             value = functional_value(trial, target)
             if value <= f_allowed:
-                start.accepted = _NewtonRecord(trial, target, value)
-                return trial
+                return NewtonRecord(trial, target, value)
     raise NotConvex(
         last_node,
         last_margin,
@@ -421,50 +415,45 @@ def _forcing_term(residual: float, residual_prev: float | None,
 
 
 def _newton_solve(P: Potential, target: ScalarField, cfg: SolverConfig):
-    """Iterate Newton steps from the start P, handed over by a caller that
+    """Iterate `newton_step` from the start P, handed over by a caller that
     holds no potential, until the sup-norm residual meets tolerance.
 
-    Returns (record, iterations), the record holding the accepted potential,
-    its residual and F_target, or None once the update stagnated above
-    _NOISE_BAND times tolerance or _MAX_NEWTON_ITERS iterations did not get
-    there.  Each Newton system is solved only to `_forcing_term`'s tolerance.
+    Returns (record, iterations), the record of the accepted iterate with
+    its potential, residual and F_target, or None once the update
+    stagnated above _NOISE_BAND times tolerance or _MAX_NEWTON_ITERS
+    iterations did not get there.  Each Newton system is solved only to
+    `_forcing_term`'s tolerance.
     """
     tolerance = cfg.newton_tolerance * (1.0 + sup_norm(target))
     last_step = None
     eta = residual_prev = None
-    record = _NewtonRecord(P, target)
-    token = _ITERATE.set(record)
-    try:
-        for iteration in range(_MAX_NEWTON_ITERS + 1):
-            residual = record.residual
-            if residual <= tolerance:
-                return record, iteration
-            stagnated = (
-                last_step is not None
-                and last_step <= _STEP_STAGNATION * (1.0 + sup_norm(P.perturbation))
-            )
-            if stagnated and residual <= 10.0 * tolerance:
-                return record, iteration
-            if stagnated and residual > _NOISE_BAND * tolerance:
-                return None
-            if iteration == _MAX_NEWTON_ITERS:
-                return None
-            eta = _forcing_term(residual, residual_prev, eta, tolerance)
-            residual_prev = residual
-            updated = newton_step(P, target, eta)
-            last_step = float(np.maximum.reduce(
-                np.abs(updated.perturbation.values - P.perturbation.values), axis=None
-            ))
-            P, record = updated, record.accepted
-            if record is None or record.potential is not P:
-                record = _NewtonRecord(P, target)  # a replaced step's result
-            _ITERATE.set(record)
-        return None
-    finally:
-        _ITERATE.reset(token)
+    record = NewtonRecord(P, target)
+    del P  # the record holds the attempt's one live potential
+    for iteration in range(_MAX_NEWTON_ITERS + 1):
+        residual = record.residual
+        if residual <= tolerance:
+            return record, iteration
+        stagnated = (
+            last_step is not None
+            and last_step <= _STEP_STAGNATION * (1.0 + sup_norm(record.potential.perturbation))
+        )
+        if stagnated and residual <= 10.0 * tolerance:
+            return record, iteration
+        if stagnated and residual > _NOISE_BAND * tolerance:
+            return None
+        if iteration == _MAX_NEWTON_ITERS:
+            return None
+        eta = _forcing_term(residual, residual_prev, eta, tolerance)
+        residual_prev = residual
+        accepted = newton_step(record, eta)
+        last_step = float(np.maximum.reduce(np.abs(
+            accepted.potential.perturbation.values - record.potential.perturbation.values
+        ), axis=None))
+        record = accepted
+    return None
 
 
-def _record_step(record: _NewtonRecord, t: float, iterations: int) -> ContinuityStep:
+def _record_step(record: NewtonRecord, t: float, iterations: int) -> ContinuityStep:
     state = record.potential.hessian_state
     return ContinuityStep(
         t=float(t),

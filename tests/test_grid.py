@@ -93,6 +93,24 @@ class TestMakeGrid:
         g = make_grid(2, [8, 8])
         assert np.allclose(g.wrap([1.25, -0.75]), [0.25, 0.25])
 
+    def test_wrap_maps_a_rounded_up_coordinate_to_zero(self):
+        # -1e-20 mod 1 rounds to 1.0, which is the torus point 0
+        wrapped = make_grid(2, [8, 8]).wrap([-1e-20, 0.5])
+        assert wrapped.tolist() == [0.0, 0.5]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, -1e-20])
+        | st.floats(-1e300, 1e300),
+        min_size=2, max_size=2,
+    ))
+    def test_wrap_stays_in_the_fundamental_domain(self, point):
+        wrapped = make_grid(2, [8, 8]).wrap(point)
+        assert ((wrapped >= 0.0) & (wrapped < 1.0)).all()
+        # the same torus point: the shift is a whole number up to rounding
+        shift = np.mod(wrapped - np.asarray(point), 1.0)
+        assert (np.minimum(shift, 1.0 - shift) <= 1e-15).all()
+
 
 class TestScalarField:
     def test_shape_mismatch(self):

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from abreu import (
     HessianState,
+    NewtonRecord,
     Potential,
     QuadraticBase,
     ScalarField,
@@ -343,13 +344,13 @@ class TestFlatPreconditioner:
         target = 0.1 * random_band_limited(g, rng, max_mode=2)
         solver._inverse_flat_symbol.cache_clear()
         for _ in range(3):
-            newton_step(Potential.flat(g, QuadraticBase(base.matrix.copy())), target, 0.5)
+            newton_step(NewtonRecord(Potential.flat(g, QuadraticBase(base.matrix.copy())), target), 0.5)
         info = solver._inverse_flat_symbol.cache_info()
         assert (info.misses, info.hits) == (1, 2)
         symbol = solver._inverse_flat_symbol(g, QuadraticBase(base.matrix.copy()))
         assert symbol is solver._inverse_flat_symbol(g, base)
         assert not symbol.flags.writeable
-        newton_step(Potential.flat(g), target, 0.5)
+        newton_step(NewtonRecord(Potential.flat(g), target), 0.5)
         assert solver._inverse_flat_symbol.cache_info().misses == 2
         # two separately built identity bases share that one entry
         again = solver._inverse_flat_symbol(g, QuadraticBase(np.eye(2)))

@@ -31,6 +31,9 @@ legendre.py neither imports numpy.linalg nor names it.  So do the
 derivatives of a potential off the grid: legendre.py names neither
 `TrigInterpolant` nor `partials`.
 
+No module names `contextvars`: a Newton iterate reaches `solver.newton_step`
+as its argument and leaves as its result, never through a hidden channel.
+
 A kept per-instance value is a `grid.kept_property`: no module names
 `functools.cached_property`, which takes a class-wide lock on every first
 access on Python 3.10 and 3.11.
@@ -347,6 +350,36 @@ def test_detects_cached_property(tmp_path):
         encoding="utf-8",
     )
     assert _names_used(probe, {"cached_property"}) == [2, 4]
+
+
+def _context_variable_uses(path):
+    """Lines naming `contextvars` or `ContextVar`, or importing from contextvars."""
+    imports_from = {
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module == "contextvars"
+    }
+    return sorted(imports_from.union(_names_used(path, {"contextvars", "ContextVar"})))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_context_variables(path):
+    assert _context_variable_uses(path) == []
+
+
+def test_detects_context_variables(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import contextvars\n"
+        "from contextvars import copy_context\n"
+        "import contextvars as cv\n"
+        "ITERATE = contextvars.ContextVar('iterate')\n"
+        "OTHER = cv.ContextVar('other')\n"
+        "def f(context):\n"
+        "    return context.run(len, 'contextvars')  # contextvars in a comment\n",
+        encoding="utf-8",
+    )
+    assert _context_variable_uses(probe) == [1, 2, 3, 4, 5]
 
 
 def test_legendre_builds_no_interpolant():

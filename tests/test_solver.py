@@ -11,6 +11,7 @@ import pytest
 from abreu import (
     HessianState,
     MeanNotZero,
+    NewtonRecord,
     NotConvex,
     Potential,
     QuadraticBase,
@@ -167,6 +168,13 @@ class TestFunctional:
         with pytest.raises(ValueError, match="different grid"):
             functional_value(P, a)
 
+    def test_second_derivative_rejects_bases_that_differ_in_any_bit(self):
+        # bases compare exactly, as `QuadraticBase.__eq__` does
+        g = make_grid(2, [8, 8])
+        near = QuadraticBase(np.diag([1.0 + 1e-14, 1.0]))
+        with pytest.raises(ValueError, match="different quadratic bases"):
+            functional_second_derivative(Potential.flat(g), Potential.flat(g, near), 0.5)
+
     def test_convex_along_paths(self):
         rng = np.random.default_rng(7)
         g = make_grid(1, [32])
@@ -182,9 +190,8 @@ class TestNewtonStep:
         g = make_grid(1, [32])
         rng = np.random.default_rng(8)
         P = random_convex_potential(g, rng, margin=0.6)
-        target = abreu_forward(P)
-        stepped = newton_step(P, target, 1e-12)
-        assert stepped is P
+        start = NewtonRecord(P, abreu_forward(P))
+        assert newton_step(start, 1e-12) is start
 
     def test_flat_start_solves_biharmonic_mode(self):
         # from phi = 0 with a single-mode target the correction is the
@@ -193,7 +200,7 @@ class TestNewtonStep:
         x = g.axis_coordinates(0)
         amp = 1e-3
         target = ScalarField(g, amp * np.cos(TWO_PI * x))
-        stepped = newton_step(Potential.flat(g), target, 1e-12)
+        stepped = newton_step(NewtonRecord(Potential.flat(g), target), 1e-12).potential
         # L delta = forward - target = -target; delta = -biharm^{-1} target
         expected = -amp / (16 * np.pi**4) * np.cos(TWO_PI * x)
         assert np.max(np.abs(stepped.perturbation.values - expected)) < 1e-12
@@ -205,21 +212,58 @@ class TestNewtonStep:
         target = ScalarField(a.grid, 0.05 * a.values)
         P = Potential.flat(a.grid)
         before = sup_norm(abreu_forward(P) - target)
-        stepped = newton_step(P, target, 1e-12)
+        stepped = newton_step(NewtonRecord(P, target), 1e-12).potential
         after = sup_norm(abreu_forward(stepped) - target)
         assert after <= before / 10.0
 
     def test_rejects_nonzero_mean_target(self):
         g = make_grid(1, [32])
         with pytest.raises(MeanNotZero):
-            newton_step(Potential.flat(g), ScalarField.constant(g, 0.5), 1e-12)
+            newton_step(NewtonRecord(Potential.flat(g), ScalarField.constant(g, 0.5)), 1e-12)
 
     def test_rejects_a_target_on_another_grid(self):
         # 8 nodes on one axis broadcast against 8 x 8 values without the check
         P = random_convex_potential(make_grid(2, [8, 8]), np.random.default_rng(9))
         target = random_band_limited(make_grid(1, [8]), np.random.default_rng(9))
         with pytest.raises(ValueError, match="different grid"):
-            newton_step(P, target, 1e-12)
+            newton_step(NewtonRecord(P, target), 1e-12)
+
+    @pytest.mark.parametrize("forcing", [-1.0, np.nan, 1.0])
+    def test_rejects_a_forcing_term_outside_the_unit_interval(self, forcing):
+        g = make_grid(1, [16])
+        target = ScalarField(g, 0.1 * np.cos(TWO_PI * g.axis_coordinates(0)))
+        start = NewtonRecord(Potential.flat(g), target)
+        with pytest.raises(ValueError, match="forcing term"):
+            newton_step(start, forcing)
+        assert "defect" not in vars(start)  # raised before any work
+
+
+class TestNewtonRecord:
+    """`newton_step` maps a record to the record of the accepted trial and
+    leaves its argument as it found it."""
+
+    @staticmethod
+    def _start():
+        _, a, _ = manufactured_problem(64)
+        target = ScalarField(a.grid, 0.05 * a.values)
+        return NewtonRecord(Potential.flat(a.grid), target)
+
+    def test_accepted_record_holds_its_own_values(self):
+        start = self._start()
+        record = newton_step(start, 1e-12)
+        assert record.target is start.target and record.potential is not start.potential
+        P, target = record.potential, record.target
+        assert record.functional is not None
+        assert record.functional == functional_value(P, target)
+        assert record.residual == sup_norm(abreu_forward(P) - target) > 0.0
+
+    def test_start_gains_nothing_from_a_step(self):
+        start = self._start()
+        start.residual, start.functional_value()  # what a step reads of it
+        before = dict(vars(start))
+        newton_step(start, 1e-12)
+        assert vars(start).keys() == before.keys()
+        assert all(vars(start)[name] is value for name, value in before.items())
 
 
 class TestContinuitySolve:
@@ -332,9 +376,9 @@ class TestContinuitySolve:
         monkeypatch.setattr(HessianState, "_weights", weights)
         step = solver.newton_step
 
-        def counting_step(P, target, forcing):
-            linearized[P.hessian_state] += 1
-            return step(P, target, forcing)
+        def counting_step(record, forcing):
+            linearized[record.potential.hessian_state] += 1
+            return step(record, forcing)
 
         monkeypatch.setattr(solver, "newton_step", counting_step)
         _fail_first_attempt(monkeypatch, run_it=True)
@@ -397,10 +441,10 @@ class TestContinuitySolve:
         refs, live = [], []
         step = solver.newton_step
 
-        def spying_step(P, target, forcing):
+        def spying_step(record, forcing):
             live.append(sum(ref() is not None for ref in refs))
-            refs.append(weakref.ref(P))
-            return step(P, target, forcing)
+            refs.append(weakref.ref(record.potential))
+            return step(record, forcing)
 
         monkeypatch.setattr(solver, "newton_step", spying_step)
         if retry:  # t = 1 fails, so t = 1/2 is accepted and t = 1 starts from it
@@ -535,7 +579,7 @@ class TestWorkPerIteration:
         assert len(starts) > 1
         counts = Counter(evaluated)
         assert max(counts.values()) == 1
-        assert counts == Counter(trials + starts[:1])
+        assert counts == Counter(trials + [starts[0].potential])
         assert trace.steps[0].functional_value == functional_value(P, a)
 
     @pytest.mark.parametrize("problem", [_small_1d_problem, _small_2d_problem],
@@ -556,9 +600,9 @@ class TestStoppingRule:
     def _stalled(monkeypatch):
         calls = []
 
-        def stalled(P, target, forcing):
-            calls.append(P)
-            return P
+        def stalled(record, forcing):
+            calls.append(record)
+            return record
 
         monkeypatch.setattr(solver, "newton_step", stalled)
         return calls
