@@ -41,7 +41,7 @@ from .estimates import (
     verify_solution,
 )
 from .fieldfile import read_field, write_field
-from .fieldlang import eval_field, parse, to_string
+from .fieldlang import eval_field, parse
 from .grid import (
     PeriodicGrid,
     ScalarField,
@@ -74,7 +74,6 @@ from .potential import (
     convexity_margin,
     det_hessian,
     divergence_form_residual,
-    double_contract,
     hessian_u,
     inverse_hessian,
 )
@@ -84,9 +83,7 @@ from .solver import (
     NewtonRecord,
     SolverConfig,
     continuity_solve,
-    functional_second_derivative,
     functional_value,
-    linearized_apply,
     newton_step,
 )
 
@@ -101,11 +98,10 @@ __all__ = [
     # potential
     "QuadraticBase", "Potential", "HessianState", "hessian_u", "inverse_hessian",
     "det_hessian", "cofactor", "abreu_forward", "divergence_form_residual",
-    "convexity_margin", "double_contract",
+    "convexity_margin",
     # solver
     "SolverConfig", "ContinuityStep", "ContinuityTrace", "NewtonRecord",
-    "linearized_apply", "newton_step", "continuity_solve", "functional_value",
-    "functional_second_derivative",
+    "newton_step", "continuity_solve", "functional_value",
     # legendre
     "gradient_map", "gradient_map_inverse",
     "legendre_transform", "pullback_rhs", "dual_residual",
@@ -117,7 +113,7 @@ __all__ = [
     "InvariantMetric", "scalar_curvature", "scalar_curvature_symplectic",
     "metric_volume_mean", "prescribe_curvature",
     # field files and expressions
-    "read_field", "write_field", "parse", "to_string", "eval_field",
+    "read_field", "write_field", "parse", "eval_field",
     "periodicity_defect",
     # errors
     "AbreuError", "NotConvex", "MeanNotZero", "LinearSolveFailure",

@@ -39,7 +39,6 @@ __all__ = [
     "Pow",
     "Call",
     "parse",
-    "to_string",
     "eval_field",
 ]
 
@@ -231,42 +230,6 @@ class _Parser:
 def parse(text: str) -> Expr:
     """Parse an expression; raises FieldSyntaxError with offset and hint."""
     return _Parser(text).parse()
-
-
-# ---------------------------------------------------------------------------
-# canonical printer (round-trip stable: parse(to_string(e)) == e)
-
-
-def to_string(e: Expr) -> str:
-    return _print(e, 0)
-
-
-def _print(e: Expr, parent_level: int) -> str:
-    # precedence levels: add 1, mul 2, unary 3, power 4, atom 5
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Const):
-        return e.name
-    if isinstance(e, Var):
-        return f"x{e.index}"
-    if isinstance(e, Call):
-        return f"{e.name}({_print(e.arg, 0)})"
-    if isinstance(e, Neg):
-        inner = _print(e.operand, 3)
-        text = f"-{inner}"
-        return f"({text})" if parent_level > 3 else text
-    if isinstance(e, Pow):
-        base = _print(e.base, 5)
-        text = f"{base}^{e.exponent}"
-        return f"({text})" if parent_level > 4 else text
-    if isinstance(e, Bin):
-        level = 1 if e.op in "+-" else 2
-        left = _print(e.left, level)
-        # left associativity: the right child needs one level more
-        right = _print(e.right, level + 1)
-        text = f"{left}{e.op}{right}"
-        return f"({text})" if parent_level > level else text
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 # ---------------------------------------------------------------------------

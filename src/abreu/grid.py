@@ -23,8 +23,8 @@ Conventions:
     with the passes and scale factors of `np.fft.rfftn`/`irfftn`, so its
     results are bitwise theirs: on the Krylov loop's small arrays numpy's
     Python wrappers cost about as much as the kernels;
-  * a field adopts a fresh array and copies anything else (`ScalarField`);
-    kept per-instance values are `kept_property`s, which take no lock;
+  * a field's values are a read-only copy of what it is given, so its kept
+    per-instance values (`kept_property`s, which take no lock) never go stale;
   * off-grid evaluation (`TrigInterpolant`) works in the real separable
     basis [1, cos 2 pi k x, cos pi N x, sin 2 pi k x] (0 < k < N/2) per
     axis, so a real field is evaluated with real products only, and only
@@ -210,12 +210,6 @@ class PeriodicGrid:
         apply."""
         return fourier_multiplier(self, partial_orders(self.dim, 2))
 
-    def wrap(self, point) -> np.ndarray:
-        """Map arbitrary coordinates into the fundamental domain [0,1)^n."""
-        p = np.mod(np.asarray(point, dtype=float), 1.0)
-        # x mod 1 rounds up to 1.0 for a tiny negative x: the torus point 0
-        return np.where(p == 1.0, 0.0, p)
-
     def check_points(self, points) -> np.ndarray:
         """`points` (one point, or one per row; on a 1D grid also a vector of
         P points) as a finite (P, dim) float array, else ValueError: the one
@@ -240,34 +234,13 @@ def make_grid(dim: int, resolution) -> PeriodicGrid:
     return PeriodicGrid(dim=dim, resolution=tuple(resolution))
 
 
-def _all_finite(values: np.ndarray) -> bool:
-    """np.isfinite(values).all(), by a count: numpy's boolean reduction
-    costs twice the test itself on a field."""
-    return np.count_nonzero(np.isfinite(values)) == values.size
-
-
-def _freeze(values: np.ndarray) -> np.ndarray:
-    """A float64 ndarray made read-only: frozen in place if fresh (see
-    `ScalarField`), else a frozen C-ordered copy."""
-    flags = values.flags
-    if not (flags.owndata and flags.writeable and flags.c_contiguous):
-        values = values.copy()
-    values.setflags(write=False)
-    return values
-
-
 @dataclass(frozen=True, eq=False)
 class ScalarField:
     """One real value per grid node, row-major with the last axis fastest.
 
-    The values are read-only.  A fresh array (a writable, C-contiguous
-    float64 ndarray that owns its memory) is adopted and frozen in place:
-    the caller gives it up, and a later write through that array raises
-    ValueError.  Views of it taken before adoption stay writable, and a
-    write through one would change the field under its kept sup,
-    mean-zero test and spectrum, so the caller gives those up too.
-    Anything else (a view, a read-only array, buffer data, a list, another
-    dtype) is copied.
+    The values are a read-only copy of what the field is given, so no
+    later write to the input changes the field under its kept sup,
+    mean-zero test and spectrum.
     """
 
     grid: PeriodicGrid
@@ -276,15 +249,16 @@ class ScalarField:
     def __post_init__(self):
         if np.iscomplexobj(self.values):
             raise ValueError("scalar field values must be real, got complex")
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float, order="C")
         if vals.shape != self.grid.shape:
             raise ValueError(
                 f"value shape {vals.shape} does not match grid "
                 f"resolution {self.grid.shape}"
             )
-        if not _all_finite(vals):
+        if not np.isfinite(vals).all():
             raise ValueError("scalar field contains non-finite values")
-        object.__setattr__(self, "values", _freeze(vals))
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
 
     @kept_property
     def sup(self) -> float:
@@ -421,7 +395,7 @@ class SymMatrixField:
     `hessian_from_spectrum` and `second_divergence_spectrum` share this
     layout, and `triangle_to_full` and `full_to_triangle` convert it to and
     from (*grid.shape, n, n) matrices as it is, with no transpose.  The
-    entries are adopted or copied as `ScalarField`'s values are.
+    entries are a read-only copy, as `ScalarField`'s values are.
     """
 
     grid: PeriodicGrid
@@ -432,12 +406,13 @@ class SymMatrixField:
         shape = (n * (n + 1) // 2,) + self.grid.shape
         if np.iscomplexobj(self.entries):
             raise ValueError("matrix field entries must be real, got complex")
-        vals = np.asarray(self.entries, dtype=float)
+        vals = np.array(self.entries, dtype=float, order="C")
         if vals.shape != shape:
             raise ValueError(f"entry shape {vals.shape} is not {shape}")
-        if not _all_finite(vals):
+        if not np.isfinite(vals).all():
             raise ValueError("matrix field contains non-finite entries")
-        object.__setattr__(self, "entries", _freeze(vals))
+        vals.setflags(write=False)
+        object.__setattr__(self, "entries", vals)
 
     @classmethod
     def identity(cls, grid: PeriodicGrid) -> "SymMatrixField":

@@ -71,7 +71,6 @@ __all__ = [
     "abreu_forward",
     "divergence_form_residual",
     "convexity_margin",
-    "double_contract",
 ]
 
 #: Minimal admissible Hessian eigenvalue; below this the solver must fail
@@ -82,22 +81,18 @@ CONVEXITY_FLOOR = 1e-8
 _IDENTITY_TOLERANCE = 1e-10
 
 
-def _symmetrize(mat: np.ndarray) -> np.ndarray:
-    """Average, in place, the entries of a square matrix that are unequal to
-    their mirror: the others keep their bits, and no two large entries are
-    summed into an overflow.  Returns the matrix."""
-    differ = mat != mat.T
-    mat[differ] = 0.5 * (mat[differ] + mat.T[differ])
-    return mat
-
-
 @dataclass(frozen=True, eq=False)
 class QuadraticBase:
     """Strictly convex quadratic form Q(x) = x^T matrix x / 2; bases compare
     and hash by the entries of their read-only matrix, kept as a tuple of
-    floats (so -0.0 equals 0.0), and a base can key a cache cheaply."""
+    floats (so -0.0 equals 0.0), and a base can key a cache cheaply.
+
+    The matrix is symmetrized exactly by the grid's triangle rule
+    (`full_to_triangle`), so a symmetric matrix keeps its bits; its
+    read-only (m,) triangle, built once, is kept for every Hessian."""
 
     matrix: np.ndarray
+    triangle: np.ndarray = field(init=False, repr=False)
     _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -108,11 +103,14 @@ class QuadraticBase:
             raise ValueError("base matrix contains non-finite entries")
         if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-13):
             raise ValueError("base matrix must be symmetric")
-        _symmetrize(mat)
+        triangle = full_to_triangle(mat)
+        mat = triangle_to_full(triangle)
         if np.linalg.eigvalsh(mat)[0] <= 0.0:
             raise ValueError("base matrix must be positive definite")
         mat.setflags(write=False)
+        triangle.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "triangle", triangle)
         object.__setattr__(self, "_key", tuple(mat.ravel().tolist()))
 
     def __eq__(self, other):
@@ -131,21 +129,16 @@ class QuadraticBase:
 
     def inverse(self) -> "QuadraticBase":
         """The base of the inverse matrix, kept: LAPACK's inverse,
-        symmetrized as the constructor symmetrizes, since its rounding
-        leaves mirror entries apart by more than the constructor's absolute
-        tolerance once the inverse's entries are large."""
+        symmetrized by the constructor's rule before the constructor's
+        check, since its rounding leaves mirror entries apart by more than
+        that check's absolute tolerance once the inverse's entries are
+        large."""
         return self._inverse
 
     @kept_property
     def _inverse(self) -> "QuadraticBase":
-        return QuadraticBase(_symmetrize(np.linalg.inv(self.matrix)))
-
-    @kept_property
-    def triangle(self) -> np.ndarray:
-        """The matrix as a read-only (m,) triangle, kept for every Hessian."""
-        triangle = full_to_triangle(self.matrix)
-        triangle.setflags(write=False)
-        return triangle
+        inverse = np.linalg.inv(self.matrix)
+        return QuadraticBase(triangle_to_full(full_to_triangle(inverse)))
 
     def is_identity(self) -> bool:
         eye = np.eye(self.dim)
@@ -369,7 +362,7 @@ class HessianState:
     def contract(self, values: np.ndarray) -> ScalarField:
         """sum_ij h^ij f_ij, h = H^-1, for node values f, guarded."""
         hinv = self.inverse()
-        return double_contract(hinv, hessian(ScalarField(hinv.grid, values)))
+        return _double_contract(hinv, hessian(ScalarField(hinv.grid, values)))
 
     def congruent(self, second: np.ndarray) -> np.ndarray:
         """Triangle entries of h psi h, h = H^-1, times pair weights.
@@ -540,10 +533,9 @@ def cofactor(H: SymMatrixField) -> SymMatrixField:
     return SymMatrixField(H.grid, state.det * state.inverse().entries)
 
 
-def double_contract(M: SymMatrixField, S: SymMatrixField) -> ScalarField:
-    """Pointwise full contraction sum_ij M^ij S_ij of two symmetric fields."""
-    if M.grid != S.grid:
-        raise ValueError("matrix fields live on different grids")
+def _double_contract(M: SymMatrixField, S: SymMatrixField) -> ScalarField:
+    """Pointwise full contraction sum_ij M^ij S_ij of two symmetric fields
+    on one grid."""
     acc = np.zeros(M.grid.shape)
     for weight, m, s in zip(M.pair_weights, M.entries, S.entries):
         acc += weight * m * s

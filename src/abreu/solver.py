@@ -86,11 +86,9 @@ __all__ = [
     "ContinuityTrace",
     "NewtonRecord",
     "MEAN_TOLERANCE",  # the grid module's, kept importable from here
-    "linearized_apply",
     "newton_step",
     "continuity_solve",
     "functional_value",
-    "functional_second_derivative",
 ]
 
 # Relative slack accepted as "not increasing" in the functional line
@@ -192,33 +190,22 @@ def _linearized_operator(P: Potential):
     return apply
 
 
-def linearized_apply(P: Potential, psi: ScalarField) -> ScalarField:
-    """Apply the self-adjoint linearization at P to a periodic field.
-
-    Constants are in the kernel and the output's zero mode is exactly zero.
-    """
-    if psi.grid != P.grid:
-        raise ValueError("field lives on a different grid than the potential")
-    grid = P.grid
-    out = _linearized_operator(P)(psi.spectrum)
-    return ScalarField(grid, from_spectrum(grid, out))
-
-
 @functools.lru_cache(maxsize=32)
 def _inverse_flat_symbol(grid: PeriodicGrid, base: QuadraticBase) -> np.ndarray:
     """Inverse symbol of the linearization at phi = 0 in real-FFT layout,
     cached read-only per grid and base: the preconditioner is a multiply
     by it.
 
-    With h = M^-1 and m_ij the grid's multipliers of d^2 / dx_i dx_j, the
-    symbol is sum h_ia h_jb m_ij m_ab: exactly the operator that
-    `_linearized_operator` applies at phi = 0, Nyquist convention included
-    (the cross multipliers vanish on the Nyquist planes), so its
-    reciprocal is the exact discrete inverse on mean-zero fields.  The
-    zero mode, the only one where the symbol vanishes, is annihilated.
+    With h = M^-1 (the base's kept inverse) and m_ij the grid's
+    multipliers of d^2 / dx_i dx_j, the symbol is sum h_ia h_jb m_ij m_ab:
+    exactly the operator that `_linearized_operator` applies at phi = 0,
+    Nyquist convention included (the cross multipliers vanish on the
+    Nyquist planes), so its reciprocal is the exact discrete inverse on
+    mean-zero fields.  The zero mode, the only one where the symbol
+    vanishes, is annihilated.
     """
     m = triangle_to_full(grid.second_multipliers)
-    h = np.linalg.inv(base.matrix)
+    h = base.inverse().matrix
     symbol = np.einsum("ia,jb,...ij,...ab->...", h, h, m, m)
     inv_symbol = np.divide(1.0, symbol, out=np.zeros_like(symbol), where=symbol > 0.0)
     inv_symbol.setflags(write=False)
@@ -281,26 +268,6 @@ def functional_value(P: Potential, A: ScalarField) -> float:
     log_det = P.hessian_state.log_det
     # A*phi - log det is bitwise -log det + A*phi: x - y is x + (-y)
     return node_mean(A.values * P.perturbation.values - log_det)
-
-
-def functional_second_derivative(P0: Potential, P1: Potential, t: float) -> float:
-    """Second derivative of the functional along the linear path at time t.
-
-    Equals integral( u_t^ia psi_ab u_t^bj psi_ij ) with psi = phi_1 - phi_0,
-    the bilinear form of the linearized operator; non-negative whenever the
-    interpolated potential is convex.
-    """
-    if P0.grid != P1.grid:
-        raise ValueError("potentials live on different grids")
-    if P0.base != P1.base:
-        raise ValueError("potentials have different quadratic bases")
-    psi = P1.perturbation - P0.perturbation
-    phi_t = (1.0 - t) * P0.perturbation.values + t * P1.perturbation.values
-    interpolated = P0.with_perturbation(phi_t)
-    second = hessian_from_spectrum(psi.grid, psi.spectrum)
-    congruent = interpolated.hessian_state.congruent(second)
-    integrand = np.sum(second * congruent, axis=0)
-    return float(np.mean(integrand))
 
 
 # ---------------------------------------------------------------------------

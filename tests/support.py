@@ -24,7 +24,10 @@ from abreu import (
     make_grid,
     project_mean_zero,
     second_divergence,
+    solver,
 )
+from abreu.fieldlang import Bin, Call, Const, Neg, Num, Pow, Var
+from abreu.grid import from_spectrum
 
 EPS = 0.01
 DELTA = 4.0 * np.pi**2 * EPS
@@ -157,6 +160,14 @@ def random_convex_potential(grid, rng, margin=0.5, max_mode=2):
     )
 
 
+def linearized_apply(P, psi):
+    """The solver's linearization at P applied to the field psi: its Krylov
+    operator, which maps spectrum to spectrum, between the field's spectrum
+    and node values."""
+    out = solver._linearized_operator(P)(psi.spectrum)
+    return ScalarField(P.grid, from_spectrum(P.grid, out))
+
+
 def linearized_apply_oracle(P, values):
     """psi -> (u^ia psi_ab u^bj)_ij as full n x n stacks: h psi h by two
     batched matrix products, then the double divergence of the result."""
@@ -176,6 +187,36 @@ def functional_second_derivative_oracle(P0, P1, t):
     psi_h = hessian(psi).to_full()
     integrand = np.einsum("...ia,...ab,...bj,...ij->...", hinv, psi_h, hinv, psi_h)
     return float(np.mean(integrand))
+
+
+def to_string(e):
+    """Canonical text of a field expression, the parser's round-trip oracle:
+    parse(to_string(e)) == e."""
+    return _print(e, 0)
+
+
+def _print(e, parent_level):
+    # precedence levels: add 1, mul 2, unary 3, power 4, atom 5
+    if isinstance(e, Num):
+        return repr(e.value)
+    if isinstance(e, Const):
+        return e.name
+    if isinstance(e, Var):
+        return f"x{e.index}"
+    if isinstance(e, Call):
+        return f"{e.name}({_print(e.arg, 0)})"
+    if isinstance(e, Neg):
+        text = f"-{_print(e.operand, 3)}"
+        return f"({text})" if parent_level > 3 else text
+    if isinstance(e, Pow):
+        text = f"{_print(e.base, 5)}^{e.exponent}"
+        return f"({text})" if parent_level > 4 else text
+    if isinstance(e, Bin):
+        level = 1 if e.op in "+-" else 2
+        # left associativity: the right child needs one level more
+        text = f"{_print(e.left, level)}{e.op}{_print(e.right, level + 1)}"
+        return f"({text})" if parent_level > level else text
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def eigen_extremes_oracle(H):

@@ -12,9 +12,9 @@ from abreu import (
     parse,
     periodicity_defect,
     sup_norm,
-    to_string,
 )
 from abreu.fieldlang import Bin, Call, Const, Num, Neg, Pow, Var
+from tests.support import to_string
 
 
 class TestParse:

@@ -89,28 +89,6 @@ class TestMakeGrid:
         assert type(g.dim) is int
         assert all(type(n) is int for n in g.resolution)
 
-    def test_wrap_into_fundamental_domain(self):
-        g = make_grid(2, [8, 8])
-        assert np.allclose(g.wrap([1.25, -0.75]), [0.25, 0.25])
-
-    def test_wrap_maps_a_rounded_up_coordinate_to_zero(self):
-        # -1e-20 mod 1 rounds to 1.0, which is the torus point 0
-        wrapped = make_grid(2, [8, 8]).wrap([-1e-20, 0.5])
-        assert wrapped.tolist() == [0.0, 0.5]
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(
-        st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, -1e-20])
-        | st.floats(-1e300, 1e300),
-        min_size=2, max_size=2,
-    ))
-    def test_wrap_stays_in_the_fundamental_domain(self, point):
-        wrapped = make_grid(2, [8, 8]).wrap(point)
-        assert ((wrapped >= 0.0) & (wrapped < 1.0)).all()
-        # the same torus point: the shift is a whole number up to rounding
-        shift = np.mod(wrapped - np.asarray(point), 1.0)
-        assert (np.minimum(shift, 1.0 - shift) <= 1e-15).all()
-
 
 class TestScalarField:
     def test_shape_mismatch(self):
@@ -136,14 +114,45 @@ class TestScalarField:
         with pytest.raises(ValueError):
             f.values[0] = 1.0
 
-    def test_adopts_a_fresh_array_and_freezes_it(self):
+    def test_a_view_of_a_fresh_input_cannot_change_the_field(self):
+        a = np.zeros(16)
+        v = a[:]
+        f = ScalarField(make_grid(1, 16), a)
+        assert f.sup == 0.0
+        v[0] = 5.0  # the caller's array stays the caller's
+        assert a[0] == 5.0 and a.flags.writeable
+        assert f.values[0] == 0.0 and f.sup == 0.0 and f.mean_zero
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["fresh", "strided", "read-only", "list", "float32"]),
+        data=hnp.arrays(float, (8, 12), elements=st.floats(-1e6, 1e6)),
+    )
+    def test_values_are_a_read_only_copy_of_any_input(self, kind, data):
         g = make_grid(2, [8, 12])
-        values = np.random.default_rng(0).standard_normal(g.shape)
+        owner = np.repeat(data, 2, axis=1) if kind == "strided" else data.copy()
+        if kind == "strided":
+            values = owner[:, ::2]
+        elif kind == "read-only":
+            values = owner[:]
+            values.setflags(write=False)
+        elif kind == "list":
+            owner = values = data.tolist()
+        elif kind == "float32":
+            owner = values = data.astype(np.float32)
+        else:
+            values = owner
+        expected = np.array(values, dtype=float)
         f = ScalarField(g, values)
-        assert f.values is values and np.shares_memory(f.values, values)
-        assert not values.flags.writeable
-        with pytest.raises(ValueError):
-            values[0, 0] = 1.0  # the caller gave it up
+        assert np.array_equal(f.values, expected) and f.sup == np.abs(expected).max()
+        assert not f.values.flags.writeable and f.values.flags.c_contiguous
+        if isinstance(values, np.ndarray):
+            assert not np.shares_memory(f.values, values)
+        if kind == "list":
+            owner[0][0] = 5.0 + owner[0][0]
+        else:
+            owner[...] = 5.0 + owner
+        assert np.array_equal(f.values, expected) and f.sup == np.abs(expected).max()
 
     @pytest.mark.parametrize(
         "kind", ["view", "read-only", "buffer", "list", "float32", "fortran"]
@@ -426,6 +435,14 @@ class TestSymMatrixField:
         M = _random_sym((8, 10, 8), 2)
         with pytest.raises(IndexError):
             M.component(i, j)
+
+    def test_a_view_of_the_input_cannot_change_the_field(self):
+        entries = np.zeros((3, 8, 8))
+        view = entries[1:]
+        M = SymMatrixField(make_grid(2, [8, 8]), entries)
+        view[0, 0, 0] = 5.0
+        assert M.component(0, 1)[0, 0] == 0.0 and not M.entries.flags.writeable
+        assert not np.shares_memory(M.entries, entries)
 
     def test_compares_by_identity(self):
         M = SymMatrixField.identity(make_grid(2, [8, 8]))

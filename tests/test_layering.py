@@ -44,10 +44,16 @@ the package, so a refactor cannot null a per-layer metric by renaming it.
 
 Every name in `abreu.__all__` and in each module's `__all__` exists, so
 `from abreu import *` cannot break on a stale export.
+
+Every name in `abreu.__all__` has a user: package code outside the module
+that defines it (and outside `__init__`), or a word in demos/, tools/,
+perfbench/, README.md or docs/.  A name only the tests use is a test
+oracle, and lives in tests/support.py.
 """
 
 import ast
 import importlib
+import re
 import types
 from pathlib import Path
 
@@ -255,18 +261,21 @@ def test_detects_fft_outside_transforms(tmp_path):
     }
 
 
+def _named(path):
+    """(line, name) of each name, attribute and imported name in `path`."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield node.lineno, alias.name.rpartition(".")[2]
+
+
 def _names_used(path, names):
     """Lines naming one of `names`: a name, an attribute or an import."""
-    found = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name) and node.id in names:
-            found.add(node.lineno)
-        elif isinstance(node, ast.Attribute) and node.attr in names:
-            found.add(node.lineno)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            if any(a.name.rpartition(".")[2] in names for a in node.names):
-                found.add(node.lineno)
-    return sorted(found)
+    return sorted({line for line, name in _named(path) if name in names})
 
 
 TRIANGLE_CONVERSIONS = {"triangle_to_full", "full_to_triangle"}
@@ -591,3 +600,57 @@ def test_detects_stale_exports():
     probe.__all__ = ["present", "GONE"]
     probe.present = 1
     assert _stale_exports(probe) == ["GONE"]
+
+
+def _unused_exports(package, exports, documents):
+    """Names of `exports` (name -> stem of the module defining it) that no
+    module of `package` but that one and `__init__` names in code, and no
+    file of `documents` names as a word."""
+    named = {path.stem: {name for _, name in _named(path)}
+             for path in package.glob("*.py")}
+    text = "\n".join(path.read_text(encoding="utf-8") for path in documents)
+    return sorted(
+        name for name, home in exports.items()
+        if not any(name in names for stem, names in named.items()
+                   if stem not in (home, "__init__"))
+        and not re.search(rf"\b{re.escape(name)}\b", text)
+    )
+
+
+def test_every_export_has_a_user():
+    abreu = importlib.import_module("abreu")
+    home = {
+        name: m.stem
+        for m in MODULES if m.stem != "__init__"
+        for name in getattr(importlib.import_module(f"abreu.{m.stem}"), "__all__", [])
+    }
+    root = PACKAGE.parents[1]
+    documents = [
+        *root.glob("demos/*.py"), *root.glob("tools/*.py"),
+        *root.glob("perfbench/**/*.py"), root / "README.md", *root.glob("docs/*.md"),
+    ]
+    exports = {name: home.get(name, "__init__") for name in abreu.__all__}
+    assert _unused_exports(PACKAGE, exports, documents) == []
+
+
+def test_detects_unused_exports(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text(
+        "from .a import alone, documented, used, self_used\n", encoding="utf-8"
+    )
+    (package / "a.py").write_text(
+        "def alone(): pass\n"
+        "def documented(): pass\n"
+        "def used(): pass\n"
+        "def self_used(): return used()\n",
+        encoding="utf-8",
+    )
+    (package / "b.py").write_text(
+        "from . import a\nx = a.used()\n# alone\n", encoding="utf-8"
+    )
+    readme = tmp_path / "README.md"
+    readme.write_text("`documented` is, `alone_too` is not\n", encoding="utf-8")
+    exports = dict.fromkeys(["alone", "documented", "used", "self_used"], "a")
+    assert _unused_exports(package, exports, [readme]) == ["alone", "self_used"]
+
