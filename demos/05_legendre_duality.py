@@ -47,14 +47,14 @@ pts = grid.node_points()
 round_trip = gradient_map_inverse(P, gradient_map(P, pts))
 print(f"grad v (grad u (x)) = x within {np.max(np.abs(round_trip - pts)):.3e}")
 
-# det(v_ab)(y) * det(u_ab)(x(y)) = 1 at every dual node
-x_of_y = gradient_map_inverse(P, pts)
+# det(v_ab)(y) * det(u_ab)(x(y)) = 1 at every dual node y, with x(y) the
+# preimage the transform found and the dual keeps
 det_u = TrigInterpolant(det_hessian(hessian_u(P)))
 det_v = det_hessian(hessian_u(V)).values.ravel()
-defect = np.max(np.abs(det_v * det_u.evaluate(x_of_y) - 1.0))
+defect = np.max(np.abs(det_v * det_u.evaluate(V.preimages) - 1.0))
 print(f"determinant duality: max |det v * det u - 1| = {defect:.3e}")
 
 # the dual equation holds with the pulled-back right-hand side
-atilde = pullback_rhs(A, P)
+atilde = pullback_rhs(A, V)
 print(f"pullback: sup|A~| = {sup_norm(atilde):.6f} vs sup|A| = {sup_norm(A):.6f}")
 print(f"dual-equation residual: {sup_norm(dual_residual(V, atilde)):.3e}")

@@ -42,7 +42,7 @@ c1, c2 = eigenvalue_bounds(P)
 print(f"Hessian eigenvalues pinched in [{c1:.4f}, {c2:.4f}]")
 
 V = legendre_transform(P)
-atilde = pullback_rhs(A, P)
+atilde = pullback_rhs(A, V)
 print(f"beta for the lower-bound test function: {choose_beta(V)} "
       f"(largest admissible power of two)")
 

@@ -59,6 +59,7 @@ from .grid import (
     sup_norm,
 )
 from .legendre import (
+    DualPotential,
     dual_residual,
     gradient_map,
     gradient_map_inverse,
@@ -103,7 +104,7 @@ __all__ = [
     "SolverConfig", "ContinuityStep", "ContinuityTrace", "NewtonRecord",
     "newton_step", "continuity_solve", "functional_value",
     # legendre
-    "gradient_map", "gradient_map_inverse",
+    "DualPotential", "gradient_map", "gradient_map_inverse",
     "legendre_transform", "pullback_rhs", "dual_residual",
     # estimates
     "InequalityCheck", "BoundsReport", "VerificationReport", "c0_c1_report",

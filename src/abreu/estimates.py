@@ -390,12 +390,12 @@ def verify_solution(P: Potential, A: ScalarField) -> VerificationReport:
             sup_norm(again.perturbation - P.perturbation),
             _DUALITY_TOLERANCE,
         )
-        # det u at the preimages of the dual nodes; the pullbacks reuse
-        # the one inversion of P made by the transform
-        det_u = pullback_rhs(ScalarField(P.grid, state.det), P)
+        # det u at the preimages of the dual nodes, which V keeps from the
+        # transform's one inversion of P
+        det_u = pullback_rhs(ScalarField(P.grid, state.det), V)
         defect = np.max(np.abs(V.hessian_state.det * det_u.values - 1.0))
         check("determinant-duality", float(defect), _DUALITY_TOLERANCE)
-        atilde = pullback_rhs(A, P)
+        atilde = pullback_rhs(A, V)
         bound = sup_norm(A) * (1.0 + 1e-6) + 1e-12
         check("pullback-sup-norm", sup_norm(atilde), bound)
         residual = sup_norm(dual_residual(V, atilde))

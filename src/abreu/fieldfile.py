@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 import struct
-import tempfile
 
 import numpy as np
 
@@ -29,8 +28,11 @@ MAGIC = b"PABR1"
 
 def atomic_write(path, write, binary: bool = True) -> None:
     """Write `path` through `write(handle)` on a temporary file renamed over
-    it; on any failure the file is removed and `path` left as it was."""
-    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
+    it; on any failure the file is removed and `path` left as it was.  The
+    rename keeps the temporary's mode: 0o666 less the umask, as for any new file."""
+    folder = os.path.dirname(os.path.abspath(path))
+    tmp_path = os.path.join(folder, f".{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         mode, encoding = ("wb", None) if binary else ("w", "utf-8")
         with os.fdopen(fd, mode, encoding=encoding) as handle:

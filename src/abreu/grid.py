@@ -165,7 +165,7 @@ class PeriodicGrid:
 
     @property
     def node_count(self) -> int:
-        return int(np.prod(self.resolution))
+        return math.prod(self.resolution)
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         """1D node coordinates j/N along one axis."""

@@ -34,30 +34,32 @@ inverted anew (`potential.triangle_inverse`, the closed forms the
 Hessian state uses) only where the point's last step predicts that the
 kept inverse would miss the tolerance.
 
+`legendre_transform` returns a `DualPotential`, which keeps its primal
+and the preimages x (grad u(x) = y) of the grid nodes y where psi was
+sampled; the pullbacks sample there, so each transform inverts once.
 There are two starts.  A target y starts at the grid node nearest
-M^{-1} y, the identity-map guess that is exact at phi = 0, so its first
-step reads grad u and the inverse of D^2 u at that node from the
-potential's spectral data instead of interpolating them.  The dual V of
-P, as `legendre_transform` returns it, starts its own inversion at the
-grid nodes z from the duality itself: (grad v)^{-1} = grad u and
-D^2 v(grad u(z)) = D^2 u(z)^{-1}, so x = grad u(z), from P's kept
-spectral gradient, with D^2 u(z), from P's Hessian state, as the kept
-inverse.  That start is within transform accuracy of the root, and its
-residual is still checked against the tolerance by interpolating grad v
-there; if its Newton run stalls, the dual is inverted once more from the
-node start.  Each potential inverts its gradient map at the grid nodes
-once; the transform, the pullback and the checks share that inversion.
+M^{-1} y, exact at phi = 0, so its first step reads grad u and the
+inverse of D^2 u there from the potential's spectral data.  The
+transform of a dual V starts at the grid nodes z from the duality with
+its primal u: (grad v)^{-1} = grad u and D^2 v(grad u(z)) =
+D^2 u(z)^{-1}, so x = grad u(z) with D^2 u(z) as the kept inverse, both
+from the primal's spectral data.  That start is within transform
+accuracy of the root, and its residual is still checked by interpolating
+grad v there; if its Newton run stalls, V is inverted from the nodes.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GradientInversionFailure
 from .grid import PeriodicGrid, ScalarField, project_mean_zero, triangle_to_full
-from .potential import Potential, QuadraticBase, triangle_inverse
+from .potential import Potential, triangle_inverse
 
 __all__ = [
+    "DualPotential",
     "gradient_map",
     "gradient_map_inverse",
     "legendre_transform",
@@ -72,55 +74,37 @@ _INVERSION_TOLERANCE = 1e-12
 _INVERSION_MAX_ITERS = 50
 
 
-def _check_dual_lattice(base: QuadraticBase) -> None:
-    """The dual perturbation is periodic for the lattice M Z^n; it fits the
-    fixed [0,1]^n fundamental domain only when M preserves Z^n."""
-    if not base.is_unimodular():
-        raise ValueError(
-            "Legendre transform onto the unit torus requires a base matrix "
-            "that preserves the integer lattice (in practice the identity); "
-            f"got\n{base.matrix}"
-        )
+@dataclass(frozen=True, eq=False)
+class DualPotential(Potential):
+    """The dual of `primal` as `legendre_transform` returns it, with the
+    points where psi was sampled: `preimages` (read-only, one row per grid
+    node y, row-major) holds the x with grad u(x) = y, u the primal."""
+
+    primal: Potential
+    preimages: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        preimages = np.array(self.preimages, dtype=float)
+        grid = self.grid
+        if self.primal.grid != grid or preimages.shape != (grid.node_count, grid.dim):
+            raise ValueError("a dual shares its primal's grid and keeps one preimage per node")
+        preimages.setflags(write=False)
+        object.__setattr__(self, "preimages", preimages)
 
 
-def _node_preimages(P: Potential) -> np.ndarray:
-    """x with grad u(x) = y at every grid node y, row-major.
-
-    Kept read-only in P's instance dict (as `grid.kept_property`
-    keeps `Potential.hessian_state`), so the transform, pullbacks and
-    checks of one potential share one inversion.  The dual of a potential
-    (`legendre_transform`) starts from the duality (`_dual_start`), and
-    once more from the nodes if that stalls; every other potential starts
-    from `gradient_map_inverse`.  Raises ValueError unless the base
-    preserves the integer lattice.
-    """
-    cache = vars(P)
-    if "_node_preimages" not in cache:
-        _check_dual_lattice(P.base)
-        y = P.grid.node_points()
-        primal, x = cache.get("_dual_of"), None
-        if primal is not None:
-            start, hinv = _dual_start(primal, y)
-            try:
-                x = _newton(P, y, start, P.gradient_at(start), hinv, fresh=False)
-            except GradientInversionFailure:
-                pass  # the warm start stalled: invert once more from the nodes
-        if x is None:
-            x = gradient_map_inverse(P, y)
-        x.setflags(write=False)
-        cache["_node_preimages"] = x
-        cache.pop("_dual_of", None)  # P's primal need not outlive this
-    return cache["_node_preimages"]
-
-
-def _dual_start(P: Potential, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start of the dual's inversion at all grid nodes z (row-major), from
-    the primal P: x = grad u(z), the preimage up to transform accuracy
-    since (grad v)^{-1} = grad u, and D^2 u(z) = D^2 v(x)^{-1} as its kept
-    inverse Hessian, both from P's kept spectral data."""
-    nodes = np.indices(P.grid.shape).reshape(P.grid.dim, -1).T
-    hess = P.hessian_state.hessian.entries.reshape(-1, len(nodes))
-    return P.node_gradient(z, nodes), triangle_to_full(hess)
+def _warm_preimages(V: DualPotential, z: np.ndarray) -> np.ndarray | None:
+    """x with grad v(x) = z at all grid nodes z (row-major), v the dual V,
+    started from the duality with V's primal (see the module docstring);
+    None when that Newton run stalls."""
+    primal = V.primal
+    nodes = np.indices(V.grid.shape).reshape(V.grid.dim, -1).T
+    hess = primal.hessian_state.hessian.entries.reshape(-1, len(nodes))
+    start = primal.node_gradient(z, nodes)
+    try:
+        return _newton(V, z, start, V.gradient_at(start), triangle_to_full(hess), fresh=False)
+    except GradientInversionFailure:
+        return None
 
 
 def _grid_nodes(grid: PeriodicGrid, points: np.ndarray) -> np.ndarray | None:
@@ -244,36 +228,44 @@ def _newton(
     raise GradientInversionFailure(y[worst], rnorm[worst], _INVERSION_TOLERANCE, node)
 
 
-def legendre_transform(P: Potential) -> Potential:
+def legendre_transform(P: Potential) -> DualPotential:
     """Dual potential v(y) = y^T M^{-1} y / 2 + psi(y) on the dual grid.
 
-    Each dual node y is pulled back through the gradient map to x, and
-    psi(y) = v(y) - y^T M^{-1} y / 2 = -phi(x) - g^T M^{-1} g / 2 with
-    g = y - x M, formed on psi's own scale (see the module docstring);
-    psi is returned in mean-zero gauge.  Applying the transform twice
-    recovers the original potential (convex involution).
+    Each dual node y is pulled back through the gradient map to x (from
+    the duality when P is itself a dual), and psi(y) = v(y) - y^T M^{-1}
+    y / 2 = -phi(x) - g^T M^{-1} g / 2 with g = y - x M, formed on psi's
+    own scale (see the module docstring); psi is returned in mean-zero
+    gauge, with P and x kept as the dual's primal and preimages.  Applying
+    the transform twice recovers the original potential (convex involution).
     """
     grid = P.grid
     dual_base = P.base.inverse()
+    if not P.base.is_unimodular():  # psi is M Z^n-periodic: it fits [0,1]^n iff M Z^n = Z^n
+        raise ValueError(
+            "Legendre transform onto the unit torus requires a base matrix "
+            "that preserves the integer lattice (in practice the identity); "
+            f"got\n{P.base.matrix}"
+        )
     y = grid.node_points()
-    x = _node_preimages(P)
+    x = _warm_preimages(P, y) if isinstance(P, DualPotential) else None
+    if x is None:
+        x = gradient_map_inverse(P, y)
     g = y - x @ P.base.matrix
     quad = 0.5 * np.einsum("pi,ij,pj->p", g, dual_base.matrix, g)
     psi = (-P.perturbation_at(x) - quad).reshape(grid.shape)
-    dual = Potential(dual_base, project_mean_zero(ScalarField(grid, psi)))
-    vars(dual)["_dual_of"] = P  # read once, by the dual's own inversion
-    return dual
+    return DualPotential(dual_base, project_mean_zero(ScalarField(grid, psi)), P, x)
 
 
-def pullback_rhs(A: ScalarField, P: Potential) -> ScalarField:
-    """Sample A at the gradient-map preimages of the dual nodes.
+def pullback_rhs(A: ScalarField, V: DualPotential) -> ScalarField:
+    """Sample A at the preimages of the dual nodes, `V.preimages`, for the
+    dual V that `legendre_transform` returned.
 
     The pullback takes the same values as A (at transported points), so
     its sup over dual nodes cannot exceed sup|A| beyond interpolation
     error.
     """
-    vals = A.interpolant.evaluate(_node_preimages(P))
-    return ScalarField(P.grid, vals.reshape(P.grid.shape))
+    vals = A.interpolant.evaluate(V.preimages)
+    return ScalarField(V.grid, vals.reshape(V.grid.shape))
 
 
 def dual_residual(V: Potential, Atilde: ScalarField) -> ScalarField:

@@ -256,9 +256,9 @@ def _det_stack(m):
 def corrupt_first_dual(monkeypatch, bump):
     """Make the next `legendre_transform` return its dual with `bump` (mean
     zero, node values) added to the perturbation; later transforms are
-    exact.  The dual still comes out of the transform, so it keeps
-    everything the transform attaches to it, such as its start for
-    inverting its own gradient map."""
+    exact.  The corrupted dual is still the transform's `DualPotential`,
+    with its primal and preimages, so its own transform still starts from
+    the duality with that primal."""
     project = legendre.project_mean_zero
     done = []
 

@@ -197,7 +197,7 @@ def test_08_legendre_suite(solved_1d):
     det_u = TrigInterpolant(det_hessian(hessian_u(P)))
     det_v = det_hessian(hessian_u(V)).values.ravel()
     duality = float(np.max(np.abs(det_v * det_u.evaluate(x_of_y) - 1.0)))
-    atilde = pullback_rhs(a, P)
+    atilde = pullback_rhs(a, V)
     dual_res = sup_norm(dual_residual(V, atilde))
     report(
         8,
@@ -210,7 +210,7 @@ def test_08_legendre_suite(solved_1d):
 def test_09_estimate_monitors(solved_1d):
     _, a, _, P, _, _ = solved_1d
     V = legendre_transform(P)
-    atilde = pullback_rhs(a, P)
+    atilde = pullback_rhs(a, V)
     upper = upper_bound_monitor(V, atilde)
     lower = lower_bound_monitor(V, atilde)
     names = {c.name for c in upper.inequalities} | {c.name for c in lower.inequalities}

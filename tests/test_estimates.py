@@ -45,7 +45,7 @@ def certified():
     _, a, _ = manufactured_problem(64)
     P, _ = continuity_solve(a)
     V = legendre_transform(P)
-    atilde = pullback_rhs(a, P)
+    atilde = pullback_rhs(a, V)
     return P, a, V, atilde
 
 
@@ -269,7 +269,8 @@ class TestVerifyReportAssembly:
         bounds = verify_solution(P, a).bounds
         sup_phi, sup_grad_phi, _ = c0_c1_report(P)
         eig_min, eig_max = eigenvalue_bounds(P)
-        V, atilde = legendre_transform(P), pullback_rhs(a, P)
+        V = legendre_transform(P)
+        atilde = pullback_rhs(a, V)
         upper, lower = upper_bound_monitor(V, atilde), lower_bound_monitor(V, atilde)
         monitors = upper.inequalities + lower.inequalities
         own = bounds.inequalities[len(monitors):]
@@ -362,8 +363,7 @@ class TestOneInversionPerPotential:
         g = make_grid(2, [16, 16])
         P = random_convex_potential(g, np.random.default_rng(5), margin=0.5)
         zero = ScalarField.zeros(g)
-        legendre_transform(P)
-        pullback_rhs(zero, P)
+        pullback_rhs(zero, legendre_transform(P))
         assert len(built) == 2
         assert built[0] is P.perturbation and built[1] is zero
         assert sum(inversions.values()) == 1

@@ -1,13 +1,14 @@
 """Binary field-file format: byte-exact round trips and diagnostics."""
 
 import os
+import stat
 import struct
 
 import numpy as np
 import pytest
 
 from abreu import FormatError, ScalarField, make_grid, read_field, write_field
-from abreu.fieldfile import MAGIC
+from abreu.fieldfile import MAGIC, atomic_write
 
 
 def random_field(rng, dim, resolution):
@@ -80,6 +81,14 @@ class TestDiagnostics:
             read_field(path)
         assert "resolution" in str(info.value)
 
+    def test_huge_header_reads_as_truncated(self, tmp_path):
+        # 2^62 * 8 nodes: a node count that wrapped to 0 took the empty
+        # payload for a whole one
+        path = tmp_path / "huge.fld"
+        path.write_bytes(MAGIC + struct.pack("<I", 2) + struct.pack("<2Q", 2**62, 8))
+        with pytest.raises(FormatError, match="payload truncated"):
+            read_field(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "trail.fld"
         rng = np.random.default_rng(4)
@@ -102,6 +111,20 @@ class TestDiagnostics:
         path.write_bytes(MAGIC + struct.pack("<I", 1) + struct.pack("<Q", 8) + payload)
         with pytest.raises(FormatError):
             read_field(path)
+
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"]
+    )
+    def test_written_files_follow_the_umask(self, tmp_path, umask, mode):
+        path, report = tmp_path / "f.fld", tmp_path / "report.json"
+        previous = os.umask(umask)
+        try:
+            write_field(path, random_field(np.random.default_rng(6), 1, [8]))
+            atomic_write(report, lambda handle: handle.write("{}"), binary=False)
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+        assert stat.S_IMODE(report.stat().st_mode) == mode
 
     def test_write_is_atomic(self, tmp_path):
         # no temp debris left behind after a successful write

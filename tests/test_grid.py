@@ -60,6 +60,12 @@ class TestMakeGrid:
         # spacing * N = 1 exactly
         assert all(s * n == 1.0 for s, n in zip(g.spacing, g.resolution))
 
+    def test_node_count_does_not_wrap(self):
+        # a product of numpy int64 wraps: 2^65 read 0, (2^61 + 2) * 8 read 16
+        assert make_grid(2, (2**62, 8)).node_count == 2**65
+        assert make_grid(2, (2**61 + 2, 8)).node_count == (2**61 + 2) * 8
+        assert type(make_grid(3, 8).node_count) is int
+
     def test_rejects_odd_resolution(self):
         with pytest.raises(ValueError):
             make_grid(2, [7, 8])

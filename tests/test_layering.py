@@ -38,6 +38,11 @@ A kept per-instance value is a `grid.kept_property`: no module names
 `functools.cached_property`, which takes a class-wide lock on every first
 access on Python 3.10 and 3.11.
 
+State shared between objects is a declared field, never a hidden entry in
+an instance dict: no module calls `vars`, only `kept_property.__get__`
+names `__dict__`, and `object.__setattr__` sets only the fields of `self`
+in a `__post_init__`.
+
 Every function that the benchmark's tracer wraps (`FUNCTIONS` in
 perfbench/tracing.py), and at least one of its Krylov hooks, resolves in
 the package, so a refactor cannot null a per-layer metric by renaming it.
@@ -359,6 +364,64 @@ def test_detects_cached_property(tmp_path):
         encoding="utf-8",
     )
     assert _names_used(probe, {"cached_property"}) == [2, 4]
+
+
+def _instance_dict_writes(path):
+    """{line: enclosing function} of each call of `vars`, each `__dict__`
+    attribute and each `object.__setattr__` call that is not on `self`
+    inside a `__post_init__`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    vars_calls, dict_uses, setattrs = set(), set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "__dict__":
+            dict_uses.add(node.lineno)
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "vars":
+            vars_calls.add(node.lineno)
+        elif (isinstance(func, ast.Attribute) and func.attr == "__setattr__"
+              and isinstance(func.value, ast.Name) and func.value.id == "object"):
+            first = node.args[0] if node.args else None
+            setattrs.append((node.lineno, isinstance(first, ast.Name) and first.id == "self"))
+    owners = _enclosing_functions(path, [line for line, _ in setattrs] + sorted(dict_uses))
+    found = dict.fromkeys(vars_calls, "vars")
+    found.update({line: owners[line] for line in dict_uses
+                  if owners[line] != "kept_property.__get__"})
+    found.update({line: owners[line] for line, on_self in setattrs
+                  if not (on_self and (owners[line] or "").endswith(".__post_init__"))})
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_hidden_instance_state(path):
+    assert _instance_dict_writes(path) == {}
+
+
+def test_detects_hidden_instance_state(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "class kept_property:\n"
+        "    def __get__(self, instance, owner=None):\n"
+        "        value = instance.__dict__['x'] = 1\n"
+        "        return value\n"
+        "class Field:\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'values', 1)\n"
+        "    def update(self):\n"
+        "        object.__setattr__(self, 'values', 2)\n"
+        "def preimages(P):\n"
+        "    cache = vars(P)\n"
+        "    P.__dict__.setdefault('x', 0)\n"
+        "    object.__setattr__(P, 'x', 0)\n"
+        "def transform(dual, P):\n"
+        "    vars(dual)['_dual_of'] = P\n"
+        "    return 'vars(P)'  # vars() in a comment\n",
+        encoding="utf-8",
+    )
+    assert _instance_dict_writes(probe) == {
+        9: "Field.update", 11: "vars", 12: "preimages", 13: "preimages", 15: "vars"
+    }
 
 
 def _context_variable_uses(path):

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from abreu import (
+    DualPotential,
     GradientInversionFailure,
     NotConvex,
     Potential,
@@ -546,30 +547,51 @@ def _solved_potential(n):
 @pytest.fixture
 def inversion_orders(monkeypatch):
     """(potential, [highest derivative order of each TrigInterpolant.partials
-    call]) for each node inversion computed while active, in order."""
-    runs = []
-    node_preimages = legendre._node_preimages
+    call]) for each node inversion, from either start, run while active, in
+    order."""
+    runs, active = [], []
     partials = TrigInterpolant.partials
 
-    def preimages_spy(P):
-        if "_node_preimages" not in vars(P):
+    def spying(invert):
+        def spy(P, points):
             runs.append((P, []))
-        return node_preimages(P)
+            active.append(P)
+            try:
+                return invert(P, points)
+            finally:
+                active.pop()
+
+        return spy
 
     def partials_spy(self, points, orders):
-        # inversions do not nest: the last one runs until it is cached
-        if runs and "_node_preimages" not in vars(runs[-1][0]):
+        if active:  # inversions do not nest
             runs[-1][1].append(max(map(sum, orders)))
         return partials(self, points, orders)
 
-    monkeypatch.setattr(legendre, "_node_preimages", preimages_spy)
+    for name in ("gradient_map_inverse", "_warm_preimages"):
+        monkeypatch.setattr(legendre, name, spying(getattr(legendre, name)))
     monkeypatch.setattr(TrigInterpolant, "partials", partials_spy)
     return runs
 
 
+@pytest.fixture
+def warm_starts(monkeypatch):
+    """The duals whose transform started from the duality with their primal
+    while active, in order."""
+    duals = []
+    warm_preimages = legendre._warm_preimages
+
+    def spy(V, z):
+        duals.append(V)
+        return warm_preimages(V, z)
+
+    monkeypatch.setattr(legendre, "_warm_preimages", spy)
+    return duals
+
+
 class TestDualStart:
-    """The dual returned by `legendre_transform` starts its own inversion at
-    x = grad u(z) with D^2 u(z) as its kept inverse Hessian."""
+    """The transform of a dual starts its inversion at x = grad u(z), u its
+    primal, with D^2 u(z) as its kept inverse Hessian."""
 
     def test_verify_inverts_the_dual_with_one_gradient_call(self, inversion_orders):
         P, a = _solved_potential(48)
@@ -577,7 +599,7 @@ class TestDualStart:
         outcome = verify_solution(P, a)
         assert outcome.passed
         (primal, first), (dual, second) = inversion_orders
-        assert primal is P and dual is not P
+        assert primal is P and dual.primal is P
         assert 2 in first  # the primal refreshes Hessians from its node start
         assert second == [1]
 
@@ -599,33 +621,65 @@ class TestDualStart:
             return newton(P, y, x, grad, hinv, fresh)
 
         monkeypatch.setattr(legendre, "_newton", spy)
-        warm = legendre._node_preimages(V)
+        warm = legendre_transform(V).preimages
         cold = gradient_map_inverse(V, g.node_points())
         (warm_fresh, warm_residual), (cold_fresh, _) = starts
         assert not warm_fresh and cold_fresh
         assert warm_residual > 1e3 * legendre._INVERSION_TOLERANCE
         assert np.max(np.abs(warm - cold)) <= 1e-12
 
-    def test_corrupted_dual_fails_involution(self, monkeypatch):
+    def test_corrupted_dual_fails_involution(self, monkeypatch, warm_starts):
         P, a = _solved_potential(16)
         bump = 1e-6 * ScalarField.from_function(
             P.grid, lambda x, y: np.cos(TWO_PI * (x + 2 * y))
         ).values
         corrupt_first_dual(monkeypatch, bump)
-        dual_starts = []
-        dual_start = legendre._dual_start
-
-        def spy(primal, z):
-            dual_starts.append(primal)
-            return dual_start(primal, z)
-
-        monkeypatch.setattr(legendre, "_dual_start", spy)
         outcome = verify_solution(P, a)
-        assert dual_starts == [P]
+        assert [V.primal for V in warm_starts] == [P]
         (check,) = [c for c in outcome.bounds.inequalities
                     if c.name == "legendre-involution"]
         assert not check.satisfied and 1e-7 < check.lhs < 1e-5
         assert outcome.passed is False
+
+    def test_a_potential_built_from_a_dual_starts_from_the_nodes(self, warm_starts):
+        P, _ = _solved_potential(16)
+        V = legendre_transform(P)
+        W = Potential(V.base, V.perturbation)  # the same values, no primal
+        cold = legendre_transform(W).preimages
+        assert warm_starts == []
+        warm = legendre_transform(V).preimages
+        assert warm_starts == [V]
+        assert np.max(np.abs(warm - cold)) <= 1e-12
+
+
+class TestDualPotential:
+    def test_transform_keeps_its_primal_and_preimages(self):
+        P, _ = _solved_potential(16)
+        V = legendre_transform(P)
+        assert isinstance(V, DualPotential) and V.primal is P
+        assert np.array_equal(V.preimages, gradient_map_inverse(P, P.grid.node_points()))
+        assert not V.preimages.flags.writeable
+        with pytest.raises(ValueError):
+            V.preimages[0, 0] = 0.0
+
+    def test_pullback_samples_at_the_preimages(self):
+        P, a = _solved_potential(16)
+        V = legendre_transform(P)
+        out = pullback_rhs(a, V)
+        assert np.array_equal(out.values.ravel(), a.interpolant.evaluate(V.preimages))
+
+    def test_preimages_are_copied_and_checked(self):
+        P, _ = _solved_potential(16)
+        V = legendre_transform(P)
+        x = np.array(V.preimages)
+        W = DualPotential(V.base, V.perturbation, P, x)
+        x[0, 0] = 5.0
+        assert np.array_equal(W.preimages, V.preimages)
+        with pytest.raises(ValueError, match="one preimage per node"):
+            DualPotential(V.base, V.perturbation, P, x[1:])
+        Q = Potential.flat(make_grid(2, [8, 8]))
+        with pytest.raises(ValueError, match="one preimage per node"):
+            DualPotential(V.base, V.perturbation, Q, x)
 
 
 @st.composite
@@ -792,18 +846,18 @@ class TestPullbackRhs:
         g = make_grid(1, [32])
         x = g.axis_coordinates(0)
         a = ScalarField(g, np.cos(TWO_PI * x))
-        out = pullback_rhs(a, Potential.flat(g))
+        out = pullback_rhs(a, legendre_transform(Potential.flat(g)))
         assert sup_norm(out - a) < 1e-12
 
     def test_zero_stays_zero(self):
         P = manufactured_potential(32)
-        out = pullback_rhs(ScalarField.zeros(P.grid), P)
+        out = pullback_rhs(ScalarField.zeros(P.grid), legendre_transform(P))
         assert sup_norm(out) < 1e-13
 
     def test_sup_norm_preserved(self):
         _, a, _ = manufactured_problem(64)
         P = manufactured_potential(64)
-        atilde = pullback_rhs(a, P)
+        atilde = pullback_rhs(a, legendre_transform(P))
         assert sup_norm(atilde) <= sup_norm(a) * (1.0 + 1e-6)
         # dense-sampling oracle of sup A(x(y))
         y_dense = np.linspace(0.0, 1.0, 5000, endpoint=False)[:, None]
@@ -826,5 +880,5 @@ class TestDualResidual:
         _, a, _ = manufactured_problem(64)
         P, _ = continuity_solve(a)
         V = legendre_transform(P)
-        atilde = pullback_rhs(a, P)
+        atilde = pullback_rhs(a, V)
         assert sup_norm(dual_residual(V, atilde)) < 1e-6
