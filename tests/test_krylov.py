@@ -324,6 +324,43 @@ class TestFlatStart:
         else:
             assert np.max(np.abs(transformed)) < 1e-20
 
+    @pytest.mark.parametrize("shape", [(16,), (8, 12), (20, 20), (8, 10, 8)])
+    def test_step_takes_the_exact_correction_without_krylov(self, shape, monkeypatch):
+        # at phi = 0 the operator is the inverse of the preconditioner, so the
+        # step neither runs PCG nor applies the operator; PCG run to 1e-12
+        # reaches the same correction to rounding
+        g = make_grid(len(shape), list(shape))
+        rng = np.random.default_rng(5)
+        base = _random_base(rng, g.dim)
+        target = 0.1 * random_band_limited(g, rng, max_mode=2)
+        record = NewtonRecord(Potential.flat(g, base), target)
+        calls = Counter()
+        pcg = solver._pcg
+
+        def counted(name, func):
+            def counting(*args):
+                calls[name] += 1
+                return func(*args)
+
+            return counting
+
+        monkeypatch.setattr(solver, "_pcg", counted("pcg", pcg))
+        monkeypatch.setattr(HessianState, "congruent", counted("apply", HessianState.congruent))
+        accepted = newton_step(record, 0.5)
+        assert calls == Counter()
+        flat = solver._flat_correction(record)
+        P = record.potential
+        trials = [P.with_perturbation(P.perturbation.values + solver._DAMPING**k * flat)
+                  for k in range(11)]
+        stepped = accepted.potential.perturbation.values
+        assert any(np.array_equal(stepped, trial.perturbation.values) for trial in trials)
+        solved = from_spectrum(g, pcg(solver._linearized_operator(record.potential), g,
+                                      solver._inverse_flat_symbol(g, base),
+                                      record.defect.spectrum, 1e-12))
+        assert calls["apply"] > 0  # the spy sees the operator's applies
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(flat - solved)) <= 4.0 * eps * np.max(np.abs(solved))
+
     def test_a_field_constant_along_the_last_axis_is_not_constant(self):
         # its first two nodes agree, so only the full comparison tells
         g = make_grid(2, [16, 8])

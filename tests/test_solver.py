@@ -7,6 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abreu import (
     HessianState,
@@ -355,9 +357,10 @@ class TestContinuitySolve:
         assert SymMatrixField.identity(g).entries.tobytes() not in formed
 
     def test_each_linearized_potential_builds_its_weights_once(self, monkeypatch):
-        # the first attempt runs and is then failed, so the retry linearizes
-        # the last accepted perturbation (the flat start) again, on a
-        # potential of its own
+        # a flat-start solve never linearizes its start; then a noisy-start
+        # solve whose first attempt runs and is failed, so the retry
+        # linearizes the last accepted perturbation (the noisy start) again,
+        # on a potential of its own
         built, linearized = Counter(), Counter()
         build = HessianState._weights.func
 
@@ -368,18 +371,23 @@ class TestContinuitySolve:
         weights = functools.cached_property(counting_build)
         weights.__set_name__(HessianState, "_weights")
         monkeypatch.setattr(HessianState, "_weights", weights)
-        step = solver.newton_step
+        operator = solver._linearized_operator
 
-        def counting_step(record, forcing):
-            linearized[record.potential.hessian_state] += 1
-            return step(record, forcing)
+        def counting_operator(P):
+            linearized[P.hessian_state] += 1
+            return operator(P)
 
-        monkeypatch.setattr(solver, "newton_step", counting_step)
-        _fail_first_attempt(monkeypatch, run_it=True)
-        g = make_grid(2, [16, 16])
-        x, y = g.coordinate_arrays()
-        a = ScalarField(g, 0.3 * (np.cos(TWO_PI * x) + np.cos(TWO_PI * y)))
+        monkeypatch.setattr(solver, "_linearized_operator", counting_operator)
+        a = _small_2d_problem()
         continuity_solve(a)
+        flat = SymMatrixField.identity(a.grid).entries.tobytes()
+        assert built and flat not in {state.hessian.entries.tobytes() for state in built}
+        assert built.keys() == linearized.keys()
+        built.clear()
+        linearized.clear()
+        _fail_first_attempt(monkeypatch, run_it=True)
+        noise = random_convex_potential(a.grid, np.random.default_rng(4), margin=0.7)
+        continuity_solve(a, initial_perturbation=noise.perturbation)
         values = Counter(state.hessian.entries.tobytes() for state in linearized)
         assert max(values.values()) > 1
         assert built.keys() == linearized.keys()
@@ -508,7 +516,7 @@ class TestInexactNewton:
     def test_krylov_applies_on_small_2d(self, monkeypatch):
         # every Newton system solved to a fixed relative 1e-12 took 83
         # applies here under continuation; forcing terms with the first
-        # attempt at t = 1 take 6
+        # attempt at t = 1, whose flat first step runs no CG, take 5
         applies = []
         pcg = solver._pcg
 
@@ -629,6 +637,45 @@ class TestStoppingRule:
         calls = self._stalled(monkeypatch)
         assert self._attempt(5e-9) is None
         assert len(calls) == solver._MAX_NEWTON_ITERS
+
+    @pytest.mark.parametrize("mode, steps", [(10, 0), (1, 1)])
+    def test_an_in_band_iterate_at_rounding_is_accepted_before_a_step(
+            self, monkeypatch, mode, steps):
+        # 2 tolerances on mode 10: its flat correction reads 2e-10 / (20 pi)^4,
+        # about 1e-17, so no step is taken; on mode 1 it reads 1e-13, so the
+        # attempt steps and accepts on the stalled update
+        calls = self._stalled(monkeypatch)
+        g = make_grid(1, [32])
+        target = ScalarField(g, 2e-10 * np.cos(mode * TWO_PI * g.axis_coordinates(0)))
+        record, iterations = solver._newton_solve(Potential.flat(g), target, SolverConfig())
+        assert (iterations, len(calls)) == (steps, steps)
+        assert sup_norm(record.potential.perturbation) == 0.0
+        assert record.residual == pytest.approx(2e-10)
+
+
+class TestRoundingAcceptance:
+    """Accepting an in-band iterate at rounding moves the solution by
+    rounding only."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=st.sampled_from([(32,), (16, 16)]), seed=st.integers(0, 2**32 - 1),
+           amplitude=st.floats(0.05, 4.0), max_mode=st.integers(1, 3),
+           tolerance=st.sampled_from([1e-10, 1e-12]))
+    def test_matches_a_solve_without_the_early_exit(self, shape, seed, amplitude, max_mode,
+                                                    tolerance):
+        # the tighter tolerance puts more of these floors in the band
+        g = make_grid(len(shape), list(shape))
+        rng = np.random.default_rng(seed)
+        a = random_band_limited(g, rng, max_mode=max_mode, amplitude=amplitude)
+        a = ScalarField(g, a.values * min(1.0, 4.0 / sup_norm(a)))  # sup|A| <= 4
+        cfg = SolverConfig(tolerance)
+        P, trace = continuity_solve(a, cfg=cfg)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_ROUNDING_BAND", 0.0)
+            P_late, _ = continuity_solve(a, cfg=cfg)
+        bound = 1e-14 * (1.0 + sup_norm(P_late.perturbation))
+        assert sup_norm(P.perturbation - P_late.perturbation) <= bound
+        assert trace.steps[-1].final_residual_norm <= 10.0 * tolerance * (1.0 + sup_norm(a))
 
 
 class TestAttemptRecord:

@@ -1,5 +1,6 @@
 """The step-cost tool loads each source tree as its own package and
-reports the solve time per Newton step of each."""
+reports the solve time per Newton step of each, or the time and the Newton
+steps per CLI op, on the pools of the seed it is given."""
 
 import importlib.util
 import sys
@@ -15,17 +16,33 @@ def _tool():
     return tool
 
 
+def _seeds(monkeypatch, tool, name):
+    """The seeds the tool passes to its binding `name`, one per call."""
+    seeds = []
+    original = getattr(tool, name)
+
+    def spying(workload, seed, *args):
+        seeds.append(seed)
+        return original(workload, seed, *args)
+
+    monkeypatch.setattr(tool, name, spying)
+    return seeds
+
+
 def test_times_two_trees_on_a_tiny_pool(monkeypatch, capsys):
-    # the same source twice, as two packages: same steps, a time for each
+    # the same source twice, as two packages: same steps, a time for each,
+    # on the pool of the seed asked for
     tool = _tool()
     spec = {"command": "solve", "dim": 1, "resolutions": [16], "pool": 2, "modes": [1],
             "kmax": 1, "sup": [0.1, 0.2], "report": False, "op_s": 0.01}
     monkeypatch.setitem(sys.modules["workloads"].WORKLOADS, "tiny-1d", spec)
     monkeypatch.setattr(tool, "CASES", [("1D N=16", "tiny-1d", 16)])
     monkeypatch.setattr(tool, "THREAD_ENV", {})  # numpy is loaded already
+    seeds = _seeds(monkeypatch, tool, "make_inputs")
     src = tool.ROOT / "src"
     try:
-        assert tool.main(["--src", str(src), "--src", str(src), "--rounds", "2"]) == 0
+        argv = ["--src", str(src), "--src", str(src), "--rounds", "2", "--seed", "3"]
+        assert tool.main(argv) == 0
         first, second = sys.modules["abreu_src0"], sys.modules["abreu_src1"]
         assert first is not second and first.solver is not second.solver
     finally:
@@ -38,15 +55,18 @@ def test_times_two_trees_on_a_tiny_pool(monkeypatch, capsys):
     assert rows[0][1] == rows[1][1] and int(rows[0][1]) > 0
     assert float(rows[0][2]) > 0.0 and float(rows[0][3]) == 1.0
     assert float(rows[1][2]) > 0.0 and [row[4] for row in rows] == [str(src)] * 2
+    assert seeds == [3, 3]
 
 
 def test_times_the_cli_ops_of_a_workload(monkeypatch, capsys):
-    # --ops: each tree's CLI on the pool's arguments, one line per tree
+    # --ops: each tree's CLI on the pool's arguments of the default seed,
+    # one line per tree with its Newton steps per op
     tool = _tool()
     spec = {"command": "solve", "dim": 1, "resolutions": [16], "pool": 2, "modes": [1],
             "kmax": 1, "sup": [0.1, 0.2], "report": True, "op_s": 0.01}
     monkeypatch.setitem(sys.modules["workloads"].WORKLOADS, "tiny-1d", spec)
     monkeypatch.setattr(tool, "THREAD_ENV", {})  # numpy is loaded already
+    seeds = _seeds(monkeypatch, tool, "Workload")
     src = tool.ROOT / "src"
     try:
         argv = ["--src", str(src), "--src", str(src), "--rounds", "2", "--ops", "tiny-1d"]
@@ -55,9 +75,13 @@ def test_times_the_cli_ops_of_a_workload(monkeypatch, capsys):
         for name in [n for n in sys.modules if n.split(".")[0] in ("abreu_src0", "abreu_src1")]:
             del sys.modules[name]
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["workload", "ops", "ms/op", "ratio", "src"]
-    rows = [line.rsplit(None, 4) for line in lines[1:]]
+    assert lines[0].split() == ["workload", "ops", "ms/op", "steps/op", "ratio", "src"]
+    rows = [line.rsplit(None, 5) for line in lines[1:]]
     assert [row[0] for row in rows] == ["tiny-1d", "tiny-1d"]
     assert [row[1] for row in rows] == ["2", "2"]
-    assert float(rows[0][2]) > 0.0 and float(rows[0][3]) == 1.0
-    assert float(rows[1][2]) > 0.0 and [row[4] for row in rows] == [str(src)] * 2
+    assert float(rows[0][2]) > 0.0 and float(rows[0][4]) == 1.0
+    assert float(rows[1][2]) > 0.0 and [row[5] for row in rows] == [str(src)] * 2
+    # two ops: a whole number of steps over two, the same on both trees
+    assert rows[0][3] == rows[1][3] and float(rows[0][3]) > 0.0
+    assert (2.0 * float(rows[0][3])).is_integer()
+    assert seeds == [1, 1]

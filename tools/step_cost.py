@@ -4,6 +4,7 @@ package sources, side by side.
     python3 tools/step_cost.py --src src --src ../parent/src
     python3 tools/step_cost.py --src src --rounds 15
     python3 tools/step_cost.py --src src --src ../parent/src --ops prescribe-3d
+    python3 tools/step_cost.py --src src --src ../parent/src --ops solve-2d --seed 7
 
 Each `--src DIR` names a source tree holding `abreu/`.  Each tree is loaded
 as a package of its own (`abreu_src0`, `abreu_src1`, ...) in this one
@@ -11,8 +12,9 @@ process, which works because the package's modules import one another
 only relatively; so the trees share the interpreter, the BLAS (one thread,
 set before numpy is imported) and the machine's state while they run.
 
-The inputs are the seed-1 pools of the benchmark's workloads
-(`perfbench/workloads.py`).  By default the tool times Newton steps at the
+The inputs are the benchmark's workload pools (`perfbench/workloads.py`)
+of the seed `--seed`, 1 by default, so that a claim made on one seed can
+be checked again on another.  By default the tool times Newton steps at the
 sizes in `CASES`: 1D N = 256, 512 and 1024 of `solve-1d-ladder`, whose
 solves end at the step floor, and 2D 64^2 of `solve-2d`.  Each tree builds
 the fields with its own `fieldlang` and solves them with its own
@@ -21,14 +23,16 @@ size's Newton steps, the calls of the tree's `solver.newton_step`, with
 `tools/output_digest.py`'s wrapper of the module binding the package calls
 through.  With `--ops WORKLOAD` it times that workload's CLI ops instead,
 each tree's `cli.main` on the op's arguments as the benchmark makes them
-(`perfbench/child.py`), set-up files in a temporary directory per tree.
+(`perfbench/child.py`), set-up files in a temporary directory per tree,
+after a first, untimed pass that counts each tree's Newton steps per op.
 
 Every round runs each input once per tree, the trees in turn (in reverse
 order every other round), so that a slow spell of the host falls on all
 trees alike; a tree's cost in a round is its time over its step count, or
 over the pool's op count.  The tool prints one line per size (or the
 workload) and tree: the steps (or ops) per round, the median cost over the
-rounds, and the median over the rounds of its cost over the first tree's.
+rounds (with `--ops`, then the Newton steps per op), and the median over
+the rounds of its cost over the first tree's.
 """
 
 from __future__ import annotations
@@ -60,8 +64,6 @@ CASES = [
     ("2D 64^2", "solve-2d", 64),
 ]
 
-SEED = 1
-
 
 def load_tree(src: Path, index: int):
     """The package `src/abreu` imported under the name `abreu_src<index>`."""
@@ -81,10 +83,10 @@ def load_tree(src: Path, index: int):
 class Case:
     """One size's fields on one tree, with the tree's solve."""
 
-    def __init__(self, package, workload: str, resolution: int):
+    def __init__(self, package, workload: str, resolution: int, seed: int):
         self.solver = importlib.import_module(package.__name__ + ".solver")
         self.error = importlib.import_module(package.__name__ + ".errors").AbreuError
-        items = [item for item in make_inputs(workload, SEED)
+        items = [item for item in make_inputs(workload, seed)
                  if item["resolution"] == resolution]
         self.fields = []
         for item in items:
@@ -100,25 +102,29 @@ class Case:
             pass
         return time.perf_counter() - start
 
-    def count_steps(self) -> int:
-        with counting(self.solver, "newton_step") as calls:
-            for i in range(len(self.fields)):
-                self.run(i)
-        return calls[0]
-
 
 class Ops:
     """One workload's CLI ops on one tree, its files in `workdir`."""
 
-    def __init__(self, package, workload: str, workdir: str):
+    def __init__(self, package, workload: str, seed: int, workdir: str):
+        self.solver = importlib.import_module(package.__name__ + ".solver")
         self.cli = importlib.import_module(package.__name__ + ".cli")
-        ops = Workload(workload, SEED, workdir)
+        ops = Workload(workload, seed, workdir)
         ops.prepare(self.cli)
         self.argvs = [ops.op(item)[0] for item in ops.pool]
 
     def run(self, i: int) -> float:
         """Seconds of op i, a failed op included."""
         return call(self.cli, self.argvs[i])[1]
+
+
+def count_steps(case, count: int) -> int:
+    """Calls of the case's tree's `solver.newton_step` while inputs
+    0..count-1 run once, untimed."""
+    with counting(case.solver, "newton_step") as calls:
+        for i in range(count):
+            case.run(i)
+    return calls[0]
 
 
 def interleaved(cases: list, count: int, rounds: int) -> list[list[float]]:
@@ -147,14 +153,15 @@ def _rows(label: str, srcs: list[Path], counts: list[int], seconds: list[list[fl
             for src, n, cost in zip(srcs, counts, costs)]
 
 
-def step_costs(srcs: list[Path], rounds: int) -> list[tuple[str, Path, int, float, float]]:
+def step_costs(srcs: list[Path], rounds: int,
+               seed: int) -> list[tuple[str, Path, int, float, float]]:
     """(size, tree, steps, median microseconds per step, median ratio to
     the first tree) per size and tree."""
     packages = [load_tree(src, index) for index, src in enumerate(srcs)]
     table = []
     for label, workload, resolution in CASES:
-        cases = [Case(package, workload, resolution) for package in packages]
-        steps = [case.count_steps() for case in cases]
+        cases = [Case(package, workload, resolution, seed) for package in packages]
+        steps = [count_steps(case, len(case.fields)) for case in cases]
         if 0 in steps:
             raise SystemExit(f"error: {label} made no Newton step")
         seconds = interleaved(cases, len(cases[0].fields), rounds)
@@ -162,17 +169,19 @@ def step_costs(srcs: list[Path], rounds: int) -> list[tuple[str, Path, int, floa
     return table
 
 
-def op_costs(srcs: list[Path], workload: str,
-             rounds: int) -> list[tuple[str, Path, int, float, float]]:
+def op_costs(srcs: list[Path], workload: str, rounds: int,
+             seed: int) -> tuple[list[tuple[str, Path, int, float, float]], list[float]]:
     """(workload, tree, ops per round, median milliseconds per op, median
-    ratio to the first tree) per tree."""
+    ratio to the first tree) per tree, and each tree's Newton steps per op."""
     packages = [load_tree(src, index) for index, src in enumerate(srcs)]
     with ExitStack() as stack:
-        cases = [Ops(package, workload, stack.enter_context(tempfile.TemporaryDirectory()))
+        cases = [Ops(package, workload, seed,
+                     stack.enter_context(tempfile.TemporaryDirectory()))
                  for package in packages]
         count = len(cases[0].argvs)
+        steps = [count_steps(case, count) / count for case in cases]
         seconds = interleaved(cases, count, rounds)
-    return _rows(workload, srcs, [count] * len(cases), seconds, 1e3)
+    return _rows(workload, srcs, [count] * len(cases), seconds, 1e3), steps
 
 
 def main(argv=None) -> int:
@@ -183,19 +192,22 @@ def main(argv=None) -> int:
                         help="timed rounds per size and tree (default 7)")
     parser.add_argument("--ops", choices=sorted(WORKLOADS),
                         help="time this workload's CLI ops instead of Newton steps")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="seed of the workload pools (default 1)")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     os.environ.update(THREAD_ENV)  # before numpy is first imported
     if args.ops is None:
-        table = step_costs(args.src, args.rounds)
-        header = ("size", "steps", "us/step")
+        table = step_costs(args.src, args.rounds, args.seed)
+        print(f"{'size':<10} {'steps':>6} {'us/step':>9} {'ratio':>6}  src")
+        for label, src, count, cost, ratio in table:
+            print(f"{label:<10} {count:>6} {cost:>9.1f} {ratio:>6.3f}  {src}")
     else:
-        table = op_costs(args.src, args.ops, args.rounds)
-        header = ("workload", "ops", "ms/op")
-    print(f"{header[0]:<10} {header[1]:>6} {header[2]:>9} {'ratio':>6}  src")
-    for label, src, count, cost, ratio in table:
-        print(f"{label:<10} {count:>6} {cost:>9.1f} {ratio:>6.3f}  {src}")
+        table, steps = op_costs(args.src, args.ops, args.rounds, args.seed)
+        print(f"{'workload':<10} {'ops':>6} {'ms/op':>9} {'steps/op':>9} {'ratio':>6}  src")
+        for (label, src, count, cost, ratio), per_op in zip(table, steps):
+            print(f"{label:<10} {count:>6} {cost:>9.1f} {per_op:>9.2f} {ratio:>6.3f}  {src}")
     return 0
 
 
