@@ -148,8 +148,10 @@ def gradient_map_inverse(P: Potential, points) -> np.ndarray:
     y = P.grid.check_points(points)
     x, nodes = _newton_start(P, y)
     inverse = P.hessian_state.inverse().entries
-    hinv = triangle_to_full(inverse[(slice(None),) + tuple(nodes.T)])
-    return _newton(P, y, x, P.node_gradient(x, nodes), hinv, fresh=True)
+    # gradients and inverses are handed over, not kept here, so that
+    # `_newton` frees them once it has gathered the rows it iterates on
+    return _newton(P, y, x, P.node_gradient(x, nodes),
+                   triangle_to_full(inverse[(slice(None),) + tuple(nodes.T)]), fresh=True)
 
 
 def _newton(
@@ -172,60 +174,85 @@ def _newton(
     step with the kept inverse, so it is reused while it is fresh
     (evaluated at the current x), before the first step, or while
     r^2 <= _INVERSION_TOLERANCE r'; every other point gets D^2 u
-    interpolated and inverted anew, in one stacked call.  A line search
+    interpolated and inverted anew, in one stacked call.  The line search
+    tries the full step at every point, then halves the steps that did not
+    decrease the residual, on those points alone.  A line search
     whose 40 halvings all fail refreshes a kept inverse; a point whose
     fresh inverse fails the same way, or whose refreshed Hessian is
     singular, leaves the iteration, since nothing would change its step.
+    The per-point arrays hold only the points still iterating, so a sweep
+    in which no point leaves and every full step decreases the residual
+    gathers and scatters nothing.
     Raises GradientInversionFailure naming the target point with the
     largest residual left after _INVERSION_MAX_ITERS iterations (and its
     grid node when the point is one).
     """
     residual = grad - y
+    del grad
     rnorm = np.max(np.abs(residual), axis=1)
-    fresh = np.full(len(y), fresh)
+    x_all, y_all, rnorm_all = x, y, rnorm
+    # the sweeps run on the live points, those above tolerance and not
+    # stuck: `ids` holds their rows, and every per-point array below only
+    # them, gathered once and compacted whenever a point leaves, whose x
+    # and residual norm then go back to the caller's rows.  Row gathers
+    # leave the arrays C-contiguous, which einsum's 3 x 3 mat-vec needs to
+    # round as on one point: on the layout `triangle_to_full` returns,
+    # points innermost, it sums some rows in another order
+    ids = np.flatnonzero(rnorm > _INVERSION_TOLERANCE)
+    x, y, residual, rnorm, hinv = (a[ids] for a in (x, y, residual, rnorm, hinv))
+    fresh = np.full(len(ids), fresh)
     # residual before the last accepted step: inf (no estimate) trusts the
     # kept inverse for the first step, 0 forces its refresh
-    before = np.full(len(y), np.inf)
-    stuck = np.zeros(len(y), dtype=bool)
+    before = np.full(len(ids), np.inf)
+    stuck = np.zeros(len(ids), dtype=bool)
     for _ in range(_INVERSION_MAX_ITERS):
-        active = (rnorm > _INVERSION_TOLERANCE) & ~stuck
-        refresh = active & ~fresh & (rnorm * rnorm > _INVERSION_TOLERANCE * before)
+        live = (rnorm > _INVERSION_TOLERANCE) & ~stuck
+        refresh = live & ~fresh & (rnorm * rnorm > _INVERSION_TOLERANCE * before)
         if refresh.any():
             inverse = triangle_inverse(P.hessian_at(x[refresh]))
             hinv[refresh] = triangle_to_full(inverse)
             fresh |= refresh
-            stuck |= refresh & ~np.isfinite(hinv).all(axis=(1, 2))
-            active &= ~stuck
-        if not active.any():
+            live &= ~refresh | np.isfinite(hinv).all(axis=(1, 2))  # singular: stuck
+        if not live.all():
+            x_all[ids[~live]], rnorm_all[ids[~live]] = x[~live], rnorm[~live]
+            ids, y, x, residual, rnorm, hinv, fresh, before, stuck = (
+                a[live] for a in (ids, y, x, residual, rnorm, hinv, fresh, before, stuck))
+        if not ids.size:
             break
-        idx = np.flatnonzero(active)
-        step = -np.einsum("pij,pj->pi", hinv[idx], residual[idx])
-        scale = np.ones(len(idx))
-        remaining = np.arange(len(idx))
-        for _ in range(40):
-            trial = x[idx[remaining]] + scale[remaining, None] * step[remaining]
-            trial_res = P.gradient_at(trial) - y[idx[remaining]]
-            trial_norm = np.max(np.abs(trial_res), axis=1)
-            improved = trial_norm < rnorm[idx[remaining]]
-            good = idx[remaining[improved]]
-            x[good] = trial[improved]
-            residual[good] = trial_res[improved]
-            before[good] = rnorm[good]
-            rnorm[good] = trial_norm[improved]
-            fresh[good] = False
-            remaining = remaining[~improved]
-            if remaining.size == 0:
+        step = -np.einsum("pij,pj->pi", hinv, residual)
+        # line search: the full step of every live point, then halvings of
+        # the steps that did not decrease the residual, on those points
+        # (`at`) alone; a point takes its first candidate that decreased it
+        cand = x + step
+        cand_res = P.gradient_at(cand) - y
+        cand_norm = np.max(np.abs(cand_res), axis=1)
+        at = np.flatnonzero(~(cand_norm < rnorm))
+        for k in range(1, 40):
+            if not at.size:
                 break
-            scale[remaining] *= 0.5
-        failed = idx[remaining]
-        stuck[failed] = fresh[failed]
-        before[failed] = 0.0
-    if not (rnorm > _INVERSION_TOLERANCE).any():
-        return x
-    worst = int(np.argmax(rnorm))
-    node = _grid_nodes(P.grid, y[worst : worst + 1])
+            trial = x[at] + 0.5**k * step[at]
+            trial_res = P.gradient_at(trial) - y[at]
+            trial_norm = np.max(np.abs(trial_res), axis=1)
+            improved = trial_norm < rnorm[at]
+            good = at[improved]
+            cand[good], cand_res[good], cand_norm[good] = (
+                trial[improved], trial_res[improved], trial_norm[improved])
+            at = at[~improved]
+        accepted = cand_norm < rnorm
+        np.copyto(x, cand, where=accepted[:, None])
+        np.copyto(residual, cand_res, where=accepted[:, None])
+        np.copyto(before, rnorm, where=accepted)
+        np.copyto(rnorm, cand_norm, where=accepted)
+        fresh &= ~accepted
+        stuck[at] = fresh[at]
+        before[at] = 0.0
+    x_all[ids], rnorm_all[ids] = x, rnorm
+    if not (rnorm_all > _INVERSION_TOLERANCE).any():
+        return x_all
+    worst = int(np.argmax(rnorm_all))
+    node = _grid_nodes(P.grid, y_all[worst : worst + 1])
     node = None if node is None else tuple(int(i) for i in node[0])
-    raise GradientInversionFailure(y[worst], rnorm[worst], _INVERSION_TOLERANCE, node)
+    raise GradientInversionFailure(y_all[worst], rnorm_all[worst], _INVERSION_TOLERANCE, node)
 
 
 def legendre_transform(P: Potential) -> DualPotential:

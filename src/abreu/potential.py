@@ -36,6 +36,7 @@ phi's one spectrum (`ScalarField.spectrum`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,7 +121,10 @@ class QuadraticBase:
         return hash(self._key)
 
     @classmethod
+    @functools.cache
     def identity(cls, dim: int) -> "QuadraticBase":
+        """The identity base, one instance per dimension: a base is
+        read-only, so every caller can share it and the inverse it keeps."""
         return cls(np.eye(dim))
 
     @property

@@ -16,7 +16,12 @@ is solved matrix-free by preconditioned conjugate gradients on real-FFT
 spectra, each only as accurately as the outer iteration needs: the
 relative Krylov tolerance is an Eisenstat-Walker forcing term (choice 2,
 with Kelley's floor against oversolving), clamped below by
-`_LINEAR_TOLERANCE`.  A system costs one forward transform of its
+`_LINEAR_TOLERANCE`.  The record each step returns says how its system was
+solved, the forcing it was solved to (0 for an exact correction) and the
+Krylov applies it took, and the safeguard gamma eta_{k-1}^2 of the next
+forcing term reads that forcing: after the exact flat step the second
+system gets the plain ratio gamma (r_1 / r_0)^2, not the safeguard of an
+eta_0 no step used.  A system costs one forward transform of its
 right-hand side and one inverse of its correction.  In between, the zero
 mode of every spectrum is zero (the mean-zero subspace), and inner
 products are node means by Parseval (`spectral_inner`), so the stopping
@@ -67,7 +72,7 @@ forward field take no transform (`potential.HessianState`), and there the
 operator is exactly the inverse of the preconditioner, so its first step
 takes `_flat_correction` with no Krylov solve and transforms only its
 right-hand side and its correction.  A Newton iteration costs a median
-189 us of solve time at 1D N = 512 and 1071 us at 2D 64^2 on the seed-1
+196 us of solve time at 1D N = 512 and 1394 us at 2D 64^2 on the seed-1
 benchmark inputs (`tools/step_cost.py`, 2-vCPU VM, one thread).
 """
 
@@ -230,14 +235,15 @@ def _inverse_flat_symbol(grid: PeriodicGrid, base: QuadraticBase) -> np.ndarray:
 
 
 def _pcg(apply_op, grid: PeriodicGrid, inv_symbol: np.ndarray, rhs: np.ndarray,
-         rel_tol: float) -> np.ndarray:
+         rel_tol: float) -> tuple[np.ndarray, int]:
     """Preconditioned conjugate gradients on real-FFT spectra.
 
     `rhs` is the spectrum of the right-hand side; the copy the iteration
     starts from drops its zero mode, the projection onto mean-zero fields,
     and neither `apply_op` nor the preconditioner (a multiply by
     `inv_symbol`) puts it back.  Inner products are node means
-    (`spectral_inner`).  Returns the spectrum of the correction.
+    (`spectral_inner`).  Returns the spectrum of the correction and the
+    number of iterations, one `apply_op` call each.
 
     The preconditioned residual z and the direction p are updated in
     place: p *= beta; p += z is bitwise the textbook z + beta * p, since
@@ -249,7 +255,7 @@ def _pcg(apply_op, grid: PeriodicGrid, inv_symbol: np.ndarray, rhs: np.ndarray,
     inner = functools.partial(spectral_inner, grid)
     rhs_norm = math.sqrt(inner(r, r))
     if rhs_norm == 0.0:
-        return np.zeros(r.shape, r.dtype)
+        return np.zeros(r.shape, r.dtype), 0
     x = np.zeros(r.shape, r.dtype)
     z = inv_symbol * r
     p = z.copy()
@@ -264,7 +270,7 @@ def _pcg(apply_op, grid: PeriodicGrid, inv_symbol: np.ndarray, rhs: np.ndarray,
         r -= alpha * ap
         res = math.sqrt(inner(r, r))
         if res <= rel_tol * rhs_norm:
-            return x
+            return x, iteration
         np.multiply(inv_symbol, r, out=z)
         rz_new = inner(r, z)
         beta = rz_new / rz
@@ -296,11 +302,19 @@ class NewtonRecord:
     """One Newton iterate and what an iteration reads of it, each formed
     once: the defect field, whose sup is the residual and whose kept
     spectrum the rounding test and the Newton right-hand side share, and
-    F_target (from the line search that accepted it, else on first use)."""
+    F_target (from the line search that accepted it, else on first use).
+
+    A record that `newton_step` returns also says how the step to it was
+    solved: `forcing`, the relative Krylov tolerance of its Newton system
+    (0.0 where the correction is exact, as at the flat start), and
+    `krylov_applies`, the operator applies that solve took.  Both are None
+    on an attempt's start record."""
 
     potential: Potential
     target: ScalarField
     functional: float | None = None
+    forcing: float | None = None
+    krylov_applies: int | None = None
 
     @kept_property
     def defect(self) -> ScalarField:
@@ -336,8 +350,9 @@ def newton_step(record: NewtonRecord, forcing: float) -> NewtonRecord:
     backtracks alpha = _DAMPING^k, k = 0..10, accepting the first
     candidate that is convex (`HessianState.convex`) and does not increase
     F_target, evaluated once per convex candidate.
-    Returns the record of the accepted candidate, holding its F_target, or
-    `record` itself when its residual is zero.
+    Returns the record of the accepted candidate, holding its F_target, the
+    forcing its correction was solved to (0.0 at the flat start) and the
+    Krylov applies it took, or `record` itself when its residual is zero.
     """
     if not 0.0 <= forcing < 1.0:
         raise ValueError(f"forcing term must lie in [0, 1), got {forcing}")
@@ -348,12 +363,15 @@ def newton_step(record: NewtonRecord, forcing: float) -> NewtonRecord:
     if record.residual == 0.0:
         return record
     if P.perturbation.sup == 0.0:
-        # at phi = 0 the operator is the inverse of the preconditioner
+        # at phi = 0 the operator is the inverse of the preconditioner, so
+        # the correction is exact: solved to forcing 0 with no apply
         delta = _flat_correction(record)
+        forcing, applies = 0.0, 0
     else:
         grid = P.grid
-        correction = _pcg(_linearized_operator(P), grid, _inverse_flat_symbol(grid, P.base),
-                          record.defect.spectrum, forcing)
+        correction, applies = _pcg(_linearized_operator(P), grid,
+                                   _inverse_flat_symbol(grid, P.base),
+                                   record.defect.spectrum, forcing)
         delta = from_spectrum(grid, correction)
 
     f_base = record.functional_value()
@@ -367,7 +385,8 @@ def newton_step(record: NewtonRecord, forcing: float) -> NewtonRecord:
         if state.convex:
             value = functional_value(trial, target)
             if value <= f_allowed:
-                return NewtonRecord(trial, target, value)
+                return NewtonRecord(trial, target, value, forcing=forcing,
+                                    krylov_applies=applies)
     raise NotConvex(
         last_node,
         last_margin,
@@ -408,13 +427,14 @@ def _forcing_term(residual: float, residual_prev: float | None,
     gamma * eta_{k-1}^2 when that exceeds _EW_SAFEGUARD and capped at
     _EW_ETA_MAX; then Kelley's floor 0.5 * tolerance / r_k, so the last
     iterations do not solve below what the outer test can see, and
-    _LINEAR_TOLERANCE as the lower clamp.
+    _LINEAR_TOLERANCE as the lower clamp.  eta_{k-1} is the forcing the
+    last step was solved to, None when no step was solved.
     """
     if residual_prev is None:
         eta = _EW_ETA_0
     else:
         eta = _EW_GAMMA * (residual / residual_prev) ** 2
-        safeguard = _EW_GAMMA * eta_prev**2
+        safeguard = 0.0 if eta_prev is None else _EW_GAMMA * eta_prev**2
         if safeguard > _EW_SAFEGUARD:
             eta = max(eta, safeguard)
         eta = min(eta, _EW_ETA_MAX)
@@ -431,11 +451,11 @@ def _newton_solve(P: Potential, target: ScalarField, cfg: SolverConfig):
     stagnated above _NOISE_BAND times tolerance or _MAX_NEWTON_ITERS
     iterations did not get there; the module docstring states the
     acceptance rule.  Each Newton system is solved only to
-    `_forcing_term`'s tolerance.
+    `_forcing_term`'s tolerance, whose safeguard reads the forcing the
+    accepted record's own step was solved to.
     """
     tolerance = cfg.newton_tolerance * (1.0 + sup_norm(target))
-    last_step = None
-    eta = residual_prev = None
+    last_step = residual_prev = None
     record = NewtonRecord(P, target)
     del P  # the record holds the attempt's one live potential
     for iteration in range(_MAX_NEWTON_ITERS + 1):
@@ -454,7 +474,7 @@ def _newton_solve(P: Potential, target: ScalarField, cfg: SolverConfig):
             return None
         if iteration == _MAX_NEWTON_ITERS:
             return None
-        eta = _forcing_term(residual, residual_prev, eta, tolerance)
+        eta = _forcing_term(residual, residual_prev, record.forcing, tolerance)
         residual_prev = residual
         accepted = newton_step(record, eta)
         last_step = float(np.maximum.reduce(np.abs(

@@ -718,6 +718,26 @@ class TestInversionProperty:
         assert x.shape == y.shape
         assert np.max(_gradient_residual(P, x, y)) <= legendre._INVERSION_TOLERANCE
 
+    @settings(max_examples=20, deadline=None)
+    @given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1),
+           margin=st.floats(0.05, 0.95))
+    def test_each_row_is_its_own_inversion(self, dim, seed, margin):
+        # a point's Newton run reads nothing of the other points, bit for
+        # bit: the sweeps compact the points still running, and the row
+        # gathers that do it keep the per-point arrays C-contiguous, on
+        # which einsum's 3 x 3 mat-vec rounds as on one point.  In 1D the
+        # interpolant's own partials at a point move with the batch they
+        # are evaluated in, so only 2D and 3D are asked
+        g = make_grid(dim, [12] * dim)
+        rng = np.random.default_rng(seed)
+        P = random_convex_potential(g, rng, margin=margin, max_mode=2)
+        nodes = g.node_points()
+        y = np.concatenate([nodes[rng.choice(len(nodes), size=16)],
+                            rng.uniform(-1.0, 2.0, size=(16, dim))])
+        x = gradient_map_inverse(P, y)
+        for target, row in zip(y, x):
+            assert gradient_map_inverse(P, target[None]).tobytes() == row.tobytes()
+
 
 class TestLegendreTransform:
     def test_flat_maps_to_flat(self):

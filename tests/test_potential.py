@@ -47,6 +47,13 @@ class TestQuadraticBase:
         base = QuadraticBase.identity(3)
         assert np.array_equal(base.matrix, np.eye(3))
 
+    def test_one_identity_per_dimension(self):
+        # a read-only base is shared, with the inverse it keeps
+        assert QuadraticBase.identity(2) is QuadraticBase.identity(2)
+        assert QuadraticBase.identity(2).inverse() is QuadraticBase.identity(2).inverse()
+        assert QuadraticBase.identity(2) is not QuadraticBase.identity(3)
+        assert not QuadraticBase.identity(2).matrix.flags.writeable
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             QuadraticBase(np.array([[1.0, 0.5], [0.0, 1.0]]))

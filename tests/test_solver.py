@@ -540,6 +540,88 @@ class TestInexactNewton:
         assert trace.steps[-1].final_residual_norm <= bound
 
 
+def _benchmark_like_2d():
+    """A 2D 64^2 input like those of the benchmark's `solve-2d` pool: three
+    low modes, sup|A| about 1."""
+    g = make_grid(2, [64, 64])
+    x, y = g.coordinate_arrays()
+    return ScalarField(g, 0.45 * np.cos(TWO_PI * x + 3.68)
+                       + 0.36 * np.cos(TWO_PI * (x + y) + 5.31)
+                       + 0.29 * np.cos(2.0 * TWO_PI * y + 0.28))
+
+
+class TestForcingBookkeeping:
+    """Each Newton record says how its step was solved, and the safeguard
+    of the next forcing term reads that, not a forcing the step never
+    used."""
+
+    def test_flat_step_is_exact_and_leaves_the_next_system_unguarded(self, monkeypatch):
+        # the flat start's step is solved exactly (forcing 0.0, no Krylov
+        # apply), so the second system gets the plain Eisenstat-Walker
+        # ratio, not 0.9 * 0.5^2 from the eta_0 the flat step never used
+        tolerances, applies, starts, records = [], [], [], []
+        pcg, step = solver._pcg, solver.newton_step
+
+        def spying_pcg(apply_op, grid, inv_symbol, rhs, rel_tol):
+            def counted(spectrum):
+                applies[-1] += 1
+                return apply_op(spectrum)
+
+            tolerances.append(rel_tol)
+            applies.append(0)
+            return pcg(counted, grid, inv_symbol, rhs, rel_tol)
+
+        def spying_step(record, forcing):
+            starts.append(record)
+            records.append(step(record, forcing))
+            return records[-1]
+
+        monkeypatch.setattr(solver, "_pcg", spying_pcg)
+        monkeypatch.setattr(solver, "newton_step", spying_step)
+        a = _benchmark_like_2d()
+        _, trace = continuity_solve(a)
+        assert [s.newton_iterations for s in trace.steps] == [3]
+        assert (starts[0].forcing, starts[0].krylov_applies) == (None, None)
+        flat, *solved = records
+        assert (flat.forcing, flat.krylov_applies) == (0.0, 0)
+        assert [r.forcing for r in solved] == tolerances
+        assert [r.krylov_applies for r in solved] == applies and min(applies) > 0
+        tol = SolverConfig().newton_tolerance * (1.0 + sup_norm(a))
+        r0, r1 = sup_norm(a), flat.residual  # the flat start's forward field is 0
+        expected = max(0.9 * (r1 / r0) ** 2, 0.5 * tol / r1, 1e-12)
+        assert tolerances[0] == pytest.approx(expected, rel=1e-14)
+        assert tolerances[0] < 0.9 * 0.5**2
+
+    def test_a_step_solved_loosely_still_guards_the_next(self):
+        # Eisenstat-Walker's safeguard: a forcing of 0.5 keeps the next at
+        # 0.9 * 0.25 however fast the residual fell; 0.0 (an exact step)
+        # and None (no step) leave the plain ratio
+        tol = 1e-10
+        assert solver._forcing_term(1e-3, 1.0, 0.5, tol) == 0.9 * 0.5**2
+        plain = 0.9 * (1e-3 / 1.0) ** 2
+        assert solver._forcing_term(1e-3, 1.0, 0.0, tol) == plain
+        assert solver._forcing_term(1e-3, 1.0, None, tol) == plain
+        assert solver._forcing_term(1.0, None, None, tol) == solver._EW_ETA_0
+
+    @settings(max_examples=20, deadline=None)
+    @given(shape=st.sampled_from([(32,), (16, 16), (8, 8, 8)]), seed=st.integers(0, 2**32 - 1),
+           amplitude=st.floats(0.05, 4.0), max_mode=st.integers(1, 3))
+    def test_matches_a_solve_with_every_system_solved_to_the_clamp(self, shape, seed,
+                                                                   amplitude, max_mode):
+        g = make_grid(len(shape), list(shape))
+        rng = np.random.default_rng(seed)
+        a = random_band_limited(g, rng, max_mode=max_mode, amplitude=amplitude)
+        a = ScalarField(g, a.values * min(1.0, 4.0 / sup_norm(a)))  # sup|A| <= 4
+        P, trace = continuity_solve(a)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_forcing_term", lambda *args: solver._LINEAR_TOLERANCE)
+            P_tight, _ = continuity_solve(a)
+        bound = 1e-14 * (1.0 + sup_norm(P_tight.perturbation))
+        assert sup_norm(P.perturbation - P_tight.perturbation) <= bound
+        tol = SolverConfig().newton_tolerance * (1.0 + sup_norm(a))
+        assert trace.steps[-1].final_residual_norm <= 10.0 * tol
+
+
 def _small_1d_problem():
     g = make_grid(1, [128])
     return ScalarField(g, 0.5 * np.cos(TWO_PI * g.axis_coordinates(0)))

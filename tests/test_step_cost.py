@@ -1,10 +1,12 @@
 """The step-cost tool loads each source tree as its own package and
-reports the solve time per Newton step of each, or the time and the Newton
-steps per CLI op, on the pools of the seed it is given."""
+reports the solve time per Newton step of each, or the time, the Newton
+steps and the Krylov applies per CLI op, on the pools of the seed it is
+given."""
 
 import importlib.util
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "step_cost.py"
 
@@ -60,7 +62,7 @@ def test_times_two_trees_on_a_tiny_pool(monkeypatch, capsys):
 
 def test_times_the_cli_ops_of_a_workload(monkeypatch, capsys):
     # --ops: each tree's CLI on the pool's arguments of the default seed,
-    # one line per tree with its Newton steps per op
+    # one line per tree with its Newton steps and Krylov applies per op
     tool = _tool()
     spec = {"command": "solve", "dim": 1, "resolutions": [16], "pool": 2, "modes": [1],
             "kmax": 1, "sup": [0.1, 0.2], "report": True, "op_s": 0.01}
@@ -75,13 +77,49 @@ def test_times_the_cli_ops_of_a_workload(monkeypatch, capsys):
         for name in [n for n in sys.modules if n.split(".")[0] in ("abreu_src0", "abreu_src1")]:
             del sys.modules[name]
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["workload", "ops", "ms/op", "steps/op", "ratio", "src"]
-    rows = [line.rsplit(None, 5) for line in lines[1:]]
+    assert lines[0].split() == ["workload", "ops", "ms/op", "steps/op", "krylov/op", "ratio",
+                                "src"]
+    rows = [line.rsplit(None, 6) for line in lines[1:]]
     assert [row[0] for row in rows] == ["tiny-1d", "tiny-1d"]
     assert [row[1] for row in rows] == ["2", "2"]
-    assert float(rows[0][2]) > 0.0 and float(rows[0][4]) == 1.0
-    assert float(rows[1][2]) > 0.0 and [row[5] for row in rows] == [str(src)] * 2
-    # two ops: a whole number of steps over two, the same on both trees
-    assert rows[0][3] == rows[1][3] and float(rows[0][3]) > 0.0
-    assert (2.0 * float(rows[0][3])).is_integer()
+    assert float(rows[0][2]) > 0.0 and float(rows[0][5]) == 1.0
+    assert float(rows[1][2]) > 0.0 and [row[6] for row in rows] == [str(src)] * 2
+    # two ops: a whole number of steps and of applies over two, the same
+    # on both trees
+    for column in (3, 4):
+        assert rows[0][column] == rows[1][column] and float(rows[0][column]) > 0.0
+        assert (2.0 * float(rows[0][column])).is_integer()
     assert seeds == [1, 1]
+
+
+class _Case:
+    """A stand-in for a tree's case: `run` takes one Newton step per input
+    through the module binding, as the package calls it."""
+
+    def __init__(self, newton_step):
+        self.solver = SimpleNamespace(newton_step=newton_step)
+
+    def run(self, i):
+        self.solver.newton_step(i, 0.5)
+
+
+def test_counts_the_applies_the_returned_records_carry():
+    tool = _tool()
+
+    class Record:
+        def __init__(self, applies):
+            self.krylov_applies = applies
+
+    # input 2 has zero residual: its record comes back as it went in, and
+    # the applies of the step that made it are not counted again
+    records = {0: Record(3), 1: Record(4)}
+    case = _Case(lambda i, forcing: records.get(i, i))
+    assert tool.count_work(case, 2) == (2, 7)
+    assert tool.count_work(case, 3) == (3, 7)
+    assert case.solver.newton_step(0, 0.5) is records[0]  # the binding is restored
+
+
+def test_a_tree_whose_records_carry_no_applies_counts_none():
+    tool = _tool()
+    case = _Case(lambda i, forcing: object())
+    assert tool.count_work(case, 2) == (2, None)

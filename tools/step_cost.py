@@ -19,20 +19,22 @@ sizes in `CASES`: 1D N = 256, 512 and 1024 of `solve-1d-ladder`, whose
 solves end at the step floor, and 2D 64^2 of `solve-2d`.  Each tree builds
 the fields with its own `fieldlang` and solves them with its own
 `continuity_solve`, failures included.  A first, untimed pass counts each
-size's Newton steps, the calls of the tree's `solver.newton_step`, with
-`tools/output_digest.py`'s wrapper of the module binding the package calls
-through.  With `--ops WORKLOAD` it times that workload's CLI ops instead,
-each tree's `cli.main` on the op's arguments as the benchmark makes them
-(`perfbench/child.py`), set-up files in a temporary directory per tree,
-after a first, untimed pass that counts each tree's Newton steps per op.
+size's Newton steps, the calls of the tree's `solver.newton_step`, by
+wrapping the module binding the package calls through.  With `--ops
+WORKLOAD` it times that workload's CLI ops instead, each tree's `cli.main`
+on the op's arguments as the benchmark makes them (`perfbench/child.py`),
+set-up files in a temporary directory per tree, after a first, untimed
+pass that counts each tree's Newton steps per op and the Krylov applies
+per op, read from the records those steps return
+(`NewtonRecord.krylov_applies`; "-" for a tree whose records carry none).
 
 Every round runs each input once per tree, the trees in turn (in reverse
 order every other round), so that a slow spell of the host falls on all
 trees alike; a tree's cost in a round is its time over its step count, or
 over the pool's op count.  The tool prints one line per size (or the
 workload) and tree: the steps (or ops) per round, the median cost over the
-rounds (with `--ops`, then the Newton steps per op), and the median over
-the rounds of its cost over the first tree's.
+rounds (with `--ops`, then the Newton steps and Krylov applies per op),
+and the median over the rounds of its cost over the first tree's.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from output_digest import ROOT, counting  # noqa: E402  (puts perfbench/ on the path)
+from output_digest import ROOT  # noqa: E402  (puts perfbench/ on the path)
 from child import Workload, call  # noqa: E402
 from run import THREAD_ENV  # noqa: E402
 from workloads import WORKLOADS, make_inputs  # noqa: E402
@@ -118,13 +120,29 @@ class Ops:
         return call(self.cli, self.argvs[i])[1]
 
 
-def count_steps(case, count: int) -> int:
-    """Calls of the case's tree's `solver.newton_step` while inputs
-    0..count-1 run once, untimed."""
-    with counting(case.solver, "newton_step") as calls:
+def count_work(case, count: int) -> tuple[int, int | None]:
+    """Newton steps and Krylov applies while inputs 0..count-1 run once,
+    untimed: the calls of the case's tree's `solver.newton_step`, through
+    the module binding the package calls, and the sum of `krylov_applies`
+    over the records they return (None for a tree whose records carry no
+    such field)."""
+    solver = case.solver
+    step = solver.newton_step
+    applies = []
+
+    def counted(record, forcing):
+        accepted = step(record, forcing)
+        # a record with zero residual is returned as it is, with no solve
+        applies.append(0 if accepted is record else getattr(accepted, "krylov_applies", None))
+        return accepted
+
+    solver.newton_step = counted
+    try:
         for i in range(count):
             case.run(i)
-    return calls[0]
+    finally:
+        solver.newton_step = step
+    return len(applies), None if None in applies else sum(applies)
 
 
 def interleaved(cases: list, count: int, rounds: int) -> list[list[float]]:
@@ -161,7 +179,7 @@ def step_costs(srcs: list[Path], rounds: int,
     table = []
     for label, workload, resolution in CASES:
         cases = [Case(package, workload, resolution, seed) for package in packages]
-        steps = [count_steps(case, len(case.fields)) for case in cases]
+        steps = [count_work(case, len(case.fields))[0] for case in cases]
         if 0 in steps:
             raise SystemExit(f"error: {label} made no Newton step")
         seconds = interleaved(cases, len(cases[0].fields), rounds)
@@ -169,19 +187,22 @@ def step_costs(srcs: list[Path], rounds: int,
     return table
 
 
-def op_costs(srcs: list[Path], workload: str, rounds: int,
-             seed: int) -> tuple[list[tuple[str, Path, int, float, float]], list[float]]:
+def op_costs(srcs: list[Path], workload: str, rounds: int, seed: int
+             ) -> tuple[list[tuple[str, Path, int, float, float]], list[tuple[float, float | None]]]:
     """(workload, tree, ops per round, median milliseconds per op, median
-    ratio to the first tree) per tree, and each tree's Newton steps per op."""
+    ratio to the first tree) per tree, and each tree's Newton steps and
+    Krylov applies per op (None where its records carry no applies)."""
     packages = [load_tree(src, index) for index, src in enumerate(srcs)]
     with ExitStack() as stack:
         cases = [Ops(package, workload, seed,
                      stack.enter_context(tempfile.TemporaryDirectory()))
                  for package in packages]
         count = len(cases[0].argvs)
-        steps = [count_steps(case, count) / count for case in cases]
+        work = [count_work(case, count) for case in cases]
         seconds = interleaved(cases, count, rounds)
-    return _rows(workload, srcs, [count] * len(cases), seconds, 1e3), steps
+    per_op = [(steps / count, None if applies is None else applies / count)
+              for steps, applies in work]
+    return _rows(workload, srcs, [count] * len(cases), seconds, 1e3), per_op
 
 
 def main(argv=None) -> int:
@@ -204,10 +225,13 @@ def main(argv=None) -> int:
         for label, src, count, cost, ratio in table:
             print(f"{label:<10} {count:>6} {cost:>9.1f} {ratio:>6.3f}  {src}")
     else:
-        table, steps = op_costs(args.src, args.ops, args.rounds, args.seed)
-        print(f"{'workload':<10} {'ops':>6} {'ms/op':>9} {'steps/op':>9} {'ratio':>6}  src")
-        for (label, src, count, cost, ratio), per_op in zip(table, steps):
-            print(f"{label:<10} {count:>6} {cost:>9.1f} {per_op:>9.2f} {ratio:>6.3f}  {src}")
+        table, work = op_costs(args.src, args.ops, args.rounds, args.seed)
+        print(f"{'workload':<10} {'ops':>6} {'ms/op':>9} {'steps/op':>9} {'krylov/op':>9}"
+              f" {'ratio':>6}  src")
+        for (label, src, count, cost, ratio), (steps, applies) in zip(table, work):
+            krylov = "-" if applies is None else f"{applies:.2f}"
+            print(f"{label:<10} {count:>6} {cost:>9.1f} {steps:>9.2f} {krylov:>9}"
+                  f" {ratio:>6.3f}  {src}")
     return 0
 
 
