@@ -390,12 +390,11 @@ def verify_solution(P: Potential, A: ScalarField) -> VerificationReport:
             sup_norm(again.perturbation - P.perturbation),
             _DUALITY_TOLERANCE,
         )
-        # det u at the preimages of the dual nodes, which V keeps from the
-        # transform's one inversion of P
-        det_u = pullback_rhs(ScalarField(P.grid, state.det), V)
+        # det u and A at the preimages of the dual nodes, which V keeps from
+        # the transform's one inversion of P, pulled back in one pass
+        det_u, atilde = pullback_rhs((ScalarField(P.grid, state.det), A), V)
         defect = np.max(np.abs(V.hessian_state.det * det_u.values - 1.0))
         check("determinant-duality", float(defect), _DUALITY_TOLERANCE)
-        atilde = pullback_rhs(A, V)
         bound = sup_norm(A) * (1.0 + 1e-6) + 1e-12
         check("pullback-sup-norm", sup_norm(atilde), bound)
         residual = sup_norm(dual_residual(V, atilde))

@@ -251,21 +251,32 @@ def _max_variable(e: Expr) -> int:
 
 
 def eval_field(e: Expr, g: PeriodicGrid) -> ScalarField:
-    """Evaluate the expression at every node; exact pointwise arithmetic."""
+    """Evaluate the expression at every node; exact pointwise arithmetic.
+
+    Values live on broadcast axes: a constant is a scalar and x_k a
+    vector along axis k, so each operation runs on the axes its operands
+    span, and the result is spread to the grid at the end; elementwise
+    arithmetic rounds each node alike either way.  A division by zero or
+    a non-finite value is reported at its first node in row-major order.
+    """
     top = _max_variable(e)
     if top > g.dim:
         raise DimensionError(
             f"expression uses x{top} but the grid has dimension {g.dim}"
         )
-    coords = g.coordinate_arrays()
+
+    def first_node(bad: np.ndarray) -> tuple:
+        return np.unravel_index(np.argmax(np.broadcast_to(bad, g.shape)), g.shape)
 
     def ev(node: Expr) -> np.ndarray:
         if isinstance(node, Num):
-            return np.full(g.shape, node.value)
+            return np.float64(node.value)
         if isinstance(node, Const):
-            return np.full(g.shape, np.pi)
+            return np.float64(np.pi)
         if isinstance(node, Var):
-            return coords[node.index - 1]
+            axis = node.index - 1
+            return g.axis_coordinates(axis).reshape([-1 if a == axis else 1
+                                                     for a in range(g.dim)])
         if isinstance(node, Neg):
             return -ev(node.operand)
         if isinstance(node, Bin):
@@ -278,13 +289,14 @@ def eval_field(e: Expr, g: PeriodicGrid) -> ScalarField:
                 return left * right
             zero = right == 0.0
             if zero.any():
-                where = np.unravel_index(np.argmax(zero), zero.shape)
-                raise EvalError(f"division by zero at node {tuple(where)}")
+                raise EvalError(f"division by zero at node {tuple(first_node(zero))}")
             return left / right
         if isinstance(node, Pow):
             with np.errstate(divide="raise", over="raise"):
                 try:
-                    return ev(node.base) ** node.exponent
+                    # an array's power, whose fast paths (square,
+                    # reciprocal) a scalar's power lacks
+                    return np.asarray(ev(node.base)) ** node.exponent
                 except FloatingPointError as err:
                     raise EvalError(f"power overflow: {err}") from None
         if isinstance(node, Call):
@@ -296,8 +308,7 @@ def eval_field(e: Expr, g: PeriodicGrid) -> ScalarField:
         raise TypeError(f"not an expression node: {node!r}")
 
     values = ev(e)
-    if not np.all(np.isfinite(values)):
-        where = np.unravel_index(np.argmax(~np.isfinite(values)), values.shape)
-        raise EvalError(f"non-finite value at node {tuple(where)}")
-    return ScalarField(g, values)
-
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise EvalError(f"non-finite value at node {tuple(first_node(~finite))}")
+    return ScalarField(g, np.broadcast_to(values, g.shape))

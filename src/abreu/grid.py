@@ -33,7 +33,10 @@ Conventions:
     field keeps its one interpolant (`ScalarField.interpolant`), which
     `interpolate`, the potential's off-grid derivatives and the pullbacks
     share, and `PeriodicGrid.check_points` is the one check of the points;
-    each axis's cos/sin table is built once per span of evaluation blocks;
+    each axis's cos/sin table is built once per span of evaluation blocks,
+    into a per-thread workspace kept between calls, and fields evaluated at
+    the same points (`interpolate_fields`) share it, each on its own band's
+    rows;
   * quadrature is the plain node average, which integrates trigonometric
     polynomials below Nyquist exactly (the domain has unit volume, so the
     average equals the integral);
@@ -50,6 +53,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +81,7 @@ __all__ = [
     "second_divergence",
     "second_divergence_spectrum",
     "interpolate",
+    "interpolate_fields",
     "periodicity_defect",
     "TrigInterpolant",
     "sup_norm",
@@ -673,55 +678,139 @@ def second_divergence(M: SymMatrixField) -> ScalarField:
 #: _BLOCK_MIN_POINTS points, whatever its bytes.
 _BLOCK_BYTES = 256 * 1024
 _BLOCK_MIN_POINTS = 64
+#: Bytes a span's tables and their complex scratch may hold, unless one
+#: block needs more: what `_WORKSPACE` grows to.
+_SPAN_BYTES = 1024 * 1024
+
+
+class _Workspace(threading.local):
+    """Per-thread float64 scratch of `_stacked_partials`, kept between
+    calls and grown on demand.  Tables allocated per call are freed at its
+    end, and the allocator may hand their pages back to the system and
+    fault them in again on the next call, depending on where other arrays
+    sit on the heap; a kept workspace takes no fault once its thread has
+    made a call as large.  No call reads what another wrote: a span's
+    tables are written in full before its blocks read them."""
+
+    def __init__(self):
+        self.buffer = np.empty(0)
+
+    def take(self, count: int) -> np.ndarray:
+        if self.buffer.size < count:
+            self.buffer = np.empty(count)
+        return self.buffer[:count]
+
+
+_WORKSPACE = _Workspace()
 
 
 def _real_axis_coefficients(coeffs: np.ndarray, axis: int, band: int,
                             last: bool) -> np.ndarray:
     """Re-express the coefficients along `axis` in the real basis
-    [1, cos 2 pi k x, cos pi N x, sin 2 pi k x] (0 < k <= band, k < N/2):
-    a_cos = c_k + c_-k and a_sin = i (c_k - c_-k); the DC and the split
-    Nyquist entries carry over unchanged, the Nyquist one only when `band`
-    is N/2 (the full basis).  The `last` axis holds the real-FFT half
-    k = 0..N/2 and goes last, when the others are in the real basis: there
-    a real field's c_-k is conj(c_k), so a_cos = 2 Re c_k, a_sin = -2 Im c_k."""
+    [1, cos 2 pi x, sin 2 pi x, cos 4 pi x, sin 4 pi x, ..., cos pi N x]
+    (cosine and sine of each 0 < k <= band, k < N/2, in turn): a_cos =
+    c_k + c_-k and a_sin = i (c_k - c_-k); the DC and the split Nyquist
+    entries carry over unchanged, the Nyquist one only when `band` is N/2
+    (the full basis).  So a narrower band's basis is a prefix of a wider
+    one's.  The `last` axis holds the real-FFT half k = 0..N/2 and goes
+    last, when the others are in the real basis: there a real field's c_-k
+    is conj(c_k), so a_cos = 2 Re c_k, a_sin = -2 Im c_k."""
     c = np.moveaxis(coeffs, axis, 0)
     half = c.shape[0] - 1 if last else c.shape[0] // 2
     pairs = min(band, half - 1)
     pos = c[1 : pairs + 1]
     neg = pos.conj() if last else c[::-1][:pairs]
-    nyquist = c[half : half + 1] if band == half else c[:0]
-    out = np.concatenate([c[:1], pos + neg, nyquist, 1j * (pos - neg)])
+    out = np.empty((1 + 2 * pairs + (band == half),) + c.shape[1:], complex)
+    out[0] = c[0]
+    out[1 : 2 * pairs + 1 : 2] = pos + neg
+    out[2 : 2 * pairs + 2 : 2] = 1j * (pos - neg)
+    if band == half:
+        out[-1] = c[half]
     return np.moveaxis(out, 0, axis)
 
 
-def _axis_matrix(x: np.ndarray, rows: int) -> np.ndarray:
-    """The real basis along one axis at `x`, a fresh (points, rows) table:
-    a row per point, columns [1, cos 2 pi k x (k = 1..rows // 2), sin 2 pi k x
-    (k = 1..(rows - 1) // 2)], the real and imaginary parts of the powers of
-    exp(2 pi i x); no trigonometric call per entry."""
-    half = rows // 2
-    # x - floor(x) is bitwise np.mod(x, 1.0), at a tenth of its cost
-    w = np.exp(_TWO_PI * 1j * (x - np.floor(x)))
-    powers = np.empty((max(1, half), len(x)), complex)
-    powers[0] = w
-    for k in range(1, half):
-        np.multiply(powers[k - 1], w, out=powers[k])
-    t = np.empty((rows, len(x)))
-    t[0] = 1.0
-    t[1 : half + 1] = powers[:half].real  # cos 2 pi k x, Nyquist last if full
-    t[half + 1 :] = powers[: (rows - 1) // 2].imag
-    return t.T
+def _fill_table(x: np.ndarray, table: np.ndarray, powers: np.ndarray) -> None:
+    """Write the real basis along one axis at the points `x` into `table`,
+    (rows, points): row 0 is 1, rows 2k - 1 and 2k are cos 2 pi k x and
+    sin 2 pi k x, the real and imaginary parts of the powers w^k of
+    w = exp(2 pi i x), which go through the complex scratch `powers`
+    (rows // 2 or more, points).  The only trigonometric calls are the
+    cosine and sine of w (the parts of np.exp(2 pi i x), at about half its
+    cost)."""
+    rows, half = len(table), len(table) // 2
+    table[0] = 1.0
+    if half:
+        w = powers[:half]
+        # x - floor(x) is bitwise np.mod(x, 1.0), at a tenth of its cost
+        theta = _TWO_PI * (x - np.floor(x))
+        np.cos(theta, out=w[0].real)
+        np.sin(theta, out=w[0].imag)
+        for k in range(1, half):
+            np.multiply(w[k - 1], w[0], out=w[k])
+        table[1::2] = w.real  # cos 2 pi k x, Nyquist last if full
+        table[2::2] = w[: (rows - 1) // 2].imag
 
 
-def _block_partials(stack: np.ndarray, tables) -> np.ndarray:
-    """Partials at one block of points from its per-axis tables, an iterable
-    that may build each on demand: one real GEMM for the first axis, then
-    batched real row products for the rest."""
-    tables = iter(tables)
-    acc = next(tables) @ stack
-    for t in tables:
+def _block_partials(stack: np.ndarray, tables: list) -> np.ndarray:
+    """Partials at one block of points from its per-axis tables, (points,
+    rows) each: one real GEMM for the first axis, then batched real row
+    products for the rest."""
+    acc = tables[0] @ stack
+    for t in tables[1:]:
         acc = np.matmul(t[:, None, :], acc.reshape(*t.shape, -1))[:, 0]
     return acc
+
+
+def _stacked_partials(pts: np.ndarray, stacks: list) -> np.ndarray:
+    """The columns of several coefficient stacks at the same (P, dim)
+    points, side by side: `stacks` holds (stack, rows per axis, columns
+    wanted) per interpolant.
+
+    Points go in blocks of bounded memory (`_BLOCK_BYTES` over 8-byte
+    entries per column of the widest stack, at least `_BLOCK_MIN_POINTS`
+    points) and blocks in spans of whole blocks whose tables, with their
+    complex scratch, stay within `_SPAN_BYTES` (or one block).  Per span,
+    each axis's table is built once, to the widest band any stack has on
+    that axis, into the thread's `_WORKSPACE`; each stack reads the prefix
+    rows of its own band (the real basis nests, see
+    `_real_axis_coefficients`).  A table row depends on its point alone,
+    and every first-axis product is a GEMM of at least two points and two
+    columns on the points-innermost table, which BLAS rounds row by row: a
+    matrix-vector product would round a row by its position.  So neither
+    blocks, spans, nor the other stacks change a bit, and a row is what its
+    point gives alone."""
+    wide = [max(rows[a] for _, rows, _ in stacks) for a in range(pts.shape[1])]
+    half = max(wide) // 2
+    # bytes per point of the tables and their complex scratch
+    table_bytes = 8 * (sum(wide) + 2 * half)
+    columns = max(stack.shape[1] for stack, _, _ in stacks)
+    block = max(_BLOCK_MIN_POINTS, _BLOCK_BYTES // (8 * columns))
+    span = block * max(1, _SPAN_BYTES // (block * table_bytes))
+    # one row more: a one-point block goes in with its point twice
+    size = min(span, len(pts)) + 1
+    work = _WORKSPACE.take(size * table_bytes // 8)
+    powers = work[: 2 * half * size].view(complex).reshape(half, size)
+    tables, at = [], 2 * half * size
+    for rows in wide:
+        tables.append(work[at : at + rows * size].reshape(rows, size))
+        at += rows * size
+    out = np.empty((len(pts), sum(wanted for _, _, wanted in stacks)))
+    for start in range(0, len(pts), span):
+        x = pts[start : start + span]
+        n = len(x)
+        if n % block == 1:
+            x = np.concatenate([x, x[-1:]])
+        for a, table in enumerate(tables):
+            _fill_table(x[:, a], table[:, : len(x)], powers[:, : len(x)])
+        for lo in range(0, n, block):
+            m, hi = min(block, n - lo), min(lo + block, len(x))
+            rows_out = out[start + lo : start + lo + m]
+            col = 0
+            for stack, rows, wanted in stacks:
+                views = [t[:r, lo:hi].T for t, r in zip(tables, rows)]
+                rows_out[:, col : col + wanted] = _block_partials(stack, views)[:m, :wanted]
+                col += wanted
+    return out
 
 
 class TrigInterpolant:
@@ -742,23 +831,16 @@ class TrigInterpolant:
     one real-FFT spectrum (`ScalarField.spectrum`) over the node count.
 
     Evaluation works in the real separable basis, along each axis
-    [1, cos 2 pi k x, cos pi N x, sin 2 pi k x] (0 < k <= K_a, k < N/2; the
-    Nyquist cosine on a full band only), so all products are real.
-    Partials asked for together share one cached coefficient stack: the
-    coefficients times the multipliers, mapped axis by axis onto that
-    basis (`_real_axis_coefficients`), the real-FFT axis last by conjugate
-    symmetry, and kept as its real part.  Points
-    go in blocks of bounded memory (`_BLOCK_BYTES` over 8-byte entries per
-    stack column), with a floor of `_BLOCK_MIN_POINTS` points per block so
-    that wide stacks, such as the six second partials of a 3D field, are
-    not split into many tiny blocks, and blocks go in spans: one cos/sin
-    table per axis, from the real and imaginary parts of the powers of
-    exp(2 pi i x), for a span of whole blocks whose tables together stay
-    within `_BLOCK_BYTES` (a lone block builds them one at a time), then
-    per block one real GEMM for the first axis and batched real row
-    products for the rest, on its rows of the tables.  A table row depends
-    on its point alone, so neither blocks nor spans change a bit.  Work is
-    O(P * kept modes) per field.
+    [1, cos 2 pi x, sin 2 pi x, ..., cos 2 pi K_a x, sin 2 pi K_a x] (the
+    Nyquist cosine cos pi N x last, on a full band only), so all products
+    are real.  Partials asked for together share one cached coefficient
+    stack: the coefficients times the multipliers, mapped axis by axis onto
+    that basis (`_real_axis_coefficients`), the real-FFT axis last by
+    conjugate symmetry, and kept as its real part.  Evaluation is
+    `_stacked_partials`: per span of point blocks one cos/sin table per
+    axis, then per block one real GEMM for the first axis and batched real
+    row products for the rest.  A row is its point's own value, whatever
+    the other points.  Work is O(P * kept modes) per field.
     """
 
     def __init__(self, f: ScalarField):
@@ -778,9 +860,11 @@ class TrigInterpolant:
         plateau eps * sup|f|; N/2 means the full basis."""
         return self._band
 
-    def _stack(self, orders: tuple) -> np.ndarray:
+    def _stack(self, orders: tuple) -> tuple[np.ndarray, tuple[int, ...], int]:
         """Real-basis coefficients of the partials `orders` on the band, as
-        (rows_0, rest * fields) float64."""
+        (rows_0, rest * fields) float64, with the rows per axis and the
+        field count: `_stacked_partials`' entry.  A one-column stack gets a
+        zero column, so that its first-axis product is a GEMM."""
         if orders not in self._stacks:
             grid = self.grid
             mults = fourier_multiplier(grid, orders)
@@ -789,8 +873,10 @@ class TrigInterpolant:
                 stack = _real_axis_coefficients(stack, axis, self._band[axis],
                                                 last=axis == grid.dim - 1)
             stack = np.ascontiguousarray(stack.real).reshape(self._rows[0], -1)
+            if stack.shape[1] == 1:
+                stack = np.hstack([stack, np.zeros_like(stack)])
             stack.setflags(write=False)
-            self._stacks[orders] = stack
+            self._stacks[orders] = (stack, self._rows, len(orders))
         return self._stacks[orders]
 
     def partials(self, points, orders) -> np.ndarray:
@@ -802,31 +888,8 @@ class TrigInterpolant:
         pts = grid.check_points(points)
         if len(orders) == 0:
             raise ValueError("no partials requested: `orders` is empty")
-        stack = self._stack(tuple(_check_axes(grid, axes) for axes in orders))
-        block = max(_BLOCK_MIN_POINTS, _BLOCK_BYTES // (8 * stack.shape[1]))
-        # whole blocks per span, whose tables together stay within _BLOCK_BYTES
-        span = block * max(1, _BLOCK_BYTES // (8 * block * sum(self._rows)))
-        out = np.empty((pts.shape[0], len(orders)))
-        for start in range(0, pts.shape[0], span):
-            x = pts[start : start + span]
-            n = len(x)
-            # numpy sums a one-row product in another order than a block's,
-            # so a one-point block goes in twice: blocks change no bits
-            x = np.concatenate([x, x[-1:]]) if n % block == 1 else x
-            # a table's rows do not depend on the other points, so a span of
-            # several blocks builds each axis's table once; a lone block
-            # builds one at a time
-            spanned = None
-            if len(x) > block:
-                spanned = [_axis_matrix(x[:, a], r) for a, r in enumerate(self._rows)]
-            for lo in range(0, n, block):
-                if spanned is None:
-                    tables = (_axis_matrix(x[:, a], r) for a, r in enumerate(self._rows))
-                else:
-                    tables = (t[lo : lo + block] for t in spanned)
-                m = min(block, n - lo)
-                out[start + lo : start + lo + m] = _block_partials(stack, tables)[:m]
-        return out
+        orders = tuple(_check_axes(grid, axes) for axes in orders)
+        return _stacked_partials(pts, [self._stack(orders)])
 
     def evaluate(self, points) -> np.ndarray:
         """Evaluate at a (P, dim) array of points (wrapped periodically; in
@@ -835,6 +898,22 @@ class TrigInterpolant:
         pts = np.asarray(points, dtype=float)
         out = self.partials(pts, [(0,) * self.grid.dim])[:, 0]
         return float(out[0]) if pts.ndim < 2 and out.size == 1 else out
+
+
+def interpolate_fields(fields, points) -> np.ndarray:
+    """Values of several fields at the same (P, dim) points, shape
+    (P, fields), in one pass: each span's tables are built once, to the
+    widest band, and each field's interpolant reads its own band's rows.
+    Column i is bitwise `fields[i].interpolant.evaluate(points)`.  The
+    fields share one dimension; raises ValueError unless the first one's
+    `PeriodicGrid.check_points` accepts the points."""
+    if not fields:
+        raise ValueError("no fields to interpolate")
+    pts = fields[0].grid.check_points(points)
+    if any(f.grid.dim != pts.shape[1] for f in fields):
+        raise ValueError("fields of different dimensions")
+    value = ((0,) * pts.shape[1],)
+    return _stacked_partials(pts, [f.interpolant._stack(value) for f in fields])
 
 
 def interpolate(f: ScalarField, point) -> float:

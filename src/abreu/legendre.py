@@ -23,9 +23,12 @@ psi carries rounding of order eps * (sup|phi| + sup|grad phi|).
 This module holds only the inversion of the gradient map and the
 duality built on it.  Every derivative of u comes from the potential:
 on the grid `Potential.node_gradient` and the Hessian state, off it
-`Potential.perturbation_at` (phi itself), `gradient_at` and
-`hessian_at`, from the one kept interpolant of phi; the pullback reads
-the right-hand side's own kept interpolant.
+`Potential.phi_and_gradient_at` and `hessian_at`, from the one kept
+interpolant of phi.  The inversion evaluates phi in the same stacked
+call as grad u and hands it back with the roots, so the transform forms
+psi with no evaluation of its own.  The pullback reads each right-hand
+side's own kept interpolant, and fields pulled back together share one
+table build (`grid.interpolate_fields`).
 
 Gradient-map inversion runs a damped Newton iteration per target point,
 vectorized over points.  Each point keeps the inverse of its Hessian,
@@ -50,12 +53,19 @@ grad v there; if its Newton run stalls, V is inverted from the nodes.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GradientInversionFailure
-from .grid import PeriodicGrid, ScalarField, project_mean_zero, triangle_to_full
+from .grid import (
+    PeriodicGrid,
+    ScalarField,
+    interpolate_fields,
+    project_mean_zero,
+    triangle_to_full,
+)
 from .potential import Potential, triangle_inverse
 
 __all__ = [
@@ -93,16 +103,17 @@ class DualPotential(Potential):
         object.__setattr__(self, "preimages", preimages)
 
 
-def _warm_preimages(V: DualPotential, z: np.ndarray) -> np.ndarray | None:
+def _warm_preimages(V: DualPotential, z: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """x with grad v(x) = z at all grid nodes z (row-major), v the dual V,
-    started from the duality with V's primal (see the module docstring);
-    None when that Newton run stalls."""
+    started from the duality with V's primal (see the module docstring),
+    and V's psi at each x; None when that Newton run stalls."""
     primal = V.primal
     nodes = np.indices(V.grid.shape).reshape(V.grid.dim, -1).T
     hess = primal.hessian_state.hessian.entries.reshape(-1, len(nodes))
     start = primal.node_gradient(z, nodes)
     try:
-        return _newton(V, z, start, V.gradient_at(start), triangle_to_full(hess), fresh=False)
+        return _newton(V, z, start, *V.phi_and_gradient_at(start), triangle_to_full(hess),
+                       fresh=False)
     except GradientInversionFailure:
         return None
 
@@ -145,28 +156,37 @@ def gradient_map_inverse(P: Potential, points) -> np.ndarray:
     a potential that fails the convexity test raises NotConvex there.
     The iteration itself is `_newton`.
     """
-    y = P.grid.check_points(points)
+    return _node_inversion(P, P.grid.check_points(points))[0]
+
+
+def _node_inversion(P: Potential, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`gradient_map_inverse` of the checked targets y, with phi at each
+    root: the node value where a point never leaves its start."""
     x, nodes = _newton_start(P, y)
+    at = tuple(nodes.T)
     inverse = P.hessian_state.inverse().entries
     # gradients and inverses are handed over, not kept here, so that
     # `_newton` frees them once it has gathered the rows it iterates on
-    return _newton(P, y, x, P.node_gradient(x, nodes),
-                   triangle_to_full(inverse[(slice(None),) + tuple(nodes.T)]), fresh=True)
+    return _newton(P, y, x, P.perturbation.values[at], P.node_gradient(x, nodes),
+                   triangle_to_full(inverse[(slice(None),) + at]), fresh=True)
 
 
 def _newton(
     P: Potential,
     y: np.ndarray,
     x: np.ndarray,
+    phi: np.ndarray,
     grad: np.ndarray,
     hinv: np.ndarray,
     fresh: bool,
-) -> np.ndarray:
-    """Damped simplified Newton for grad u(x) = y, u the potential P, from
-    the start x, with grad = grad u(x) and hinv (P, n, n) the kept inverse
-    Hessians; `fresh` says whether hinv is the inverse of D^2 u at x itself
-    (a node start) or an estimate of it (the dual's start).  Off the grid,
-    grad u and D^2 u are `Potential.gradient_at` and `hessian_at`.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Damped simplified Newton for grad u(x) = y, u = Q + phi the
+    potential P, from the start x, with phi = phi(x), grad = grad u(x) and
+    hinv (P, n, n) the kept inverse Hessians; `fresh` says whether hinv is
+    the inverse of D^2 u at x itself (a node start) or an estimate of it
+    (the dual's start).  Returns the roots x and phi there.  Off the grid,
+    phi with grad u is `Potential.phi_and_gradient_at`, one stacked call
+    per set of candidates, and D^2 u is `hessian_at`.
 
     Each point keeps its inverse Hessian across steps, so a step is
     -hinv r.  With r the residual now and r' the one before the point's
@@ -190,16 +210,16 @@ def _newton(
     residual = grad - y
     del grad
     rnorm = np.max(np.abs(residual), axis=1)
-    x_all, y_all, rnorm_all = x, y, rnorm
+    x_all, y_all, phi_all, rnorm_all = x, y, phi, rnorm
     # the sweeps run on the live points, those above tolerance and not
     # stuck: `ids` holds their rows, and every per-point array below only
-    # them, gathered once and compacted whenever a point leaves, whose x
-    # and residual norm then go back to the caller's rows.  Row gathers
+    # them, gathered once and compacted whenever a point leaves, whose x,
+    # phi and residual norm then go back to the caller's rows.  Row gathers
     # leave the arrays C-contiguous, which einsum's 3 x 3 mat-vec needs to
     # round as on one point: on the layout `triangle_to_full` returns,
     # points innermost, it sums some rows in another order
     ids = np.flatnonzero(rnorm > _INVERSION_TOLERANCE)
-    x, y, residual, rnorm, hinv = (a[ids] for a in (x, y, residual, rnorm, hinv))
+    x, y, phi, residual, rnorm, hinv = (a[ids] for a in (x, y, phi, residual, rnorm, hinv))
     fresh = np.full(len(ids), fresh)
     # residual before the last accepted step: inf (no estimate) trusts the
     # kept inverse for the first step, 0 forces its refresh
@@ -214,9 +234,10 @@ def _newton(
             fresh |= refresh
             live &= ~refresh | np.isfinite(hinv).all(axis=(1, 2))  # singular: stuck
         if not live.all():
-            x_all[ids[~live]], rnorm_all[ids[~live]] = x[~live], rnorm[~live]
-            ids, y, x, residual, rnorm, hinv, fresh, before, stuck = (
-                a[live] for a in (ids, y, x, residual, rnorm, hinv, fresh, before, stuck))
+            left = ids[~live]
+            x_all[left], phi_all[left], rnorm_all[left] = x[~live], phi[~live], rnorm[~live]
+            ids, y, x, phi, residual, rnorm, hinv, fresh, before, stuck = (
+                a[live] for a in (ids, y, x, phi, residual, rnorm, hinv, fresh, before, stuck))
         if not ids.size:
             break
         step = -np.einsum("pij,pj->pi", hinv, residual)
@@ -224,31 +245,35 @@ def _newton(
         # the steps that did not decrease the residual, on those points
         # (`at`) alone; a point takes its first candidate that decreased it
         cand = x + step
-        cand_res = P.gradient_at(cand) - y
+        cand_phi, cand_res = P.phi_and_gradient_at(cand)
+        cand_res -= y
         cand_norm = np.max(np.abs(cand_res), axis=1)
         at = np.flatnonzero(~(cand_norm < rnorm))
         for k in range(1, 40):
             if not at.size:
                 break
             trial = x[at] + 0.5**k * step[at]
-            trial_res = P.gradient_at(trial) - y[at]
+            trial_phi, trial_res = P.phi_and_gradient_at(trial)
+            trial_res -= y[at]
             trial_norm = np.max(np.abs(trial_res), axis=1)
             improved = trial_norm < rnorm[at]
             good = at[improved]
-            cand[good], cand_res[good], cand_norm[good] = (
-                trial[improved], trial_res[improved], trial_norm[improved])
+            cand[good], cand_phi[good], cand_res[good], cand_norm[good] = (
+                trial[improved], trial_phi[improved], trial_res[improved],
+                trial_norm[improved])
             at = at[~improved]
         accepted = cand_norm < rnorm
         np.copyto(x, cand, where=accepted[:, None])
+        np.copyto(phi, cand_phi, where=accepted)
         np.copyto(residual, cand_res, where=accepted[:, None])
         np.copyto(before, rnorm, where=accepted)
         np.copyto(rnorm, cand_norm, where=accepted)
         fresh &= ~accepted
         stuck[at] = fresh[at]
         before[at] = 0.0
-    x_all[ids], rnorm_all[ids] = x, rnorm
+    x_all[ids], phi_all[ids], rnorm_all[ids] = x, phi, rnorm
     if not (rnorm_all > _INVERSION_TOLERANCE).any():
-        return x_all
+        return x_all, phi_all
     worst = int(np.argmax(rnorm_all))
     node = _grid_nodes(P.grid, y_all[worst : worst + 1])
     node = None if node is None else tuple(int(i) for i in node[0])
@@ -261,9 +286,10 @@ def legendre_transform(P: Potential) -> DualPotential:
     Each dual node y is pulled back through the gradient map to x (from
     the duality when P is itself a dual), and psi(y) = v(y) - y^T M^{-1}
     y / 2 = -phi(x) - g^T M^{-1} g / 2 with g = y - x M, formed on psi's
-    own scale (see the module docstring); psi is returned in mean-zero
-    gauge, with P and x kept as the dual's primal and preimages.  Applying
-    the transform twice recovers the original potential (convex involution).
+    own scale (see the module docstring) from the phi(x) the inversion
+    returns with x; psi is returned in mean-zero gauge, with P and x kept
+    as the dual's primal and preimages.  Applying the transform twice
+    recovers the original potential (convex involution).
     """
     grid = P.grid
     dual_base = P.base.inverse()
@@ -274,25 +300,29 @@ def legendre_transform(P: Potential) -> DualPotential:
             f"got\n{P.base.matrix}"
         )
     y = grid.node_points()
-    x = _warm_preimages(P, y) if isinstance(P, DualPotential) else None
-    if x is None:
-        x = gradient_map_inverse(P, y)
+    found = _warm_preimages(P, y) if isinstance(P, DualPotential) else None
+    x, phi = found if found is not None else _node_inversion(P, y)
     g = y - x @ P.base.matrix
     quad = 0.5 * np.einsum("pi,ij,pj->p", g, dual_base.matrix, g)
-    psi = (-P.perturbation_at(x) - quad).reshape(grid.shape)
+    psi = (-phi - quad).reshape(grid.shape)
     return DualPotential(dual_base, project_mean_zero(ScalarField(grid, psi)), P, x)
 
 
-def pullback_rhs(A: ScalarField, V: DualPotential) -> ScalarField:
+def pullback_rhs(A: ScalarField | Sequence[ScalarField],
+                 V: DualPotential) -> ScalarField | tuple[ScalarField, ...]:
     """Sample A at the preimages of the dual nodes, `V.preimages`, for the
-    dual V that `legendre_transform` returned.
+    dual V that `legendre_transform` returned: a field for a field, a
+    tuple of fields for a sequence of them, pulled back in one pass
+    (`grid.interpolate_fields`), each bitwise its own pullback.
 
     The pullback takes the same values as A (at transported points), so
     its sup over dual nodes cannot exceed sup|A| beyond interpolation
     error.
     """
-    vals = A.interpolant.evaluate(V.preimages)
-    return ScalarField(V.grid, vals.reshape(V.grid.shape))
+    fields = (A,) if isinstance(A, ScalarField) else tuple(A)
+    vals = interpolate_fields(fields, V.preimages)
+    out = tuple(ScalarField(V.grid, v.reshape(V.grid.shape)) for v in vals.T)
+    return out[0] if isinstance(A, ScalarField) else out
 
 
 def dual_residual(V: Potential, Atilde: ScalarField) -> ScalarField:

@@ -29,9 +29,10 @@ none at all.  Each base keeps its inverse.  The inverse
 is `triangle_inverse`, whose closed forms the gradient-map inversion
 shares.  Every derivative of u lives here: on the grid the Hessian state
 and the spectral gradient of phi kept beside it (`node_gradient`), off it
-`perturbation_at` (phi itself), `gradient_at` and `hessian_at`, from
-phi's one kept interpolant (`ScalarField.interpolant`); all of them read
-phi's one spectrum (`ScalarField.spectrum`).
+`gradient_at`, `phi_and_gradient_at` (phi with grad u, in one stacked
+call) and `hessian_at`, from phi's one kept interpolant
+(`ScalarField.interpolant`); all of them read phi's one spectrum
+(`ScalarField.spectrum`).
 """
 
 from __future__ import annotations
@@ -216,10 +217,15 @@ class Potential:
         grad_phi = np.stack([g.values[at] for g in self.perturbation_gradient], -1)
         return x @ self.base.matrix + grad_phi
 
-    def perturbation_at(self, x: np.ndarray) -> np.ndarray:
-        """phi at the points x (P, n) off the grid, from its kept
+    def phi_and_gradient_at(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """phi (P,) and grad u (P, n) at the points x (P, n) off the grid:
+        one stacked evaluation of phi and its first partials, from its kept
         interpolant (`ScalarField.interpolant`), which rejects bad points."""
-        return self.perturbation.interpolant.evaluate(x)
+        x = self.grid.check_points(x)
+        orders = partial_orders(self.grid.dim, 0) + partial_orders(self.grid.dim, 1)
+        vals = self.perturbation.interpolant.partials(x, orders)
+        # a copy, so that phi does not keep the whole stack of values alive
+        return vals[:, 0].copy(), vals[:, 1:] + x @ self.base.matrix
 
     def gradient_at(self, x: np.ndarray) -> np.ndarray:
         """grad u at the points x (P, n) off the grid, shape (P, n): one

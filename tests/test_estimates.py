@@ -488,11 +488,11 @@ class TestNonConvexDual:
         bump = ScalarField.from_function(g, lambda x, y: np.cos(TWO_PI * k * x))
         corrupt_first_dual(monkeypatch, 1.5 / (TWO_PI * k) ** 2 * bump.values)
         runs, node_starts = [], []
-        newton, node_start = legendre._newton, legendre.gradient_map_inverse
+        newton, node_start = legendre._newton, legendre._node_inversion
 
-        def spy_newton(V, y, x, grad, hinv, fresh):
+        def spy_newton(V, y, x, phi, grad, hinv, fresh):
             try:
-                out = newton(V, y, x, grad, hinv, fresh)
+                out = newton(V, y, x, phi, grad, hinv, fresh)
             except GradientInversionFailure:
                 runs.append((fresh, "failed"))
                 raise
@@ -504,7 +504,7 @@ class TestNonConvexDual:
             return node_start(V, points)
 
         monkeypatch.setattr(legendre, "_newton", spy_newton)
-        monkeypatch.setattr(legendre, "gradient_map_inverse", spy_node_start)
+        monkeypatch.setattr(legendre, "_node_inversion", spy_node_start)
         outcome = verify_solution(P, a)
         # P from its nodes, then the dual's stalled warm start; the dual's
         # node start raises NotConvex before its Newton runs

@@ -722,7 +722,7 @@ class TestFieldSpectrum:
         P.hessian_state.inverse()
         P.perturbation_gradient
         x = rng.uniform(size=(5, 2))
-        P.perturbation_at(x), P.gradient_at(x), P.hessian_at(x)
+        P.phi_and_gradient_at(x), P.gradient_at(x), P.hessian_at(x)
         partial(phi, (1, 1)), gradient(phi), hessian(phi), periodicity_defect(phi)
         assert sum(v is phi.values for v in transformed) == 1
 

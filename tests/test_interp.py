@@ -5,12 +5,15 @@ Fourier mode, written here independently of the package, at random
 off-grid points and at point counts around the evaluation block size,
 and splitting the points at a block edge must not change a bit.
 Stacked partials are checked against interpolants of the spectral
-partials themselves, which pins the odd/even Nyquist convention, and the
-split Nyquist mode cos(pi N x) is checked against closed forms.  The
+partials themselves, which pins the odd/even Nyquist convention, the
+split Nyquist mode cos(pi N x) is checked against closed forms, and
+fields interpolated together against each field alone, bit for bit.  The
 tolerance is a few hundred ulps of the sum of the absolute mode terms.
 """
 
 import itertools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -19,7 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abreu import ScalarField, TrigInterpolant, interpolate, make_grid, partial
-from abreu.grid import _BLOCK_BYTES, _BLOCK_MIN_POINTS, partial_orders
+from abreu.grid import (
+    _BLOCK_BYTES,
+    _BLOCK_MIN_POINTS,
+    _SPAN_BYTES,
+    interpolate_fields,
+    partial_orders,
+)
 from tests.support import random_convex_potential
 
 TWO_PI = 2.0 * np.pi
@@ -60,7 +69,14 @@ def _mode_sum(values, points, orders):
 
 
 def _stack_columns(grid, nfields):
-    return (grid.node_count // grid.resolution[0]) * nfields
+    # a one-column stack gets a zero column
+    return max(2, (grid.node_count // grid.resolution[0]) * nfields)
+
+
+def _table_bytes(grid):
+    """Bytes per point of the full-band tables, one per axis, and of their
+    complex scratch."""
+    return 8 * (sum(grid.resolution) + 2 * (max(grid.resolution) // 2))
 
 
 def _block_points(grid, nfields):
@@ -69,8 +85,8 @@ def _block_points(grid, nfields):
 
 def _span_points(grid, block):
     """Points per span of whole blocks whose tables, one per axis over the
-    full band, stay within `_BLOCK_BYTES` together."""
-    return block * max(1, _BLOCK_BYTES // (8 * block * sum(grid.resolution)))
+    full band, and their scratch stay within `_SPAN_BYTES` together."""
+    return block * max(1, _SPAN_BYTES // (block * _table_bytes(grid)))
 
 
 def _full_band(interp):
@@ -137,21 +153,27 @@ class TestBlockedEvaluation:
         [((16, 16), [(0, 0), (1, 0), (0, 2)]),
          ((16, 16, 16), [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
          ((16, 16, 16), [(0, 0, 0)]),
-         ((16, 16, 16), list(partial_orders(3, 2)))],
-        ids=["2d-full-band", "3d-gradient", "3d-value", "3d-hessian"],
+         ((16, 16, 16), list(partial_orders(3, 2))),
+         ((64,), [(0,)]),
+         ((64,), [(0,), (1,)])],
+        ids=["2d-full-band", "3d-gradient", "3d-value", "3d-hessian", "1d-value",
+             "1d-value-and-slope"],
     )
     def test_blocking_changes_no_bit(self, shape, orders):
         # a point's partials do not depend on the block or span it falls in:
         # one call equals two calls split at a block or span edge or one
-        # point either side, one-point tails included, and one call per point
+        # point either side, one-point tails included, and one call per point;
+        # in 1D too, where one field's first-axis product would otherwise be
+        # a matrix-vector product
         g = make_grid(len(shape), list(shape))
         rng = np.random.default_rng(11)
         interp = TrigInterpolant(ScalarField(g, rng.standard_normal(g.shape)))
         assert _full_band(interp)
         block = _block_points(g, len(orders))
         span = _span_points(g, block)
-        # 3D stacks share each span's tables among blocks, 2D spans are one block
-        assert span > block if g.dim == 3 else span == block
+        # 2D and 3D stacks share each span's tables among blocks; 1D
+        # blocks are so long that a span is one block
+        assert span > block if g.dim > 1 else span == block
         pts = rng.uniform(-1.0, 2.0, (2 * span + 1, g.dim))  # a one-point tail
         whole = interp.partials(pts, orders)
         for split in sorted({block - 1, block, block + 1, span - 1, span, span + 1,
@@ -356,6 +378,78 @@ class TestNyquistMode:
         got = TrigInterpolant(f).partials(pts, [tuple(orders)])[:, 0]
         ref = _nyquist_partial(8, pts[:, a], order_a) * _sin_partial(pts[:, b], order_b)
         assert np.max(np.abs(got - ref)) <= TOL * (8 * np.pi) ** order_a * TWO_PI**order_b
+
+
+class TestFieldsTogether:
+    """`grid.interpolate_fields` evaluates several fields at the same points
+    with one table build per span, each field on its own band's rows of the
+    widest table: bitwise each field's own evaluation."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(shape=st.sampled_from([(16,), (8, 12), (48, 48), (8, 10, 8)]), seed=SEEDS,
+           count=st.sampled_from([1, 2, 63, 700, 1201]))
+    def test_each_column_is_the_field_alone(self, shape, seed, count):
+        # a full-band field, a resolved one, a constant and a pure mode:
+        # bands from N/2 down to 0, so every narrower table is a prefix of
+        # a wider one
+        g = make_grid(len(shape), list(shape))
+        rng = np.random.default_rng(seed)
+        x = g.coordinate_arrays()
+        fields = [
+            ScalarField(g, rng.standard_normal(g.shape)),
+            random_convex_potential(g, rng, margin=0.5, max_mode=2).perturbation,
+            ScalarField(g, np.full(g.shape, 0.25)),
+            ScalarField(g, np.cos(TWO_PI * 3 * x[-1])),
+        ]
+        order = rng.permutation(len(fields))
+        fields = [fields[i] for i in order]
+        pts = rng.uniform(-1.0, 2.0, (count, g.dim))
+        together = interpolate_fields(fields, pts)
+        assert together.shape == (count, len(fields))
+        for column, f in zip(together.T, fields):
+            assert column.tobytes() == f.interpolant.evaluate(pts).tobytes()
+
+    def test_checks_fields_and_points(self):
+        g, h = make_grid(2, [8, 8]), make_grid(1, 8)
+        with pytest.raises(ValueError, match="no fields"):
+            interpolate_fields([], [[0.1, 0.2]])
+        with pytest.raises(ValueError, match="dimensions"):
+            interpolate_fields([ScalarField.zeros(g), ScalarField.zeros(h)], [[0.1, 0.2]])
+        with pytest.raises(ValueError, match="finite"):
+            interpolate_fields([ScalarField.zeros(g)], [[np.nan, 0.2]])
+
+
+class TestWorkspace:
+    def test_threads_keep_their_own_tables(self):
+        # each thread builds its tables in a workspace of its own: eight
+        # threads evaluating at once, switching as often as the interpreter
+        # allows, each get bitwise what one thread gets
+        g = make_grid(2, [16, 16])
+        rng = np.random.default_rng(4)
+        fields = [ScalarField(g, rng.standard_normal(g.shape)) for _ in range(4)]
+        points = [rng.uniform(-1.0, 2.0, (700 + 111 * i, 2)) for i in range(4)]
+        orders = [(0, 0), (1, 0)]
+        expected = [f.interpolant.partials(x, orders) for f, x in zip(fields, points)]
+        wrong = []
+
+        def evaluate(i):
+            for _ in range(20):
+                if not np.array_equal(fields[i].interpolant.partials(points[i], orders),
+                                      expected[i]):
+                    wrong.append(i)
+
+        threads = [threading.Thread(target=evaluate, args=(i % 4,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestEvaluationMemory:

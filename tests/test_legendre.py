@@ -90,7 +90,7 @@ class TestGradientMap:
                 for evaluate in (
                     lambda pts: gradient_map(P, pts),
                     lambda pts: gradient_map_inverse(P, pts),
-                    P.perturbation_at,
+                    P.phi_and_gradient_at,
                     P.gradient_at,
                     P.hessian_at,
                 ):
@@ -234,16 +234,18 @@ class TestStuckPoint:
             grad[np.max(np.abs(x - stalled), axis=1) < 0.05] = stalled + 5e-12
             return grad
 
-        gradient_at, node_gradient = Potential.gradient_at, Potential.node_gradient
+        phi_and_gradient_at = Potential.phi_and_gradient_at
+        node_gradient = Potential.node_gradient
 
         def stalling_gradient_at(self, x):
             grad_calls.append(len(x))
-            return stall(x, gradient_at(self, x))
+            phi, grad = phi_and_gradient_at(self, x)
+            return phi, stall(x, grad)
 
         def stalling_node_gradient(self, x, nodes):
             return stall(x, node_gradient(self, x, nodes))
 
-        monkeypatch.setattr(Potential, "gradient_at", stalling_gradient_at)
+        monkeypatch.setattr(Potential, "phi_and_gradient_at", stalling_gradient_at)
         monkeypatch.setattr(Potential, "node_gradient", stalling_node_gradient)
         with pytest.raises(GradientInversionFailure) as info:
             gradient_map_inverse(Potential.flat(g), ys)
@@ -267,19 +269,20 @@ class TestStuckPoint:
         solution = gradient_map_inverse(P, y)[0]
         events = []
 
-        gradient_at, hessian_at = Potential.gradient_at, Potential.hessian_at
+        phi_and_gradient_at = Potential.phi_and_gradient_at
+        hessian_at = Potential.hessian_at
 
         def stalling_gradient_at(self, x):
             events.append(("grad", len(x)))
-            out = gradient_at(self, x)
+            phi, out = phi_and_gradient_at(self, x)
             out[np.max(np.abs(x - solution), axis=1) < 1e-3] = y[0] + 5e-12
-            return out
+            return phi, out
 
         def counted_hessian_at(self, x):
             events.append(("hess", len(x)))
             return hessian_at(self, x)
 
-        monkeypatch.setattr(Potential, "gradient_at", stalling_gradient_at)
+        monkeypatch.setattr(Potential, "phi_and_gradient_at", stalling_gradient_at)
         monkeypatch.setattr(Potential, "hessian_at", counted_hessian_at)
         with pytest.raises(GradientInversionFailure) as info:
             gradient_map_inverse(P, y)
@@ -568,7 +571,7 @@ def inversion_orders(monkeypatch):
             runs[-1][1].append(max(map(sum, orders)))
         return partials(self, points, orders)
 
-    for name in ("gradient_map_inverse", "_warm_preimages"):
+    for name in ("_node_inversion", "_warm_preimages"):
         monkeypatch.setattr(legendre, name, spying(getattr(legendre, name)))
     monkeypatch.setattr(TrigInterpolant, "partials", partials_spy)
     return runs
@@ -616,9 +619,9 @@ class TestDualStart:
         starts = []
         newton = legendre._newton
 
-        def spy(P, y, x, grad, hinv, fresh):
+        def spy(P, y, x, phi, grad, hinv, fresh):
             starts.append((fresh, np.max(np.abs(grad - y))))
-            return newton(P, y, x, grad, hinv, fresh)
+            return newton(P, y, x, phi, grad, hinv, fresh)
 
         monkeypatch.setattr(legendre, "_newton", spy)
         warm = legendre_transform(V).preimages
@@ -640,6 +643,50 @@ class TestDualStart:
                     if c.name == "legendre-involution"]
         assert not check.satisfied and 1e-7 < check.lhs < 1e-5
         assert outcome.passed is False
+
+    def test_warm_start_returns_psi_at_its_roots(self):
+        # the start's psi comes with its gradient, one stacked call, and
+        # is kept where a point does not step
+        P, _ = _solved_potential(16)
+        V = legendre_transform(P)
+        y = V.grid.node_points()
+        x, psi = legendre._warm_preimages(V, y)
+        expected = TrigInterpolant(V.perturbation).evaluate(x)
+        bound = 4 * np.finfo(float).eps * (1.0 + sup_norm(V.perturbation))
+        assert np.max(np.abs(psi - expected)) <= bound
+
+    def test_verify_evaluates_each_point_set_once(self, monkeypatch):
+        # phi comes with grad u from the inversions' stacked calls, psi
+        # with grad v from the dual's start, and det u and A are pulled
+        # back together: at most 5 partials calls and one pullback pass,
+        # and no lone value evaluation
+        P, a = _solved_potential(48)
+        P = Potential(P.base, P.perturbation)  # nothing kept from the solve
+        calls, passes, values = [], [], []
+        partials, evaluate = TrigInterpolant.partials, TrigInterpolant.evaluate
+        together = legendre.interpolate_fields
+
+        def spy_partials(self, points, orders):
+            calls.append(len(points))
+            return partials(self, points, orders)
+
+        def spy_evaluate(self, points):
+            values.append(len(points))
+            return evaluate(self, points)
+
+        def spy_together(fields, points):
+            passes.append(fields)
+            return together(fields, points)
+
+        monkeypatch.setattr(TrigInterpolant, "partials", spy_partials)
+        monkeypatch.setattr(TrigInterpolant, "evaluate", spy_evaluate)
+        monkeypatch.setattr(legendre, "interpolate_fields", spy_together)
+        outcome = verify_solution(P, a)
+        assert outcome.passed
+        assert 0 < len(calls) <= 5 and values == []
+        ((det_u, atilde),) = passes
+        assert np.array_equal(det_u.values, P.hessian_state.det) and atilde is a
+        assert not hasattr(Potential, "perturbation_at")
 
     def test_a_potential_built_from_a_dual_starts_from_the_nodes(self, warm_starts):
         P, _ = _solved_potential(16)
@@ -719,15 +766,15 @@ class TestInversionProperty:
         assert np.max(_gradient_residual(P, x, y)) <= legendre._INVERSION_TOLERANCE
 
     @settings(max_examples=20, deadline=None)
-    @given(dim=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1),
+    @given(dim=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1),
            margin=st.floats(0.05, 0.95))
     def test_each_row_is_its_own_inversion(self, dim, seed, margin):
         # a point's Newton run reads nothing of the other points, bit for
-        # bit: the sweeps compact the points still running, and the row
+        # bit: the sweeps compact the points still running, the row
         # gathers that do it keep the per-point arrays C-contiguous, on
-        # which einsum's 3 x 3 mat-vec rounds as on one point.  In 1D the
-        # interpolant's own partials at a point move with the batch they
-        # are evaluated in, so only 2D and 3D are asked
+        # which einsum's 3 x 3 mat-vec rounds as on one point, and the
+        # interpolant's first-axis product is a GEMM, which rounds each
+        # row alone, in 1D too
         g = make_grid(dim, [12] * dim)
         rng = np.random.default_rng(seed)
         P = random_convex_potential(g, rng, margin=margin, max_mode=2)
@@ -737,6 +784,24 @@ class TestInversionProperty:
         x = gradient_map_inverse(P, y)
         for target, row in zip(y, x):
             assert gradient_map_inverse(P, target[None]).tobytes() == row.tobytes()
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_inversion_cases())
+    def test_returns_phi_at_its_roots(self, case):
+        # the inversion evaluates phi in the stacked call that gives grad u
+        # and keeps it at each accepted x, or the node value where a point
+        # never leaves its node start: phi's interpolant there, to within
+        # 4 ulps of 1 + sup|phi|
+        P, y = case
+        try:
+            x, phi = legendre._node_inversion(P, P.grid.check_points(y))
+        except GradientInversionFailure:
+            return
+        assert x.tobytes() == gradient_map_inverse(P, y).tobytes()
+        expected = TrigInterpolant(P.perturbation).evaluate(x)
+        bound = 4 * np.finfo(float).eps * (1.0 + sup_norm(P.perturbation))
+        assert phi.shape == (len(y),) and np.max(np.abs(phi - expected)) <= bound
 
 
 class TestLegendreTransform:
@@ -873,6 +938,26 @@ class TestPullbackRhs:
         P = manufactured_potential(32)
         out = pullback_rhs(ScalarField.zeros(P.grid), legendre_transform(P))
         assert sup_norm(out) < 1e-13
+
+    @pytest.mark.parametrize("shape", [[32], [16, 16], [8, 10, 8]], ids=["1d", "2d", "3d"])
+    def test_fields_pulled_back_together_are_each_pulled_back_alone(self, shape):
+        # bit for bit, whatever the fields' bands: a full one, phi's, a
+        # constant and a single mode
+        g = make_grid(len(shape), shape)
+        rng = np.random.default_rng(len(shape))
+        P = random_convex_potential(g, rng, margin=0.5, max_mode=2)
+        V = legendre_transform(P)
+        fields = (ScalarField(g, rng.standard_normal(g.shape)), P.perturbation,
+                  ScalarField(g, np.full(g.shape, 2.0)),
+                  ScalarField(g, np.sin(TWO_PI * 2 * g.coordinate_arrays()[0])))
+        together = pullback_rhs(fields, V)
+        assert isinstance(together, tuple) and len(together) == len(fields)
+        for pulled, f in zip(together, fields):
+            alone = pullback_rhs(f, V)
+            assert isinstance(alone, ScalarField) and pulled.grid == V.grid
+            assert pulled.values.tobytes() == alone.values.tobytes()
+        (one,) = pullback_rhs([fields[1]], V)
+        assert one.values.tobytes() == together[1].values.tobytes()
 
     def test_sup_norm_preserved(self):
         _, a, _ = manufactured_problem(64)

@@ -394,9 +394,10 @@ _UNIMODULAR = [[2.0, 1.0], [1.0, 1.0]]
 
 
 class TestDerivativesOffAndOnTheGrid:
-    """`Potential.perturbation_at` gives bitwise phi, and `gradient_at`,
-    `hessian_at` and `node_gradient` the base plus phi's partials, written
-    out here from an interpolant of phi of the test's own."""
+    """`Potential.phi_and_gradient_at` gives bitwise phi with grad u, and
+    `gradient_at`, `hessian_at` and `node_gradient` the base plus phi's
+    partials, written out here from an interpolant of phi of the test's
+    own."""
 
     @pytest.fixture(
         params=[((32,), [[1.0]]), ((16, 16), np.eye(2)), ((8, 8, 8), np.eye(3)),
@@ -413,8 +414,13 @@ class TestDerivativesOffAndOnTheGrid:
         return P, x, TrigInterpolant(phi), P.base.matrix
 
     def test_value(self, case):
-        P, x, phi, _ = case
-        assert np.array_equal(P.perturbation_at(x), phi.evaluate(x))
+        # phi and grad u from one stacked call of phi and its first partials
+        P, x, phi, M = case
+        orders = [tuple(row) for row in np.eye(P.grid.dim + 1, P.grid.dim, -1, dtype=int)]
+        expected = phi.partials(x, orders)
+        value, grad = P.phi_and_gradient_at(x)
+        assert np.array_equal(value, expected[:, 0])
+        assert np.array_equal(grad, expected[:, 1:] + x @ M)
 
     def test_gradient(self, case):
         P, x, phi, M = case

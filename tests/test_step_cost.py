@@ -1,12 +1,14 @@
 """The step-cost tool loads each source tree as its own package and
 reports the solve time per Newton step of each, or the time, the Newton
-steps and the Krylov applies per CLI op, on the pools of the seed it is
-given."""
+steps, the Krylov applies and the off-grid interpolation per CLI op, on
+the pools of the seed it is given."""
 
 import importlib.util
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+
+import numpy as np
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "step_cost.py"
 
@@ -62,7 +64,8 @@ def test_times_two_trees_on_a_tiny_pool(monkeypatch, capsys):
 
 def test_times_the_cli_ops_of_a_workload(monkeypatch, capsys):
     # --ops: each tree's CLI on the pool's arguments of the default seed,
-    # one line per tree with its Newton steps and Krylov applies per op
+    # one line per tree with its Newton steps, Krylov applies and
+    # interpolation per op
     tool = _tool()
     spec = {"command": "solve", "dim": 1, "resolutions": [16], "pool": 2, "modes": [1],
             "kmax": 1, "sup": [0.1, 0.2], "report": True, "op_s": 0.01}
@@ -77,19 +80,51 @@ def test_times_the_cli_ops_of_a_workload(monkeypatch, capsys):
         for name in [n for n in sys.modules if n.split(".")[0] in ("abreu_src0", "abreu_src1")]:
             del sys.modules[name]
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["workload", "ops", "ms/op", "steps/op", "krylov/op", "ratio",
-                                "src"]
-    rows = [line.rsplit(None, 6) for line in lines[1:]]
+    assert lines[0].split() == ["workload", "ops", "ms/op", "steps/op", "krylov/op",
+                                "interp/op", "passes/op", "points/op", "ratio", "src"]
+    rows = [line.rsplit(None, 9) for line in lines[1:]]
     assert [row[0] for row in rows] == ["tiny-1d", "tiny-1d"]
     assert [row[1] for row in rows] == ["2", "2"]
-    assert float(rows[0][2]) > 0.0 and float(rows[0][5]) == 1.0
-    assert float(rows[1][2]) > 0.0 and [row[6] for row in rows] == [str(src)] * 2
+    assert float(rows[0][2]) > 0.0 and float(rows[0][8]) == 1.0
+    assert float(rows[1][2]) > 0.0 and [row[9] for row in rows] == [str(src)] * 2
     # two ops: a whole number of steps and of applies over two, the same
     # on both trees
     for column in (3, 4):
         assert rows[0][column] == rows[1][column] and float(rows[0][column]) > 0.0
         assert (2.0 * float(rows[0][column])).is_integer()
+    # a solve interpolates nothing
+    assert [row[5:8] for row in rows] == [["0.00"] * 3] * 2
     assert seeds == [1, 1]
+
+
+def test_counts_the_interpolation_of_the_inputs():
+    # the partials calls, the multi-field passes and their points of each
+    # input, through the bindings the package calls; all restored after
+    import abreu
+    from abreu import grid, legendre
+    from abreu.grid import ScalarField, make_grid
+    from abreu.potential import Potential
+
+    tool = _tool()
+    g = make_grid(2, [8, 8])
+    P = Potential.flat(g)
+    V = legendre.legendre_transform(P)
+    a = ScalarField(g, np.cos(2 * np.pi * g.coordinate_arrays()[0]))
+    x = np.full((5, 2), 0.3)
+
+    def run(i):
+        P.gradient_at(x[: i + 1])
+        legendre.pullback_rhs((a, a), V)
+
+    partials, together = grid.TrigInterpolant.partials, legendre.interpolate_fields
+    case = SimpleNamespace(package=abreu, grid=grid, run=run)
+    assert tool.count_interpolation(case, 2) == (2, 2, 1 + 2 + 2 * 64)
+    assert grid.TrigInterpolant.partials is partials
+    assert legendre.interpolate_fields is together
+    # a tree without multi-field passes counts None of them
+    old = SimpleNamespace(TrigInterpolant=grid.TrigInterpolant)
+    case = SimpleNamespace(package=abreu, grid=old, run=lambda i: P.gradient_at(x))
+    assert tool.count_interpolation(case, 3) == (3, None, 15)
 
 
 class _Case:

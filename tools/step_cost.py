@@ -26,7 +26,12 @@ on the op's arguments as the benchmark makes them (`perfbench/child.py`),
 set-up files in a temporary directory per tree, after a first, untimed
 pass that counts each tree's Newton steps per op and the Krylov applies
 per op, read from the records those steps return
-(`NewtonRecord.krylov_applies`; "-" for a tree whose records carry none).
+(`NewtonRecord.krylov_applies`; "-" for a tree whose records carry none),
+and a second that counts its off-grid interpolation per op: the calls of
+`grid.TrigInterpolant.partials`, the multi-field passes of
+`grid.interpolate_fields` ("-" for a tree without it) and the points
+both were asked for, so that a change in time can be traced to a change
+in interpolation work.
 
 Every round runs each input once per tree, the trees in turn (in reverse
 order every other round), so that a slow spell of the host falls on all
@@ -35,6 +40,13 @@ over the pool's op count.  The tool prints one line per size (or the
 workload) and tree: the steps (or ops) per round, the median cost over the
 rounds (with `--ops`, then the Newton steps and Krylov applies per op),
 and the median over the rounds of its cost over the first tree's.
+
+In-process trees share one heap, and with it the allocator's state: an
+array one tree frees can be the one the next tree's call reuses without a
+page fault.  So a change in how much memory a call allocates can read
+differently here than in the benchmark, where every tree runs in a
+process of its own; judge such a change by alternating
+`perfbench/run.py` runs of the two trees, not by this ratio.
 """
 
 from __future__ import annotations
@@ -109,8 +121,10 @@ class Ops:
     """One workload's CLI ops on one tree, its files in `workdir`."""
 
     def __init__(self, package, workload: str, seed: int, workdir: str):
+        self.package = package
         self.solver = importlib.import_module(package.__name__ + ".solver")
         self.cli = importlib.import_module(package.__name__ + ".cli")
+        self.grid = importlib.import_module(package.__name__ + ".grid")
         ops = Workload(workload, seed, workdir)
         ops.prepare(self.cli)
         self.argvs = [ops.op(item)[0] for item in ops.pool]
@@ -143,6 +157,49 @@ def count_work(case, count: int) -> tuple[int, int | None]:
     finally:
         solver.newton_step = step
     return len(applies), None if None in applies else sum(applies)
+
+
+def _rebind(package, original, replacement) -> list:
+    """Point every module-level binding of `original` in the package's
+    modules at `replacement`; returns the (module, name) pairs changed."""
+    prefix = package.__name__
+    changed = [(module, name) for key, module in list(sys.modules.items())
+               if module is not None and (key == prefix or key.startswith(prefix + "."))
+               for name, value in list(vars(module).items()) if value is original]
+    for module, name in changed:
+        setattr(module, name, replacement)
+    return changed
+
+
+def count_interpolation(case, count: int) -> tuple[int, int | None, int]:
+    """Calls of the tree's `TrigInterpolant.partials`, passes of its
+    `interpolate_fields` (None for a tree without it) and the points both
+    were given, while inputs 0..count-1 run once, untimed."""
+    interpolant = case.grid.TrigInterpolant
+    partials = interpolant.partials
+    together = getattr(case.grid, "interpolate_fields", None)
+    calls, passes, points = [0], [0], [0]
+
+    def counted_partials(self, pts, orders):
+        calls[0] += 1
+        points[0] += len(self.grid.check_points(pts))
+        return partials(self, pts, orders)
+
+    def counted_together(fields, pts):
+        passes[0] += 1
+        points[0] += len(fields[0].grid.check_points(pts))
+        return together(fields, pts)
+
+    interpolant.partials = counted_partials
+    changed = [] if together is None else _rebind(case.package, together, counted_together)
+    try:
+        for i in range(count):
+            case.run(i)
+    finally:
+        interpolant.partials = partials
+        for module, name in changed:
+            setattr(module, name, together)
+    return calls[0], None if together is None else passes[0], points[0]
 
 
 def interleaved(cases: list, count: int, rounds: int) -> list[list[float]]:
@@ -188,20 +245,22 @@ def step_costs(srcs: list[Path], rounds: int,
 
 
 def op_costs(srcs: list[Path], workload: str, rounds: int, seed: int
-             ) -> tuple[list[tuple[str, Path, int, float, float]], list[tuple[float, float | None]]]:
+             ) -> tuple[list[tuple[str, Path, int, float, float]], list[tuple]]:
     """(workload, tree, ops per round, median milliseconds per op, median
-    ratio to the first tree) per tree, and each tree's Newton steps and
-    Krylov applies per op (None where its records carry no applies)."""
+    ratio to the first tree) per tree, and each tree's work per op: Newton
+    steps, Krylov applies (None where its records carry no applies),
+    `partials` calls, `interpolate_fields` passes (None where the tree has
+    none) and the points they interpolated."""
     packages = [load_tree(src, index) for index, src in enumerate(srcs)]
     with ExitStack() as stack:
         cases = [Ops(package, workload, seed,
                      stack.enter_context(tempfile.TemporaryDirectory()))
                  for package in packages]
         count = len(cases[0].argvs)
-        work = [count_work(case, count) for case in cases]
+        work = [count_work(case, count) + count_interpolation(case, count)
+                for case in cases]
         seconds = interleaved(cases, count, rounds)
-    per_op = [(steps / count, None if applies is None else applies / count)
-              for steps, applies in work]
+    per_op = [tuple(None if n is None else n / count for n in counts) for counts in work]
     return _rows(workload, srcs, [count] * len(cases), seconds, 1e3), per_op
 
 
@@ -227,11 +286,12 @@ def main(argv=None) -> int:
     else:
         table, work = op_costs(args.src, args.ops, args.rounds, args.seed)
         print(f"{'workload':<10} {'ops':>6} {'ms/op':>9} {'steps/op':>9} {'krylov/op':>9}"
-              f" {'ratio':>6}  src")
-        for (label, src, count, cost, ratio), (steps, applies) in zip(table, work):
-            krylov = "-" if applies is None else f"{applies:.2f}"
-            print(f"{label:<10} {count:>6} {cost:>9.1f} {steps:>9.2f} {krylov:>9}"
-                  f" {ratio:>6.3f}  {src}")
+              f" {'interp/op':>9} {'passes/op':>9} {'points/op':>9} {'ratio':>6}  src")
+        for (label, src, count, cost, ratio), per_op in zip(table, work):
+            steps, krylov, calls, passes, points = (
+                "-" if n is None else f"{n:.2f}" for n in per_op)
+            print(f"{label:<10} {count:>6} {cost:>9.1f} {steps:>9} {krylov:>9}"
+                  f" {calls:>9} {passes:>9} {points:>9} {ratio:>6.3f}  {src}")
     return 0
 
 
