@@ -36,7 +36,10 @@ Conventions:
     each axis's cos/sin table is built once per span of evaluation blocks,
     into a per-thread workspace kept between calls, and fields evaluated at
     the same points (`interpolate_fields`) share it, each on its own band's
-    rows;
+    rows; the workspace never shrinks, and a thread's holds at most
+    max(1 MiB, 64 t) + t bytes, t <= 8 (sum_a N_a + max_a N_a) the bytes
+    of one point's tables (`_SPAN_BYTES`): 1 MiB and t on every grid with
+    sum_a N_a + max_a N_a <= 2048;
   * quadrature is the plain node average, which integrates trigonometric
     polynomials below Nyquist exactly (the domain has unit volume, so the
     average equals the integral);
@@ -678,8 +681,9 @@ def second_divergence(M: SymMatrixField) -> ScalarField:
 #: _BLOCK_MIN_POINTS points, whatever its bytes.
 _BLOCK_BYTES = 256 * 1024
 _BLOCK_MIN_POINTS = 64
-#: Bytes a span's tables and their complex scratch may hold, unless one
-#: block needs more: what `_WORKSPACE` grows to.
+#: Bytes a span's tables and their complex scratch may hold, and a block's
+#: too, unless _BLOCK_MIN_POINTS points' tables need more: the bound on
+#: `_WORKSPACE` the module docstring states.
 _SPAN_BYTES = 1024 * 1024
 
 
@@ -689,8 +693,11 @@ class _Workspace(threading.local):
     end, and the allocator may hand their pages back to the system and
     fault them in again on the next call, depending on where other arrays
     sit on the heap; a kept workspace takes no fault once its thread has
-    made a call as large.  No call reads what another wrote: a span's
-    tables are written in full before its blocks read them."""
+    made a call as large.  It grows to the largest span's tables the thread
+    has built, within the bound the module docstring states, and never
+    shrinks.
+    No call reads what another wrote: a span's tables are written in full
+    before its blocks read them."""
 
     def __init__(self):
         self.buffer = np.empty(0)
@@ -767,24 +774,25 @@ def _stacked_partials(pts: np.ndarray, stacks: list) -> np.ndarray:
     wanted) per interpolant.
 
     Points go in blocks of bounded memory (`_BLOCK_BYTES` over 8-byte
-    entries per column of the widest stack, at least `_BLOCK_MIN_POINTS`
-    points) and blocks in spans of whole blocks whose tables, with their
-    complex scratch, stay within `_SPAN_BYTES` (or one block).  Per span,
-    each axis's table is built once, to the widest band any stack has on
-    that axis, into the thread's `_WORKSPACE`; each stack reads the prefix
-    rows of its own band (the real basis nests, see
-    `_real_axis_coefficients`).  A table row depends on its point alone,
-    and every first-axis product is a GEMM of at least two points and two
-    columns on the points-innermost table, which BLAS rounds row by row: a
-    matrix-vector product would round a row by its position.  So neither
-    blocks, spans, nor the other stacks change a bit, and a row is what its
-    point gives alone."""
+    entries per column of the widest stack, and tables within
+    `_SPAN_BYTES`, but at least `_BLOCK_MIN_POINTS` points) and blocks in
+    spans of whole blocks whose tables, with their complex scratch, stay
+    within `_SPAN_BYTES` (or one block).  Per span, each axis's table is
+    built once, to the widest band any stack has on that axis, into the
+    thread's `_WORKSPACE`; each stack reads the prefix rows of its own
+    band (the real basis nests, see `_real_axis_coefficients`).  A table
+    row depends on its point alone, and every first-axis product is a GEMM
+    of at least two points and two columns on the points-innermost table,
+    which BLAS rounds row by row: a matrix-vector product would round a row
+    by its position.  So neither blocks, spans, nor the other stacks change
+    a bit, and a row is what its point gives alone."""
     wide = [max(rows[a] for _, rows, _ in stacks) for a in range(pts.shape[1])]
     half = max(wide) // 2
     # bytes per point of the tables and their complex scratch
     table_bytes = 8 * (sum(wide) + 2 * half)
     columns = max(stack.shape[1] for stack, _, _ in stacks)
-    block = max(_BLOCK_MIN_POINTS, _BLOCK_BYTES // (8 * columns))
+    block = max(_BLOCK_MIN_POINTS,
+                min(_BLOCK_BYTES // (8 * columns), _SPAN_BYTES // table_bytes))
     span = block * max(1, _SPAN_BYTES // (block * table_bytes))
     # one row more: a one-point block goes in with its point twice
     size = min(span, len(pts)) + 1

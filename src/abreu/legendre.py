@@ -49,6 +49,17 @@ D^2 u(z)^{-1}, so x = grad u(z) with D^2 u(z) as the kept inverse, both
 from the primal's spectral data.  That start is within transform
 accuracy of the root, and its residual is still checked by interpolating
 grad v there; if its Newton run stalls, V is inverted from the nodes.
+
+From a node start the first step is Chebyshev's (Traub, Iterative Methods
+for the Solution of Equations, 1964, sec. 5): with d = -H^{-1} r the
+Newton step of the node's residual r and inverse Hessian H^{-1}, the first
+candidate is x + d - H^{-1} T[d, d] / 2, T the third partials of phi at
+the node, exact from phi's spectrum in one batched inverse transform.  Its
+error is third order in the node's residual where Newton's is second, so
+most points meet the tolerance after one sweep, and their next residual
+estimate keeps the node's inverse.  Where the candidate does not lower a
+point's residual, that point's line search goes on from the Newton step
+(full, then halved) as on any other step.
 """
 
 from __future__ import annotations
@@ -62,8 +73,12 @@ from .errors import GradientInversionFailure
 from .grid import (
     PeriodicGrid,
     ScalarField,
+    fourier_multiplier,
+    from_spectrum,
     interpolate_fields,
+    partial_orders,
     project_mean_zero,
+    triangle_pairs,
     triangle_to_full,
 )
 from .potential import Potential, triangle_inverse
@@ -113,7 +128,7 @@ def _warm_preimages(V: DualPotential, z: np.ndarray) -> tuple[np.ndarray, np.nda
     start = primal.node_gradient(z, nodes)
     try:
         return _newton(V, z, start, *V.phi_and_gradient_at(start), triangle_to_full(hess),
-                       fresh=False)
+                       third=None)
     except GradientInversionFailure:
         return None
 
@@ -127,7 +142,7 @@ def _grid_nodes(grid: PeriodicGrid, points: np.ndarray) -> np.ndarray | None:
     j = np.rint(points * res)
     if not (np.abs(j) < 2.0**52).all() or not np.array_equal(j / res, points):
         return None
-    return (j % res).astype(int)
+    return j.astype(int) % res
 
 
 def _newton_start(P: Potential, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,7 +153,10 @@ def _newton_start(P: Potential, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         j = np.rint(y @ P.base.inverse().matrix * res)
     if not np.isfinite(j).all():
         raise ValueError("target points too large: M^{-1} y N overflows")
-    return j / res, (j % res).astype(int)
+    # the integer-valued j wraps as integers where it fits in int64: the
+    # float remainder's result at about half its cost
+    wrap = j.astype(int) % res if (np.abs(j) < 2.0**62).all() else (j % res).astype(int)
+    return j / res, wrap
 
 
 def gradient_map(P: Potential, points) -> np.ndarray:
@@ -165,10 +183,60 @@ def _node_inversion(P: Potential, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     x, nodes = _newton_start(P, y)
     at = tuple(nodes.T)
     inverse = P.hessian_state.inverse().entries
-    # gradients and inverses are handed over, not kept here, so that
-    # `_newton` frees them once it has gathered the rows it iterates on
+    # gradients, inverses and third partials are handed over, not kept
+    # here, so that `_newton` frees them once it has gathered the rows it
+    # iterates on
     return _newton(P, y, x, P.perturbation.values[at], P.node_gradient(x, nodes),
-                   triangle_to_full(inverse[(slice(None),) + at]), fresh=True)
+                   triangle_to_full(inverse[(slice(None),) + at]), _node_third_partials(P, at))
+
+
+def _node_third_partials(P: Potential, at: tuple) -> np.ndarray:
+    """phi's third partials at the grid nodes `at`, component-first (m3, P)
+    in `partial_orders(dim, 3)` order: one batched inverse of phi's kept
+    spectrum times their multipliers, freed once gathered."""
+    grid = P.grid
+    orders = partial_orders(grid.dim, 3)
+    third = from_spectrum(grid, P.perturbation.spectrum * fourier_multiplier(grid, orders))
+    return third[(slice(None),) + at]
+
+
+def _third_pairs(n: int) -> list[tuple[int, int, list[int], float]]:
+    """The terms of T[d, d], one per triangle pair (j, k) of
+    `triangle_pairs(n)`: j, k, the rows of T_ijk, i = 0..n-1, in
+    `partial_orders(n, 3)` order, and the pair's weight, 1 on the diagonal
+    and 2 off it."""
+    row = {orders: r for r, orders in enumerate(partial_orders(n, 3))}
+    return [(j, k, [row[tuple((i, j, k).count(a) for a in range(n))] for i in range(n)],
+             1.0 if j == k else 2.0)
+            for j, k in triangle_pairs(n)]
+
+
+def _third_contraction(third: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """T[d, d]_i = sum_jk T_ijk d_j d_k per point, T the third partials
+    `third` (m3, P) and d the steps (P, n), as a C-contiguous (P, n) array,
+    on which the mat-vec with the kept inverse rounds as on one point: the
+    pairs' terms are elementwise products summed in a fixed order, so that
+    each point's is computed alone."""
+    out = None
+    for j, k, rows, weight in _third_pairs(d.shape[1]):
+        term = third[rows]
+        term *= weight * d[:, j] * d[:, k]
+        if out is None:
+            out = term
+        else:
+            out += term
+    return np.ascontiguousarray(out.T)
+
+
+def _row_sup(a: np.ndarray) -> np.ndarray:
+    """max_i |a_pi| per row of a (P, n) array, column by column: bitwise
+    np.max(np.abs(a), axis=1) but for the payload of a NaN, at a twentieth
+    of its cost on three columns, where numpy reduces each row on its own."""
+    a = np.abs(a)
+    out = a[:, 0].copy()
+    for column in a.T[1:]:
+        np.maximum(out, column, out=out)
+    return out
 
 
 def _newton(
@@ -178,25 +246,29 @@ def _newton(
     phi: np.ndarray,
     grad: np.ndarray,
     hinv: np.ndarray,
-    fresh: bool,
+    third: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped simplified Newton for grad u(x) = y, u = Q + phi the
     potential P, from the start x, with phi = phi(x), grad = grad u(x) and
-    hinv (P, n, n) the kept inverse Hessians; `fresh` says whether hinv is
-    the inverse of D^2 u at x itself (a node start) or an estimate of it
-    (the dual's start).  Returns the roots x and phi there.  Off the grid,
+    hinv (P, n, n) the kept inverse Hessians.  `third` (m3, P) holds the
+    third partials of phi at x for a node start, where hinv is the inverse
+    of D^2 u at x itself; it is None for the dual's start, where hinv is an
+    estimate of it.  Returns the roots x and phi there.  Off the grid,
     phi with grad u is `Potential.phi_and_gradient_at`, one stacked call
     per set of candidates, and D^2 u is `hessian_at`.
 
     Each point keeps its inverse Hessian across steps, so a step is
-    -hinv r.  With r the residual now and r' the one before the point's
+    d = -hinv r.  With r the residual now and r' the one before the point's
     last accepted step, r^2 / r' estimates the residual after one more
     step with the kept inverse, so it is reused while it is fresh
     (evaluated at the current x), before the first step, or while
     r^2 <= _INVERSION_TOLERANCE r'; every other point gets D^2 u
     interpolated and inverted anew, in one stacked call.  The line search
     tries the full step at every point, then halves the steps that did not
-    decrease the residual, on those points alone.  A line search
+    decrease the residual, on those points alone.  From a node start the
+    first candidate is Chebyshev's x + d - hinv T[d, d] / 2 (Traub 1964,
+    sec. 5; see the module docstring), and the full step is the first of
+    the fallbacks of the points it did not improve.  A line search
     whose 40 halvings all fail refreshes a kept inverse; a point whose
     fresh inverse fails the same way, or whose refreshed Hessian is
     singular, leaves the iteration, since nothing would change its step.
@@ -209,7 +281,7 @@ def _newton(
     """
     residual = grad - y
     del grad
-    rnorm = np.max(np.abs(residual), axis=1)
+    rnorm = _row_sup(residual)
     x_all, y_all, phi_all, rnorm_all = x, y, phi, rnorm
     # the sweeps run on the live points, those above tolerance and not
     # stuck: `ids` holds their rows, and every per-point array below only
@@ -220,14 +292,17 @@ def _newton(
     # points innermost, it sums some rows in another order
     ids = np.flatnonzero(rnorm > _INVERSION_TOLERANCE)
     x, y, phi, residual, rnorm, hinv = (a[ids] for a in (x, y, phi, residual, rnorm, hinv))
-    fresh = np.full(len(ids), fresh)
+    fresh = np.full(len(ids), third is not None)
+    if third is not None:
+        third = third[:, ids]
     # residual before the last accepted step: inf (no estimate) trusts the
     # kept inverse for the first step, 0 forces its refresh
     before = np.full(len(ids), np.inf)
     stuck = np.zeros(len(ids), dtype=bool)
     for _ in range(_INVERSION_MAX_ITERS):
         live = (rnorm > _INVERSION_TOLERANCE) & ~stuck
-        refresh = live & ~fresh & (rnorm * rnorm > _INVERSION_TOLERANCE * before)
+        with np.errstate(over="ignore"):  # a square past the float range is inf, and large
+            refresh = live & ~fresh & (rnorm * rnorm > _INVERSION_TOLERANCE * before)
         if refresh.any():
             inverse = triangle_inverse(P.hessian_at(x[refresh]))
             hinv[refresh] = triangle_to_full(inverse)
@@ -243,19 +318,32 @@ def _newton(
         step = -np.einsum("pij,pj->pi", hinv, residual)
         # line search: the full step of every live point, then halvings of
         # the steps that did not decrease the residual, on those points
-        # (`at`) alone; a point takes its first candidate that decreased it
-        cand = x + step
+        # (`at`) alone; a point takes its first candidate that decreased it.
+        # A node start's first candidate is Chebyshev's step, and the full
+        # step (k = 0) is the first of its fallbacks.  No point has left
+        # before the first step, so `third` holds the live rows
+        if third is None:
+            cand, first = x + step, 1
+        else:
+            # a point whose Chebyshev step leaves the float range (a huge
+            # target's rounding in its residual) takes the Newton step
+            with np.errstate(over="ignore", invalid="ignore"):
+                bend = np.einsum("pij,pj->pi", hinv, _third_contraction(third, step))
+                cand = x + (step - 0.5 * bend)
+            wild = ~np.isfinite(_row_sup(cand))
+            cand[wild] = x[wild] + step[wild]
+            first, third = 0, None
         cand_phi, cand_res = P.phi_and_gradient_at(cand)
         cand_res -= y
-        cand_norm = np.max(np.abs(cand_res), axis=1)
+        cand_norm = _row_sup(cand_res)
         at = np.flatnonzero(~(cand_norm < rnorm))
-        for k in range(1, 40):
+        for k in range(first, 40):
             if not at.size:
                 break
             trial = x[at] + 0.5**k * step[at]
             trial_phi, trial_res = P.phi_and_gradient_at(trial)
             trial_res -= y[at]
-            trial_norm = np.max(np.abs(trial_res), axis=1)
+            trial_norm = _row_sup(trial_res)
             improved = trial_norm < rnorm[at]
             good = at[improved]
             cand[good], cand_phi[good], cand_res[good], cand_norm[good] = (

@@ -490,13 +490,14 @@ class TestNonConvexDual:
         runs, node_starts = [], []
         newton, node_start = legendre._newton, legendre._node_inversion
 
-        def spy_newton(V, y, x, phi, grad, hinv, fresh):
+        def spy_newton(V, y, x, phi, grad, hinv, third):
+            node_start = third is not None
             try:
-                out = newton(V, y, x, phi, grad, hinv, fresh)
+                out = newton(V, y, x, phi, grad, hinv, third)
             except GradientInversionFailure:
-                runs.append((fresh, "failed"))
+                runs.append((node_start, "failed"))
                 raise
-            runs.append((fresh, "converged"))
+            runs.append((node_start, "converged"))
             return out
 
         def spy_node_start(V, points):

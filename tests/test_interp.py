@@ -26,6 +26,7 @@ from abreu.grid import (
     _BLOCK_BYTES,
     _BLOCK_MIN_POINTS,
     _SPAN_BYTES,
+    _WORKSPACE,
     interpolate_fields,
     partial_orders,
 )
@@ -80,7 +81,8 @@ def _table_bytes(grid):
 
 
 def _block_points(grid, nfields):
-    return max(_BLOCK_MIN_POINTS, _BLOCK_BYTES // (8 * _stack_columns(grid, nfields)))
+    return max(_BLOCK_MIN_POINTS, min(_BLOCK_BYTES // (8 * _stack_columns(grid, nfields)),
+                                      _SPAN_BYTES // _table_bytes(grid)))
 
 
 def _span_points(grid, block):
@@ -171,8 +173,8 @@ class TestBlockedEvaluation:
         assert _full_band(interp)
         block = _block_points(g, len(orders))
         span = _span_points(g, block)
-        # 2D and 3D stacks share each span's tables among blocks; 1D
-        # blocks are so long that a span is one block
+        # 2D and 3D stacks share each span's tables among blocks; a 1D
+        # block's tables fill a span
         assert span > block if g.dim > 1 else span == block
         pts = rng.uniform(-1.0, 2.0, (2 * span + 1, g.dim))  # a one-point tail
         whole = interp.partials(pts, orders)
@@ -450,6 +452,48 @@ class TestWorkspace:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
+
+
+def _workspace_bytes_after(calls):
+    """The bytes of a new thread's workspace after each of `calls` runs in
+    that thread."""
+    sizes = []
+
+    def run():
+        for call in calls:
+            call()
+            sizes.append(_WORKSPACE.buffer.nbytes)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert len(sizes) == len(calls)
+    return sizes
+
+
+class TestWorkspaceBound:
+    """A thread's workspace holds at most max(_SPAN_BYTES,
+    _BLOCK_MIN_POINTS t) + t bytes, t = 8 (sum N_a + max N_a) the bytes of
+    one point's tables and scratch, after any call; it never shrinks."""
+
+    @pytest.mark.parametrize("shape, count", [((1024,), 2000), ((4096,), 300),
+                                              ((32, 32, 32), 5000), ((256, 256), 3000)])
+    def test_bound_after_a_large_and_a_small_call(self, shape, count):
+        # the large call's 1D blocks used to hold 16384 points' tables:
+        # 1024 points' 16 KB each at N = 1024
+        g = make_grid(len(shape), list(shape))
+        rng = np.random.default_rng(5)
+        f = ScalarField(g, rng.standard_normal(g.shape))
+        assert _full_band(f.interpolant)
+        small = ScalarField(make_grid(1, [16]), rng.standard_normal(16))
+        t = _table_bytes(g)
+        bound = max(_SPAN_BYTES, _BLOCK_MIN_POINTS * t) + t
+        orders = [(0,) * g.dim, (1,) + (0,) * (g.dim - 1)]
+        large, after = _workspace_bytes_after([
+            lambda: f.interpolant.partials(rng.uniform(-1.0, 2.0, (count, g.dim)), orders),
+            lambda: small.interpolant.partials([[0.1], [0.7], [0.3]], [(0,)]),
+        ])
+        assert 0 < large <= bound and after == large
 
 
 class TestEvaluationMemory:

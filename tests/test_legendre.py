@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from abreu import (
     DualPotential,
@@ -23,10 +24,12 @@ from abreu import (
     legendre_transform,
     make_grid,
     mean,
+    project_mean_zero,
     pullback_rhs,
     sup_norm,
     verify_solution,
 )
+from abreu.grid import partial_orders
 from abreu.solver import continuity_solve
 from tests.support import (
     EPS,
@@ -473,9 +476,12 @@ class TestKeptHessian:
     def test_off_grid_targets_interpolate_hessian_first(self, shape, partials_orders):
         # a target h/3 off its start node: the node Hessian is not kept past
         # the first step, D^2 u is re-interpolated at the first interpolated
-        # points before any second gradient call
+        # points before any second gradient call.  The perturbation is
+        # large enough that some first steps miss r^2 <= tol r': at margin
+        # 0.999, Chebyshev's first step meets it at every 1D point, which
+        # keeps the node inverse for the second step
         g = make_grid(len(shape), list(shape))
-        P = random_convex_potential(g, np.random.default_rng(1), margin=0.999)
+        P = random_convex_potential(g, np.random.default_rng(1), margin=0.99)
         nodes = g.node_points()
         y = nodes + 1.0 / (3 * g.resolution[0])
         x = gradient_map_inverse(P, y)
@@ -536,6 +542,104 @@ class TestKeptInverseRobustness:
         assert info.value.node == P.hessian_state.worst_node
         with pytest.raises(NotConvex):
             legendre_transform(P)
+
+
+def _curved_potential(dim, n, a):
+    """phi = a (sum_i cos(2 pi x_i + i) + sin(2 pi sum_i x_i) / 2), i =
+    0..dim-1, on the n^dim grid: near the convexity floor at the given a."""
+    g = make_grid(dim, [n] * dim)
+    x = g.coordinate_arrays()
+    phi = a * (sum(np.cos(TWO_PI * x[i] + i) for i in range(dim))
+               + 0.5 * np.sin(TWO_PI * sum(x)))
+    return Potential(QuadraticBase.identity(dim), project_mean_zero(ScalarField(g, phi)))
+
+
+class TestChebyshevFirstStep:
+    """From a node start the first candidate is x + d - H^{-1} T[d, d] / 2,
+    T phi's third partials at the node, and the points it does not improve
+    go on from the Newton step d."""
+
+    @pytest.mark.parametrize("dim, k", [(1, (3,)), (2, (1, -2)), (3, (1, -1, 2))])
+    def test_third_partials_at_the_nodes(self, dim, k):
+        g = make_grid(dim, [8] * dim)
+        amp, theta = 0.01, 0.3
+        k = np.array(k)
+        P = Potential(QuadraticBase.identity(dim), ScalarField.from_function(
+            g, lambda *x: amp * np.cos(TWO_PI * sum(ki * xi for ki, xi in zip(k, x)) + theta)))
+        rng = np.random.default_rng(0)
+        nodes = rng.integers(0, 8, size=(20, dim))
+        third = legendre._node_third_partials(P, tuple(nodes.T))
+        orders = partial_orders(dim, 3)
+        assert third.shape == (len(orders), 20)
+        phase = TWO_PI * (nodes / 8.0) @ k + theta
+        scale = amp * TWO_PI**3
+        expected = scale * np.sin(phase) * np.array(
+            [np.prod(k.astype(float) ** np.array(o)) for o in orders])[:, None]
+        assert np.max(np.abs(third - expected)) <= 1e-13 * scale * np.abs(k).max() ** 3
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_contraction_is_the_full_tensor_and_rowwise(self, dim):
+        # T[d, d] against the full symmetric tensor, and each row bitwise
+        # what it gives alone
+        rng = np.random.default_rng(dim)
+        orders = partial_orders(dim, 3)
+        third = rng.normal(size=(len(orders), 40))
+        d = rng.normal(size=(40, dim))
+        full = np.empty((40, dim, dim, dim))
+        for i, j, k in np.ndindex(dim, dim, dim):
+            full[:, i, j, k] = third[orders.index(tuple((i, j, k).count(a) for a in range(dim)))]
+        got = legendre._third_contraction(third, d)
+        assert got.flags.c_contiguous
+        np.testing.assert_allclose(got, np.einsum("pijk,pj,pk->pi", full, d, d),
+                                   rtol=1e-13, atol=1e-13)
+        for row in range(40):
+            alone = legendre._third_contraction(third[:, row : row + 1], d[row : row + 1])
+            assert alone.tobytes() == got[row].tobytes()
+
+    @pytest.mark.parametrize("shape", [(32, 32), (16, 16, 16)])
+    def test_small_perturbation_converges_in_one_sweep(self, shape, partials_orders):
+        # the Newton step from the nodes left 72-78% of these points above
+        # tolerance, for a second sweep
+        g = make_grid(len(shape), list(shape))
+        P = random_convex_potential(g, np.random.default_rng(0), margin=0.999)
+        y = g.node_points()
+        x = gradient_map_inverse(P, y)
+        assert [(len(pts), order) for pts, order in partials_orders] == [(len(y), 1)]
+        assert np.max(_gradient_residual(P, x, y)) <= legendre._INVERSION_TOLERANCE
+
+    def test_huge_target_takes_the_newton_step(self):
+        # the start's residual, 5e173, is the rounding of M^{-1} y, and
+        # Chebyshev's candidate overflows; the Newton step converges, and
+        # no overflow warning is raised (the suite makes one an error)
+        g = make_grid(2, [16, 16])
+        phi = random_convex_potential(g, np.random.default_rng(4), margin=0.95).perturbation
+        P = Potential(QuadraticBase(np.array([[2.0, 1.0], [1.0, 1.0]])), phi)
+        y = np.array([[1e190, 3.7e189]])
+        x = gradient_map_inverse(P, y)
+        assert np.isfinite(x).all() and np.max(np.abs(x @ P.base.matrix - y)) < 1e176
+
+    @pytest.mark.parametrize("dim, n, a", [(1, 64, 0.02), (2, 16, 0.012), (2, 32, 0.012),
+                                           (3, 16, 0.008), (3, 16, 0.01)])
+    def test_strongly_curved_potentials_invert(self, dim, n, a):
+        # near the convexity floor the first candidate raises the residual
+        # at some points (15 of 64 in 1D, 162 of 4096 in 3D at a = 0.01),
+        # which then take the Newton step; halving the corrected step
+        # instead stalls on 1D, 2D 32^2 and 3D 16^3 at a = 0.01
+        P = _curved_potential(dim, n, a)
+        V = legendre_transform(P)
+        y = P.grid.node_points()
+        assert np.max(_gradient_residual(P, V.preimages, y)) <= legendre._INVERSION_TOLERANCE
+
+
+class TestRowSup:
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(float, st.tuples(st.integers(0, 20), st.integers(1, 3)),
+                      elements=st.one_of(st.floats(), st.sampled_from([-0.0, -np.inf]))))
+    def test_is_the_row_max_of_abs(self, a):
+        # bit for bit, but for the payload of a NaN
+        got, expected = legendre._row_sup(a), np.max(np.abs(a), axis=1)
+        assert np.array_equal(np.isnan(got), np.isnan(expected))
+        assert got[~np.isnan(got)].tobytes() == expected[~np.isnan(got)].tobytes()
 
 
 def _solved_potential(n):
@@ -603,7 +707,9 @@ class TestDualStart:
         assert outcome.passed
         (primal, first), (dual, second) = inversion_orders
         assert primal is P and dual.primal is P
-        assert 2 in first  # the primal refreshes Hessians from its node start
+        # Chebyshev's first step leaves every residual within the kept
+        # inverse's reach (r^2 <= tol r'): the primal refreshes no Hessian
+        assert first and 2 not in first
         assert second == [1]
 
     def test_warm_and_cold_start_agree_on_a_perturbed_dual(self, monkeypatch):
@@ -619,15 +725,15 @@ class TestDualStart:
         starts = []
         newton = legendre._newton
 
-        def spy(P, y, x, phi, grad, hinv, fresh):
-            starts.append((fresh, np.max(np.abs(grad - y))))
-            return newton(P, y, x, phi, grad, hinv, fresh)
+        def spy(P, y, x, phi, grad, hinv, third):
+            starts.append((third is not None, np.max(np.abs(grad - y))))
+            return newton(P, y, x, phi, grad, hinv, third)
 
         monkeypatch.setattr(legendre, "_newton", spy)
         warm = legendre_transform(V).preimages
         cold = gradient_map_inverse(V, g.node_points())
-        (warm_fresh, warm_residual), (cold_fresh, _) = starts
-        assert not warm_fresh and cold_fresh
+        (warm_node, warm_residual), (cold_node, _) = starts
+        assert not warm_node and cold_node
         assert warm_residual > 1e3 * legendre._INVERSION_TOLERANCE
         assert np.max(np.abs(warm - cold)) <= 1e-12
 

@@ -1,7 +1,8 @@
 """The step-cost tool loads each source tree as its own package and
 reports the solve time per Newton step of each, or the time, the Newton
-steps, the Krylov applies and the off-grid interpolation per CLI op, on
-the pools of the seed it is given."""
+steps, the Krylov applies, the off-grid interpolation and the work of the
+gradient-map inversions per CLI op, on the pools of the seed it is
+given."""
 
 import importlib.util
 import sys
@@ -81,19 +82,20 @@ def test_times_the_cli_ops_of_a_workload(monkeypatch, capsys):
             del sys.modules[name]
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["workload", "ops", "ms/op", "steps/op", "krylov/op",
-                                "interp/op", "passes/op", "points/op", "ratio", "src"]
-    rows = [line.rsplit(None, 9) for line in lines[1:]]
+                                "interp/op", "passes/op", "points/op", "refresh/op",
+                                "after/op", "ratio", "src"]
+    rows = [line.rsplit(None, 11) for line in lines[1:]]
     assert [row[0] for row in rows] == ["tiny-1d", "tiny-1d"]
     assert [row[1] for row in rows] == ["2", "2"]
-    assert float(rows[0][2]) > 0.0 and float(rows[0][8]) == 1.0
-    assert float(rows[1][2]) > 0.0 and [row[9] for row in rows] == [str(src)] * 2
+    assert float(rows[0][2]) > 0.0 and float(rows[0][10]) == 1.0
+    assert float(rows[1][2]) > 0.0 and [row[11] for row in rows] == [str(src)] * 2
     # two ops: a whole number of steps and of applies over two, the same
     # on both trees
     for column in (3, 4):
         assert rows[0][column] == rows[1][column] and float(rows[0][column]) > 0.0
         assert (2.0 * float(rows[0][column])).is_integer()
-    # a solve interpolates nothing
-    assert [row[5:8] for row in rows] == [["0.00"] * 3] * 2
+    # a solve interpolates and inverts nothing
+    assert [row[5:10] for row in rows] == [["0.00"] * 5] * 2
     assert seeds == [1, 1]
 
 
@@ -125,6 +127,49 @@ def test_counts_the_interpolation_of_the_inputs():
     old = SimpleNamespace(TrigInterpolant=grid.TrigInterpolant)
     case = SimpleNamespace(package=abreu, grid=old, run=lambda i: P.gradient_at(x))
     assert tool.count_interpolation(case, 3) == (3, None, 15)
+
+
+def test_counts_the_work_of_the_inversions(monkeypatch):
+    # the points of the Hessian refreshes and of the gradient calls after
+    # each inversion's first sweep, against the partials calls it makes:
+    # a node start (input 0), and a dual's start (input 1), whose psi at
+    # the start is evaluated before its run and not counted
+    import abreu
+    from abreu import grid, legendre
+    from abreu.grid import make_grid
+    from tests.support import random_convex_potential
+
+    tool = _tool()
+    g = make_grid(2, [32, 32])
+    P = random_convex_potential(g, np.random.default_rng(0), margin=0.05)
+    V = legendre.legendre_transform(P)
+    y = g.node_points()
+    inputs = [lambda: legendre.gradient_map_inverse(P, y), lambda: legendre.legendre_transform(V)]
+    case = SimpleNamespace(package=abreu, run=lambda i: inputs[i]())
+    newton = legendre._newton
+    values = legendre.Potential.phi_and_gradient_at
+    calls = []
+    partials = grid.TrigInterpolant.partials
+
+    def spy(self, pts, orders):
+        calls[-1].append((len(pts), max(map(sum, orders))))
+        return partials(self, pts, orders)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(grid.TrigInterpolant, "partials", spy)
+        for i in range(2):
+            calls.append([])
+            inputs[i]()
+    node, warm = calls
+    refreshed = sum(n for n, order in node + warm if order == 2)
+    later = (sum(n for n, order in node[1:] if order == 1)
+             + sum(n for n, order in warm[2:] if order == 1))
+    assert refreshed > 0 and later > 0
+    assert tool.count_inversion(case, 2) == (refreshed, later)
+    assert legendre._newton is newton and legendre.Potential.phi_and_gradient_at is values
+    # a tree without the inversion's Newton run counts None
+    monkeypatch.delattr(legendre, "_newton")
+    assert tool.count_inversion(case, 2) == (None, None)
 
 
 class _Case:

@@ -30,16 +30,21 @@ per op, read from the records those steps return
 and a second that counts its off-grid interpolation per op: the calls of
 `grid.TrigInterpolant.partials`, the multi-field passes of
 `grid.interpolate_fields` ("-" for a tree without it) and the points
-both were asked for, so that a change in time can be traced to a change
-in interpolation work.
+both were asked for, and a third that counts the work of its gradient-map
+inversions per op: the points whose Hessian a run of `legendre._newton`
+refreshed (its `Potential.hessian_at` calls) and the points it evaluated
+after its first sweep (its `Potential.phi_and_gradient_at` calls but the
+first; "-" for a tree without these), so that a change in time can be
+traced to a change in interpolation work.
 
 Every round runs each input once per tree, the trees in turn (in reverse
 order every other round), so that a slow spell of the host falls on all
 trees alike; a tree's cost in a round is its time over its step count, or
 over the pool's op count.  The tool prints one line per size (or the
 workload) and tree: the steps (or ops) per round, the median cost over the
-rounds (with `--ops`, then the Newton steps and Krylov applies per op),
-and the median over the rounds of its cost over the first tree's.
+rounds (with `--ops`, then the Newton steps, Krylov applies,
+interpolation and inversion work per op), and the median over the rounds
+of its cost over the first tree's.
 
 In-process trees share one heap, and with it the allocator's state: an
 array one tree frees can be the one the next tree's call reuses without a
@@ -202,6 +207,50 @@ def count_interpolation(case, count: int) -> tuple[int, int | None, int]:
     return calls[0], None if together is None else passes[0], points[0]
 
 
+def count_inversion(case, count: int) -> tuple[int | None, int | None]:
+    """Points whose Hessian the tree's gradient-map inversions refreshed
+    and points they evaluated after each run's first sweep, while inputs
+    0..count-1 run once, untimed: the points of the `Potential.hessian_at`
+    calls, and of the `Potential.phi_and_gradient_at` calls but the first,
+    made while a run of `legendre._newton` is active; (None, None) for a
+    tree without these."""
+    legendre = importlib.import_module(case.package.__name__ + ".legendre")
+    potential = importlib.import_module(case.package.__name__ + ".potential").Potential
+    newton = getattr(legendre, "_newton", None)
+    values = getattr(potential, "phi_and_gradient_at", None)
+    if newton is None or values is None:
+        return None, None
+    hessian = potential.hessian_at
+    sweeps, refreshed, later = [], [0], [0]  # sweeps: per active run
+
+    def counted_newton(*args, **kwargs):
+        sweeps.append(0)
+        try:
+            return newton(*args, **kwargs)
+        finally:
+            sweeps.pop()
+
+    def counted_values(self, x):
+        if sweeps:
+            later[0] += len(x) if sweeps[-1] else 0
+            sweeps[-1] += 1
+        return values(self, x)
+
+    def counted_hessian(self, x):
+        refreshed[0] += len(x) if sweeps else 0
+        return hessian(self, x)
+
+    legendre._newton = counted_newton
+    potential.phi_and_gradient_at, potential.hessian_at = counted_values, counted_hessian
+    try:
+        for i in range(count):
+            case.run(i)
+    finally:
+        legendre._newton = newton
+        potential.phi_and_gradient_at, potential.hessian_at = values, hessian
+    return refreshed[0], later[0]
+
+
 def interleaved(cases: list, count: int, rounds: int) -> list[list[float]]:
     """Per case, its seconds in each round: every round runs inputs
     0..count-1 once per case, the cases in turn, in reverse order every
@@ -250,7 +299,9 @@ def op_costs(srcs: list[Path], workload: str, rounds: int, seed: int
     ratio to the first tree) per tree, and each tree's work per op: Newton
     steps, Krylov applies (None where its records carry no applies),
     `partials` calls, `interpolate_fields` passes (None where the tree has
-    none) and the points they interpolated."""
+    none), the points they interpolated, and the inversions' refreshed
+    points and points after their first sweep (None where the tree has no
+    such inversion)."""
     packages = [load_tree(src, index) for index, src in enumerate(srcs)]
     with ExitStack() as stack:
         cases = [Ops(package, workload, seed,
@@ -258,7 +309,7 @@ def op_costs(srcs: list[Path], workload: str, rounds: int, seed: int
                  for package in packages]
         count = len(cases[0].argvs)
         work = [count_work(case, count) + count_interpolation(case, count)
-                for case in cases]
+                + count_inversion(case, count) for case in cases]
         seconds = interleaved(cases, count, rounds)
     per_op = [tuple(None if n is None else n / count for n in counts) for counts in work]
     return _rows(workload, srcs, [count] * len(cases), seconds, 1e3), per_op
@@ -286,12 +337,14 @@ def main(argv=None) -> int:
     else:
         table, work = op_costs(args.src, args.ops, args.rounds, args.seed)
         print(f"{'workload':<10} {'ops':>6} {'ms/op':>9} {'steps/op':>9} {'krylov/op':>9}"
-              f" {'interp/op':>9} {'passes/op':>9} {'points/op':>9} {'ratio':>6}  src")
+              f" {'interp/op':>9} {'passes/op':>9} {'points/op':>9} {'refresh/op':>10}"
+              f" {'after/op':>9} {'ratio':>6}  src")
         for (label, src, count, cost, ratio), per_op in zip(table, work):
-            steps, krylov, calls, passes, points = (
+            steps, krylov, calls, passes, points, refreshed, after = (
                 "-" if n is None else f"{n:.2f}" for n in per_op)
             print(f"{label:<10} {count:>6} {cost:>9.1f} {steps:>9} {krylov:>9}"
-                  f" {calls:>9} {passes:>9} {points:>9} {ratio:>6.3f}  {src}")
+                  f" {calls:>9} {passes:>9} {points:>9} {refreshed:>10} {after:>9}"
+                  f" {ratio:>6.3f}  {src}")
     return 0
 
 
