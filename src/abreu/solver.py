@@ -16,10 +16,11 @@ is solved matrix-free by preconditioned conjugate gradients on real-FFT
 spectra, each only as accurately as the outer iteration needs: the
 relative Krylov tolerance is an Eisenstat-Walker forcing term (choice 2,
 with Kelley's floor against oversolving), clamped below by
-`_LINEAR_TOLERANCE`.  The record each step returns says how its system was
-solved, the forcing it was solved to (0 for an exact correction) and the
-Krylov applies it took, and the safeguard gamma eta_{k-1}^2 of the next
-forcing term reads that forcing: after the exact flat step the second
+`_LINEAR_TOLERANCE`.  `newton_correction` is the one place a correction
+is formed; the record each step returns keeps the `Correction` it moved
+along, with the forcing it was solved to (0 for an exact correction) and
+the Krylov applies it took, and the safeguard gamma eta_{k-1}^2 of the
+next forcing term reads that forcing: after the exact flat step the second
 system gets the plain ratio gamma (r_1 / r_0)^2, not the safeguard of an
 eta_0 no step used.  A system costs one forward transform of its
 right-hand side and one inverse of its correction.  In between, the zero
@@ -51,10 +52,10 @@ accepted residual is at most 10 tol, where tol = newton_tolerance *
 
 - a residual of at most tol;
 - before a step, a residual of at most 3 tol whose flat-preconditioned
-  correction (`_flat_correction`, the residual in phi units) is at most
-  8 eps (1 + sup|phi|): the iterate sits at the rounding floor of the
-  fourth-order residual evaluation, and a step could only move its
-  residual by rounding;
+  correction (`newton_correction(record, None)`, the residual in phi
+  units) is at most 8 eps (1 + sup|phi|): the iterate sits at the
+  rounding floor of the fourth-order residual evaluation, and a step
+  could only move its residual by rounding;
 - after a step whose update was at most 1e-12 (1 + sup|phi|)
   (stagnation), a residual of at most 10 tol.  A stagnated attempt keeps
   iterating while its residual is within 100 tol, where rounding noise
@@ -70,7 +71,7 @@ line-search trial and once per attempt's start, and the record of an
 attempt's last iterate is its result.  The flat start's Hessian state and
 forward field take no transform (`potential.HessianState`), and there the
 operator is exactly the inverse of the preconditioner, so its first step
-takes `_flat_correction` with no Krylov solve and transforms only its
+takes the flat map with no Krylov solve and transforms only its
 right-hand side and its correction.  A Newton iteration costs a median
 196 us of solve time at 1D N = 512 and 1394 us at 2D 64^2 on the seed-1
 benchmark inputs (`tools/step_cost.py`, 2-vCPU VM, one thread).
@@ -107,6 +108,8 @@ __all__ = [
     "ContinuityTrace",
     "NewtonRecord",
     "MEAN_TOLERANCE",  # the grid module's, kept importable from here
+    "Correction",
+    "newton_correction",
     "newton_step",
     "continuity_solve",
     "functional_value",
@@ -297,6 +300,17 @@ def functional_value(P: Potential, A: ScalarField) -> float:
 # Newton iteration
 
 
+@dataclass(frozen=True)
+class Correction:
+    """A Newton correction: the node values `delta`, the relative Krylov
+    residual `forcing` they were solved to (0.0 where exact, None for the
+    flat estimate) and the operator `applies` that solve took."""
+
+    delta: np.ndarray
+    forcing: float | None
+    applies: int
+
+
 @dataclass(eq=False)
 class NewtonRecord:
     """One Newton iterate and what an iteration reads of it, each formed
@@ -304,17 +318,13 @@ class NewtonRecord:
     spectrum the rounding test and the Newton right-hand side share, and
     F_target (from the line search that accepted it, else on first use).
 
-    A record that `newton_step` returns also says how the step to it was
-    solved: `forcing`, the relative Krylov tolerance of its Newton system
-    (0.0 where the correction is exact, as at the flat start), and
-    `krylov_applies`, the operator applies that solve took.  Both are None
-    on an attempt's start record."""
+    A record that `newton_step` returns also keeps the `Correction` its
+    step moved along; an attempt's start record has None."""
 
     potential: Potential
     target: ScalarField
     functional: float | None = None
-    forcing: float | None = None
-    krylov_applies: int | None = None
+    correction: Correction | None = None
 
     @kept_property
     def defect(self) -> ScalarField:
@@ -330,29 +340,40 @@ class NewtonRecord:
         return self.functional
 
 
-def _flat_correction(record: NewtonRecord) -> np.ndarray:
-    """Node values of L_0^-1 applied to the record's defect, L_0 the
-    linearization at phi = 0 (a multiply of the defect's spectrum by
-    `_inverse_flat_symbol`): the exact Newton correction at the flat
-    start, an estimate of it elsewhere."""
+def newton_correction(record: NewtonRecord, forcing: float | None) -> Correction:
+    """The one place a correction delta of L(delta) = record.defect is formed.
+
+    With `forcing` None, or at phi = 0 where L is the preconditioner's
+    inverse, delta is the flat map L_0^-1 of the defect (its spectrum
+    times `_inverse_flat_symbol`) with no Krylov solve: exact at phi = 0,
+    elsewhere an estimate, the defect in phi units.  Otherwise `_pcg`
+    solves to the relative residual `forcing`, where 0.0 can still end in
+    LinearSolveFailure at the attainable accuracy."""
     P = record.potential
-    return from_spectrum(P.grid, _inverse_flat_symbol(P.grid, P.base) * record.defect.spectrum)
+    grid = P.grid
+    inv_symbol = _inverse_flat_symbol(grid, P.base)
+    exact = P.perturbation.sup == 0.0
+    if forcing is None or exact:
+        delta = from_spectrum(grid, inv_symbol * record.defect.spectrum)
+        return Correction(delta, 0.0 if exact else None, 0)
+    solved, applies = _pcg(_linearized_operator(P), grid, inv_symbol,
+                           record.defect.spectrum, forcing)
+    return Correction(from_spectrum(grid, solved), forcing, applies)
 
 
 def newton_step(record: NewtonRecord, forcing: float) -> NewtonRecord:
     """One damped Newton step from `record` toward (u^ij)_ij = record.target.
 
-    Solves L(psi) = (u^ij)_ij - target on the mean-zero subspace to the
+    A line search along `newton_correction(record, forcing)`, the solution
+    of L(psi) = (u^ij)_ij - target on the mean-zero subspace to the
     relative residual `forcing`, an inexact-Newton forcing term in [0, 1)
     (the linearization of the forward map is -L, so this psi is the
-    descent correction); at the flat start, where L is the inverse of the
-    preconditioner, psi is `_flat_correction`, with no Krylov solve.  Then
-    backtracks alpha = _DAMPING^k, k = 0..10, accepting the first
-    candidate that is convex (`HessianState.convex`) and does not increase
-    F_target, evaluated once per convex candidate.
-    Returns the record of the accepted candidate, holding its F_target, the
-    forcing its correction was solved to (0.0 at the flat start) and the
-    Krylov applies it took, or `record` itself when its residual is zero.
+    descent correction).  Backtracks alpha = _DAMPING^k, k = 0..10,
+    accepting the first candidate that is convex (`HessianState.convex`)
+    and does not increase F_target, evaluated once per convex candidate.
+    Returns the record of the accepted candidate, holding its F_target and
+    the correction it moved along, or `record` itself when its residual is
+    zero.
     """
     if not 0.0 <= forcing < 1.0:
         raise ValueError(f"forcing term must lie in [0, 1), got {forcing}")
@@ -362,31 +383,20 @@ def newton_step(record: NewtonRecord, forcing: float) -> NewtonRecord:
     target.require_mean_zero()
     if record.residual == 0.0:
         return record
-    if P.perturbation.sup == 0.0:
-        # at phi = 0 the operator is the inverse of the preconditioner, so
-        # the correction is exact: solved to forcing 0 with no apply
-        delta = _flat_correction(record)
-        forcing, applies = 0.0, 0
-    else:
-        grid = P.grid
-        correction, applies = _pcg(_linearized_operator(P), grid,
-                                   _inverse_flat_symbol(grid, P.base),
-                                   record.defect.spectrum, forcing)
-        delta = from_spectrum(grid, correction)
+    correction = newton_correction(record, forcing)
 
     f_base = record.functional_value()
     f_allowed = f_base + _FUNCTIONAL_SLACK * (1.0 + abs(f_base))
     last_margin, last_node = None, None
     for k in range(11):
         alpha = _DAMPING**k
-        trial = P.with_perturbation(P.perturbation.values + alpha * delta)
+        trial = P.with_perturbation(P.perturbation.values + alpha * correction.delta)
         state = trial.hessian_state
         last_margin, last_node = state.min_eigenvalue, state.worst_node
         if state.convex:
             value = functional_value(trial, target)
             if value <= f_allowed:
-                return NewtonRecord(trial, target, value, forcing=forcing,
-                                    krylov_applies=applies)
+                return NewtonRecord(trial, target, value, correction)
     raise NotConvex(
         last_node,
         last_margin,
@@ -464,7 +474,7 @@ def _newton_solve(P: Potential, target: ScalarField, cfg: SolverConfig):
             return record, iteration
         scale = 1.0 + sup_norm(record.potential.perturbation)
         if residual <= _ROUNDING_BAND * tolerance and (
-                np.maximum.reduce(np.abs(_flat_correction(record)), axis=None)
+                np.maximum.reduce(np.abs(newton_correction(record, None).delta), axis=None)
                 <= _ROUNDING_CORRECTION * scale):
             return record, iteration
         stagnated = last_step is not None and last_step <= _STEP_STAGNATION * scale
@@ -474,7 +484,8 @@ def _newton_solve(P: Potential, target: ScalarField, cfg: SolverConfig):
             return None
         if iteration == _MAX_NEWTON_ITERS:
             return None
-        eta = _forcing_term(residual, residual_prev, record.forcing, tolerance)
+        eta_prev = None if record.correction is None else record.correction.forcing
+        eta = _forcing_term(residual, residual_prev, eta_prev, tolerance)
         residual_prev = residual
         accepted = newton_step(record, eta)
         last_step = float(np.maximum.reduce(np.abs(

@@ -348,7 +348,10 @@ class TestFlatStart:
         monkeypatch.setattr(HessianState, "congruent", counted("apply", HessianState.congruent))
         accepted = newton_step(record, 0.5)
         assert calls == Counter()
-        flat = solver._flat_correction(record)
+        correction = accepted.correction
+        assert (correction.forcing, correction.applies) == (0.0, 0)
+        flat = correction.delta
+        assert flat.tobytes() == solver.newton_correction(record, None).delta.tobytes()
         P = record.potential
         trials = [P.with_perturbation(P.perturbation.values + solver._DAMPING**k * flat)
                   for k in range(11)]
@@ -373,6 +376,59 @@ class TestFlatStart:
         expected = second_divergence(state.inverse()).values
         assert state.forward.values.tobytes() == expected.tobytes()
         assert state.forward.values.any()
+
+
+class TestNewtonCorrection:
+    """`newton_correction` is the flat map where asked for an estimate or
+    at phi = 0, and otherwise the PCG solve to the forcing asked for."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=st.sampled_from([(16,), (8, 12), (8, 10, 8)]), seed=SEEDS,
+           forcing=st.sampled_from([1e-12, 1e-6, 0.1, 0.5]))
+    def test_is_the_flat_map_or_the_pcg_solve(self, shape, seed, forcing):
+        g, rng, P = _setup(shape, seed)
+        target = 0.1 * random_band_limited(g, rng, max_mode=2)
+        inv_symbol = solver._inverse_flat_symbol(g, P.base)
+        record = NewtonRecord(P, target)
+        start = NewtonRecord(Potential.flat(g, P.base), target)
+        for r in (record, start):
+            flat = from_spectrum(g, inv_symbol * r.defect.spectrum)
+            estimate = solver.newton_correction(r, None)
+            assert estimate.delta.tobytes() == flat.tobytes() and estimate.applies == 0
+        assert solver.newton_correction(record, None).forcing is None
+        # at phi = 0 the flat map is exact, whatever forcing is asked for
+        for asked in (None, forcing):
+            exact = solver.newton_correction(start, asked)
+            assert (exact.forcing, exact.applies) == (0.0, 0)
+            assert exact.delta.tobytes() == flat.tobytes()
+        spectrum, iterations = solver._pcg(solver._linearized_operator(P), g, inv_symbol,
+                                           record.defect.spectrum, forcing)
+        solved = solver.newton_correction(record, forcing)
+        assert solved.delta.tobytes() == from_spectrum(g, spectrum).tobytes()
+        assert (solved.forcing, solved.applies) == (forcing, iterations) and iterations > 0
+
+    @pytest.mark.parametrize("flat", [True, False])
+    def test_a_step_keeps_the_correction_it_moved_along(self, flat, monkeypatch):
+        g, rng, P = _setup((8, 12), 3)
+        if flat:
+            P = Potential.flat(g, P.base)
+        record = NewtonRecord(P, 0.1 * random_band_limited(g, rng, max_mode=2))
+        formed = []
+        correction = solver.newton_correction
+
+        def spying(*args):
+            formed.append(correction(*args))
+            return formed[-1]
+
+        monkeypatch.setattr(solver, "newton_correction", spying)
+        accepted = newton_step(record, 0.5)
+        assert len(formed) == 1 and accepted.correction is formed[0]
+        delta = formed[0].delta
+        trials = [P.with_perturbation(P.perturbation.values + solver._DAMPING**k * delta)
+                  for k in range(11)]
+        stepped = accepted.potential.perturbation.values
+        assert any(np.array_equal(stepped, trial.perturbation.values) for trial in trials)
+        assert record.correction is None
 
 
 class TestFlatPreconditioner:

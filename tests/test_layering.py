@@ -31,6 +31,10 @@ legendre.py neither imports numpy.linalg nor names it.  So do the
 derivatives of a potential off the grid: legendre.py names neither
 `TrigInterpolant` nor `partials`.
 
+A Newton correction is formed in one place, `solver.newton_correction`:
+no other function in the package names `_pcg` or `_inverse_flat_symbol`,
+so no other one calls the Krylov solve or the flat map.
+
 No module names `contextvars`: a Newton iterate reaches `solver.newton_step`
 as its argument and leaves as its result, never through a hidden channel.
 
@@ -421,6 +425,33 @@ def test_detects_hidden_instance_state(tmp_path):
     )
     assert _instance_dict_writes(probe) == {
         9: "Field.update", 11: "vars", 12: "preimages", 13: "preimages", 15: "vars"
+    }
+
+
+NEWTON_SYSTEM = {"_pcg", "_inverse_flat_symbol"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_newton_correction_solves_the_newton_system(path):
+    owners = set(_enclosing_functions(path, _names_used(path, NEWTON_SYSTEM)).values())
+    assert owners == ({"newton_correction"} if path.name == "solver.py" else set())
+
+
+def test_detects_newton_system_solves_elsewhere(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from . import solver\n"
+        "def newton_correction(record, g, b, rhs):\n"
+        "    return _pcg(record, g, _inverse_flat_symbol(g, b), rhs, 0.5)\n"
+        "def newton_step(record, g, b, rhs):\n"
+        "    flat = solver._inverse_flat_symbol(g, b) * rhs  # _pcg in a comment\n"
+        "    solve = _pcg\n"
+        "    return solve(record, g, flat, rhs, 0.5)\n",
+        encoding="utf-8",
+    )
+    lines = _names_used(probe, NEWTON_SYSTEM)
+    assert _enclosing_functions(probe, lines) == {
+        3: "newton_correction", 5: "newton_step", 6: "newton_step"
     }
 
 

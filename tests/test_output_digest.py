@@ -1,9 +1,10 @@
 """The byte-identity tool digests reports without their run-specific keys
-and counts each input's Newton steps."""
+and counts each input's Newton steps and Krylov applies."""
 
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 from abreu import continuity_solve, eval_field, make_grid, parse, solver
 
@@ -45,3 +46,39 @@ def test_records_the_newton_steps_of_each_input(monkeypatch, tmp_path):
         _, trace = continuity_solve(eval_field(parse(item["expr"]), grid))
         assert [s.t for s in trace.steps] == [1.0]
         assert record["newton_steps"] == trace.steps[0].newton_iterations > 0
+
+
+def test_records_the_krylov_applies_of_each_input(monkeypatch):
+    # the applies of an input's command are those the PCG solves of its
+    # Newton steps made, summed over the records the steps return
+    tool = _tool()
+    spec = {"command": "solve", "dim": 2, "resolutions": [16], "pool": 2, "modes": [2],
+            "kmax": 1, "sup": [0.3, 0.6], "report": False, "op_s": 0.01}
+    monkeypatch.setitem(tool.WORKLOADS, "tiny-2d", spec)
+    solved = []
+    pcg = solver._pcg
+
+    def counting_pcg(apply_op, *args):
+        def counted(spectrum):
+            solved[-1] += 1
+            return apply_op(spectrum)
+
+        solved.append(0)
+        return pcg(counted, *args)
+
+    monkeypatch.setattr(solver, "_pcg", counting_pcg)
+    records = tool.digest_workload(tool.import_cli(tool.ROOT / "src"), "tiny-2d", 1)
+    applies = [record["krylov_applies"] for record in records.values()]
+    assert all(record["rc"] == 0 for record in records.values())
+    assert sum(applies) == sum(solved) and min(applies) > 0
+
+
+def test_reads_the_applies_of_either_record_shape():
+    # a record keeps its correction; an older tree's stores krylov_applies;
+    # a record with neither reads None, and so does any sum it enters
+    tool = _tool()
+    kept = SimpleNamespace(correction=SimpleNamespace(applies=5))
+    assert tool.krylov_applies(kept) == 5
+    assert tool.krylov_applies(SimpleNamespace(krylov_applies=4)) == 4
+    assert tool.krylov_applies(SimpleNamespace(correction=None)) is None
+    assert tool.total([5, 4]) == 9 and tool.total([5, None]) is None

@@ -581,16 +581,36 @@ class TestForcingBookkeeping:
         a = _benchmark_like_2d()
         _, trace = continuity_solve(a)
         assert [s.newton_iterations for s in trace.steps] == [3]
-        assert (starts[0].forcing, starts[0].krylov_applies) == (None, None)
-        flat, *solved = records
-        assert (flat.forcing, flat.krylov_applies) == (0.0, 0)
-        assert [r.forcing for r in solved] == tolerances
-        assert [r.krylov_applies for r in solved] == applies and min(applies) > 0
+        assert starts[0].correction is None
+        flat, *solved = [r.correction for r in records]
+        assert (flat.forcing, flat.applies) == (0.0, 0)
+        assert [c.forcing for c in solved] == tolerances
+        assert [c.applies for c in solved] == applies and min(applies) > 0
         tol = SolverConfig().newton_tolerance * (1.0 + sup_norm(a))
-        r0, r1 = sup_norm(a), flat.residual  # the flat start's forward field is 0
+        r0, r1 = sup_norm(a), records[0].residual  # the flat start's forward field is 0
         expected = max(0.9 * (r1 / r0) ** 2, 0.5 * tol / r1, 1e-12)
         assert tolerances[0] == pytest.approx(expected, rel=1e-14)
         assert tolerances[0] < 0.9 * 0.5**2
+
+    def test_a_record_without_a_correction_reads_as_a_start(self, monkeypatch):
+        # a step whose record comes back without its correction: every
+        # forcing term is formed as after no solved step
+        previous = []
+        forcing_term, step = solver._forcing_term, solver.newton_step
+
+        def spying(residual, residual_prev, eta_prev, tolerance):
+            previous.append(eta_prev)
+            return forcing_term(residual, residual_prev, eta_prev, tolerance)
+
+        def stripped(record, forcing):
+            return NewtonRecord(step(record, forcing).potential, record.target)
+
+        monkeypatch.setattr(solver, "_forcing_term", spying)
+        monkeypatch.setattr(solver, "newton_step", stripped)
+        a = _small_2d_problem()
+        outcome = solver._newton_solve(Potential.flat(a.grid), a, SolverConfig())
+        assert outcome is not None and len(previous) == outcome[1] > 1
+        assert previous == [None] * len(previous)
 
     def test_a_step_solved_loosely_still_guards_the_next(self):
         # Eisenstat-Walker's safeguard: a forcing of 0.5 keeps the next at

@@ -11,11 +11,14 @@ solves included, with one BLAS/OpenMP thread and all files in a temporary
 directory.  It prints one sorted JSON object: per workload, seed and input,
 the exit code, the stderr text, the number of Newton steps the input's
 command took (calls of `abreu.solver.newton_step`, counted by wrapping the
-module binding as the benchmark's tracer does) and the sha256 of each file
-the input made, `.fld` files by their bytes and reports without the keys
-that differ between identical runs (`VOLATILE_REPORT_KEYS`).  A failing
-solve writes no file, so its step count is what shows that its Newton path
-is unchanged.  The package is imported
+module binding as the benchmark's tracer does), the Krylov applies summed
+over the records those steps return (`record.correction.applies`, or
+`krylov_applies` in a tree that stores them there; null where the records
+carry neither) and the sha256 of each file the input made, `.fld` files
+by their bytes and reports without the keys that differ between
+identical runs (`VOLATILE_REPORT_KEYS`).  A failing solve writes no file,
+so its step and apply counts are what show that its Newton and Krylov
+path is unchanged.  The package is imported
 from `--src`, by default this checkout's `src/`, so one copy of the tool
 digests any other checkout with the same pools.
 """
@@ -62,23 +65,41 @@ def file_digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def krylov_applies(record) -> int | None:
+    """Krylov applies of the step that made `record`: those of its
+    `correction`, or its `krylov_applies` field in a tree that stores them
+    there; None for a record that carries neither."""
+    correction = getattr(record, "correction", None)
+    if correction is not None:
+        return correction.applies
+    return getattr(record, "krylov_applies", None)
+
+
 @contextlib.contextmanager
-def counting(module, name: str):
-    """Count the calls of `module.<name>` by wrapping the module binding,
-    which the package calls through; yields a one-entry list holding the
-    count, and restores the binding on exit."""
-    original = getattr(module, name)
-    calls = [0]
+def counting_steps(solver):
+    """The Krylov applies of each call of `solver.newton_step`, read from
+    the record it returns, by wrapping the module binding, which the
+    package calls through; yields the list they are appended to, one entry
+    per call, and restores the binding on exit."""
+    step = solver.newton_step
+    applies = []
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
+    def counted(record, forcing):
+        accepted = step(record, forcing)
+        # a record with zero residual is returned as it is, with no solve
+        applies.append(0 if accepted is record else krylov_applies(accepted))
+        return accepted
 
-    setattr(module, name, counted)
+    solver.newton_step = counted
     try:
-        yield calls
+        yield applies
     finally:
-        setattr(module, name, original)
+        solver.newton_step = step
+
+
+def total(applies: list) -> int | None:
+    """The sum of per-step applies, None if a step's record carried none."""
+    return None if None in applies else sum(applies)
 
 
 def import_cli(src: Path):
@@ -92,9 +113,9 @@ def import_cli(src: Path):
 
 
 def digest_workload(cli, name: str, seed: int) -> dict:
-    """{input id: {rc, stderr, newton_steps, files}} of one workload's pool
-    for one seed; the steps are those of the input's command, set-up solves
-    left out."""
+    """{input id: {rc, stderr, newton_steps, krylov_applies, files}} of one
+    workload's pool for one seed; the steps and applies are those of the
+    input's command, set-up solves left out."""
     solver = importlib.import_module("abreu.solver")
     records = {}
     cwd = os.getcwd()
@@ -104,10 +125,11 @@ def digest_workload(cli, name: str, seed: int) -> dict:
             workload = Workload(name, seed, ".")
             workload.prepare(cli)
             for item in workload.pool:
-                with counting(solver, "newton_step") as steps:
+                with counting_steps(solver) as applies:
                     rc, _, stderr = call(cli, workload.op(item)[0])
                 records[item["id"]] = {"rc": rc, "stderr": stderr,
-                                       "newton_steps": steps[0], "files": {}}
+                                       "newton_steps": len(applies),
+                                       "krylov_applies": total(applies), "files": {}}
             for path in sorted(Path(".").iterdir()):
                 match = _OUTPUT.fullmatch(path.name)
                 if match:

@@ -26,7 +26,8 @@ on the op's arguments as the benchmark makes them (`perfbench/child.py`),
 set-up files in a temporary directory per tree, after a first, untimed
 pass that counts each tree's Newton steps per op and the Krylov applies
 per op, read from the records those steps return
-(`NewtonRecord.krylov_applies`; "-" for a tree whose records carry none),
+(`record.correction.applies`, or `krylov_applies` in a tree that stores
+them there; "-" for a tree whose records carry neither),
 and a second that counts its off-grid interpolation per op: the calls of
 `grid.TrigInterpolant.partials`, the multi-field passes of
 `grid.interpolate_fields` ("-" for a tree without it) and the points
@@ -69,7 +70,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from output_digest import ROOT  # noqa: E402  (puts perfbench/ on the path)
+from output_digest import ROOT, counting_steps, total  # noqa: E402  (puts perfbench/ on the path)
 from child import Workload, call  # noqa: E402
 from run import THREAD_ENV  # noqa: E402
 from workloads import WORKLOADS, make_inputs  # noqa: E402
@@ -142,26 +143,13 @@ class Ops:
 def count_work(case, count: int) -> tuple[int, int | None]:
     """Newton steps and Krylov applies while inputs 0..count-1 run once,
     untimed: the calls of the case's tree's `solver.newton_step`, through
-    the module binding the package calls, and the sum of `krylov_applies`
-    over the records they return (None for a tree whose records carry no
-    such field)."""
-    solver = case.solver
-    step = solver.newton_step
-    applies = []
-
-    def counted(record, forcing):
-        accepted = step(record, forcing)
-        # a record with zero residual is returned as it is, with no solve
-        applies.append(0 if accepted is record else getattr(accepted, "krylov_applies", None))
-        return accepted
-
-    solver.newton_step = counted
-    try:
+    the module binding the package calls, and the applies summed over the
+    records they return (`output_digest.counting_steps`; None for a tree
+    whose records carry none)."""
+    with counting_steps(case.solver) as applies:
         for i in range(count):
             case.run(i)
-    finally:
-        solver.newton_step = step
-    return len(applies), None if None in applies else sum(applies)
+    return len(applies), total(applies)
 
 
 def _rebind(package, original, replacement) -> list:
