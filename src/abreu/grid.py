@@ -34,9 +34,9 @@ Conventions:
     `interpolate`, the potential's off-grid derivatives and the pullbacks
     share, and `PeriodicGrid.check_points` is the one check of the points;
     each axis's cos/sin table is built once per span of evaluation blocks,
-    into a per-thread workspace kept between calls, and fields evaluated at
-    the same points (`interpolate_fields`) share it, each on its own band's
-    rows; the workspace never shrinks, and a thread's holds at most
+    into one buffer per call that the call frees when it returns, and
+    fields evaluated at the same points (`interpolate_fields`) share it,
+    each on its own band's rows; a call's buffer holds at most
     max(1 MiB, 64 t) + t bytes, t <= 8 (sum_a N_a + max_a N_a) the bytes
     of one point's tables (`_SPAN_BYTES`): 1 MiB and t on every grid with
     sum_a N_a + max_a N_a <= 2048;
@@ -56,7 +56,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -683,32 +682,8 @@ _BLOCK_BYTES = 256 * 1024
 _BLOCK_MIN_POINTS = 64
 #: Bytes a span's tables and their complex scratch may hold, and a block's
 #: too, unless _BLOCK_MIN_POINTS points' tables need more: the bound on
-#: `_WORKSPACE` the module docstring states.
+#: one call's tables the module docstring states.
 _SPAN_BYTES = 1024 * 1024
-
-
-class _Workspace(threading.local):
-    """Per-thread float64 scratch of `_stacked_partials`, kept between
-    calls and grown on demand.  Tables allocated per call are freed at its
-    end, and the allocator may hand their pages back to the system and
-    fault them in again on the next call, depending on where other arrays
-    sit on the heap; a kept workspace takes no fault once its thread has
-    made a call as large.  It grows to the largest span's tables the thread
-    has built, within the bound the module docstring states, and never
-    shrinks.
-    No call reads what another wrote: a span's tables are written in full
-    before its blocks read them."""
-
-    def __init__(self):
-        self.buffer = np.empty(0)
-
-    def take(self, count: int) -> np.ndarray:
-        if self.buffer.size < count:
-            self.buffer = np.empty(count)
-        return self.buffer[:count]
-
-
-_WORKSPACE = _Workspace()
 
 
 def _real_axis_coefficients(coeffs: np.ndarray, axis: int, band: int,
@@ -779,7 +754,7 @@ def _stacked_partials(pts: np.ndarray, stacks: list) -> np.ndarray:
     spans of whole blocks whose tables, with their complex scratch, stay
     within `_SPAN_BYTES` (or one block).  Per span, each axis's table is
     built once, to the widest band any stack has on that axis, into the
-    thread's `_WORKSPACE`; each stack reads the prefix rows of its own
+    call's one buffer; each stack reads the prefix rows of its own
     band (the real basis nests, see `_real_axis_coefficients`).  A table
     row depends on its point alone, and every first-axis product is a GEMM
     of at least two points and two columns on the points-innermost table,
@@ -796,7 +771,8 @@ def _stacked_partials(pts: np.ndarray, stacks: list) -> np.ndarray:
     span = block * max(1, _SPAN_BYTES // (block * table_bytes))
     # one row more: a one-point block goes in with its point twice
     size = min(span, len(pts)) + 1
-    work = _WORKSPACE.take(size * table_bytes // 8)
+    # one buffer: an array per table plus one for the scratch ran verify 13% slower
+    work = np.empty(size * table_bytes // 8)
     powers = work[: 2 * half * size].view(complex).reshape(half, size)
     tables, at = [], 2 * half * size
     for rows in wide:

@@ -26,7 +26,6 @@ from abreu.grid import (
     _BLOCK_BYTES,
     _BLOCK_MIN_POINTS,
     _SPAN_BYTES,
-    _WORKSPACE,
     interpolate_fields,
     partial_orders,
 )
@@ -421,26 +420,30 @@ class TestFieldsTogether:
             interpolate_fields([ScalarField.zeros(g)], [[np.nan, 0.2]])
 
 
-class TestWorkspace:
-    def test_threads_keep_their_own_tables(self):
-        # each thread builds its tables in a workspace of its own: eight
-        # threads evaluating at once, switching as often as the interpreter
-        # allows, each get bitwise what one thread gets
+class TestConcurrentCalls:
+    def test_threads_get_what_one_thread_gets(self):
+        # each call builds its tables in a buffer of its own: eight threads
+        # evaluating at once, switching as often as the interpreter allows,
+        # each get bitwise what one thread gets, on one interpolant's
+        # partials and on several fields sharing one table build
         g = make_grid(2, [16, 16])
         rng = np.random.default_rng(4)
         fields = [ScalarField(g, rng.standard_normal(g.shape)) for _ in range(4)]
-        points = [rng.uniform(-1.0, 2.0, (700 + 111 * i, 2)) for i in range(4)]
+        points = [rng.uniform(-1.0, 2.0, (700 + 111 * i, 2)) for i in range(5)]
         orders = [(0, 0), (1, 0)]
-        expected = [f.interpolant.partials(x, orders) for f, x in zip(fields, points)]
+        calls = [lambda f=f, x=x: f.interpolant.partials(x, orders)
+                 for f, x in zip(fields, points)]
+        calls.append(lambda: interpolate_fields(fields[:3], points[4]))
+        expected = [call() for call in calls]
         wrong = []
 
         def evaluate(i):
             for _ in range(20):
-                if not np.array_equal(fields[i].interpolant.partials(points[i], orders),
-                                      expected[i]):
+                if not np.array_equal(calls[i](), expected[i]):
                     wrong.append(i)
 
-        threads = [threading.Thread(target=evaluate, args=(i % 4,)) for i in range(8)]
+        threads = [threading.Thread(target=evaluate, args=(i % len(calls),))
+                   for i in range(8)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -454,46 +457,40 @@ class TestWorkspace:
         assert wrong == []
 
 
-def _workspace_bytes_after(calls):
-    """The bytes of a new thread's workspace after each of `calls` runs in
-    that thread."""
-    sizes = []
-
-    def run():
-        for call in calls:
-            call()
-            sizes.append(_WORKSPACE.buffer.nbytes)
-
-    thread = threading.Thread(target=run)
-    thread.start()
-    thread.join(timeout=60)
-    assert len(sizes) == len(calls)
-    return sizes
-
-
-class TestWorkspaceBound:
-    """A thread's workspace holds at most max(_SPAN_BYTES,
+class TestCallMemory:
+    """One call's tables and their scratch hold at most max(_SPAN_BYTES,
     _BLOCK_MIN_POINTS t) + t bytes, t = 8 (sum N_a + max N_a) the bytes of
-    one point's tables and scratch, after any call; it never shrinks."""
+    one point's tables and scratch, and the call frees them when it
+    returns: no call keeps memory for the next."""
 
     @pytest.mark.parametrize("shape, count", [((1024,), 2000), ((4096,), 300),
                                               ((32, 32, 32), 5000), ((256, 256), 3000)])
-    def test_bound_after_a_large_and_a_small_call(self, shape, count):
-        # the large call's 1D blocks used to hold 16384 points' tables:
-        # 1024 points' 16 KB each at N = 1024
+    def test_one_call_frees_its_bounded_tables(self, shape, count):
+        # by _BLOCK_BYTES alone, a narrow 1D stack's block would hold 16384
+        # points' tables: 256 MiB at N = 1024
         g = make_grid(len(shape), list(shape))
         rng = np.random.default_rng(5)
         f = ScalarField(g, rng.standard_normal(g.shape))
         assert _full_band(f.interpolant)
-        small = ScalarField(make_grid(1, [16]), rng.standard_normal(16))
-        t = _table_bytes(g)
-        bound = max(_SPAN_BYTES, _BLOCK_MIN_POINTS * t) + t
         orders = [(0,) * g.dim, (1,) + (0,) * (g.dim - 1)]
-        large, after = _workspace_bytes_after([
-            lambda: f.interpolant.partials(rng.uniform(-1.0, 2.0, (count, g.dim)), orders),
-            lambda: small.interpolant.partials([[0.1], [0.7], [0.3]], [(0,)]),
-        ])
-        assert 0 < large <= bound and after == large
+        pts = rng.uniform(-1.0, 2.0, (count, g.dim))
+        f.interpolant.partials(pts[:3], orders)  # builds the kept stack
+        t = _table_bytes(g)
+        tables = max(_SPAN_BYTES, _BLOCK_MIN_POINTS * t) + t
+        # a block's first-axis product holds _BLOCK_BYTES, or
+        # _BLOCK_MIN_POINTS points of a wider stack, and each later axis's
+        # product at most half the one before it
+        products = 2 * max(_BLOCK_BYTES, 8 * _BLOCK_MIN_POINTS * _stack_columns(g, 2))
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            out = f.interpolant.partials(pts, orders)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= tables + out.nbytes + products
+        # the returned array's own object and its data are all that stay
+        assert 0 <= after - before - out.nbytes <= 4096
 
 
 class TestEvaluationMemory:

@@ -35,8 +35,10 @@ A Newton correction is formed in one place, `solver.newton_correction`:
 no other function in the package names `_pcg` or `_inverse_flat_symbol`,
 so no other one calls the Krylov solve or the flat map.
 
-No module names `contextvars`: a Newton iterate reaches `solver.newton_step`
-as its argument and leaves as its result, never through a hidden channel.
+No module names `contextvars` or `threading`: a Newton iterate reaches
+`solver.newton_step` as its argument and leaves as its result, never
+through a hidden channel, and no call keeps state for the next one, per
+thread or otherwise (the off-grid tables live in one buffer per call).
 
 A kept per-instance value is a `grid.kept_property`: no module names
 `functools.cached_property`, which takes a class-wide lock on every first
@@ -456,13 +458,15 @@ def test_detects_newton_system_solves_elsewhere(tmp_path):
 
 
 def _context_variable_uses(path):
-    """Lines naming `contextvars` or `ContextVar`, or importing from contextvars."""
+    """Lines naming `contextvars`, `ContextVar` or `threading`, or importing
+    from contextvars or threading."""
     imports_from = {
         node.lineno
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.ImportFrom) and node.module == "contextvars"
+        if isinstance(node, ast.ImportFrom) and node.module in ("contextvars", "threading")
     }
-    return sorted(imports_from.union(_names_used(path, {"contextvars", "ContextVar"})))
+    names = {"contextvars", "ContextVar", "threading"}
+    return sorted(imports_from.union(_names_used(path, names)))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -478,11 +482,12 @@ def test_detects_context_variables(tmp_path):
         "import contextvars as cv\n"
         "ITERATE = contextvars.ContextVar('iterate')\n"
         "OTHER = cv.ContextVar('other')\n"
+        "import threading\n"
         "def f(context):\n"
-        "    return context.run(len, 'contextvars')  # contextvars in a comment\n",
+        "    return context.run(len, 'threading')  # threading in a comment\n",
         encoding="utf-8",
     )
-    assert _context_variable_uses(probe) == [1, 2, 3, 4, 5]
+    assert _context_variable_uses(probe) == [1, 2, 3, 4, 5, 6]
 
 
 def test_legendre_builds_no_interpolant():

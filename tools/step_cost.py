@@ -16,11 +16,14 @@ The inputs are the benchmark's workload pools (`perfbench/workloads.py`)
 of the seed `--seed`, 1 by default, so that a claim made on one seed can
 be checked again on another.  By default the tool times Newton steps at the
 sizes in `CASES`: 1D N = 256, 512 and 1024 of `solve-1d-ladder`, whose
-solves end at the step floor, and 2D 64^2 of `solve-2d`.  Each tree builds
-the fields with its own `fieldlang` and solves them with its own
-`continuity_solve`, failures included.  A first, untimed pass counts each
-size's Newton steps, the calls of the tree's `solver.newton_step`, by
-wrapping the module binding the package calls through.  With `--ops
+solves end at the step floor, 2D 64^2 of `solve-2d`, and 3D 16^3 of
+`prescribe-3d`, whose curvature fields serve as right-hand sides, so that
+the 3x3 kernels (the eigenvalue screen, the congruence weights) are timed
+too.  Each tree builds the fields with its own `fieldlang` and solves
+them with its own `continuity_solve`, failures included.  A first,
+untimed pass counts each size's Newton steps, the calls of the tree's
+`solver.newton_step`, by wrapping the module binding the package calls
+through.  With `--ops
 WORKLOAD` it times that workload's CLI ops instead, each tree's `cli.main`
 on the op's arguments as the benchmark makes them (`perfbench/child.py`),
 set-up files in a temporary directory per tree, after a first, untimed
@@ -82,6 +85,7 @@ CASES = [
     ("1D N=512", "solve-1d-ladder", 512),
     ("1D N=1024", "solve-1d-ladder", 1024),
     ("2D 64^2", "solve-2d", 64),
+    ("3D 16^3", "prescribe-3d", 16),
 ]
 
 
