@@ -69,7 +69,7 @@ def scalar_curvature(m: InvariantMetric) -> ScalarField:
     Computed nodewise as -1/4 v^ij [log det(v_ab)]_ij from spectral
     derivatives; raises NotConvex if the metric is not positive.
     """
-    return -0.25 * m.potential.hessian_state.log_det_contraction
+    return ScalarField(m.psi.grid, -0.25 * m.potential.hessian_state.log_det_contraction)
 
 
 def scalar_curvature_symplectic(m: InvariantMetric) -> ScalarField:

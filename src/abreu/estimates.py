@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import GradientInversionFailure, MonitorViolation, NotConvex
-from .grid import ScalarField, mean, sup_norm
+from .grid import ScalarField, mean, pair_index, sup_norm
 from .legendre import dual_residual, legendre_transform, pullback_rhs
 from .potential import (
     CONVEXITY_FLOOR,
@@ -202,7 +202,7 @@ def upper_bound_monitor(V: Potential, Atilde: ScalarField) -> BoundsReport:
     periodic = L + 2.0 * psi
     p, node = _lattice_minimum(lambda ys: periodic + _half_square(ys), grid, 2, -1.0)
 
-    trace_inv_p = sum(hinv.component(i, i)[node] for i in range(n))
+    trace_inv_p = sum(hinv[pair_index(n)[i, i]][node] for i in range(n))
     det_inv_p = 1.0 / detv[node]
     c_const = (sup_a / n + 2.0) ** n
 
@@ -293,7 +293,7 @@ def lower_bound_monitor(V: Potential, Atilde: ScalarField) -> BoundsReport:
     grad_v_q = q + np.array([g[node] for g in grads])
     grad_v_sq_q = float(sum(grad_v_q * grad_v_q))
 
-    trace_q = sum(H.component(i, i)[node] for i in range(n))
+    trace_q = sum(H[pair_index(n)[i, i]][node] for i in range(n))
     lq_bound = n * np.log((sup_a + n) / (beta * n))
 
     fund = grid.coordinate_arrays()

@@ -82,6 +82,7 @@ __all__ = [
     "project_mean_zero",
     "second_divergence",
     "second_divergence_spectrum",
+    "second_divergence_values",
     "interpolate",
     "interpolate_fields",
     "periodicity_defect",
@@ -89,6 +90,8 @@ __all__ = [
     "sup_norm",
     "partial_orders",
     "triangle_pairs",
+    "pair_index",
+    "pair_weights",
     "triangle_to_full",
     "full_to_triangle",
 ]
@@ -101,7 +104,7 @@ MEAN_TOLERANCE = 1e-10
 
 class kept_property:
     """`functools.cached_property` without its lock, which Python 3.10 and
-    3.11 take class-wide on every first access (a dozen per Newton step):
+    3.11 take class-wide on every first access (about ten per Newton step):
     the value is computed on first access and kept in the instance dict,
     frozen dataclasses included.  Threads racing on a first access may
     each compute it, all the same value, and one of them is kept."""
@@ -347,7 +350,7 @@ def triangle_pairs(n: int) -> list[tuple[int, int]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _pair_index(n: int) -> np.ndarray:
+def pair_index(n: int) -> np.ndarray:
     """(n, n) table of the triangle component of entry (i, j) (or (j, i)),
     built once per n and kept read-only."""
     index = np.empty((n, n), dtype=int)
@@ -358,8 +361,9 @@ def _pair_index(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _pair_weights(n: int) -> np.ndarray:
-    """`SymMatrixField.pair_weights` for n, kept read-only."""
+def pair_weights(n: int) -> np.ndarray:
+    """(m,) weights, 1 on the diagonal and 2 off it, kept read-only per n:
+    sum_k w_k M_k S_k is the contraction sum_ij M^ij S_ij."""
     weights = np.array([1.0 if i == j else 2.0 for i, j in triangle_pairs(n)])
     weights.setflags(write=False)
     return weights
@@ -374,7 +378,7 @@ def triangle_to_full(stack) -> np.ndarray:
     n = (math.isqrt(8 * m + 1) - 1) // 2
     if m == 0 or n * (n + 1) // 2 != m:
         raise ValueError(f"{m} entries are not the triangle of a square matrix")
-    return np.moveaxis(stack, 0, -1)[..., _pair_index(n)]
+    return np.moveaxis(stack, 0, -1)[..., pair_index(n)]
 
 
 def full_to_triangle(full) -> np.ndarray:
@@ -423,36 +427,20 @@ class SymMatrixField:
 
     @classmethod
     def identity(cls, grid: PeriodicGrid) -> "SymMatrixField":
-        return cls.from_constant(grid, np.eye(grid.dim))
-
-    @classmethod
-    def from_constant(cls, grid: PeriodicGrid, matrix) -> "SymMatrixField":
-        """The constant field of one n x n matrix, symmetrized exactly."""
-        entries = full_to_triangle(matrix)
-        return cls(grid, np.multiply.outer(entries, np.ones(grid.shape)))
+        return cls(grid, np.multiply.outer(full_to_triangle(np.eye(grid.dim)),
+                                           np.ones(grid.shape)))
 
     @classmethod
     def from_full(cls, grid: PeriodicGrid, full: np.ndarray) -> "SymMatrixField":
         """Build from a (*grid.shape, n, n) stack, symmetrizing exactly."""
         return cls(grid, full_to_triangle(full))
 
-    @property
-    def pair_weights(self) -> np.ndarray:
-        """(m,) count of full-matrix entries per component, 1 on the diagonal
-        and 2 off it: sum_k w_k M_k S_k is the contraction sum_ij M^ij S_ij."""
-        return _pair_weights(self.grid.dim)
-
-    @property
-    def pair_index(self) -> np.ndarray:
-        """(n, n) read-only table of the component of entry (i, j)."""
-        return _pair_index(self.grid.dim)
-
     def triangle_index(self, i: int, j: int) -> int:
         """Component of entry (i, j) (or (j, i)); IndexError outside [0, n)."""
         n = self.grid.dim
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"matrix entry ({i}, {j}) is outside an {n} x {n} matrix")
-        return int(_pair_index(n)[i, j])
+        return int(pair_index(n)[i, j])
 
     def component(self, i: int, j: int) -> np.ndarray:
         """Nodewise values of entry (i, j) (read-only array)."""
@@ -656,17 +644,18 @@ def second_divergence_spectrum(grid: PeriodicGrid, stack: np.ndarray) -> np.ndar
     return acc
 
 
-def second_divergence(M: SymMatrixField) -> ScalarField:
-    """Double divergence sum_ij d^2 M^ij / dx_i dx_j of a matrix field.
-
-    Accumulated in frequency space with a single inverse transform; the
-    output's zero mode is exactly zero.
-    """
-    grid = M.grid
+def second_divergence_values(grid: PeriodicGrid, entries: np.ndarray) -> np.ndarray:
+    """Node values of the double divergence sum_ij d^2 M^ij / dx_i dx_j of
+    the symmetric field with triangle stack `entries`, accumulated in
+    frequency space with one inverse transform: its zero mode is zero."""
     # the weights are exact (1 or 2), so they commute bitwise with the transform
-    weights = M.pair_weights.reshape((-1,) + (1,) * grid.dim)
-    spectrum = second_divergence_spectrum(grid, weights * M.entries)
-    return ScalarField(grid, from_spectrum(grid, spectrum))
+    weights = pair_weights(grid.dim).reshape((-1,) + (1,) * grid.dim)
+    return from_spectrum(grid, second_divergence_spectrum(grid, weights * entries))
+
+
+def second_divergence(M: SymMatrixField) -> ScalarField:
+    """Double divergence of a matrix field (`second_divergence_values`)."""
+    return ScalarField(M.grid, second_divergence_values(M.grid, M.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -918,12 +907,15 @@ def periodicity_defect(f: ScalarField) -> float:
 
     Smooth periodic fields have (super)algebraically small tails;
     non-periodic samplings (such as "x1") leak O(1/k) energy into the
-    highest modes.  The CLI warns above 1e-8.
+    highest modes.  The CLI warns above 1e-8.  The moduli are scaled by the
+    largest before squaring, so no scale of f underflows or overflows.
     """
-    power = np.abs(f.spectrum) ** 2 * f.grid.parseval_weights
-    total = power.sum()
-    if total == 0.0:
+    modulus = np.abs(f.spectrum)
+    largest = modulus.max()
+    if largest == 0.0:
         return 0.0
+    power = (modulus / largest) ** 2 * f.grid.parseval_weights
+    total = power.sum()
     outer = functools.reduce(np.logical_or.outer, [
         np.abs(f.grid.wavenumbers(a)[:n]) > f.grid.resolution[a] // 3
         for a, n in enumerate(power.shape)

@@ -124,7 +124,7 @@ def _warm_preimages(V: DualPotential, z: np.ndarray) -> tuple[np.ndarray, np.nda
     and V's psi at each x; None when that Newton run stalls."""
     primal = V.primal
     nodes = np.indices(V.grid.shape).reshape(V.grid.dim, -1).T
-    hess = primal.hessian_state.hessian.entries.reshape(-1, len(nodes))
+    hess = primal.hessian_state.hessian.reshape(-1, len(nodes))
     start = primal.node_gradient(z, nodes)
     try:
         return _newton(V, z, start, *V.phi_and_gradient_at(start), triangle_to_full(hess),
@@ -182,7 +182,7 @@ def _node_inversion(P: Potential, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     root: the node value where a point never leaves its start."""
     x, nodes = _newton_start(P, y)
     at = tuple(nodes.T)
-    inverse = P.hessian_state.inverse().entries
+    inverse = P.hessian_state.inverse()
     # gradients, inverses and third partials are handed over, not kept
     # here, so that `_newton` frees them once it has gathered the rows it
     # iterates on
@@ -420,4 +420,4 @@ def dual_residual(V: Potential, Atilde: ScalarField) -> ScalarField:
     Hessian of the dual potential.  Vanishes (to transform accuracy) when
     V is the dual of a solution and Atilde the pulled-back right-hand side.
     """
-    return V.hessian_state.log_det_contraction - Atilde
+    return ScalarField(V.grid, V.hessian_state.log_det_contraction) - Atilde

@@ -11,28 +11,20 @@ provides the fourth-order operator in both raw form,
 and the equivalent divergence form  sum_ij U^ij w_ij - A  with U the
 cofactor matrix of the Hessian and w = 1/det(u_ab).
 
-Each per-potential quantity lives on the potential's `HessianState`: the
-determinant and extreme eigenvalues from construction; the inverse, log
-det, the forward field (u^ij)_ij and the congruence weights from first
-use, behind the convexity guard.  `HessianState.convex` (smallest
-eigenvalue above CONVEXITY_FLOOR) is the package's one convexity test:
-the guard reads it, and so do the Newton line search, the
-convexity-margin check of `verify_solution` and
-`InvariantMetric.is_positive`.  The mean-zero gauge of phi is
-`ScalarField.mean_zero`, the grid module's one zero-mean test; the
-divergence-form residual is computed for any right-hand side.  For n = 3 a
-closed-form screen sends only the nodes near an extreme eigenvalue to
-LAPACK, with results bitwise those of LAPACK on every node.  A constant
-Hessian is decided on one matrix, and its forward field is zero: so the
-flat start phi = 0, whose Hessian is the base with no transform, makes
-none at all.  Each base keeps its inverse.  The inverse
-is `triangle_inverse`, whose closed forms the gradient-map inversion
-shares.  Every derivative of u lives here: on the grid the Hessian state
-and the spectral gradient of phi kept beside it (`node_gradient`), off it
-`gradient_at`, `phi_and_gradient_at` (phi with grad u, in one stacked
-call) and `hessian_at`, from phi's one kept interpolant
-(`ScalarField.interpolant`); all of them read phi's one spectrum
-(`ScalarField.spectrum`).
+Each per-potential quantity lives on the potential's `HessianState`, as
+plain arrays.  `HessianState.convex` (smallest eigenvalue above
+CONVEXITY_FLOOR) is the package's one convexity test: the guard reads it,
+and so do the Newton line search, the convexity-margin check of
+`verify_solution` and `InvariantMetric.is_positive`.  The mean-zero gauge
+of phi is `ScalarField.mean_zero`, the grid module's one zero-mean test;
+the divergence-form residual is computed for any right-hand side.  The
+flat start phi = 0, whose Hessian is the base, makes no transform at all.
+Each base keeps its inverse.  Every derivative of u lives here: on the
+grid the Hessian state and the spectral gradient of phi kept beside it
+(`node_gradient`), off it `gradient_at`, `phi_and_gradient_at` (phi with
+grad u, in one stacked call) and `hessian_at`, from phi's one kept
+interpolant (`ScalarField.interpolant`); all of them read phi's one
+spectrum (`ScalarField.spectrum`).
 """
 
 from __future__ import annotations
@@ -54,8 +46,11 @@ from .grid import (
     kept_property,
     mean,
     node_mean,
+    pair_index,
+    pair_weights,
     partial_orders,
-    second_divergence,
+    second_divergence_values,
+    to_spectrum,
     triangle_pairs,
     triangle_to_full,
 )
@@ -67,6 +62,7 @@ __all__ = [
     "CONVEXITY_FLOOR",
     "triangle_inverse",
     "hessian_u",
+    "hessian_stack",
     "inverse_hessian",
     "det_hessian",
     "cofactor",
@@ -166,10 +162,14 @@ class Potential:
     Strict convexity is not enforced at construction (diagnostics must be
     able to measure how non-convex a candidate is); operations that invert
     the Hessian raise NotConvex when the eigenvalue floor is crossed.
+
+    `state`, when given, is the Hessian state of this very potential, as
+    the solver hands over its last iterate's; `hessian_state` returns it.
     """
 
     base: QuadraticBase
     perturbation: ScalarField
+    state: "HessianState | None" = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self):
         if self.base.dim != self.perturbation.grid.dim:
@@ -201,7 +201,7 @@ class Potential:
     @kept_property
     def hessian_state(self) -> "HessianState":
         """Hessian quantities of this potential, built on first use and kept."""
-        return HessianState(hessian_u(self))
+        return self.state or HessianState(self.grid, hessian_u(self).entries)
 
     @kept_property
     def perturbation_gradient(self) -> tuple[ScalarField, ...]:
@@ -243,52 +243,56 @@ class Potential:
         return vals.T
 
 
+def hessian_stack(grid: PeriodicGrid, base: QuadraticBase,
+                  spectrum: np.ndarray | None) -> np.ndarray:
+    """Nodewise Hessian M + D^2 phi, a fresh triangle stack, from phi's
+    spectrum; M at every node, with no transform, for None (phi = 0)."""
+    tri = base.triangle
+    stack = (np.zeros(tri.shape + grid.shape) if spectrum is None
+             else hessian_from_spectrum(grid, spectrum))
+    stack += tri.reshape(tri.shape + (1,) * grid.dim)
+    return stack
+
+
 def hessian_u(P: Potential) -> SymMatrixField:
-    """Nodewise Hessian M + D^2 phi, from phi's one spectrum; M at every
-    node, with no transform, when phi is identically zero (its kept sup is
-    0), as at the flat start."""
-    base = P.base.triangle
-    if P.perturbation.sup == 0.0:
-        stack = np.zeros(base.shape + P.grid.shape)
-    else:
-        stack = hessian_from_spectrum(P.grid, P.perturbation.spectrum)
-    stack += base.reshape(base.shape + (1,) * P.grid.dim)
-    return SymMatrixField(P.grid, stack)
+    """Nodewise Hessian M + D^2 phi (`hessian_stack`), from phi's one
+    spectrum, none when phi is identically zero, as at the flat start."""
+    phi = P.perturbation
+    spectrum = None if phi.sup == 0.0 else phi.spectrum
+    return SymMatrixField(P.grid, hessian_stack(P.grid, P.base, spectrum))
 
 
 @dataclass(frozen=True, eq=False)
 class HessianState:
     """Nodewise Hessian quantities of one potential, each computed once.
 
-    Holds the Hessian, its determinant, the extreme eigenvalues and the
-    node of the smallest one; the inverse, log det, its contraction
-    h^ij (log det H)_ij, the forward field (u^ij)_ij and the weights of the
-    congruence psi -> H^-1 psi H^-1 are formed on first use, behind the
-    convexity guard, and kept.  For
-    n <= 2 everything has a closed form (a 2x2
-    [[a, b], [b, c]] has eigenvalues m -+ hypot((a - c)/2, b) with
-    m = (a + c)/2 and determinant ac - b^2).  For n = 3 the determinant is
-    the cofactor expansion.  The inverse is `triangle_inverse` of the
-    Hessian and its determinant, shared with the gradient-map inversion.
-    The extreme eigenvalues are LAPACK's eigvalsh, run
-    only on the nodes that the trigonometric closed form cannot rule out:
-    those whose closed-form extreme lies within 1e-6 max(|q| + 2p) of the
-    global one (`_extreme_candidates_3x3`), about twenty times the closed
-    form's error.  Every node whose eigvalsh extreme ties or nearly ties
-    the global one is among them, and eigvalsh gives a matrix the same
-    bits however it is batched, so the extremes and the worst node (the
-    first in row-major order) are bitwise those of eigvalsh on every node.
-    From n = 4 on det, inv and the eigenvalues are LAPACK's.  The closed
-    forms unpack the components of the triangle stacks (m, *shape).
+    Holds the grid, the Hessian as a triangle stack (m, *grid.shape) that
+    the state takes over read-only, its determinant, the extreme
+    eigenvalues and the node of the smallest one; the inverse, log det, its
+    contraction h^ij (log det H)_ij, the forward field (u^ij)_ij and the
+    weights of the congruence psi -> H^-1 psi H^-1 are formed on first use,
+    behind the convexity guard, and kept.  All are plain arrays, copied and
+    checked nowhere: fields are built of them only where they leave the
+    package (`abreu_forward`, `inverse_hessian`, ...).  For n <= 2
+    everything has a closed form (a 2x2 [[a, b], [b, c]] has eigenvalues
+    m -+ hypot((a - c)/2, b) with m = (a + c)/2 and determinant ac - b^2).
+    For n = 3 the determinant is the cofactor expansion, and the extremes
+    are LAPACK's eigvalsh on the nodes that `_extreme_candidates_3x3`
+    cannot rule out, bitwise those of eigvalsh on every node, worst node
+    (the first in row-major order) included.  From n = 4 on det, inv and
+    the eigenvalues are LAPACK's.
 
-    A constant field, such as the flat start's, is recognized first (its
-    first two nodes rule out almost any other field with one comparison)
-    and decided on its one matrix in every dimension, before any screen:
-    the same bits, with node 0 as the worst node.  Its forward field is
-    zero with no transform.
+    A determinant that is not finite at some node (it overflowed, with no
+    floating-point warning) makes the state not convex: for n = 1 an
+    extreme is NaN or infinite; from n = 2 on both are NaN, none is formed,
+    and the first such node is the worst node.  A constant field, such as
+    the flat start's, is recognized first (its first two nodes rule out
+    almost any other field with one comparison) and decided on its one
+    matrix, with node 0 as the worst node; its forward field is zero.
     """
 
-    hessian: SymMatrixField
+    grid: PeriodicGrid
+    hessian: np.ndarray
     det: np.ndarray = field(init=False)
     min_eigenvalue: float = field(init=False)
     max_eigenvalue: float = field(init=False)
@@ -296,28 +300,34 @@ class HessianState:
     _constant: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        H = self.hessian
-        e = H.entries.reshape(len(H.entries), -1)  # (m, nodes), row-major
-        det = _triangle_det(H.entries)
+        grid, H = self.grid, self.hessian
+        if H.shape != (grid.dim * (grid.dim + 1) // 2,) + grid.shape:
+            raise ValueError(f"Hessian stack shape {H.shape} does not fit the grid")
+        H.setflags(write=False)
+        e = H.reshape(len(H), -1)  # (m, nodes), row-major
+        det = _triangle_det(H)
         constant = bool(e[0, 0] == e[0, 1] and (e == e[:, :1]).all())
         nodes = None  # flat indices of the nodes in lo and hi when not all
         if constant:
             e, nodes = e[:, :1], np.zeros(1, dtype=int)
-        if H.grid.dim == 1:
+        if len(H) > 1 and not np.isfinite(det).all():  # n = 1: det is the entry
+            nodes = np.flatnonzero(~np.isfinite(det))[:1]
+            lo = hi = np.full(1, np.nan)
+        elif grid.dim == 1:
             lo = hi = e[0]
-        elif H.grid.dim == 2:
+        elif grid.dim == 2:
             a, b, c = e
             m = 0.5 * (a + c)
             r = np.hypot(0.5 * (a - c), b)
             lo, hi = m - r, m + r
-        elif H.grid.dim == 3 or constant:
+        elif grid.dim == 3 or constant:
             if nodes is None:
                 nodes = _extreme_candidates_3x3(H)
                 e = e[:, nodes]
             eigs = np.linalg.eigvalsh(triangle_to_full(e))
             lo, hi = eigs[:, 0], eigs[:, -1]
         else:
-            eigs = np.linalg.eigvalsh(H.to_full())
+            eigs = np.linalg.eigvalsh(triangle_to_full(H))
             lo, hi = eigs[..., 0], eigs[..., -1]
         k = int(lo.argmin())
         worst = np.unravel_index(k if nodes is None else nodes[k], det.shape)
@@ -331,16 +341,17 @@ class HessianState:
 
     @property
     def convex(self) -> bool:
-        """Whether the smallest eigenvalue clears CONVEXITY_FLOOR."""
-        return self.min_eigenvalue > CONVEXITY_FLOOR
+        """Whether the smallest eigenvalue clears CONVEXITY_FLOOR and the
+        largest is finite."""
+        return self.min_eigenvalue > CONVEXITY_FLOOR and self.max_eigenvalue < np.inf
 
     def require_convex(self) -> None:
         """Raise NotConvex naming the worst node unless `convex`."""
         if not self.convex:
             raise NotConvex(self.worst_node, self.min_eigenvalue)
 
-    def inverse(self) -> SymMatrixField:
-        """Nodewise inverse Hessian, guarded by the convexity floor."""
+    def inverse(self) -> np.ndarray:
+        """Nodewise inverse Hessian stack, guarded by the convexity floor."""
         self.require_convex()
         return self._inverse
 
@@ -353,34 +364,39 @@ class HessianState:
         return log_det
 
     @kept_property
-    def log_det_contraction(self) -> ScalarField:
+    def log_det_contraction(self) -> np.ndarray:
         """sum_ij h^ij (log det H)_ij, guarded: the dual equation's left
         side and -4 times the scalar curvature."""
-        return self.contract(self.log_det)
+        log_det = to_spectrum(self.grid, self.log_det)
+        return self.contract(hessian_from_spectrum(self.grid, log_det))
 
     @kept_property
-    def forward(self) -> ScalarField:
+    def forward(self) -> np.ndarray:
         """The fourth-order field sum_ij (h^ij)_ij, h = H^-1, guarded; zero
         with no transform when H is constant, as at the flat start (for the
         identity base bitwise the transforms' zero, where other constant
         fields may leave rounding of order eps^2)."""
         hinv = self.inverse()
-        if self._constant:
-            return ScalarField.zeros(hinv.grid)
-        return second_divergence(hinv)
+        forward = (np.zeros(self.grid.shape) if self._constant
+                   else second_divergence_values(self.grid, hinv))
+        forward.setflags(write=False)
+        return forward
 
-    def contract(self, values: np.ndarray) -> ScalarField:
-        """sum_ij h^ij f_ij, h = H^-1, for node values f, guarded."""
+    def contract(self, second: np.ndarray) -> np.ndarray:
+        """sum_ij h^ij f_ij, h = H^-1, for the triangle stack of f_ij, guarded."""
         hinv = self.inverse()
-        return _double_contract(hinv, hessian(ScalarField(hinv.grid, values)))
+        acc = np.zeros(self.grid.shape)
+        for weight, m, s in zip(pair_weights(self.grid.dim), hinv, second):
+            acc += weight * m * s
+        return acc
 
     def congruent(self, second: np.ndarray) -> np.ndarray:
         """Triangle entries of h psi h, h = H^-1, times pair weights.
 
         `second` is the triangle stack (m, *shape) of a symmetric field psi,
         as `hessian_from_spectrum` returns it; so is the result.  With pairs
-        k = (i, j), l = (a, b) and `SymMatrixField.pair_weights` w (1 on
-        the diagonal, 2 off it) entry k is sum_l S_kl psi_l, where
+        k = (i, j), l = (a, b) and `grid.pair_weights` w (1 on the diagonal,
+        2 off it) entry k is sum_l S_kl psi_l, where
 
             S_kl = w_k * (h_ia h_jb + h_ib h_ja) / 2 * w_l,
 
@@ -401,12 +417,11 @@ class HessianState:
 
     @kept_property
     def _weights(self) -> tuple[tuple[int, int, np.ndarray], ...]:
-        """(k, l, S_kl) for k <= l: m(m+1)/2 read-only fields, kept apart
+        """(k, l, S_kl) for k <= l: m(m+1)/2 read-only arrays, kept apart
         rather than stacked so that each allocation stays small."""
-        h = self._inverse
-        e, at = h.entries, h.pair_index.tolist()
-        pairs = triangle_pairs(h.grid.dim)
-        w = h.pair_weights
+        e, n = self._inverse, self.grid.dim
+        at, w = pair_index(n).tolist(), pair_weights(n)
+        pairs = triangle_pairs(n)
         weights = []
         for k, (i, j) in enumerate(pairs):
             for l, (a, b) in enumerate(pairs[k:], start=k):
@@ -419,9 +434,10 @@ class HessianState:
         return tuple(weights)
 
     @kept_property
-    def _inverse(self) -> SymMatrixField:
-        H = self.hessian
-        return SymMatrixField(H.grid, triangle_inverse(H.entries, self.det))
+    def _inverse(self) -> np.ndarray:
+        inverse = triangle_inverse(self.hessian, self.det)
+        inverse.setflags(write=False)
+        return inverse
 
 
 #: Half-width of the eigenvalue screening band of `_extreme_candidates_3x3`,
@@ -429,7 +445,7 @@ class HessianState:
 _SCREEN_BAND = 1e-6
 
 
-def _extreme_candidates_3x3(H: SymMatrixField) -> np.ndarray:
+def _extreme_candidates_3x3(e: np.ndarray) -> np.ndarray:
     """Flat indices, ascending (row-major), of the nodes whose smallest or
     largest eigenvalue may attain the extreme over the stack.
 
@@ -450,13 +466,12 @@ def _extreme_candidates_3x3(H: SymMatrixField) -> np.ndarray:
     matrix however it is batched, so the extremes and the first node of
     the minimum over the kept nodes are those over all nodes.
     """
-    e = H.entries
     # exact power-of-two rescale to entries below 1: no overflow or
     # underflow in the squares and the determinant
     b = np.ldexp(e.reshape(6, -1), -np.frexp(np.abs(e).max())[1])
     q = (b[0] + b[3] + b[5]) / 3.0
     b[[0, 3, 5]] -= q
-    p = np.sqrt(H.pair_weights @ (b * b) / 6.0)
+    p = np.sqrt(pair_weights(3) @ (b * b) / 6.0)
     b /= np.where(p > 0.0, p, 1.0)
     phi = np.arccos(np.clip(0.5 * _det_3x3(b), -1.0, 1.0)) / 3.0
     lo = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
@@ -483,14 +498,16 @@ def _det_3x3(e: np.ndarray) -> np.ndarray:
 
 def _triangle_det(e: np.ndarray) -> np.ndarray:
     """Determinants of the symmetric matrices of a triangle stack
-    (m, *shape): closed forms for n <= 3 (m = 1, 3, 6), LAPACK from n = 4 on."""
+    (m, *shape): closed forms for n <= 3 (m = 1, 3, 6), LAPACK from n = 4
+    on; one that overflows is infinite or NaN, with no warning."""
     if len(e) == 1:
         return e[0].copy()
-    if len(e) == 3:
-        a, b, c = e
-        return a * c - b * b
-    if len(e) == 6:
-        return _det_3x3(e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(e) == 3:
+            a, b, c = e
+            return a * c - b * b
+        if len(e) == 6:
+            return _det_3x3(e)
     return np.linalg.det(triangle_to_full(e))
 
 
@@ -526,12 +543,12 @@ def triangle_inverse(entries: np.ndarray, det: np.ndarray | None = None) -> np.n
 
 def inverse_hessian(H: SymMatrixField) -> SymMatrixField:
     """Nodewise matrix inverse, guarded by the convexity floor."""
-    return HessianState(H).inverse()
+    return SymMatrixField(H.grid, HessianState(H.grid, H.entries).inverse())
 
 
 def det_hessian(H: SymMatrixField) -> ScalarField:
     """Nodewise determinant."""
-    return ScalarField(H.grid, HessianState(H).det)
+    return ScalarField(H.grid, HessianState(H.grid, H.entries).det)
 
 
 def cofactor(H: SymMatrixField) -> SymMatrixField:
@@ -539,17 +556,8 @@ def cofactor(H: SymMatrixField) -> SymMatrixField:
 
     For n = 1 it is the constant field 1 (the empty minor), up to rounding.
     """
-    state = HessianState(H)
-    return SymMatrixField(H.grid, state.det * state.inverse().entries)
-
-
-def _double_contract(M: SymMatrixField, S: SymMatrixField) -> ScalarField:
-    """Pointwise full contraction sum_ij M^ij S_ij of two symmetric fields
-    on one grid."""
-    acc = np.zeros(M.grid.shape)
-    for weight, m, s in zip(M.pair_weights, M.entries, S.entries):
-        acc += weight * m * s
-    return ScalarField(M.grid, acc)
+    state = HessianState(H.grid, H.entries)
+    return SymMatrixField(H.grid, state.det * state.inverse())
 
 
 def abreu_forward(P: Potential) -> ScalarField:
@@ -559,7 +567,7 @@ def abreu_forward(P: Potential) -> ScalarField:
     periodic matrix field, integrated by parts on the torus.  The Hessian
     state evaluates it once per potential.
     """
-    return P.hessian_state.forward
+    return ScalarField(P.grid, P.hessian_state.forward)
 
 
 def divergence_form_residual(P: Potential, A: ScalarField) -> ScalarField:
@@ -570,7 +578,9 @@ def divergence_form_residual(P: Potential, A: ScalarField) -> ScalarField:
     It is computed for any A: a nonzero mean of A shows as a residual.
     """
     state = P.hessian_state
-    return ScalarField(P.grid, state.det * state.contract(1.0 / state.det).values) - A
+    state.require_convex()
+    w = hessian(ScalarField(P.grid, 1.0 / state.det))
+    return ScalarField(P.grid, state.det * state.contract(w.entries)) - A
 
 
 def convexity_margin(P: Potential) -> float:

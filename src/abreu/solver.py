@@ -13,28 +13,18 @@ must pass `ScalarField.mean_zero`, the grid module's one zero-mean test
     L(psi) = (u^ia psi_ab u^bj)_ij = current residual
 
 is solved matrix-free by preconditioned conjugate gradients on real-FFT
-spectra, each only as accurately as the outer iteration needs: the
-relative Krylov tolerance is an Eisenstat-Walker forcing term (choice 2,
-with Kelley's floor against oversolving), clamped below by
-`_LINEAR_TOLERANCE`.  `newton_correction` is the one place a correction
-is formed; the record each step returns keeps the `Correction` it moved
-along, with the forcing it was solved to (0 for an exact correction) and
-the Krylov applies it took, and the safeguard gamma eta_{k-1}^2 of the
-next forcing term reads that forcing: after the exact flat step the second
-system gets the plain ratio gamma (r_1 / r_0)^2, not the safeguard of an
-eta_0 no step used.  A system costs one forward transform of its
-right-hand side and one inverse of its correction.  In between, the zero
-mode of every spectrum is zero (the mean-zero subspace), and inner
-products are node means by Parseval (`spectral_inner`), so the stopping
-test reads as on node values.  One apply of L is one batched inverse
-transform of the m = n(n+1)/2 second-derivative multiples, the
-congruence at the nodes (m^2 multiply-adds per node with m(m+1)/2
-weights that each potential computes once and keeps) and one batched
-forward transform.  The preconditioner multiplies by the exact inverse
-symbol of the discrete linearization at phi = 0, built from the grid's
-second-derivative multipliers (so it follows their Nyquist convention,
-where the continuous biharmonic symbol would not) and cached per grid
-and base.
+spectra (`_pcg`), each only as accurately as the outer iteration needs:
+the relative Krylov tolerance is an Eisenstat-Walker forcing term
+(`_forcing_term`).  `newton_correction` is the one place a correction is
+formed; the record each step returns keeps the `Correction` it moved
+along, and the next forcing term's safeguard reads its forcing.  A system
+costs one forward transform of its right-hand side and one inverse of its
+correction; in between every spectrum has a zero zero mode (the mean-zero
+subspace).  One apply of L is one batched inverse transform of the
+m = n(n+1)/2 second-derivative multiples, the congruence at the nodes
+(`HessianState.congruent`) and one batched forward transform.  The
+preconditioner multiplies by the exact inverse symbol of the discrete
+linearization at phi = 0 (`_inverse_flat_symbol`).
 
 Line searches use the convex functional
 
@@ -61,20 +51,18 @@ accepted residual is at most 10 tol, where tol = newton_tolerance *
   iterating while its residual is within 100 tol, where rounding noise
   may still dip it within 10 tol, and fails at once above that.
 
-One Newton iteration computes each quantity once: a record per iterate
-(`NewtonRecord`) holds the defect field forward - target, whose sup is the
-residual and whose one spectrum the rounding test and the Newton
-right-hand side share, and F_A, which the line search that accepted the
-iterate evaluated.  `newton_step` maps a
-record to the record of the trial it accepts, so F_A is evaluated once per
-line-search trial and once per attempt's start, and the record of an
-attempt's last iterate is its result.  The flat start's Hessian state and
-forward field take no transform (`potential.HessianState`), and there the
-operator is exactly the inverse of the preconditioner, so its first step
-takes the flat map with no Krylov solve and transforms only its
-right-hand side and its correction.  A Newton iteration costs a median
-196 us of solve time at 1D N = 512 and 1394 us at 2D 64^2 on the seed-1
-benchmark inputs (`tools/step_cost.py`, 2-vCPU VM, one thread).
+One Newton iteration computes each quantity once, on the record of its
+iterate (`NewtonRecord`), and `newton_step` maps a record to the record of
+the trial it accepts, so F_A is evaluated once per line-search trial and
+once per attempt's start, and the record of an attempt's last iterate is
+its result.  Inside a solve the records hold plain arrays: fields are
+built only of the arguments and the result (`NewtonRecord.potential`).
+The flat start's Hessian state and forward field take no transform, and
+there the operator is exactly the inverse of the preconditioner, so its
+first step takes the flat map with no Krylov solve.  A Newton iteration
+costs a median 150 us of solve time at 1D N = 512 and 1200 us at 2D 64^2
+on the seed-1 benchmark inputs (`tools/step_cost.py`, 2-vCPU VM, one
+thread).
 """
 
 from __future__ import annotations
@@ -98,9 +86,10 @@ from .grid import (
     second_divergence_spectrum,
     spectral_inner,
     sup_norm,
+    to_spectrum,
     triangle_to_full,
 )
-from .potential import Potential, QuadraticBase, abreu_forward
+from .potential import HessianState, Potential, QuadraticBase, hessian_stack
 
 __all__ = [
     "SolverConfig",
@@ -201,12 +190,11 @@ class ContinuityTrace:
 # linearized operator and its Krylov solve
 
 
-def _linearized_operator(P: Potential):
-    """Matrix-free apply of psi -> (u^ia psi_ab u^bj)_ij with u^ij frozen,
-    from the real-FFT spectrum of psi to that of the result, whose zero
-    mode is exactly zero."""
-    state = P.hessian_state
-    grid = P.grid
+def _linearized_operator(state: HessianState):
+    """Matrix-free apply of psi -> (u^ia psi_ab u^bj)_ij with u^ij frozen
+    at the Hessian `state`, from the real-FFT spectrum of psi to that of
+    the result, whose zero mode is exactly zero."""
+    grid = state.grid
 
     def apply(spectrum: np.ndarray) -> np.ndarray:
         congruent = state.congruent(hessian_from_spectrum(grid, spectrum))
@@ -291,9 +279,8 @@ def functional_value(P: Potential, A: ScalarField) -> float:
     """Convex functional integral(-log det(u_ij) + A*phi) over the torus."""
     if A.grid != P.grid:
         raise ValueError("field lives on a different grid than the potential")
-    log_det = P.hessian_state.log_det
-    # A*phi - log det is bitwise -log det + A*phi: x - y is x + (-y)
-    return node_mean(A.values * P.perturbation.values - log_det)
+    record = NewtonRecord(P.base, P.perturbation.values, A, state=P.hessian_state)
+    return record.functional_value()
 
 
 # ---------------------------------------------------------------------------
@@ -313,30 +300,58 @@ class Correction:
 
 @dataclass(eq=False)
 class NewtonRecord:
-    """One Newton iterate and what an iteration reads of it, each formed
-    once: the defect field, whose sup is the residual and whose kept
+    """One Newton iterate base + phi toward (u^ij)_ij = target, and what an
+    iteration reads of it, each formed once: the Hessian state, the defect
+    forward - target at the nodes, whose sup is the residual and whose kept
     spectrum the rounding test and the Newton right-hand side share, and
     F_target (from the line search that accepted it, else on first use).
+    `perturbation` holds phi's read-only node values in mean-zero gauge;
+    `state`, when given, is u's Hessian state, formed already, as a start's
+    from its checked `Potential`; `potential` is the checked `Potential` the
+    iterate leaves the solver as.
 
     A record that `newton_step` returns also keeps the `Correction` its
     step moved along; an attempt's start record has None."""
 
-    potential: Potential
+    base: QuadraticBase
+    perturbation: np.ndarray
     target: ScalarField
     functional: float | None = None
     correction: Correction | None = None
+    state: HessianState | None = field(default=None, repr=False)
 
     @kept_property
-    def defect(self) -> ScalarField:
-        return abreu_forward(self.potential) - self.target
+    def hessian_state(self) -> HessianState:
+        grid, phi = self.target.grid, self.perturbation
+        return self.state or HessianState(grid, hessian_stack(
+            grid, self.base, to_spectrum(grid, phi) if phi.any() else None))
 
-    @property
+    @kept_property
+    def defect(self) -> np.ndarray:
+        defect = self.hessian_state.forward - self.target.values
+        defect.setflags(write=False)
+        return defect
+
+    @kept_property
+    def defect_spectrum(self) -> np.ndarray:
+        spectrum = to_spectrum(self.target.grid, self.defect)
+        spectrum.setflags(write=False)
+        return spectrum
+
+    @kept_property
     def residual(self) -> float:
-        return self.defect.sup
+        return float(np.maximum.reduce(np.abs(self.defect), axis=None))
+
+    @kept_property
+    def potential(self) -> Potential:
+        phi = ScalarField(self.target.grid, self.perturbation)
+        return Potential(self.base, phi, state=self.hessian_state)
 
     def functional_value(self) -> float:
         if self.functional is None:
-            self.functional = functional_value(self.potential, self.target)
+            # A*phi - log det is bitwise -log det + A*phi: x - y is x + (-y)
+            self.functional = node_mean(self.target.values * self.perturbation
+                                        - self.hessian_state.log_det)
         return self.functional
 
 
@@ -349,15 +364,14 @@ def newton_correction(record: NewtonRecord, forcing: float | None) -> Correction
     elsewhere an estimate, the defect in phi units.  Otherwise `_pcg`
     solves to the relative residual `forcing`, where 0.0 can still end in
     LinearSolveFailure at the attainable accuracy."""
-    P = record.potential
-    grid = P.grid
-    inv_symbol = _inverse_flat_symbol(grid, P.base)
-    exact = P.perturbation.sup == 0.0
+    grid = record.target.grid
+    inv_symbol = _inverse_flat_symbol(grid, record.base)
+    exact = not record.perturbation.any()
     if forcing is None or exact:
-        delta = from_spectrum(grid, inv_symbol * record.defect.spectrum)
+        delta = from_spectrum(grid, inv_symbol * record.defect_spectrum)
         return Correction(delta, 0.0 if exact else None, 0)
-    solved, applies = _pcg(_linearized_operator(P), grid, inv_symbol,
-                           record.defect.spectrum, forcing)
+    solved, applies = _pcg(_linearized_operator(record.hessian_state), grid, inv_symbol,
+                           record.defect_spectrum, forcing)
     return Correction(from_spectrum(grid, solved), forcing, applies)
 
 
@@ -369,16 +383,16 @@ def newton_step(record: NewtonRecord, forcing: float) -> NewtonRecord:
     relative residual `forcing`, an inexact-Newton forcing term in [0, 1)
     (the linearization of the forward map is -L, so this psi is the
     descent correction).  Backtracks alpha = _DAMPING^k, k = 0..10,
-    accepting the first candidate that is convex (`HessianState.convex`)
-    and does not increase F_target, evaluated once per convex candidate.
-    Returns the record of the accepted candidate, holding its F_target and
-    the correction it moved along, or `record` itself when its residual is
-    zero.
+    accepting the first candidate record, phi + alpha psi in mean-zero
+    gauge, that is convex (`HessianState.convex`) and does not increase
+    F_target, evaluated once per convex candidate.  Returns it, holding its
+    F_target and the correction it moved along, or `record` itself when its
+    residual is zero.
     """
     if not 0.0 <= forcing < 1.0:
         raise ValueError(f"forcing term must lie in [0, 1), got {forcing}")
-    P, target = record.potential, record.target
-    if target.grid != P.grid:
+    base, phi, target = record.base, record.perturbation, record.target
+    if phi.shape != target.grid.shape or base.dim != target.grid.dim:
         raise ValueError("field lives on a different grid than the potential")
     target.require_mean_zero()
     if record.residual == 0.0:
@@ -390,13 +404,14 @@ def newton_step(record: NewtonRecord, forcing: float) -> NewtonRecord:
     last_margin, last_node = None, None
     for k in range(11):
         alpha = _DAMPING**k
-        trial = P.with_perturbation(P.perturbation.values + alpha * correction.delta)
+        values = phi + alpha * correction.delta
+        values -= node_mean(values)
+        values.setflags(write=False)
+        trial = NewtonRecord(base, values, target, correction=correction)
         state = trial.hessian_state
         last_margin, last_node = state.min_eigenvalue, state.worst_node
-        if state.convex:
-            value = functional_value(trial, target)
-            if value <= f_allowed:
-                return NewtonRecord(trial, target, value, correction)
+        if state.convex and trial.functional_value() <= f_allowed:
+            return trial
     raise NotConvex(
         last_node,
         last_margin,
@@ -452,27 +467,24 @@ def _forcing_term(residual: float, residual_prev: float | None,
     return max(eta, _LINEAR_TOLERANCE)
 
 
-def _newton_solve(P: Potential, target: ScalarField, cfg: SolverConfig):
-    """Iterate `newton_step` from the start P, handed over by a caller that
-    holds no potential, until the sup-norm residual meets tolerance.
+def _newton_solve(record: NewtonRecord, cfg: SolverConfig):
+    """Iterate `newton_step` from the start `record`, handed over by a
+    caller that holds no other, until the sup-norm residual meets tolerance.
 
-    Returns (record, iterations), the record of the accepted iterate with
-    its potential, residual and F_target, or None once the update
-    stagnated above _NOISE_BAND times tolerance or _MAX_NEWTON_ITERS
-    iterations did not get there; the module docstring states the
-    acceptance rule.  Each Newton system is solved only to
+    Returns (record, iterations), the record of the accepted iterate, or
+    None once the update stagnated above _NOISE_BAND times tolerance or
+    _MAX_NEWTON_ITERS iterations did not get there; the module docstring
+    states the acceptance rule.  Each Newton system is solved only to
     `_forcing_term`'s tolerance, whose safeguard reads the forcing the
     accepted record's own step was solved to.
     """
-    tolerance = cfg.newton_tolerance * (1.0 + sup_norm(target))
+    tolerance = cfg.newton_tolerance * (1.0 + sup_norm(record.target))
     last_step = residual_prev = None
-    record = NewtonRecord(P, target)
-    del P  # the record holds the attempt's one live potential
     for iteration in range(_MAX_NEWTON_ITERS + 1):
         residual = record.residual
         if residual <= tolerance:
             return record, iteration
-        scale = 1.0 + sup_norm(record.potential.perturbation)
+        scale = 1.0 + float(np.maximum.reduce(np.abs(record.perturbation), axis=None))
         if residual <= _ROUNDING_BAND * tolerance and (
                 np.maximum.reduce(np.abs(newton_correction(record, None).delta), axis=None)
                 <= _ROUNDING_CORRECTION * scale):
@@ -489,23 +501,9 @@ def _newton_solve(P: Potential, target: ScalarField, cfg: SolverConfig):
         residual_prev = residual
         accepted = newton_step(record, eta)
         last_step = float(np.maximum.reduce(np.abs(
-            accepted.potential.perturbation.values - record.potential.perturbation.values
-        ), axis=None))
+            accepted.perturbation - record.perturbation), axis=None))
         record = accepted
     return None
-
-
-def _record_step(record: NewtonRecord, t: float, iterations: int) -> ContinuityStep:
-    state = record.potential.hessian_state
-    return ContinuityStep(
-        t=float(t),
-        newton_iterations=int(iterations),
-        final_residual_norm=record.residual,
-        functional_value=record.functional_value(),
-        det_min=float(state.det.min()),
-        det_max=float(state.det.max()),
-        convexity_margin=state.min_eigenvalue,
-    )
 
 
 def continuity_solve(
@@ -516,10 +514,8 @@ def continuity_solve(
 ) -> tuple[Potential, ContinuityTrace]:
     """Solve (u^ij)_ij = A, first at t = 1, by continuation only on failure.
 
-    The first attempt is t = 1 from the start potential.  After a failed
-    attempt the step in t halves, after an easy Newton convergence it
-    doubles, and below _MIN_T_STEP the solve aborts with StepFloorReached;
-    every attempt starts from the last accepted potential.  The returned
+    The step in t halves and doubles as the module docstring states, and
+    below _MIN_T_STEP the solve aborts with StepFloorReached.  The returned
     potential is in mean-zero gauge, and its residual sup|forward(u) - A|
     passed the acceptance rule of the module docstring (at most 10
     newton_tolerance relative to the data scale); the trace records one
@@ -533,29 +529,27 @@ def continuity_solve(
     if base is None:
         base = QuadraticBase.identity(A.grid.dim)
     A.require_mean_zero()
-
-    if initial_perturbation is None:
-        phi = ScalarField.zeros(A.grid)
-    else:
-        if initial_perturbation.grid != A.grid:
-            raise ValueError("initial perturbation lives on a different grid")
-        phi = project_mean_zero(initial_perturbation)
-    # the first attempt takes the checked start, popped so that no potential
-    # but the attempt's iterate stays live; later ones build theirs from phi
-    start = [Potential(base, phi)]
+    if initial_perturbation is not None and initial_perturbation.grid != A.grid:
+        raise ValueError("initial perturbation lives on a different grid")
+    P = Potential(base, project_mean_zero(initial_perturbation or ScalarField.zeros(A.grid)))
     if initial_perturbation is not None:
-        start[0].hessian_state.require_convex()
+        P.hessian_state.require_convex()
+    # each attempt pops its start, so that no record but its iterate stays
+    # live; the first (t = 1, target A) takes the checked start's state
+    phi = P.perturbation.values
+    start = [NewtonRecord(base, phi, A, state=P.hessian_state)]
+    del P
 
     steps: list[ContinuityStep] = []
     t, step = 0.0, 1.0
     while t < 1.0:
         t_try = min(t + step, 1.0)
-        target = ScalarField(A.grid, t_try * A.values)
-        # drop the last accepted potential: the attempt owns its start
-        P = record = outcome = last_error = None
+        # drop the last accepted record: the attempt owns its start
+        record = outcome = last_error = None
+        if not start:
+            start.append(NewtonRecord(base, phi, ScalarField(A.grid, t_try * A.values)))
         try:
-            outcome = _newton_solve(start.pop() if start else Potential(base, phi),
-                                    target, cfg)
+            outcome = _newton_solve(start.pop(), cfg)
         except (NotConvex, LinearSolveFailure) as exc:
             last_error = exc
         if outcome is None:
@@ -564,9 +558,13 @@ def continuity_solve(
                 raise StepFloorReached(t, _MIN_T_STEP) from last_error
             continue
         record, iters = outcome
-        P, t = record.potential, t_try
-        steps.append(_record_step(record, t, iters))
-        phi = P.perturbation
+        t = t_try
+        state = record.hessian_state
+        steps.append(ContinuityStep(
+            t=float(t), newton_iterations=int(iters), final_residual_norm=record.residual,
+            functional_value=record.functional_value(), det_min=float(state.det.min()),
+            det_max=float(state.det.max()), convexity_margin=state.min_eigenvalue))
+        phi = record.perturbation
         if iters <= _EASY_ITERS:
             step *= 2.0
-    return P, ContinuityTrace(tuple(steps))
+    return record.potential, ContinuityTrace(tuple(steps))

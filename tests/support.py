@@ -13,6 +13,7 @@ from itertools import product
 import numpy as np
 
 from abreu import (
+    NewtonRecord,
     Potential,
     QuadraticBase,
     ScalarField,
@@ -27,7 +28,7 @@ from abreu import (
     solver,
 )
 from abreu.fieldlang import Bin, Call, Const, Neg, Num, Pow, Var
-from abreu.grid import from_spectrum
+from abreu.grid import from_spectrum, triangle_to_full
 
 EPS = 0.01
 DELTA = 4.0 * np.pi**2 * EPS
@@ -160,18 +161,24 @@ def random_convex_potential(grid, rng, margin=0.5, max_mode=2):
     )
 
 
+def newton_record(P, target):
+    """The Newton record of the potential P toward `target`, from P's node
+    values; the record forms its own Hessian state."""
+    return NewtonRecord(P.base, P.perturbation.values, target)
+
+
 def linearized_apply(P, psi):
     """The solver's linearization at P applied to the field psi: its Krylov
     operator, which maps spectrum to spectrum, between the field's spectrum
     and node values."""
-    out = solver._linearized_operator(P)(psi.spectrum)
+    out = solver._linearized_operator(P.hessian_state)(psi.spectrum)
     return ScalarField(P.grid, from_spectrum(P.grid, out))
 
 
 def linearized_apply_oracle(P, values):
     """psi -> (u^ia psi_ab u^bj)_ij as full n x n stacks: h psi h by two
     batched matrix products, then the double divergence of the result."""
-    hinv = P.hessian_state.inverse().to_full()
+    hinv = triangle_to_full(P.hessian_state.inverse())
     psi_h = hessian(ScalarField(P.grid, values)).to_full()
     g = hinv @ psi_h @ hinv
     out = second_divergence(SymMatrixField.from_full(P.grid, g)).values
@@ -183,7 +190,7 @@ def functional_second_derivative_oracle(P0, P1, t):
     stacks, psi = phi_1 - phi_0 and u_t on the linear path at time t."""
     psi = P1.perturbation - P0.perturbation
     phi_t = (1.0 - t) * P0.perturbation.values + t * P1.perturbation.values
-    hinv = P0.with_perturbation(phi_t).hessian_state.inverse().to_full()
+    hinv = triangle_to_full(P0.with_perturbation(phi_t).hessian_state.inverse())
     psi_h = hessian(psi).to_full()
     integrand = np.einsum("...ia,...ab,...bj,...ij->...", hinv, psi_h, hinv, psi_h)
     return float(np.mean(integrand))
@@ -220,10 +227,10 @@ def _print(e, parent_level):
 
 
 def eigen_extremes_oracle(H):
-    """(min eigenvalue, max eigenvalue, node of the min) of a matrix field
-    from LAPACK's eigvalsh on every node; ties in the min go to the first
+    """(min eigenvalue, max eigenvalue, node of the min) of a triangle
+    stack (m, *shape) from LAPACK's eigvalsh on every node; ties in the min go to the first
     node in row-major order."""
-    eigs = np.linalg.eigvalsh(H.to_full())
+    eigs = np.linalg.eigvalsh(triangle_to_full(H))
     lo = eigs[..., 0]
     worst = np.unravel_index(np.argmin(lo), lo.shape)
     return float(lo[worst]), float(eigs[..., -1].max()), tuple(int(i) for i in worst)

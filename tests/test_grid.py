@@ -536,9 +536,9 @@ class TestSymMatrixField:
         M = _random_sym(shape, 3)
         n = M.grid.dim
         pairs = triangle_pairs(n)
-        index = grid._pair_index(n)
-        assert index is grid._pair_index(n) and not index.flags.writeable
-        misses = grid._pair_index.cache_info().misses
+        index = grid.pair_index(n)
+        assert index is grid.pair_index(n) and not index.flags.writeable
+        misses = grid.pair_index.cache_info().misses
         stack = np.random.default_rng(4).standard_normal((len(pairs), 5))
         full = np.empty((5, n, n))
         for k, (i, j) in enumerate(pairs):
@@ -547,7 +547,7 @@ class TestSymMatrixField:
         for i in range(n):
             for j in range(n):
                 assert M.triangle_index(i, j) == pairs.index((min(i, j), max(i, j)))
-        assert grid._pair_index.cache_info().misses == misses
+        assert grid.pair_index.cache_info().misses == misses
 
 
 TRANSFORM_SHAPES = [(16,), (64,), (8, 12), (12, 8), (8, 10, 8), (16, 8, 10)]
@@ -705,6 +705,21 @@ class TestFieldSpectrum:
         got = periodicity_defect(ScalarField(g, values))
         ref = _full_fft_defect(values)
         assert abs(got - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("shape", [(64,), (8, 12)])
+    def test_periodicity_defect_is_scale_invariant(self, shape):
+        # the moduli are scaled by the largest before they are squared: a
+        # tiny multiple of a non-periodic sampling does not read 0 (and
+        # escape the CLI's warning), a huge one does not overflow
+        g = make_grid(len(shape), list(shape))
+        values = g.coordinate_arrays()[0] + 1e-3 * np.random.default_rng(6).standard_normal(
+            g.shape)
+        ref = periodicity_defect(ScalarField(g, values))
+        assert ref > 1e-2
+        for s in 10.0 ** np.arange(-200, 201, 10):
+            got = periodicity_defect(ScalarField(g, s * values))
+            assert abs(got - ref) <= 1e-12 * ref
+        assert periodicity_defect(ScalarField.zeros(g)) == 0.0
 
     def test_each_field_is_transformed_forward_once(self, monkeypatch):
         g = make_grid(2, [8, 12])

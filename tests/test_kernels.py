@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from abreu import (
     HessianState,
+    NotConvex,
     Potential,
     ScalarField,
     SymMatrixField,
@@ -75,7 +76,7 @@ class TestClosedForm2x2:
         H = SymMatrixField(
             g, _spd_2x2_stack(np.random.default_rng(seed), g.shape, log_cond, kind)
         )
-        state = HessianState(H)
+        state = HessianState(H.grid, H.entries)
         full = H.to_full()
         eigs = np.linalg.eigvalsh(full)
         scale = eigs[..., -1]
@@ -93,7 +94,7 @@ class TestClosedForm2x2:
         inv_tol = 10 * TOL * cond / eigs[..., 0]
         # cond reaches 1e8, so eigenvalues may sit under the convexity
         # floor: check the closed form itself, past the guard
-        err = np.abs(state._inverse.to_full() - inv_ref)
+        err = np.abs(triangle_to_full(state._inverse) - inv_ref)
         assert np.all(err <= inv_tol[..., None, None])
 
 
@@ -108,13 +109,13 @@ class TestClosedForm3x3:
         q, _ = np.linalg.qr(rng.standard_normal(g.shape + (3, 3)))
         d = rng.uniform(0.1, 10.0, g.shape + (3,))
         full = (q * d[..., None, :]) @ np.swapaxes(q, -1, -2)
-        state = HessianState(SymMatrixField.from_full(g, full))
-        full = state.hessian.to_full()  # the exactly symmetric stack
+        state = HessianState(g, SymMatrixField.from_full(g, full).entries)
+        full = triangle_to_full(state.hessian)  # the exactly symmetric stack
         det_ref = np.linalg.det(full)
         assert np.all(np.abs(state.det - det_ref) <= 1e-12 * np.abs(det_ref))
         inv_ref = np.linalg.inv(full)
         scale = np.max(np.abs(inv_ref), axis=(-2, -1), keepdims=True)
-        err = np.abs(state.inverse().to_full() - inv_ref)
+        err = np.abs(triangle_to_full(state.inverse()) - inv_ref)
         assert np.all(err <= 1e-12 * scale)
 
 
@@ -179,9 +180,36 @@ class TestTriangleInverse:
         else:
             det = np.linalg.det(H.to_full())
             inv = SymMatrixField.from_full(g, np.linalg.inv(H.to_full())).entries
-        state = HessianState(H)
+        state = HessianState(H.grid, H.entries)
         assert np.array_equal(state.det, det)
-        assert np.array_equal(state.inverse().entries, inv)
+        assert np.array_equal(state.inverse(), inv)
+
+
+class TestOverflowingDeterminant:
+    """A Hessian whose determinant overflows at a node is not convex, and
+    forming its state raises no floating-point warning (RuntimeWarnings
+    are errors in this suite)."""
+
+    @pytest.mark.parametrize("shape", [(8, 10), (8, 8, 8)])
+    def test_state_is_not_convex_at_the_first_such_node(self, shape):
+        g = make_grid(len(shape), list(shape))
+        full = np.broadcast_to(np.eye(g.dim), g.shape + (g.dim, g.dim)).copy()
+        full[(1,) * g.dim] *= 1e200  # det 1e400 there
+        full[(2,) * g.dim] *= 1e200
+        state = HessianState(g, SymMatrixField.from_full(g, full).entries)
+        assert np.isinf(state.det[(1,) * g.dim]) and not state.convex
+        assert np.isnan(state.min_eigenvalue) and np.isnan(state.max_eigenvalue)
+        assert state.worst_node == (1,) * g.dim
+        with pytest.raises(NotConvex):
+            state.inverse()
+
+    def test_one_dimensional_state_with_an_infinite_entry_is_not_convex(self):
+        g = make_grid(1, [8])
+        stack = np.ones((1, 8))
+        stack[0, 5] = np.inf
+        state = HessianState(g, stack)
+        assert state.min_eigenvalue == 1.0 and not state.convex
+        assert not stack.flags.writeable  # the state took the stack over
 
 
 def _stack_3x3(rng, shape, kind, log_cond, log_gap):
@@ -226,7 +254,7 @@ def _stack_3x3(rng, shape, kind, log_cond, log_gap):
 def _plant_minimum(H, rng, copies):
     """H with the matrix at its min node copied to `copies` random nodes,
     about half of them with the first entry moved by one ulp either way."""
-    _, _, worst = eigen_extremes_oracle(H)
+    _, _, worst = eigen_extremes_oracle(H.entries)
     e = H.entries.reshape(6, -1).copy()
     idx = rng.choice(e.shape[1], copies, replace=False)
     e[:, idx] = H.entries[(slice(None),) + worst][:, None]
@@ -284,7 +312,7 @@ class TestScreenedExtremes3x3:
         H = SymMatrixField.from_full(g, full)
         if copies:
             H = _plant_minimum(H, rng, copies)
-        assert _extremes(HessianState(H)) == eigen_extremes_oracle(H)
+        assert _extremes(HessianState(H.grid, H.entries)) == eigen_extremes_oracle(H.entries)
 
     def test_smooth_potential_sends_few_nodes(self, eigvalsh_shapes):
         g = make_grid(3, [16, 16, 16])

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from abreu import (
     HessianState,
-    NewtonRecord,
     Potential,
     QuadraticBase,
     ScalarField,
@@ -41,11 +40,13 @@ from abreu.grid import (
     second_divergence_spectrum,
     to_spectrum,
     triangle_pairs,
+    triangle_to_full,
 )
 from tests.support import (
     functional_second_derivative_oracle,
     linearized_apply,
     linearized_apply_oracle,
+    newton_record,
     random_band_limited,
 )
 
@@ -76,7 +77,7 @@ def _random_potential(grid, rng, base):
     """Convex base + phi, phi band-limited with Hessian eigenvalues within
     a random fraction (at most 0.9) of the base's smallest eigenvalue."""
     f = random_band_limited(grid, rng, max_mode=2)
-    probe = HessianState(hessian(f))
+    probe = HessianState(grid, hessian(f).entries)
     spread = max(abs(probe.min_eigenvalue), abs(probe.max_eigenvalue))
     scale = rng.uniform(0.1, 0.9) * np.linalg.eigvalsh(base.matrix)[0] / spread
     return Potential(base, ScalarField(grid, scale * f.values))
@@ -145,10 +146,10 @@ class TestApplyMatchesMatrixOracle:
     def test_repeated_applies_are_bitwise_equal(self, shape):
         g, rng, P = _setup(shape, 11)
         spectrum = to_spectrum(g, rng.standard_normal(g.shape))
-        first = solver._linearized_operator(P)(spectrum)
-        again = solver._linearized_operator(P)(spectrum)
+        first = solver._linearized_operator(P.hessian_state)(spectrum)
+        again = solver._linearized_operator(P.hessian_state)(spectrum)
         assert np.array_equal(first, again)
-        assert np.array_equal(solver._linearized_operator(P)(spectrum), first)
+        assert np.array_equal(solver._linearized_operator(P.hessian_state)(spectrum), first)
         psi = ScalarField(g, from_spectrum(g, spectrum))
         assert np.array_equal(linearized_apply(P, psi).values,
                               linearized_apply(P, psi).values)
@@ -250,7 +251,7 @@ class TestTransformBudget:
     @pytest.mark.parametrize("shape", [(16,), (8, 12), (8, 10, 8)])
     def test_one_apply_is_one_inverse_and_one_forward(self, shape, monkeypatch):
         g, rng, P = _setup(shape, 3)
-        apply = solver._linearized_operator(P)
+        apply = solver._linearized_operator(P.hessian_state)
         spectrum = to_spectrum(g, rng.standard_normal(g.shape))
         calls = _count_transforms(monkeypatch)
         apply(spectrum)
@@ -261,7 +262,7 @@ class TestTransformBudget:
         self, shape, monkeypatch
     ):
         g, rng, P = _setup(shape, 4)
-        apply = solver._linearized_operator(P)
+        apply = solver._linearized_operator(P.hessian_state)
         applies = []
 
         def counted(spectrum):
@@ -279,13 +280,14 @@ class TestTransformBudget:
 
 def _extremes_on_every_node(H):
     """(min, max, row-major node of the first min) of the eigenvalues on
-    every node: the 2x2 closed form in 2D, eigvalsh otherwise."""
-    if H.grid.dim == 2:
-        a, b, c = H.entries
+    every node of the triangle stack H: the 2x2 closed form in 2D, eigvalsh
+    otherwise."""
+    if len(H) == 3:
+        a, b, c = H
         r = np.hypot(0.5 * (a - c), b)
         lo, hi = 0.5 * (a + c) - r, 0.5 * (a + c) + r
     else:
-        eigs = np.linalg.eigvalsh(H.to_full())
+        eigs = np.linalg.eigvalsh(triangle_to_full(H))
         lo, hi = eigs[..., 0], eigs[..., -1]
     return lo.min(), hi.max(), np.unravel_index(lo.argmin(), lo.shape)
 
@@ -314,13 +316,13 @@ class TestFlatStart:
         state = P.hessian_state
         stack = hessian_from_spectrum(g, P.perturbation.spectrum)
         stack += base.triangle.reshape((-1,) + (1,) * g.dim)
-        assert state.hessian.entries.tobytes() == stack.tobytes()
+        assert state.hessian.tobytes() == stack.tobytes()
         extremes = (state.min_eigenvalue, state.max_eigenvalue, state.worst_node)
         assert extremes == _extremes_on_every_node(state.hessian)
-        transformed = second_divergence(state.inverse()).values
-        assert not state.forward.values.any() and not np.signbit(state.forward.values).any()
+        transformed = second_divergence(SymMatrixField(g, state.inverse())).values
+        assert not state.forward.any() and not np.signbit(state.forward).any()
         if identity:
-            assert state.forward.values.tobytes() == transformed.tobytes()
+            assert state.forward.tobytes() == transformed.tobytes()
         else:
             assert np.max(np.abs(transformed)) < 1e-20
 
@@ -333,7 +335,7 @@ class TestFlatStart:
         rng = np.random.default_rng(5)
         base = _random_base(rng, g.dim)
         target = 0.1 * random_band_limited(g, rng, max_mode=2)
-        record = NewtonRecord(Potential.flat(g, base), target)
+        record = newton_record(Potential.flat(g, base), target)
         calls = Counter()
         pcg = solver._pcg
 
@@ -357,9 +359,9 @@ class TestFlatStart:
                   for k in range(11)]
         stepped = accepted.potential.perturbation.values
         assert any(np.array_equal(stepped, trial.perturbation.values) for trial in trials)
-        solved = from_spectrum(g, pcg(solver._linearized_operator(record.potential), g,
+        solved = from_spectrum(g, pcg(solver._linearized_operator(record.hessian_state), g,
                                       solver._inverse_flat_symbol(g, base),
-                                      record.defect.spectrum, 1e-12)[0])
+                                      record.defect_spectrum, 1e-12)[0])
         assert calls["apply"] > 0  # the spy sees the operator's applies
         eps = np.finfo(float).eps
         assert np.max(np.abs(flat - solved)) <= 4.0 * eps * np.max(np.abs(solved))
@@ -370,12 +372,12 @@ class TestFlatStart:
         x, _ = g.coordinate_arrays()
         P = Potential.flat(g).with_perturbation(0.01 * np.cos(2.0 * np.pi * x))
         state = P.hessian_state
-        assert state.hessian.entries[0, 0, 0] == state.hessian.entries[0, 0, 1]
+        assert state.hessian[0, 0, 0] == state.hessian[0, 0, 1]
         extremes = (state.min_eigenvalue, state.max_eigenvalue, state.worst_node)
         assert extremes == _extremes_on_every_node(state.hessian)
-        expected = second_divergence(state.inverse()).values
-        assert state.forward.values.tobytes() == expected.tobytes()
-        assert state.forward.values.any()
+        expected = second_divergence(SymMatrixField(g, state.inverse())).values
+        assert state.forward.tobytes() == expected.tobytes()
+        assert state.forward.any()
 
 
 class TestNewtonCorrection:
@@ -389,10 +391,10 @@ class TestNewtonCorrection:
         g, rng, P = _setup(shape, seed)
         target = 0.1 * random_band_limited(g, rng, max_mode=2)
         inv_symbol = solver._inverse_flat_symbol(g, P.base)
-        record = NewtonRecord(P, target)
-        start = NewtonRecord(Potential.flat(g, P.base), target)
+        record = newton_record(P, target)
+        start = newton_record(Potential.flat(g, P.base), target)
         for r in (record, start):
-            flat = from_spectrum(g, inv_symbol * r.defect.spectrum)
+            flat = from_spectrum(g, inv_symbol * r.defect_spectrum)
             estimate = solver.newton_correction(r, None)
             assert estimate.delta.tobytes() == flat.tobytes() and estimate.applies == 0
         assert solver.newton_correction(record, None).forcing is None
@@ -401,8 +403,8 @@ class TestNewtonCorrection:
             exact = solver.newton_correction(start, asked)
             assert (exact.forcing, exact.applies) == (0.0, 0)
             assert exact.delta.tobytes() == flat.tobytes()
-        spectrum, iterations = solver._pcg(solver._linearized_operator(P), g, inv_symbol,
-                                           record.defect.spectrum, forcing)
+        spectrum, iterations = solver._pcg(solver._linearized_operator(P.hessian_state), g, inv_symbol,
+                                           record.defect_spectrum, forcing)
         solved = solver.newton_correction(record, forcing)
         assert solved.delta.tobytes() == from_spectrum(g, spectrum).tobytes()
         assert (solved.forcing, solved.applies) == (forcing, iterations) and iterations > 0
@@ -412,7 +414,7 @@ class TestNewtonCorrection:
         g, rng, P = _setup((8, 12), 3)
         if flat:
             P = Potential.flat(g, P.base)
-        record = NewtonRecord(P, 0.1 * random_band_limited(g, rng, max_mode=2))
+        record = newton_record(P, 0.1 * random_band_limited(g, rng, max_mode=2))
         formed = []
         correction = solver.newton_correction
 
@@ -439,13 +441,13 @@ class TestFlatPreconditioner:
         target = 0.1 * random_band_limited(g, rng, max_mode=2)
         solver._inverse_flat_symbol.cache_clear()
         for _ in range(3):
-            newton_step(NewtonRecord(Potential.flat(g, QuadraticBase(base.matrix.copy())), target), 0.5)
+            newton_step(newton_record(Potential.flat(g, QuadraticBase(base.matrix.copy())), target), 0.5)
         info = solver._inverse_flat_symbol.cache_info()
         assert (info.misses, info.hits) == (1, 2)
         symbol = solver._inverse_flat_symbol(g, QuadraticBase(base.matrix.copy()))
         assert symbol is solver._inverse_flat_symbol(g, base)
         assert not symbol.flags.writeable
-        newton_step(NewtonRecord(Potential.flat(g), target), 0.5)
+        newton_step(newton_record(Potential.flat(g), target), 0.5)
         assert solver._inverse_flat_symbol.cache_info().misses == 2
         # two separately built identity bases share that one entry
         again = solver._inverse_flat_symbol(g, QuadraticBase(np.eye(2)))
@@ -473,7 +475,7 @@ class TestFlatPreconditioner:
             base = QuadraticBase.identity(g.dim)
         spectrum = to_spectrum(g, rng.standard_normal(g.shape))
         spectrum[(0,) * g.dim] = 0.0  # a mean-zero field
-        flat = solver._linearized_operator(Potential.flat(g, base))
+        flat = solver._linearized_operator(Potential.flat(g, base).hessian_state)
         back = solver._inverse_flat_symbol(g, base) * flat(spectrum)
         assert np.max(np.abs(back - spectrum)) <= 1e-10 * np.max(np.abs(spectrum))
 
@@ -496,7 +498,7 @@ class TestPcgSolve:
         rhs = rng.standard_normal(g.shape)
         inv_symbol = solver._inverse_flat_symbol(g, P.base)
         got = from_spectrum(
-            g, solver._pcg(solver._linearized_operator(P), g, inv_symbol,
+            g, solver._pcg(solver._linearized_operator(P.hessian_state), g, inv_symbol,
                            to_spectrum(g, rhs), 1e-12)[0]
         )
         # the operator restricted to mean-zero fields, in an orthonormal

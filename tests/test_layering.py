@@ -31,6 +31,16 @@ legendre.py neither imports numpy.linalg nor names it.  So do the
 derivatives of a potential off the grid: legendre.py names neither
 `TrigInterpolant` nor `partials`.
 
+Fields are built at the boundary of the solve path, arrays pass inside
+it: in solver.py and potential.py only the functions of `FIELD_BUILDERS`
+call `ScalarField`, `SymMatrixField` or `Potential` (or a classmethod of
+one).  In solver.py they are `continuity_solve`, whose arguments become
+the first start and the targets, and `NewtonRecord.potential`, the
+result; in potential.py the public functions that hand out a field and
+the `Potential` constructors.  So no Newton iteration (`newton_step`,
+`newton_correction`, `_newton_solve`) and no `HessianState` method builds
+one.
+
 A Newton correction is formed in one place, `solver.newton_correction`:
 no other function in the package names `_pcg` or `_inverse_flat_symbol`,
 so no other one calls the Krylov solve or the flat map.
@@ -454,6 +464,64 @@ def test_detects_newton_system_solves_elsewhere(tmp_path):
     lines = _names_used(probe, NEWTON_SYSTEM)
     assert _enclosing_functions(probe, lines) == {
         3: "newton_correction", 5: "newton_step", 6: "newton_step"
+    }
+
+
+FIELD_TYPES = {"ScalarField", "SymMatrixField", "Potential"}
+FIELD_BUILDERS = {
+    "solver.py": {"continuity_solve", "NewtonRecord.potential"},
+    "potential.py": {"Potential.flat", "Potential.with_perturbation", "hessian_u",
+                     "inverse_hessian", "det_hessian", "cofactor", "abreu_forward",
+                     "divergence_form_residual"},
+}
+NEWTON_ITERATION = {"newton_step", "newton_correction", "_newton_solve"}
+
+
+def _field_constructions(path):
+    """Lines of the calls of a field type, by name or as an attribute, or
+    of a classmethod of one (`ScalarField.zeros(...)`)."""
+    lines = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            named = {func.attr, func.value.id}
+        else:
+            named = {getattr(func, "id", None) or getattr(func, "attr", None)}
+        if named & FIELD_TYPES:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_BUILDERS))
+def test_fields_are_built_only_at_the_boundary(name):
+    path = PACKAGE / name
+    owners = set(_enclosing_functions(path, _field_constructions(path)).values())
+    assert owners == FIELD_BUILDERS[name]
+    assert not owners & NEWTON_ITERATION
+    assert not {owner for owner in owners if owner.startswith("HessianState.")}
+
+
+def test_detects_field_constructions(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from . import grid\n"
+        "class HessianState:\n"
+        "    def forward(self):\n"
+        "        return grid.ScalarField(self.grid, self.values)\n"
+        "def newton_step(record):\n"
+        "    zero = ScalarField.zeros(record.grid)  # ScalarField( in a comment\n"
+        "    return Potential(record.base,\n"
+        "                     zero)\n"
+        "def continuity_solve(A):\n"
+        "    kind = SymMatrixField\n"
+        "    return kind, hessian(A), A.values\n",
+        encoding="utf-8",
+    )
+    lines = _field_constructions(probe)
+    assert _enclosing_functions(probe, lines) == {
+        4: "HessianState.forward", 6: "newton_step", 7: "newton_step"
     }
 
 

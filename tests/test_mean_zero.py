@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from abreu import (
     AbreuError,
     MeanNotZero,
-    NewtonRecord,
     Potential,
     ScalarField,
     continuity_solve,
@@ -29,6 +28,7 @@ from abreu import (
 )
 from abreu import abelian, solver
 from abreu.grid import MEAN_TOLERANCE
+from tests.support import newton_record
 
 TWO_PI = 2.0 * np.pi
 
@@ -73,7 +73,7 @@ class TestLargeAmplitude:
     def test_newton_step_passes_mean_test(self):
         f = _four_cosines()
         try:
-            newton_step(NewtonRecord(Potential.flat(f.grid), f), 0.5)
+            newton_step(newton_record(Potential.flat(f.grid), f), 0.5)
         except MeanNotZero:
             pytest.fail("newton_step rejected a zero-mean field")
         except AbreuError:
@@ -92,7 +92,7 @@ def test_error_names_the_applied_bound():
 def _solve_verdict(f):
     """Whether newton_step lets f through its mean test."""
     try:
-        newton_step(NewtonRecord(Potential.flat(f.grid), f), 0.5)
+        newton_step(newton_record(Potential.flat(f.grid), f), 0.5)
     except MeanNotZero:
         return False
     except AbreuError:

@@ -6,6 +6,7 @@ given."""
 
 import importlib.util
 import sys
+import types
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -36,13 +37,16 @@ def _seeds(monkeypatch, tool, name):
 
 def test_times_two_trees_on_a_tiny_pool(monkeypatch, capsys):
     # the same source twice, as two packages: same steps, a time for each,
-    # on the pool of the seed asked for
+    # on the pool of the seed asked for, and no field built in a Newton
+    # iteration ("-" for a class the trees lack)
     tool = _tool()
     spec = {"command": "solve", "dim": 1, "resolutions": [16], "pool": 2, "modes": [1],
             "kmax": 1, "sup": [0.1, 0.2], "report": False, "op_s": 0.01}
     monkeypatch.setitem(sys.modules["workloads"].WORKLOADS, "tiny-1d", spec)
     monkeypatch.setattr(tool, "CASES", [("1D N=16", "tiny-1d", 16)])
     monkeypatch.setattr(tool, "THREAD_ENV", {})  # numpy is loaded already
+    monkeypatch.setattr(tool, "FIELD_CLASSES", [("ScalarField", "grid"), ("NoSuchField", "grid"),
+                                                ("Potential", "potential")])
     seeds = _seeds(monkeypatch, tool, "make_inputs")
     src = tool.ROOT / "src"
     try:
@@ -54,13 +58,49 @@ def test_times_two_trees_on_a_tiny_pool(monkeypatch, capsys):
         for name in [n for n in sys.modules if n.split(".")[0] in ("abreu_src0", "abreu_src1")]:
             del sys.modules[name]
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["size", "steps", "us/step", "ratio", "src"]
-    rows = [line.rsplit(None, 4) for line in lines[1:]]
+    assert lines[0].split() == ["size", "steps", "us/step", "scalar", "matrix", "potential",
+                                "ratio", "src"]
+    rows = [line.rsplit(None, 7) for line in lines[1:]]
     assert [row[0] for row in rows] == ["1D N=16", "1D N=16"]
     assert rows[0][1] == rows[1][1] and int(rows[0][1]) > 0
-    assert float(rows[0][2]) > 0.0 and float(rows[0][3]) == 1.0
-    assert float(rows[1][2]) > 0.0 and [row[4] for row in rows] == [str(src)] * 2
+    assert float(rows[0][2]) > 0.0 and float(rows[0][6]) == 1.0
+    assert float(rows[1][2]) > 0.0 and [row[7] for row in rows] == [str(src)] * 2
+    assert [row[3:6] for row in rows] == [["0.00", "-", "0.00"]] * 2
     assert seeds == [3, 3]
+
+
+def test_counts_the_fields_built_in_the_newton_iterations(monkeypatch):
+    # the constructions made while the tree's Newton iteration runs, per
+    # class, and None for a class the tree lacks; everything restored after
+    import abreu
+    from abreu import grid, hessian, potential
+    from abreu.grid import ScalarField, make_grid
+    from abreu.potential import Potential
+
+    tool = _tool()
+    g = make_grid(1, [8])
+    post_inits = (ScalarField.__post_init__, Potential.__post_init__)
+
+    def iteration():  # two ScalarFields, one SymMatrixField, one Potential
+        return hessian(ScalarField.zeros(g)), Potential.flat(g)
+
+    def run(i):
+        ScalarField.zeros(g)  # outside the iteration: not counted
+        return case.solver._newton_solve()
+
+    case = SimpleNamespace(package=abreu, solver=SimpleNamespace(_newton_solve=iteration),
+                           run=run)
+    assert tool.count_fields(case, 3) == [6, 3, 3]
+    assert case.solver._newton_solve is iteration
+    assert (ScalarField.__post_init__, Potential.__post_init__) == post_inits
+    # a tree without SymMatrixField counts None of them
+    older = types.ModuleType("older_tree")
+    monkeypatch.setitem(sys.modules, "older_tree", older)
+    monkeypatch.setitem(sys.modules, "older_tree.grid", SimpleNamespace(ScalarField=ScalarField))
+    monkeypatch.setitem(sys.modules, "older_tree.potential", potential)
+    case.package = older
+    assert tool.count_fields(case, 1) == [2, None, 1]
+    assert grid.SymMatrixField.__post_init__ is grid.SymMatrixField.__dict__["__post_init__"]
 
 
 def test_times_the_cli_ops_of_a_workload(monkeypatch, capsys):

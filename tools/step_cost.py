@@ -23,7 +23,11 @@ too.  Each tree builds the fields with its own `fieldlang` and solves
 them with its own `continuity_solve`, failures included.  A first,
 untimed pass counts each size's Newton steps, the calls of the tree's
 `solver.newton_step`, by wrapping the module binding the package calls
-through.  With `--ops
+through, and a second the fields built in the Newton iterations, per
+step: the `ScalarField`, `SymMatrixField` and `Potential` instances (the
+calls of each class's `__post_init__`) made while the tree's
+`solver._newton_solve` runs, which takes an attempt's start and returns
+its last iterate ("-" for a tree without the class).  With `--ops
 WORKLOAD` it times that workload's CLI ops instead, each tree's `cli.main`
 on the op's arguments as the benchmark makes them (`perfbench/child.py`),
 set-up files in a temporary directory per tree, after a first, untimed
@@ -46,9 +50,9 @@ order every other round), so that a slow spell of the host falls on all
 trees alike; a tree's cost in a round is its time over its step count, or
 over the pool's op count.  The tool prints one line per size (or the
 workload) and tree: the steps (or ops) per round, the median cost over the
-rounds (with `--ops`, then the Newton steps, Krylov applies,
-interpolation and inversion work per op), and the median over the rounds
-of its cost over the first tree's.
+rounds, then the fields built per step (with `--ops`, the Newton steps,
+Krylov applies, interpolation and inversion work per op), and the median
+over the rounds of its cost over the first tree's.
 
 In-process trees share one heap, and with it the allocator's state: an
 array one tree frees can be the one the next tree's call reuses without a
@@ -77,6 +81,10 @@ from output_digest import ROOT, counting_steps, total  # noqa: E402  (puts perfb
 from child import Workload, call  # noqa: E402
 from run import THREAD_ENV  # noqa: E402
 from workloads import WORKLOADS, make_inputs  # noqa: E402
+
+#: (class, module) of each field type whose constructions are counted.
+FIELD_CLASSES = [("ScalarField", "grid"), ("SymMatrixField", "grid"),
+                 ("Potential", "potential")]
 
 #: (label, workload, resolution): each size times the seed-1 inputs of the
 #: workload's pool on that resolution.
@@ -108,6 +116,7 @@ class Case:
     """One size's fields on one tree, with the tree's solve."""
 
     def __init__(self, package, workload: str, resolution: int, seed: int):
+        self.package = package
         self.solver = importlib.import_module(package.__name__ + ".solver")
         self.error = importlib.import_module(package.__name__ + ".errors").AbreuError
         items = [item for item in make_inputs(workload, seed)
@@ -154,6 +163,46 @@ def count_work(case, count: int) -> tuple[int, int | None]:
         for i in range(count):
             case.run(i)
     return len(applies), total(applies)
+
+
+def count_fields(case, count: int) -> list[int | None]:
+    """Per class of `FIELD_CLASSES`, the instances built while the case's
+    tree runs its `solver._newton_solve`, the Newton iteration of an
+    attempt (through the module binding the package calls), counted at the
+    class's `__post_init__`, while inputs 0..count-1 run once, untimed;
+    None for a class the tree lacks."""
+    classes = [getattr(importlib.import_module(f"{case.package.__name__}.{module}"), name, None)
+               for name, module in FIELD_CLASSES]
+    built, active = [0] * len(classes), [0]
+    iterate = case.solver._newton_solve
+
+    def counted_iteration(*args, **kwargs):
+        active[0] += 1
+        try:
+            return iterate(*args, **kwargs)
+        finally:
+            active[0] -= 1
+
+    def counting(k, post_init):
+        def counted(self):
+            built[k] += active[0] > 0
+            post_init(self)
+        return counted
+
+    posts = [None if cls is None else cls.__dict__["__post_init__"] for cls in classes]
+    case.solver._newton_solve = counted_iteration
+    for k, (cls, post_init) in enumerate(zip(classes, posts)):
+        if cls is not None:
+            cls.__post_init__ = counting(k, post_init)
+    try:
+        for i in range(count):
+            case.run(i)
+    finally:
+        case.solver._newton_solve = iterate
+        for cls, post_init in zip(classes, posts):
+            if cls is not None:
+                cls.__post_init__ = post_init
+    return [None if cls is None else n for cls, n in zip(classes, built)]
 
 
 def _rebind(package, original, replacement) -> list:
@@ -269,10 +318,10 @@ def _rows(label: str, srcs: list[Path], counts: list[int], seconds: list[list[fl
             for src, n, cost in zip(srcs, counts, costs)]
 
 
-def step_costs(srcs: list[Path], rounds: int,
-               seed: int) -> list[tuple[str, Path, int, float, float]]:
+def step_costs(srcs: list[Path], rounds: int, seed: int) -> list[tuple]:
     """(size, tree, steps, median microseconds per step, median ratio to
-    the first tree) per size and tree."""
+    the first tree, fields built per step of each of `FIELD_CLASSES`, None
+    for a class the tree lacks) per size and tree."""
     packages = [load_tree(src, index) for index, src in enumerate(srcs)]
     table = []
     for label, workload, resolution in CASES:
@@ -280,8 +329,11 @@ def step_costs(srcs: list[Path], rounds: int,
         steps = [count_work(case, len(case.fields))[0] for case in cases]
         if 0 in steps:
             raise SystemExit(f"error: {label} made no Newton step")
+        built = [count_fields(case, len(case.fields)) for case in cases]
         seconds = interleaved(cases, len(cases[0].fields), rounds)
-        table += _rows(label, srcs, steps, seconds, 1e6)
+        table += [row + (tuple(None if b is None else b / n for b in counts),)
+                  for row, n, counts in zip(_rows(label, srcs, steps, seconds, 1e6),
+                                            steps, built)]
     return table
 
 
@@ -323,9 +375,12 @@ def main(argv=None) -> int:
     os.environ.update(THREAD_ENV)  # before numpy is first imported
     if args.ops is None:
         table = step_costs(args.src, args.rounds, args.seed)
-        print(f"{'size':<10} {'steps':>6} {'us/step':>9} {'ratio':>6}  src")
-        for label, src, count, cost, ratio in table:
-            print(f"{label:<10} {count:>6} {cost:>9.1f} {ratio:>6.3f}  {src}")
+        print(f"{'size':<10} {'steps':>6} {'us/step':>9} {'scalar':>7} {'matrix':>7}"
+              f" {'potential':>9} {'ratio':>6}  src")
+        for label, src, count, cost, ratio, built in table:
+            scalar, matrix, potential = ("-" if n is None else f"{n:.2f}" for n in built)
+            print(f"{label:<10} {count:>6} {cost:>9.1f} {scalar:>7} {matrix:>7}"
+                  f" {potential:>9} {ratio:>6.3f}  {src}")
     else:
         table, work = op_costs(args.src, args.ops, args.rounds, args.seed)
         print(f"{'workload':<10} {'ops':>6} {'ms/op':>9} {'steps/op':>9} {'krylov/op':>9}"
