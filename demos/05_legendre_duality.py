@@ -13,11 +13,9 @@ from abreu import (
     ScalarField,
     TrigInterpolant,
     continuity_solve,
-    det_hessian,
     dual_residual,
     gradient_map,
     gradient_map_inverse,
-    hessian_u,
     legendre_transform,
     make_grid,
     pullback_rhs,
@@ -49,8 +47,8 @@ print(f"grad v (grad u (x)) = x within {np.max(np.abs(round_trip - pts)):.3e}")
 
 # det(v_ab)(y) * det(u_ab)(x(y)) = 1 at every dual node y, with x(y) the
 # preimage the transform found and the dual keeps
-det_u = TrigInterpolant(det_hessian(hessian_u(P)))
-det_v = det_hessian(hessian_u(V)).values.ravel()
+det_u = TrigInterpolant(ScalarField(grid, P.hessian_state.det))
+det_v = V.hessian_state.det.ravel()
 defect = np.max(np.abs(det_v * det_u.evaluate(V.preimages) - 1.0))
 print(f"determinant duality: max |det v * det u - 1| = {defect:.3e}")
 

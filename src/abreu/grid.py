@@ -47,8 +47,8 @@ Conventions:
     since a computed mean's rounding grows with sup|f|: solve, Newton
     step, prescribe, CLI solve/residual, Potential gauge and verify use it;
   * each field keeps its sup (`ScalarField.sup`), each grid its Parseval
-    weights; `node_mean` and the sups are direct ufunc reductions, bitwise
-    np.mean and np.max without their Python wrappers.
+    weights; `node_mean` and `node_sup` are direct ufunc reductions,
+    bitwise np.mean and np.max(np.abs(.)) without their Python wrappers.
 """
 
 from __future__ import annotations
@@ -79,6 +79,8 @@ __all__ = [
     "hessian_from_spectrum",
     "mean",
     "node_mean",
+    "node_sup",
+    "node_partials",
     "project_mean_zero",
     "second_divergence",
     "second_divergence_spectrum",
@@ -273,7 +275,7 @@ class ScalarField:
     @kept_property
     def sup(self) -> float:
         """sup|f| over the nodes, kept (the values are read-only)."""
-        return float(np.maximum.reduce(np.abs(self.values), axis=None))
+        return node_sup(self.values)
 
     @kept_property
     def mean_bound(self) -> float:
@@ -404,9 +406,10 @@ class SymMatrixField:
 
     Symmetry is structural: only the triangle entries exist.  The stacks of
     `hessian_from_spectrum` and `second_divergence_spectrum` share this
-    layout, and `triangle_to_full` and `full_to_triangle` convert it to and
-    from (*grid.shape, n, n) matrices as it is, with no transpose.  The
-    entries are a read-only copy, as `ScalarField`'s values are.
+    layout, and `triangle_to_full`, `full_to_triangle` and `pair_index`, its
+    one interface, convert it to and from (*grid.shape, n, n) matrices as
+    it is, with no transpose.  The class is only the public matrix-field
+    container; its entries are a read-only copy, as `ScalarField`'s are.
     """
 
     grid: PeriodicGrid
@@ -424,31 +427,6 @@ class SymMatrixField:
             raise ValueError("matrix field contains non-finite entries")
         vals.setflags(write=False)
         object.__setattr__(self, "entries", vals)
-
-    @classmethod
-    def identity(cls, grid: PeriodicGrid) -> "SymMatrixField":
-        return cls(grid, np.multiply.outer(full_to_triangle(np.eye(grid.dim)),
-                                           np.ones(grid.shape)))
-
-    @classmethod
-    def from_full(cls, grid: PeriodicGrid, full: np.ndarray) -> "SymMatrixField":
-        """Build from a (*grid.shape, n, n) stack, symmetrizing exactly."""
-        return cls(grid, full_to_triangle(full))
-
-    def triangle_index(self, i: int, j: int) -> int:
-        """Component of entry (i, j) (or (j, i)); IndexError outside [0, n)."""
-        n = self.grid.dim
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexError(f"matrix entry ({i}, {j}) is outside an {n} x {n} matrix")
-        return int(pair_index(n)[i, j])
-
-    def component(self, i: int, j: int) -> np.ndarray:
-        """Nodewise values of entry (i, j) (read-only array)."""
-        return self.entries[self.triangle_index(i, j)]
-
-    def to_full(self) -> np.ndarray:
-        """Expand to a (*grid.shape, n, n) stack of symmetric matrices."""
-        return triangle_to_full(self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +530,10 @@ def spectral_inner(grid: PeriodicGrid, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b * grid.parseval_weights).real)
 
 
-def _partials(f: ScalarField, orders) -> np.ndarray:
-    """The partials `orders` of a field, component-first: its kept spectrum
-    times their multipliers, then one batched inverse."""
+def node_partials(f: ScalarField, orders) -> np.ndarray:
+    """The partials `orders` of a field at the nodes, component-first: its
+    kept spectrum times their multipliers, then one batched inverse; read
+    by `partial`, `gradient` and `Potential.node_third_partials`."""
     return from_spectrum(f.grid, f.spectrum * fourier_multiplier(f.grid, orders))
 
 
@@ -580,12 +559,12 @@ def partial(f: ScalarField, axes) -> ScalarField:
     axes = _check_axes(f.grid, axes)
     if sum(axes) == 0:
         return f
-    return ScalarField(f.grid, _partials(f, (axes,))[0])
+    return ScalarField(f.grid, node_partials(f, (axes,))[0])
 
 
 def gradient(f: ScalarField) -> list[ScalarField]:
     """All first partials, from the field's one spectrum."""
-    partials = _partials(f, partial_orders(f.grid.dim, 1))
+    partials = node_partials(f, partial_orders(f.grid.dim, 1))
     return [ScalarField(f.grid, d) for d in partials]
 
 
@@ -605,6 +584,11 @@ def hessian(f: ScalarField) -> SymMatrixField:
 def node_mean(values: np.ndarray) -> float:
     """Average of a float64 array's entries, bitwise `np.mean`."""
     return float(np.add.reduce(values, axis=None) / values.size)
+
+
+def node_sup(values: np.ndarray) -> float:
+    """Largest |entry| of a float64 array, bitwise `np.max(np.abs(values))`."""
+    return float(np.maximum.reduce(np.abs(values), axis=None))
 
 
 def mean(f: ScalarField) -> float:

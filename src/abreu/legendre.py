@@ -21,14 +21,14 @@ ch. 1).  In the form above
 psi carries rounding of order eps * (sup|phi| + sup|grad phi|).
 
 This module holds only the inversion of the gradient map and the
-duality built on it.  Every derivative of u comes from the potential:
-on the grid `Potential.node_gradient` and the Hessian state, off it
-`Potential.phi_and_gradient_at` and `hessian_at`, from the one kept
-interpolant of phi.  The inversion evaluates phi in the same stacked
-call as grad u and hands it back with the roots, so the transform forms
-psi with no evaluation of its own.  The pullback reads each right-hand
-side's own kept interpolant, and fields pulled back together share one
-table build (`grid.interpolate_fields`).
+duality built on it, and names no Fourier function.  Every derivative of
+u comes from the potential: on the grid `Potential.node_gradient`,
+`node_third_partials` and the Hessian state, off it `phi_and_gradient_at`
+and `hessian_at`, from the one kept interpolant of phi.  The inversion
+evaluates phi in the same stacked call as grad u and hands it back with
+the roots, so the transform forms psi with no evaluation of its own.  The
+pullback reads each right-hand side's own kept interpolant, and fields
+pulled back together share one table build (`grid.interpolate_fields`).
 
 Gradient-map inversion runs a damped Newton iteration per target point,
 vectorized over points.  Each point keeps the inverse of its Hessian,
@@ -54,7 +54,7 @@ From a node start the first step is Chebyshev's (Traub, Iterative Methods
 for the Solution of Equations, 1964, sec. 5): with d = -H^{-1} r the
 Newton step of the node's residual r and inverse Hessian H^{-1}, the first
 candidate is x + d - H^{-1} T[d, d] / 2, T the third partials of phi at
-the node, exact from phi's spectrum in one batched inverse transform.  Its
+the node (`Potential.node_third_partials`), exact from phi's spectrum.  Its
 error is third order in the node's residual where Newton's is second, so
 most points meet the tolerance after one sweep, and their next residual
 estimate keeps the node's inverse.  Where the candidate does not lower a
@@ -73,8 +73,6 @@ from .errors import GradientInversionFailure
 from .grid import (
     PeriodicGrid,
     ScalarField,
-    fourier_multiplier,
-    from_spectrum,
     interpolate_fields,
     partial_orders,
     project_mean_zero,
@@ -187,17 +185,7 @@ def _node_inversion(P: Potential, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     # here, so that `_newton` frees them once it has gathered the rows it
     # iterates on
     return _newton(P, y, x, P.perturbation.values[at], P.node_gradient(x, nodes),
-                   triangle_to_full(inverse[(slice(None),) + at]), _node_third_partials(P, at))
-
-
-def _node_third_partials(P: Potential, at: tuple) -> np.ndarray:
-    """phi's third partials at the grid nodes `at`, component-first (m3, P)
-    in `partial_orders(dim, 3)` order: one batched inverse of phi's kept
-    spectrum times their multipliers, freed once gathered."""
-    grid = P.grid
-    orders = partial_orders(grid.dim, 3)
-    third = from_spectrum(grid, P.perturbation.spectrum * fourier_multiplier(grid, orders))
-    return third[(slice(None),) + at]
+                   triangle_to_full(inverse[(slice(None),) + at]), P.node_third_partials(at))
 
 
 def _third_pairs(n: int) -> list[tuple[int, int, list[int], float]]:

@@ -20,11 +20,12 @@ of phi is `ScalarField.mean_zero`, the grid module's one zero-mean test;
 the divergence-form residual is computed for any right-hand side.  The
 flat start phi = 0, whose Hessian is the base, makes no transform at all.
 Each base keeps its inverse.  Every derivative of u lives here: on the
-grid the Hessian state and the spectral gradient of phi kept beside it
-(`node_gradient`), off it `gradient_at`, `phi_and_gradient_at` (phi with
-grad u, in one stacked call) and `hessian_at`, from phi's one kept
-interpolant (`ScalarField.interpolant`); all of them read phi's one
-spectrum (`ScalarField.spectrum`).
+grid the Hessian state (of `hessian_u`'s raw stack, as a Newton record's
+is of `hessian_stack`'s), phi's kept spectral gradient (`node_gradient`)
+and its third partials (`node_third_partials`), off it `gradient_at`,
+`phi_and_gradient_at` (phi with grad u, in one stacked call) and
+`hessian_at`, from phi's one kept interpolant (`ScalarField.interpolant`);
+all of them read phi's one spectrum (`ScalarField.spectrum`).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .grid import (
     hessian_from_spectrum,
     kept_property,
     mean,
-    node_mean,
+    node_partials,
     pair_index,
     pair_weights,
     partial_orders,
@@ -193,15 +194,10 @@ class Potential:
     def grid(self) -> PeriodicGrid:
         return self.perturbation.grid
 
-    def with_perturbation(self, values: np.ndarray) -> "Potential":
-        """Same base, new perturbation values re-projected to mean zero."""
-        vals = np.asarray(values, dtype=float)
-        return Potential(self.base, ScalarField(self.grid, vals - node_mean(vals)))
-
     @kept_property
     def hessian_state(self) -> "HessianState":
         """Hessian quantities of this potential, built on first use and kept."""
-        return self.state or HessianState(self.grid, hessian_u(self).entries)
+        return self.state or HessianState(self.grid, hessian_u(self))
 
     @kept_property
     def perturbation_gradient(self) -> tuple[ScalarField, ...]:
@@ -216,6 +212,13 @@ class Potential:
         at = tuple(nodes.T)
         grad_phi = np.stack([g.values[at] for g in self.perturbation_gradient], -1)
         return x @ self.base.matrix + grad_phi
+
+    def node_third_partials(self, nodes: tuple) -> np.ndarray:
+        """phi's third partials at the grid nodes `nodes` (index arrays, one
+        per axis), component-first (m3, P) in `partial_orders(dim, 3)` order:
+        one batched inverse transform (`node_partials`), freed once gathered."""
+        third = node_partials(self.perturbation, partial_orders(self.grid.dim, 3))
+        return third[(slice(None),) + nodes]
 
     def phi_and_gradient_at(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """phi (P,) and grad u (P, n) at the points x (P, n) off the grid:
@@ -246,20 +249,21 @@ class Potential:
 def hessian_stack(grid: PeriodicGrid, base: QuadraticBase,
                   spectrum: np.ndarray | None) -> np.ndarray:
     """Nodewise Hessian M + D^2 phi, a fresh triangle stack, from phi's
-    spectrum; M at every node, with no transform, for None (phi = 0)."""
+    spectrum; M at every node, with no transform, for None (phi = 0).
+    Overflow leaves non-finite entries, with no warning: not convex."""
     tri = base.triangle
-    stack = (np.zeros(tri.shape + grid.shape) if spectrum is None
-             else hessian_from_spectrum(grid, spectrum))
-    stack += tri.reshape(tri.shape + (1,) * grid.dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = (np.zeros(tri.shape + grid.shape) if spectrum is None
+                 else hessian_from_spectrum(grid, spectrum))
+        stack += tri.reshape(tri.shape + (1,) * grid.dim)
     return stack
 
 
-def hessian_u(P: Potential) -> SymMatrixField:
-    """Nodewise Hessian M + D^2 phi (`hessian_stack`), from phi's one
-    spectrum, none when phi is identically zero, as at the flat start."""
+def hessian_u(P: Potential) -> np.ndarray:
+    """The triangle stack of M + D^2 phi (`hessian_stack`) that a potential's
+    Hessian state is formed from: from phi's one spectrum, none at phi = 0."""
     phi = P.perturbation
-    spectrum = None if phi.sup == 0.0 else phi.spectrum
-    return SymMatrixField(P.grid, hessian_stack(P.grid, P.base, spectrum))
+    return hessian_stack(P.grid, P.base, None if phi.sup == 0.0 else phi.spectrum)
 
 
 @dataclass(frozen=True, eq=False)

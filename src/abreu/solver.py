@@ -82,6 +82,7 @@ from .grid import (
     hessian_from_spectrum,
     kept_property,
     node_mean,
+    node_sup,
     project_mean_zero,
     second_divergence_spectrum,
     spectral_inner,
@@ -340,7 +341,7 @@ class NewtonRecord:
 
     @kept_property
     def residual(self) -> float:
-        return float(np.maximum.reduce(np.abs(self.defect), axis=None))
+        return node_sup(self.defect)
 
     @kept_property
     def potential(self) -> Potential:
@@ -484,9 +485,9 @@ def _newton_solve(record: NewtonRecord, cfg: SolverConfig):
         residual = record.residual
         if residual <= tolerance:
             return record, iteration
-        scale = 1.0 + float(np.maximum.reduce(np.abs(record.perturbation), axis=None))
+        scale = 1.0 + node_sup(record.perturbation)
         if residual <= _ROUNDING_BAND * tolerance and (
-                np.maximum.reduce(np.abs(newton_correction(record, None).delta), axis=None)
+                node_sup(newton_correction(record, None).delta)
                 <= _ROUNDING_CORRECTION * scale):
             return record, iteration
         stagnated = last_step is not None and last_step <= _STEP_STAGNATION * scale
@@ -500,10 +501,8 @@ def _newton_solve(record: NewtonRecord, cfg: SolverConfig):
         eta = _forcing_term(residual, residual_prev, eta_prev, tolerance)
         residual_prev = residual
         accepted = newton_step(record, eta)
-        last_step = float(np.maximum.reduce(np.abs(
-            accepted.perturbation - record.perturbation), axis=None))
+        last_step = node_sup(accepted.perturbation - record.perturbation)
         record = accepted
-    return None
 
 
 def continuity_solve(

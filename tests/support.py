@@ -28,7 +28,7 @@ from abreu import (
     solver,
 )
 from abreu.fieldlang import Bin, Call, Const, Neg, Num, Pow, Var
-from abreu.grid import from_spectrum, triangle_to_full
+from abreu.grid import from_spectrum, full_to_triangle, triangle_to_full
 
 EPS = 0.01
 DELTA = 4.0 * np.pi**2 * EPS
@@ -179,9 +179,9 @@ def linearized_apply_oracle(P, values):
     """psi -> (u^ia psi_ab u^bj)_ij as full n x n stacks: h psi h by two
     batched matrix products, then the double divergence of the result."""
     hinv = triangle_to_full(P.hessian_state.inverse())
-    psi_h = hessian(ScalarField(P.grid, values)).to_full()
+    psi_h = triangle_to_full(hessian(ScalarField(P.grid, values)).entries)
     g = hinv @ psi_h @ hinv
-    out = second_divergence(SymMatrixField.from_full(P.grid, g)).values
+    out = second_divergence(SymMatrixField(P.grid, full_to_triangle(g))).values
     return out - out.mean()
 
 
@@ -190,8 +190,9 @@ def functional_second_derivative_oracle(P0, P1, t):
     stacks, psi = phi_1 - phi_0 and u_t on the linear path at time t."""
     psi = P1.perturbation - P0.perturbation
     phi_t = (1.0 - t) * P0.perturbation.values + t * P1.perturbation.values
-    hinv = triangle_to_full(P0.with_perturbation(phi_t).hessian_state.inverse())
-    psi_h = hessian(psi).to_full()
+    P_t = Potential(P0.base, project_mean_zero(ScalarField(P0.grid, phi_t)))
+    hinv = triangle_to_full(P_t.hessian_state.inverse())
+    psi_h = triangle_to_full(hessian(psi).entries)
     integrand = np.einsum("...ia,...ab,...bj,...ij->...", hinv, psi_h, hinv, psi_h)
     return float(np.mean(integrand))
 

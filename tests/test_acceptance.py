@@ -21,9 +21,6 @@ from abreu import (
     divergence_form_residual,
     dual_residual,
     gradient_map_inverse,
-    hessian_u,
-    det_hessian,
-    inverse_hessian,
     legendre_transform,
     lower_bound_monitor,
     make_grid,
@@ -133,8 +130,7 @@ def test_05_necessary_condition(tmp_path):
         g = make_grid(dim, [16] * dim)
         P = random_convex_potential(g, rng, margin=rng.uniform(0.2, 0.9))
         out = abreu_forward(P)
-        hinv = inverse_hessian(hessian_u(P))
-        scale = 1.0 + float(np.max(np.abs(hinv.entries)))
+        scale = 1.0 + float(np.max(np.abs(P.hessian_state.inverse())))
         worst = max(worst, abs(mean(out)) / scale)
     ok_mean = worst <= 1e-12
 
@@ -194,8 +190,8 @@ def test_08_legendre_suite(solved_1d):
     V = legendre_transform(P)
     involution = sup_norm(legendre_transform(V).perturbation - P.perturbation)
     x_of_y = gradient_map_inverse(P, P.grid.node_points())
-    det_u = TrigInterpolant(det_hessian(hessian_u(P)))
-    det_v = det_hessian(hessian_u(V)).values.ravel()
+    det_u = TrigInterpolant(ScalarField(P.grid, P.hessian_state.det))
+    det_v = V.hessian_state.det.ravel()
     duality = float(np.max(np.abs(det_v * det_u.evaluate(x_of_y) - 1.0)))
     atilde = pullback_rhs(a, V)
     dual_res = sup_norm(dual_residual(V, atilde))

@@ -15,6 +15,7 @@ from abreu import (
     FieldSyntaxError,
     FormatError,
     GradientInversionFailure,
+    InvariantMetric,
     LinearSolveFailure,
     MeanNotZero,
     MonitorViolation,
@@ -26,7 +27,9 @@ from abreu import (
     continuity_solve,
     fieldfile,
     make_grid,
+    project_mean_zero,
     read_field,
+    scalar_curvature,
     sup_norm,
     write_field,
 )
@@ -173,7 +176,8 @@ class TestSolve:
     @pytest.mark.parametrize(
         "flags, named",
         [(["--resolution", "16,8"], "--resolution 16,8 contradicts"),
-         (["--dim", "1"], "--dim 1 contradicts")],
+         (["--dim", "1"], "--dim 1 contradicts"),
+         (["--resolution", "8,x"], "cannot parse resolution '8,x'")],
     )
     def test_grid_flags_contradicting_file_exit_1(
         self, tmp_path, capsys, rhs_2d, flags, named
@@ -325,6 +329,15 @@ class TestLegendreAndCurvature:
         m1, m2 = read_field(metric), read_field(recovered)
         assert sup_norm(m1 - m2) < 1e-6
 
+    def test_curvature_without_symplectic_is_scalar_curvature(self, tmp_path):
+        metric = tmp_path / "m.fld"
+        s_path = tmp_path / "S.fld"
+        assert main(["synth", "--dim", "2", "--resolution", "16",
+                     "--expr", "0.01*cos(2*pi*x1)*cos(2*pi*x2)", "--out", str(metric)]) == 0
+        assert main(["curvature", "--psi", str(metric), "--out", str(s_path)]) == 0
+        expected = scalar_curvature(InvariantMetric(project_mean_zero(read_field(metric))))
+        assert read_field(s_path).values.tobytes() == expected.values.tobytes()
+
     def test_prescribe_rejects_nonzero_mean(self, tmp_path):
         code = main(["prescribe", "--dim", "1", "--resolution", "16",
                      "--expr", "0.1", "--out", str(tmp_path / "m.fld")])
@@ -351,6 +364,23 @@ class TestErrorPaths:
 
     def test_bad_flag_exits_1(self):
         assert main(["solve", "--frobnicate"]) == 1
+
+    def test_expression_without_a_grid_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "f.fld"
+        assert main(["synth", "--expr", "cos(2*pi*x1)", "--out", str(out)]) == 1
+        assert "--dim and --resolution are required with --expr" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_rhs_on_another_grid_exits_1(self, tmp_path, capsys, manufactured_files):
+        _, phi_path = manufactured_files
+        rhs = tmp_path / "A32.fld"
+        write_field(rhs, ScalarField.zeros(make_grid(1, [32])))
+        report = tmp_path / "v.json"
+        code = main(["verify", "--phi", str(phi_path), "--rhs", str(rhs),
+                     "--report", str(report)])
+        assert code == 1
+        assert "(grid (32,)) does not match the potential grid (64,)" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_corrupt_field_file_exits_1(self, tmp_path):
         bad = tmp_path / "bad.fld"

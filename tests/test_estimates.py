@@ -22,6 +22,7 @@ from abreu import (
     legendre_transform,
     lower_bound_monitor,
     make_grid,
+    project_mean_zero,
     pullback_rhs,
     upper_bound_monitor,
     verify_solution,
@@ -87,14 +88,12 @@ class TestEigenvalueBounds:
         assert c2 == pytest.approx(1.0 + 0.04 * np.pi**2, abs=1e-11)
 
     def test_brackets_determinant_along_path(self):
-        from abreu import det_hessian, hessian_u
-
         _, a, _ = manufactured_problem(64)
         P, trace = continuity_solve(a)
         for step in trace.steps:
             assert step.det_min <= step.det_max
         c1, c2 = eigenvalue_bounds(P)
-        det_vals = det_hessian(hessian_u(P)).values
+        det_vals = P.hessian_state.det
         n = P.grid.dim
         assert c1**n <= det_vals.min() + 1e-12
         assert det_vals.max() <= c2**n + 1e-12
@@ -213,7 +212,7 @@ class TestVerifySolution:
         P, a, _, _ = certified
         x = P.grid.axis_coordinates(0)
         bad_vals = P.perturbation.values + 0.3 * np.cos(TWO_PI * x)
-        corrupted = P.with_perturbation(bad_vals)
+        corrupted = Potential(P.base, project_mean_zero(ScalarField(P.grid, bad_vals)))
         outcome = verify_solution(corrupted, a)
         assert not outcome.passed
         failed = [c.name for c in outcome.bounds.inequalities if not c.satisfied]
@@ -222,7 +221,8 @@ class TestVerifySolution:
     def test_mildly_wrong_solution_fails_residual(self, certified):
         P, a, _, _ = certified
         x = P.grid.axis_coordinates(0)
-        off = P.with_perturbation(P.perturbation.values + 1e-4 * np.cos(TWO_PI * x))
+        off_vals = P.perturbation.values + 1e-4 * np.cos(TWO_PI * x)
+        off = Potential(P.base, project_mean_zero(ScalarField(P.grid, off_vals)))
         outcome = verify_solution(off, a)
         assert not outcome.passed
         failed = {c.name for c in outcome.bounds.inequalities if not c.satisfied}

@@ -81,6 +81,17 @@ class TestDiagnostics:
             read_field(path)
         assert "resolution" in str(info.value)
 
+    @pytest.mark.parametrize("raw, named", [
+        (MAGIC[:3], "file of 3 bytes is shorter than the"),
+        (MAGIC + b"\x01\x00", "missing 2 bytes of the dimension field"),
+        (MAGIC + struct.pack("<I", 0), "dimension field is 0, must be >= 1"),
+    ])
+    def test_short_or_empty_header_named(self, tmp_path, raw, named):
+        path = tmp_path / "short.fld"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match=named):
+            read_field(path)
+
     def test_huge_header_reads_as_truncated(self, tmp_path):
         # 2^62 * 8 nodes: a node count that wrapped to 0 took the empty
         # payload for a whole one

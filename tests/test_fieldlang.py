@@ -73,6 +73,12 @@ class TestParse:
             parse(text)
         assert info.value.offset == offset
 
+    @pytest.mark.parametrize("text, offset", [("1 2", 2), ("x0", 0)])
+    def test_trailing_input_and_variable_zero_are_syntax_errors(self, text, offset):
+        with pytest.raises(FieldSyntaxError) as info:
+            parse(text)
+        assert info.value.offset == offset
+
     def test_scientific_literals(self):
         assert parse("1e-3") == Num(0.001)
         assert parse("2.5e2") == Num(250.0)
@@ -124,6 +130,17 @@ class TestEvalField:
         g = make_grid(1, [8])
         with pytest.raises(EvalError):
             eval_field(parse("1/x1"), g)  # x1 = 0 at the first node
+
+    def test_division_by_a_nonzero_field(self):
+        g = make_grid(1, [16])
+        f = eval_field(parse("1/(2+cos(2*pi*x1))"), g)
+        x = g.axis_coordinates(0)
+        assert np.array_equal(f.values, 1.0 / (2.0 + np.cos(2.0 * np.pi * x)))
+
+    @pytest.mark.parametrize("text", ["(1e200)^2", "exp(1000)"])
+    def test_overflow_is_an_eval_error(self, text):
+        with pytest.raises(EvalError, match="overflow"):
+            eval_field(parse(text), make_grid(1, [8]))
 
     def test_integer_power_total_on_negative_base(self):
         g = make_grid(1, [8])

@@ -8,6 +8,8 @@ where the quantity is ill-conditioned.  The screened 3x3 eigen-extremes
 have no tolerance: they must equal eigvalsh on every node bit for bit.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,19 +17,23 @@ from hypothesis import strategies as st
 
 from abreu import (
     HessianState,
+    NewtonRecord,
     NotConvex,
     Potential,
+    QuadraticBase,
     ScalarField,
     SymMatrixField,
     cofactor,
+    continuity_solve,
     hessian,
     make_grid,
     partial,
     potential,
     prescribe_curvature,
+    project_mean_zero,
     second_divergence,
 )
-from abreu.grid import triangle_pairs, triangle_to_full
+from abreu.grid import full_to_triangle, pair_index, triangle_pairs, triangle_to_full
 from tests.support import (
     cofactor_oracle,
     eigen_extremes_oracle,
@@ -77,7 +83,7 @@ class TestClosedForm2x2:
             g, _spd_2x2_stack(np.random.default_rng(seed), g.shape, log_cond, kind)
         )
         state = HessianState(H.grid, H.entries)
-        full = H.to_full()
+        full = triangle_to_full(H.entries)
         eigs = np.linalg.eigvalsh(full)
         scale = eigs[..., -1]
 
@@ -109,7 +115,7 @@ class TestClosedForm3x3:
         q, _ = np.linalg.qr(rng.standard_normal(g.shape + (3, 3)))
         d = rng.uniform(0.1, 10.0, g.shape + (3,))
         full = (q * d[..., None, :]) @ np.swapaxes(q, -1, -2)
-        state = HessianState(g, SymMatrixField.from_full(g, full).entries)
+        state = HessianState(g, full_to_triangle(full))
         full = triangle_to_full(state.hessian)  # the exactly symmetric stack
         det_ref = np.linalg.det(full)
         assert np.all(np.abs(state.det - det_ref) <= 1e-12 * np.abs(det_ref))
@@ -163,7 +169,7 @@ class TestTriangleInverse:
         g = make_grid(len(shape), list(shape))
         count = int(np.prod(shape))
         full = _spd_stack(np.random.default_rng(len(shape)), len(shape), count)
-        H = SymMatrixField.from_full(g, full.reshape(shape + full.shape[1:]))
+        H = SymMatrixField(g, full_to_triangle(full.reshape(shape + full.shape[1:])))
         e = H.entries
         if g.dim == 1:
             det, inv = e[0].copy(), 1.0 / e
@@ -178,8 +184,8 @@ class TestTriangleInverse:
             det = a * adj[0] + b * adj[1] + c * adj[2]
             inv = adj / det
         else:
-            det = np.linalg.det(H.to_full())
-            inv = SymMatrixField.from_full(g, np.linalg.inv(H.to_full())).entries
+            det = np.linalg.det(triangle_to_full(e))
+            inv = full_to_triangle(np.linalg.inv(triangle_to_full(e)))
         state = HessianState(H.grid, H.entries)
         assert np.array_equal(state.det, det)
         assert np.array_equal(state.inverse(), inv)
@@ -196,12 +202,29 @@ class TestOverflowingDeterminant:
         full = np.broadcast_to(np.eye(g.dim), g.shape + (g.dim, g.dim)).copy()
         full[(1,) * g.dim] *= 1e200  # det 1e400 there
         full[(2,) * g.dim] *= 1e200
-        state = HessianState(g, SymMatrixField.from_full(g, full).entries)
+        state = HessianState(g, full_to_triangle(full))
         assert np.isinf(state.det[(1,) * g.dim]) and not state.convex
         assert np.isnan(state.min_eigenvalue) and np.isnan(state.max_eigenvalue)
         assert state.worst_node == (1,) * g.dim
         with pytest.raises(NotConvex):
             state.inverse()
+
+    @pytest.mark.parametrize("amplitude", [1e300, 1e305])
+    @pytest.mark.parametrize("shape", [(16,), (8, 8), (8, 8, 8)])
+    def test_an_overflowing_hessian_is_not_convex_for_either_former(self, shape, amplitude):
+        # phi = a cos(8 pi x1) has phi_11 = -(8 pi)^2 a: finite and far
+        # below the floor for a = 1e300, an overflow in its spectrum times
+        # the multipliers for a = 1e305
+        g = make_grid(len(shape), list(shape))
+        phi = ScalarField.from_function(g, lambda x1, *_: amplitude * np.cos(4 * TWO_PI * x1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert not Potential(QuadraticBase.identity(g.dim), phi).hessian_state.convex
+            record = NewtonRecord(QuadraticBase.identity(g.dim), phi.values,
+                                  ScalarField.zeros(g))
+            assert not record.hessian_state.convex
+            with pytest.raises(NotConvex):
+                continuity_solve(ScalarField.zeros(g), initial_perturbation=phi)
 
     def test_one_dimensional_state_with_an_infinite_entry_is_not_convex(self):
         g = make_grid(1, [8])
@@ -309,7 +332,7 @@ class TestScreenedExtremes3x3:
         g = make_grid(3, [8, 10, 8])
         rng = np.random.default_rng(seed)
         full = _stack_3x3(rng, g.shape, kind, log_cond, log_gap)
-        H = SymMatrixField.from_full(g, full)
+        H = SymMatrixField(g, full_to_triangle(full))
         if copies:
             H = _plant_minimum(H, rng, copies)
         assert _extremes(HessianState(H.grid, H.entries)) == eigen_extremes_oracle(H.entries)
@@ -337,7 +360,7 @@ class TestScreenedExtremes3x3:
         monkeypatch.setattr(potential, "_extreme_candidates_3x3", unused)
         g = make_grid(4, [8, 8, 8, 8])
         f = random_band_limited(g, np.random.default_rng(4), max_mode=1, amplitude=0.01)
-        P = Potential.flat(g).with_perturbation(f.values)
+        P = Potential(QuadraticBase.identity(g.dim), project_mean_zero(f))
         eigvalsh_shapes.clear()
         state = P.hessian_state
         assert eigvalsh_shapes == [g.shape + (4, 4)]
@@ -380,7 +403,7 @@ class TestCofactor:
         b = rng.standard_normal(g.shape + (n, n))
         full = b @ np.swapaxes(b, -1, -2) + n * np.eye(n)
         full *= 10.0 ** rng.uniform(-2.0, 2.0)
-        got = cofactor(SymMatrixField.from_full(g, full)).to_full()
+        got = triangle_to_full(cofactor(SymMatrixField(g, full_to_triangle(full))).entries)
         ref = cofactor_oracle(full)
         scale = np.max(np.abs(ref), axis=(-2, -1), keepdims=True)
         assert np.all(np.abs(got - ref) <= 1e-12 * scale)
@@ -441,7 +464,7 @@ class TestRealFFTDerivatives:
         for i in range(g.dim):
             for j in range(i, g.dim):
                 ref = _reference_partial(values, _pair_orders(g.dim, i, j))
-                assert _close(H.component(i, j), ref)
+                assert _close(H.entries[pair_index(g.dim)[i, j]], ref)
 
     @settings(max_examples=20, deadline=None)
     @given(shape=GRIDS, seed=SEEDS)
@@ -453,7 +476,7 @@ class TestRealFFTDerivatives:
         acc = np.zeros(g.shape, dtype=complex)
         for i in range(g.dim):
             for j in range(i, g.dim):
-                comp = M.component(i, j)
+                comp = M.entries[pair_index(g.dim)[i, j]]
                 weight = 1.0 if i == j else 2.0
                 mult = _reference_multiplier(g.shape, _pair_orders(g.dim, i, j))
                 acc += weight * mult * np.fft.fftn(comp - comp.mean())

@@ -29,7 +29,9 @@ size n from the m = n(n+1)/2 components.
 The matrix algebra of gradient-map inversion stays in potential.py:
 legendre.py neither imports numpy.linalg nor names it.  So do the
 derivatives of a potential off the grid: legendre.py names neither
-`TrigInterpolant` nor `partials`.
+`TrigInterpolant` nor `partials`.  On the grid it names no Fourier function
+(`to_spectrum`, `from_spectrum`, `fourier_multiplier`, `node_partials`):
+phi's third partials at the nodes are `Potential.node_third_partials`.
 
 Fields are built at the boundary of the solve path, arrays pass inside
 it: in solver.py and potential.py only the functions of `FIELD_BUILDERS`
@@ -37,7 +39,7 @@ call `ScalarField`, `SymMatrixField` or `Potential` (or a classmethod of
 one).  In solver.py they are `continuity_solve`, whose arguments become
 the first start and the targets, and `NewtonRecord.potential`, the
 result; in potential.py the public functions that hand out a field and
-the `Potential` constructors.  So no Newton iteration (`newton_step`,
+`Potential.flat`.  So no Newton iteration (`newton_step`,
 `newton_correction`, `_newton_solve`) and no `HessianState` method builds
 one.
 
@@ -470,9 +472,8 @@ def test_detects_newton_system_solves_elsewhere(tmp_path):
 FIELD_TYPES = {"ScalarField", "SymMatrixField", "Potential"}
 FIELD_BUILDERS = {
     "solver.py": {"continuity_solve", "NewtonRecord.potential"},
-    "potential.py": {"Potential.flat", "Potential.with_perturbation", "hessian_u",
-                     "inverse_hessian", "det_hessian", "cofactor", "abreu_forward",
-                     "divergence_form_residual"},
+    "potential.py": {"Potential.flat", "inverse_hessian", "det_hessian", "cofactor",
+                     "abreu_forward", "divergence_form_residual"},
 }
 NEWTON_ITERATION = {"newton_step", "newton_correction", "_newton_solve"}
 
@@ -561,6 +562,28 @@ def test_detects_context_variables(tmp_path):
 def test_legendre_builds_no_interpolant():
     names = {"TrigInterpolant", "partials"}
     assert _names_used(PACKAGE / "legendre.py", names) == []
+
+
+FOURIER_FUNCTIONS = {"to_spectrum", "from_spectrum", "fourier_multiplier", "node_partials"}
+
+
+def test_legendre_names_no_fourier_function():
+    assert _names_used(PACKAGE / "legendre.py", FOURIER_FUNCTIONS) == []
+
+
+def test_detects_fourier_functions(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from .grid import fourier_multiplier, from_spectrum\n"
+        "from . import grid\n"
+        "def third(P, orders, at):\n"
+        "    spectrum = grid.to_spectrum(P.grid, P.perturbation.values)\n"
+        "    # node_partials in a comment, and a longer name, are not uses\n"
+        "    values = P.node_third_partials(at)\n"
+        "    return grid.node_partials(P.perturbation, orders), spectrum, values\n",
+        encoding="utf-8",
+    )
+    assert _names_used(probe, FOURIER_FUNCTIONS) == [1, 4, 7]
 
 
 def test_detects_names_used(tmp_path):

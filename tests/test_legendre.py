@@ -14,12 +14,10 @@ from abreu import (
     QuadraticBase,
     ScalarField,
     TrigInterpolant,
-    det_hessian,
     dual_residual,
     gradient,
     gradient_map,
     gradient_map_inverse,
-    hessian_u,
     legendre,
     legendre_transform,
     make_grid,
@@ -568,7 +566,7 @@ class TestChebyshevFirstStep:
             g, lambda *x: amp * np.cos(TWO_PI * sum(ki * xi for ki, xi in zip(k, x)) + theta)))
         rng = np.random.default_rng(0)
         nodes = rng.integers(0, 8, size=(20, dim))
-        third = legendre._node_third_partials(P, tuple(nodes.T))
+        third = P.node_third_partials(tuple(nodes.T))
         orders = partial_orders(dim, 3)
         assert third.shape == (len(orders), 20)
         phase = TWO_PI * (nodes / 8.0) @ k + theta
@@ -946,8 +944,8 @@ class TestLegendreTransform:
         P = manufactured_potential(64)
         V = legendre_transform(P)
         x_of_y = gradient_map_inverse(P, P.grid.node_points())
-        det_u = TrigInterpolant(det_hessian(hessian_u(P)))
-        det_v = det_hessian(hessian_u(V)).values.ravel()
+        det_u = TrigInterpolant(ScalarField(P.grid, P.hessian_state.det))
+        det_v = V.hessian_state.det.ravel()
         assert np.max(np.abs(det_v * det_u.evaluate(x_of_y) - 1.0)) < 1e-8
 
     def test_dual_gauge_is_mean_zero(self):

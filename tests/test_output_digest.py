@@ -74,11 +74,11 @@ def test_records_the_krylov_applies_of_each_input(monkeypatch):
 
 
 def test_reads_the_applies_of_either_record_shape():
-    # a record keeps its correction; an older tree's stores krylov_applies;
-    # a record with neither reads None, and so does any sum it enters
+    # a record keeps its correction; a start record's is None, and a record
+    # without one reads None, and so does any sum it enters
     tool = _tool()
     kept = SimpleNamespace(correction=SimpleNamespace(applies=5))
     assert tool.krylov_applies(kept) == 5
-    assert tool.krylov_applies(SimpleNamespace(krylov_applies=4)) == 4
+    assert tool.krylov_applies(SimpleNamespace(krylov_applies=4)) is None
     assert tool.krylov_applies(SimpleNamespace(correction=None)) is None
     assert tool.total([5, 4]) == 9 and tool.total([5, None]) is None

@@ -27,7 +27,7 @@ from abreu import (
     sup_norm,
     verify_solution,
 )
-from abreu.grid import triangle_pairs
+from abreu.grid import pair_index, triangle_pairs, triangle_to_full
 from abreu.potential import CONVEXITY_FLOOR
 from tests.support import (
     A_AT_0,
@@ -143,20 +143,25 @@ class TestPotential:
         assert (P == Potential.flat(g)) is False
 
 
+def _hessian(P):
+    """D^2 u as the public matrix-field container."""
+    return SymMatrixField(P.grid, hessian_u(P))
+
+
 class TestHessian:
     def test_flat_identity(self):
         g = make_grid(2, [16, 16])
         H = hessian_u(Potential.flat(g))
-        assert np.allclose(H.component(0, 0), 1.0)
-        assert np.allclose(H.component(1, 1), 1.0)
-        assert np.allclose(H.component(0, 1), 0.0)
+        assert np.allclose(H[pair_index(2)[0, 0]], 1.0)
+        assert np.allclose(H[pair_index(2)[1, 1]], 1.0)
+        assert np.allclose(H[pair_index(2)[0, 1]], 0.0)
 
     def test_1d_single_mode(self):
         P = manufactured_potential(64)
         x = P.grid.axis_coordinates(0)
         H = hessian_u(P)
         expected = 1.0 - 0.04 * np.pi**2 * np.cos(TWO_PI * x)
-        assert np.allclose(H.component(0, 0), expected, atol=1e-11)
+        assert np.allclose(H[0], expected, atol=1e-11)
 
     def test_entries_periodic(self):
         # the Hessian comes from spectral differentiation of the periodic
@@ -164,8 +169,7 @@ class TestHessian:
         g = make_grid(1, [32])
         rng = np.random.default_rng(0)
         P = random_convex_potential(g, rng)
-        H = hessian_u(P)
-        col = H.component(0, 0)
+        col = hessian_u(P)[0]
         jumps = np.abs(np.diff(np.concatenate([col, col[:1]])))
         assert jumps.max() < 10 * np.median(jumps) + 1e-8
 
@@ -173,27 +177,28 @@ class TestHessian:
 class TestInverseHessian:
     def test_identity(self):
         g = make_grid(2, [16, 16])
-        H = SymMatrixField.identity(g)
+        H = _hessian(Potential.flat(g))
         assert np.allclose(inverse_hessian(H).entries, H.entries)
 
     def test_1d_reciprocal(self):
         P = manufactured_potential(64)
-        H = hessian_u(P)
+        H = _hessian(P)
         Hinv = inverse_hessian(H)
         assert np.allclose(Hinv.entries, 1.0 / H.entries, atol=1e-14)
 
     def test_product_is_identity(self):
         g = make_grid(2, [16, 16])
         rng = np.random.default_rng(1)
-        H = hessian_u(random_convex_potential(g, rng))
+        H = _hessian(random_convex_potential(g, rng))
         Hinv = inverse_hessian(H)
-        prod = np.einsum("...ij,...jk->...ik", H.to_full(), Hinv.to_full())
+        prod = np.einsum("...ij,...jk->...ik", triangle_to_full(H.entries),
+                         triangle_to_full(Hinv.entries))
         assert np.max(np.abs(prod - np.eye(2))) < 1e-12
 
     def test_involution(self):
         g = make_grid(2, [16, 16])
         rng = np.random.default_rng(2)
-        H = hessian_u(random_convex_potential(g, rng))
+        H = _hessian(random_convex_potential(g, rng))
         again = inverse_hessian(inverse_hessian(H))
         assert np.max(np.abs(again.entries - H.entries)) < 1e-12
 
@@ -210,7 +215,7 @@ class TestInverseHessian:
 class TestDeterminantAndCofactor:
     def test_det_identity(self):
         g = make_grid(2, [16, 16])
-        assert np.allclose(det_hessian(SymMatrixField.identity(g)).values, 1.0)
+        assert np.allclose(det_hessian(_hessian(Potential.flat(g))).values, 1.0)
 
     def test_det_diagonal(self):
         g = make_grid(2, [16, 16])
@@ -223,14 +228,14 @@ class TestDeterminantAndCofactor:
     def test_det_product_identity(self):
         g = make_grid(2, [16, 16])
         rng = np.random.default_rng(3)
-        H = hessian_u(random_convex_potential(g, rng))
+        H = _hessian(random_convex_potential(g, rng))
         prod = det_hessian(H).values * det_hessian(inverse_hessian(H)).values
         assert np.max(np.abs(prod - 1.0)) < 1e-12
 
     def test_cofactor_identity_2d(self):
         g = make_grid(2, [16, 16])
-        C = cofactor(SymMatrixField.identity(g))
-        assert np.allclose(C.entries, SymMatrixField.identity(g).entries)
+        identity = _hessian(Potential.flat(g))
+        assert np.allclose(cofactor(identity).entries, identity.entries)
 
     def test_cofactor_1d_convention(self):
         g = make_grid(1, [16])
@@ -241,7 +246,7 @@ class TestDeterminantAndCofactor:
     def test_cofactor_equals_det_times_inverse(self):
         g = make_grid(2, [16, 16])
         rng = np.random.default_rng(4)
-        H = hessian_u(random_convex_potential(g, rng))
+        H = _hessian(random_convex_potential(g, rng))
         C = cofactor(H)
         ref = det_hessian(H).values * inverse_hessian(H).entries
         assert np.max(np.abs(C.entries - ref)) < 1e-12
@@ -251,12 +256,12 @@ class TestDeterminantAndCofactor:
         # divergence form of the equation
         g = make_grid(2, [32, 32])
         rng = np.random.default_rng(5)
-        H = hessian_u(random_convex_potential(g, rng, margin=0.5, max_mode=2))
+        H = _hessian(random_convex_potential(g, rng, margin=0.5, max_mode=2))
         U = cofactor(H)
         for j in range(2):
             div = np.zeros(g.shape)
             for i in range(2):
-                comp = ScalarField(g, U.component(i, j).copy())
+                comp = ScalarField(g, U.entries[pair_index(2)[i, j]])
                 orders = [0, 0]
                 orders[i] = 1
                 div += partial(comp, orders).values
@@ -294,8 +299,7 @@ class TestAbreuForward:
         for _ in range(10):
             P = random_convex_potential(g, rng, margin=0.3)
             out = abreu_forward(P)
-            hinv = inverse_hessian(hessian_u(P))
-            scale = 1.0 + np.max(np.abs(hinv.entries))
+            scale = 1.0 + np.max(np.abs(P.hessian_state.inverse()))
             assert abs(mean(out)) < 1e-12 * scale
 
     def test_propagates_not_convex(self):

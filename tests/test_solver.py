@@ -21,13 +21,13 @@ from abreu import (
     QuadraticBase,
     ScalarField,
     SolverConfig,
-    SymMatrixField,
     StepFloorReached,
     abreu_forward,
     continuity_solve,
     functional_value,
     grid,
     hessian,
+    hessian_u,
     make_grid,
     mean,
     newton_step,
@@ -155,14 +155,8 @@ class TestFunctional:
         psi = random_band_limited(g, rng, max_mode=2, amplitude=1e-3)
         P0 = Potential.flat(g)
         P1 = Potential(QuadraticBase.identity(2), psi)
-        h = hessian(psi)
-        expected = float(
-            np.mean(
-                h.component(0, 0) ** 2
-                + 2 * h.component(0, 1) ** 2
-                + h.component(1, 1) ** 2
-            )
-        )
+        h00, h01, h11 = hessian(psi).entries
+        expected = float(np.mean(h00**2 + 2 * h01**2 + h11**2))
         got = functional_second_derivative_oracle(P0, P1, 0.0)
         assert got == pytest.approx(expected, rel=1e-10)
         assert got > 0.0
@@ -357,7 +351,7 @@ class TestContinuitySolve:
         # every second divergence is an accepted iterate's
         assert len(formed) >= sum(s.newton_iterations for s in trace.steps)
         assert max(formed.values()) == 1
-        assert SymMatrixField.identity(g).entries.tobytes() not in formed
+        assert hessian_u(Potential.flat(g)).tobytes() not in formed
 
     def test_each_linearized_potential_builds_its_weights_once(self, monkeypatch):
         # a flat-start solve never linearizes its start; then a noisy-start
@@ -383,7 +377,7 @@ class TestContinuitySolve:
         monkeypatch.setattr(solver, "_linearized_operator", counting_operator)
         a = _small_2d_problem()
         continuity_solve(a)
-        flat = SymMatrixField.identity(a.grid).entries.tobytes()
+        flat = hessian_u(Potential.flat(a.grid)).tobytes()
         assert built and flat not in {state.hessian.tobytes() for state in built}
         assert built.keys() == linearized.keys()
         built.clear()
@@ -476,6 +470,11 @@ class TestContinuitySolve:
         monkeypatch.setattr(potential, "hessian_u", counting)
         continuity_solve(a, initial_perturbation=noise)
         assert sum(starts) == 1
+
+    def test_rejects_an_initial_perturbation_on_another_grid(self):
+        a = _small_2d_problem()
+        with pytest.raises(ValueError, match="initial perturbation lives on a different grid"):
+            continuity_solve(a, initial_perturbation=ScalarField.zeros(make_grid(2, [8, 8])))
 
     def test_uniqueness_from_noisy_start(self):
         _, a, _ = manufactured_problem(64)

@@ -226,22 +226,17 @@ class _Case:
 def test_counts_the_applies_the_returned_records_carry():
     tool = _tool()
 
-    # a record keeps the correction its step moved along; an older tree's
-    # record stores the applies as a field of its own
+    # a record keeps the correction its step moved along
     def kept(applies):
         return SimpleNamespace(correction=SimpleNamespace(applies=applies))
 
-    def stored(applies):
-        return SimpleNamespace(krylov_applies=applies)
-
-    for shape in (kept, stored):
-        # input 2 has zero residual: its record comes back as it went in,
-        # and the applies of the step that made it are not counted again
-        records = {0: shape(3), 1: shape(4)}
-        case = _Case(lambda i, forcing: records.get(i, i))
-        assert tool.count_work(case, 2) == (2, 7)
-        assert tool.count_work(case, 3) == (3, 7)
-        assert case.solver.newton_step(0, 0.5) is records[0]  # the binding is restored
+    # input 2 has zero residual: its record comes back as it went in, and
+    # the applies of the step that made it are not counted again
+    records = {0: kept(3), 1: kept(4)}
+    case = _Case(lambda i, forcing: records.get(i, i))
+    assert tool.count_work(case, 2) == (2, 7)
+    assert tool.count_work(case, 3) == (3, 7)
+    assert case.solver.newton_step(0, 0.5) is records[0]  # the binding is restored
 
 
 def test_a_tree_whose_records_carry_no_applies_counts_none():

@@ -12,13 +12,12 @@ directory.  It prints one sorted JSON object: per workload, seed and input,
 the exit code, the stderr text, the number of Newton steps the input's
 command took (calls of `abreu.solver.newton_step`, counted by wrapping the
 module binding as the benchmark's tracer does), the Krylov applies summed
-over the records those steps return (`record.correction.applies`, or
-`krylov_applies` in a tree that stores them there; null where the records
-carry neither) and the sha256 of each file the input made, `.fld` files
-by their bytes and reports without the keys that differ between
-identical runs (`VOLATILE_REPORT_KEYS`).  A failing solve writes no file,
-so its step and apply counts are what show that its Newton and Krylov
-path is unchanged.  The package is imported
+over the records those steps return (`record.correction.applies`; null
+where the records carry no correction) and the sha256 of each file the
+input made, `.fld` files by their bytes and reports without the keys that
+differ between identical runs (`VOLATILE_REPORT_KEYS`).  A failing solve
+writes no file, so its step and apply counts are what show that its
+Newton and Krylov path is unchanged.  The package is imported
 from `--src`, by default this checkout's `src/`, so one copy of the tool
 digests any other checkout with the same pools.
 """
@@ -66,13 +65,10 @@ def file_digest(path: Path) -> str:
 
 
 def krylov_applies(record) -> int | None:
-    """Krylov applies of the step that made `record`: those of its
-    `correction`, or its `krylov_applies` field in a tree that stores them
-    there; None for a record that carries neither."""
+    """Krylov applies of the step that made `record`, those of its
+    `correction`; None for a record that carries none."""
     correction = getattr(record, "correction", None)
-    if correction is not None:
-        return correction.applies
-    return getattr(record, "krylov_applies", None)
+    return None if correction is None else correction.applies
 
 
 @contextlib.contextmanager

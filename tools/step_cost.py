@@ -33,9 +33,8 @@ on the op's arguments as the benchmark makes them (`perfbench/child.py`),
 set-up files in a temporary directory per tree, after a first, untimed
 pass that counts each tree's Newton steps per op and the Krylov applies
 per op, read from the records those steps return
-(`record.correction.applies`, or `krylov_applies` in a tree that stores
-them there; "-" for a tree whose records carry neither),
-and a second that counts its off-grid interpolation per op: the calls of
+(`record.correction.applies`; "-" for a tree whose records carry no
+correction), and a second that counts its off-grid interpolation per op: the calls of
 `grid.TrigInterpolant.partials`, the multi-field passes of
 `grid.interpolate_fields` ("-" for a tree without it) and the points
 both were asked for, and a third that counts the work of its gradient-map
